@@ -271,9 +271,6 @@ class SuperPoly:
         """Coefficient of the empty monomial."""
         return self.terms.get((self.table.zero_exponents, ()), Fraction(0))
 
-    def constant_term(self):
-        return self.scalar_part()
-
     def set_odd_to_zero(self) -> "SuperPoly":
         """Projection killing every monomial with an odd factor."""
         return SuperPoly(self.table, {m: c for m, c in self.terms.items() if not m[1]})
@@ -579,42 +576,6 @@ class SuperPoly:
         if not isinstance(other, SuperPoly):
             return NotImplemented
         return self.table == other.table and self.terms == other.terms
-
-    def to_json_dict(self) -> dict:
-        evens = [self.table.names[i] for i in self.table.even_positions]
-        odds = [self.table.names[i] for i in self.table.odd_positions]
-        odd_slot = {pos: k for k, pos in enumerate(self.table.odd_positions)}
-        out = []
-        for (ev, od), c in self._sorted_terms():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError("JSON serialization supports rational coefficients only")
-            out.append({"coeff": str(Fraction(c)),
-                        "even": list(ev),
-                        "odd": [odd_slot[i] for i in od]})
-        return {"evens": evens, "odds": odds, "terms": out}
-
-    @classmethod
-    def from_json_dict(cls, data: dict, table: GeneratorTable | None = None) -> "SuperPoly":
-        if table is None:
-            table = GeneratorTable.chart(data["evens"], data["odds"])
-        else:
-            evens = [table.names[i] for i in table.even_positions]
-            odds = [table.names[i] for i in table.odd_positions]
-            if evens != list(data["evens"]) or odds != list(data["odds"]):
-                raise ValueError("generator table mismatch")
-        terms: dict[Monomial, object] = {}
-        for t in data["terms"]:
-            ev = tuple(int(x) for x in t["even"])
-            if len(ev) != len(table.even_positions):
-                raise ValueError("even exponent vector has wrong length")
-            odds_idx = [table.odd_positions[int(j)] for j in t["odd"]]
-            sign, od = sort_odd_indices(odds_idx)
-            if sign == 0:
-                continue
-            c = Fraction(t["coeff"]) * sign
-            mono = (ev, od)
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return cls(table, terms)
 
 
 def _render_coeff(c) -> str:

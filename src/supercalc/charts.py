@@ -38,6 +38,12 @@ class Chart:
         self.label = label
         self.table = GeneratorTable.chart(evens, odds)
 
+    @classmethod
+    def standard(cls, p: int, q: int) -> "Chart":
+        """R^{p|q} with coordinates x1..xp | th1..thq."""
+        return cls([f"x{i}" for i in range(1, p + 1)],
+                   [f"th{a}" for a in range(1, q + 1)], label=f"R{p}|{q}")
+
     @property
     def p(self) -> int:
         return len(self.table.even_positions)

@@ -57,10 +57,6 @@ def base_coordinate_names(table: GeneratorTable) -> tuple[str, ...]:
     return table.names_of_class(EVEN_BASE) + table.names_of_class(ODD_BASE)
 
 
-def lift_to_forms(poly: SuperPoly, ext: GeneratorTable) -> SuperPoly:
-    return transport(poly, ext)
-
-
 def fiber_degree(table: GeneratorTable, mono: Monomial) -> int:
     """Number of fiber symbols, with multiplicity."""
     ev, od = mono
@@ -140,13 +136,13 @@ def pullback_form(m: CoordinateMap, omega: SuperPoly) -> SuperPoly:
     src_ext = form_table(m.source.table)
     tgt_ext = form_table(m.target.table)
     if omega.table == m.target.table:
-        omega = lift_to_forms(omega, tgt_ext)
+        omega = transport(omega, tgt_ext)
     elif omega.table != tgt_ext:
         raise ValueError("form is not over the target chart")
     assignment: dict[str, SuperPoly] = {}
     source_names = base_coordinate_names(src_ext)
     for name in base_coordinate_names(tgt_ext):
-        img = lift_to_forms(m.images[name], src_ext)
+        img = transport(m.images[name], src_ext)
         assignment[name] = img
         fib = SuperPoly.zero(src_ext)
         for b in source_names:

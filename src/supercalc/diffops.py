@@ -28,15 +28,11 @@ from supercalc.algebra import (
     GeneratorTable,
     RationalFunction,
     SuperPoly,
+    _check_same_table,
     merge_odd_indices,
 )
 
 DerivMonomial = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _check_same_table(a: "DiffOp", b) -> None:
-    if a.table != b.table:
-        raise ValueError("generator table mismatch")
 
 
 class DiffOp:
@@ -302,31 +298,3 @@ class DiffOp:
         return " + ".join(chunks)
 
     __repr__ = __str__
-
-    def to_json_dict(self) -> dict:
-        base = {"evens": [self.table.names[i] for i in self.table.even_positions],
-                "odds": [self.table.names[i] for i in self.table.odd_positions],
-                "terms": []}
-        odd_slot = {pos: k for k, pos in enumerate(self.deriv_odd)}
-        for (ell, eps), c in sorted(self.terms.items()):
-            cd = c.to_json_dict()
-            for t in cd["terms"]:
-                t["deriv"] = {"even": list(ell), "odd": [odd_slot[i] for i in eps]}
-                base["terms"].append(t)
-        return base
-
-    @classmethod
-    def from_json_dict(cls, data: dict, table: GeneratorTable) -> "DiffOp":
-        terms: dict[DerivMonomial, SuperPoly] = {}
-        deriv_odd = table.positions_of_class(ODD_BASE)
-        for t in data["terms"]:
-            deriv = t.get("deriv", {"even": [], "odd": []})
-            ell = tuple(int(x) for x in deriv["even"]) or \
-                (0,) * len(table.positions_of_class(EVEN_BASE))
-            eps = tuple(sorted(deriv_odd[int(j)] for j in deriv["odd"]))
-            poly = SuperPoly.from_json_dict(
-                {"evens": data["evens"], "odds": data["odds"], "terms": [
-                    {k: v for k, v in t.items() if k != "deriv"}]}, table)
-            acc = terms.get((ell, eps))
-            terms[(ell, eps)] = poly if acc is None else acc + poly
-        return cls(table, terms)

@@ -558,7 +558,7 @@ def to_integral_form(form: DeltaForm) -> IntegralForm:
         word = _derivative_word(chart, eps, ells)
         applied = cw_apply(word, DeltaForm.top(chart))
         sign_poly = applied.terms[(tuple(eps), tuple(ells))]
-        sign = sign_poly.constant_term()
+        sign = sign_poly.scalar_part()
         powers = {polyvector_name(name): 1
                   for i, name in enumerate(chart.even_names) if not eps[i]}
         powers.update({polyvector_name(name): ells[a]

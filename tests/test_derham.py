@@ -26,7 +26,6 @@ from supercalc.derham import (
     fiber_degree,
     form_table,
     homotopy_h,
-    lift_to_forms,
     pullback_form,
     script_D,
     script_H,
@@ -66,11 +65,11 @@ class TestFormTable:
 
 class TestDifferential:
     def test_d_of_coordinates(self):
-        assert d(lift_to_forms(gen(R12, "x"), E12)) == gen(E12, "dx")
-        assert d(lift_to_forms(gen(R12, "th1"), E12)) == gen(E12, "dth1")
+        assert d(transport(gen(R12, "x"), E12)) == gen(E12, "dx")
+        assert d(transport(gen(R12, "th1"), E12)) == gen(E12, "dth1")
 
     def test_d_of_odd_product(self):
-        omega = d(lift_to_forms(gen(R12, "th1") * gen(R12, "th2"), E12))
+        omega = d(transport(gen(R12, "th1") * gen(R12, "th2"), E12))
         expected = (gen(E12, "th2") * gen(E12, "dth1")
                     - gen(E12, "th1") * gen(E12, "dth2"))
         assert omega == expected
@@ -108,7 +107,7 @@ class TestHomotopy:
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
-            homotopy_h(lift_to_forms(gen(R12, "x"), E12))
+            homotopy_h(transport(gen(R12, "x"), E12))
 
     def test_stated_degree_mismatch_rejected(self):
         with pytest.raises(ValueError, match="homogeneous"):

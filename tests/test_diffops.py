@@ -179,8 +179,3 @@ def test_left_multiply_matches_compose():
 
 def test_degree_of_zero_operator():
     assert DiffOp.zero(T).degree() == -1
-
-
-def test_json_round_trip():
-    d = mult(gen("x") * gen("th1")).compose(dd("th2")) + dd("x").scale(Fraction(1, 2))
-    assert DiffOp.from_json_dict(d.to_json_dict(), T) == d
