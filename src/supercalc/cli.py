@@ -53,8 +53,6 @@ from supercalc.integral_forms import (
 from supercalc.integration import (
     berezin_integral,
     duality_pair_integral,
-    lie_derivative_gaussian,
-    spencer_delta_gaussian,
     stokes_check,
     susy_algebra_check,
 )
@@ -549,7 +547,7 @@ class Evaluator:
         if isinstance(a, Fraction):
             return self._scale(b, a)
         if isinstance(b, Fraction):
-            return self._scale_right(a, b)
+            return self._scale(a, b)
         if isinstance(a, DiffOp) or isinstance(b, DiffOp):
             if isinstance(a, DiffOp) and isinstance(b, DiffOp):
                 return a.compose(b)
@@ -582,11 +580,6 @@ class Evaluator:
         if isinstance(value, BerPending):
             return BerPending(value.poly.scale(c))
         raise ExpressionError(f"cannot scale {_kind(value)}")
-
-    def _scale_right(self, value, c: Fraction):
-        if isinstance(value, BerPending):
-            return BerPending(value.poly.scale(c))
-        return self._scale(value, c)
 
     def div(self, a, b, tok: Token):
         if isinstance(b, Fraction):
@@ -1092,10 +1085,7 @@ def cmd_spencer_delta(expression, gaussian, dirac, formal, ring_text,
     markers = _collect_markers(markers, gaussian, dirac, formal)
     u = _want_density(ring, value)
     try:
-        if markers.gaussian:
-            out = spencer_delta_gaussian(u, markers.gaussian)
-        else:
-            out = spencer_delta(u)
+        out = spencer_delta(u, markers.gaussian)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _emit(json_mode, "spencer-delta", str(out), ring)
@@ -1133,10 +1123,7 @@ def cmd_lie_ber(density, field, gaussian, dirac, formal, ring_text,
         comps[name] = _as_poly(ring, v, BASE)
     try:
         x = VectorField(ring.chart, comps)
-        if markers.gaussian:
-            out = lie_derivative_gaussian(section, x, markers.gaussian)
-        else:
-            out = lie_derivative_ber(section, x)
+        out = lie_derivative_ber(section, x, markers.gaussian)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _emit(json_mode, "lie-ber", str(out), ring)

@@ -25,6 +25,11 @@ complex carries
   the role a wedge product cannot play here: two integral forms never
   multiply, an integral form and a form do.
 
+:func:`spencer_delta` and :func:`lie_derivative_ber` take an optional set
+of even coordinates that carry the Gaussian weight exp(-z^2).  The weight
+stays factored out of the coefficient, and the derivative along each of
+those coordinates picks up its contribution -2z.
+
 All coefficients are exact rationals and every object is immutable once
 built, so values can be shared freely between threads.
 """
@@ -32,7 +37,7 @@ built, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from supercalc.algebra import (
     EVEN_BASE,
@@ -253,13 +258,34 @@ class VectorField:
     __repr__ = __str__
 
 
-def lie_derivative_ber(section: BerSection, field: VectorField) -> BerSection:
+def _gaussian_set(chart: Chart, gaussian: Iterable[str]) -> frozenset[str]:
+    gaussian = frozenset(gaussian)
+    unknown = gaussian - set(chart.even_names)
+    if unknown:
+        raise ValueError(f"{min(unknown)!r} is not an even coordinate of the chart")
+    return gaussian
+
+
+def _weighted_derivative(g: SuperPoly, name: str,
+                         gaussian: frozenset[str]) -> SuperPoly:
+    """Left derivative of g * exp(-z^2) with the weight factored back out."""
+    out = g.left_derivative(name)
+    if name in gaussian:
+        out = out - (g * SuperPoly.generator(g.table, name)).scale(2)
+    return out
+
+
+def lie_derivative_ber(section: BerSection, field: VectorField,
+                       gaussian: Iterable[str] = ()) -> BerSection:
     """Dressed Lie derivative of a density along a vector field.
 
     Acts through the divergence: the coefficient f goes to
     sum_a (-1)^{|x_a| (|f| + |X^a|)} d/dx_a (f X^a), summed over the
     chart coordinates, with the derivative taken from the left.  The
     field must be parity homogeneous so the signs are well defined.
+    On the even coordinates listed in ``gaussian`` the density carries
+    the weight exp(-z^2), which stays factored out: their derivative
+    picks up the weight's contribution -2z.
     """
     if field.chart.table != section.chart.table:
         raise ValueError("field and density live on different charts")
@@ -267,6 +293,7 @@ def lie_derivative_ber(section: BerSection, field: VectorField) -> BerSection:
     if xp is None:
         raise ValueError("vector field must have homogeneous parity")
     table = section.chart.table
+    gaussian = _gaussian_set(section.chart, gaussian)
     parts = section.coefficient.homogeneous_parts()
     out = SuperPoly.zero(table)
     for name, comp in field.components.items():
@@ -275,7 +302,7 @@ def lie_derivative_ber(section: BerSection, field: VectorField) -> BerSection:
         for fp, fpart in enumerate(parts):
             if fpart.is_zero():
                 continue
-            term = (fpart * comp).left_derivative(name)
+            term = _weighted_derivative(fpart * comp, name, gaussian)
             if pa and (fp + comp_parity) % 2:
                 term = -term
             out = out + term
@@ -434,7 +461,7 @@ class IntegralForm:
     __repr__ = __str__
 
 
-def spencer_delta(u: IntegralForm) -> IntegralForm:
+def spencer_delta(u: IntegralForm, gaussian: Iterable[str] = ()) -> IntegralForm:
     """The degree-lowering differential of the integral form complex.
 
     On a monomial ``Ber @ h`` it reads
@@ -444,14 +471,19 @@ def spencer_delta(u: IntegralForm) -> IntegralForm:
     transferring one polyvector letter into an honest coordinate
     derivative.  Squares to zero and anticommutes with nothing else it
     needs to; see :func:`homotopy_int` for the contraction identity.
+    With the Gaussian weight on the even coordinates in ``gaussian``,
+    their derivative picks up -2z as in :func:`lie_derivative_ber`; the
+    differential still squares to zero.
     """
     chart = u.chart
+    gaussian = _gaussian_set(chart, gaussian)
     base_parity = (chart.p + chart.q) % 2
     out = SuperPoly.zero(u.table)
     for name in chart.coordinate_names:
-        term = u.poly.left_derivative(polyvector_name(name)).left_derivative(name)
-        if term.is_zero():
+        peeled = u.poly.left_derivative(polyvector_name(name))
+        if peeled.is_zero():
             continue
+        term = _weighted_derivative(peeled, name, gaussian)
         if (u.table.parity(name) + base_parity + 1) % 2:
             term = -term
         out = out + term

@@ -7,11 +7,11 @@ That class is closed under coordinate derivatives and every moment is a
 rational multiple of a power of sqrt(pi), so the integral stays exact;
 values live in :class:`PiValue`.
 
-The module also provides the weighted versions of the Lie derivative
-and of the integral-form differential (the weight rides along through
-the product rule), a Stokes checker, evaluation of the duality pairing
-between integral and differential forms, and the supersymmetry
-generators with their algebra and invariance checks.
+The module also provides a Stokes checker, which integrates the
+weighted integral-form differential of :mod:`supercalc.integral_forms`,
+evaluation of the duality pairing between integral and differential
+forms, and the supersymmetry generators with their algebra and
+invariance checks.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .integral_forms import (
     IntegralForm,
     VectorField,
     _plain_polynomial,
+    lie_derivative_ber,
     pair,
-    polyvector_name,
+    spencer_delta,
 )
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "GaussianIntegrand",
     "berezin_integral",
     "gaussian_moment",
-    "lie_derivative_gaussian",
-    "spencer_delta_gaussian",
     "stokes_check",
     "duality_pair_integral",
     "susy_generator",
@@ -163,12 +162,18 @@ def _as_pi_value(value) -> PiValue:
     raise TypeError(f"cannot coerce {type(value).__name__} to PiValue")
 
 
+def _moment_ratio(e: int) -> Fraction:
+    """``int z^e exp(-z^2) dz / sqrt(pi)``: (e-1)!! / 2^(e/2), 0 for odd e."""
+    if e % 2:
+        return Fraction(0)
+    return Fraction(prod(range(1, e, 2)), 2 ** (e // 2))
+
+
 def gaussian_moment(n: int) -> PiValue:
     """``int z^(2n) exp(-z^2) dz`` over the line: (2n-1)!! sqrt(pi) / 2^n."""
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    coeff = Fraction(prod(range(1, 2 * n, 2)), 2**n)
-    return PiValue.pi_power(Fraction(1, 2), coeff)
+    return PiValue.pi_power(Fraction(1, 2), _moment_ratio(2 * n))
 
 
 class GaussianIntegrand:
@@ -273,86 +278,12 @@ def berezin_integral(target, *, gaussian: Iterable[str] = (),
                 continue
             name = table.names[table.even_positions[slot]]
             assert name in target.gaussian
-            if e % 2:
-                coeff = Fraction(0)
+            coeff *= _moment_ratio(e)
+            if not coeff:
                 break
-            coeff *= Fraction(prod(range(1, e, 2)), 2 ** (e // 2))
         if coeff:
             total = total + PiValue.pi_power(power, coeff)
     return total
-
-
-def _weighted_derivative(g: SuperPoly, name: str,
-                         gaussian: frozenset[str]) -> SuperPoly:
-    """Left derivative of g * exp(-z^2) with the weight factored back out."""
-    out = g.left_derivative(name)
-    if name in gaussian:
-        out = out - (g * SuperPoly.generator(g.table, name)).scale(2)
-    return out
-
-
-def _marker_set(chart: Chart, gaussian) -> frozenset[str]:
-    if gaussian is None:
-        return frozenset(chart.even_names)
-    gaussian = frozenset(gaussian)
-    unknown = gaussian - set(chart.even_names)
-    if unknown:
-        raise ValueError(f"{min(unknown)!r} is not an even coordinate of the chart")
-    return gaussian
-
-
-def lie_derivative_gaussian(section: BerSection, field: VectorField,
-                            gaussian: Iterable[str] | None = None) -> BerSection:
-    """Lie derivative of a Gaussian-weighted density, weight factored out.
-
-    Same divergence formula as the polynomial version, with every
-    coordinate derivative replaced by its weighted counterpart; with an
-    empty marker set the two agree.  Defaults to the weight sitting on
-    all even coordinates.
-    """
-    if field.chart.table != section.chart.table:
-        raise ValueError("field and density live on different charts")
-    xp = field.parity()
-    if xp is None:
-        raise ValueError("vector field must have homogeneous parity")
-    table = section.chart.table
-    gaussian = _marker_set(section.chart, gaussian)
-    parts = section.coefficient.homogeneous_parts()
-    out = SuperPoly.zero(table)
-    for name, comp in field.components.items():
-        pa = table.parity(name)
-        comp_parity = (xp + pa) % 2
-        for fp, fpart in enumerate(parts):
-            if fpart.is_zero():
-                continue
-            term = _weighted_derivative(fpart * comp, name, gaussian)
-            if pa and (fp + comp_parity) % 2:
-                term = -term
-            out = out + term
-    return BerSection(section.chart, out)
-
-
-def spencer_delta_gaussian(u: IntegralForm,
-                           gaussian: Iterable[str] | None = None) -> IntegralForm:
-    """The integral-form differential with the Gaussian weight riding along.
-
-    Identical to the polynomial differential except that the coordinate
-    derivative picks up the weight's contribution -2z on the marked
-    even coordinates.  Squares to zero for the same reason.
-    """
-    chart = u.chart
-    gaussian = _marker_set(chart, gaussian)
-    base_parity = (chart.p + chart.q) % 2
-    out = SuperPoly.zero(u.table)
-    for name in chart.coordinate_names:
-        peeled = u.poly.left_derivative(polyvector_name(name))
-        if peeled.is_zero():
-            continue
-        term = _weighted_derivative(peeled, name, gaussian)
-        if (u.table.parity(name) + base_parity + 1) % 2:
-            term = -term
-        out = out + term
-    return IntegralForm(chart, out)
 
 
 def stokes_check(u: IntegralForm,
@@ -368,8 +299,8 @@ def stokes_check(u: IntegralForm,
     chart = u.chart
     if not u.is_zero() and u.degree() != chart.p - 1:
         raise ValueError("expected a form of degree one below the top")
-    gaussian = _marker_set(chart, gaussian)
-    boundary = spencer_delta_gaussian(u, gaussian)
+    gaussian = frozenset(chart.even_names if gaussian is None else gaussian)
+    boundary = spencer_delta(u, gaussian)
     value = berezin_integral(boundary.as_section(), gaussian=gaussian)
     return value, value.is_zero()
 
@@ -479,7 +410,7 @@ def susy_variation(lagrangian: BerSection, gamma: Sequence, a: int,
     derivative, and those integrate away.
     """
     chart = lagrangian.chart
-    gaussian = _marker_set(chart, gaussian)
+    gaussian = frozenset(chart.even_names if gaussian is None else gaussian)
     field = susy_field(chart, gamma, a)
-    varied = lie_derivative_gaussian(lagrangian, field, gaussian)
+    varied = lie_derivative_ber(lagrangian, field, gaussian)
     return berezin_integral(varied, gaussian=gaussian)

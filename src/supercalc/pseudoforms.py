@@ -54,7 +54,7 @@ from supercalc.integral_forms import (
     polyvector_name,
     polyvector_table,
 )
-from supercalc.integration import PiValue
+from supercalc.integration import PiValue, _moment_ratio
 from supercalc.supermatrix import det_even, inv_even
 
 __all__ = [
@@ -296,24 +296,22 @@ class DeltaForm:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("delta argument not reducible") from exc
 
-        # Nilpotent dx summands of each dth'_a, and full differentials of
-        # the even images, as lists of (letter kind, index, coefficient).
-        nil_parts = []
-        for tname in self.chart.odd_names:
-            img = m.images[tname]
-            nil_parts.append([(0, i, img.left_derivative(sname))
-                              for i, sname in enumerate(src.even_names)])
-        nil_zero = [all(c.is_zero() for _, _, c in parts) for parts in nil_parts]
-        dx_images = []
-        for tname in self.chart.even_names:
-            img = m.images[tname]
-            comps = [(0, i, img.left_derivative(sname))
-                     for i, sname in enumerate(src.even_names)]
-            comps += [(1, a, img.left_derivative(sname))
-                      for a, sname in enumerate(src.odd_names)]
-            dx_images.append(comps)
+        # Each block step is a sum of fiber letters with coefficients:
+        # the G^{-1}-weighted delta-raising letters of each target slot,
+        # the nilpotent dx summands of each dth'_a, and the full
+        # differentials of the even images.
+        def differential(img: SuperPoly, names) -> list:
+            return [(fiber_name(n), img.left_derivative(n)) for n in names]
 
-        result: dict[TermKey, SuperPoly] = {}
+        raise_steps = [[(f"dd_{fiber_name(n)}", g_inv[b][a])
+                        for b, n in enumerate(src.odd_names)] for a in range(q)]
+        nil_steps = [differential(m.images[t], src.even_names)
+                     for t in self.chart.odd_names]
+        nil_zero = [all(c.is_zero() for _, c in step) for step in nil_steps]
+        dx_steps = [differential(m.images[t], src.coordinate_names)
+                    for t in self.chart.even_names]
+
+        result = DeltaForm.zero(src)
         vacuum = ((0,) * p, (0,) * q)
         for (eps, ells), f in self.terms.items():
             pulled = m.pullback(f)
@@ -326,22 +324,18 @@ class DeltaForm:
                 if any(j and nil_zero[a] for a, j in enumerate(orders)):
                     continue
                 weight = Fraction(1, prod(factorial(j) for j in orders))
-                block = {vacuum: det_inv.scale(weight)}
+                block = DeltaForm(src, {vacuum: det_inv.scale(weight)})
                 for a in range(q):
                     for _ in range(ells[a] + orders[a]):
-                        block = _raise_delta(block, g_inv, a)
+                        block = _apply_step(block, raise_steps[a])
                 for a in range(q):
                     for _ in range(orders[a]):
-                        block = _left_multiply_one_form(block, nil_parts[a])
+                        block = _apply_step(block, nil_steps[a])
                 for k in range(p - 1, -1, -1):
                     if eps[k]:
-                        block = _left_multiply_one_form(block, dx_images[k])
-                for key, coeff in block.items():
-                    moved = pulled * coeff
-                    if moved.is_zero():
-                        continue
-                    result[key] = result[key] + moved if key in result else moved
-        plain = {key: _plain_polynomial(poly) for key, poly in result.items()}
+                        block = _apply_step(block, dx_steps[k])
+                result = result + block.times(pulled)
+        plain = {key: _plain_polynomial(poly) for key, poly in result.terms.items()}
         return DeltaForm(src, plain)
 
     # --- presentation ---------------------------------------------------------
@@ -410,60 +404,6 @@ def _signed_by_parity(poly: SuperPoly, sign: int) -> SuperPoly:
     return out if sign > 0 else -out
 
 
-def _raise_delta(block: dict[TermKey, SuperPoly],
-                 g_inv, a: int) -> dict[TermKey, SuperPoly]:
-    """Apply the G^{-1}-weighted derivative letter for target slot a."""
-    new: dict[TermKey, SuperPoly] = {}
-    for (eps, ells), coeff in block.items():
-        for b, row in enumerate(g_inv):
-            entry = row[a]
-            if entry.is_zero():
-                continue
-            lifted = list(ells)
-            lifted[b] += 1
-            key = (eps, tuple(lifted))
-            moved = entry * coeff
-            new[key] = new[key] + moved if key in new else moved
-    return new
-
-
-def _left_multiply_one_form(block: dict[TermKey, SuperPoly],
-                            comps) -> dict[TermKey, SuperPoly]:
-    """Left-multiply every term by sum of (letter dy) * coefficient.
-
-    ``comps`` lists (kind, index, coefficient) with kind 0 for a dx
-    letter and 1 for a dth letter.  The coefficient is carried past the
-    existing term coefficient into place, which costs a sign for the odd
-    dx letters and the distribution factor -l for the dth letters.
-    """
-    new: dict[TermKey, SuperPoly] = {}
-    for (eps, ells), f in block.items():
-        for kind, idx, c in comps:
-            if c.is_zero():
-                continue
-            g = c * f
-            if g.is_zero():
-                continue
-            if kind == 0:
-                if eps[idx]:
-                    continue
-                prefix = sum(eps[:idx]) % 2
-                moved = _signed_by_parity(g, -1 if prefix else 1)
-                marked = list(eps)
-                marked[idx] = 1
-                key = (tuple(marked), ells)
-            else:
-                order = ells[idx]
-                if order == 0:
-                    continue
-                moved = g.scale(-order)
-                lowered = list(ells)
-                lowered[idx] -= 1
-                key = (eps, tuple(lowered))
-            new[key] = new[key] + moved if key in new else moved
-    return {key: poly for key, poly in new.items() if not poly.is_zero()}
-
-
 def _resolve_letter(chart: Chart, token: str) -> tuple[bool, int, int]:
     """(is derivative, kind 0 for dx / 1 for dth, coordinate index)."""
     derivative = token.startswith("dd_")
@@ -527,6 +467,15 @@ def cw_apply(op: CWOperator | str | Iterable[str], form: DeltaForm) -> DeltaForm
             new[key] = new[key] + moved if key in new else moved
         terms = new
     return DeltaForm(chart, terms)
+
+
+def _apply_step(form: DeltaForm, step) -> DeltaForm:
+    """Sum of ``cw_apply([letter], form.times(c))`` over (letter, c) pairs."""
+    out = DeltaForm.zero(form.chart)
+    for letter, c in step:
+        if not c.is_zero():
+            out = out + cw_apply([letter], form.times(c))
+    return out
 
 
 # --- the bridge to integral forms ---------------------------------------------
@@ -670,10 +619,9 @@ def gaussian_fiber_integral(chart: Chart, form, gaussian: Iterable[str] = ()
                 continue
             name = ftab.names[ftab.even_positions[slot]]
             if name in even_fibers:
-                if k % 2:
-                    factor = Fraction(0)
+                factor *= _moment_ratio(k)
+                if not factor:
                     break
-                factor *= Fraction(prod(range(1, k, 2)), 2 ** (k // 2))
             else:
                 base_powers[name] = k
         if factor:

@@ -17,11 +17,10 @@ nilpotent remainder is absorbed by a finite geometric series.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
-from supercalc.algebra import GeneratorTable, RationalFunction, SuperPoly
+from supercalc.algebra import GeneratorTable, SuperPoly, _coeff_inverse
 
 Rows = list[list[SuperPoly]]
 
@@ -118,10 +117,7 @@ def _scalar_unit_inverse(det0: SuperPoly):
         raise ValueError(
             "reduced determinant is not a unit in the coefficient domain; "
             "absorb even variables into rational-function coefficients first")
-    c = next(iter(terms.values()))
-    if isinstance(c, RationalFunction):
-        return c.inverse()
-    return Fraction(1, 1) / Fraction(c)
+    return _coeff_inverse(next(iter(terms.values())))
 
 
 def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows:

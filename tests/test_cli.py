@@ -69,3 +69,29 @@ def test_deep_nesting_is_an_expression_error():
     result = CliRunner().invoke(main, ["d", "--", text])
     assert result.exit_code == 2
     assert "nested too deeply" in result.output
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["lie-ber", "--ring", "1|1", "--gaussian", "x1", "--",
+      "Ber @ x1*th1", "x1 = x1; th1 = th1"],
+     "Ber @ 2*x1*th1 - 2*x1^3*th1"),
+    (["lie-ber", "--ring", "2|1", "--",
+      "Ber @ x1*x2*th1 gauss(x1,x2)", "x1 = x2; x2 = x1"],
+     "Ber @ x2^2*th1 + x1^2*th1 - 4*x1^2*x2^2*th1"),
+])
+def test_gaussian_weight_enters_the_lie_derivative(args, expected):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == expected
+
+
+@pytest.mark.parametrize("name", ["th1", "y"])
+@pytest.mark.parametrize("command, operands", [
+    ("spencer-delta", ["Ber @ x1*th1"]),
+    ("lie-ber", ["Ber @ x1*th1", "x1 = x1"]),
+])
+def test_gaussian_weight_needs_an_even_coordinate(command, operands, name):
+    result = CliRunner().invoke(main, [command, "--ring", "1|1",
+                                       "--gaussian", name, "--", *operands])
+    assert result.exit_code == 2
+    assert f"{name!r} is not an even coordinate" in result.output

@@ -14,7 +14,6 @@ from supercalc.integral_forms import (
     BerSection,
     IntegralForm,
     homotopy_int,
-    lie_derivative_ber,
     polyvector_name,
     polyvector_table,
     spencer_delta,
@@ -25,8 +24,6 @@ from supercalc.integration import (
     berezin_integral,
     duality_pair_integral,
     gaussian_moment,
-    lie_derivative_gaussian,
-    spencer_delta_gaussian,
     stokes_check,
     susy_algebra_check,
     susy_field,
@@ -242,43 +239,19 @@ class TestChartIndependence:
 
 
 class TestWeightedOperators:
-    def test_no_marker_reduces_to_plain_lie_derivative(self):
-        rng = random.Random(415)
-        table = R22.table
-        for _ in range(20):
-            f = random_superpoly(rng, table, terms=3, max_exp=2)
-            parity = rng.choice([0, 1])
-            comps = {}
-            for name in R22.coordinate_names:
-                want = (parity + table.parity(name)) % 2
-                comps[name] = random_superpoly(rng, table, parity=want,
-                                               terms=2, max_exp=1)
-            from supercalc.integral_forms import VectorField
-            field = VectorField(R22, comps)
-            s = BerSection(R22, f)
-            assert lie_derivative_gaussian(s, field, ()) \
-                == lie_derivative_ber(s, field)
-
     def test_weighted_differential_squares_to_zero(self):
         rng = random.Random(416)
         table = polyvector_table(R22)
         for _ in range(30):
             poly = random_superpoly(rng, table, terms=4, max_exp=2)
             u = IntegralForm(R22, poly)
-            twice = spencer_delta_gaussian(spencer_delta_gaussian(u))
+            twice = spencer_delta(spencer_delta(u, R22.even_names), R22.even_names)
             assert twice.is_zero()
-
-    def test_empty_marker_reduces_to_plain_differential(self):
-        rng = random.Random(416)
-        table = polyvector_table(R11)
-        for _ in range(10):
-            u = IntegralForm(R11, random_superpoly(rng, table, terms=3))
-            assert spencer_delta_gaussian(u, ()) == spencer_delta(u)
 
     def test_weight_contributes_minus_two_z(self):
         table = polyvector_table(R11)
         u = IntegralForm(R11, gen(table, "th") * gen(table, "pdz"))
-        v = spencer_delta_gaussian(u)
+        v = spencer_delta(u, R11.even_names)
         z, th = gen(table, "z"), gen(table, "th")
         assert v == IntegralForm(R11, (z * th).scale(-2))
 
@@ -327,7 +300,7 @@ class TestStokes:
         assert mass == SQRT_PI
         primitive = homotopy_int(u)
         assert spencer_delta(primitive) == u
-        assert spencer_delta_gaussian(primitive) != u
+        assert spencer_delta(primitive, R11.even_names) != u
         assert stokes_check(primitive)[0] == 0
 
 
@@ -372,8 +345,8 @@ class TestDualityPairing:
                 continue
             checked += 1
             from supercalc.integral_forms import pair
-            lhs = spencer_delta_gaussian(pair(sig, om))
-            rhs = pair(spencer_delta_gaussian(sig), om)
+            lhs = spencer_delta(pair(sig, om), chart.even_names)
+            rhs = pair(spencer_delta(sig, chart.even_names), om)
             tail = pair(sig, d(om))
             rhs = rhs + tail if spar == 0 else rhs - tail
             assert lhs == rhs
@@ -389,7 +362,7 @@ class TestDualityPairing:
         for _ in range(120):
             k = rng.choice([1, 2])
             tau = _exact_degree_form(rng, chart, table, letters=k + 1)
-            sigma = spencer_delta_gaussian(tau)
+            sigma = spencer_delta(tau, chart.even_names)
             gamma = _low_form(rng, chart, ftab, fiber=k - 1)
             eta = d(gamma)
             if sigma.is_zero() or eta.is_zero() or sigma.degree() is None:

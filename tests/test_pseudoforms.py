@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from supercalc.algebra import SuperPoly, transport
-from supercalc.charts import Chart, CoordinateMap
+from supercalc.charts import Chart, CoordinateMap, compose_maps
 from supercalc.derham import d, fiber_name, form_table
 from supercalc.integral_forms import (
     BerSection,
@@ -29,6 +29,7 @@ from supercalc.pseudoforms import (
     unsafe_middle_picture,
 )
 from supercalc.randoms import random_superpoly
+from supercalc.suites import _random_delta_form, _unimodular_split_map
 
 R01 = Chart((), ("th",), label="R01")
 R02 = Chart((), ("th1", "th2"), label="R02")
@@ -432,6 +433,17 @@ class TestTransform:
             lhs = to_integral_form(w.transform(m)).as_section()
             rhs = BerSection(R12, f).transform(m)
             assert lhs == rhs
+
+    def test_composition_law(self):
+        rng = random.Random(427)
+        charts = [Chart.standard(p, q) for p in (1, 2) for q in (1, 2)]
+        for _ in range(20):
+            chart = rng.choice(charts)
+            m1 = _unimodular_split_map(rng, chart, chart)
+            m2 = _unimodular_split_map(rng, chart, chart)
+            w = _random_delta_form(rng, chart)
+            assert w.transform(compose_maps(m1, m2)) \
+                == w.transform(m2).transform(m1)
 
     def test_singular_odd_block_rejected(self):
         src = Chart((), ("ps1", "ps2"), label="S02")
