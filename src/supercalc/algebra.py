@@ -575,7 +575,19 @@ class SuperPoly:
             other = SuperPoly.constant(self.table, other)
         if not isinstance(other, SuperPoly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        if self.table == other.table:
+            if self.terms == other.terms:
+                return True
+            # An even power may sit in the monomial or inside a
+            # RationalFunction coefficient (x*th and absorb_even_exponents(x*th)
+            # print alike), so a side carrying such a coefficient is compared
+            # in absorbed form.  Fraction-only sides are canonical as they are.
+            for terms in (self.terms, other.terms):
+                for c in terms.values():
+                    if type(c) is RationalFunction:
+                        return (absorb_even_exponents(self).terms
+                                == absorb_even_exponents(other).terms)
+        return False
 
 
 def _render_coeff(c) -> str:
@@ -591,10 +603,17 @@ class RationalFunction:
 
     Stored as a pair of Fraction-coefficient SuperPolys whose monomials have
     no odd factors.  The representation cancels the rational content and any
-    common monomial factor, and runs a Euclidean gcd when only a single even
+    common monomial factor, runs a Euclidean gcd when only a single even
     variable occurs (enough to keep quotients on a punctured line fully
-    reduced); equality is decided by cross-multiplication, so partial
-    reduction never affects correctness.
+    reduced), and makes the denominator's leading coefficient 1.
+
+    Sums and comparisons use a shared denominator when the two operands
+    already have the same one: ``a/d + b/d`` is ``(a + b)/d`` and ``a/d ==
+    b/d`` compares ``a`` with ``b``.  Only unequal denominators are
+    cross-multiplied, which keeps repeated sums over one denominator from
+    squaring it each time.  Both rules are exact because Q[x1..xp] is an
+    integral domain, and since unequal denominators are still compared by
+    cross-multiplication, partial reduction never affects ``==``.
     """
 
     __slots__ = ("num", "den")
@@ -641,6 +660,8 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:
+            return RationalFunction(self.num + o.num, self.den)
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -692,6 +713,8 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:
+            return self.num == o.num
         return self.num * o.den == o.num * self.den
 
     def derivative(self, name: str) -> "RationalFunction":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -338,10 +339,90 @@ def test_rational_function_substitute_divides_exactly():
     assert out == expected
 
 
+def test_repeated_sum_keeps_the_shared_denominator():
+    x, y = gen("x"), gen("y")
+    r = RationalFunction(x, x + y)
+    acc = r
+    for _ in range(4):
+        acc = acc + r
+        acc = acc - r
+    assert acc == r
+    assert len(acc.den.terms) == 2
+
+
+def _random_bivariate(rng, with_constant=False):
+    terms = {((rng.randint(0, 2), rng.randint(0, 1)), ()): Fraction(rng.randint(-4, 4))
+             for _ in range(3)}
+    if with_constant:
+        terms[((0, 0), ())] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    poly = SuperPoly(T, terms)
+    return poly if poly else _random_bivariate(rng, with_constant)
+
+
+def _rational_pair(rng, case):
+    """Two rational functions over the even generators x, y of T.  The
+    denominators carry a constant term and both variables, so no reduction
+    step changes them and "equal" means one shared denominator."""
+    den = _random_bivariate(rng, with_constant=True) * (const(1) + gen("x") * gen("y"))
+    num = _random_bivariate(rng)
+    a = RationalFunction(num, den)
+    if case == "equal":
+        b = RationalFunction(_random_bivariate(rng), den)
+    elif case == "cancelling":
+        b = RationalFunction(-num, den)
+    else:
+        other = _random_bivariate(rng, with_constant=True) * (const(1) + gen("y"))
+        b = RationalFunction(_random_bivariate(rng), other)
+    assert (a.den == b.den) == (case != "unequal")
+    return a, b
+
+
+@pytest.mark.parametrize("case", ["equal", "unequal", "cancelling"])
+def test_rational_arithmetic_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    sx, sy = sympy.symbols("x y")
+
+    def poly(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * sx ** e[0] * sy ** e[1]
+                    for (e, _), c in p.terms.items()), sympy.Integer(0))
+
+    def agrees(got, want):
+        num, den = sympy.fraction(sympy.cancel(want))
+        return sympy.expand(poly(got.num) * den - num * poly(got.den)) == 0
+
+    rng = random.Random(31)
+    for _ in range(6):
+        a, b = _rational_pair(rng, case)
+        sa, sb = poly(a.num) / poly(a.den), poly(b.num) / poly(b.den)
+        ops = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (a / b, sa / sb)]
+        for got, want in ops:
+            assert agrees(got, want)
+        assert (a == b) == (sympy.cancel(sa - sb) == 0)
+        assert (a + b) - b == a
+        if case == "cancelling":
+            total = a + b
+            assert total.num.is_zero() and total.den == SuperPoly.one(T)
+        # the same values written over a multiplied-out denominator
+        h = const(2) + gen("x") - gen("y")
+        assert RationalFunction(a.num * h, a.den * h) == a
+
+
 def test_absorbed_form_has_no_even_exponents():
     x, th1 = gen("x"), gen("th1")
     e = absorb_even_exponents(x ** 2 * th1 + 3 * x)
     assert all(not any(ev) for (ev, _) in e.terms)
+
+
+def test_equality_ignores_where_even_powers_sit():
+    x, th1, th2 = gen("x"), gen("th1"), gen("th2")
+    for e in (x * th1, x ** 2 * th1 * th2 + 3 * x + gen("y") * th2):
+        absorbed = absorb_even_exponents(e)
+        assert str(e) == str(absorbed)
+        assert e == absorbed and absorbed == e
+        assert not (e != absorbed) and not (absorbed != e)
+    doubled = absorb_even_exponents(2 * x * th1)
+    assert x * th1 != doubled and doubled != x * th1
+    assert not (x * th1 == doubled) and not (doubled == x * th1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from supercalc import randoms
 from supercalc.algebra import SuperPoly, transport
 from supercalc.charts import Chart, CoordinateMap, compose_maps
 from supercalc.derham import d, fiber_name, form_table
@@ -444,6 +445,21 @@ class TestTransform:
             w = _random_delta_form(rng, chart)
             assert w.transform(compose_maps(m1, m2)) \
                 == w.transform(m2).transform(m1)
+
+    def test_refused_general_map_on_2_2(self):
+        # Draw 35 of this stream is an R^{2|2} form whose transform under a
+        # general split map has a rational coefficient.  Summing its block
+        # terms once cross-multiplied every denominator and took seconds.
+        rng = random.Random(2024)
+        charts = [Chart.standard(p, q) for p, q in ((1, 1), (1, 2), (2, 1), (2, 2))]
+        for draw in range(36):
+            chart = charts[draw % 4]
+            w = _random_delta_form(rng, chart, terms=3)
+            make = randoms.random_split_map if draw % 2 else _unimodular_split_map
+            m = make(rng, chart, chart)
+        assert (chart.p, chart.q) == (2, 2)
+        with pytest.raises(ValueError, match="non-polynomial coefficient"):
+            w.transform(m)
 
     def test_singular_odd_block_rejected(self):
         src = Chart((), ("ps1", "ps2"), label="S02")

@@ -33,6 +33,13 @@ def test_verify_json_reports_seed_and_passes():
     assert [s["suite"] for s in payload["suites"]] == ["integrals"]
 
 
+def test_verify_all_at_default_trials_passes():
+    # Seed 2 draws the R^{2|2} cocycle pairs whose rational-function
+    # denominators once swelled to about a minute of arithmetic.
+    result = invoke("verify", "all", "--seed", "2")
+    assert result.exit_code == 0, result.output
+
+
 def test_verify_unknown_suite_is_a_usage_error():
     result = invoke("verify", "no-such-suite")
     assert result.exit_code == 2
