@@ -125,6 +125,63 @@ class TestHomology:
             k.basis("koszul", 0, 0)
 
 
+# The full (kernel, image, homology) triple at every degree that
+# `supercalc koszul` scans by default, at its default cutoff 6, as dense
+# Gauss-Jordan elimination computed it: any change to how the differentials
+# are built or ranked must reproduce these exactly.
+FROZEN_RANKS = [
+    (1, 1, "koszul", 0, (13, 12, 1)),
+    (1, 1, "koszul", -1, (12, 12, 0)),
+    (1, 1, "koszul", -2, (12, 12, 0)),
+    (1, 1, "koszul", -3, (12, 12, 0)),
+    (1, 1, "koszul", -4, (12, 12, 0)),
+    (1, 1, "dual", 0, (0, 0, 0)),
+    (1, 1, "dual", 1, (12, 11, 1)),
+    (1, 1, "dual", 2, (12, 12, 0)),
+    (1, 2, "koszul", 0, (24, 23, 1)),
+    (1, 2, "koszul", -1, (45, 45, 0)),
+    (1, 2, "koszul", -2, (67, 67, 0)),
+    (1, 2, "koszul", -3, (89, 89, 0)),
+    (1, 2, "koszul", -4, (111, 111, 0)),
+    (1, 2, "dual", 0, (0, 0, 0)),
+    (1, 2, "dual", 1, (21, 20, 1)),
+    (1, 2, "dual", 2, (43, 43, 0)),
+    (2, 1, "koszul", 0, (49, 48, 1)),
+    (2, 1, "koszul", -1, (84, 84, 0)),
+    (2, 1, "koszul", -2, (84, 84, 0)),
+    (2, 1, "koszul", -3, (84, 84, 0)),
+    (2, 1, "koszul", -4, (84, 84, 0)),
+    (2, 1, "dual", 0, (0, 0, 0)),
+    (2, 1, "dual", 1, (36, 36, 0)),
+    (2, 1, "dual", 2, (84, 83, 1)),
+    (2, 1, "dual", 3, (84, 84, 0)),
+    (2, 2, "koszul", 0, (85, 84, 1)),
+    (2, 2, "koszul", -1, (228, 228, 0)),
+    (2, 2, "koszul", -2, (372, 372, 0)),
+    (2, 2, "koszul", -3, (516, 516, 0)),
+    (2, 2, "koszul", -4, (660, 660, 0)),
+    (2, 2, "dual", 0, (0, 0, 0)),
+    (2, 2, "dual", 1, (61, 61, 0)),
+    (2, 2, "dual", 2, (204, 203, 1)),
+    (2, 2, "dual", 3, (348, 348, 0)),
+    (2, 3, "koszul", 0, (146, 145, 1)),
+    (2, 3, "koszul", -1, (533, 533, 0)),
+    (2, 3, "koszul", -2, (1165, 1165, 0)),
+    (2, 3, "koszul", -3, (2041, 2041, 0)),
+    (2, 3, "koszul", -4, (3161, 3161, 0)),
+    (2, 3, "dual", 0, (0, 0, 0)),
+    (2, 3, "dual", 1, (102, 102, 0)),
+    (2, 3, "dual", 2, (445, 444, 1)),
+    (2, 3, "dual", 3, (1033, 1033, 0)),
+]
+
+
+@pytest.mark.parametrize("p,q,which,degree,ranks", FROZEN_RANKS)
+def test_frozen_ranks(p, q, which, degree, ranks):
+    assert KoszulAlgebra(p, q).homology_ranks(which, degree, 6) == \
+        HomologyRanks(*ranks)
+
+
 class TestInducedAutomorphism:
     def test_identity_matrix(self):
         k = KoszulAlgebra(1, 1, coefficient_odds=["e1", "e2"])
