@@ -634,6 +634,15 @@ class RationalFunction:
         self.den = den
 
     @classmethod
+    def _reduced(cls, num: SuperPoly, den: SuperPoly) -> "RationalFunction":
+        """Wrap a pair that is already in reduced form, skipping the checks
+        and the reduction."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
     def from_scalar(cls, table: GeneratorTable, c) -> "RationalFunction":
         return cls(SuperPoly.constant(table, c), SuperPoly.one(table))
 
@@ -667,7 +676,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        # the reduction never looks at the numerator's sign
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)

@@ -1226,7 +1226,10 @@ def cmd_cocycle(ctx, map_file_1, map_file_2, ring_text, json_mode):
 @_json_option
 def cmd_koszul(p, q, which, degree, cutoff, json_mode):
     """Exact homology ranks of the free Koszul complex or its dual."""
-    algebra = KoszulAlgebra(p, q)
+    try:
+        algebra = KoszulAlgebra(p, q)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if degree is not None:
         degrees = [degree]
     elif which == "koszul":

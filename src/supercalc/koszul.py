@@ -7,9 +7,15 @@ parity-reversed generator to its partner; the dual complex replaces the
 parity-reversed generators by dual ones (dpiv_i, dpich_a) and the
 differential by multiplication with the same odd element.
 
-Homology is computed fiberwise over the rationals by exact row reduction
-of the differential restricted to a bidegree (partner-side degree,
-module-side degree), both of which are finite-dimensional.  The dual
+Homology is computed fiberwise over the rationals.  The differential
+restricted to a bidegree (partner-side degree, module-side degree), both of
+which are finite-dimensional, is built as sparse columns, one
+{target index: coefficient} map per source monomial, and ranked by exact
+sparse elimination; the differentials are about 1% dense, so no dense
+matrix is formed.  Ranks are recomputed on every call and never cached:
+one call needs each bidegree's rank once, so a cache would only serve
+callers that repeat a query, while holding its columns for the life of
+the algebra.  The dual
 complex has one-dimensional homology in degree p, generated by
 ch_1...ch_q * dpiv_1...dpiv_p, and an automorphism of the module acts on
 that class by the reciprocal of its Berezinian; the class transport is
@@ -44,28 +50,35 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
+def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
+    """Rank over the rationals of vectors given as {column: nonzero value}
+    maps.  Each vector is reduced against the pivot rows found so far, kept
+    keyed by their leading column with leading entry 1; what survives
+    becomes a new pivot row."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / Fraction(row[lead])
+                pivots[lead] = {j: x * inv for j, x in row.items()}
+                break
+            factor = row[lead]
+            for j, x in pivot.items():
+                y = row.get(j, 0) - factor * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+    return len(pivots)
+
+
 def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Row reduction over the rationals."""
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank over the rationals of a dense matrix given as rows."""
+    return _sparse_rank([{j: x for j, x in enumerate(row) if x}
+                         for row in matrix])
 
 
 class KoszulAlgebra:
@@ -99,6 +112,18 @@ class KoszulAlgebra:
             odds_prefix + list(self.dpiv_names))
         self.coefficient_table = GeneratorTable.chart(
             [], list(self.coefficient_odds))
+        # fixed operands of the differentials, built once per algebra
+        self._delta_pairs = tuple(
+            (SuperPoly.generator(self.table, module), partner)
+            for module, partner in zip(self.v_names + self.ch_names,
+                                       self.piv_names + self.pich_names))
+        dual_element = SuperPoly.zero(self.dual_table)
+        for module, partner in zip(self.v_names + self.ch_names,
+                                   self.dpiv_names + self.dpich_names):
+            dual_element = dual_element + (
+                SuperPoly.generator(self.dual_table, module)
+                * SuperPoly.generator(self.dual_table, partner))
+        self._dual_element = dual_element
 
     # -- the differentials -------------------------------------------------
 
@@ -107,27 +132,19 @@ class KoszulAlgebra:
         if e.table != self.table:
             raise ValueError("element is not in the Koszul algebra")
         out = SuperPoly.zero(self.table)
-        for v, piv in zip(self.v_names, self.piv_names):
-            out = out + SuperPoly.generator(self.table, v) * e.left_derivative(piv)
-        for ch, pich in zip(self.ch_names, self.pich_names):
-            out = out + SuperPoly.generator(self.table, ch) * e.left_derivative(pich)
+        for module, partner in self._delta_pairs:
+            out = out + module * e.left_derivative(partner)
         return out
 
     def dual_delta_element(self) -> SuperPoly:
-        out = SuperPoly.zero(self.dual_table)
-        for v, dpiv in zip(self.v_names, self.dpiv_names):
-            out = out + (SuperPoly.generator(self.dual_table, v)
-                         * SuperPoly.generator(self.dual_table, dpiv))
-        for ch, dpich in zip(self.ch_names, self.dpich_names):
-            out = out + (SuperPoly.generator(self.dual_table, ch)
-                         * SuperPoly.generator(self.dual_table, dpich))
-        return out
+        """The odd element sum v_i dpiv_i + sum ch_a dpich_a."""
+        return self._dual_element
 
     def dual_delta(self, e: SuperPoly) -> SuperPoly:
         """Multiplication by the odd element sum v_i dpiv_i + sum ch_a dpich_a."""
         if e.table != self.dual_table:
             raise ValueError("element is not in the dual algebra")
-        return self.dual_delta_element() * e
+        return self._dual_element * e
 
     # -- bigraded bases ----------------------------------------------------
 
@@ -166,12 +183,12 @@ class KoszulAlgebra:
                                 out.append((tuple(ev), od))
         return out
 
-    def differential_matrix(self, which: Literal["koszul", "dual"], k: int,
-                            n: int) -> list[list[Fraction]]:
-        """The differential out of bidegree (k, n), written in the monomial
-        bases; rows index the target basis."""
+    def _columns(self, which: Literal["koszul", "dual"], k: int,
+                 n: int) -> tuple[list[dict[int, Fraction]], int]:
+        """The differential out of bidegree (k, n) as sparse columns, one
+        {target index: coefficient} map per source basis monomial, and the
+        size of the target basis."""
         table, _, _ = self._names_for(which)
-        source = self.basis(which, k, n)
         if which == "koszul":
             target = self.basis(which, k - 1, n + 1)
             op = self.koszul_delta
@@ -179,11 +196,20 @@ class KoszulAlgebra:
             target = self.basis(which, k + 1, n + 1)
             op = self.dual_delta
         index = {mono: i for i, mono in enumerate(target)}
-        matrix = [[Fraction(0)] * len(source) for _ in target]
-        for col, mono in enumerate(source):
-            image = op(SuperPoly(table, {mono: Fraction(1)}))
-            for out_mono, c in image.terms.items():
-                matrix[index[out_mono]][col] = Fraction(c)
+        columns = [{index[out_mono]: Fraction(c) for out_mono, c
+                    in op(SuperPoly(table, {mono: Fraction(1)})).terms.items()}
+                   for mono in self.basis(which, k, n)]
+        return columns, len(target)
+
+    def differential_matrix(self, which: Literal["koszul", "dual"], k: int,
+                            n: int) -> list[list[Fraction]]:
+        """The differential out of bidegree (k, n), written in the monomial
+        bases; rows index the target basis."""
+        columns, rows = self._columns(which, k, n)
+        matrix = [[Fraction(0)] * len(columns) for _ in range(rows)]
+        for col, column in enumerate(columns):
+            for row, c in column.items():
+                matrix[row][col] = c
         return matrix
 
     def homology_ranks(self, which: Literal["koszul", "dual"], degree: int,
@@ -198,16 +224,14 @@ class KoszulAlgebra:
         k = -degree if which == "koszul" else degree
         if k < 0:
             raise ValueError("degree outside the complex")
+        k_in = k + 1 if which == "koszul" else k - 1
         kernel = 0
         image = 0
         for n in range(cutoff + 1):
-            dim = len(self.basis(which, k, n))
-            out_rank = exact_rank(self.differential_matrix(which, k, n))
-            kernel += dim - out_rank
-            if n >= 1:
-                k_in = k + 1 if which == "koszul" else k - 1
-                if k_in >= 0:
-                    image += exact_rank(self.differential_matrix(which, k_in, n - 1))
+            columns, _ = self._columns(which, k, n)
+            kernel += len(columns) - _sparse_rank(columns)
+            if n >= 1 and k_in >= 0:
+                image += _sparse_rank(self._columns(which, k_in, n - 1)[0])
         return HomologyRanks(kernel, image, kernel - image)
 
     # -- the distinguished dual class and its transport --------------------

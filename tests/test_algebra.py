@@ -350,6 +350,26 @@ def test_repeated_sum_keeps_the_shared_denominator():
     assert len(acc.den.terms) == 2
 
 
+def test_negation_skips_the_reduction(monkeypatch):
+    import supercalc.algebra as algebra
+
+    x, y = gen("x"), gen("y")
+    samples = [RationalFunction(x, x + y),
+               RationalFunction(const(3) * x * x - y, const(2) * y + const(1)),
+               RationalFunction(x ** 2 - 1, x - 1),
+               RationalFunction.from_scalar(T, 0)]
+    rebuilt = [RationalFunction(-r.num, r.den) for r in samples]
+    calls = []
+    real = algebra._reduce_fraction
+    monkeypatch.setattr(algebra, "_reduce_fraction",
+                        lambda num, den: calls.append(1) or real(num, den))
+    for r, want in zip(samples, rebuilt):
+        neg = -r
+        assert neg.num == -r.num and neg.den == r.den
+        assert neg.num == want.num and neg.den == want.den
+    assert calls == []
+
+
 def _random_bivariate(rng, with_constant=False):
     terms = {((rng.randint(0, 2), rng.randint(0, 1)), ()): Fraction(rng.randint(-4, 4))
              for _ in range(3)}

@@ -95,3 +95,13 @@ def test_gaussian_weight_needs_an_even_coordinate(command, operands, name):
                                        "--gaussian", name, "--", *operands])
     assert result.exit_code == 2
     assert f"{name!r} is not an even coordinate" in result.output
+
+
+@pytest.mark.parametrize("p, q", [(-1, 1), (1, -1)])
+def test_koszul_negative_rank_is_a_usage_error(p, q):
+    result = CliRunner().invoke(main, ["koszul", "--p", str(p),
+                                       "--q", str(q)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "ranks must be nonnegative" in result.output

@@ -16,6 +16,63 @@ def gen(table, name):
     return SuperPoly.generator(table, name)
 
 
+def dense_rank(matrix):
+    """Reference rank: dense Gauss-Jordan elimination over the rationals."""
+    rows = [list(r) for r in matrix]
+    if not rows or not rows[0]:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def random_rank_matrices():
+    """About 200 seeded integer matrices: empty shapes, all-zero ones,
+    rank-deficient ones (duplicated and summed rows), and 1-5% dense ones up
+    to 60x40."""
+    rng = random.Random(4242)
+    f = Fraction
+    out = [[] for _ in range(3)]
+    out += [[[] for _ in range(n)] for n in (1, 2, 5)]
+    for _ in range(14):
+        ncols = rng.randint(1, 12)
+        out.append([[f(0)] * ncols for _ in range(rng.randint(1, 12))])
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
+        rows = [[f(rng.randint(-3, 3)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.5:
+                rows.append(list(rng.choice(rows)))
+            else:
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = rng.randint(-2, 2)
+                rows.append([x + c * y for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        out.append(rows)
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 60), rng.randint(1, 40)
+        density = rng.uniform(0.01, 0.05)
+        out.append([[f(rng.choice([-2, -1, 1, 2, 3]))
+                     if rng.random() < density else f(0)
+                     for _ in range(ncols)] for _ in range(nrows)])
+    return out
+
+
 class TestRank:
     def test_rank_examples(self):
         f = Fraction
@@ -23,6 +80,14 @@ class TestRank:
         assert exact_rank([[f(0), f(0)]]) == 0
         assert exact_rank([[f(1), f(2)], [f(2), f(4)]]) == 1
         assert exact_rank([[f(1), f(0)], [f(0), f(1)], [f(1), f(1)]]) == 2
+
+    def test_matches_dense_elimination(self):
+        matrices = random_rank_matrices()
+        assert len(matrices) >= 200
+        for matrix in matrices:
+            assert exact_rank(matrix) == dense_rank(matrix), matrix
+            transposed = [list(col) for col in zip(*matrix)]
+            assert exact_rank(transposed) == dense_rank(matrix), matrix
 
 
 class TestDelta:
@@ -109,6 +174,10 @@ class TestHomology:
         assert k.homology_ranks("dual", 2, 4) == HomologyRanks(
             k.homology_ranks("dual", 2, 4).kernel_dim,
             k.homology_ranks("dual", 2, 4).kernel_dim - 1, 1)
+
+    def test_dual_degree_p_for_3_3(self):
+        assert KoszulAlgebra(3, 3).homology_ranks("dual", 3, 4) == \
+            HomologyRanks(992, 991, 1)
 
     def test_generator_class_never_appears_in_images(self):
         k = KoszulAlgebra(2, 2)
