@@ -63,6 +63,8 @@ def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
             pivot = pivots.get(lead)
             if pivot is None:
                 inv = 1 / Fraction(row[lead])
+                if inv.denominator == 1:
+                    inv = inv.numerator     # integer rows stay integer
                 pivots[lead] = {j: x * inv for j, x in row.items()}
                 break
             factor = row[lead]
@@ -167,13 +169,16 @@ class KoszulAlgebra:
         pi_even_slots = [table.even_slot(table.index(nm)) for nm in pi_even]
         ch_pos = [table.index(nm) for nm in self.ch_names]
         pi_odd_pos = [table.index(nm) for nm in pi_odd]
+        pich_comps = [list(_compositions(k - k_odd, self.q))
+                      for k_odd in range(min(self.p, k) + 1)]
         out: list[Monomial] = []
         for r_odd in range(min(self.q, n) + 1):
+            v_comps = list(_compositions(n - r_odd, self.p))
             for ch_subset in itertools.combinations(ch_pos, r_odd):
-                for v_comp in _compositions(n - r_odd, self.p):
-                    for k_odd in range(min(self.p, k) + 1):
+                for v_comp in v_comps:
+                    for k_odd, comps in enumerate(pich_comps):
                         for piv_subset in itertools.combinations(pi_odd_pos, k_odd):
-                            for pich_comp in _compositions(k - k_odd, self.q):
+                            for pich_comp in comps:
                                 ev = list(table.zero_exponents)
                                 for slot, e in zip(v_slots, v_comp):
                                     ev[slot] = e
@@ -183,33 +188,36 @@ class KoszulAlgebra:
                                 out.append((tuple(ev), od))
         return out
 
-    def _columns(self, which: Literal["koszul", "dual"], k: int,
-                 n: int) -> tuple[list[dict[int, Fraction]], int]:
-        """The differential out of bidegree (k, n) as sparse columns, one
-        {target index: coefficient} map per source basis monomial, and the
-        size of the target basis."""
+    @staticmethod
+    def _step(which: Literal["koszul", "dual"]) -> int:
+        """How the differential moves the partner-side degree."""
+        return -1 if which == "koszul" else 1
+
+    def _columns(self, which: Literal["koszul", "dual"],
+                 source: list[Monomial],
+                 target: list[Monomial]) -> list[dict[int, Fraction]]:
+        """The differential from the span of `source` into that of `target`
+        as sparse columns, one {target index: coefficient} map per source
+        monomial; integral coefficients are ints, which keeps the
+        elimination in integer arithmetic."""
         table, _, _ = self._names_for(which)
-        if which == "koszul":
-            target = self.basis(which, k - 1, n + 1)
-            op = self.koszul_delta
-        else:
-            target = self.basis(which, k + 1, n + 1)
-            op = self.dual_delta
+        op = self.koszul_delta if which == "koszul" else self.dual_delta
         index = {mono: i for i, mono in enumerate(target)}
-        columns = [{index[out_mono]: Fraction(c) for out_mono, c
-                    in op(SuperPoly(table, {mono: Fraction(1)})).terms.items()}
-                   for mono in self.basis(which, k, n)]
-        return columns, len(target)
+        return [{index[out_mono]: c.numerator if c.denominator == 1 else c
+                 for out_mono, c
+                 in op(SuperPoly(table, {mono: Fraction(1)})).terms.items()}
+                for mono in source]
 
     def differential_matrix(self, which: Literal["koszul", "dual"], k: int,
                             n: int) -> list[list[Fraction]]:
         """The differential out of bidegree (k, n), written in the monomial
         bases; rows index the target basis."""
-        columns, rows = self._columns(which, k, n)
-        matrix = [[Fraction(0)] * len(columns) for _ in range(rows)]
-        for col, column in enumerate(columns):
+        source = self.basis(which, k, n)
+        target = self.basis(which, k + self._step(which), n + 1)
+        matrix = [[Fraction(0)] * len(source) for _ in target]
+        for col, column in enumerate(self._columns(which, source, target)):
             for row, c in column.items():
-                matrix[row][col] = c
+                matrix[row][col] = Fraction(c)
         return matrix
 
     def homology_ranks(self, which: Literal["koszul", "dual"], degree: int,
@@ -224,14 +232,16 @@ class KoszulAlgebra:
         k = -degree if which == "koszul" else degree
         if k < 0:
             raise ValueError("degree outside the complex")
-        k_in = k + 1 if which == "koszul" else k - 1
+        step = self._step(which)
         kernel = 0
         image = 0
         for n in range(cutoff + 1):
-            columns, _ = self._columns(which, k, n)
-            kernel += len(columns) - _sparse_rank(columns)
-            if n >= 1 and k_in >= 0:
-                image += _sparse_rank(self._columns(which, k_in, n - 1)[0])
+            here = self.basis(which, k, n)
+            out = self._columns(which, here, self.basis(which, k + step, n + 1))
+            kernel += len(here) - _sparse_rank(out)
+            if n >= 1 and k - step >= 0:
+                image += _sparse_rank(self._columns(
+                    which, self.basis(which, k - step, n - 1), here))
         return HomologyRanks(kernel, image, kernel - image)
 
     # -- the distinguished dual class and its transport --------------------
