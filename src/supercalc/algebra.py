@@ -13,6 +13,14 @@ so equal elements always compare equal.  Reordering signs for the odd part
 are accumulated by counting transpositions, and a repeated odd index kills
 the term, since odd generators square to zero.
 
+That pair is private to this module.  The only way into or out of a
+monomial is the codec on :class:`GeneratorTable`: :meth:`~GeneratorTable.monomial`
+encodes (position, power) pairs, :meth:`~GeneratorTable.powers` decodes a
+key into them in written order, and :meth:`~GeneratorTable.degree` counts
+the generators of given classes.  Everywhere else a key of
+``SuperPoly.terms`` is an opaque handle: it may be hashed, compared and
+passed back, never indexed, unpacked or built by hand.
+
 No floating point is used anywhere: coefficients are ``fractions.Fraction``,
 :class:`RationalFunction` (for charts that divide by even coordinates), or
 the half-integer pi-power scalars used by the integration module.
@@ -100,7 +108,8 @@ class GeneratorTable:
     """
 
     __slots__ = ("gens", "names", "classes", "parities", "_index",
-                 "even_positions", "odd_positions", "_even_slot")
+                 "even_positions", "odd_positions", "_even_slot",
+                 "_zero_exponents", "_class_slots", "_class_odds")
 
     def __init__(self, gens: Iterable[tuple[str, str]]):
         gens = tuple((str(n), str(c)) for n, c in gens)
@@ -115,6 +124,14 @@ class GeneratorTable:
         self.even_positions = tuple(i for i, p in enumerate(self.parities) if p == 0)
         self.odd_positions = tuple(i for i, p in enumerate(self.parities) if p == 1)
         self._even_slot = {pos: k for k, pos in enumerate(self.even_positions)}
+        self._zero_exponents = (0,) * len(self.even_positions)
+        # the exponent slots of each even class, the positions of each odd one
+        self._class_slots: dict[str, list[int]] = {}
+        for slot, pos in enumerate(self.even_positions):
+            self._class_slots.setdefault(self.classes[pos], []).append(slot)
+        self._class_odds: dict[str, set[int]] = {}
+        for pos in self.odd_positions:
+            self._class_odds.setdefault(self.classes[pos], set()).add(pos)
 
     @classmethod
     def chart(cls, evens: Sequence[str], odds: Sequence[str]) -> "GeneratorTable":
@@ -133,10 +150,6 @@ class GeneratorTable:
     def parity(self, name: str) -> int:
         return self.parities[self.index(name)]
 
-    def even_slot(self, table_index: int) -> int:
-        """Position of an even generator inside the exponent vector."""
-        return self._even_slot[table_index]
-
     def names_of_class(self, *classes: str) -> tuple[str, ...]:
         want = set(classes)
         return tuple(n for n, c in self.gens if c in want)
@@ -145,9 +158,53 @@ class GeneratorTable:
         want = set(classes)
         return tuple(i for i, c in enumerate(self.classes) if c in want)
 
-    @property
-    def zero_exponents(self) -> tuple[int, ...]:
-        return (0,) * len(self.even_positions)
+    # --- the monomial codec ---------------------------------------------------
+
+    def monomial(self, powers: Iterable[tuple[int, int]]) -> "tuple[int, Monomial | None]":
+        """Encode prod(gen^power) from (table position, power) pairs.
+
+        Even powers of a repeated position add up; odd factors are taken
+        in the order given.  Returns ``(sign, key)``, the sign being that
+        of sorting the odd factors into table order, or ``(0, None)`` when
+        an odd factor occurs twice.  A negative power raises ``ValueError``.
+        """
+        exps = list(self._zero_exponents)
+        odds: list[int] = []
+        even_slot = self._even_slot
+        for pos, k in powers:
+            slot = even_slot.get(pos)
+            if slot is not None and k >= 0:
+                exps[slot] += k
+            elif k == 1:
+                odds.append(pos)
+            elif k < 0:
+                raise ValueError(f"negative power {k} of {self.names[pos]!r}")
+            elif k:
+                odds += (pos, pos)      # an odd square: the key vanishes
+        sign, sorted_odds = sort_odd_indices(odds)
+        if sign == 0:
+            return 0, None
+        return sign, (tuple(exps), sorted_odds)
+
+    def powers(self, mono: "Monomial") -> list[tuple[int, int]]:
+        """Decode a key into (table position, power) pairs in written
+        order: even generators by slot, then odd ones ascending."""
+        ev, od = mono
+        evens = self.even_positions
+        return ([(evens[slot], k) for slot, k in enumerate(ev) if k]
+                + [(i, 1) for i in od])
+
+    def degree(self, mono: "Monomial", *classes: str) -> int:
+        """Number of factors of the given generator classes, with multiplicity."""
+        ev, od = mono
+        total = 0
+        for cls in classes:
+            for slot in self._class_slots.get(cls, ()):
+                total += ev[slot]
+            odds = self._class_odds.get(cls)
+            if odds:
+                total += len(odds.intersection(od))
+        return total
 
     def __eq__(self, other):
         return isinstance(other, GeneratorTable) and self.gens == other.gens
@@ -201,7 +258,7 @@ class SuperPoly:
     def constant(cls, table: GeneratorTable, c) -> "SuperPoly":
         if isinstance(c, int):
             c = Fraction(c)
-        return cls(table, {(table.zero_exponents, ()): c})
+        return cls(table, {(table._zero_exponents, ()): c})
 
     @classmethod
     def one(cls, table: GeneratorTable) -> "SuperPoly":
@@ -211,31 +268,21 @@ class SuperPoly:
     def generator(cls, table: GeneratorTable, name: str) -> "SuperPoly":
         i = table.index(name)
         if table.parities[i] == 0:
-            exps = list(table.zero_exponents)
-            exps[table.even_slot(i)] = 1
+            exps = list(table._zero_exponents)
+            exps[table._even_slot[i]] = 1
             return cls(table, {(tuple(exps), ()): Fraction(1)})
-        return cls(table, {(table.zero_exponents, (i,)): Fraction(1)})
+        return cls(table, {(table._zero_exponents, (i,)): Fraction(1)})
 
     @classmethod
     def from_monomial(cls, table: GeneratorTable, powers: Mapping[str, int], coeff=1) -> "SuperPoly":
-        """Build coeff * prod(gen^power) with the factors in table order."""
-        exps = list(table.zero_exponents)
-        odds: list[int] = []
-        for name, k in powers.items():
-            i = table.index(name)
-            if table.parities[i] == 0:
-                exps[table.even_slot(i)] += k
-            else:
-                if k > 1:
-                    return cls.zero(table)
-                if k == 1:
-                    odds.append(i)
-        sign, sorted_odds = sort_odd_indices(odds)
+        """Build coeff * prod(gen^power), the odd factors multiplied in the
+        order given; a negative power raises ``ValueError``."""
+        sign, mono = table.monomial((table.index(name), k) for name, k in powers.items())
         if sign == 0:
             return cls.zero(table)
         if isinstance(coeff, int):
             coeff = Fraction(coeff)
-        return cls(table, {(tuple(exps), sorted_odds): sign * coeff})
+        return cls(table, {mono: sign * coeff})
 
     # --- predicates and views ----------------------------------------------
 
@@ -245,18 +292,12 @@ class SuperPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def monomial_parity(self, mono: Monomial) -> int:
-        return len(mono[1]) & 1
-
     def parity(self) -> int | None:
         """0 or 1 for homogeneous elements, None for mixed or zero."""
         seen = {len(odds) & 1 for _, odds in self.terms}
         if len(seen) == 1:
             return seen.pop()
         return None
-
-    def is_homogeneous(self) -> bool:
-        return len({len(odds) & 1 for _, odds in self.terms}) <= 1
 
     def homogeneous_parts(self) -> "tuple[SuperPoly, SuperPoly]":
         """Split into (even part, odd part)."""
@@ -269,27 +310,11 @@ class SuperPoly:
 
     def scalar_part(self):
         """Coefficient of the empty monomial."""
-        return self.terms.get((self.table.zero_exponents, ()), Fraction(0))
+        return self.terms.get((self.table._zero_exponents, ()), Fraction(0))
 
     def set_odd_to_zero(self) -> "SuperPoly":
         """Projection killing every monomial with an odd factor."""
         return SuperPoly(self.table, {m: c for m, c in self.terms.items() if not m[1]})
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(ev) + len(od) for ev, od in self.terms)
-
-    def degree_in_positions(self, mono: Monomial, positions: Iterable[int]) -> int:
-        """Multiplicity of the given table positions inside one monomial."""
-        ev, od = mono
-        total = 0
-        for pos in positions:
-            if self.table.parities[pos] == 0:
-                total += ev[self.table.even_slot(pos)]
-            else:
-                total += 1 if pos in od else 0
-        return total
 
     # --- ring operations ----------------------------------------------------
 
@@ -416,7 +441,7 @@ class SuperPoly:
         i = self.table.index(name)
         terms: dict[Monomial, object] = {}
         if self.table.parities[i] == 0:
-            slot = self.table.even_slot(i)
+            slot = self.table._even_slot[i]
             for (ev, od), c in self.terms.items():
                 if isinstance(c, RationalFunction):
                     dc = c.derivative(name)
@@ -803,7 +828,7 @@ def _univ_coeffs(poly: SuperPoly, slot: int) -> list[Fraction]:
 
 def _from_univ(table: GeneratorTable, coeffs: list[Fraction], slot: int) -> SuperPoly:
     terms = {}
-    zero = list(table.zero_exponents)
+    zero = list(table._zero_exponents)
     for k, c in enumerate(coeffs):
         if c:
             ev = list(zero)
@@ -862,14 +887,14 @@ def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
     src = poly.table
     terms: dict[Monomial, object] = {}
     for (ev, od), c in poly.terms.items():
-        exps = list(table.zero_exponents)
+        exps = list(table._zero_exponents)
         for slot, k in enumerate(ev):
             if k:
                 name = src.names[src.even_positions[slot]]
                 pos = table.index(name)
                 if table.parities[pos] != 0:
                     raise ValueError(f"generator {name!r} changes parity")
-                exps[table.even_slot(pos)] += k
+                exps[table._even_slot[pos]] += k
         odds = []
         for i in od:
             name = src.names[i]
@@ -894,7 +919,7 @@ def absorb_even_exponents(poly: SuperPoly) -> SuperPoly:
     even coordinates stays a scalar operation.
     """
     table = poly.table
-    zero = table.zero_exponents
+    zero = table._zero_exponents
     terms: dict[Monomial, object] = {}
     for (ev, od), c in poly.terms.items():
         rf = c if isinstance(c, RationalFunction) else RationalFunction.from_scalar(table, c)

@@ -31,7 +31,6 @@ from typing import NamedTuple
 import click
 
 from supercalc.algebra import (
-    RationalFunction,
     SuperPoly,
     absorb_even_exponents,
     transport,
@@ -61,7 +60,9 @@ from supercalc.pseudoforms import (
     CWOperator,
     DeltaForm,
     cw_apply,
+    delta_times_poly,
     fiber_integral,
+    form_times_delta,
     gaussian_fiber_integral,
 )
 from supercalc.suites import (
@@ -560,10 +561,10 @@ class Evaluator:
                 "the product of two full delta forms vanishes identically; "
                 "build one term with all its delta factors instead")
         if isinstance(a, DeltaForm):
-            return _delta_times_poly(a, _as_poly(ring, b, BASE))
+            return delta_times_poly(a, _as_poly(ring, b, BASE))
         if isinstance(b, DeltaForm):
             if isinstance(a, Poly) and a.layer == FORM:
-                return _form_times_delta(ring, a.poly, b)
+                return _form_times_delta(a.poly, b)
             return b.times(_as_poly(ring, a, BASE))
         if isinstance(a, Poly) and isinstance(b, Poly):
             layer = _join_layers(a.layer, b.layer)
@@ -736,76 +737,18 @@ def _marker_name(node, tok: Token) -> str:
 
 def _single_fiber_letter(ring: Ring, poly: SuperPoly) -> str | None:
     """The fiber name when the form poly is exactly one odd fiber letter."""
-    if len(poly.terms) != 1:
-        return None
-    ((ev, od), c), = poly.terms.items()
-    if c != 1 or any(ev) or len(od) != 1:
-        return None
-    name = ring.ftab.names[od[0]]
-    base = ring.fiber_names.get(name)
-    if base in ring.chart.even_names:
-        return name
+    for name in ring.chart.even_names:
+        letter = fiber_name(name)
+        if poly == SuperPoly.generator(ring.ftab, letter):
+            return letter
     return None
 
 
-def _delta_times_poly(form: DeltaForm, f: SuperPoly) -> DeltaForm:
-    """Right multiplication, moving f left through each term's letters."""
-    even, odd = f.homogeneous_parts()
-    out = DeltaForm.zero(form.chart)
-    q = form.chart.q
-    for (eps, ells), c in form.terms.items():
-        odd_letters = sum(eps) + q
-        shifted = even + (odd.scale(-1) if odd_letters % 2 else odd)
-        out = out + DeltaForm(form.chart, {(eps, ells): c * shifted})
-    return out
-
-
-def _form_times_delta(ring: Ring, fpoly: SuperPoly,
-                      form: DeltaForm) -> DeltaForm:
-    """Left multiplication of a delta form by a differential form.
-
-    Each monomial of the form splits into a base coefficient and a
-    fiber word; the word acts through the letter calculus and the
-    coefficient multiplies from the left.  Base odd factors sitting to
-    the right of dx letters in the canonical word cross back out with
-    the usual sign.
-    """
-    chart = ring.chart
-    base_even = {ring.ftab.index(n) for n in chart.even_names}
-    out = DeltaForm.zero(chart)
-    for (ev, od), c in fpoly.terms.items():
-        if isinstance(c, RationalFunction):
-            raise ExpressionError(
-                "delta forms carry polynomial coefficients only")
-        sign = 1
-        base_powers: dict[str, int] = {}
-        dth_letters: list[str] = []
-        dx_letters: list[str] = []
-        for slot, k in enumerate(ev):
-            if not k:
-                continue
-            pos = ring.ftab.even_positions[slot]
-            name = ring.ftab.names[pos]
-            if pos in base_even:
-                base_powers[name] = k
-            else:
-                dth_letters.extend([name] * k)
-        base_odds: list[str] = []
-        for pos in od:
-            name = ring.ftab.names[pos]
-            if name in ring.fiber_names:
-                dx_letters.append(name)
-            else:
-                if len(dx_letters) % 2:
-                    sign = -sign
-                base_odds.append(name)
-        for name in base_odds:
-            base_powers[name] = 1
-        coeff = SuperPoly.from_monomial(chart.table, base_powers,
-                                        Fraction(c) * sign)
-        piece = cw_apply(dth_letters + dx_letters, form).times(coeff)
-        out = out + piece
-    return out
+def _form_times_delta(fpoly: SuperPoly, form: DeltaForm) -> DeltaForm:
+    try:
+        return form_times_delta(fpoly, form)
+    except ValueError as exc:
+        raise ExpressionError(str(exc))
 
 
 # --- coercions for command arguments ---------------------------------------
@@ -854,7 +797,7 @@ def _want_delta(ring: Ring, value) -> DeltaForm:
     if ring.q == 0 and isinstance(value, (Fraction, Poly)):
         vacuum = DeltaForm(ring.chart,
                            {((0,) * ring.p, ()): SuperPoly.one(ring.chart.table)})
-        return _form_times_delta(ring, _as_poly(ring, value, FORM), vacuum)
+        return _form_times_delta(_as_poly(ring, value, FORM), vacuum)
     raise ExpressionError(
         "expected a delta form with one del(...) factor per odd fiber "
         f"direction, got {_kind(value)}")
@@ -932,11 +875,6 @@ def read_map_file(path: str, ring: Ring) -> CoordinateMap:
         return CoordinateMap(ring.chart, ring.chart, images)
     except ValueError as exc:
         raise click.UsageError(f"{path}: {exc}")
-
-
-def format_map(m: CoordinateMap) -> str:
-    return "\n".join(f"{name} = {m.images[name]}"
-                     for name in m.target.coordinate_names)
 
 
 def read_matrix_file(path: str, ring: Ring) -> SuperMatrix:

@@ -27,7 +27,6 @@ from supercalc.algebra import (
     Monomial,
     RationalFunction,
     SuperPoly,
-    merge_odd_indices,
     sort_odd_indices,
     transport,
 )
@@ -59,23 +58,7 @@ def base_coordinate_names(table: GeneratorTable) -> tuple[str, ...]:
 
 def fiber_degree(table: GeneratorTable, mono: Monomial) -> int:
     """Number of fiber symbols, with multiplicity."""
-    ev, od = mono
-    total = 0
-    for slot, k in enumerate(ev):
-        if table.classes[table.even_positions[slot]] == FIBER_EVEN:
-            total += k
-    total += sum(1 for i in od if table.classes[i] == FIBER_ODD)
-    return total
-
-
-def base_degree(table: GeneratorTable, mono: Monomial) -> int:
-    ev, od = mono
-    total = 0
-    for slot, k in enumerate(ev):
-        if table.classes[table.even_positions[slot]] == EVEN_BASE:
-            total += k
-    total += sum(1 for i in od if table.classes[i] == ODD_BASE)
-    return total
+    return table.degree(mono, FIBER_EVEN, FIBER_ODD)
 
 
 def degree_parts(omega: SuperPoly) -> dict[int, SuperPoly]:
@@ -120,7 +103,7 @@ def homotopy_h(omega: SuperPoly, k: int | None = None) -> SuperPoly:
             raise ValueError(f"form is not homogeneous of fiber degree {k}")
         if fd < 1:
             raise ValueError("homotopy is defined on fiber degree >= 1")
-        weight = Fraction(1, fd + base_degree(table, mono))
+        weight = Fraction(1, fd + table.degree(mono, EVEN_BASE, ODD_BASE))
         term = SuperPoly(table, {mono: c})
         for name in names:
             der = term.left_derivative(fiber_name(name))
@@ -173,11 +156,8 @@ class UniversalElement:
         for (mu, jw), f in terms.items():
             if f.is_zero():
                 continue
-            ev, od = mu
-            for slot, k in enumerate(ev):
-                if k and table.classes[table.even_positions[slot]] != FIBER_EVEN:
-                    raise ValueError("form factor must be purely fiber content")
-            if any(table.classes[i] != FIBER_ODD for i in od):
+            if any(table.classes[pos] not in (FIBER_EVEN, FIBER_ODD)
+                   for pos, _ in table.powers(mu)):
                 raise ValueError("form factor must be purely fiber content")
             clean[(mu, jw)] = f
         self.terms = clean
@@ -198,22 +178,12 @@ class UniversalElement:
         if fiber.is_zero():
             return cls.zero(table)
         (mu, c), = fiber.terms.items()
-
-        even_deriv = table.positions_of_class(EVEN_BASE)
-        slot_of = {pos: k for k, pos in enumerate(even_deriv)}
-        ell = [0] * len(even_deriv)
-        odd_word: list[int] = []
-        for name in deriv_word:
-            pos = table.index(name)
-            if table.parities[pos] == 0:
-                ell[slot_of[pos]] += 1
-            else:
-                odd_word.append(pos)
-        sign, eps = sort_odd_indices(odd_word)
+        sign, jw = _deriv_key(DiffOp.zero(table),
+                              tuple(table.index(name) for name in deriv_word))
         if sign == 0:
             return cls.zero(table)
         f = SuperPoly.one(table) if f is None else f
-        return cls(table, {((mu), (tuple(ell), eps)): f.scale(c * sign)})
+        return cls(table, {(mu, jw): f.scale(c * sign)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -247,17 +217,13 @@ class UniversalElement:
     def __str__(self):
         if not self.terms:
             return "0"
+        ops = DiffOp.zero(self.table)
         chunks = []
-        for (mu, (ell, eps)), f in sorted(
+        for (mu, jw), f in sorted(
                 self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             mu_str = str(SuperPoly(self.table, {mu: Fraction(1)}))
-            even_deriv = self.table.positions_of_class(EVEN_BASE)
-            symbols = []
-            for slot, k in enumerate(ell):
-                name = self.table.names[even_deriv[slot]]
-                symbols.extend([f"dd_{name}"] * k)
-            symbols.extend(f"dd_{self.table.names[i]}" for i in eps)
-            op = "*".join(symbols) or "1"
+            op = "*".join(f"dd_{self.table.names[pos]}"
+                          for pos in ops._word(jw)) or "1"
             chunks.append(f"{mu_str} @ {op}*({f})")
         return " + ".join(chunks)
 
@@ -268,15 +234,24 @@ def _base_positions(table: GeneratorTable) -> tuple[int, ...]:
     return table.positions_of_class(EVEN_BASE) + table.positions_of_class(ODD_BASE)
 
 
+def _deriv_key(ops: DiffOp, word: tuple[int, ...]):
+    """(sign, derivative monomial) of a word of derivative positions,
+    the sign being that of sorting its odd letters; (0, None) when an odd
+    letter repeats."""
+    ell, odd_word = ops._mono_of_word(word)
+    sign, eps = sort_odd_indices(odd_word)
+    return sign, (None if sign == 0 else (ell, eps))
+
+
 def script_D(u: UniversalElement) -> UniversalElement:
     """Multiplication by the odd element sum_a (fiber symbol a) (x) d_a."""
     table = u.table
-    even_deriv = table.positions_of_class(EVEN_BASE)
-    slot_of = {pos: k for k, pos in enumerate(even_deriv)}
+    ops = DiffOp.zero(table)
     terms: dict = {}
-    for (mu, (ell, eps)), f in u.terms.items():
-        mu_parity = len(mu[1]) & 1
+    for (mu, jw), f in u.terms.items():
         mu_poly = SuperPoly(table, {mu: Fraction(1)})
+        mu_parity = mu_poly.parity()
+        word = ops._word(jw)
         for pos in _base_positions(table):
             name = table.names[pos]
             sign = -1 if (table.parities[pos] and mu_parity) else 1
@@ -284,17 +259,10 @@ def script_D(u: UniversalElement) -> UniversalElement:
             if prod.is_zero():
                 continue
             (new_mu, c), = prod.terms.items()
-            if table.parities[pos] == 0:
-                new_ell = list(ell)
-                new_ell[slot_of[pos]] += 1
-                key = (new_mu, (tuple(new_ell), eps))
-                extra = 1
-            else:
-                s, new_eps = merge_odd_indices((pos,), eps)
-                if s == 0:
-                    continue
-                key = (new_mu, (ell, new_eps))
-                extra = s
+            extra, new_jw = _deriv_key(ops, (pos,) + word)
+            if extra == 0:
+                continue
+            key = (new_mu, new_jw)
             add = f.scale(sign * c * extra)
             acc = terms.get(key)
             terms[key] = add if acc is None else acc + add
@@ -307,9 +275,10 @@ def script_H(u: UniversalElement) -> UniversalElement:
     table = u.table
     terms: dict = {}
     for (mu, jw), f in u.terms.items():
-        mu_parity = len(mu[1]) & 1
-        j_parity = len(jw[1]) & 1
         mu_poly = SuperPoly(table, {mu: Fraction(1)})
+        dj = DiffOp(table, {jw: SuperPoly.one(table)})
+        mu_parity = mu_poly.parity()
+        j_parity = dj.parity()
         for pos in _base_positions(table):
             name = table.names[pos]
             xa_parity = table.parities[pos]
@@ -317,7 +286,6 @@ def script_H(u: UniversalElement) -> UniversalElement:
             contracted = mu_poly.left_derivative(fiber_name(name))
             if contracted.is_zero():
                 continue
-            dj = DiffOp(table, {jw: SuperPoly.one(table)})
             br = dj.bracket(DiffOp.multiplication(SuperPoly.generator(table, name)))
             for jw2, c2 in br.terms.items():
                 scalar = c2.scalar_part()
@@ -341,9 +309,8 @@ def con3_identity_factor(u: UniversalElement) -> int:
     p = len(table.positions_of_class(EVEN_BASE))
     q = len(table.positions_of_class(ODD_BASE))
     ((mu, (ell, eps)), _), = u.terms.items()
-    deg0_mu = sum(mu[0][slot] for slot, pos in enumerate(table.even_positions)
-                  if table.classes[pos] == FIBER_EVEN)
-    deg1_mu = len(mu[1])
+    deg0_mu = table.degree(mu, FIBER_EVEN)
+    deg1_mu = table.degree(mu, FIBER_ODD)
     deg0_j = sum(ell)
     deg1_j = len(eps)
     return p + q + deg0_mu + deg0_j - deg1_mu - deg1_j

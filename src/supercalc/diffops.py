@@ -43,13 +43,13 @@ class DiffOp:
     return new instances.
     """
 
-    __slots__ = ("table", "terms", "deriv_even", "deriv_odd", "_even_slot")
+    __slots__ = ("table", "terms", "deriv_even", "deriv_odd", "_slot_of")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[DerivMonomial, SuperPoly]):
         self.table = table
         self.deriv_even = table.positions_of_class(EVEN_BASE)
         self.deriv_odd = table.positions_of_class(ODD_BASE)
-        self._even_slot = {pos: k for k, pos in enumerate(self.deriv_even)}
+        self._slot_of = {pos: k for k, pos in enumerate(self.deriv_even)}
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
 
     # --- constructors -----------------------------------------------------
@@ -95,11 +95,11 @@ class DiffOp:
             return -1
         return max(sum(ell) + len(eps) for ell, eps in self.terms)
 
-    def _term_parity(self, mono: DerivMonomial, coeff: SuperPoly) -> int | None:
+    def _term_parity(self, key: DerivMonomial, coeff: SuperPoly) -> int | None:
         cp = coeff.parity()
         if cp is None:
             return None
-        return (cp + len(mono[1])) & 1
+        return (cp + len(key[1])) & 1
 
     def parity(self) -> int | None:
         seen = set()
@@ -208,7 +208,7 @@ class DiffOp:
         eps: list[int] = []
         for pos in word:
             if self.table.parities[pos] == 0:
-                ell[self._even_slot[pos]] += 1
+                ell[self._slot_of[pos]] += 1
             else:
                 eps.append(pos)
         return tuple(ell), tuple(eps)

@@ -41,6 +41,7 @@ from typing import Iterable, Mapping
 
 from supercalc.algebra import (
     EVEN_BASE,
+    FIBER_EVEN,
     FIBER_ODD,
     GeneratorTable,
     Monomial,
@@ -76,42 +77,22 @@ def polyvector_table(chart: Chart) -> GeneratorTable:
 
 def polyvector_degree(table: GeneratorTable, mono: Monomial) -> int:
     """Number of polyvector letters in a monomial, with multiplicity."""
-    ev, od = mono
-    total = 0
-    for slot, k in enumerate(ev):
-        if table.classes[table.even_positions[slot]] == POLYVECTOR_EVEN:
-            total += k
-    total += sum(1 for i in od if table.classes[i] == POLYVECTOR_ODD)
-    return total
-
-
-def _monomial_degrees(table: GeneratorTable, mono: Monomial) -> tuple[int, int, int, int]:
-    """(even base, odd base, even polyvector, odd polyvector) degrees."""
-    ev, od = mono
-    base_ev = pv_ev = 0
-    for slot, k in enumerate(ev):
-        if table.classes[table.even_positions[slot]] == EVEN_BASE:
-            base_ev += k
-        else:
-            pv_ev += k
-    base_od = sum(1 for i in od if table.classes[i] == ODD_BASE)
-    pv_od = len(od) - base_od
-    return base_ev, base_od, pv_ev, pv_od
+    return table.degree(mono, POLYVECTOR_EVEN, POLYVECTOR_ODD)
 
 
 def _plain_polynomial(poly: SuperPoly) -> SuperPoly:
     """Clear absorbed rational coefficients back into even exponents."""
     table = poly.table
     out = SuperPoly.zero(table)
-    for (ev, od), c in poly.terms.items():
+    for mono, c in poly.terms.items():
         if isinstance(c, RationalFunction):
             if not c.is_polynomial():
                 raise ValueError("coordinate change left a non-polynomial "
                                  "coefficient; only polynomial data is "
                                  "supported here")
-            out = out + SuperPoly(table, {(ev, od): Fraction(1)}) * c.num
+            out = out + SuperPoly(table, {mono: Fraction(1)}) * c.num
         else:
-            out = out + SuperPoly(table, {(ev, od): c})
+            out = out + SuperPoly(table, {mono: c})
     return out
 
 
@@ -331,16 +312,12 @@ def right_action(section: BerSection, op: DiffOp) -> BerSection:
     if op.table != table:
         raise ValueError("operator and density live on different charts")
     total = SuperPoly.zero(table)
-    for (ell, eps), coeff in op.terms.items():
+    for key, coeff in op.terms.items():
         cur = section.coefficient * coeff
-        word = []
-        for slot, k in enumerate(ell):
-            word.extend([table.names[op.deriv_even[slot]]] * k)
-        word.extend(table.names[i] for i in eps)
-        for name in word:
+        for pos in op._word(key):
             if cur.is_zero():
                 break
-            cur = _push_past_partial(cur, name, bool(table.parity(name)))
+            cur = _push_past_partial(cur, table.names[pos], bool(table.parities[pos]))
         total = total + cur
     return BerSection(section.chart, total)
 
@@ -422,13 +399,9 @@ class IntegralForm:
 
     def as_section(self) -> BerSection:
         """Forget the (absent) polyvector part; degree must be p throughout."""
-        base = self.chart.table
-        terms = {}
-        for (ev, od), c in self.poly.terms.items():
-            if polyvector_degree(self.table, ((ev), od)):
-                raise ValueError("polyvector letters remain; not a plain density")
-            terms[(ev[:len(base.even_positions)], od)] = c
-        return BerSection(self.chart, SuperPoly(base, terms))
+        if any(polyvector_degree(self.table, mono) for mono in self.poly.terms):
+            raise ValueError("polyvector letters remain; not a plain density")
+        return BerSection(self.chart, transport(self.poly, self.chart.table))
 
     def scale(self, c) -> "IntegralForm":
         return IntegralForm(self.chart, self.poly.scale(c))
@@ -497,13 +470,10 @@ def cohomology_projection(u: IntegralForm) -> IntegralForm:
     ``th_1..th_q pdz_1..pdz_p``: full odd coordinate content, all odd
     polyvector letters, no even ones, and a constant coefficient.
     """
-    chart = u.chart
-    kept = {}
-    for mono, c in u.poly.terms.items():
-        base_ev, base_od, pv_ev, pv_od = _monomial_degrees(u.table, mono)
-        if (base_ev, base_od, pv_ev, pv_od) == (0, chart.q, 0, chart.p):
-            kept[mono] = c
-    return IntegralForm(chart, SuperPoly(u.table, kept))
+    table = u.table
+    _, mono = table.monomial((pos, 1) for pos in
+                             table.positions_of_class(ODD_BASE, POLYVECTOR_ODD))
+    return IntegralForm(u.chart, SuperPoly(table, {mono: u.poly.coefficient(mono)}))
 
 
 def homotopy_int(u: IntegralForm) -> IntegralForm:
@@ -529,21 +499,21 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
     table = u.table
     p, q = chart.p, chart.q
     base_parity = (p + q) % 2
-    base_even_positions = table.positions_of_class(EVEN_BASE)
-    base_even_slots = {table.even_slot(i) for i in base_even_positions}
-    base_odd_positions = set(table.positions_of_class(ODD_BASE))
+    coordinates = set(table.positions_of_class(EVEN_BASE, ODD_BASE))
     out = SuperPoly.zero(table)
-    for (ev, od), c in u.poly.terms.items():
-        base_ev, base_od, pv_ev, pv_od = _monomial_degrees(table, (ev, od))
+    for mono, c in u.poly.terms.items():
+        base_ev = table.degree(mono, EVEN_BASE)
+        base_od = table.degree(mono, ODD_BASE)
+        pv_ev = table.degree(mono, POLYVECTOR_EVEN)
+        pv_od = table.degree(mono, POLYVECTOR_ODD)
         k_weight = p + q + pv_ev - pv_od - 2 * base_od - 1
         denominator = k_weight + base_ev + base_od + 1
         f_parity = base_od % 2
-        f_ev = tuple(x if slot in base_even_slots else 0
-                     for slot, x in enumerate(ev))
-        x_ev = tuple(0 if slot in base_even_slots else x
-                     for slot, x in enumerate(ev))
-        f_poly = SuperPoly(table, {(f_ev, tuple(i for i in od if i in base_odd_positions)): Fraction(1)})
-        x_poly = SuperPoly(table, {(x_ev, tuple(i for i in od if i not in base_odd_positions)): Fraction(1)})
+        powers = table.powers(mono)
+        _, f_mono = table.monomial(pk for pk in powers if pk[0] in coordinates)
+        _, x_mono = table.monomial(pk for pk in powers if pk[0] not in coordinates)
+        f_poly = SuperPoly(table, {f_mono: Fraction(1)})
+        x_poly = SuperPoly(table, {x_mono: Fraction(1)})
         for name in chart.coordinate_names:
             xb = SuperPoly.generator(table, name)
             pdb = SuperPoly.generator(table, polyvector_name(name))
@@ -587,18 +557,20 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
     if max_fiber > min_pv:
         raise ValueError("form degree exceeds the polyvector degree of the "
                          "integral form")
-    fiber_odd = [i for i, cls in enumerate(ftab.classes) if cls == FIBER_ODD]
-    base_names = {i: ftab.names[i][1:] for i in fiber_odd}
-    even_fiber_slots = [(slot, ftab.names[i][1:])
-                        for slot, i in enumerate(ftab.even_positions)
-                        if ftab.classes[i] not in (EVEN_BASE,)]
-    base_even_slots = [(slot, ftab.names[i])
-                       for slot, i in enumerate(ftab.even_positions)
-                       if ftab.classes[i] == EVEN_BASE]
-    for (ev, od), c in omega.terms.items():
-        letters = [base_names[i] for i in od if i in base_names]
-        for slot, name in even_fiber_slots:
-            letters.extend([name] * ev[slot])
+    for mono, c in omega.terms.items():
+        # the odd letters in written order, then the even ones
+        odd_letters: list[str] = []
+        even_letters: list[str] = []
+        remainder: dict[str, int] = {}
+        for pos, k in ftab.powers(mono):
+            name = ftab.names[pos]
+            if ftab.classes[pos] == FIBER_ODD:
+                odd_letters.append(name[1:])
+            elif ftab.classes[pos] == FIBER_EVEN:
+                even_letters.extend([name[1:]] * k)
+            else:
+                remainder[name] = k
+        letters = odd_letters + even_letters
         cur = u.poly.scale(c)
         for name in letters:
             cur = cur.right_derivative(polyvector_name(name))
@@ -606,8 +578,6 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
                 break
         if cur.is_zero():
             continue
-        remainder = {name: ev[slot] for slot, name in base_even_slots if ev[slot]}
-        remainder.update({ftab.names[i]: 1 for i in od if i not in base_names})
         if remainder:
             cur = cur * SuperPoly.from_monomial(u.table, remainder)
         result = result + cur

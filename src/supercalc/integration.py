@@ -261,9 +261,9 @@ def berezin_integral(target, *, gaussian: Iterable[str] = (),
     if target.formal:
         raise ValueError(f"divergent/formal variable: {min(target.formal)}")
     table = target.chart.table
-    top = tuple(table.odd_positions)
-    ftop = SuperPoly(table, {(ev, ()): c for (ev, od), c in target.poly.terms.items()
-                             if od == top})
+    ftop = target.poly
+    for name in target.chart.odd_names:
+        ftop = ftop.left_derivative(name)
     ftop = _plain_polynomial(ftop)
     if target.dirac:
         points = {name: SuperPoly.constant(table, a)
@@ -271,12 +271,10 @@ def berezin_integral(target, *, gaussian: Iterable[str] = (),
         ftop = _plain_polynomial(ftop.substitute(points))
     power = Fraction(len(target.gaussian), 2)
     total = PiValue()
-    for (ev, _), c in ftop.terms.items():
+    for mono, c in ftop.terms.items():
         coeff = Fraction(c)
-        for slot, e in enumerate(ev):
-            if e == 0:
-                continue
-            name = table.names[table.even_positions[slot]]
+        for pos, e in table.powers(mono):
+            name = table.names[pos]
             assert name in target.gaussian
             coeff *= _moment_ratio(e)
             if not coeff:

@@ -50,6 +50,13 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
+def _spread(positions: Sequence[int], total: int) -> list[list[tuple[int, int]]]:
+    """Every way to spread `total` powers over the even generators at
+    `positions`, each as its (position, power) pairs with nonzero power."""
+    return [[(pos, e) for pos, e in zip(positions, comp) if e]
+            for comp in _compositions(total, len(positions))]
+
+
 def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     """Rank over the rationals of vectors given as {column: nonzero value}
     maps.  Each vector is reduced against the pivot rows found so far, kept
@@ -138,10 +145,6 @@ class KoszulAlgebra:
             out = out + module * e.left_derivative(partner)
         return out
 
-    def dual_delta_element(self) -> SuperPoly:
-        """The odd element sum v_i dpiv_i + sum ch_a dpich_a."""
-        return self._dual_element
-
     def dual_delta(self, e: SuperPoly) -> SuperPoly:
         """Multiplication by the odd element sum v_i dpiv_i + sum ch_a dpich_a."""
         if e.table != self.dual_table:
@@ -165,27 +168,22 @@ class KoszulAlgebra:
         table, pi_odd, pi_even = self._names_for(which)
         if k < 0 or n < 0:
             return []
-        v_slots = [table.even_slot(table.index(nm)) for nm in self.v_names]
-        pi_even_slots = [table.even_slot(table.index(nm)) for nm in pi_even]
+        v_pos = [table.index(nm) for nm in self.v_names]
+        pi_even_pos = [table.index(nm) for nm in pi_even]
         ch_pos = [table.index(nm) for nm in self.ch_names]
         pi_odd_pos = [table.index(nm) for nm in pi_odd]
-        pich_comps = [list(_compositions(k - k_odd, self.q))
-                      for k_odd in range(min(self.p, k) + 1)]
+        pich_powers = [_spread(pi_even_pos, k - k_odd)
+                       for k_odd in range(min(self.p, k) + 1)]
         out: list[Monomial] = []
         for r_odd in range(min(self.q, n) + 1):
-            v_comps = list(_compositions(n - r_odd, self.p))
+            v_powers = _spread(v_pos, n - r_odd)
             for ch_subset in itertools.combinations(ch_pos, r_odd):
-                for v_comp in v_comps:
-                    for k_odd, comps in enumerate(pich_comps):
+                for v in v_powers:
+                    for k_odd, pich_list in enumerate(pich_powers):
                         for piv_subset in itertools.combinations(pi_odd_pos, k_odd):
-                            for pich_comp in comps:
-                                ev = list(table.zero_exponents)
-                                for slot, e in zip(v_slots, v_comp):
-                                    ev[slot] = e
-                                for slot, e in zip(pi_even_slots, pich_comp):
-                                    ev[slot] = e
-                                od = tuple(sorted(ch_subset + piv_subset))
-                                out.append((tuple(ev), od))
+                            odd = [(i, 1) for i in ch_subset + piv_subset]
+                            for pich in pich_list:
+                                out.append(table.monomial(v + pich + odd)[1])
         return out
 
     @staticmethod
@@ -261,19 +259,21 @@ class KoszulAlgebra:
         if e.table != self.dual_table:
             raise ValueError("element is not in the dual algebra")
         table = self.dual_table
-        (class_mono,) = tuple(self.dual_homology_generator().terms)
-        class_od = class_mono[1]
-        zero_ev = table.zero_exponents
-        coeff_pos = {table.index(nm) for nm in self.coefficient_odds}
-        out = SuperPoly.zero(table)
-        for (ev, od), c in e.terms.items():
-            if ev != zero_ev:
-                continue
-            eta_part = tuple(i for i in od if i in coeff_pos)
-            module_part = tuple(i for i in od if i not in coeff_pos)
-            if module_part == class_od:
-                out = out + SuperPoly(table, {(zero_ev, eta_part): c})
-        return transport(out, self.coefficient_table)
+        (class_mono,) = self.dual_homology_generator().terms
+        class_powers = set(table.powers(class_mono))
+        coefficient_names = set(self.coefficient_odds)
+        out = SuperPoly.zero(self.coefficient_table)
+        for mono, c in e.terms.items():
+            eta: dict[str, int] = {}
+            module = set()
+            for pos, k in table.powers(mono):
+                if table.names[pos] in coefficient_names:
+                    eta[table.names[pos]] = k
+                else:
+                    module.add((pos, k))
+            if module == class_powers:
+                out = out + SuperPoly.from_monomial(self.coefficient_table, eta, c)
+        return out
 
     def induced_automorphism_scalar(self, m: SuperMatrix) -> SuperPoly:
         """Transport the degree-p dual class through the automorphism with

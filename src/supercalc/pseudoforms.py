@@ -41,6 +41,10 @@ from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from supercalc.algebra import (
+    FIBER_EVEN,
+    FIBER_ODD,
+    ODD_BASE,
+    RationalFunction,
     SuperPoly,
     absorb_even_exponents,
     transport,
@@ -62,7 +66,9 @@ __all__ = [
     "DeltaForm",
     "MiddlePictureSymbol",
     "cw_apply",
+    "delta_times_poly",
     "fiber_integral",
+    "form_times_delta",
     "from_integral_form",
     "gaussian_fiber_integral",
     "to_integral_form",
@@ -478,6 +484,60 @@ def _apply_step(form: DeltaForm, step) -> DeltaForm:
     return out
 
 
+# --- products with functions and differential forms ---------------------------
+
+
+def delta_times_poly(form: DeltaForm, f) -> DeltaForm:
+    """Right multiplication by a coordinate function.
+
+    f moves left through each term's odd letters, its dx letters and its
+    q delta symbols, so its odd part picks up their parity.
+    """
+    f = _coerce_coefficient(form.chart, f)
+    even, odd = f.homogeneous_parts()
+    out = DeltaForm.zero(form.chart)
+    q = form.chart.q
+    for (eps, ells), c in form.terms.items():
+        shifted = even + (odd.scale(-1) if (sum(eps) + q) % 2 else odd)
+        out = out + DeltaForm(form.chart, {(eps, ells): c * shifted})
+    return out
+
+
+def form_times_delta(omega: SuperPoly, form: DeltaForm) -> DeltaForm:
+    """Left multiplication of a delta form by a differential form.
+
+    The form lives over the chart's differential extension.  Each of its
+    monomials splits into a base coefficient and a fiber word; the word
+    acts through :func:`cw_apply` and the coefficient multiplies from the
+    left.  Base odd factors sitting to the right of the dx letters in the
+    canonical word cross back out with the usual sign.
+    """
+    chart = form.chart
+    ftab = form_table(chart.table)
+    if omega.table != ftab:
+        raise ValueError("form is not over the chart's differentials")
+    out = DeltaForm.zero(chart)
+    for mono, c in omega.terms.items():
+        if isinstance(c, RationalFunction):
+            raise ValueError("delta forms carry polynomial coefficients only")
+        base_powers: dict[str, int] = {}
+        dth_letters: list[str] = []
+        dx_letters: list[str] = []
+        for pos, k in ftab.powers(mono):
+            name = ftab.names[pos]
+            if ftab.classes[pos] == FIBER_EVEN:
+                dth_letters.extend([name] * k)
+            elif ftab.classes[pos] == FIBER_ODD:
+                dx_letters.append(name)
+            else:
+                base_powers[name] = k
+        sign = -1 if len(dx_letters) * ftab.degree(mono, ODD_BASE) % 2 else 1
+        coeff = SuperPoly.from_monomial(chart.table, base_powers,
+                                        Fraction(c) * sign)
+        out = out + cw_apply(dth_letters + dx_letters, form).times(coeff)
+    return out
+
+
 # --- the bridge to integral forms ---------------------------------------------
 
 
@@ -528,24 +588,18 @@ def from_integral_form(sigma: IntegralForm) -> DeltaForm:
     table = sigma.table
     coordinates = set(chart.coordinate_names)
     out = DeltaForm.zero(chart)
-    for (ev, od), c in sigma.poly.terms.items():
+    for mono, c in sigma.poly.terms.items():
         base_powers: dict[str, int] = {}
         ells = {name: 0 for name in chart.odd_names}
         removed: set[str] = set()
-        for slot, k in enumerate(ev):
-            if not k:
-                continue
-            name = table.names[table.even_positions[slot]]
+        for pos, k in table.powers(mono):
+            name = table.names[pos]
             if name in coordinates:
                 base_powers[name] = k
+            elif table.parities[pos]:
+                removed.add(name[len(polyvector_name("")):])
             else:
                 ells[name[len(polyvector_name("")):]] = k
-        for i in od:
-            name = table.names[i]
-            if name in coordinates:
-                base_powers[name] = 1
-            else:
-                removed.add(name[len(polyvector_name("")):])
         eps = tuple(0 if name in removed else 1 for name in chart.even_names)
         orders = tuple(ells[name] for name in chart.odd_names)
         word = _derivative_word(chart, eps, orders)
@@ -605,25 +659,17 @@ def gaussian_fiber_integral(chart: Chart, form, gaussian: Iterable[str] = ()
     if missing:
         raise ValueError(f"divergent fiber integral: {min(sorted(missing))!r} "
                          "carries no Gaussian weight")
-    dx_positions = frozenset(ftab.index(fiber_name(name))
-                             for name in chart.even_names)
     out = SuperPoly.zero(chart.table)
-    for (ev, od), c in form.terms.items():
-        if not dx_positions <= set(od):
+    for mono, c in form.terms.items():
+        if ftab.degree(mono, FIBER_ODD) != chart.p:
             continue
-        base_od = tuple(i for i in od if i not in dx_positions)
         factor = Fraction(1)
-        base_powers: dict[str, int] = {ftab.names[i]: 1 for i in base_od}
-        for slot, k in enumerate(ev):
-            if not k:
-                continue
-            name = ftab.names[ftab.even_positions[slot]]
-            if name in even_fibers:
+        base_powers: dict[str, int] = {}
+        for pos, k in ftab.powers(mono):
+            if ftab.classes[pos] == FIBER_EVEN:
                 factor *= _moment_ratio(k)
-                if not factor:
-                    break
-            else:
-                base_powers[name] = k
+            elif ftab.classes[pos] != FIBER_ODD:
+                base_powers[ftab.names[pos]] = k
         if factor:
             out = out + SuperPoly.from_monomial(chart.table, base_powers, c * factor)
     weight = PiValue.pi_power(Fraction(len(gaussian), 2))

@@ -27,6 +27,14 @@ def random_nonzero_rational(rng: random.Random, span: int = 4) -> Fraction:
             return c
 
 
+def _term(table: GeneratorTable, exps, odds, coeff) -> SuperPoly:
+    """coeff times the monomial with even exponents ``exps`` (by slot) and
+    the ascending odd positions ``odds``."""
+    _, mono = table.monomial([*zip(table.even_positions, exps),
+                              *((i, 1) for i in odds)])
+    return SuperPoly(table, {mono: coeff})
+
+
 def random_superpoly(rng: random.Random, table: GeneratorTable, *,
                      parity: int | None = None, terms: int = 3,
                      max_exp: int = 2) -> SuperPoly:
@@ -43,9 +51,8 @@ def random_superpoly(rng: random.Random, table: GeneratorTable, *,
             n_odd = n_odd - 1 if n_odd > 0 else n_odd + 1
             if n_odd > len(odd_positions) or n_odd % 2 != parity:
                 continue
-        odds = tuple(sorted(rng.sample(odd_positions, n_odd)))
-        mono = (tuple(exps), odds)
-        out = out + SuperPoly(table, {mono: random_rational(rng)})
+        odds = sorted(rng.sample(odd_positions, n_odd))
+        out = out + _term(table, exps, odds, random_rational(rng))
     if parity is not None and out.parity() not in (parity, None):
         raise AssertionError("parity bookkeeping error in generator")
     return out
@@ -63,7 +70,7 @@ def random_nilpotent_even(rng: random.Random, table: GeneratorTable,
         exps = tuple(rng.randint(0, max_exp) if rng.random() < 0.5 else 0
                      for _ in table.even_positions)
         odds = rng.choice(pairs)
-        out = out + SuperPoly(table, {(exps, odds): random_rational(rng)})
+        out = out + _term(table, exps, odds, random_rational(rng))
     return out
 
 
@@ -76,8 +83,8 @@ def random_odd_entry(rng: random.Random, table: GeneratorTable,
         exps = tuple(rng.randint(0, max_exp) if rng.random() < 0.5 else 0
                      for _ in table.even_positions)
         n = rng.choice([k for k in range(1, len(odd_positions) + 1) if k % 2])
-        odds = tuple(sorted(rng.sample(odd_positions, n)))
-        out = out + SuperPoly(table, {(exps, odds): random_rational(rng)})
+        odds = sorted(rng.sample(odd_positions, n))
+        out = out + _term(table, exps, odds, random_rational(rng))
     return out
 
 

@@ -571,9 +571,7 @@ def _unimodular_split_map(rng, source: Chart, target: Chart) -> CoordinateMap:
         img = ths[a].scale(random_nonzero_rational(rng, 3))
         for b in range(a):
             coeff = random_superpoly(rng, table, parity=0, terms=1, max_exp=2)
-            even_only = SuperPoly(table, {m: c for m, c in coeff.terms.items()
-                                          if not m[1]})
-            img = img + even_only * ths[b]
+            img = img + coeff.set_odd_to_zero() * ths[b]
         images[name] = img
     return CoordinateMap(source, target, images)
 

@@ -112,12 +112,12 @@ def _scalar_unit_inverse(det0: SuperPoly):
     """Inverse coefficient of an odd-free determinant that is a unit."""
     if det0.is_zero():
         raise ValueError("singular reduced matrix")
-    terms = det0.terms
-    if len(terms) != 1 or any(any(ev) for (ev, _) in terms):
+    c = det0.scalar_part()
+    if len(det0.terms) != 1 or not c:
         raise ValueError(
             "reduced determinant is not a unit in the coefficient domain; "
             "absorb even variables into rational-function coefficients first")
-    return _coeff_inverse(next(iter(terms.values())))
+    return _coeff_inverse(c)
 
 
 def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows:
