@@ -566,16 +566,11 @@ class SuperPoly:
     def __str__(self):
         if not self.terms:
             return "0"
+        names, powers = self.table.names, self.table.powers
         chunks: list[str] = []
-        for (ev, od), c in self._sorted_terms():
-            factors: list[str] = []
-            for slot, k in enumerate(ev):
-                if k == 0:
-                    continue
-                name = self.table.names[self.table.even_positions[slot]]
-                factors.append(name if k == 1 else f"{name}^{k}")
-            factors.extend(self.table.names[i] for i in od)
-            body = "*".join(factors)
+        for mono, c in self._sorted_terms():
+            body = "*".join([names[pos] if k == 1 else f"{names[pos]}^{k}"
+                             for pos, k in powers(mono)])
             cs = _render_coeff(c)
             if not body:
                 text = cs
@@ -886,29 +881,20 @@ def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
         return poly
     src = poly.table
     terms: dict[Monomial, object] = {}
-    for (ev, od), c in poly.terms.items():
-        exps = list(table._zero_exponents)
-        for slot, k in enumerate(ev):
-            if k:
-                name = src.names[src.even_positions[slot]]
-                pos = table.index(name)
-                if table.parities[pos] != 0:
-                    raise ValueError(f"generator {name!r} changes parity")
-                exps[table._even_slot[pos]] += k
-        odds = []
-        for i in od:
-            name = src.names[i]
-            pos = table.index(name)
-            if table.parities[pos] != 1:
+    for mono, c in poly.terms.items():
+        moved = []
+        for pos, k in src.powers(mono):
+            name = src.names[pos]
+            new = table.index(name)
+            if table.parities[new] != src.parities[pos]:
                 raise ValueError(f"generator {name!r} changes parity")
-            odds.append(pos)
-        sign, sorted_odds = sort_odd_indices(odds)
+            moved.append((new, k))
+        sign, new_mono = table.monomial(moved)
         if sign == 0:
             raise AssertionError("odd indices cannot collide under renaming")
         if isinstance(c, RationalFunction):
             c = RationalFunction(transport(c.num, table), transport(c.den, table))
-        mono = (tuple(exps), sorted_odds)
-        terms[mono] = terms.get(mono, Fraction(0)) + sign * c
+        terms[new_mono] = terms.get(new_mono, Fraction(0)) + sign * c
     return SuperPoly(table, terms)
 
 

@@ -558,19 +558,14 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
         raise ValueError("form degree exceeds the polyvector degree of the "
                          "integral form")
     for mono, c in omega.terms.items():
-        # the odd letters in written order, then the even ones
-        odd_letters: list[str] = []
-        even_letters: list[str] = []
+        letters: list[str] = []
         remainder: dict[str, int] = {}
         for pos, k in ftab.powers(mono):
             name = ftab.names[pos]
-            if ftab.classes[pos] == FIBER_ODD:
-                odd_letters.append(name[1:])
-            elif ftab.classes[pos] == FIBER_EVEN:
-                even_letters.extend([name[1:]] * k)
+            if ftab.classes[pos] in (FIBER_EVEN, FIBER_ODD):
+                letters.extend([name[1:]] * k)
             else:
                 remainder[name] = k
-        letters = odd_letters + even_letters
         cur = u.poly.scale(c)
         for name in letters:
             cur = cur.right_derivative(polyvector_name(name))

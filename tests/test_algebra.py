@@ -112,6 +112,72 @@ def test_canonical_form_is_order_independent():
     assert a == naive_mul(naive_mul(th3, x), th1)
 
 
+# ---------------------------------------------------------------------------
+# the monomial codec
+
+def _codec_tables():
+    from supercalc.charts import Chart
+    from supercalc.derham import form_table
+    from supercalc.integral_forms import polyvector_table
+    from supercalc.koszul import KoszulAlgebra
+
+    chart = Chart.standard(2, 2)
+    return {"chart": chart.table, "form": form_table(chart.table),
+            "polyvector": polyvector_table(chart),
+            "koszul-dual": KoszulAlgebra(2, 2).dual_table}
+
+
+@pytest.mark.parametrize("kind", ["chart", "form", "polyvector", "koszul-dual"])
+def test_codec_round_trip(kind):
+    from supercalc.randoms import random_superpoly
+
+    table = _codec_tables()[kind]
+    classes = sorted(set(table.classes))
+    rng = random.Random(17)
+    seen = 0
+    for _ in range(100):
+        poly = random_superpoly(rng, table, terms=4, max_exp=3)
+        for mono, c in poly.terms.items():
+            decoded = table.powers(mono)
+            positions = [pos for pos, _ in decoded]
+            # written order: even generators by slot, then odd ones ascending
+            assert positions == sorted(positions,
+                                       key=lambda pos: (table.parities[pos], pos))
+            assert all(k >= 1 and (k == 1 or not table.parities[pos])
+                       for pos, k in decoded)
+            assert table.monomial(decoded) == (1, mono)
+            named = {table.names[pos]: k for pos, k in decoded}
+            assert SuperPoly.from_monomial(table, named, c) == SuperPoly(table, {mono: c})
+            assert str(SuperPoly(table, {mono: Fraction(1)})) == ("*".join(
+                table.names[pos] + (f"^{k}" if k > 1 else "") for pos, k in decoded)
+                or "1")
+            for cls in classes:
+                assert table.degree(mono, cls) == sum(
+                    k for pos, k in decoded if table.classes[pos] == cls)
+            assert table.degree(mono, *classes) == sum(k for _, k in decoded)
+            seen += 1
+    assert seen > 200
+
+
+def test_encoder_sorts_odd_factors_with_their_sign():
+    x, th1, th2, th3 = (T.index(n) for n in ("x", "th1", "th2", "th3"))
+    # th3 * x^2 * th1 * x = -x^3 * th1 * th3
+    sign, mono = T.monomial([(th3, 1), (x, 2), (th1, 1), (x, 1)])
+    assert SuperPoly(T, {mono: Fraction(sign)}) == gen("th3") * gen("x") ** 2 * gen("th1") * gen("x")
+    assert sign == -1
+    assert T.monomial([(th2, 1), (th1, 1)])[0] == -1
+    assert T.monomial([(th1, 1), (th1, 1)]) == (0, None)
+    assert T.monomial([(th1, 2)]) == (0, None)
+    assert T.monomial([(th1, 0), (x, 0)]) == T.monomial([])
+
+
+@pytest.mark.parametrize("powers", [{"x": -1}, {"th1": -1}, {"th1": 2, "y": -2}],
+                         ids=["even", "odd", "after-a-vanishing-odd-square"])
+def test_from_monomial_refuses_negative_powers(powers):
+    with pytest.raises(ValueError, match="negative power"):
+        SuperPoly.from_monomial(T, powers)
+
+
 coeffs = st.integers(-4, 4).map(Fraction)
 powers = st.fixed_dictionaries(
     {},

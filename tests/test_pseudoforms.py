@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from supercalc import randoms
-from supercalc.algebra import SuperPoly, transport
+from supercalc.algebra import SuperPoly, absorb_even_exponents, transport
 from supercalc.charts import Chart, CoordinateMap, compose_maps
 from supercalc.derham import d, fiber_name, form_table
 from supercalc.integral_forms import (
@@ -23,7 +23,9 @@ from supercalc.pseudoforms import (
     CWOperator,
     DeltaForm,
     cw_apply,
+    delta_times_poly,
     fiber_integral,
+    form_times_delta,
     from_integral_form,
     gaussian_fiber_integral,
     to_integral_form,
@@ -111,10 +113,7 @@ def random_split_map(rng, source, target):
         for b in range(a):
             weight = random_superpoly(rng, source.table, parity=0,
                                       terms=1, max_exp=1)
-            even_part = SuperPoly(source.table,
-                                  {m: c for m, c in weight.terms.items()
-                                   if not m[1]})
-            img = img + even_part * gen(source.table, odds[b])
+            img = img + weight.set_odd_to_zero() * gen(source.table, odds[b])
         images[tname] = img
     return CoordinateMap(source, target, images)
 
@@ -210,6 +209,73 @@ class TestCWAction:
             CWOperator("dd_")
         with pytest.raises(ValueError, match="not a fiber letter"):
             cw_apply("dq", DeltaForm.top(R11))
+
+
+class TestProducts:
+    """Delta forms are a left module over differential forms and a right
+    module over functions; 100 seeded draws each on 1|1, 1|2, 2|1, 2|2."""
+
+    SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+    def draws(self, seed):
+        rng = random.Random(seed)
+        for k in range(100):
+            chart = Chart.standard(*self.SHAPES[k % 4])
+            yield rng, chart, _random_delta_form(rng, chart, terms=3)
+
+    def test_forms_act_associatively(self):
+        nonzero = 0
+        for rng, chart, w in self.draws(31):
+            ftab = form_table(chart.table)
+            a = random_superpoly(rng, ftab, terms=3, max_exp=1)
+            b = random_superpoly(rng, ftab, terms=3, max_exp=1)
+            lhs = form_times_delta(a * b, w)
+            assert lhs == form_times_delta(a, form_times_delta(b, w))
+            nonzero += not lhs.is_zero()
+        assert nonzero >= 30
+
+    def test_one_acts_trivially(self):
+        for _, chart, w in self.draws(32):
+            assert form_times_delta(SuperPoly.one(form_table(chart.table)), w) == w
+
+    def test_functions_act_associatively_from_the_right(self):
+        nonzero = 0
+        for rng, chart, w in self.draws(33):
+            f = random_superpoly(rng, chart.table, terms=2, max_exp=2)
+            g = random_superpoly(rng, chart.table, terms=2, max_exp=2)
+            lhs = delta_times_poly(delta_times_poly(w, f), g)
+            assert lhs == delta_times_poly(w, f * g)
+            nonzero += not lhs.is_zero()
+        assert nonzero >= 50
+
+    def test_functions_graded_commute_past_the_letters(self):
+        """w * f == (-1)^{|w||f|} f * w on homogeneous w and f."""
+        checked = 0
+        for rng, chart, w in self.draws(34):
+            f = random_superpoly(rng, chart.table, parity=rng.randint(0, 1),
+                                 terms=2, max_exp=2)
+            if w.parity() is None or f.parity() is None:
+                continue
+            sign = -1 if w.parity() * f.parity() else 1
+            assert delta_times_poly(w, f) == w.times(f).scale(sign)
+            assert form_times_delta(transport(f, form_table(chart.table)), w) == w.times(f)
+            checked += 1
+        assert checked >= 30
+
+    def test_the_two_actions_commute(self):
+        for rng, chart, w in self.draws(35):
+            a = random_superpoly(rng, form_table(chart.table), terms=3, max_exp=1)
+            f = random_superpoly(rng, chart.table, terms=2, max_exp=2)
+            assert (form_times_delta(a, delta_times_poly(w, f))
+                    == delta_times_poly(form_times_delta(a, w), f))
+
+    def test_rational_coefficients_are_refused(self):
+        chart = Chart.standard(1, 1)
+        ftab = form_table(chart.table)
+        dx = gen(ftab, "dx1")
+        quotient = dx * absorb_even_exponents(gen(ftab, "x1")).inverse()
+        with pytest.raises(ValueError, match="polynomial coefficients only"):
+            form_times_delta(quotient, DeltaForm.top(chart))
 
 
 class TestTermStructure:
