@@ -113,25 +113,29 @@ class GeneratorTable:
 
     def __init__(self, gens: Iterable[tuple[str, str]]):
         gens = tuple((str(n), str(c)) for n, c in gens)
-        names = tuple(n for n, _ in gens)
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
         self.gens = gens
-        self.names = names
+        self.names = tuple(n for n, _ in gens)
         self.classes = tuple(c for _, c in gens)
         self.parities = tuple(parity_of_class(c) for c in self.classes)
-        self._index = {n: i for i, n in enumerate(names)}
-        self.even_positions = tuple(i for i, p in enumerate(self.parities) if p == 0)
-        self.odd_positions = tuple(i for i, p in enumerate(self.parities) if p == 1)
-        self._even_slot = {pos: k for k, pos in enumerate(self.even_positions)}
-        self._zero_exponents = (0,) * len(self.even_positions)
-        # the exponent slots of each even class, the positions of each odd one
+        self._index = {n: i for i, n in enumerate(self.names)}
+        if len(self._index) != len(gens):
+            raise ValueError("generator names must be unique")
+        # the slot of each even generator in the exponent vector; the slots
+        # of each even class and the positions of each odd one
+        self._even_slot: dict[int, int] = {}
         self._class_slots: dict[str, list[int]] = {}
-        for slot, pos in enumerate(self.even_positions):
-            self._class_slots.setdefault(self.classes[pos], []).append(slot)
         self._class_odds: dict[str, set[int]] = {}
-        for pos in self.odd_positions:
-            self._class_odds.setdefault(self.classes[pos], set()).add(pos)
+        odds = []
+        for i, (cls, parity) in enumerate(zip(self.classes, self.parities)):
+            if parity:
+                odds.append(i)
+                self._class_odds.setdefault(cls, set()).add(i)
+            else:
+                slot = self._even_slot[i] = len(self._even_slot)
+                self._class_slots.setdefault(cls, []).append(slot)
+        self.even_positions = tuple(self._even_slot)
+        self.odd_positions = tuple(odds)
+        self._zero_exponents = (0,) * len(self._even_slot)
 
     @classmethod
     def chart(cls, evens: Sequence[str], odds: Sequence[str]) -> "GeneratorTable":
@@ -181,6 +185,8 @@ class GeneratorTable:
                 raise ValueError(f"negative power {k} of {self.names[pos]!r}")
             elif k:
                 odds += (pos, pos)      # an odd square: the key vanishes
+        if len(odds) < 2:
+            return 1, (tuple(exps), tuple(odds))
         sign, sorted_odds = sort_odd_indices(odds)
         if sign == 0:
             return 0, None
@@ -881,20 +887,29 @@ def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
         return poly
     src = poly.table
     terms: dict[Monomial, object] = {}
-    for mono, c in poly.terms.items():
-        moved = []
-        for pos, k in src.powers(mono):
-            name = src.names[pos]
-            new = table.index(name)
-            if table.parities[new] != src.parities[pos]:
+    for (ev, od), c in poly.terms.items():
+        exps = list(table._zero_exponents)
+        for slot, k in enumerate(ev):
+            if k:
+                name = src.names[src.even_positions[slot]]
+                pos = table.index(name)
+                if table.parities[pos] != 0:
+                    raise ValueError(f"generator {name!r} changes parity")
+                exps[table._even_slot[pos]] += k
+        odds = []
+        for i in od:
+            name = src.names[i]
+            pos = table.index(name)
+            if table.parities[pos] != 1:
                 raise ValueError(f"generator {name!r} changes parity")
-            moved.append((new, k))
-        sign, new_mono = table.monomial(moved)
+            odds.append(pos)
+        sign, sorted_odds = sort_odd_indices(odds)
         if sign == 0:
             raise AssertionError("odd indices cannot collide under renaming")
         if isinstance(c, RationalFunction):
             c = RationalFunction(transport(c.num, table), transport(c.den, table))
-        terms[new_mono] = terms.get(new_mono, Fraction(0)) + sign * c
+        mono = (tuple(exps), sorted_odds)
+        terms[mono] = terms.get(mono, Fraction(0)) + sign * c
     return SuperPoly(table, terms)
 
 

@@ -427,10 +427,11 @@ def test_negation_skips_the_reduction(monkeypatch):
 
 
 def _random_bivariate(rng, with_constant=False):
-    terms = {((rng.randint(0, 2), rng.randint(0, 1)), ()): Fraction(rng.randint(-4, 4))
-             for _ in range(3)}
+    x, y = T.index("x"), T.index("y")
+    terms = {T.monomial([(x, rng.randint(0, 2)), (y, rng.randint(0, 1))])[1]:
+             Fraction(rng.randint(-4, 4)) for _ in range(3)}
     if with_constant:
-        terms[((0, 0), ())] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        terms[T.monomial([])[1]] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
     poly = SuperPoly(T, terms)
     return poly if poly else _random_bivariate(rng, with_constant)
 
@@ -458,9 +459,12 @@ def test_rational_arithmetic_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
     sx, sy = sympy.symbols("x y")
 
+    symbols = {T.index("x"): sx, T.index("y"): sy}
+
     def poly(p):
-        return sum((sympy.Rational(c.numerator, c.denominator) * sx ** e[0] * sy ** e[1]
-                    for (e, _), c in p.terms.items()), sympy.Integer(0))
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(symbols[pos] ** k for pos, k in T.powers(mono)))
+                    for mono, c in p.terms.items()), sympy.Integer(0))
 
     def agrees(got, want):
         num, den = sympy.fraction(sympy.cancel(want))
