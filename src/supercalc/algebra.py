@@ -109,33 +109,26 @@ class GeneratorTable:
 
     __slots__ = ("gens", "names", "classes", "parities", "_index",
                  "even_positions", "odd_positions", "_even_slot",
-                 "_zero_exponents", "_class_slots", "_class_odds")
+                 "_zero_exponents", "_degree_slots")
 
     def __init__(self, gens: Iterable[tuple[str, str]]):
         gens = tuple((str(n), str(c)) for n, c in gens)
+        names = tuple(n for n, _ in gens)
+        if len(set(names)) != len(names):
+            raise ValueError("generator names must be unique")
         self.gens = gens
-        self.names = tuple(n for n, _ in gens)
+        self.names = names
         self.classes = tuple(c for _, c in gens)
         self.parities = tuple(parity_of_class(c) for c in self.classes)
-        self._index = {n: i for i, n in enumerate(self.names)}
-        if len(self._index) != len(gens):
-            raise ValueError("generator names must be unique")
-        # the slot of each even generator in the exponent vector; the slots
-        # of each even class and the positions of each odd one
-        self._even_slot: dict[int, int] = {}
-        self._class_slots: dict[str, list[int]] = {}
-        self._class_odds: dict[str, set[int]] = {}
-        odds = []
-        for i, (cls, parity) in enumerate(zip(self.classes, self.parities)):
-            if parity:
-                odds.append(i)
-                self._class_odds.setdefault(cls, set()).add(i)
-            else:
-                slot = self._even_slot[i] = len(self._even_slot)
-                self._class_slots.setdefault(cls, []).append(slot)
-        self.even_positions = tuple(self._even_slot)
-        self.odd_positions = tuple(odds)
-        self._zero_exponents = (0,) * len(self._even_slot)
+        self._index = {n: i for i, n in enumerate(names)}
+        self.even_positions = tuple(i for i, p in enumerate(self.parities) if p == 0)
+        self.odd_positions = tuple(i for i, p in enumerate(self.parities) if p == 1)
+        self._even_slot = {pos: k for k, pos in enumerate(self.even_positions)}
+        self._zero_exponents = (0,) * len(self.even_positions)
+        # degree(): the exponent slots and odd positions of each tuple of
+        # classes asked for, filled on first use; many tables never count
+        # degrees, and a workload keeps a thousand of them alive
+        self._degree_slots: dict[tuple[str, ...], tuple] = {}
 
     @classmethod
     def chart(cls, evens: Sequence[str], odds: Sequence[str]) -> "GeneratorTable":
@@ -202,14 +195,17 @@ class GeneratorTable:
 
     def degree(self, mono: "Monomial", *classes: str) -> int:
         """Number of factors of the given generator classes, with multiplicity."""
+        where = self._degree_slots.get(classes)
+        if where is None:
+            where = self._degree_slots[classes] = (
+                tuple(self._even_slot[i] for i in self.even_positions
+                      if self.classes[i] in classes),
+                frozenset(i for i in self.odd_positions if self.classes[i] in classes))
+        slots, odds = where
         ev, od = mono
-        total = 0
-        for cls in classes:
-            for slot in self._class_slots.get(cls, ()):
-                total += ev[slot]
-            odds = self._class_odds.get(cls)
-            if odds:
-                total += len(odds.intersection(od))
+        total = len(odds.intersection(od)) if odds else 0
+        for slot in slots:
+            total += ev[slot]
         return total
 
     def __eq__(self, other):
