@@ -109,7 +109,7 @@ class GeneratorTable:
 
     __slots__ = ("gens", "names", "classes", "parities", "_index",
                  "even_positions", "odd_positions", "_even_slot",
-                 "_zero_exponents", "_degree_slots")
+                 "_zero_exponents")
 
     def __init__(self, gens: Iterable[tuple[str, str]]):
         gens = tuple((str(n), str(c)) for n, c in gens)
@@ -125,10 +125,6 @@ class GeneratorTable:
         self.odd_positions = tuple(i for i, p in enumerate(self.parities) if p == 1)
         self._even_slot = {pos: k for k, pos in enumerate(self.even_positions)}
         self._zero_exponents = (0,) * len(self.even_positions)
-        # degree(): the exponent slots and odd positions of each tuple of
-        # classes asked for, filled on first use; many tables never count
-        # degrees, and a workload keeps a thousand of them alive
-        self._degree_slots: dict[tuple[str, ...], tuple] = {}
 
     @classmethod
     def chart(cls, evens: Sequence[str], odds: Sequence[str]) -> "GeneratorTable":
@@ -195,17 +191,16 @@ class GeneratorTable:
 
     def degree(self, mono: "Monomial", *classes: str) -> int:
         """Number of factors of the given generator classes, with multiplicity."""
-        where = self._degree_slots.get(classes)
-        if where is None:
-            where = self._degree_slots[classes] = (
-                tuple(self._even_slot[i] for i in self.even_positions
-                      if self.classes[i] in classes),
-                frozenset(i for i in self.odd_positions if self.classes[i] in classes))
-        slots, odds = where
         ev, od = mono
-        total = len(odds.intersection(od)) if odds else 0
-        for slot in slots:
-            total += ev[slot]
+        owner = self.classes
+        evens = self.even_positions
+        total = 0
+        for slot, k in enumerate(ev):
+            if k and owner[evens[slot]] in classes:
+                total += k
+        for i in od:
+            if owner[i] in classes:
+                total += 1
         return total
 
     def __eq__(self, other):

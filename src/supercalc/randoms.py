@@ -27,12 +27,18 @@ def random_nonzero_rational(rng: random.Random, span: int = 4) -> Fraction:
             return c
 
 
-def _term(table: GeneratorTable, exps, odds, coeff) -> SuperPoly:
-    """coeff times the monomial with even exponents ``exps`` (by slot) and
-    the ascending odd positions ``odds``."""
-    _, mono = table.monomial([*zip(table.even_positions, exps),
-                              *((i, 1) for i in odds)])
+def _term(table: GeneratorTable, powers, odds, coeff) -> SuperPoly:
+    """coeff times the monomial of the (position, power) pairs ``powers``
+    and the ascending odd positions ``odds``."""
+    powers += [(i, 1) for i in odds]
+    _, mono = table.monomial(powers)
     return SuperPoly(table, {mono: coeff})
+
+
+def _even_powers(rng: random.Random, table: GeneratorTable, max_exp: int):
+    """Each even generator, with probability 1/2, to a power up to max_exp."""
+    return [(pos, rng.randint(0, max_exp)) for pos in table.even_positions
+            if rng.random() < 0.5]
 
 
 def random_superpoly(rng: random.Random, table: GeneratorTable, *,
@@ -42,17 +48,14 @@ def random_superpoly(rng: random.Random, table: GeneratorTable, *,
     odd_positions = table.odd_positions
     out = SuperPoly.zero(table)
     for _ in range(rng.randint(1, terms)):
-        exps = [0] * len(table.even_positions)
-        for slot in range(len(exps)):
-            if rng.random() < 0.5:
-                exps[slot] = rng.randint(0, max_exp)
+        powers = _even_powers(rng, table, max_exp)
         n_odd = rng.randint(0, len(odd_positions))
         if parity is not None and n_odd % 2 != parity:
             n_odd = n_odd - 1 if n_odd > 0 else n_odd + 1
             if n_odd > len(odd_positions) or n_odd % 2 != parity:
                 continue
         odds = sorted(rng.sample(odd_positions, n_odd))
-        out = out + _term(table, exps, odds, random_rational(rng))
+        out = out + _term(table, powers, odds, random_rational(rng))
     if parity is not None and out.parity() not in (parity, None):
         raise AssertionError("parity bookkeeping error in generator")
     return out
@@ -67,10 +70,9 @@ def random_nilpotent_even(rng: random.Random, table: GeneratorTable,
         return out
     pairs = list(combinations(odd_positions, 2))
     for _ in range(rng.randint(0, terms)):
-        exps = tuple(rng.randint(0, max_exp) if rng.random() < 0.5 else 0
-                     for _ in table.even_positions)
+        powers = _even_powers(rng, table, max_exp)
         odds = rng.choice(pairs)
-        out = out + _term(table, exps, odds, random_rational(rng))
+        out = out + _term(table, powers, odds, random_rational(rng))
     return out
 
 
@@ -80,11 +82,10 @@ def random_odd_entry(rng: random.Random, table: GeneratorTable,
     odd_positions = table.odd_positions
     out = SuperPoly.zero(table)
     for _ in range(rng.randint(0, terms)):
-        exps = tuple(rng.randint(0, max_exp) if rng.random() < 0.5 else 0
-                     for _ in table.even_positions)
+        powers = _even_powers(rng, table, max_exp)
         n = rng.choice([k for k in range(1, len(odd_positions) + 1) if k % 2])
         odds = sorted(rng.sample(odd_positions, n))
-        out = out + _term(table, exps, odds, random_rational(rng))
+        out = out + _term(table, powers, odds, random_rational(rng))
     return out
 
 
