@@ -21,7 +21,7 @@ def test_all_names_resolve(module):
 # The encoding helpers of GeneratorTable, a SuperPoly key unpacked into its
 # (even exponents, odd positions) halves, or a key indexed by hand.
 _PRIVATE_ENCODING = re.compile(
-    r"even_slot|zero_exponents|\(ev, od\)|\(ev, _\)|\(_, od\)|\b(mono|mu)\[\d")
+    r"even_slot|zero_exponents|\(ev, od\)|\(ev, _\)|\(_, od\)|\b(mono|mu|m)\[\d")
 
 
 def test_only_algebra_reads_the_monomial_encoding():
