@@ -5,31 +5,33 @@ forms, differential operators, supermatrices) is built on one substrate:
 sparse polynomials over a fixed table of even and odd generators, with
 rational or rational-function coefficients.
 
-A monomial is stored in canonical form as a pair
+A monomial is one ``int``: the odd generators form a bitmask in the low
+bits, and above it each even exponent fills a field of ``_FIELD`` bits, the
+first even generator highest.  Each field's top bit is a guard bit, so keys
+with disjoint odd masks multiply by one addition that never carries into the
+next field; a set guard bit raises ``OverflowError``.  The sign of a product
+is the parity of the crossing odd pairs, counted with popcounts.
 
-    (even exponent vector, strictly ascending tuple of odd generator indices)
-
-so equal elements always compare equal.  Reordering signs for the odd part
-are accumulated by counting transpositions, and a repeated odd index kills
-the term, since odd generators square to zero.
-
-That pair is private to this module.  The only way into or out of a
+That encoding is private to this module.  The only way into or out of a
 monomial is the codec on :class:`GeneratorTable`: :meth:`~GeneratorTable.monomial`
 encodes (position, power) pairs, :meth:`~GeneratorTable.powers` decodes a
-key into them in written order, and :meth:`~GeneratorTable.degree` counts
-the generators of given classes.  Everywhere else a key of
-``SuperPoly.terms`` is an opaque handle: it may be hashed, compared and
-passed back, never indexed, unpacked or built by hand.
+key into them in written order, :meth:`~GeneratorTable.degree` counts the
+generators of given classes and :meth:`~GeneratorTable.sort_key` orders
+keys for printing.  Everywhere else a key of ``SuperPoly.terms`` is an
+opaque handle: it may be hashed, compared and passed back, never indexed,
+shifted, masked or built by hand.
 
-No floating point is used anywhere: coefficients are ``fractions.Fraction``,
-:class:`RationalFunction` (for charts that divide by even coordinates), or
-the half-integer pi-power scalars used by the integration module.
+No floating point is used anywhere.  A coefficient is an ``int`` while it is
+integral (never a Fraction with denominator 1), else a ``fractions.Fraction``,
+a :class:`RationalFunction` (for charts that divide by even coordinates), or
+a pi-power scalar of the integration module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from functools import reduce
+from typing import Iterable, Mapping, Sequence
 
 # Generator classes.  The parity of a generator is determined by its class;
 # the class also records what geometric role the symbol plays so that the
@@ -43,9 +45,6 @@ POLYVECTOR_ODD = "polyvector-odd"     # pi d/dx
 
 _EVEN_CLASSES = frozenset({EVEN_BASE, FIBER_EVEN, POLYVECTOR_EVEN})
 _ODD_CLASSES = frozenset({ODD_BASE, FIBER_ODD, POLYVECTOR_ODD})
-
-Scalar = Union[int, Fraction]
-
 
 def parity_of_class(cls: str) -> int:
     if cls in _EVEN_CLASSES:
@@ -107,9 +106,9 @@ class GeneratorTable:
     declared with the same generators interoperate.
     """
 
-    __slots__ = ("gens", "names", "classes", "parities", "_index",
-                 "even_positions", "odd_positions", "_even_slot",
-                 "_zero_exponents")
+    __slots__ = ("gens", "names", "classes", "parities", "_index", "_hash",
+                 "even_positions", "odd_positions", "_odd_mask", "_guard",
+                 "_unit", "_even_fields", "_class_masks")
 
     def __init__(self, gens: Iterable[tuple[str, str]]):
         gens = tuple((str(n), str(c)) for n, c in gens)
@@ -121,10 +120,18 @@ class GeneratorTable:
         self.classes = tuple(c for _, c in gens)
         self.parities = tuple(parity_of_class(c) for c in self.classes)
         self._index = {n: i for i, n in enumerate(names)}
+        self._hash = hash(gens)
         self.even_positions = tuple(i for i, p in enumerate(self.parities) if p == 0)
         self.odd_positions = tuple(i for i, p in enumerate(self.parities) if p == 1)
-        self._even_slot = {pos: k for k, pos in enumerate(self.even_positions)}
-        self._zero_exponents = (0,) * len(self.even_positions)
+        n_odd, n_even = len(self.odd_positions), len(self.even_positions)
+        self._odd_mask = (1 << n_odd) - 1
+        self._even_fields = tuple((pos, n_odd + _FIELD * (n_even - 1 - slot))
+                                  for slot, pos in enumerate(self.even_positions))
+        self._guard = sum((_EXPONENT + 1) << shift for _, shift in self._even_fields)
+        # the key of each generator: its odd bit, or a 1 in its even field
+        self._unit = {pos: 1 << j for j, pos in enumerate(self.odd_positions)}
+        self._unit.update((pos, 1 << shift) for pos, shift in self._even_fields)
+        self._class_masks: dict = {}
 
     @classmethod
     def chart(cls, evens: Sequence[str], odds: Sequence[str]) -> "GeneratorTable":
@@ -159,76 +166,102 @@ class GeneratorTable:
         Even powers of a repeated position add up; odd factors are taken
         in the order given.  Returns ``(sign, key)``, the sign being that
         of sorting the odd factors into table order, or ``(0, None)`` when
-        an odd factor occurs twice.  A negative power raises ``ValueError``.
+        an odd factor occurs twice.  A negative power raises ``ValueError``
+        and an even power too large for its field ``OverflowError``.
         """
-        exps = list(self._zero_exponents)
-        odds: list[int] = []
-        even_slot = self._even_slot
+        key = odds = 0
+        sign, vanishes = 1, False
+        units, odd_mask, guard = self._unit, self._odd_mask, self._guard
         for pos, k in powers:
-            slot = even_slot.get(pos)
-            if slot is not None and k >= 0:
-                exps[slot] += k
+            unit = units[pos]
+            if unit > odd_mask and k >= 0:
+                key += k * unit
+                if key & guard or k > _EXPONENT:
+                    raise OverflowError(
+                        f"power of {self.names[pos]!r} exceeds {_EXPONENT}")
             elif k == 1:
-                odds.append(pos)
+                # the new factor moves left past every odd factor above it
+                if odds >= unit:
+                    if odds & unit:
+                        vanishes = True
+                    elif (odds & -unit).bit_count() & 1:
+                        sign = -sign
+                odds |= unit
             elif k < 0:
                 raise ValueError(f"negative power {k} of {self.names[pos]!r}")
             elif k:
-                odds += (pos, pos)      # an odd square: the key vanishes
-        if len(odds) < 2:
-            return 1, (tuple(exps), tuple(odds))
-        sign, sorted_odds = sort_odd_indices(odds)
-        if sign == 0:
+                vanishes = True     # an odd square
+        if vanishes:
             return 0, None
-        return sign, (tuple(exps), sorted_odds)
+        return sign, key | odds
 
     def powers(self, mono: "Monomial") -> list[tuple[int, int]]:
         """Decode a key into (table position, power) pairs in written
         order: even generators by slot, then odd ones ascending."""
-        ev, od = mono
-        evens = self.even_positions
-        return ([(evens[slot], k) for slot, k in enumerate(ev) if k]
-                + [(i, 1) for i in od])
+        out = [(pos, k) for pos, shift in self._even_fields
+               if (k := mono >> shift & _EXPONENT)]
+        return out + [(pos, 1) for pos in self.odd_positions if mono & self._unit[pos]]
 
     def degree(self, mono: "Monomial", *classes: str) -> int:
         """Number of factors of the given generator classes, with multiplicity."""
-        ev, od = mono
-        owner = self.classes
-        evens = self.even_positions
-        total = 0
-        for slot, k in enumerate(ev):
-            if k and owner[evens[slot]] in classes:
-                total += k
-        for i in od:
-            if owner[i] in classes:
-                total += 1
-        return total
+        masks = self._class_masks.get(classes)
+        if masks is None:
+            odd = sum(self._unit[pos] for pos in self.odd_positions
+                      if self.classes[pos] in classes)
+            shifts = tuple(shift for pos, shift in self._even_fields
+                           if self.classes[pos] in classes)
+            masks = self._class_masks[classes] = (odd, shifts)
+        odd, shifts = masks
+        return (mono & odd).bit_count() + sum(mono >> shift & _EXPONENT for shift in shifts)
+
+    def sort_key(self, mono: "Monomial") -> tuple:
+        """The printing order: total degree, then the odd positions, then the
+        even exponent vector, which the even bits order lexicographically."""
+        pairs = self.powers(mono)
+        return (sum(k for _, k in pairs), tuple(pos for pos, k in pairs if self.parities[pos]),
+                mono >> len(self.odd_positions))
 
     def __eq__(self, other):
-        return isinstance(other, GeneratorTable) and self.gens == other.gens
+        return self is other or (isinstance(other, GeneratorTable)
+                                 and self.gens == other.gens)
 
     def __hash__(self):
-        return hash(self.gens)
+        return self._hash
 
     def __repr__(self):
         return "GeneratorTable(%s)" % ", ".join(
             f"{n}:{'+' if p == 0 else '-'}" for n, p in zip(self.names, self.parities))
 
 
-Monomial = tuple[tuple[int, ...], tuple[int, ...]]
+Monomial = int
+
+# Width of the exponent field of one even generator; its top bit is the
+# guard bit, so exponents stay at most _EXPONENT.
+_FIELD = 16
+_EXPONENT = (1 << (_FIELD - 1)) - 1
 
 
-def _coeff_is_zero(c) -> bool:
-    return not c
+def _below_parity(odds: int, width: int) -> int:
+    """Bit i (i < width) is the parity of the bits of ``odds`` below i, so
+    ``(a & _below_parity(b, n)).bit_count()`` is, mod 2, the number of
+    crossings when b's odd factors move left past a's."""
+    out = odds << 1
+    step = 1
+    while step < width:
+        out ^= out << step
+        step <<= 1
+    return out
 
 
 def _coeff_inverse(c):
     if isinstance(c, RationalFunction):
         return c.inverse()
-    return Fraction(1, 1) / Fraction(c)
+    inv = 1 / Fraction(c)
+    return inv.numerator if inv.denominator == 1 else inv
 
 
 def _check_same_table(a: "SuperPoly", b: "SuperPoly") -> None:
-    if a.table != b.table:
+    if a.table is not b.table and a.table != b.table:
         raise ValueError("generator table mismatch")
 
 
@@ -236,39 +269,42 @@ class SuperPoly:
     """Canonical-form element of the supercommutative algebra over a table.
 
     Immutable after construction.  ``terms`` maps monomials to nonzero
-    coefficients; the zero element has an empty map.
+    coefficients, integral ones stored as ints; the zero element has an
+    empty map.
     """
 
     __slots__ = ("table", "terms")
 
     def __init__(self, table: GeneratorTable, terms: Mapping[Monomial, object]):
         self.table = table
-        self.terms = {m: c for m, c in terms.items() if not _coeff_is_zero(c)}
+        self.terms = {m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                      for m, c in terms.items() if c}
+
+    @classmethod
+    def _of(cls, table: GeneratorTable, terms: dict) -> "SuperPoly":
+        """Wrap terms that are already canonical."""
+        out = cls.__new__(cls)
+        out.table = table
+        out.terms = terms
+        return out
 
     # --- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, table: GeneratorTable) -> "SuperPoly":
-        return cls(table, {})
+        return cls._of(table, {})
 
     @classmethod
     def constant(cls, table: GeneratorTable, c) -> "SuperPoly":
-        if isinstance(c, int):
-            c = Fraction(c)
-        return cls(table, {(table._zero_exponents, ()): c})
+        return cls(table, {0: c})
 
     @classmethod
     def one(cls, table: GeneratorTable) -> "SuperPoly":
-        return cls.constant(table, Fraction(1))
+        return cls._of(table, {0: 1})
 
     @classmethod
     def generator(cls, table: GeneratorTable, name: str) -> "SuperPoly":
-        i = table.index(name)
-        if table.parities[i] == 0:
-            exps = list(table._zero_exponents)
-            exps[table._even_slot[i]] = 1
-            return cls(table, {(tuple(exps), ()): Fraction(1)})
-        return cls(table, {(table._zero_exponents, (i,)): Fraction(1)})
+        return cls._of(table, {table._unit[table.index(name)]: 1})
 
     @classmethod
     def from_monomial(cls, table: GeneratorTable, powers: Mapping[str, int], coeff=1) -> "SuperPoly":
@@ -277,8 +313,6 @@ class SuperPoly:
         sign, mono = table.monomial((table.index(name), k) for name, k in powers.items())
         if sign == 0:
             return cls.zero(table)
-        if isinstance(coeff, int):
-            coeff = Fraction(coeff)
         return cls(table, {mono: sign * coeff})
 
     # --- predicates and views ----------------------------------------------
@@ -291,35 +325,38 @@ class SuperPoly:
 
     def parity(self) -> int | None:
         """0 or 1 for homogeneous elements, None for mixed or zero."""
-        seen = {len(odds) & 1 for _, odds in self.terms}
+        odd = self.table._odd_mask
+        seen = {(m & odd).bit_count() & 1 for m in self.terms}
         if len(seen) == 1:
             return seen.pop()
         return None
 
     def homogeneous_parts(self) -> "tuple[SuperPoly, SuperPoly]":
         """Split into (even part, odd part)."""
-        ev = {m: c for m, c in self.terms.items() if len(m[1]) % 2 == 0}
-        od = {m: c for m, c in self.terms.items() if len(m[1]) % 2 == 1}
-        return SuperPoly(self.table, ev), SuperPoly(self.table, od)
+        odd = self.table._odd_mask
+        ev = {m: c for m, c in self.terms.items() if not (m & odd).bit_count() & 1}
+        od = {m: c for m, c in self.terms.items() if (m & odd).bit_count() & 1}
+        return SuperPoly._of(self.table, ev), SuperPoly._of(self.table, od)
 
     def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, 0)
 
     def scalar_part(self):
         """Coefficient of the empty monomial."""
-        return self.terms.get((self.table._zero_exponents, ()), Fraction(0))
+        return self.terms.get(0, 0)
 
     def set_odd_to_zero(self) -> "SuperPoly":
         """Projection killing every monomial with an odd factor."""
-        return SuperPoly(self.table, {m: c for m, c in self.terms.items() if not m[1]})
+        odd = self.table._odd_mask
+        return SuperPoly._of(self.table, {m: c for m, c in self.terms.items() if not m & odd})
 
     # --- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SuperPoly.constant(self.table, other)
         if not isinstance(other, SuperPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = SuperPoly.constant(self.table, other)
         _check_same_table(self, other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -330,44 +367,45 @@ class SuperPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPoly(self.table, {m: -c for m, c in self.terms.items()})
+        return SuperPoly._of(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SuperPoly.constant(self.table, other)
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (int, Fraction, SuperPoly)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c) -> "SuperPoly":
-        if isinstance(c, int):
-            c = Fraction(c)
-        if _coeff_is_zero(c):
+        if not c:
             return SuperPoly.zero(self.table)
         return SuperPoly(self.table, {m: coeff * c for m, coeff in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return self.scale(other)
         if not isinstance(other, SuperPoly):
+            if isinstance(other, (int, Fraction, RationalFunction)):
+                return self.scale(other)
             return NotImplemented
+        table = self.table
         _check_same_table(self, other)
+        odd = table._odd_mask
+        width = len(table.odd_positions)
+        right = [(m, _below_parity(m & odd, width), c, -c) for m, c in other.terms.items()]
         terms: dict[Monomial, object] = {}
-        for (ev1, od1), c1 in self.terms.items():
-            for (ev2, od2), c2 in other.terms.items():
-                sign, odds = merge_odd_indices(od1, od2)
-                if sign == 0:
-                    continue
-                mono = (tuple(x + y for x, y in zip(ev1, ev2)), odds)
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                acc = terms.get(mono)
+        get = terms.get
+        for m1, c1 in self.terms.items():
+            o1 = m1 & odd
+            for m2, below, c2, neg_c2 in right:
+                if o1 & m2:
+                    continue        # a shared odd factor squares to zero
+                mono = m1 + m2
+                c = c1 * (neg_c2 if (o1 & below).bit_count() & 1 else c2)
+                acc = get(mono)
                 terms[mono] = c if acc is None else acc + c
-        return SuperPoly(self.table, terms)
+        if reduce(int.__or__, terms, 0) & table._guard:
+            raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
+        return SuperPoly(table, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction)):
@@ -390,7 +428,7 @@ class SuperPoly:
         if isinstance(other, int):
             return self.scale(Fraction(1, other))
         if isinstance(other, Fraction):
-            return self.scale(Fraction(1, 1) / other)
+            return self.scale(1 / other)
         if isinstance(other, RationalFunction):
             return self.scale(other.inverse())
         if isinstance(other, SuperPoly):
@@ -405,15 +443,15 @@ class SuperPoly:
         finite geometric series for (c + n)^{-1}.
         """
         c0 = self.scalar_part()
-        if _coeff_is_zero(c0):
+        if not c0:
             raise ZeroDivisionError("scalar part is zero; element is not invertible")
         rest = self - SuperPoly.constant(self.table, c0)
-        for (ev, od) in rest.terms:
-            if not od:
-                raise ValueError(
-                    "cannot invert: remainder has an odd-free monomial "
-                    "(not nilpotent); absorb even variables into rational-"
-                    "function coefficients first")
+        odd = self.table._odd_mask
+        if any(not m & odd for m in rest.terms):
+            raise ValueError(
+                "cannot invert: remainder has an odd-free monomial "
+                "(not nilpotent); absorb even variables into rational-"
+                "function coefficients first")
         inv_c0 = _coeff_inverse(c0)
         unit = SuperPoly.constant(self.table, inv_c0)
         out = unit
@@ -435,35 +473,27 @@ class SuperPoly:
         For an odd generator, passing the derivation over j earlier odd
         factors contributes (-1)^j.
         """
-        i = self.table.index(name)
+        table = self.table
+        unit = table._unit[table.index(name)]
         terms: dict[Monomial, object] = {}
-        if self.table.parities[i] == 0:
-            slot = self.table._even_slot[i]
-            for (ev, od), c in self.terms.items():
+        if unit > table._odd_mask:
+            shift = unit.bit_length() - 1
+            for m, c in self.terms.items():
                 if isinstance(c, RationalFunction):
                     dc = c.derivative(name)
                     if dc:
-                        acc = terms.get((ev, od))
-                        terms[(ev, od)] = dc if acc is None else acc + dc
-                k = ev[slot]
-                if k == 0:
-                    continue
-                new_ev = list(ev)
-                new_ev[slot] = k - 1
-                mono = (tuple(new_ev), od)
-                add = c * k
-                acc = terms.get(mono)
-                terms[mono] = add if acc is None else acc + add
+                        acc = terms.get(m)
+                        terms[m] = dc if acc is None else acc + dc
+                k = m >> shift & _EXPONENT
+                if k:
+                    acc = terms.get(m - unit)
+                    terms[m - unit] = c * k if acc is None else acc + c * k
         else:
-            for (ev, od), c in self.terms.items():
-                if i not in od:
-                    continue
-                j = od.index(i)
-                mono = (ev, od[:j] + od[j + 1:])
-                add = -c if j % 2 else c
-                acc = terms.get(mono)
-                terms[mono] = add if acc is None else acc + add
-        return SuperPoly(self.table, terms)
+            before = unit - 1
+            for m, c in self.terms.items():
+                if m & unit:
+                    terms[m ^ unit] = -c if (m & before).bit_count() & 1 else c
+        return SuperPoly(table, terms)
 
     def right_derivative(self, name: str) -> "SuperPoly":
         """Derivative acting from the right, removing the rightmost factor.
@@ -471,22 +501,15 @@ class SuperPoly:
         Termwise: (f)d^R = (-1)^{|d|(|f|+1)} d^L(f), so both rules agree on
         even generators and on odd-degree terms.
         """
-        i = self.table.index(name)
-        left = self.left_derivative(name)
-        if self.table.parities[i] == 0:
-            return left
-        terms = {}
-        for (ev, od), c in self.terms.items():
-            if i not in od:
-                continue
-            j = od.index(i)
-            # passing the derivation over the factors to the right of j
-            sign = -1 if (len(od) - 1 - j) % 2 else 1
-            mono = (ev, od[:j] + od[j + 1:])
-            add = c * sign
-            acc = terms.get(mono)
-            terms[mono] = add if acc is None else acc + add
-        return SuperPoly(self.table, terms)
+        table = self.table
+        unit = table._unit[table.index(name)]
+        if unit > table._odd_mask:
+            return self.left_derivative(name)
+        # passing the derivation over the odd factors to the right of it
+        after = table._odd_mask & -(unit << 1)
+        return SuperPoly._of(table, {
+            m ^ unit: -c if (m & after).bit_count() & 1 else c
+            for m, c in self.terms.items() if m & unit})
 
     # --- substitution -----------------------------------------------------------
 
@@ -531,34 +554,27 @@ class SuperPoly:
                 img = SuperPoly.generator(out_table, self.table.names[pos])
             return img
 
-        # accumulate left to right: evens first (they commute), then the
-        # odd factors in stored (canonical) order
+        # accumulate left to right in written order: evens first (they
+        # commute), then the odd factors in canonical order
         result = SuperPoly.zero(out_table)
-        for (ev, od), c in self.terms.items():
+        for m, c in self.terms.items():
             if isinstance(c, RationalFunction):
                 piece = c.substitute(assignment, out_table)
             else:
                 piece = SuperPoly.constant(out_table, c)
-            for slot, k in enumerate(ev):
-                if k == 0:
-                    continue
-                pos = self.table.even_positions[slot]
-                piece = piece * (image_of(pos) ** k)
+            for pos, k in self.table.powers(m):
+                img = image_of(pos)
+                piece = piece * (img if k == 1 else img ** k)
                 if piece.is_zero():
                     break
-            for pos in od:
-                if piece.is_zero():
-                    break
-                piece = piece * image_of(pos)
             result = result + piece
         return result
 
     # --- rendering and serialization -----------------------------------------
 
     def _sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda item: (sum(item[0][0]) + len(item[0][1]),
-                                        item[0][1], item[0][0]))
+        order = self.table.sort_key
+        return sorted(self.terms.items(), key=lambda item: order(item[0]))
 
     def __str__(self):
         if not self.terms:
@@ -568,7 +584,7 @@ class SuperPoly:
         for mono, c in self._sorted_terms():
             body = "*".join([names[pos] if k == 1 else f"{names[pos]}^{k}"
                              for pos, k in powers(mono)])
-            cs = _render_coeff(c)
+            cs = str(c)
             if not body:
                 text = cs
             elif cs == "1":
@@ -598,21 +614,13 @@ class SuperPoly:
             # An even power may sit in the monomial or inside a
             # RationalFunction coefficient (x*th and absorb_even_exponents(x*th)
             # print alike), so a side carrying such a coefficient is compared
-            # in absorbed form.  Fraction-only sides are canonical as they are.
+            # in absorbed form.  Rational-only sides are canonical as they are.
             for terms in (self.terms, other.terms):
                 for c in terms.values():
                     if type(c) is RationalFunction:
                         return (absorb_even_exponents(self).terms
                                 == absorb_even_exponents(other).terms)
         return False
-
-
-def _render_coeff(c) -> str:
-    if isinstance(c, RationalFunction):
-        return str(c)
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
 
 
 class RationalFunction:
@@ -638,10 +646,10 @@ class RationalFunction:
     def __init__(self, num: SuperPoly, den: SuperPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        odd = num.table._odd_mask
         for poly in (num, den):
-            for (_, od) in poly.terms:
-                if od:
-                    raise ValueError("rational functions must be odd-free")
+            if any(m & odd for m in poly.terms):
+                raise ValueError("rational functions must be odd-free")
             for c in poly.terms.values():
                 if not isinstance(c, (int, Fraction)):
                     raise TypeError("rational functions need rational coefficients")
@@ -772,65 +780,54 @@ class RationalFunction:
 
 
 def _leading_monomial(poly: SuperPoly) -> Monomial:
-    return max(poly.terms, key=lambda m: (sum(m[0]), m[0]))
+    return max(poly.terms, key=poly.table.sort_key)
 
 
 def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPoly]:
     table = num.table
     if num.is_zero():
         return num, SuperPoly.one(table)
-    # cancel the common monomial factor
-    def min_exps(poly):
-        its = iter(poly.terms)
-        acc = list(next(its)[0])
-        for (ev, _) in its:
-            acc = [min(a, b) for a, b in zip(acc, ev)]
-        return acc
-    common = [min(a, b) for a, b in zip(min_exps(num), min_exps(den))]
-    if any(common):
-        def shift(poly):
-            return SuperPoly(table, {
-                (tuple(e - c for e, c in zip(ev, common)), od): coeff
-                for (ev, od), coeff in poly.terms.items()})
-        num, den = shift(num), shift(den)
+    keys = [*num.terms, *den.terms]
+    # cancel the common monomial factor: the field-wise minimum of the keys
+    if 0 not in num.terms and 0 not in den.terms:
+        common = sum(min(m >> shift & _EXPONENT for m in keys) << shift
+                     for _, shift in table._even_fields)
+        if common:
+            num, den = (SuperPoly._of(table, {m - common: c for m, c in poly.terms.items()})
+                        for poly in (num, den))
+            keys = [*num.terms, *den.terms]
     # single-variable quotients reduce fully by Euclid
-    used = {s for p in (num, den) for (ev, _) in p.terms for s, e in enumerate(ev) if e}
-    if len(used) == 1 and not den.is_zero():
-        slot = used.pop()
-        g = _gcd_univariate(num, den, slot)
-        if g is not None and sum(_leading_monomial(g)[0]) > 0:
-            num = _divide_univariate(num, g, slot)
-            den = _divide_univariate(den, g, slot)
+    used = reduce(int.__or__, keys)
+    shifts = [shift for _, shift in table._even_fields if used >> shift & _EXPONENT]
+    if len(shifts) == 1:
+        shift = shifts[0]
+        g = _gcd_univariate(num, den, shift)
+        if g is not None and _leading_monomial(g):
+            num = _divide_univariate(num, g, shift)
+            den = _divide_univariate(den, g, shift)
     # make the denominator's leading coefficient 1
     lead = den.terms[_leading_monomial(den)]
     if lead != 1:
-        inv = Fraction(1, 1) / lead
+        inv = _coeff_inverse(lead)
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
 
 
-def _univ_coeffs(poly: SuperPoly, slot: int) -> list[Fraction]:
-    deg = max((ev[slot] for (ev, _) in poly.terms), default=0)
-    out = [Fraction(0)] * (deg + 1)
-    for (ev, _), c in poly.terms.items():
-        out[ev[slot]] += c
+def _univ_coeffs(poly: SuperPoly, shift: int) -> list:
+    deg = max((m >> shift & _EXPONENT for m in poly.terms), default=0)
+    out = [0] * (deg + 1)
+    for m, c in poly.terms.items():
+        out[m >> shift & _EXPONENT] += c
     return out
 
 
-def _from_univ(table: GeneratorTable, coeffs: list[Fraction], slot: int) -> SuperPoly:
-    terms = {}
-    zero = list(table._zero_exponents)
-    for k, c in enumerate(coeffs):
-        if c:
-            ev = list(zero)
-            ev[slot] = k
-            terms[(tuple(ev), ())] = c
-    return SuperPoly(table, terms)
+def _from_univ(table: GeneratorTable, coeffs: list, shift: int) -> SuperPoly:
+    return SuperPoly(table, {k << shift: c for k, c in enumerate(coeffs)})
 
 
-def _gcd_univariate(a: SuperPoly, b: SuperPoly, slot: int) -> SuperPoly | None:
-    fa, fb = _univ_coeffs(a, slot), _univ_coeffs(b, slot)
+def _gcd_univariate(a: SuperPoly, b: SuperPoly, shift: int) -> SuperPoly | None:
+    fa, fb = _univ_coeffs(a, shift), _univ_coeffs(b, shift)
 
     def trim(f):
         while f and not f[-1]:
@@ -845,29 +842,29 @@ def _gcd_univariate(a: SuperPoly, b: SuperPoly, slot: int) -> SuperPoly | None:
             if not r[-1]:
                 r.pop()
                 continue
-            shift = len(r) - len(fb)
-            factor = r[-1] / fb[-1]
+            offset = len(r) - len(fb)
+            factor = Fraction(r[-1]) / fb[-1]
             for k, c in enumerate(fb):
-                r[shift + k] -= factor * c
+                r[offset + k] -= factor * c
             trim(r)
         fa, fb = fb, trim(r)
     if not fa:
         return None
-    monic = [c / fa[-1] for c in fa]
-    return _from_univ(a.table, monic, slot)
+    monic = [Fraction(c) / fa[-1] for c in fa]
+    return _from_univ(a.table, monic, shift)
 
 
-def _divide_univariate(a: SuperPoly, g: SuperPoly, slot: int) -> SuperPoly:
-    fa, fg = _univ_coeffs(a, slot), _univ_coeffs(g, slot)
-    out = [Fraction(0)] * (len(fa) - len(fg) + 1)
+def _divide_univariate(a: SuperPoly, g: SuperPoly, shift: int) -> SuperPoly:
+    fa, fg = _univ_coeffs(a, shift), _univ_coeffs(g, shift)
+    out = [0] * (len(fa) - len(fg) + 1)
     r = fa[:]
     for k in range(len(out) - 1, -1, -1):
-        c = r[k + len(fg) - 1] / fg[-1]
+        c = Fraction(r[k + len(fg) - 1]) / fg[-1]
         out[k] = c
         if c:
             for j, gc in enumerate(fg):
                 r[k + j] -= c * gc
-    return _from_univ(a.table, out, slot)
+    return _from_univ(a.table, out, shift)
 
 
 def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
@@ -877,30 +874,20 @@ def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
     if poly.table == table:
         return poly
     src = poly.table
+    target: dict[int, int] = {}
     terms: dict[Monomial, object] = {}
-    for (ev, od), c in poly.terms.items():
-        exps = list(table._zero_exponents)
-        for slot, k in enumerate(ev):
-            if k:
-                name = src.names[src.even_positions[slot]]
-                pos = table.index(name)
-                if table.parities[pos] != 0:
+    for m, c in poly.terms.items():
+        pairs = src.powers(m)
+        for pos, _ in pairs:
+            if pos not in target:
+                name = src.names[pos]
+                target[pos] = table.index(name)
+                if table.parities[target[pos]] != src.parities[pos]:
                     raise ValueError(f"generator {name!r} changes parity")
-                exps[table._even_slot[pos]] += k
-        odds = []
-        for i in od:
-            name = src.names[i]
-            pos = table.index(name)
-            if table.parities[pos] != 1:
-                raise ValueError(f"generator {name!r} changes parity")
-            odds.append(pos)
-        sign, sorted_odds = sort_odd_indices(odds)
-        if sign == 0:
-            raise AssertionError("odd indices cannot collide under renaming")
+        sign, mono = table.monomial([(target[pos], k) for pos, k in pairs])
         if isinstance(c, RationalFunction):
             c = RationalFunction(transport(c.num, table), transport(c.den, table))
-        mono = (tuple(exps), sorted_odds)
-        terms[mono] = terms.get(mono, Fraction(0)) + sign * c
+        terms[mono] = sign * c      # renaming keeps distinct keys distinct
     return SuperPoly(table, terms)
 
 
@@ -911,13 +898,13 @@ def absorb_even_exponents(poly: SuperPoly) -> SuperPoly:
     even coordinates stays a scalar operation.
     """
     table = poly.table
-    zero = table._zero_exponents
+    odd = table._odd_mask
     terms: dict[Monomial, object] = {}
-    for (ev, od), c in poly.terms.items():
+    for m, c in poly.terms.items():
         rf = c if isinstance(c, RationalFunction) else RationalFunction.from_scalar(table, c)
-        if any(ev):
-            rf = RationalFunction(rf.num * SuperPoly(table, {(ev, ()): Fraction(1)}), rf.den)
-        mono = (zero, od)
+        if m & ~odd:
+            rf = RationalFunction(rf.num * SuperPoly._of(table, {m & ~odd: 1}), rf.den)
+        mono = m & odd
         acc = terms.get(mono)
         terms[mono] = rf if acc is None else acc + rf
     return SuperPoly(table, terms)

@@ -220,8 +220,8 @@ class UniversalElement:
         ops = DiffOp.zero(self.table)
         chunks = []
         for (mu, jw), f in sorted(
-                self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            mu_str = str(SuperPoly(self.table, {mu: Fraction(1)}))
+                self.terms.items(), key=lambda kv: (kv[0][1], self.table.sort_key(kv[0][0]))):
+            mu_str = str(SuperPoly(self.table, {mu: 1}))
             op = "*".join(f"dd_{self.table.names[pos]}"
                           for pos in ops._word(jw)) or "1"
             chunks.append(f"{mu_str} @ {op}*({f})")
@@ -249,7 +249,7 @@ def script_D(u: UniversalElement) -> UniversalElement:
     ops = DiffOp.zero(table)
     terms: dict = {}
     for (mu, jw), f in u.terms.items():
-        mu_poly = SuperPoly(table, {mu: Fraction(1)})
+        mu_poly = SuperPoly(table, {mu: 1})
         mu_parity = mu_poly.parity()
         word = ops._word(jw)
         for pos in _base_positions(table):
@@ -275,7 +275,7 @@ def script_H(u: UniversalElement) -> UniversalElement:
     table = u.table
     terms: dict = {}
     for (mu, jw), f in u.terms.items():
-        mu_poly = SuperPoly(table, {mu: Fraction(1)})
+        mu_poly = SuperPoly(table, {mu: 1})
         dj = DiffOp(table, {jw: SuperPoly.one(table)})
         mu_parity = mu_poly.parity()
         j_parity = dj.parity()

@@ -29,7 +29,7 @@ import itertools
 from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence
 
-from supercalc.algebra import GeneratorTable, Monomial, SuperPoly, transport
+from supercalc.algebra import GeneratorTable, Monomial, SuperPoly, _coeff_inverse, transport
 from supercalc.supermatrix import SuperMatrix
 
 
@@ -69,9 +69,7 @@ def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = 1 / Fraction(row[lead])
-                if inv.denominator == 1:
-                    inv = inv.numerator     # integer rows stay integer
+                inv = _coeff_inverse(row[lead])     # integer rows stay integer
                 pivots[lead] = {j: x * inv for j, x in row.items()}
                 break
             factor = row[lead]
@@ -201,9 +199,8 @@ class KoszulAlgebra:
         table, _, _ = self._names_for(which)
         op = self.koszul_delta if which == "koszul" else self.dual_delta
         index = {mono: i for i, mono in enumerate(target)}
-        return [{index[out_mono]: c.numerator if c.denominator == 1 else c
-                 for out_mono, c
-                 in op(SuperPoly(table, {mono: Fraction(1)})).terms.items()}
+        return [{index[out_mono]: c
+                 for out_mono, c in op(SuperPoly(table, {mono: 1})).terms.items()}
                 for mono in source]
 
     def differential_matrix(self, which: Literal["koszul", "dual"], k: int,

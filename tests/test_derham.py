@@ -224,9 +224,9 @@ class TestUniversalElement:
         assert ue((), ("th", "th")).is_zero()
 
     def test_rejects_base_content_in_form_factor(self):
+        _, th = E11.monomial([(E11.index("th"), 1)])
         with pytest.raises(ValueError, match="fiber"):
-            UniversalElement(E11, {(((0, 0, 0), (E11.index("th"),)),
-                                    ((0,), ())): SuperPoly.one(E11)})
+            UniversalElement(E11, {(th, ((0,), ())): SuperPoly.one(E11)})
 
     def test_script_d_on_unit(self):
         out = script_D(ue((), ()))
