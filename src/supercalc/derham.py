@@ -16,6 +16,7 @@ densities dz_1...dz_p (X) d_th1...d_thq * f.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from supercalc.algebra import (
@@ -40,8 +41,9 @@ def fiber_name(name: str) -> str:
     return FIBER_PREFIX + name
 
 
+@cache
 def form_table(base: GeneratorTable) -> GeneratorTable:
-    """Extend a chart table by its fiber symbols (listed first)."""
+    """Extend a chart table by its fiber symbols (listed first), once per base."""
     evens = base.names_of_class(EVEN_BASE)
     odds = base.names_of_class(ODD_BASE)
     if len(evens) + len(odds) != len(base.names):

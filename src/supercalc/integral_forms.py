@@ -37,6 +37,7 @@ built, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping
 
 from supercalc.algebra import (
@@ -68,11 +69,16 @@ def polyvector_table(chart: Chart) -> GeneratorTable:
 
     The new symbols are appended after the coordinates, so a canonical
     monomial always reads (coefficient part) * (polyvector part) with no
-    reordering sign between the two blocks.
+    reordering sign between the two blocks.  Equal charts share one table.
     """
-    extra = [(polyvector_name(n), POLYVECTOR_ODD) for n in chart.even_names]
-    extra += [(polyvector_name(n), POLYVECTOR_EVEN) for n in chart.odd_names]
-    return chart.table.extend(extra)
+    return _polyvector_table(chart.table)
+
+
+@cache
+def _polyvector_table(base: GeneratorTable) -> GeneratorTable:
+    extra = [(polyvector_name(n), POLYVECTOR_ODD) for n in base.names_of_class(EVEN_BASE)]
+    extra += [(polyvector_name(n), POLYVECTOR_EVEN) for n in base.names_of_class(ODD_BASE)]
+    return base.extend(extra)
 
 
 def polyvector_degree(table: GeneratorTable, mono: Monomial) -> int:
@@ -90,7 +96,7 @@ def _plain_polynomial(poly: SuperPoly) -> SuperPoly:
                 raise ValueError("coordinate change left a non-polynomial "
                                  "coefficient; only polynomial data is "
                                  "supported here")
-            out = out + SuperPoly(table, {mono: Fraction(1)}) * c.num
+            out = out + SuperPoly(table, {mono: 1}) * c.num
         else:
             out = out + SuperPoly(table, {mono: c})
     return out
@@ -512,8 +518,8 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
         powers = table.powers(mono)
         _, f_mono = table.monomial(pk for pk in powers if pk[0] in coordinates)
         _, x_mono = table.monomial(pk for pk in powers if pk[0] not in coordinates)
-        f_poly = SuperPoly(table, {f_mono: Fraction(1)})
-        x_poly = SuperPoly(table, {x_mono: Fraction(1)})
+        f_poly = SuperPoly(table, {f_mono: 1})
+        x_poly = SuperPoly(table, {x_mono: 1})
         for name in chart.coordinate_names:
             xb = SuperPoly.generator(table, name)
             pdb = SuperPoly.generator(table, polyvector_name(name))

@@ -89,6 +89,17 @@ class TestPolyvectorTable:
         (mono, _), = h.terms.items()
         assert polyvector_degree(P22, mono) == 4
 
+    def test_equal_charts_share_one_table(self):
+        chart = Chart(("z1", "z2"), ("th1", "th2"), label="other")
+        assert polyvector_table(chart) is P22
+        assert form_table(chart.table) is form_table(R22.table)
+        rng = random.Random(41)
+        for _ in range(20):
+            u = IntegralForm(R22, random_superpoly(rng, P22, terms=3))
+            for out in (spencer_delta(u), homotopy_int(u), u + u,
+                        IntegralForm(chart, u.poly)):
+                assert out.table is u.table
+
 
 class TestBerSection:
     def test_rejects_foreign_coefficient(self):
