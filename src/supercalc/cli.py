@@ -45,7 +45,6 @@ from supercalc.integral_forms import (
     homotopy_int,
     lie_derivative_ber,
     pair,
-    polyvector_name,
     polyvector_table,
     spencer_delta,
 )
@@ -253,7 +252,6 @@ class Ring:
         self.ptab = polyvector_table(self.chart)
         names = self.chart.coordinate_names
         self.fiber_names = {fiber_name(n): n for n in names}
-        self.pv_names = {polyvector_name(fiber_name(n)): n for n in names}
 
     def describe(self) -> str:
         return f"{self.p}|{self.q}"
@@ -410,8 +408,6 @@ class Evaluator:
             return Poly(SuperPoly.generator(ring.chart.table, text), BASE)
         if text in ring.fiber_names:
             return Poly(SuperPoly.generator(ring.ftab, text), FORM)
-        if text in ring.pv_names:
-            return Poly(SuperPoly.generator(ring.ptab, text), PV)
         if text.startswith("dd_"):
             coord = text[3:]
             if coord in ring.chart.coordinate_names:
@@ -969,7 +965,17 @@ def _collect_markers(markers: Markers, gaussian, dirac, formal) -> Markers:
     return markers.merged(flagged)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Reports an exponent too large for its key field as a usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OverflowError as exc:
+            raise click.UsageError(str(exc)) from None
+
+
+@click.group(cls=_Commands)
 def main():
     """Exact calculator for superspace forms, densities and delta forms."""
 

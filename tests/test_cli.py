@@ -105,3 +105,16 @@ def test_koszul_negative_rank_is_a_usage_error(p, q):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "ranks must be nonnegative" in result.output
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("d", "pddx1", "unknown generator 'pddx1'"),
+    ("d", "x1^40000", "an even exponent exceeds 32767"),
+    ("homotopy", "x1^32767*dx1", "an even exponent exceeds 32767"),
+])
+def test_bad_letters_and_huge_powers_are_usage_errors(command, text, message):
+    result = CliRunner().invoke(main, [command, "--", text])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert message in result.output
