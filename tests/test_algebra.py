@@ -511,3 +511,209 @@ def test_equality_ignores_where_even_powers_sit():
 def test_str_is_stable():
     e = gen("x") * gen("th1") + 1
     assert str(e) == "1 + x*th1"
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the tuple-key arithmetic the packed keys replaced.  An
+# element is a dict from (even exponents by slot, ascending odd positions)
+# to a Fraction; products merge the odd tuples and count the crossings.
+
+def _tuple_merge(a, b):
+    sign, out, i, j = 1, [], 0, 0
+    while i < len(a) and j < len(b):
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        elif a[i] > b[j]:
+            if (len(a) - i) % 2:
+                sign = -sign
+            out.append(b[j])
+            j += 1
+        else:
+            return 0, None
+    return sign, tuple(out + list(a[i:]) + list(b[j:]))
+
+
+def _to_tuples(poly):
+    table = poly.table
+    slot = {pos: s for s, pos in enumerate(table.even_positions)}
+    out = {}
+    for mono, c in poly.terms.items():
+        ev = [0] * len(table.even_positions)
+        od = []
+        for pos, k in table.powers(mono):
+            if pos in slot:
+                ev[slot[pos]] = k
+            else:
+                od.append(pos)
+        out[(tuple(ev), tuple(od))] = Fraction(c)
+    return out
+
+
+def _from_tuples(table, terms):
+    evens = table.even_positions
+    out = {}
+    for (ev, od), c in terms.items():
+        sign, mono = table.monomial([(evens[s], k) for s, k in enumerate(ev)]
+                                    + [(pos, 1) for pos in od])
+        assert sign == 1
+        out[mono] = c
+    return SuperPoly(table, out)
+
+
+def _tuple_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _tuple_mul(a, b):
+    out = {}
+    for (ev1, od1), c1 in a.items():
+        for (ev2, od2), c2 in b.items():
+            sign, odds = _tuple_merge(od1, od2)
+            if sign == 0:
+                continue
+            mono = (tuple(x + y for x, y in zip(ev1, ev2)), odds)
+            out[mono] = out.get(mono, Fraction(0)) + sign * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _tuple_left_derivative(table, a, pos):
+    out = {}
+    for (ev, od), c in a.items():
+        if table.parities[pos] == 0:
+            s = table.even_positions.index(pos)
+            if ev[s]:
+                mono = (ev[:s] + (ev[s] - 1,) + ev[s + 1:], od)
+                out[mono] = out.get(mono, Fraction(0)) + c * ev[s]
+        elif pos in od:
+            j = od.index(pos)
+            out[(ev, od[:j] + od[j + 1:])] = -c if j % 2 else c
+    return {m: c for m, c in out.items() if c}
+
+
+def _tuple_right_derivative(table, a, pos):
+    if table.parities[pos] == 0:
+        return _tuple_left_derivative(table, a, pos)
+    out = {}
+    for (ev, od), c in a.items():
+        if pos in od:
+            j = od.index(pos)
+            out[(ev, od[:j] + od[j + 1:])] = -c if (len(od) - 1 - j) % 2 else c
+    return out
+
+
+def _tuple_substitute(table, a, images):
+    one = {((0,) * len(table.even_positions), ()): Fraction(1)}
+    out = {}
+    for (ev, od), c in a.items():
+        piece = {m: c * v for m, v in one.items()}
+        factors = [table.even_positions[s] for s, k in enumerate(ev) for _ in range(k)]
+        for pos in factors + list(od):
+            image = images.get(pos)
+            if image is None:
+                image = _to_tuples(SuperPoly.generator(table, table.names[pos]))
+            piece = _tuple_mul(piece, image)
+        out = _tuple_add(out, piece)
+    return out
+
+
+def _tuple_str(table, terms):
+    """The printer of the tuple keys: total degree, then odd positions,
+    then even exponents."""
+    if not terms:
+        return "0"
+    names, evens = table.names, table.even_positions
+    chunks = []
+    for (ev, od), c in sorted(terms.items(), key=lambda item: (
+            sum(item[0][0]) + len(item[0][1]), item[0][1], item[0][0])):
+        body = "*".join([names[evens[s]] if k == 1 else f"{names[evens[s]]}^{k}"
+                         for s, k in enumerate(ev) if k] + [names[i] for i in od])
+        cs = str(c)
+        text = cs if not body else body if cs == "1" else "-" + body \
+            if cs == "-1" else f"{cs}*{body}"
+        if chunks:
+            text = "- " + text[1:] if text.startswith("-") else "+ " + text
+        chunks.append(text)
+    return " ".join(chunks)
+
+
+def _agrees(poly, table, terms):
+    return poly == _from_tuples(table, terms) and str(poly) == _tuple_str(table, terms)
+
+
+@pytest.mark.parametrize("kind", ["chart", "form", "polyvector", "koszul-dual"])
+def test_packed_arithmetic_matches_the_tuple_keys(kind):
+    from supercalc.randoms import random_superpoly
+
+    table = _codec_tables()[kind]
+    rng = random.Random(23)
+    for _ in range(200):
+        a = random_superpoly(rng, table, terms=5, max_exp=2)
+        b = random_superpoly(rng, table, terms=5, max_exp=2)
+        ta, tb = _to_tuples(a), _to_tuples(b)
+        assert _agrees(a, table, ta) and str(a) == _tuple_str(table, ta)
+        assert _agrees(a * b, table, _tuple_mul(ta, tb))
+        pos = rng.randrange(len(table.names))
+        name = table.names[pos]
+        assert _agrees(a.left_derivative(name), table,
+                       _tuple_left_derivative(table, ta, pos))
+        assert _agrees(a.right_derivative(name), table,
+                       _tuple_right_derivative(table, ta, pos))
+        images = {p: random_superpoly(rng, table, parity=table.parities[p],
+                                      terms=2, max_exp=1)
+                  for p in rng.sample(range(len(table.names)), 2)}
+        assert _agrees(a.substitute({table.names[p]: img for p, img in images.items()}),
+                       table, _tuple_substitute(
+                           table, ta, {p: _to_tuples(img) for p, img in images.items()}))
+
+
+# ---------------------------------------------------------------------------
+# the exponent fields and the coefficient rule
+
+def test_exponent_overflow_raises_at_the_field_boundary():
+    from supercalc.algebra import _EXPONENT
+
+    x, y, th1 = gen("x"), gen("y"), gen("th1")
+    top = x ** _EXPONENT * th1
+    assert T.powers(next(iter(top.terms))) == [(T.index("x"), _EXPONENT),
+                                               (T.index("th1"), 1)]
+    assert (top * y).left_derivative("y") == top        # the next field stays clean
+    assert top.left_derivative("x") == _EXPONENT * x ** (_EXPONENT - 1) * th1
+    for make in (lambda: top * x,
+                 lambda: x ** (_EXPONENT + 1),
+                 lambda: x ** (_EXPONENT // 2 + 1) * x ** (_EXPONENT // 2 + 1),
+                 lambda: SuperPoly.from_monomial(T, {"x": _EXPONENT + 1}),
+                 lambda: T.monomial([(T.index("x"), _EXPONENT), (T.index("x"), 1)])):
+        with pytest.raises(OverflowError):
+            make()
+
+
+def _fractions_with_unit_denominator(poly):
+    return [c for c in poly.terms.values()
+            if isinstance(c, Fraction) and c.denominator == 1]
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    from supercalc.randoms import random_superpoly
+
+    half = gen("x") / 2
+    assert list(half.terms.values()) == [Fraction(1, 2)]
+    doubled = half * 2
+    assert list(doubled.terms.values()) == [1] and type(*doubled.terms.values()) is int
+    assert type(const(Fraction(4, 2)).scalar_part()) is int
+    rng = random.Random(29)
+    for _ in range(200):
+        a = random_superpoly(rng, T, terms=4, max_exp=2)
+        b = random_superpoly(rng, T, terms=4, max_exp=2)
+        c = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2, 3)))
+        unit = const(c) + gen("th1") * gen("th2") * b.set_odd_to_zero()
+        results = [a + b, a - b, a * b, a / c, a / 2, a.scale(c), a * c,
+                   a.left_derivative("x"), a.left_derivative("th2"),
+                   a.right_derivative("th1"),
+                   a.substitute({"x": b.homogeneous_parts()[0], "th3": gen("th1")}),
+                   unit.inverse(), a / unit]
+        for r in results:
+            assert not _fractions_with_unit_denominator(r), str(r)

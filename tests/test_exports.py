@@ -19,9 +19,13 @@ def test_all_names_resolve(module):
 
 
 # The encoding helpers of GeneratorTable, a SuperPoly key unpacked into its
-# (even exponents, odd positions) halves, or a key indexed by hand.
+# (even exponents, odd positions) halves, a key indexed by hand, or a bit
+# operation (a shift, a mask or a popcount) on a key.
+_KEY = r"\b(?:mono|mu|m|key)\b"
+_BIT_OP = r"(?:>>|<<|&|\|)"
 _PRIVATE_ENCODING = re.compile(
-    r"even_slot|zero_exponents|\(ev, od\)|\(ev, _\)|\(_, od\)|\b(mono|mu|m)\[\d")
+    r"even_slot|zero_exponents|\(ev, od\)|\(ev, _\)|\(_, od\)|\b(mono|mu|m)\[\d"
+    rf"|{_KEY}\s*{_BIT_OP}|{_BIT_OP}=?\s*{_KEY}|{_KEY}\)?\.bit_count")
 
 
 def test_only_algebra_reads_the_monomial_encoding():
