@@ -30,7 +30,6 @@ a pi-power scalar of the integration module.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 # Generator classes.  The parity of a generator is determined by its class;
@@ -403,14 +402,14 @@ class SuperPoly:
                 c = c1 * (neg_c2 if (o1 & below).bit_count() & 1 else c2)
                 acc = get(mono)
                 terms[mono] = c if acc is None else acc + c
-        if reduce(int.__or__, terms, 0) & table._guard:
+        seen = 0
+        for m in terms:
+            seen |= m
+        if seen & table._guard:
             raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
         return SuperPoly(table, terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__      # only scalars reach it, and they commute
 
     def __pow__(self, n: int):
         if n < 0:
@@ -797,7 +796,9 @@ def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPo
                         for poly in (num, den))
             keys = [*num.terms, *den.terms]
     # single-variable quotients reduce fully by Euclid
-    used = reduce(int.__or__, keys)
+    used = 0
+    for m in keys:
+        used |= m
     shifts = [shift for _, shift in table._even_fields if used >> shift & _EXPONENT]
     if len(shifts) == 1:
         shift = shifts[0]
