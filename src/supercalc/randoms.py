@@ -111,25 +111,12 @@ def random_invertible_supermatrix(rng: random.Random, table: GeneratorTable,
     return SuperMatrix(table, p, q, A, B, C, D)
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    from itertools import permutations
-
-    n = len(rows)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                         if perm[i] > perm[j])
-        prod = Fraction(1)
-        for i, j in enumerate(perm):
-            prod *= rows[i][j]
-        total += -prod if inversions % 2 else prod
-    return total
-
-
 def random_invertible_fraction_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
+    scalars = GeneratorTable.chart([], [])
     while True:
         rows = [[random_rational(rng, 3) for _ in range(n)] for _ in range(n)]
-        if _fraction_det(rows):
+        if det_even([[SuperPoly.constant(scalars, c) for c in r]
+                     for r in rows], scalars):
             return rows
 
 

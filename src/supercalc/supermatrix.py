@@ -6,18 +6,19 @@ A supermatrix over a supercommutative algebra has the block form
     [ C  D ]     B: p x q,  C: q x p   (odd entries)
 
 The diagonal blocks therefore commute entrywise, which is what makes the
-ordinary Leibniz determinant of A and D meaningful, and
+ordinary determinant of A and D meaningful, and
 
     Ber(M) = det(A - B D^{-1} C) * det(D)^{-1}
 
-well defined whenever D is invertible.  Inverses are exact: the reduced
-part (odd generators set to zero) is inverted by the adjugate, and the
-nilpotent remainder is absorbed by a finite geometric series.
+well defined whenever D is invertible.  Determinants are division-free
+Berkowitz characteristic polynomials (Berkowitz 1984).  Inverses are
+exact: Cayley-Hamilton inverts the reduced part (odd generators set to
+zero), dividing only by its unit determinant, and a finite geometric
+series absorbs the nilpotent remainder.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Sequence
 
 from supercalc.algebra import GeneratorTable, SuperPoly, _coeff_inverse
@@ -44,19 +45,18 @@ def _check_parity(rows: Rows, want: int, label: str) -> None:
                     f"block {label} needs parity-{want} entries, got {e}")
 
 
+def _dot(row: Sequence[SuperPoly], col: Sequence[SuperPoly],
+         table: GeneratorTable) -> SuperPoly:
+    """Sum of row[i] * col[i] over the length of the shorter one."""
+    acc = SuperPoly.zero(table)
+    for a, b in zip(row, col):
+        acc = acc + a * b
+    return acc
+
+
 def _mat_mul(x: Rows, y: Rows, table: GeneratorTable) -> Rows:
-    if not x or not y:
-        return [[SuperPoly.zero(table)] * (len(y[0]) if y else 0) for _ in x]
-    out = []
-    for row in x:
-        new = []
-        for j in range(len(y[0])):
-            acc = SuperPoly.zero(table)
-            for k, e in enumerate(row):
-                acc = acc + e * y[k][j]
-            new.append(acc)
-        out.append(new)
-    return out
+    cols = list(zip(*y))
+    return [[_dot(row, col, table) for col in cols] for row in x]
 
 
 def _mat_add(x: Rows, y: Rows) -> Rows:
@@ -77,8 +77,36 @@ def _zero_rows(n: int, m: int, table: GeneratorTable) -> Rows:
     return [[zero for _ in range(m)] for _ in range(n)]
 
 
+def _charpoly(rows: Rows, table: GeneratorTable) -> list[SuperPoly]:
+    """[c1, ..., cn] with det(t I - M) = t^n + c1 t^(n-1) + ... + cn.
+
+    Berkowitz: the leading (k+1)x(k+1) block [[A, S], [R, a]] multiplies
+    the coefficient vector of the k x k block A by the lower triangular
+    Toeplitz matrix whose first column is (1, -a, -RS, -RAS, ...,
+    -RA^(k-1)S).  Only ring operations occur, and the leading
+    coefficient 1 is never multiplied.
+    """
+    coeffs: list[SuperPoly] = []
+    for k in range(len(rows)):
+        toeplitz = [-rows[k][k]]
+        col = [rows[i][k] for i in range(k)]
+        for j in range(k):
+            toeplitz.append(-_dot(rows[k], col, table))
+            if j < k - 1:   # A^(k-1) S would go unused
+                col = [_dot(rows[i], col, table) for i in range(k)]
+        new = []
+        for i in range(k + 1):
+            acc = toeplitz[i] if i == k else coeffs[i] + toeplitz[i]
+            for j in range(i):
+                acc = acc + toeplitz[j] * coeffs[i - 1 - j]
+            new.append(acc)
+        coeffs = new
+    return coeffs
+
+
 def det_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> SuperPoly:
-    """Leibniz determinant of a square matrix with even (commuting) entries."""
+    """Determinant of a square matrix with even (commuting) entries, the
+    constant term of its Berkowitz characteristic polynomial."""
     rows = _as_rows(rows)
     n = len(rows)
     _check_rect(rows, n, n, "square")
@@ -88,24 +116,8 @@ def det_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Supe
                 raise ValueError("det_even requires even entries")
     if n == 0:
         return SuperPoly.one(table)
-    total = SuperPoly.zero(table)
-    for perm in permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                         if perm[i] > perm[j])
-        prod = SuperPoly.one(table)
-        for i, j in enumerate(perm):
-            prod = prod * rows[i][j]
-            if prod.is_zero():
-                break
-        if inversions % 2:
-            prod = -prod
-        total = total + prod
-    return total
-
-
-def _minor(rows: Rows, i: int, j: int) -> Rows:
-    return [[e for jj, e in enumerate(r) if jj != j]
-            for ii, r in enumerate(rows) if ii != i]
+    last = _charpoly(rows, table)[-1]
+    return -last if n % 2 else last
 
 
 def _scalar_unit_inverse(det0: SuperPoly):
@@ -123,8 +135,10 @@ def _scalar_unit_inverse(det0: SuperPoly):
 def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows:
     """Exact inverse of a square even-entry matrix.
 
-    Splits M = M0 + N with M0 the reduced part; M0 is inverted through its
-    adjugate and the nilpotent N through the finite series
+    Splits M = M0 + N with M0 the reduced part.  Cayley-Hamilton on the
+    characteristic polynomial t^n + c1 t^(n-1) + ... + cn of M0 gives
+    M0^{-1} = -(M0^(n-1) + c1 M0^(n-2) + ... + c(n-1) I) / cn, summed by
+    Horner, and the nilpotent N goes through the finite series
     sum_k (-M0^{-1} N)^k M0^{-1}.
     """
     rows = _as_rows(rows)
@@ -133,15 +147,22 @@ def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows
     if n == 0:
         return []
     reduced = [[e.set_odd_to_zero() for e in r] for r in rows]
-    det0 = det_even(reduced, table)
+    coeffs = _charpoly(reduced, table)
+    det0 = -coeffs[-1] if n % 2 else coeffs[-1]
     inv_det0 = _scalar_unit_inverse(det0)
-    adj = [[det_even(_minor(reduced, j, i), table).scale(
-        inv_det0 if (i + j) % 2 == 0 else -inv_det0)
-        for j in range(n)] for i in range(n)]
+    horner = _identity_rows(n, table)
+    for k, c in enumerate(coeffs[:-1]):
+        # the first step is M0 + c1 I: M0 * I needs no product
+        horner = (_mat_mul(reduced, horner, table) if k
+                  else [r[:] for r in reduced])
+        for i in range(n):
+            horner[i][i] = horner[i][i] + c
+    scale = inv_det0 if n % 2 else -inv_det0
+    inv0 = [[e.scale(scale) for e in r] for r in horner]
     rest = _mat_add(rows, _mat_neg(reduced))
-    step = _mat_neg(_mat_mul(adj, rest, table))
-    out = [r[:] for r in adj]
-    power = [r[:] for r in adj]
+    step = _mat_neg(_mat_mul(inv0, rest, table))
+    out = [r[:] for r in inv0]
+    power = [r[:] for r in inv0]
     for _ in range(len(table.odd_positions)):
         power = _mat_mul(step, power, table)
         if all(e.is_zero() for r in power for e in r):

@@ -3,6 +3,7 @@ input is a usage error, never a traceback."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -118,3 +119,45 @@ def test_bad_letters_and_huge_powers_are_usage_errors(command, text, message):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert message in result.output
+
+
+# A 4|4 supermatrix over the ring 2|2; the printed Berezinian was pinned
+# from the Leibniz determinant and adjugate inverse that det_even and
+# inv_even replaced.
+BER_MATRIX_4_4 = [
+    ["2 + x1", "1", "0", "th1*th2", "th1", "0", "x1*th2", "0"],
+    ["x2", "3", "1", "0", "0", "th2", "0", "th1"],
+    ["0", "1", "1 + x1*x2", "2", "th1 + th2", "0", "0", "0"],
+    ["1", "0", "x1", "1", "0", "0", "x2*th1", "th2"],
+    ["th2", "0", "0", "th1", "1", "2", "0", "0"],
+    ["0", "th1", "0", "0", "0", "1", "th1*th2", "0"],
+    ["0", "0", "th2", "x1*th1", "1", "0", "3", "1"],
+    ["th1", "0", "0", "0", "0", "0", "1", "2"],
+]
+BER_4_4 = (
+    "2/5 - 1/5*x2 - 2*x1 + 8/5*x1*x2 - 6/5*x1^2 - 21/25*th1*th2"
+    " - 1/5*x1*x2^2 + 3/5*x1^2*x2 + 23/25*x2*th1*th2 + 4/5*x1*th1*th2"
+    " - 4/25*x2^2*th1*th2 - 36/25*x1*x2*th1*th2 - 1/25*x1^2*th1*th2"
+    " + 3/25*x1*x2^2*th1*th2 + 3/25*x1^2*x2*th1*th2"
+    " - 3/25*x1^2*x2^2*th1*th2 - 11/25*x1^3*x2*th1*th2")
+
+
+def test_ber_matrix_prints_the_berezinian(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"p": 4, "q": 4, "rows": BER_MATRIX_4_4}))
+    result = CliRunner().invoke(main, ["ber-matrix", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == BER_4_4
+
+
+def test_ber_matrix_with_singular_reduced_d_is_a_usage_error(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"p": 1, "q": 2, "rows": [
+        ["1", "th1", "th2"],
+        ["th2", "1", "2"],
+        ["th1", "2", "4 + th1*th2"]]}))
+    result = CliRunner().invoke(main, ["ber-matrix", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "singular reduced matrix" in result.output

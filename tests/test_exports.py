@@ -1,6 +1,8 @@
-"""Every exported name of the public modules resolves, and the monomial
-encoding stays private to ``supercalc.algebra``."""
+"""Every exported name of the public modules resolves, the monomial
+encoding stays private to ``supercalc.algebra``, and no module expands
+over permutations."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -36,3 +38,24 @@ def test_only_algebra_reads_the_monomial_encoding():
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if _PRIVATE_ENCODING.search(line)]
     assert not offenders, "\n".join(offenders)
+
+
+def _imports_permutations(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name == "permutations" for alias in node.names):
+                return True
+        if (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "itertools"):
+            return True
+    return False
+
+
+def test_no_module_expands_over_permutations():
+    # Determinants are Berkowitz characteristic polynomials; an n!
+    # expansion (the Leibniz formula) belongs only to the tests' oracle.
+    src = pathlib.Path(supercalc.__file__).parent
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if _imports_permutations(ast.parse(path.read_text()))]
+    assert not offenders

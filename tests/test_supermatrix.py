@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from supercalc.algebra import GeneratorTable, RationalFunction, SuperPoly
-from supercalc.randoms import random_invertible_supermatrix
+from supercalc.randoms import (
+    random_invertible_supermatrix,
+    random_nilpotent_even,
+    random_rational,
+    random_superpoly,
+)
 from supercalc.supermatrix import (
     SuperMatrix,
+    _mat_mul,
     berezinian,
     decompose,
     det_even,
@@ -59,13 +66,11 @@ def test_det_rejects_odd_entry():
 
 def test_det_multiplicative():
     rng = random.Random(7)
-    from supercalc.randoms import random_nilpotent_even, random_rational
     for _ in range(25):
         def blk():
             return [[const(random_rational(rng)) + random_nilpotent_even(rng, T)
                      for _ in range(2)] for _ in range(2)]
         m, n = blk(), blk()
-        from supercalc.supermatrix import _mat_mul
         assert det_even(_mat_mul(m, n, T), T) == det_even(m, T) * det_even(n, T)
 
 
@@ -73,6 +78,104 @@ def test_det_alternating():
     a, b = gen("x"), gen("y") + 1
     assert det_even([[a, a], [b, b]], T).is_zero()
     assert det_even([[a, b], [a, b]], T).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz expansion as the oracle for det_even
+
+def leibniz_det(rows, table):
+    """Sum over all n! permutations of the signed products."""
+    n = len(rows)
+    total = SuperPoly.zero(table)
+    for perm in permutations(range(n)):
+        prod = SuperPoly.one(table)
+        for i, j in enumerate(perm):
+            prod = prod * rows[i][j]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total = total - prod if inversions % 2 else total + prod
+    return total
+
+
+E4 = GeneratorTable.chart([], ["e1", "e2", "e3", "e4"])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_matches_leibniz_on_random_supermatrix_blocks(n):
+    m = random_invertible_supermatrix(random.Random(100 + n), E4, n, n)
+    for block in (m.A, m.D):
+        assert str(det_even(block, E4)) == str(leibniz_det(block, E4))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_det_matches_leibniz_on_polynomial_entries(n):
+    rng = random.Random(200 + n)
+    for _ in range(3):
+        rows = [[random_superpoly(rng, T, parity=0, terms=3)
+                 for _ in range(n)] for _ in range(n)]
+        assert str(det_even(rows, T)) == str(leibniz_det(rows, T))
+
+
+def random_rational_function_entry(rng):
+    """An even entry whose coefficients are quotients of polynomials in x;
+    one variable keeps every quotient fully reduced, so str is canonical."""
+    x = gen("x")
+
+    def poly():
+        out = const(random_rational(rng))
+        for k in (1, 2):
+            out = out + x ** k * random_rational(rng)
+        return out
+
+    den = poly()
+    while den.is_zero():
+        den = poly()
+    entry = const(RationalFunction(poly(), den))
+    if rng.random() < 0.5:
+        entry = entry + gen("th1") * gen("th2") * const(
+            RationalFunction(ONE, x + 1))
+    return entry
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_det_matches_leibniz_on_rational_function_entries(n):
+    rng = random.Random(300 + n)
+    for _ in range(3):
+        rows = [[random_rational_function_entry(rng) for _ in range(n)]
+                for _ in range(n)]
+        assert str(det_even(rows, T)) == str(leibniz_det(rows, T))
+
+
+def test_rational_function_products_stay_within_the_leibniz_count(monkeypatch):
+    # On a 2x2 block with RationalFunction coefficients, as the cocycle
+    # Jacobians have, every SuperPoly product reduces quotients, so extra
+    # products cost time.  The bounds are what the Leibniz expansion and
+    # the adjugate inverse spent on this matrix.
+    x = gen("x")
+    eps = gen("th1") * gen("th2")
+
+    def rf(num, den):
+        return const(RationalFunction(num, den))
+
+    rows = [[rf(x + 1, x - 2) + eps * rf(ONE, x), rf(x, ONE + x * x)],
+            [rf(ONE, x + 3) + eps, rf(x * x - 1, x + 5)]]
+    calls = []
+    mul = SuperPoly.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(SuperPoly, "__mul__", counting)
+    det_even(rows, T)
+    assert len(calls) <= 24
+    calls.clear()
+    inv_even(rows, T)
+    assert len(calls) <= 81
+
+
+def test_det_of_empty_matrix_is_one():
+    assert det_even([], T) == ONE
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +194,6 @@ def test_inv_one_plus_nilpotent():
 
 def test_inv_multiplies_back():
     rng = random.Random(11)
-    from supercalc.randoms import random_nilpotent_even, random_rational
-    from supercalc.supermatrix import _mat_mul
     eye = [[ONE, ZERO], [ZERO, ONE]]
     for _ in range(25):
         while True:
@@ -109,6 +210,27 @@ def test_inv_multiplies_back():
 def test_inv_singular_reduced_raises():
     with pytest.raises(ValueError, match="singular"):
         inv_even([[gen("th1") * gen("th2")]], T)
+
+
+def test_inv_of_non_unit_reduced_determinant_raises():
+    with pytest.raises(ValueError,
+                       match="reduced determinant is not a unit"):
+        inv_even([[gen("x")]], T)
+
+
+def test_inv_of_empty_matrix_is_empty():
+    assert inv_even([], T) == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inv_is_two_sided_on_random_supermatrix_blocks(n):
+    m = random_invertible_supermatrix(random.Random(400 + n), E4, n, n)
+    one, zero = SuperPoly.one(E4), SuperPoly.zero(E4)
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for block in (m.A, m.D):
+        inv = inv_even(block, E4)
+        assert rows_equal(_mat_mul(block, inv, E4), eye)
+        assert rows_equal(_mat_mul(inv, block, E4), eye)
 
 
 # ---------------------------------------------------------------------------
