@@ -353,7 +353,7 @@ class SuperPoly:
 
     def __add__(self, other):
         if not isinstance(other, SuperPoly):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, (int, Fraction, RationalFunction)):
                 return NotImplemented
             other = SuperPoly.constant(self.table, other)
         _check_same_table(self, other)
@@ -369,7 +369,7 @@ class SuperPoly:
         return SuperPoly._of(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, SuperPoly)):
+        if isinstance(other, (int, Fraction, RationalFunction, SuperPoly)):
             return self + (-other)
         return NotImplemented
 
@@ -386,22 +386,36 @@ class SuperPoly:
             if isinstance(other, (int, Fraction, RationalFunction)):
                 return self.scale(other)
             return NotImplemented
-        table = self.table
-        _check_same_table(self, other)
+        return SuperPoly.sum_of_products(self.table, ((self, other),))
+
+    @staticmethod
+    def sum_of_products(table: GeneratorTable,
+                        pairs: Iterable[tuple["SuperPoly", "SuperPoly"]]) -> "SuperPoly":
+        """The sum of a * b over the (a, b) pairs, all over ``table``.
+
+        Every product accumulates into one term map, normalized once at
+        the end, so a sum of k products builds one element instead of 2k.
+        An operand over another table raises ``ValueError`` and an even
+        exponent past its field ``OverflowError``.
+        """
         odd = table._odd_mask
         width = len(table.odd_positions)
-        right = [(m, _below_parity(m & odd, width), c, -c) for m, c in other.terms.items()]
         terms: dict[Monomial, object] = {}
         get = terms.get
-        for m1, c1 in self.terms.items():
-            o1 = m1 & odd
-            for m2, below, c2, neg_c2 in right:
-                if o1 & m2:
-                    continue        # a shared odd factor squares to zero
-                mono = m1 + m2
-                c = c1 * (neg_c2 if (o1 & below).bit_count() & 1 else c2)
-                acc = get(mono)
-                terms[mono] = c if acc is None else acc + c
+        for a, b in pairs:
+            if (a.table is not table or b.table is not table) and (
+                    a.table != table or b.table != table):
+                raise ValueError("generator table mismatch")
+            right = [(m, _below_parity(m & odd, width), c, -c) for m, c in b.terms.items()]
+            for m1, c1 in a.terms.items():
+                o1 = m1 & odd
+                for m2, below, c2, neg_c2 in right:
+                    if o1 & m2:
+                        continue        # a shared odd factor squares to zero
+                    mono = m1 + m2
+                    c = c1 * (neg_c2 if (o1 & below).bit_count() & 1 else c2)
+                    acc = get(mono)
+                    terms[mono] = c if acc is None else acc + c
         seen = 0
         for m in terms:
             seen |= m
@@ -690,6 +704,8 @@ class RationalFunction:
         return None
 
     def __add__(self, other):
+        if isinstance(other, SuperPoly):
+            return NotImplemented   # let SuperPoly treat us as a constant
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -704,12 +720,16 @@ class RationalFunction:
         return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
+        if isinstance(other, SuperPoly):
+            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
+        if isinstance(other, SuperPoly):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):

@@ -75,13 +75,9 @@ def degree_parts(omega: SuperPoly) -> dict[int, SuperPoly]:
 def d(omega: SuperPoly) -> SuperPoly:
     """The de Rham differential: sum over coordinates of dy * (left d/dy)."""
     table = omega.table
-    out = SuperPoly.zero(table)
-    for name in base_coordinate_names(table):
-        dy = SuperPoly.generator(table, fiber_name(name))
-        der = omega.left_derivative(name)
-        if not der.is_zero():
-            out = out + dy * der
-    return out
+    return SuperPoly.sum_of_products(table, [
+        (SuperPoly.generator(table, fiber_name(name)), omega.left_derivative(name))
+        for name in base_coordinate_names(table)])
 
 
 def homotopy_h(omega: SuperPoly, k: int | None = None) -> SuperPoly:
@@ -95,7 +91,7 @@ def homotopy_h(omega: SuperPoly, k: int | None = None) -> SuperPoly:
     """
     table = omega.table
     names = base_coordinate_names(table)
-    out = SuperPoly.zero(table)
+    pairs = []
     for mono, c in omega.terms.items():
         if isinstance(c, RationalFunction):
             raise ValueError("homotopy needs polynomial coefficients; "
@@ -106,12 +102,10 @@ def homotopy_h(omega: SuperPoly, k: int | None = None) -> SuperPoly:
         if fd < 1:
             raise ValueError("homotopy is defined on fiber degree >= 1")
         weight = Fraction(1, fd + table.degree(mono, EVEN_BASE, ODD_BASE))
-        term = SuperPoly(table, {mono: c})
-        for name in names:
-            der = term.left_derivative(fiber_name(name))
-            if not der.is_zero():
-                out = out + SuperPoly.generator(table, name) * der.scale(weight)
-    return out
+        term = SuperPoly(table, {mono: c * weight})
+        pairs += [(SuperPoly.generator(table, name), term.left_derivative(fiber_name(name)))
+                  for name in names]
+    return SuperPoly.sum_of_products(table, pairs)
 
 
 def pullback_form(m: CoordinateMap, omega: SuperPoly) -> SuperPoly:

@@ -506,7 +506,7 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
     p, q = chart.p, chart.q
     base_parity = (p + q) % 2
     coordinates = set(table.positions_of_class(EVEN_BASE, ODD_BASE))
-    out = SuperPoly.zero(table)
+    pairs = []
     for mono, c in u.poly.terms.items():
         base_ev = table.degree(mono, EVEN_BASE)
         base_od = table.degree(mono, ODD_BASE)
@@ -520,18 +520,20 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
         _, x_mono = table.monomial(pk for pk in powers if pk[0] not in coordinates)
         f_poly = SuperPoly(table, {f_mono: 1})
         x_poly = SuperPoly(table, {x_mono: 1})
+        if denominator <= 0:
+            assert not any(SuperPoly.generator(table, name) * f_poly
+                           * SuperPoly.generator(table, polyvector_name(name)) * x_poly
+                           for name in chart.coordinate_names), \
+                "nonzero product on a generator monomial"
+            continue
+        weight = Fraction(1, denominator) * c
         for name in chart.coordinate_names:
             xb = SuperPoly.generator(table, name)
             pdb = SuperPoly.generator(table, polyvector_name(name))
-            prod = xb * f_poly * pdb * x_poly
-            if prod.is_zero():
-                continue
-            assert denominator > 0, "nonzero product on a generator monomial"
             pb = table.parity(name)
             exponent = (f_parity * (pb + 1) + pb + base_parity + 1) % 2
-            weight = Fraction(1, denominator) * c
-            out = out + prod.scale(-weight if exponent else weight)
-    return IntegralForm(chart, out)
+            pairs.append((xb * f_poly * pdb, x_poly.scale(-weight if exponent else weight)))
+    return IntegralForm(chart, SuperPoly.sum_of_products(table, pairs))
 
 
 def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:

@@ -135,13 +135,14 @@ class KoszulAlgebra:
     # -- the differentials -------------------------------------------------
 
     def koszul_delta(self, e: SuperPoly) -> SuperPoly:
-        """The odd derivation with piv_i -> v_i and pich_a -> ch_a."""
+        """The odd derivation with piv_i -> v_i and pich_a -> ch_a: the
+        sum of module * (left d/d partner) e over the p+q partners, built
+        as one ``SuperPoly.sum_of_products``."""
         if e.table != self.table:
             raise ValueError("element is not in the Koszul algebra")
-        out = SuperPoly.zero(self.table)
-        for module, partner in self._delta_pairs:
-            out = out + module * e.left_derivative(partner)
-        return out
+        return SuperPoly.sum_of_products(self.table, [
+            (module, e.left_derivative(partner))
+            for module, partner in self._delta_pairs])
 
     def dual_delta(self, e: SuperPoly) -> SuperPoly:
         """Multiplication by the odd element sum v_i dpiv_i + sum ch_a dpich_a."""

@@ -15,10 +15,21 @@ Berkowitz characteristic polynomials (Berkowitz 1984).  Inverses are
 exact: Cayley-Hamilton inverts the reduced part (odd generators set to
 zero), dividing only by its unit determinant, and a finite geometric
 series absorbs the nilpotent remainder.
+
+Matrix products and characteristic polynomials clear the denominators of
+their Fraction coefficients first: each operand is multiplied by the lcm L
+of those denominators, the work runs on int coefficients through
+``SuperPoly.sum_of_products``, and each result is scaled back once (by
+1/(Lx Ly) for a product, by 1/L^k for the k-th characteristic
+coefficient).  Operands without a Fraction coefficient, such as the
+RationalFunction entries of a chart Jacobian, have L = 1 and are used as
+they are.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from supercalc.algebra import GeneratorTable, SuperPoly, _coeff_inverse
@@ -48,15 +59,30 @@ def _check_parity(rows: Rows, want: int, label: str) -> None:
 def _dot(row: Sequence[SuperPoly], col: Sequence[SuperPoly],
          table: GeneratorTable) -> SuperPoly:
     """Sum of row[i] * col[i] over the length of the shorter one."""
-    acc = SuperPoly.zero(table)
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
+    return SuperPoly.sum_of_products(table, zip(row, col))
+
+
+def _clear_denominators(rows: Rows) -> tuple[int, Rows]:
+    """(L, L * rows), L the lcm of the denominators of the Fraction
+    coefficients, so that the scaled rows carry none; rows without a
+    Fraction coefficient come back as they are, with L = 1."""
+    dens = {c.denominator for r in rows for e in r for c in e.terms.values()
+            if type(c) is Fraction}
+    if not dens:
+        return 1, rows
+    scale = lcm(*dens)
+    return scale, [[e.scale(scale) for e in r] for r in rows]
 
 
 def _mat_mul(x: Rows, y: Rows, table: GeneratorTable) -> Rows:
+    lx, x = _clear_denominators(x)
+    ly, y = _clear_denominators(y)
     cols = list(zip(*y))
-    return [[_dot(row, col, table) for col in cols] for row in x]
+    out = [[_dot(row, col, table) for col in cols] for row in x]
+    if lx * ly == 1:
+        return out
+    back = Fraction(1, lx * ly)
+    return [[e.scale(back) for e in r] for r in out]
 
 
 def _mat_add(x: Rows, y: Rows) -> Rows:
@@ -86,6 +112,7 @@ def _charpoly(rows: Rows, table: GeneratorTable) -> list[SuperPoly]:
     -RA^(k-1)S).  Only ring operations occur, and the leading
     coefficient 1 is never multiplied.
     """
+    scale, rows = _clear_denominators(rows)
     coeffs: list[SuperPoly] = []
     for k in range(len(rows)):
         toeplitz = [-rows[k][k]]
@@ -97,11 +124,14 @@ def _charpoly(rows: Rows, table: GeneratorTable) -> list[SuperPoly]:
         new = []
         for i in range(k + 1):
             acc = toeplitz[i] if i == k else coeffs[i] + toeplitz[i]
-            for j in range(i):
-                acc = acc + toeplitz[j] * coeffs[i - 1 - j]
+            if i:   # + toeplitz[j] * coeffs[i - 1 - j] for j < i
+                acc = acc + _dot(toeplitz, coeffs[i - 1::-1], table)
             new.append(acc)
         coeffs = new
-    return coeffs
+    if scale == 1:
+        return coeffs
+    # the characteristic coefficients of L M are L^k c_k
+    return [c.scale(Fraction(1, scale ** k)) for k, c in enumerate(coeffs, 1)]
 
 
 def det_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> SuperPoly:

@@ -487,6 +487,22 @@ def test_rational_arithmetic_matches_sympy(case):
         assert RationalFunction(a.num * h, a.den * h) == a
 
 
+@pytest.mark.parametrize("name", ["x", "th1"])
+def test_superpoly_plus_rational_function_is_a_constant_term(name):
+    # A RationalFunction is a scalar to SuperPoly, in sums as in products,
+    # whichever side it stands on.
+    e = gen(name)
+    rf = RationalFunction(SuperPoly.one(T), gen("x") + 1)
+    c = const(rf)
+    for got, want in ((e + rf, e + c), (rf + e, c + e), (e - rf, e - c),
+                      (rf - e, c - e)):
+        assert type(got) is SuperPoly
+        assert got == want and str(got) == str(want)
+    assert str(e + rf) == f"1/(1 + x) + {name}"
+    assert str(rf - e) == f"1/(1 + x) - {name}"
+    assert (e + rf) - rf == e and rf - (rf - e) == e
+
+
 def test_absorbed_form_has_no_even_exponents():
     x, th1 = gen("x"), gen("th1")
     e = absorb_even_exponents(x ** 2 * th1 + 3 * x)
@@ -668,6 +684,77 @@ def test_packed_arithmetic_matches_the_tuple_keys(kind):
         assert _agrees(a.substitute({table.names[p]: img for p, img in images.items()}),
                        table, _tuple_substitute(
                            table, ta, {p: _to_tuples(img) for p, img in images.items()}))
+
+
+# ---------------------------------------------------------------------------
+# the fused multiply-accumulate kernel
+
+def _with_coefficients(poly, kind, rng):
+    """The same monomials with int, Fraction or RationalFunction
+    coefficients; the quotients are over the table's first even generator."""
+    table = poly.table
+    if kind == "int":
+        return SuperPoly(table, {m: rng.randint(-5, 5) for m in poly.terms})
+    if kind == "fraction":
+        return poly
+    z = SuperPoly.generator(table, table.names[table.even_positions[0]])
+    return SuperPoly(table, {m: RationalFunction(z + c, z * z + rng.randint(1, 3))
+                             for m, c in poly.terms.items()})
+
+
+@pytest.mark.parametrize("coefficients", ["int", "fraction", "rational-function"])
+@pytest.mark.parametrize("kind", ["chart", "form", "polyvector", "koszul-dual"])
+def test_sum_of_products_matches_a_sum_of_single_products(kind, coefficients):
+    from supercalc.randoms import random_superpoly
+
+    table = _codec_tables()[kind]
+    rng = random.Random(31)
+    draws = 60 if coefficients == "rational-function" else 150
+    for _ in range(draws):
+        pairs = [tuple(_with_coefficients(random_superpoly(
+            rng, table, terms=4, max_exp=2), coefficients, rng) for _ in "ab")
+            for _ in range(rng.randint(1, 4))]
+        want = SuperPoly.zero(table)
+        for a, b in pairs:
+            want = want + a * b
+        got = SuperPoly.sum_of_products(table, pairs)
+        assert got == want
+        assert str(got) == str(want)
+        if coefficients != "rational-function":
+            assert got.terms == want.terms
+            assert not _fractions_with_unit_denominator(got)
+
+
+def test_sum_of_products_of_no_pairs_is_zero():
+    assert SuperPoly.sum_of_products(T, []).is_zero()
+    assert SuperPoly.sum_of_products(T, iter(())).table is T
+    x = gen("x")
+    assert SuperPoly.sum_of_products(T, [(x, -x), (x, x)]).terms == {}
+
+
+def test_sum_of_products_refuses_another_table():
+    other = GeneratorTable.chart(["x"], ["th1"])
+    x, y = gen("x"), SuperPoly.generator(other, "x")
+    twin = SuperPoly.generator(GeneratorTable.chart(["x", "y"], ["th1", "th2", "th3"]), "y")
+    assert SuperPoly.sum_of_products(T, [(x, twin)]) == x * gen("y")
+    for pairs in ([(x, y)], [(y, x)], [(x, x), (y, y)]):
+        with pytest.raises(ValueError, match="generator table mismatch"):
+            SuperPoly.sum_of_products(T, pairs)
+    with pytest.raises(ValueError, match="generator table mismatch"):
+        SuperPoly.sum_of_products(other, [(x, x)])
+
+
+def test_sum_of_products_guards_the_exponent_fields():
+    from supercalc.algebra import _EXPONENT
+
+    x, y = gen("x"), gen("y")
+    top = x ** _EXPONENT
+    assert SuperPoly.sum_of_products(T, [(top, y), (y, top)]) == 2 * top * y
+    with pytest.raises(OverflowError):
+        SuperPoly.sum_of_products(T, [(y, y), (top, x)])
+    # a product that overflows and then cancels still raises
+    with pytest.raises(OverflowError):
+        SuperPoly.sum_of_products(T, [(top, x), (-top, x)])
 
 
 # ---------------------------------------------------------------------------

@@ -159,19 +159,56 @@ def test_rational_function_products_stay_within_the_leibniz_count(monkeypatch):
 
     rows = [[rf(x + 1, x - 2) + eps * rf(ONE, x), rf(x, ONE + x * x)],
             [rf(ONE, x + 3) + eps, rf(x * x - 1, x + 5)]]
-    calls = []
-    mul = SuperPoly.__mul__
+    # Every SuperPoly product, RationalFunction arithmetic included, is a
+    # pair through the kernel: __mul__ is its one-pair case.
+    pairs = []
+    kernel = SuperPoly.sum_of_products
 
-    def counting(a, b):
-        calls.append(None)
-        return mul(a, b)
+    def counting(table, operands):
+        operands = list(operands)
+        pairs.extend(operands)
+        return kernel(table, operands)
 
-    monkeypatch.setattr(SuperPoly, "__mul__", counting)
+    monkeypatch.setattr(SuperPoly, "sum_of_products", staticmethod(counting))
     det_even(rows, T)
-    assert len(calls) <= 24
-    calls.clear()
+    assert 0 < len(pairs) <= 24
+    pairs.clear()
     inv_even(rows, T)
-    assert len(calls) <= 81
+    assert 0 < len(pairs) <= 81
+
+
+def test_fraction_blocks_reach_the_kernel_with_integer_coefficients(monkeypatch):
+    # Matrix products and characteristic polynomials clear the Fraction
+    # denominators of their operands, so every sum the supermatrix module
+    # hands to the kernel multiplies int coefficients.  (Single products,
+    # such as Ber's final det(S) * det(D)^-1, go through SuperPoly itself.)
+    import supercalc.supermatrix as supermatrix
+
+    seen = []
+
+    class Watched:
+        def __getattr__(self, name):
+            return getattr(SuperPoly, name)
+
+        @staticmethod
+        def sum_of_products(table, operands):
+            operands = list(operands)
+            seen.extend(type(c).__name__ for pair in operands for e in pair
+                        for c in e.terms.values())
+            return SuperPoly.sum_of_products(table, operands)
+
+    monkeypatch.setattr(supermatrix, "SuperPoly", Watched())
+    table = GeneratorTable.chart(["x"], ["e1", "e2", "e3", "e4"])
+    rng = random.Random(41)
+    for n in (2, 3, 4):
+        m = random_invertible_supermatrix(rng, table, n, n)
+        assert any(type(c) is Fraction for e in m.A[0] + m.D[0]
+                   for c in e.terms.values())
+        det_even(m.A, table)
+        inv_even(m.D, table)
+        berezinian(m)
+        m.inverse()
+    assert seen and set(seen) == {"int"}
 
 
 def test_det_of_empty_matrix_is_one():
