@@ -11,6 +11,7 @@ from supercalc.algebra import (
     RationalFunction,
     SuperPoly,
     absorb_even_exponents,
+    release_even_exponents,
 )
 from supercalc.charts import Chart, CoordinateMap
 from supercalc.diffops import DiffOp
@@ -59,6 +60,7 @@ __all__ = [
     "fiber_integral",
     "from_integral_form",
     "gaussian_fiber_integral",
+    "release_even_exponents",
     "stokes_check",
     "susy_algebra_check",
     "susy_generator",

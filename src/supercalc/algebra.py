@@ -21,10 +21,14 @@ keys for printing.  Everywhere else a key of ``SuperPoly.terms`` is an
 opaque handle: it may be hashed, compared and passed back, never indexed,
 shifted, masked or built by hand.
 
-No floating point is used anywhere.  A coefficient is an ``int`` while it is
-integral (never a Fraction with denominator 1), else a ``fractions.Fraction``,
-a :class:`RationalFunction` (for charts that divide by even coordinates), or
-a pi-power scalar of the integration module.
+No floating point is used anywhere.  A coefficient is one of the
+:data:`SCALARS`: an ``int`` while it is integral (never a Fraction with
+denominator 1), else a ``fractions.Fraction``, or a :class:`RationalFunction`
+for charts that divide by even coordinates.  An even power may sit in a
+monomial or inside such a quotient; :func:`absorb_even_exponents` moves every
+one into the quotients and :func:`release_even_exponents` moves them back,
+refusing a coefficient that is no polynomial.  Only this module looks inside
+a ``RationalFunction`` coefficient.
 """
 
 from __future__ import annotations
@@ -353,7 +357,7 @@ class SuperPoly:
 
     def __add__(self, other):
         if not isinstance(other, SuperPoly):
-            if not isinstance(other, (int, Fraction, RationalFunction)):
+            if not isinstance(other, SCALARS):
                 return NotImplemented
             other = SuperPoly.constant(self.table, other)
         _check_same_table(self, other)
@@ -369,7 +373,7 @@ class SuperPoly:
         return SuperPoly._of(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction, SuperPoly)):
+        if isinstance(other, (SuperPoly, *SCALARS)):
             return self + (-other)
         return NotImplemented
 
@@ -383,7 +387,7 @@ class SuperPoly:
 
     def __mul__(self, other):
         if not isinstance(other, SuperPoly):
-            if isinstance(other, (int, Fraction, RationalFunction)):
+            if isinstance(other, SCALARS):
                 return self.scale(other)
             return NotImplemented
         return SuperPoly.sum_of_products(self.table, ((self, other),))
@@ -438,14 +442,10 @@ class SuperPoly:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            return self.scale(Fraction(1, other))
-        if isinstance(other, Fraction):
-            return self.scale(1 / other)
-        if isinstance(other, RationalFunction):
-            return self.scale(other.inverse())
         if isinstance(other, SuperPoly):
             return self * other.inverse()
+        if isinstance(other, SCALARS):
+            return self.scale(_coeff_inverse(other))
         return NotImplemented
 
     def inverse(self) -> "SuperPoly":
@@ -617,7 +617,7 @@ class SuperPoly:
     __repr__ = __str__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, SCALARS):
             other = SuperPoly.constant(self.table, other)
         if not isinstance(other, SuperPoly):
             return NotImplemented
@@ -764,6 +764,8 @@ class RationalFunction:
         return RationalFunction(self.den, self.num)
 
     def __eq__(self, other):
+        if isinstance(other, SuperPoly):
+            return NotImplemented   # SuperPoly compares us as a constant
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -796,6 +798,10 @@ class RationalFunction:
         return f"{num}/{den}"
 
     __repr__ = __str__
+
+
+# The coefficient types: everything SuperPoly treats as a constant.
+SCALARS = (int, Fraction, RationalFunction)
 
 
 def _leading_monomial(poly: SuperPoly) -> Monomial:
@@ -929,3 +935,26 @@ def absorb_even_exponents(poly: SuperPoly) -> SuperPoly:
         acc = terms.get(mono)
         terms[mono] = rf if acc is None else acc + rf
     return SuperPoly(table, terms)
+
+
+def release_even_exponents(poly: SuperPoly) -> SuperPoly:
+    """Move absorbed even powers back into the monomials: the inverse of
+    :func:`absorb_even_exponents`.
+
+    Operations that need polynomial data call this on their input, so an
+    element may be written either way.  A quotient that is no polynomial
+    raises ``ValueError``.
+    """
+    if not any(type(c) is RationalFunction for c in poly.terms.values()):
+        return poly
+    table = poly.table
+    pairs = []
+    # absorbing first collects every even power of one odd monomial into
+    # one quotient, so x*(1/x) releases to 1
+    for mono, c in absorb_even_exponents(poly).terms.items():
+        if not c.is_polynomial():
+            raise ValueError("non-polynomial coefficient: this operation takes "
+                             "polynomial coefficients only; quotients by even "
+                             "coordinates are unsupported")
+        pairs.append((SuperPoly._of(table, {mono: 1}), c.num))
+    return SuperPoly.sum_of_products(table, pairs)

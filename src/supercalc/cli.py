@@ -39,7 +39,6 @@ from supercalc.charts import Chart, CoordinateMap, cocycle_check
 from supercalc.derham import d, fiber_name, form_table, homotopy_h
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import (
-    BerSection,
     IntegralForm,
     VectorField,
     homotopy_int,
@@ -560,7 +559,7 @@ class Evaluator:
             return delta_times_poly(a, _as_poly(ring, b, BASE))
         if isinstance(b, DeltaForm):
             if isinstance(a, Poly) and a.layer == FORM:
-                return _form_times_delta(a.poly, b)
+                return form_times_delta(a.poly, b)
             return b.times(_as_poly(ring, a, BASE))
         if isinstance(a, Poly) and isinstance(b, Poly):
             layer = _join_layers(a.layer, b.layer)
@@ -740,13 +739,6 @@ def _single_fiber_letter(ring: Ring, poly: SuperPoly) -> str | None:
     return None
 
 
-def _form_times_delta(fpoly: SuperPoly, form: DeltaForm) -> DeltaForm:
-    try:
-        return form_times_delta(fpoly, form)
-    except ValueError as exc:
-        raise ExpressionError(str(exc))
-
-
 # --- coercions for command arguments ---------------------------------------
 
 
@@ -777,14 +769,6 @@ def _want_density(ring: Ring, value) -> IntegralForm:
         f"expected a density (written Ber @ coefficient), got {_kind(value)}")
 
 
-def _want_section(ring: Ring, value) -> BerSection:
-    u = _want_density(ring, value)
-    try:
-        return u.as_section()
-    except ValueError as exc:
-        raise ExpressionError(str(exc))
-
-
 def _want_delta(ring: Ring, value) -> DeltaForm:
     if isinstance(value, DeltaForm):
         return value
@@ -793,7 +777,7 @@ def _want_delta(ring: Ring, value) -> DeltaForm:
     if ring.q == 0 and isinstance(value, (Fraction, Poly)):
         vacuum = DeltaForm(ring.chart,
                            {((0,) * ring.p, ()): SuperPoly.one(ring.chart.table)})
-        return _form_times_delta(_as_poly(ring, value, FORM), vacuum)
+        return form_times_delta(_as_poly(ring, value, FORM), vacuum)
     raise ExpressionError(
         "expected a delta form with one del(...) factor per odd fiber "
         f"direction, got {_kind(value)}")
@@ -965,8 +949,21 @@ def _collect_markers(markers: Markers, gaussian, dirac, formal) -> Markers:
     return markers.merged(flagged)
 
 
+class _Command(click.Command):
+    """Reports a library refusal (``ValueError``, ``ZeroDivisionError``) as
+    a usage error of the command, so bad input exits 2 without a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise click.UsageError(str(exc), ctx) from None
+
+
 class _Commands(click.Group):
     """Reports an exponent too large for its key field as a usage error."""
+
+    command_class = _Command
 
     def invoke(self, ctx):
         try:
@@ -1009,10 +1006,7 @@ def cmd_homotopy(expression, degree, ring_text, json_mode):
     if isinstance(value, IntegralForm):
         out = homotopy_int(value)
     else:
-        try:
-            out = homotopy_h(_want_form(ring, value), degree)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        out = homotopy_h(_want_form(ring, value), degree)
     _emit(json_mode, "homotopy", str(out), ring)
 
 
@@ -1028,10 +1022,7 @@ def cmd_spencer_delta(expression, gaussian, dirac, formal, ring_text,
     value, markers = parse_value(expression, ring)
     markers = _collect_markers(markers, gaussian, dirac, formal)
     u = _want_density(ring, value)
-    try:
-        out = spencer_delta(u, markers.gaussian)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    out = spencer_delta(u, markers.gaussian)
     _emit(json_mode, "spencer-delta", str(out), ring)
 
 
@@ -1051,7 +1042,7 @@ def cmd_lie_ber(density, field, gaussian, dirac, formal, ring_text,
     ring = _parse_ring(ring_text)
     value, markers = parse_value(density, ring)
     markers = _collect_markers(markers, gaussian, dirac, formal)
-    section = _want_section(ring, value)
+    section = _want_density(ring, value).as_section()
     comps = {}
     for piece in field.split(";"):
         if not piece.strip():
@@ -1065,11 +1056,8 @@ def cmd_lie_ber(density, field, gaussian, dirac, formal, ring_text,
         if extra:
             raise click.UsageError("field components take no marker tags")
         comps[name] = _as_poly(ring, v, BASE)
-    try:
-        x = VectorField(ring.chart, comps)
-        out = lie_derivative_ber(section, x, markers.gaussian)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    x = VectorField(ring.chart, comps)
+    out = lie_derivative_ber(section, x, markers.gaussian)
     _emit(json_mode, "lie-ber", str(out), ring)
 
 
@@ -1098,10 +1086,7 @@ def cmd_ber_matrix(matrix_file, ring_text, json_mode):
     """Berezinian of a supermatrix given as a JSON file."""
     ring = _parse_ring(ring_text)
     m = read_matrix_file(matrix_file, ring)
-    try:
-        out = berezinian(m)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(str(exc))
+    out = berezinian(m)
     _emit(json_mode, "ber-matrix", str(out), ring)
 
 
@@ -1130,10 +1115,7 @@ def cmd_ber_jacobian(map_file, ring_text, json_mode):
     """Berezinian of the Jacobian of a coordinate change."""
     ring = _parse_ring(ring_text)
     m = read_map_file(map_file, ring)
-    try:
-        out = m.ber_jacobian()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(str(exc))
+    out = m.ber_jacobian()
     _emit(json_mode, "ber-jacobian", str(out), ring)
 
 
@@ -1148,10 +1130,7 @@ def cmd_cocycle(ctx, map_file_1, map_file_2, ring_text, json_mode):
     ring = _parse_ring(ring_text)
     m1 = read_map_file(map_file_1, ring)
     m2 = read_map_file(map_file_2, ring)
-    try:
-        ok = cocycle_check(m1, m2)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(str(exc))
+    ok = cocycle_check(m1, m2)
     _emit(json_mode, "cocycle", "cocycle holds" if ok else "cocycle violated",
           ring, passed=ok)
     if not ok:
@@ -1170,10 +1149,7 @@ def cmd_cocycle(ctx, map_file_1, map_file_2, ring_text, json_mode):
 @_json_option
 def cmd_koszul(p, q, which, degree, cutoff, json_mode):
     """Exact homology ranks of the free Koszul complex or its dual."""
-    try:
-        algebra = KoszulAlgebra(p, q)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    algebra = KoszulAlgebra(p, q)
     if degree is not None:
         degrees = [degree]
     elif which == "koszul":
@@ -1182,10 +1158,7 @@ def cmd_koszul(p, q, which, degree, cutoff, json_mode):
         degrees = list(range(0, p + 2))
     rows = []
     for deg in degrees:
-        try:
-            ranks = algebra.homology_ranks(which, deg, cutoff)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        ranks = algebra.homology_ranks(which, deg, cutoff)
         rows.append({"degree": deg, "kernel": ranks.kernel_dim,
                      "image": ranks.image_dim,
                      "homology": ranks.homology_dim})
@@ -1230,11 +1203,8 @@ def cmd_berezin_int(expression, gaussian, dirac, formal, ring_text,
     ring = _parse_ring(ring_text)
     value, markers = parse_value(expression, ring)
     markers = _collect_markers(markers, gaussian, dirac, formal)
-    section = _want_section(ring, value)
-    try:
-        out = berezin_integral(section, **_marker_kwargs(markers))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    section = _want_density(ring, value).as_section()
+    out = berezin_integral(section, **_marker_kwargs(markers))
     _emit(json_mode, "berezin-int", str(out), ring)
 
 
@@ -1251,10 +1221,7 @@ def cmd_stokes(ctx, expression, gaussian, ring_text, json_mode):
     value, markers = parse_value(expression, ring)
     weights = set(markers.gaussian) | set(gaussian)
     u = _want_density(ring, value)
-    try:
-        value_out, vanished = stokes_check(u, weights or None)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    value_out, vanished = stokes_check(u, weights or None)
     _emit(json_mode, "stokes", str(value_out), ring, passed=vanished)
     if not vanished:
         ctx.exit(1)
@@ -1276,11 +1243,8 @@ def cmd_pd_pair(density_file, form_file, gaussian, dirac, formal, ring_text,
     kwargs = _marker_kwargs(markers)
     if kwargs.pop("formal"):
         raise click.UsageError("formal coordinates cannot be integrated")
-    try:
-        out = duality_pair_integral(_want_density(ring, sigma),
-                                    _want_form(ring, eta), **kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    out = duality_pair_integral(_want_density(ring, sigma),
+                                _want_form(ring, eta), **kwargs)
     _emit(json_mode, "pd-pair", str(out), ring)
 
 
@@ -1298,12 +1262,9 @@ def cmd_susy_check(ctx, gamma, trials, seed, ring_text, json_mode):
     """Check the supersymmetry bracket and action invariance."""
     ring = _parse_ring(ring_text)
     tensor = _parse_gamma(gamma, ring.p, ring.q)
-    try:
-        bracket_ok = susy_algebra_check(ring.chart, tensor)
-        failures = susy_variation_failures(random.Random(seed or 0),
-                                           ring.chart, tensor, trials)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    bracket_ok = susy_algebra_check(ring.chart, tensor)
+    failures = susy_variation_failures(random.Random(seed or 0),
+                                       ring.chart, tensor, trials)
     ok = bracket_ok and failures == 0
     text = (f"bracket {'holds' if bracket_ok else 'violated'}; "
             f"{trials} Lagrangians, {failures} non-invariant variations")
@@ -1344,10 +1305,7 @@ def cmd_cw_apply(word, expression, ring_text, json_mode):
     if markers:
         raise click.UsageError("letter words take no marker tags")
     form = _want_delta(ring, value)
-    try:
-        out = cw_apply(CWOperator(word), form)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    out = cw_apply(CWOperator(word), form)
     _emit(json_mode, "cw-apply", str(out), ring)
 
 
@@ -1364,10 +1322,7 @@ def cmd_pseudo_transform(map_file, expression, ring_text, json_mode):
     if markers:
         raise click.UsageError("the transform takes no marker tags")
     form = _want_delta(ring, value)
-    try:
-        out = form.transform(m)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(str(exc))
+    out = form.transform(m)
     _emit(json_mode, "pseudo-transform", str(out), ring)
 
 
@@ -1386,21 +1341,18 @@ def cmd_fiber_int(expression, gaussian, ring_text, json_mode):
     ring = _parse_ring(ring_text)
     value, markers = parse_value(expression, ring)
     weights = set(markers.gaussian) | set(gaussian)
-    try:
-        if weights:
-            if isinstance(value, DeltaForm):
-                raise click.UsageError(
-                    "Gaussian fiber weights apply to polynomial fiber "
-                    "dependence; delta forms integrate without them")
-            weight, section = gaussian_fiber_integral(
-                ring.chart, _want_form(ring, value), sorted(weights))
-            text = f"{weight} * ({section})"
-            _emit(json_mode, "fiber-int", text, ring,
-                  weight=str(weight), section=str(section))
-            return
-        out = fiber_integral(_want_delta(ring, value))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if weights:
+        if isinstance(value, DeltaForm):
+            raise click.UsageError(
+                "Gaussian fiber weights apply to polynomial fiber "
+                "dependence; delta forms integrate without them")
+        weight, section = gaussian_fiber_integral(
+            ring.chart, _want_form(ring, value), sorted(weights))
+        text = f"{weight} * ({section})"
+        _emit(json_mode, "fiber-int", text, ring,
+              weight=str(weight), section=str(section))
+        return
+    out = fiber_integral(_want_delta(ring, value))
     _emit(json_mode, "fiber-int", str(out), ring)
 
 

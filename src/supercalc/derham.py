@@ -26,8 +26,8 @@ from supercalc.algebra import (
     ODD_BASE,
     GeneratorTable,
     Monomial,
-    RationalFunction,
     SuperPoly,
+    release_even_exponents,
     sort_odd_indices,
     transport,
 )
@@ -85,17 +85,16 @@ def homotopy_h(omega: SuperPoly, k: int | None = None) -> SuperPoly:
 
     Per monomial the scaling integral evaluates to the exact rational
     1/(fiber degree + base degree); the insertion operator replaces one
-    fiber symbol by its base coordinate.  Requires plain rational
-    coefficients: with quotients the radial scaling has no polynomial
-    meaning.
+    fiber symbol by its base coordinate.  Needs polynomial data, which may
+    come absorbed into rational-function coefficients (x^2*(1/x) is x);
+    a proper quotient raises, since the radial scaling has no polynomial
+    meaning there.
     """
+    omega = release_even_exponents(omega)
     table = omega.table
     names = base_coordinate_names(table)
     pairs = []
     for mono, c in omega.terms.items():
-        if isinstance(c, RationalFunction):
-            raise ValueError("homotopy needs polynomial coefficients; "
-                             "rational-function coefficients are unsupported")
         fd = fiber_degree(table, mono)
         if k is not None and fd != k:
             raise ValueError(f"form is not homogeneous of fiber degree {k}")

@@ -19,14 +19,13 @@ instance) live purely inside coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from supercalc.algebra import (
     EVEN_BASE,
     ODD_BASE,
+    SCALARS,
     GeneratorTable,
-    RationalFunction,
     SuperPoly,
     _check_same_table,
     merge_odd_indices,
@@ -152,7 +151,7 @@ class DiffOp:
         return DiffOp(self.table, {m: f * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         if isinstance(other, SuperPoly):
             return self.compose(DiffOp.multiplication(other))
@@ -161,7 +160,7 @@ class DiffOp:
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         if isinstance(other, SuperPoly):
             return self.left_multiply(other)

@@ -49,8 +49,8 @@ from supercalc.algebra import (
     ODD_BASE,
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
-    RationalFunction,
     SuperPoly,
+    release_even_exponents,
     transport,
 )
 from supercalc.charts import Chart, CoordinateMap
@@ -84,22 +84,6 @@ def _polyvector_table(base: GeneratorTable) -> GeneratorTable:
 def polyvector_degree(table: GeneratorTable, mono: Monomial) -> int:
     """Number of polyvector letters in a monomial, with multiplicity."""
     return table.degree(mono, POLYVECTOR_EVEN, POLYVECTOR_ODD)
-
-
-def _plain_polynomial(poly: SuperPoly) -> SuperPoly:
-    """Clear absorbed rational coefficients back into even exponents."""
-    table = poly.table
-    out = SuperPoly.zero(table)
-    for mono, c in poly.terms.items():
-        if isinstance(c, RationalFunction):
-            if not c.is_polynomial():
-                raise ValueError("coordinate change left a non-polynomial "
-                                 "coefficient; only polynomial data is "
-                                 "supported here")
-            out = out + SuperPoly(table, {mono: 1}) * c.num
-        else:
-            out = out + SuperPoly(table, {mono: c})
-    return out
 
 
 # --- densities ------------------------------------------------------------------
@@ -156,7 +140,7 @@ class BerSection:
         if m.target.table != self.chart.table:
             raise ValueError("section does not live on the target of the map")
         moved = m.ber_jacobian() * m.pullback(self.coefficient)
-        return BerSection(m.source, _plain_polynomial(moved))
+        return BerSection(m.source, release_even_exponents(moved))
 
     def __add__(self, other: "BerSection") -> "BerSection":
         self._check(other)
@@ -479,7 +463,8 @@ def cohomology_projection(u: IntegralForm) -> IntegralForm:
     table = u.table
     _, mono = table.monomial((pos, 1) for pos in
                              table.positions_of_class(ODD_BASE, POLYVECTOR_ODD))
-    return IntegralForm(u.chart, SuperPoly(table, {mono: u.poly.coefficient(mono)}))
+    c = release_even_exponents(u.poly).coefficient(mono)
+    return IntegralForm(u.chart, SuperPoly(table, {mono: c}))
 
 
 def homotopy_int(u: IntegralForm) -> IntegralForm:
@@ -507,7 +492,7 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
     base_parity = (p + q) % 2
     coordinates = set(table.positions_of_class(EVEN_BASE, ODD_BASE))
     pairs = []
-    for mono, c in u.poly.terms.items():
+    for mono, c in release_even_exponents(u.poly).terms.items():
         base_ev = table.degree(mono, EVEN_BASE)
         base_od = table.degree(mono, ODD_BASE)
         pv_ev = table.degree(mono, POLYVECTOR_EVEN)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import SuperPoly
+from .algebra import SuperPoly, release_even_exponents
 from .charts import Chart
 from .derham import fiber_degree, form_table
 from .diffops import DiffOp
@@ -28,7 +28,6 @@ from .integral_forms import (
     BerSection,
     IntegralForm,
     VectorField,
-    _plain_polynomial,
     lie_derivative_ber,
     pair,
     spencer_delta,
@@ -264,11 +263,11 @@ def berezin_integral(target, *, gaussian: Iterable[str] = (),
     ftop = target.poly
     for name in target.chart.odd_names:
         ftop = ftop.left_derivative(name)
-    ftop = _plain_polynomial(ftop)
+    ftop = release_even_exponents(ftop)
     if target.dirac:
         points = {name: SuperPoly.constant(table, a)
                   for name, a in target.dirac.items()}
-        ftop = _plain_polynomial(ftop.substitute(points))
+        ftop = release_even_exponents(ftop.substitute(points))
     power = Fraction(len(target.gaussian), 2)
     total = PiValue()
     for mono, c in ftop.terms.items():

@@ -44,9 +44,9 @@ from supercalc.algebra import (
     FIBER_EVEN,
     FIBER_ODD,
     ODD_BASE,
-    RationalFunction,
     SuperPoly,
     absorb_even_exponents,
+    release_even_exponents,
     transport,
 )
 from supercalc.charts import Chart, CoordinateMap
@@ -54,7 +54,6 @@ from supercalc.derham import fiber_name, form_table
 from supercalc.integral_forms import (
     BerSection,
     IntegralForm,
-    _plain_polynomial,
     polyvector_name,
     polyvector_table,
 )
@@ -341,7 +340,7 @@ class DeltaForm:
                     if eps[k]:
                         block = _apply_step(block, dx_steps[k])
                 result = result + block.times(pulled)
-        plain = {key: _plain_polynomial(poly) for key, poly in result.terms.items()}
+        plain = {key: release_even_exponents(poly) for key, poly in result.terms.items()}
         return DeltaForm(src, plain)
 
     # --- presentation ---------------------------------------------------------
@@ -517,9 +516,7 @@ def form_times_delta(omega: SuperPoly, form: DeltaForm) -> DeltaForm:
     if omega.table != ftab:
         raise ValueError("form is not over the chart's differentials")
     out = DeltaForm.zero(chart)
-    for mono, c in omega.terms.items():
-        if isinstance(c, RationalFunction):
-            raise ValueError("delta forms carry polynomial coefficients only")
+    for mono, c in release_even_exponents(omega).terms.items():
         base_powers: dict[str, int] = {}
         dth_letters: list[str] = []
         dx_letters: list[str] = []

@@ -52,7 +52,12 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from supercalc.algebra import GeneratorTable, SuperPoly, transport
+from supercalc.algebra import (
+    GeneratorTable,
+    SuperPoly,
+    release_even_exponents,
+    transport,
+)
 from supercalc.charts import (
     Chart,
     CoordinateMap,
@@ -77,7 +82,6 @@ from supercalc.integral_forms import (
     BerSection,
     IntegralForm,
     VectorField,
-    _plain_polynomial,
     cohomology_projection,
     homotopy_int,
     pair,
@@ -620,7 +624,7 @@ def _suite_delta_forms(rng, trials, p, q):
     for _ in range(maps):
         src, tgt = rng.choice(pairs)
         m = _unimodular_split_map(rng, src, tgt)
-        ber = _plain_polynomial(m.ber_jacobian())
+        ber = release_even_exponents(m.ber_jacobian())
         if DeltaForm.top(tgt).transform(m) != DeltaForm.top(src, ber):
             bad += 1
     checks.append(_count("pivot transforms by the Berezinian", maps, bad))
@@ -655,7 +659,7 @@ def _suite_delta_forms(rng, trials, p, q):
         if eta.is_zero():
             continue
         lhs = pair(to_integral_form(w.transform(m)),
-                   _plain_polynomial(pullback_form(m, eta))).as_section()
+                   release_even_exponents(pullback_form(m, eta))).as_section()
         rhs = pair(to_integral_form(w), eta).as_section().transform(m)
         if lhs != rhs:
             bad += 1

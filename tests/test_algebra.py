@@ -521,6 +521,17 @@ def test_equality_ignores_where_even_powers_sit():
     assert not (x * th1 == doubled) and not (doubled == x * th1)
 
 
+def test_equality_with_a_quotient_takes_it_as_a_constant():
+    x, th1 = gen("x"), gen("th1")
+    rf = RationalFunction(SuperPoly.one(T), x + 1)
+    assert th1 != rf and rf != th1
+    assert not (th1 == rf) and not (rf == th1)
+    assert x + 1 == RationalFunction(x + 1, SuperPoly.one(T))
+    assert RationalFunction(x + 1, SuperPoly.one(T)) == x + 1
+    assert const(rf) == rf and rf == const(rf)
+    assert not (const(rf) != rf) and not (rf != const(rf))
+
+
 # ---------------------------------------------------------------------------
 # printing
 

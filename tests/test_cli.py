@@ -121,6 +121,28 @@ def test_bad_letters_and_huge_powers_are_usage_errors(command, text, message):
     assert message in result.output
 
 
+@pytest.mark.parametrize("args, message", [
+    (["pair", "--ring", "1|1", "--", "Ber @ 1", "dx1"],
+     "form degree exceeds the polyvector degree"),
+    (["homotopy", "--", "Ber*1/x1"], "non-polynomial coefficient"),
+])
+def test_library_refusals_are_usage_errors(args, message):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize("density", ["Ber @ x1^2/x1", "Ber*x1^3/x1^2"])
+def test_homotopy_ignores_where_even_powers_sit(density):
+    want = CliRunner().invoke(main, ["homotopy", "--ring", "1|1", "--", "Ber @ x1"])
+    result = CliRunner().invoke(main, ["homotopy", "--ring", "1|1", "--", density])
+    assert want.output == "Ber @ 1/3*x1*pdth1*th1 - 1/3*x1^2*pdx1\n"
+    assert result.exit_code == 0, result.output
+    assert result.output == want.output
+
+
 # A 4|4 supermatrix over the ring 2|2; the printed Berezinian was pinned
 # from the Leibniz determinant and adjugate inverse that det_even and
 # inv_even replaced.

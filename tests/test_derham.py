@@ -14,6 +14,7 @@ from supercalc.algebra import (
     GeneratorTable,
     RationalFunction,
     SuperPoly,
+    absorb_even_exponents,
     transport,
 )
 from supercalc.charts import Chart, CoordinateMap, compose_maps, conic_transition
@@ -118,6 +119,28 @@ class TestHomotopy:
         omega = gen(E12, "dx") * RationalFunction(SuperPoly.one(E12), z)
         with pytest.raises(ValueError, match="unsupported"):
             homotopy_h(omega)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_absorbed_form_has_the_same_homotopy(self, shape):
+        chart = Chart.standard(*shape)
+        ext = form_table(chart.table)
+        fibers = [gen(ext, "d" + n) for n in chart.coordinate_names]
+        rng = random.Random(12)
+        for _ in range(15):
+            omega = SuperPoly.zero(ext)
+            for _k in range(3):
+                f = transport(random_superpoly(rng, chart.table, max_exp=2), ext)
+                for _j in range(rng.randint(1, 2)):
+                    f = f * rng.choice(fibers)
+                omega = omega + f
+            h = homotopy_h(omega)
+            assert str(homotopy_h(absorb_even_exponents(omega))) == str(h)
+
+    def test_absorbed_quotient_that_is_a_polynomial(self):
+        # x^2 sits in the monomial and 1/x in its coefficient
+        x = gen(E12, "x")
+        quotient = x * x * RationalFunction(SuperPoly.one(E12), x)
+        assert homotopy_h(gen(E12, "dx") * quotient) == homotopy_h(x * gen(E12, "dx"))
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_homotopy_identity(self, seed):

@@ -1,6 +1,6 @@
 """Every exported name of the public modules resolves, the monomial
-encoding stays private to ``supercalc.algebra``, and no module expands
-over permutations."""
+encoding and the coefficient types stay private to ``supercalc.algebra``,
+and no module expands over permutations."""
 
 import ast
 import importlib
@@ -37,6 +37,22 @@ def test_only_algebra_reads_the_monomial_encoding():
         for path in sorted(src.glob("*.py")) if path.name != "algebra.py"
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if _PRIVATE_ENCODING.search(line)]
+    assert not offenders, "\n".join(offenders)
+
+
+# A type test on a RationalFunction: what a coefficient is gets decided in
+# algebra.py alone.  Building one (the conic chart does) is allowed.
+_COEFFICIENT_TYPE_TEST = re.compile(
+    r"isinstance\(.*RationalFunction|type\(.*\)\s*(?:is|==)\s*RationalFunction")
+
+
+def test_only_algebra_tells_coefficient_types_apart():
+    src = pathlib.Path(supercalc.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(src.glob("*.py")) if path.name != "algebra.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if _COEFFICIENT_TYPE_TEST.search(line)]
     assert not offenders, "\n".join(offenders)
 
 

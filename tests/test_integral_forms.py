@@ -9,7 +9,9 @@ import pytest
 from supercalc.algebra import (
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
+    RationalFunction,
     SuperPoly,
+    absorb_even_exponents,
     transport,
 )
 from supercalc.charts import Chart, CoordinateMap, conic_transition
@@ -441,6 +443,23 @@ class TestHomotopy:
             u = IntegralForm(chart, random_superpoly(rng, table,
                                                      terms=3, max_exp=2))
             assert anticommutator(u) == u - cohomology_projection(u)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_absorbed_twin_has_the_same_homotopy(self, shape):
+        chart = Chart.standard(*shape)
+        rng = random.Random(411)
+        for _ in range(15):
+            u = IntegralForm(chart, random_superpoly(rng, polyvector_table(chart),
+                                                     terms=4, max_exp=2))
+            twin = IntegralForm(chart, absorb_even_exponents(u.poly))
+            assert str(homotopy_int(twin)) == str(homotopy_int(u))
+            assert anticommutator(twin) == twin - cohomology_projection(twin)
+
+    def test_quotient_is_refused(self):
+        z = gen(P11, "z")
+        u = IntegralForm(R11, gen(P11, "pdth") * RationalFunction(SuperPoly.one(P11), z))
+        with pytest.raises(ValueError, match="non-polynomial coefficient"):
+            homotopy_int(u)
 
     def test_exact_elements_are_fully_recovered(self):
         rng = random.Random(410)

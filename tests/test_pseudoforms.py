@@ -7,13 +7,17 @@ from fractions import Fraction
 import pytest
 
 from supercalc import randoms
-from supercalc.algebra import SuperPoly, absorb_even_exponents, transport
+from supercalc.algebra import (
+    SuperPoly,
+    absorb_even_exponents,
+    release_even_exponents,
+    transport,
+)
 from supercalc.charts import Chart, CoordinateMap, compose_maps
 from supercalc.derham import d, fiber_name, form_table
 from supercalc.integral_forms import (
     BerSection,
     IntegralForm,
-    _plain_polynomial,
     pair,
     polyvector_name,
     polyvector_table,
@@ -126,7 +130,7 @@ def form_pullback(m, eta):
         img = transport(m.images[name], src_ftab)
         assignment[name] = img
         assignment[fiber_name(name)] = d(img)
-    return _plain_polynomial(eta.substitute(assignment, src_ftab))
+    return release_even_exponents(eta.substitute(assignment, src_ftab))
 
 
 class TestCWAction:
@@ -268,6 +272,15 @@ class TestProducts:
             f = random_superpoly(rng, chart.table, terms=2, max_exp=2)
             assert (form_times_delta(a, delta_times_poly(w, f))
                     == delta_times_poly(form_times_delta(a, w), f))
+
+    def test_absorbed_forms_act_alike(self):
+        nonzero = 0
+        for rng, chart, w in self.draws(36):
+            a = random_superpoly(rng, form_table(chart.table), terms=3, max_exp=2)
+            out = form_times_delta(a, w)
+            assert form_times_delta(absorb_even_exponents(a), w) == out
+            nonzero += not out.is_zero()
+        assert nonzero >= 30
 
     def test_rational_coefficients_are_refused(self):
         chart = Chart.standard(1, 1)
@@ -457,7 +470,7 @@ class TestTransform:
             "th2": e2,
         })
         moved = DeltaForm.top(R12).transform(m)
-        ber = _plain_polynomial(m.ber_jacobian())
+        ber = release_even_exponents(m.ber_jacobian())
         assert moved == DeltaForm.top(src).times(ber)
 
     def test_pivot_berezinian_randomized_split(self):
@@ -469,7 +482,7 @@ class TestTransform:
             for _ in range(7):
                 m = random_split_map(rng, src, tgt)
                 moved = DeltaForm.top(tgt).transform(m)
-                ber = _plain_polynomial(m.ber_jacobian())
+                ber = release_even_exponents(m.ber_jacobian())
                 assert moved == DeltaForm.top(src).times(ber)
 
     def test_naturality_against_density_transform(self):
