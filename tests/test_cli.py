@@ -183,3 +183,46 @@ def test_ber_matrix_with_singular_reduced_d_is_a_usage_error(tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "singular reduced matrix" in result.output
+
+
+def _usage(command: str, operands: str, error: str) -> str:
+    return (f"Usage: main {command} [OPTIONS] {operands}\n"
+            f"Try 'main {command} --help' for help.\n\nError: {error}\n")
+
+
+# Every way of refusing input, pinned to the byte: the usage lines come from
+# the command's click context, the error text from the parser, the
+# evaluator, the library or the file readers.  {path} is the input file.
+@pytest.mark.parametrize("args, files, output", [
+    (["d", "--", "x1 +* x2"], {},
+     _usage("d", "EXPRESSION", "line 1, column 5: syntax error: unexpected '*'")),
+    (["d", "--ring", "1|1", "--", "pdx1"], {},
+     _usage("d", "EXPRESSION", "line 1, column 1: unknown generator 'pdx1'")),
+    (["spencer-delta", "--", "Ber + x1"], {},
+     _usage("spencer-delta", "EXPRESSION",
+            "cannot add a density and a polynomial")),
+    (["pair", "--ring", "1|1", "--", "Ber @ 1", "dx1"], {},
+     _usage("pair", "DENSITY FORM", "form degree exceeds the polyvector "
+            "degree of the integral form")),
+    (["d", "--ring", "2x2", "--", "x1"], {},
+     _usage("d", "EXPRESSION",
+            "ring must look like p|q (for example 2|2), got '2x2'")),
+    (["jacobian", "--ring", "1|1", "{path}"], {"map": "x1 = x1\n"},
+     _usage("jacobian", "MAP_FILE", "{path}: no image given for th1")),
+    (["jacobian", "--ring", "1|1", "{path}"], {"map": "x1 = x1\nfoo\n"},
+     _usage("jacobian", "MAP_FILE", "line 2, column 1: {path}: expected "
+            "'coordinate = expression', got 'foo'")),
+    (["ber-matrix", "--ring", "1|1", "{path}"],
+     {"matrix": '{"p": 1, "q": 1, "rows": [["1"]]}'},
+     _usage("ber-matrix", "MATRIX_FILE",
+            "{path}: rows must form a square of side p+q = 2")),
+])
+def test_refusals_print_usage_and_the_exact_error(tmp_path, args, files,
+                                                  output):
+    path = ""
+    for name, text in files.items():
+        path = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    result = CliRunner().invoke(main, [a.format(path=path) for a in args])
+    assert result.exit_code == 2
+    assert result.output == output.format(path=path)
