@@ -34,7 +34,6 @@ from supercalc.pseudoforms import (
     from_integral_form,
     gaussian_fiber_integral,
     to_integral_form,
-    unsafe_middle_picture,
 )
 from supercalc.supermatrix import SuperMatrix
 
@@ -66,5 +65,4 @@ __all__ = [
     "susy_generator",
     "susy_variation",
     "to_integral_form",
-    "unsafe_middle_picture",
 ]

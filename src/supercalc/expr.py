@@ -1,0 +1,851 @@
+"""The expression language of the command line: text to values and back.
+
+One invocation works over one ring R^{p|q} (:class:`Ring`); the
+coordinates are then named x1..xp and th1..thq, their fiber letters
+dx1../dth1.., and the polyvector letters pdx1../pdth1...  Expressions in
+those generators parse to polynomials, differential forms, delta forms,
+densities (written ``Ber @ coefficient``) and differential operators
+(words in dd_x1../dd_th1..), and every printer emits text the parser
+accepts back, so command outputs can be fed to further commands.
+
+The grammar is the usual one for polynomials: sums, differences,
+products (``*`` or juxtaposition, so a printed delta term such as
+``(x1) dx1 del(dth1)`` reads back), quotients, integer powers (``^`` or
+``**``) and parentheses.  ``Ber @ f`` and ``Ber * f`` build a density;
+``del(dth1)`` and ``del(dth1, l)`` are the delta factors of a delta term,
+one for each odd fiber direction; trailing ``gauss(x1,..)``,
+``dirac(x1, point)`` and ``formal(x1,..)`` tags weight the expression for
+integration.
+
+Input that cannot be used raises :class:`ExpressionError`, a
+``ValueError``; a syntax error names its line and column.  The module
+does not depend on any command line toolkit.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from fractions import Fraction
+from typing import Callable, NamedTuple
+
+from supercalc.algebra import SuperPoly, absorb_even_exponents, transport
+from supercalc.charts import Chart, CoordinateMap
+from supercalc.derham import fiber_name, form_table
+from supercalc.diffops import DiffOp
+from supercalc.integral_forms import IntegralForm, polyvector_table
+from supercalc.pseudoforms import DeltaForm, delta_times_poly, form_times_delta
+from supercalc.supermatrix import SuperMatrix
+
+MATRIX_FORMAT = "supercalc.matrix.v1"
+
+
+class ExpressionError(ValueError):
+    """Input text the parser or evaluator cannot use."""
+
+    def __init__(self, message: str, line: int | None = None,
+                 column: int | None = None):
+        if line is not None:
+            message = f"line {line}, column {column}: {message}"
+        super().__init__(message)
+
+
+# --- tokens ----------------------------------------------------------------
+
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|\*\*|[-+*/^@(),=]|\S")
+
+
+class Token(NamedTuple):
+    kind: str  # "name", "int", a punctuation string, or "end"
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> list[Token]:
+    out: list[Token] = []
+    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        for m in _TOKEN.finditer(line):
+            piece = m.group()
+            col = m.start() + 1
+            if piece[0].isdigit():
+                out.append(Token("int", piece, lineno, col))
+            elif piece[0].isalpha() or piece[0] == "_":
+                out.append(Token("name", piece, lineno, col))
+            elif piece == "**":
+                out.append(Token("^", "^", lineno, col))
+            elif piece in "+-*/^@(),=":
+                out.append(Token(piece, piece, lineno, col))
+            else:
+                raise ExpressionError(
+                    f"syntax error: unexpected character {piece!r}",
+                    lineno, col)
+    last = out[-1] if out else None
+    out.append(Token("end", "", last.line if last else 1,
+                     last.column + len(last.text) if last else 1))
+    return out
+
+
+# --- syntax trees ----------------------------------------------------------
+#
+# Nodes are plain tuples: ("int", Fraction, tok), ("name", str, tok),
+# ("call", fname, [args], tok), ("neg", a), ("add", a, b), ("sub", a, b),
+# ("mul", a, b), ("div", a, b, tok), ("pow", a, k, tok), ("at", a, b, tok).
+
+_CALLS = ("del", "gauss", "dirac", "formal")
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def take(self) -> Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        tok = self.take()
+        if tok.kind != kind:
+            shown = tok.text or "end of input"
+            raise ExpressionError(
+                f"syntax error: expected {kind!r}, found {shown!r}",
+                tok.line, tok.column)
+        return tok
+
+    def parse(self):
+        node = self.sum()
+        if self.peek().kind == "@":
+            tok = self.take()
+            node = ("at", node, self.sum(), tok)
+            if self.peek().kind == "@":
+                bad = self.peek()
+                raise ExpressionError(
+                    "syntax error: a density takes a single '@' separator",
+                    bad.line, bad.column)
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExpressionError(
+                f"syntax error: unexpected {tok.text!r}", tok.line, tok.column)
+        return node
+
+    def sum(self):
+        node = self.product()
+        while self.peek().kind in ("+", "-"):
+            op = self.take()
+            rhs = self.product()
+            node = ("add" if op.kind == "+" else "sub", node, rhs)
+        return node
+
+    def product(self):
+        node = self.power()
+        while True:
+            tok = self.peek()
+            if tok.kind == "*":
+                self.take()
+                node = ("mul", node, self.power())
+            elif tok.kind == "/":
+                self.take()
+                node = ("div", node, self.power(), tok)
+            elif tok.kind in ("name", "int", "("):
+                # juxtaposition reads as multiplication, so rendered
+                # delta forms like "(x1) dx1 del(dth1)" parse back
+                node = ("mul", node, self.power())
+            else:
+                return node
+
+    def power(self):
+        node = self.atom()
+        if self.peek().kind == "^":
+            tok = self.take()
+            exp = self.expect("int")
+            node = ("pow", node, int(exp.text), tok)
+        return node
+
+    def atom(self):
+        tok = self.take()
+        if tok.kind == "-":
+            return ("neg", self.power())
+        if tok.kind == "+":
+            return self.power()
+        if tok.kind == "(":
+            node = self.sum()
+            self.expect(")")
+            return node
+        if tok.kind == "int":
+            return ("int", Fraction(tok.text), tok)
+        if tok.kind == "name":
+            if tok.text in _CALLS:
+                self.expect("(")
+                args = [self.sum()]
+                while self.peek().kind == ",":
+                    self.take()
+                    args.append(self.sum())
+                self.expect(")")
+                return ("call", tok.text, args, tok)
+            return ("name", tok.text, tok)
+        shown = tok.text or "end of input"
+        raise ExpressionError(f"syntax error: unexpected {shown!r}",
+                              tok.line, tok.column)
+
+
+# --- the ring --------------------------------------------------------------
+
+
+class Ring:
+    """The single chart of an invocation, with every generator layer.
+
+    Names follow one scheme so the three tables resolve without
+    declarations: x1..xp and th1..thq on the base, dx*/dth* on the form
+    layer, pdx*/pdth* on the polyvector layer, dd_x*/dd_th* for
+    derivative symbols.
+    """
+
+    def __init__(self, p: int, q: int):
+        self.p = p
+        self.q = q
+        self.chart = Chart.standard(p, q)
+        self.ftab = form_table(self.chart.table)
+        self.ptab = polyvector_table(self.chart)
+        names = self.chart.coordinate_names
+        self.fiber_names = {fiber_name(n): n for n in names}
+
+    @classmethod
+    def parse(cls, text: str) -> "Ring":
+        """The ring written ``p|q``."""
+        m = re.fullmatch(r"(\d+)\|(\d+)", text.strip())
+        if not m:
+            raise ValueError(
+                f"ring must look like p|q (for example 2|2), got {text!r}")
+        return cls(int(m.group(1)), int(m.group(2)))
+
+    def describe(self) -> str:
+        return f"{self.p}|{self.q}"
+
+
+# --- evaluated values ------------------------------------------------------
+
+BASE, FORM, PV = "base", "form", "pv"
+
+
+class Poly(NamedTuple):
+    poly: SuperPoly
+    layer: str
+
+
+class Markers(NamedTuple):
+    gaussian: frozenset
+    dirac: tuple  # sorted (name, Fraction) pairs
+    formal: frozenset
+
+    @classmethod
+    def none(cls) -> "Markers":
+        return cls(frozenset(), (), frozenset())
+
+    def merged(self, other: "Markers") -> "Markers":
+        return Markers(self.gaussian | other.gaussian,
+                       tuple(sorted(dict(self.dirac + other.dirac).items())),
+                       self.formal | other.formal)
+
+    def kwargs(self) -> dict:
+        """The keyword arguments of :func:`berezin_integral`."""
+        return {"gaussian": sorted(self.gaussian), "dirac": dict(self.dirac),
+                "formal": sorted(self.formal)}
+
+    def __bool__(self):
+        return bool(self.gaussian or self.dirac or self.formal)
+
+
+class Marked(NamedTuple):
+    value: object
+    markers: Markers
+
+
+class BerPending(NamedTuple):
+    """A ``Ber`` factor whose coefficient is still being collected."""
+    poly: SuperPoly  # over the polyvector table
+
+
+def _table(ring: Ring, layer: str):
+    if layer == BASE:
+        return ring.chart.table
+    return ring.ftab if layer == FORM else ring.ptab
+
+
+def _lift(ring: Ring, value: Poly, layer: str) -> SuperPoly:
+    if value.layer == layer:
+        return value.poly
+    if value.layer == BASE:
+        return transport(value.poly, _table(ring, layer))
+    raise ExpressionError(
+        "differential letters and polyvector letters cannot mix")
+
+
+def _join_layers(a: str, b: str) -> str:
+    if a == b or b == BASE:
+        return a
+    if a == BASE:
+        return b
+    raise ExpressionError(
+        "differential letters and polyvector letters cannot mix")
+
+
+# --- value kinds -----------------------------------------------------------
+
+
+def _on_layer(layer: str):
+    """A number or a polynomial of a lower layer, as a polynomial on
+    ``layer``."""
+    def coerce(ring: Ring, value):
+        if isinstance(value, Fraction):
+            return SuperPoly.constant(_table(ring, layer), value)
+        if isinstance(value, Poly):
+            return _lift(ring, value, layer)
+        return None
+    return coerce
+
+
+def _delta_form(ring: Ring, value):
+    if isinstance(value, DeltaForm):
+        return value
+    if isinstance(value, Fraction) and value == 0:
+        return DeltaForm.zero(ring.chart)
+    if ring.q == 0 and isinstance(value, (Fraction, Poly)):
+        # with no odd fiber direction a delta term is just a form
+        vacuum = DeltaForm(ring.chart, {((0,) * ring.p, ()): 1})
+        return form_times_delta(want(ring, value, FORM), vacuum)
+    return None
+
+
+def _density(ring: Ring, value):
+    return value if isinstance(value, IntegralForm) else None
+
+
+class _Kind(NamedTuple):
+    noun: str  # what a refusal calls a value of this kind
+    coerce: Callable | None = None  # (ring, value) -> the value as one, or None
+    wanted: str | None = None  # what a refusal calls it when it was expected
+
+
+# One row per kind of value, keyed by a polynomial's layer and otherwise by
+# the value's type.
+_KINDS = {
+    Fraction: _Kind("a number"),
+    BASE: _Kind("a polynomial", _on_layer(BASE)),
+    FORM: _Kind("a differential form", _on_layer(FORM)),
+    # the coefficient of Ber: a polynomial in base and polyvector letters
+    PV: _Kind("a polyvector", _on_layer(PV), "a polynomial"),
+    DiffOp: _Kind("a differential operator"),
+    DeltaForm: _Kind("a delta form", _delta_form, "a delta form with one "
+                     "del(...) factor per odd fiber direction"),
+    IntegralForm: _Kind("a density", _density,
+                        "a density (written Ber @ coefficient)"),
+    BerPending: _Kind("a density"),
+}
+
+
+def _describe(value) -> str:
+    """What a refusal calls ``value``."""
+    if isinstance(value, Marked):
+        value = value.value
+    kind = _KINDS.get(value.layer if isinstance(value, Poly) else type(value))
+    return kind.noun if kind else type(value).__name__
+
+
+def want(ring: Ring, value, key):
+    """``value`` as the kind ``key`` names: a polynomial on the layer BASE,
+    FORM or PV, a DeltaForm or an IntegralForm.  Anything else raises an
+    :class:`ExpressionError` naming both kinds."""
+    kind = _KINDS[key]
+    out = kind.coerce(ring, value)
+    if out is None:
+        raise ExpressionError(
+            f"expected {kind.wanted or kind.noun}, got {_describe(value)}")
+    return out
+
+
+# --- evaluation ------------------------------------------------------------
+
+
+class Evaluator:
+    def __init__(self, ring: Ring):
+        self.ring = ring
+
+    def run(self, node):
+        return self._finish(self.eval(node))
+
+    def _finish(self, value):
+        if isinstance(value, Marked):
+            return Marked(self._finish(value.value), value.markers)
+        if isinstance(value, BerPending):
+            return IntegralForm(self.ring.chart, value.poly)
+        return value
+
+    def eval(self, node):
+        head = node[0]
+        if head == "int":
+            return node[1]
+        if head == "name":
+            return self.name(node[1], node[2])
+        if head == "neg":
+            return self.neg(self.eval(node[1]))
+        if head == "add":
+            return self.add(self.eval(node[1]), self.eval(node[2]))
+        if head == "sub":
+            return self.add(self.eval(node[1]), self.neg(self.eval(node[2])))
+        if head == "mul":
+            return self.product(_flatten_mul(node))
+        if head == "div":
+            return self.div(self.eval(node[1]), self.eval(node[2]), node[3])
+        if head == "pow":
+            return self.pow(node[1], node[2], node[3])
+        if head == "at":
+            return self.at(node[1], node[2], node[3])
+        if head == "call":
+            return self.call(node)
+        raise AssertionError(head)
+
+    def name(self, text: str, tok: Token):
+        ring = self.ring
+        if text == "Ber":
+            return BerPending(SuperPoly.one(ring.ptab))
+        if text in ring.chart.coordinate_names:
+            return Poly(SuperPoly.generator(ring.chart.table, text), BASE)
+        if text in ring.fiber_names:
+            return Poly(SuperPoly.generator(ring.ftab, text), FORM)
+        if text.startswith("dd_"):
+            coord = text[3:]
+            if coord in ring.chart.coordinate_names:
+                return DiffOp.partial(ring.chart.table, coord)
+        raise ExpressionError(f"unknown generator {text!r}",
+                              tok.line, tok.column)
+
+    def call(self, node):
+        _, fname, args, tok = node
+        if fname == "del":
+            raise ExpressionError(
+                "a delta factor must multiply the rest of its term",
+                tok.line, tok.column)
+        if fname == "dirac":
+            if len(args) != 2:
+                raise ExpressionError("dirac takes a coordinate and a point",
+                                      tok.line, tok.column)
+            name = _marker_name(args[0], tok)
+            point = self.eval(args[1])
+            if not isinstance(point, Fraction):
+                raise ExpressionError("dirac points must be rational numbers",
+                                      tok.line, tok.column)
+            return Markers(frozenset(), ((name, point),), frozenset())
+        names = frozenset(_marker_name(a, tok) for a in args)
+        if fname == "gauss":
+            return Markers(names, (), frozenset())
+        return Markers(frozenset(), (), names)
+
+    def neg(self, value):
+        if isinstance(value, Fraction):
+            return -value
+        if isinstance(value, Poly):
+            return Poly(-value.poly, value.layer)
+        if isinstance(value, (DiffOp, DeltaForm, IntegralForm)):
+            return -value
+        if isinstance(value, BerPending):
+            return BerPending(-value.poly)
+        if isinstance(value, Marked):
+            return Marked(self.neg(value.value), value.markers)
+        raise ExpressionError(f"cannot negate {_describe(value)}")
+
+    def add(self, a, b):
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return a + b
+        if isinstance(a, DeltaForm) or isinstance(b, DeltaForm):
+            return self._delta_sum(a, b)
+        if isinstance(a, (IntegralForm, BerPending)) or \
+                isinstance(b, (IntegralForm, BerPending)):
+            return self._density_sum(a, b)
+        if isinstance(a, DiffOp) or isinstance(b, DiffOp):
+            return self._as_op(a) + self._as_op(b)
+        if isinstance(a, (Fraction, Poly)) and isinstance(b, (Fraction, Poly)):
+            layer = _join_layers(a.layer if isinstance(a, Poly) else BASE,
+                                 b.layer if isinstance(b, Poly) else BASE)
+            return Poly(want(self.ring, a, layer) + want(self.ring, b, layer),
+                        layer)
+        raise ExpressionError(
+            f"cannot add {_describe(a)} and {_describe(b)}")
+
+    def _density_sum(self, a, b):
+        out = IntegralForm(self.ring.chart, SuperPoly.zero(self.ring.ptab))
+        for v in (a, b):
+            v = self._finish(v)
+            if isinstance(v, IntegralForm):
+                out = out + v
+            elif isinstance(v, Fraction) and v == 0:
+                continue
+            else:
+                raise ExpressionError(
+                    f"cannot add a density and {_describe(v)}")
+        return out
+
+    def _delta_sum(self, a, b):
+        out = DeltaForm.zero(self.ring.chart)
+        for v in (a, b):
+            if isinstance(v, DeltaForm):
+                out = out + v
+            elif isinstance(v, Fraction) and v == 0:
+                continue
+            else:
+                raise ExpressionError(
+                    f"cannot add a delta form and {_describe(v)}")
+        return out
+
+    def _as_op(self, value) -> DiffOp:
+        if isinstance(value, DiffOp):
+            return value
+        if isinstance(value, (Fraction, Poly)):
+            return DiffOp.multiplication(want(self.ring, value, BASE))
+        raise ExpressionError(
+            f"cannot use {_describe(value)} in an operator expression")
+
+    def product(self, factors: list):
+        if any(_is_delta_letter(f) for f in factors):
+            return self._delta_term(factors)
+        value = self.eval(factors[0])
+        for node in factors[1:]:
+            value = self.mul(value, self.eval(node))
+        return value
+
+    def mul(self, a, b):
+        ring = self.ring
+        if isinstance(b, Markers):
+            if isinstance(a, Markers):
+                return a.merged(b)
+            if isinstance(a, Marked):
+                return Marked(a.value, a.markers.merged(b))
+            return Marked(a, b)
+        if isinstance(a, Markers):
+            raise ExpressionError(
+                "marker tags (gauss, dirac, formal) go after the expression")
+        if isinstance(a, Marked) or isinstance(b, Marked):
+            raise ExpressionError(
+                "marker tags must close the expression they weight")
+        if isinstance(b, BerPending):
+            if isinstance(a, Fraction):
+                return BerPending(b.poly.scale(a))
+            raise ExpressionError(
+                "write densities with Ber leftmost: Ber * coefficient")
+        if isinstance(a, BerPending):
+            return BerPending(a.poly * want(ring, b, PV))
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return a * b
+        if isinstance(a, Fraction):
+            return self._scale(b, a)
+        if isinstance(b, Fraction):
+            return self._scale(a, b)
+        if isinstance(a, DiffOp) or isinstance(b, DiffOp):
+            if isinstance(a, DiffOp) and isinstance(b, DiffOp):
+                return a.compose(b)
+            if isinstance(a, Poly):
+                return self._as_op(b).left_multiply(want(ring, a, BASE))
+            return a.compose(self._as_op(b))
+        if isinstance(a, DeltaForm) and isinstance(b, DeltaForm):
+            raise ExpressionError(
+                "the product of two full delta forms vanishes identically; "
+                "build one term with all its delta factors instead")
+        if isinstance(a, DeltaForm):
+            return delta_times_poly(a, want(ring, b, BASE))
+        if isinstance(b, DeltaForm):
+            if isinstance(a, Poly) and a.layer == FORM:
+                return form_times_delta(a.poly, b)
+            return b.times(want(ring, a, BASE))
+        if isinstance(a, Poly) and isinstance(b, Poly):
+            layer = _join_layers(a.layer, b.layer)
+            return Poly(_lift(ring, a, layer) * _lift(ring, b, layer), layer)
+        raise ExpressionError(
+            f"cannot multiply {_describe(a)} and {_describe(b)}")
+
+    def _scale(self, value, c: Fraction):
+        if isinstance(value, Poly):
+            return Poly(value.poly.scale(c), value.layer)
+        if isinstance(value, (DiffOp, DeltaForm)):
+            return value.scale(c)
+        raise ExpressionError(f"cannot scale {_describe(value)}")
+
+    def div(self, a, b, tok: Token):
+        if isinstance(b, Fraction):
+            if b == 0:
+                raise ExpressionError("division by zero",
+                                      tok.line, tok.column)
+            return self.mul(a, 1 / b)
+        if isinstance(b, Poly):
+            layer = b.layer
+            try:
+                inv = absorb_even_exponents(b.poly).inverse()
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ExpressionError(f"cannot divide: {exc}",
+                                      tok.line, tok.column)
+            return self.mul(a, Poly(inv, layer))
+        raise ExpressionError(f"cannot divide by {_describe(b)}",
+                              tok.line, tok.column)
+
+    def pow(self, base_node, k: int, tok: Token):
+        if _is_delta_letter(base_node):
+            raise ExpressionError(
+                "raise delta factors inside their own term",
+                tok.line, tok.column)
+        value = self.eval(base_node)
+        if k == 0:
+            return Fraction(1)
+        if isinstance(value, Fraction):
+            return value ** k
+        if isinstance(value, Poly):
+            return Poly(value.poly ** k, value.layer)
+        if isinstance(value, DiffOp):
+            out = value
+            for _ in range(k - 1):
+                out = out.compose(value)
+            return out
+        raise ExpressionError(f"cannot raise {_describe(value)} to a power",
+                              tok.line, tok.column)
+
+    def at(self, lhs_node, rhs_node, tok: Token):
+        lhs = self.eval(lhs_node)
+        if not isinstance(lhs, BerPending):
+            raise ExpressionError(
+                "'@' attaches a coefficient to Ber; the left side must be "
+                "Ber or Ber * f", tok.line, tok.column)
+        rhs = self.eval(rhs_node)
+        markers = Markers.none()
+        if isinstance(rhs, Marked):
+            rhs, markers = rhs.value, rhs.markers
+        poly = lhs.poly * want(self.ring, rhs, PV)
+        form = IntegralForm(self.ring.chart, poly)
+        return Marked(form, markers) if markers else form
+
+    # -- delta terms --------------------------------------------------------
+
+    def _delta_term(self, factors: list):
+        """One product containing delta factors, in the written order.
+
+        The del(...) factors make the term's delta symbols.  Every other
+        factor first moves left past the delta symbols written before it,
+        its odd part changing sign at each (they are odd), and then acts
+        from the left, innermost first: a function as a coefficient, a
+        form through :func:`form_times_delta`.
+        """
+        ring = self.ring
+        letters: list = []
+        actions: list = []
+        for node in factors:
+            letter = self._delta_letter(node)
+            if letter is _ZERO_LETTER:
+                return DeltaForm.zero(ring.chart)
+            if letter is not None:
+                letters.append(letter)
+                continue
+            value = self.eval(node)
+            is_form = isinstance(value, Poly) and value.layer == FORM
+            poly = value.poly if is_form else want(ring, value, BASE)
+            if len(letters) % 2:
+                even, odd = poly.homogeneous_parts()
+                poly = even - odd
+            if actions and actions[-1][0] == is_form:
+                # neighbours of one kind act as their product
+                actions[-1] = (is_form, actions[-1][1] * poly)
+            else:
+                actions.append((is_form, poly))
+        # a function next to the deltas is the coefficient of their term
+        inner = actions.pop()[1] if actions and not actions[-1][0] else 1
+        out = DeltaForm.from_factors(ring.chart, inner, letters)
+        for is_form, poly in reversed(actions):
+            out = form_times_delta(poly, out) if is_form else out.times(poly)
+        return out
+
+    def _delta_letter(self, node):
+        """A del(...) factor or a power of one, else None."""
+        if node[0] == "pow":
+            inner = self._delta_letter(node[1])
+            if inner is None:
+                return None
+            k = node[2]
+            if k == 0:
+                raise ExpressionError(
+                    "a delta factor to the power zero drops its slot; "
+                    "remove it or give every odd fiber direction a factor",
+                    node[3].line, node[3].column)
+            return inner if k == 1 else _ZERO_LETTER
+        if node[0] != "call" or node[1] != "del":
+            return None
+        _, _, args, tok = node
+        if not 1 <= len(args) <= 2:
+            raise ExpressionError("del takes a fiber letter and an "
+                                  "optional order", tok.line, tok.column)
+        name = _marker_name(args[0], tok)
+        if name not in self.ring.fiber_names or \
+                self.ring.fiber_names[name] not in self.ring.chart.odd_names:
+            raise ExpressionError(
+                f"del expects an odd fiber letter such as dth1, got {name!r}",
+                tok.line, tok.column)
+        order = 0
+        if len(args) == 2:
+            val = self.eval(args[1])
+            if not isinstance(val, Fraction) or val.denominator != 1 or val < 0:
+                raise ExpressionError("delta orders are nonnegative integers",
+                                      tok.line, tok.column)
+            order = int(val)
+        return (name, order)
+
+
+_ZERO_LETTER = object()
+
+
+def _flatten_mul(node) -> list:
+    out = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n[0] == "mul":
+            stack.append(n[2])
+            stack.append(n[1])
+        else:
+            out.append(n)
+    return out
+
+
+def _is_delta_letter(node) -> bool:
+    if node[0] == "pow":
+        return _is_delta_letter(node[1])
+    return node[0] == "call" and node[1] == "del"
+
+
+def _marker_name(node, tok: Token) -> str:
+    if node[0] != "name":
+        raise ExpressionError("expected a coordinate or fiber letter here",
+                              tok.line, tok.column)
+    return node[1]
+
+
+def parse_value(text: str, ring: Ring):
+    """Parse one expression; the value plus any marker tags it carried."""
+    try:
+        node = _Parser(text).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
+    value = Evaluator(ring).run(node)
+    if isinstance(value, Marked):
+        return value.value, value.markers
+    if isinstance(value, Markers):
+        raise ExpressionError("marker tags need an expression to weight")
+    return value, Markers.none()
+
+
+# --- printers --------------------------------------------------------------
+
+
+def render(value) -> str:
+    """Text that :func:`parse_value` reads back as ``value``."""
+    if isinstance(value, Poly):
+        return str(value.poly)
+    if isinstance(value, Marked):
+        # tags weight the product they close, so the value goes in
+        # parentheses: a density's coefficient, anything else whole
+        inner = value.value
+        text = (f"Ber @ ({inner.poly})" if isinstance(inner, IntegralForm)
+                else f"({render(inner)})")
+        tags = []
+        if value.markers.gaussian:
+            tags.append("gauss(" + ",".join(sorted(value.markers.gaussian)) + ")")
+        for name, point in value.markers.dirac:
+            tags.append(f"dirac({name},{point})")
+        if value.markers.formal:
+            tags.append("formal(" + ",".join(sorted(value.markers.formal)) + ")")
+        return " ".join([text] + tags)
+    return str(value)
+
+
+def matrix_json(m: SuperMatrix) -> dict:
+    """The JSON object :func:`read_matrix_file` reads back as ``m``."""
+    return {"format": MATRIX_FORMAT, "p": m.p, "q": m.q,
+            "rows": [[str(e) for e in row] for row in m.rows()]}
+
+
+# --- files -----------------------------------------------------------------
+#
+# Refusals name the file, except syntax errors, which name the line.
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(str(exc))
+
+
+def read_expression_file(path: str, ring: Ring):
+    """An expression file: comment lines start with '#', the rest is
+    one expression (line breaks allowed)."""
+    lines = [line for line in _read_text(path).splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    if not lines:
+        raise ValueError(f"{path}: no expression found")
+    return parse_value(" ".join(lines), ring)
+
+
+def read_map_file(path: str, ring: Ring) -> CoordinateMap:
+    """A coordinate change written one line per coordinate: name = expr."""
+    images: dict[str, SuperPoly] = {}
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, eq, rhs = line.partition("=")
+        name = name.strip()
+        if not eq or name not in ring.chart.coordinate_names:
+            raise ExpressionError(
+                f"{path}: expected 'coordinate = expression', got {line!r}",
+                lineno, 1)
+        value, markers = parse_value(rhs, ring)
+        if markers:
+            raise ExpressionError(f"{path}: marker tags do not belong in a "
+                                  "coordinate change", lineno, 1)
+        images[name] = want(ring, value, BASE)
+    missing = [n for n in ring.chart.coordinate_names if n not in images]
+    if missing:
+        raise ValueError(f"{path}: no image given for {', '.join(missing)}")
+    try:
+        return CoordinateMap(ring.chart, ring.chart, images)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_matrix_file(path: str, ring: Ring) -> SuperMatrix:
+    """A supermatrix as JSON: ``p``, ``q`` and ``rows`` of expressions."""
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for key in ("p", "q", "rows"):
+        if key not in data:
+            raise ValueError(f"{path}: missing field {key!r}")
+    p, q = int(data["p"]), int(data["q"])
+    rows_text = data["rows"]
+    if len(rows_text) != p + q or any(len(r) != p + q for r in rows_text):
+        raise ValueError(
+            f"{path}: rows must form a square of side p+q = {p + q}")
+    rows = []
+    for r in rows_text:
+        row = []
+        for entry in r:
+            value, markers = parse_value(str(entry), ring)
+            if markers:
+                raise ValueError(
+                    f"{path}: marker tags do not belong in a matrix")
+            row.append(want(ring, value, BASE))
+        rows.append(row)
+    try:
+        return SuperMatrix.from_rows(ring.chart.table, p, q, rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -10,8 +10,7 @@ fiber letters dx_i times one delta factor per even fiber direction,
 where del^{(l)} denotes the l-th derivative of the delta symbol.  Every
 term carries all q delta slots; that maximal picture is the only one
 with a usable change-of-coordinates rule, so :class:`DeltaForm` enforces
-it and :func:`unsafe_middle_picture` exists separately for bookkeeping
-with fewer slots.
+it.
 
 The delta symbols are formal.  No measure theory enters: the calculus is
 fixed by the module relations over the fiber letters, namely that dth
@@ -63,7 +62,6 @@ from supercalc.supermatrix import det_even, inv_even
 __all__ = [
     "CWOperator",
     "DeltaForm",
-    "MiddlePictureSymbol",
     "cw_apply",
     "delta_times_poly",
     "fiber_integral",
@@ -71,7 +69,6 @@ __all__ = [
     "from_integral_form",
     "gaussian_fiber_integral",
     "to_integral_form",
-    "unsafe_middle_picture",
 ]
 
 # A term key is (eps, ells): eps marks which dx letters are present,
@@ -148,8 +145,7 @@ class DeltaForm:
         come in any order; the normalization to the canonical order
         counts transpositions of the odd letters.  A repeated dx letter
         squares to zero; a repeated or missing delta slot is an error
-        because sub-maximal pictures have no delta-form calculus (see
-        :func:`unsafe_middle_picture`).
+        because sub-maximal pictures have no delta-form calculus.
         """
         even_fibers = {fiber_name(n): i for i, n in enumerate(chart.even_names)}
         odd_fibers = {fiber_name(n): a for a, n in enumerate(chart.odd_names)}
@@ -183,8 +179,8 @@ class DeltaForm:
                        for a in range(chart.q) if a not in orders]
             raise ValueError(
                 f"every odd fiber direction needs exactly one delta factor "
-                f"(missing {', '.join(missing)}); sub-maximal pictures only "
-                "exist as unvalidated bookkeeping symbols")
+                f"(missing {', '.join(missing)}); sub-maximal pictures have "
+                "no delta-form calculus")
         inversions = sum(1 for i in range(len(word)) for j in range(i + 1, len(word))
                          if word[i] > word[j])
         poly = _coerce_coefficient(chart, coefficient)
@@ -672,66 +668,3 @@ def gaussian_fiber_integral(chart: Chart, form, gaussian: Iterable[str] = ()
     weight = PiValue.pi_power(Fraction(len(gaussian), 2))
     return weight, BerSection(chart, out)
 
-
-# --- sub-maximal pictures -------------------------------------------------------
-
-
-class MiddlePictureSymbol:
-    """A formal term with fewer delta slots than odd fiber directions.
-
-    This is bookkeeping only.  The symbol records a coefficient, a dx
-    word, and delta orders for a subset of the odd fiber directions, and
-    answers degree, picture, and parity questions.  It deliberately has
-    no calculus: no coordinate change exists for it, and it does not
-    convert to an integral form.  Build it through
-    :func:`unsafe_middle_picture`.
-    """
-
-    __slots__ = ("chart", "coefficient", "eps", "deltas")
-
-    def __init__(self, chart: Chart, coefficient: SuperPoly,
-                 eps: tuple[int, ...], deltas: dict[str, int]):
-        self.chart = chart
-        self.coefficient = coefficient
-        self.eps = eps
-        self.deltas = deltas
-
-    def z_degree(self) -> int:
-        return sum(self.eps) - sum(self.deltas.values())
-
-    def picture(self) -> int:
-        return len(self.deltas)
-
-    def parity(self) -> int | None:
-        fp = self.coefficient.parity()
-        if fp is None:
-            return None
-        return (len(self.deltas) + fp + sum(self.eps)) % 2
-
-    def __repr__(self) -> str:
-        letters = [fiber_name(n) for n, e in zip(self.chart.even_names, self.eps) if e]
-        letters += [f"del({n})" if l == 0 else f"del({n},{l})"
-                    for n, l in sorted(self.deltas.items())]
-        return f"<picture-{self.picture()} symbol ({self.coefficient}) {' '.join(letters)}>"
-
-
-def unsafe_middle_picture(chart: Chart, coefficient, eps: Sequence[int],
-                          deltas: Mapping[str, int]) -> MiddlePictureSymbol:
-    """Create a sub-maximal picture symbol without the coverage check.
-
-    The shapes are still validated (eps has one 0/1 entry per even
-    coordinate, delta keys are fiber names of odd coordinates), but any
-    subset of delta slots is accepted, including none.  Nothing beyond
-    grading bookkeeping is offered for the result.
-    """
-    eps = tuple(eps)
-    if len(eps) != chart.p or any(e not in (0, 1) for e in eps):
-        raise ValueError(f"need a 0/1 marker per even coordinate, got {eps}")
-    odd_fibers = {fiber_name(n) for n in chart.odd_names}
-    for name, order in deltas.items():
-        if name not in odd_fibers:
-            raise ValueError(f"unknown delta direction {name!r}")
-        if order < 0:
-            raise ValueError("delta derivative orders are nonnegative")
-    return MiddlePictureSymbol(chart, _coerce_coefficient(chart, coefficient),
-                               eps, dict(deltas))

@@ -11,8 +11,21 @@ import pytest
 from click.testing import CliRunner
 
 from supercalc.algebra import SuperPoly, transport
-from supercalc.cli import ExpressionError, Poly, Ring, main, parse_value
+from supercalc.cli import main
 from supercalc.diffops import DiffOp
+from supercalc.expr import (
+    FORM,
+    ExpressionError,
+    Marked,
+    Markers,
+    Poly,
+    Ring,
+    parse_value,
+    render,
+    want,
+)
+from supercalc.integral_forms import IntegralForm
+from supercalc.pseudoforms import DeltaForm, from_integral_form
 from supercalc.randoms import random_superpoly
 
 RING = Ring(2, 2)
@@ -61,6 +74,83 @@ def test_printed_diffops_parse_back():
             value = DiffOp.multiplication(parse_poly(str(op),
                                                      RING.chart.table))
         assert value == op, str(op)
+
+
+SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+ROUND_TRIPS = 100  # draws per shape
+
+
+def parse_as(text: str, ring: Ring, kind):
+    """Parse printer text as the kind a command would want."""
+    value, markers = parse_value(text, ring)
+    return want(ring, value, kind), markers
+
+
+@pytest.mark.parametrize("p, q", SHAPES)
+def test_printed_delta_forms_parse_back(p, q):
+    ring = Ring(p, q)
+    rng = random.Random(10 * p + q)
+    for _ in range(ROUND_TRIPS):
+        density = IntegralForm(ring.chart, random_superpoly(
+            rng, ring.ptab, terms=3, max_exp=2))
+        w = from_integral_form(density)
+        assert parse_as(str(w), ring, DeltaForm) == (w, Markers.none()), str(w)
+
+
+@pytest.mark.parametrize("p, q", SHAPES)
+def test_printed_top_degree_densities_parse_back(p, q):
+    ring = Ring(p, q)
+    rng = random.Random(20 * p + q)
+    for _ in range(ROUND_TRIPS):
+        u = IntegralForm(ring.chart, random_superpoly(
+            rng, ring.chart.table, terms=4, max_exp=2))
+        assert parse_as(str(u), ring, IntegralForm) == (u, Markers.none()), str(u)
+
+
+def random_markers(rng: random.Random, ring: Ring) -> Markers:
+    """At least one tag, and each even coordinate in at most one."""
+    tags = {n: rng.choice(("gauss", "dirac", "formal", None))
+            for n in ring.chart.even_names}
+    if not any(tags.values()):
+        tags[ring.chart.even_names[0]] = "gauss"
+    names = {tag: [n for n, t in tags.items() if t == tag] for tag in tags.values()}
+    pins = tuple((n, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                 for n in names.get("dirac", []))
+    return Markers(frozenset(names.get("gauss", [])), pins,
+                   frozenset(names.get("formal", [])))
+
+
+@pytest.mark.parametrize("p, q", SHAPES)
+def test_printed_tagged_values_parse_back(p, q):
+    ring = Ring(p, q)
+    rng = random.Random(30 * p + q)
+    for _ in range(ROUND_TRIPS):
+        markers = random_markers(rng, ring)
+        u = IntegralForm(ring.chart, random_superpoly(
+            rng, ring.chart.table, terms=4, max_exp=2))
+        text = render(Marked(u, markers))
+        assert parse_as(text, ring, IntegralForm) == (u, markers), text
+        omega = random_superpoly(rng, ring.ftab, terms=4, max_exp=2)
+        text = render(Marked(Poly(omega, FORM), markers))
+        assert parse_as(text, ring, FORM) == (omega, markers), text
+
+
+def test_a_delta_term_takes_any_form_factor():
+    def cw_apply(word, text):
+        return CliRunner().invoke(main, ["cw-apply", "--ring", "1|1", "--",
+                                         word, text])
+
+    product = cw_apply("dd_dth1", "(dx1+x1*dx1)*del(dth1)")
+    expanded = cw_apply("dd_dth1", "dx1*del(dth1) + x1*dx1*del(dth1)")
+    assert product.exit_code == 0, product.output
+    assert product.output == expanded.output == "(1 + x1) dx1 del(dth1,1)\n"
+    # a quotient by a coordinate may scale the term but not sit in a form
+    quotient = cw_apply("dd_dth1", "dx1/x1*del(dth1)")
+    assert quotient.exit_code == 2
+    assert "Error: non-polynomial coefficient" in quotient.output
+    assert cw_apply("dd_dth1", "1/x1*dx1*del(dth1)").output == \
+        "(1/x1) dx1 del(dth1,1)\n"
+    assert cw_apply("", "del(dth1)*dx1*th1").output == "(-th1) dx1 del(dth1)\n"
 
 
 def test_deep_nesting_is_an_expression_error():

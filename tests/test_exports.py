@@ -1,6 +1,7 @@
 """Every exported name of the public modules resolves, the monomial
 encoding and the coefficient types stay private to ``supercalc.algebra``,
-and no module expands over permutations."""
+no module expands over permutations, and only the command line imports
+click."""
 
 import ast
 import importlib
@@ -75,3 +76,23 @@ def test_no_module_expands_over_permutations():
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if _imports_permutations(ast.parse(path.read_text()))]
     assert not offenders
+
+
+def _imports_click(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "click" for alias in node.names):
+                return True
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "click":
+            return True
+    return False
+
+
+def test_only_the_command_line_imports_click():
+    # The expression language (supercalc.expr) and everything below it
+    # must be usable, and testable, without the command line toolkit.
+    src = pathlib.Path(supercalc.__file__).parent
+    importers = [path.name for path in sorted(src.glob("*.py"))
+                 if _imports_click(ast.parse(path.read_text()))]
+    assert importers == ["cli.py"]

@@ -33,7 +33,6 @@ from supercalc.pseudoforms import (
     from_integral_form,
     gaussian_fiber_integral,
     to_integral_form,
-    unsafe_middle_picture,
 )
 from supercalc.randoms import random_superpoly
 from supercalc.suites import _random_delta_form, _unimodular_split_map
@@ -374,21 +373,6 @@ class TestGradings:
             assert out.z_degree() == w.z_degree() + shift
             moved += 1
         assert moved >= 10
-
-    def test_middle_picture_bookkeeping(self):
-        th1 = gen(R12.table, "th1")
-        sym = unsafe_middle_picture(R12, th1, (1,), {"dth1": 2})
-        assert sym.z_degree() == 1 - 2
-        assert sym.picture() == 1
-        assert sym.parity() == (1 + 1 + 1) % 2
-        assert not hasattr(sym, "transform")
-        assert "del(dth1,2)" in repr(sym)
-
-    def test_middle_picture_validation(self):
-        with pytest.raises(ValueError, match="unknown delta direction"):
-            unsafe_middle_picture(R12, 1, (0,), {"dq": 0})
-        with pytest.raises(ValueError, match="0/1 marker"):
-            unsafe_middle_picture(R12, 1, (3,), {})
 
 
 class TestIsomorphism:
