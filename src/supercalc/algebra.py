@@ -17,9 +17,12 @@ monomial is the codec on :class:`GeneratorTable`: :meth:`~GeneratorTable.monomia
 encodes (position, power) pairs, :meth:`~GeneratorTable.powers` decodes a
 key into them in written order, :meth:`~GeneratorTable.degree` counts the
 generators of given classes and :meth:`~GeneratorTable.sort_key` orders
-keys for printing.  Everywhere else a key of ``SuperPoly.terms`` is an
-opaque handle: it may be hashed, compared and passed back, never indexed,
-shifted, masked or built by hand.
+keys for printing.  Two bulk routines serve the Koszul complex:
+:meth:`~GeneratorTable.graded_keys` lists the keys of one multidegree and
+:meth:`~GeneratorTable.pair_images` writes their images under a
+differential straight from the keys.  Everywhere else a key of
+``SuperPoly.terms`` is an opaque handle: it may be hashed, compared and
+passed back, never indexed, shifted, masked or built by hand.
 
 No floating point is used anywhere.  A coefficient is one of the
 :data:`SCALARS`: an ``int`` while it is integral (never a Fraction with
@@ -33,8 +36,9 @@ a ``RationalFunction`` coefficient.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # Generator classes.  The parity of a generator is determined by its class;
 # the class also records what geometric role the symbol plays so that the
@@ -217,6 +221,83 @@ class GeneratorTable:
         odd, shifts = masks
         return (mono & odd).bit_count() + sum(mono >> shift & _EXPONENT for shift in shifts)
 
+    def graded_keys(self, *parts: tuple[Sequence[int], int]) -> "list[Monomial]":
+        """Keys of the monomials of degree d in the generators at positions
+        P, for every (P, d) in ``parts``, and in no other generator; no
+        position may occur in two parts.
+
+        Within one part the odd factors vary slowest, by count and then
+        by ``itertools.combinations`` order, and the even powers fastest,
+        the first position's power slowest; the first part varies slowest
+        of all.  An even power past its field raises ``OverflowError``.
+        """
+        keys = [0]
+        for positions, total in parts:
+            odds = [self._unit[pos] for pos in positions if self.parities[pos]]
+            evens = [self._unit[pos] for pos in positions if not self.parities[pos]]
+            if total > _EXPONENT and evens:
+                raise OverflowError(f"a power exceeds {_EXPONENT}")
+            part = []
+            for n_odd in range(min(len(odds), total) + 1):
+                spread = _spreads(evens, total - n_odd)
+                for subset in itertools.combinations(odds, n_odd):
+                    odd_key = sum(subset)
+                    part.extend(odd_key + key for key in spread)
+            keys = [key + other for key in keys for other in part]
+        return keys
+
+    def pair_images(self, keys: "Iterable[Monomial]",
+                    pairs: Sequence[tuple[int, int]],
+                    derive: bool) -> "Iterator[dict[Monomial, int]]":
+        """The image of each key under the sum, over (module, partner)
+        pairs of table positions, of module * (left d/d partner) when
+        ``derive`` and of left multiplication by module * partner when not.
+
+        Yields one {key: int} map per key, each before the next is built,
+        and builds no ``SuperPoly``: each term is the key with one factor
+        removed or added, its sign the parity
+        of the odd factors it passes, counted with popcounts as in
+        :meth:`SuperPoly.sum_of_products`.  The pairs must name distinct
+        generators, so that no two terms share a key.  An even exponent
+        past its field raises ``OverflowError``.
+        """
+        if len({pos for pair in pairs for pos in pair}) != 2 * len(pairs):
+            raise ValueError("the pairs must name distinct generators")
+        units = self._unit
+        steps = [(units[module], self.parities[module], units[partner],
+                  self.parities[partner], units[partner].bit_length() - 1)
+                 for module, partner in pairs]
+        guard = self._guard
+        for key in keys:
+            seen = 0
+            image: dict[Monomial, int] = {}
+            for m_unit, m_odd, p_unit, p_odd, p_shift in steps:
+                if p_odd:
+                    if bool(key & p_unit) != derive:
+                        continue
+                    c = -1 if (key & (p_unit - 1)).bit_count() & 1 else 1
+                    new = key ^ p_unit
+                elif derive:
+                    c = key >> p_shift & _EXPONENT
+                    if not c:
+                        continue
+                    new = key - p_unit
+                else:
+                    c, new = 1, key + p_unit
+                if m_odd:
+                    if new & m_unit:
+                        continue
+                    if (new & (m_unit - 1)).bit_count() & 1:
+                        c = -c
+                    new |= m_unit
+                else:
+                    new += m_unit
+                seen |= new
+                image[new] = c
+            if seen & guard:
+                raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
+            yield image
+
     def sort_key(self, mono: "Monomial") -> tuple:
         """The printing order: total degree, then the odd positions, then the
         even exponent vector, which the even bits order lexicographically."""
@@ -254,6 +335,19 @@ def _below_parity(odds: int, width: int) -> int:
         out ^= out << step
         step <<= 1
     return out
+
+
+def _spreads(units: Sequence[int], total: int) -> list[int]:
+    """Keys of every way to spread ``total`` powers over the even
+    generators with these units, the first one's power varying slowest."""
+    # by_degree[d]: the spreads of d powers over the units handled so far,
+    # which grow from the last unit to the first
+    by_degree = [[0]] + [[] for _ in range(total)]
+    for unit in reversed(units):
+        by_degree = [[first * unit + key for first in range(d + 1)
+                      for key in by_degree[d - first]]
+                     for d in range(total + 1)]
+    return by_degree[total]
 
 
 def _coeff_inverse(c):

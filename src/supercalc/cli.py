@@ -342,12 +342,10 @@ def cmd_koszul(p, q, which, degree, cutoff, json_mode):
         degrees = [0, -1, -2, -3, -4]
     else:
         degrees = list(range(0, p + 2))
-    rows = []
-    for deg in degrees:
-        ranks = algebra.homology_ranks(which, deg, cutoff)
-        rows.append({"degree": deg, "kernel": ranks.kernel_dim,
-                     "image": ranks.image_dim,
-                     "homology": ranks.homology_dim})
+    rows = [{"degree": deg, "kernel": ranks.kernel_dim,
+             "image": ranks.image_dim, "homology": ranks.homology_dim}
+            for deg, ranks in zip(degrees,
+                                  algebra.homology_scan(which, degrees, cutoff))]
     if json_mode:
         click.echo(json.dumps({"format": JSON_FORMAT, "command": "koszul",
                                "p": p, "q": q, "which": which,

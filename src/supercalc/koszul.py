@@ -9,14 +9,18 @@ differential by multiplication with the same odd element.
 
 Homology is computed fiberwise over the rationals.  The differential
 restricted to a bidegree (partner-side degree, module-side degree), both of
-which are finite-dimensional, is built as sparse columns, one
-{target index: coefficient} map per source monomial, and ranked by exact
-sparse elimination; the differentials are about 1% dense, so no dense
-matrix is formed.  Ranks are recomputed on every call and never cached:
-one call needs each bidegree's rank once, so a cache would only serve
-callers that repeat a query, while holding its columns for the life of
-the algebra.  The dual
-complex has one-dimensional homology in degree p, generated by
+which are finite-dimensional, is written straight from the packed monomial
+keys by ``GeneratorTable.pair_images``: sparse integer columns, one
+{target index: int} map per source monomial, with no ``SuperPoly`` built.
+``koszul_delta`` and ``dual_delta`` stay the differentials on elements.
+The columns are ranked by fraction-free sparse elimination, in integers
+throughout; the differentials are about 1% dense, so no dense matrix is
+formed.  ``homology_scan`` ranks the map out of each bidegree once per
+call, for the kernel there and the image in the next degree.  Nothing is
+kept between calls: a cache would serve only callers that repeat a query,
+while holding its columns for the life of the algebra.
+
+The dual complex has one-dimensional homology in degree p, generated by
 ch_1...ch_q * dpiv_1...dpiv_p, and an automorphism of the module acts on
 that class by the reciprocal of its Berezinian; the class transport is
 computed by honest multiplication in the algebra, not by the determinant
@@ -25,11 +29,11 @@ formula, so the comparison with `berezinian` is a genuine cross-check.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Literal, NamedTuple, Sequence
+from math import gcd, lcm
+from typing import Iterable, Literal, NamedTuple, Sequence
 
-from supercalc.algebra import GeneratorTable, Monomial, SuperPoly, _coeff_inverse, transport
+from supercalc.algebra import GeneratorTable, Monomial, SuperPoly, transport
 from supercalc.supermatrix import SuperMatrix
 
 
@@ -39,42 +43,40 @@ class HomologyRanks(NamedTuple):
     homology_dim: int
 
 
-def _compositions(total: int, slots: int):
-    """Weak compositions of `total` into `slots` parts."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over the rationals of integer vectors given as {column: nonzero
+    int} maps, by fraction-free elimination.
 
-
-def _spread(positions: Sequence[int], total: int) -> list[list[tuple[int, int]]]:
-    """Every way to spread `total` powers over the even generators at
-    `positions`, each as its (position, power) pairs with nonzero power."""
-    return [[(pos, e) for pos, e in zip(positions, comp) if e]
-            for comp in _compositions(total, len(positions))]
-
-
-def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank over the rationals of vectors given as {column: nonzero value}
-    maps.  Each vector is reduced against the pivot rows found so far, kept
-    keyed by their leading column with leading entry 1; what survives
-    becomes a new pivot row."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+    Each vector is reduced against the pivot rows found so far, kept keyed
+    by their leading column, divided by their content and with a positive
+    leading entry.  Against a pivot with leading entry b, a row with
+    leading entry a becomes (b/g) row - (a/g) pivot, where g = gcd(a, b);
+    that clears the lead with no division, and scaling a row by a nonzero
+    integer leaves the rank unchanged.  What survives becomes a new pivot
+    row."""
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = dict(row)
         while row:
             lead = min(row)
+            a = row[lead]
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = _coeff_inverse(row[lead])     # integer rows stay integer
-                pivots[lead] = {j: x * inv for j, x in row.items()}
+                content = gcd(*row.values())
+                if a < 0:
+                    content = -content
+                pivots[lead] = (row if content == 1 else
+                                {j: x // content for j, x in row.items()})
                 break
-            factor = row[lead]
+            b = pivot[lead]
+            if b != 1:
+                g = gcd(a, b)
+                a //= g
+                if b != g:
+                    scale = b // g
+                    row = {j: scale * x for j, x in row.items()}
             for j, x in pivot.items():
-                y = row.get(j, 0) - factor * x
+                y = row.get(j, 0) - a * x
                 if y:
                     row[j] = y
                 else:
@@ -83,9 +85,15 @@ def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
 
 
 def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals of a dense matrix given as rows."""
-    return _sparse_rank([{j: x for j, x in enumerate(row) if x}
-                         for row in matrix])
+    """Rank over the rationals of a dense matrix given as rows of ints or
+    Fractions.  Each row is first multiplied by the least common multiple
+    of its denominators, which leaves the rank unchanged."""
+    rows = []
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        rows.append({j: x.numerator * (den // x.denominator)
+                     for j, x in enumerate(row) if x})
+    return _sparse_rank(rows)
 
 
 class KoszulAlgebra:
@@ -131,6 +139,14 @@ class KoszulAlgebra:
                 SuperPoly.generator(self.dual_table, module)
                 * SuperPoly.generator(self.dual_table, partner))
         self._dual_element = dual_element
+        # each side's table and its (module, partner) position pairs
+        self._sides = {
+            which: (table, [(table.index(module), table.index(partner))
+                            for module, partner in zip(
+                                self.v_names + self.ch_names, partners)])
+            for which, table, partners in (
+                ("koszul", self.table, self.piv_names + self.pich_names),
+                ("dual", self.dual_table, self.dpiv_names + self.dpich_names))}
 
     # -- the differentials -------------------------------------------------
 
@@ -152,38 +168,17 @@ class KoszulAlgebra:
 
     # -- bigraded bases ----------------------------------------------------
 
-    def _names_for(self, which: Literal["koszul", "dual"]):
-        table = self.table if which == "koszul" else self.dual_table
-        pi_odd = self.piv_names if which == "koszul" else self.dpiv_names
-        pi_even = self.pich_names if which == "koszul" else self.dpich_names
-        return table, pi_odd, pi_even
-
     def basis(self, which: Literal["koszul", "dual"], k: int,
               n: int) -> list[Monomial]:
         """Monomials of partner-side degree k and module-side degree n."""
         if self.coefficient_odds:
             raise ValueError("homology bases are computed fiberwise; build "
                              "the algebra without coefficient generators")
-        table, pi_odd, pi_even = self._names_for(which)
+        table, pairs = self._sides[which]
         if k < 0 or n < 0:
             return []
-        v_pos = [table.index(nm) for nm in self.v_names]
-        pi_even_pos = [table.index(nm) for nm in pi_even]
-        ch_pos = [table.index(nm) for nm in self.ch_names]
-        pi_odd_pos = [table.index(nm) for nm in pi_odd]
-        pich_powers = [_spread(pi_even_pos, k - k_odd)
-                       for k_odd in range(min(self.p, k) + 1)]
-        out: list[Monomial] = []
-        for r_odd in range(min(self.q, n) + 1):
-            v_powers = _spread(v_pos, n - r_odd)
-            for ch_subset in itertools.combinations(ch_pos, r_odd):
-                for v in v_powers:
-                    for k_odd, pich_list in enumerate(pich_powers):
-                        for piv_subset in itertools.combinations(pi_odd_pos, k_odd):
-                            odd = [(i, 1) for i in ch_subset + piv_subset]
-                            for pich in pich_list:
-                                out.append(table.monomial(v + pich + odd)[1])
-        return out
+        return table.graded_keys(([module for module, _ in pairs], n),
+                                 ([partner for _, partner in pairs], k))
 
     @staticmethod
     def _step(which: Literal["koszul", "dual"]) -> int:
@@ -192,17 +187,15 @@ class KoszulAlgebra:
 
     def _columns(self, which: Literal["koszul", "dual"],
                  source: list[Monomial],
-                 target: list[Monomial]) -> list[dict[int, Fraction]]:
+                 target: list[Monomial]) -> list[dict[int, int]]:
         """The differential from the span of `source` into that of `target`
-        as sparse columns, one {target index: coefficient} map per source
-        monomial; integral coefficients are ints, which keeps the
-        elimination in integer arithmetic."""
-        table, _, _ = self._names_for(which)
-        op = self.koszul_delta if which == "koszul" else self.dual_delta
+        as sparse integer columns, one {target index: int} map per source
+        monomial, written from the keys by ``GeneratorTable.pair_images``."""
+        table, pairs = self._sides[which]
         index = {mono: i for i, mono in enumerate(target)}
-        return [{index[out_mono]: c
-                 for out_mono, c in op(SuperPoly(table, {mono: 1})).terms.items()}
-                for mono in source]
+        return [{index[mono]: c for mono, c in image.items()}
+                for image in table.pair_images(source, pairs,
+                                               derive=which == "koszul")]
 
     def differential_matrix(self, which: Literal["koszul", "dual"], k: int,
                             n: int) -> list[list[Fraction]]:
@@ -216,29 +209,46 @@ class KoszulAlgebra:
                 matrix[row][col] = Fraction(c)
         return matrix
 
-    def homology_ranks(self, which: Literal["koszul", "dual"], degree: int,
-                       cutoff: int) -> HomologyRanks:
-        """Exact ranks at one homological degree, totalled over module-side
+    def homology_scan(self, which: Literal["koszul", "dual"],
+                      degrees: Sequence[int],
+                      cutoff: int) -> list[HomologyRanks]:
+        """Exact ranks at each of `degrees`, totalled over module-side
         degrees 0..cutoff.  Degrees above the cutoff are not examined, so a
-        zero here certifies vanishing only within that window."""
+        zero here certifies vanishing only within that window.  Within one
+        call the map out of each bidegree is built and ranked once, serving
+        both the kernel there and the image in the next degree."""
         if which not in ("koszul", "dual"):
             raise ValueError("which must be 'koszul' or 'dual'")
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        k = -degree if which == "koszul" else degree
-        if k < 0:
+        ks = [-degree if which == "koszul" else degree for degree in degrees]
+        if any(k < 0 for k in ks):
             raise ValueError("degree outside the complex")
         step = self._step(which)
-        kernel = 0
-        image = 0
-        for n in range(cutoff + 1):
-            here = self.basis(which, k, n)
-            out = self._columns(which, here, self.basis(which, k + step, n + 1))
-            kernel += len(here) - _sparse_rank(out)
-            if n >= 1 and k - step >= 0:
-                image += _sparse_rank(self._columns(
-                    which, self.basis(which, k - step, n - 1), here))
-        return HomologyRanks(kernel, image, kernel - image)
+        maps: dict[tuple[int, int], tuple[int, int]] = {}
+
+        def map_out(k: int, n: int) -> tuple[int, int]:
+            """(dimension, rank) of the map out of bidegree (k, n)."""
+            if (k, n) not in maps:
+                source = self.basis(which, k, n)
+                maps[k, n] = len(source), _sparse_rank(self._columns(
+                    which, source, self.basis(which, k + step, n + 1)))
+            return maps[k, n]
+
+        out = []
+        for k in ks:
+            kernel = sum(dim - rank for dim, rank in
+                         (map_out(k, n) for n in range(cutoff + 1)))
+            image = (sum(map_out(k - step, n)[1] for n in range(cutoff))
+                     if k - step >= 0 else 0)
+            out.append(HomologyRanks(kernel, image, kernel - image))
+        return out
+
+    def homology_ranks(self, which: Literal["koszul", "dual"], degree: int,
+                       cutoff: int) -> HomologyRanks:
+        """Exact ranks at one homological degree: the one-degree
+        ``homology_scan``."""
+        return self.homology_scan(which, [degree], cutoff)[0]
 
     # -- the distinguished dual class and its transport --------------------
 

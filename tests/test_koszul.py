@@ -73,6 +73,35 @@ def random_rank_matrices():
     return out
 
 
+def fraction_free_rank_matrices():
+    """About 150 seeded matrices beyond random_rank_matrices: genuinely
+    fractional entries over mixed denominators, entries drawn from 2, 3 and
+    6 so that pivots lead with non-units, and entries up to 10**6.  Each
+    kind gets extra rows that are combinations of others, with fractional
+    multipliers where the entries are fractional, so ranks fall short."""
+    rng = random.Random(6161)
+    f = Fraction
+    kinds = [
+        lambda: f(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 12))),
+        lambda: rng.choice((2, 3, 6, -2, -3, -6, 4, 9)),
+        lambda: rng.randint(-10 ** 6, 10 ** 6),
+    ]
+    out = []
+    for draw in kinds:
+        for _ in range(50):
+            nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+            density = rng.uniform(0.3, 1.0)
+            rows = [[f(draw()) if rng.random() < density else f(0)
+                     for _ in range(ncols)] for _ in range(nrows)]
+            for _ in range(rng.randint(0, 4)):
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = f(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+                rows.append([x + c * y for x, y in zip(a, b)])
+            rng.shuffle(rows)
+            out.append(rows)
+    return out
+
+
 class TestRank:
     def test_rank_examples(self):
         f = Fraction
@@ -88,6 +117,30 @@ class TestRank:
             assert exact_rank(matrix) == dense_rank(matrix), matrix
             transposed = [list(col) for col in zip(*matrix)]
             assert exact_rank(transposed) == dense_rank(matrix), matrix
+
+    def test_fraction_free_examples(self):
+        f = Fraction
+        # non-unit leads: 2 and 3 are coprime, 6 and 4 are not
+        assert exact_rank([[f(2), f(3)], [f(3), f(5)]]) == 2
+        assert exact_rank([[f(6), f(4)], [f(3), f(2)]]) == 1
+        assert exact_rank([[f(6), f(4), f(1)], [f(3), f(2), f(0)]]) == 2
+        # rows that agree only once their denominators are cleared
+        assert exact_rank([[f(2, 3), f(1, 2)], [f(4, 3), f(1)]]) == 1
+        assert exact_rank([[f(1, 6), f(1, 4)], [f(2, 3), f(1)],
+                           [f(1, 2), f(1, 3)]]) == 2
+        assert exact_rank([[10 ** 6, 999_999], [999_999, 999_998]]) == 2
+
+    def test_fraction_free_matches_dense_elimination(self):
+        matrices = fraction_free_rank_matrices()
+        assert len(matrices) >= 150
+        deficient = 0
+        for matrix in matrices:
+            rank = dense_rank(matrix)
+            deficient += rank < len(matrix)
+            assert exact_rank(matrix) == rank, matrix
+            transposed = [list(col) for col in zip(*matrix)]
+            assert exact_rank(transposed) == rank, matrix
+        assert deficient >= 50
 
 
 class TestDelta:
@@ -143,6 +196,81 @@ class TestDelta:
         for _ in range(10):
             e = random_superpoly(rng, k.dual_table, terms=4, max_exp=2)
             assert k.dual_delta(k.dual_delta(e)).is_zero()
+
+
+ORACLE_SHAPES = [(p, q) for p in range(3) for q in range(1, 4)]
+
+
+class TestCodecColumns:
+    @pytest.mark.parametrize("p,q", ORACLE_SHAPES)
+    def test_columns_match_the_differentials(self, p, q):
+        # every basis monomial with k, n <= 3, on both sides
+        k_alg = KoszulAlgebra(p, q)
+        sides = (("koszul", k_alg.table, k_alg.koszul_delta, -1),
+                 ("dual", k_alg.dual_table, k_alg.dual_delta, 1))
+        checked = 0
+        for which, table, delta, step in sides:
+            for k in range(4):
+                for n in range(4):
+                    source = k_alg.basis(which, k, n)
+                    target = k_alg.basis(which, k + step, n + 1)
+                    index = {mono: i for i, mono in enumerate(target)}
+                    expected = [
+                        {index[mono]: c for mono, c in
+                         delta(SuperPoly(table, {key: 1})).terms.items()}
+                        for key in source]
+                    assert k_alg._columns(which, source, target) == expected
+                    checked += len(source)
+        assert checked > 0
+
+    @pytest.mark.parametrize("which,powers", [
+        ("koszul", {"v1": "top", "piv1": 1}),       # d/d piv1, then * v1
+        ("dual", {"v1": "top"}),                    # * v1 dpiv1
+        ("dual", {"dpich1": "top"}),                # * ch1 dpich1
+    ])
+    def test_columns_refuse_an_exponent_past_the_guard(self, which, powers):
+        from supercalc.algebra import _EXPONENT
+
+        k_alg = KoszulAlgebra(1, 1)
+        table = k_alg.table if which == "koszul" else k_alg.dual_table
+        delta = k_alg.koszul_delta if which == "koszul" else k_alg.dual_delta
+
+        def monomial(top):
+            return SuperPoly.from_monomial(table, {
+                name: top if k == "top" else k for name, k in powers.items()})
+
+        below = monomial(_EXPONENT - 1)     # its image reaches the top power
+        image = delta(below)
+        assert k_alg._columns(which, list(below.terms), list(image.terms)) \
+            == [dict(enumerate(image.terms.values()))]
+        with pytest.raises(OverflowError):
+            delta(monomial(_EXPONENT))
+        with pytest.raises(OverflowError):
+            k_alg._columns(which, list(monomial(_EXPONENT).terms), [])
+
+    def test_pairs_sharing_a_generator_are_refused(self):
+        table = KoszulAlgebra(1, 1).table
+        v1, piv1, ch1 = (table.index(name) for name in ("v1", "piv1", "ch1"))
+        with pytest.raises(ValueError, match="distinct generators"):
+            list(table.pair_images([], [(v1, piv1), (ch1, piv1)],
+                                   derive=True))
+
+    def test_ranks_build_no_superpoly(self, monkeypatch):
+        # The ranks come from the codec columns alone: no SuperPoly
+        # product, derivative or encoding per monomial.  The algebra
+        # itself is built first, since it multiplies out the dual element.
+        k_alg = KoszulAlgebra(2, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ranks went through SuperPoly arithmetic")
+
+        monkeypatch.setattr(SuperPoly, "sum_of_products", staticmethod(refuse))
+        monkeypatch.setattr(SuperPoly, "left_derivative", refuse)
+        monkeypatch.setattr(GeneratorTable, "monomial", refuse)
+        frozen = {row[:4]: row[4] for row in FROZEN_RANKS}
+        for which, degree in (("koszul", -2), ("dual", 2)):
+            assert k_alg.homology_ranks(which, degree, 6) == \
+                HomologyRanks(*frozen[2, 2, which, degree])
 
 
 class TestHomology:
@@ -250,6 +378,21 @@ FROZEN_RANKS = [
 def test_frozen_ranks(p, q, which, degree, ranks):
     assert KoszulAlgebra(p, q).homology_ranks(which, degree, 6) == \
         HomologyRanks(*ranks)
+
+
+@pytest.mark.parametrize("p,q,which", sorted({row[:3] for row in FROZEN_RANKS}))
+def test_one_scan_gives_the_frozen_ranks(p, q, which):
+    # one call ranks each map once, for the kernel of one degree and the
+    # image of the next; every degree must still match its own answer
+    rows = [row for row in FROZEN_RANKS if row[:3] == (p, q, which)]
+    scan = KoszulAlgebra(p, q).homology_scan(
+        which, [row[3] for row in rows], 6)
+    assert scan == [HomologyRanks(*row[4]) for row in rows]
+
+
+def test_scan_refuses_a_degree_outside_the_complex():
+    with pytest.raises(ValueError, match="outside the complex"):
+        KoszulAlgebra(1, 1).homology_scan("koszul", [0, -1, 1], 4)
 
 
 class TestInducedAutomorphism:
