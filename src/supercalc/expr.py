@@ -827,11 +827,21 @@ def read_matrix_file(path: str, ring: Ring) -> SuperMatrix:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object with fields 'p', "
+                         f"'q' and 'rows'")
     for key in ("p", "q", "rows"):
         if key not in data:
             raise ValueError(f"{path}: missing field {key!r}")
-    p, q = int(data["p"]), int(data["q"])
+    for key in ("p", "q"):
+        if type(data[key]) is not int or data[key] < 0:
+            raise ValueError(f"{path}: field {key!r} must be a non-negative "
+                             f"integer, got {json.dumps(data[key])}")
+    p, q = data["p"], data["q"]
     rows_text = data["rows"]
+    if type(rows_text) is not list or any(type(r) is not list
+                                          for r in rows_text):
+        raise ValueError(f"{path}: field 'rows' must be a list of lists")
     if len(rows_text) != p + q or any(len(r) != p + q for r in rows_text):
         raise ValueError(
             f"{path}: rows must form a square of side p+q = {p + q}")

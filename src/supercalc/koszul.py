@@ -11,7 +11,7 @@ Homology is computed fiberwise over the rationals.  The differential
 restricted to a bidegree (partner-side degree, module-side degree), both of
 which are finite-dimensional, is written straight from the packed monomial
 keys by ``GeneratorTable.pair_images``: sparse integer columns, one
-{target index: int} map per source monomial, with no ``SuperPoly`` built.
+{target key: int} map per source monomial, with no ``SuperPoly`` built.
 ``koszul_delta`` and ``dual_delta`` stay the differentials on elements.
 The columns are ranked by fraction-free sparse elimination, in integers
 throughout; the differentials are about 1% dense, so no dense matrix is
@@ -45,7 +45,8 @@ class HomologyRanks(NamedTuple):
 
 def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     """Rank over the rationals of integer vectors given as {column: nonzero
-    int} maps, by fraction-free elimination.
+    int} maps, by fraction-free elimination.  Columns are any ints, such
+    as target monomial keys: the rank does not depend on their labels.
 
     Each vector is reduced against the pivot rows found so far, kept keyed
     by their leading column, divided by their content and with a positive
@@ -187,15 +188,19 @@ class KoszulAlgebra:
 
     def _columns(self, which: Literal["koszul", "dual"],
                  source: list[Monomial],
-                 target: list[Monomial]) -> list[dict[int, int]]:
-        """The differential from the span of `source` into that of `target`
-        as sparse integer columns, one {target index: int} map per source
-        monomial, written from the keys by ``GeneratorTable.pair_images``."""
+                 target: list[Monomial] | None = None
+                 ) -> Iterable[dict[int, int]]:
+        """The differential on the span of `source` as sparse integer
+        columns, one {target key: int} map per source monomial, as
+        ``GeneratorTable.pair_images`` writes them from the keys.  Given
+        the `target` basis, a list of {target index: int} maps instead."""
         table, pairs = self._sides[which]
+        images = table.pair_images(source, pairs, derive=which == "koszul")
+        if target is None:
+            return images
         index = {mono: i for i, mono in enumerate(target)}
         return [{index[mono]: c for mono, c in image.items()}
-                for image in table.pair_images(source, pairs,
-                                               derive=which == "koszul")]
+                for image in images]
 
     def differential_matrix(self, which: Literal["koszul", "dual"], k: int,
                             n: int) -> list[list[Fraction]]:
@@ -231,8 +236,8 @@ class KoszulAlgebra:
             """(dimension, rank) of the map out of bidegree (k, n)."""
             if (k, n) not in maps:
                 source = self.basis(which, k, n)
-                maps[k, n] = len(source), _sparse_rank(self._columns(
-                    which, source, self.basis(which, k + step, n + 1)))
+                maps[k, n] = len(source), _sparse_rank(
+                    self._columns(which, source))
             return maps[k, n]
 
         out = []

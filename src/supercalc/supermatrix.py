@@ -16,14 +16,16 @@ exact: Cayley-Hamilton inverts the reduced part (odd generators set to
 zero), dividing only by its unit determinant, and a finite geometric
 series absorbs the nilpotent remainder.
 
-Matrix products and characteristic polynomials clear the denominators of
-their Fraction coefficients first: each operand is multiplied by the lcm L
-of those denominators, the work runs on int coefficients through
-``SuperPoly.sum_of_products``, and each result is scaled back once (by
-1/(Lx Ly) for a product, by 1/L^k for the k-th characteristic
-coefficient).  Operands without a Fraction coefficient, such as the
-RationalFunction entries of a chart Jacobian, have L = 1 and are used as
-they are.
+One denominator per matrix.  Each public entry point clears the Fraction
+denominators of each input block once, multiplying it by their lcm L.
+Inside, a matrix is a pair (den, rows) standing for rows / den, its rows
+integral (a scalar denominator leaves entry parity alone): products
+multiply int coefficients through ``SuperPoly.sum_of_products`` and
+multiply the denominators, sums go over the lcm, and the Cayley-Hamilton
+inverse puts its integer cn into the denominator.  Each public result is
+divided by its den once, and the den is dropped there.  RationalFunction
+entries, as in a chart Jacobian, have L = 1: nothing is scaled by 1, and
+the inverse scales by the unit 1/cn once per matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Sequence
 from supercalc.algebra import GeneratorTable, SuperPoly, _coeff_inverse
 
 Rows = list[list[SuperPoly]]
+Scaled = tuple[int, Rows]   # (den, rows): the matrix rows / den
 
 
 def _as_rows(entries: Sequence[Sequence[SuperPoly]]) -> Rows:
@@ -62,7 +65,7 @@ def _dot(row: Sequence[SuperPoly], col: Sequence[SuperPoly],
     return SuperPoly.sum_of_products(table, zip(row, col))
 
 
-def _clear_denominators(rows: Rows) -> tuple[int, Rows]:
+def _clear_denominators(rows: Rows) -> Scaled:
     """(L, L * rows), L the lcm of the denominators of the Fraction
     coefficients, so that the scaled rows carry none; rows without a
     Fraction coefficient come back as they are, with L = 1."""
@@ -71,18 +74,23 @@ def _clear_denominators(rows: Rows) -> tuple[int, Rows]:
     if not dens:
         return 1, rows
     scale = lcm(*dens)
-    return scale, [[e.scale(scale) for e in r] for r in rows]
+    return scale, _scale_rows(rows, scale)
+
+
+def _scale_rows(rows: Rows, c) -> Rows:
+    """Every entry times the coefficient c; an int 1 returns rows."""
+    if type(c) is int and c == 1:
+        return rows
+    return [[e.scale(c) for e in r] for r in rows]
+
+
+def _unscaled(x: Scaled) -> Rows:
+    return x[1] if x[0] == 1 else _scale_rows(x[1], Fraction(1, x[0]))
 
 
 def _mat_mul(x: Rows, y: Rows, table: GeneratorTable) -> Rows:
-    lx, x = _clear_denominators(x)
-    ly, y = _clear_denominators(y)
     cols = list(zip(*y))
-    out = [[_dot(row, col, table) for col in cols] for row in x]
-    if lx * ly == 1:
-        return out
-    back = Fraction(1, lx * ly)
-    return [[e.scale(back) for e in r] for r in out]
+    return [[_dot(row, col, table) for col in cols] for row in x]
 
 
 def _mat_add(x: Rows, y: Rows) -> Rows:
@@ -91,6 +99,21 @@ def _mat_add(x: Rows, y: Rows) -> Rows:
 
 def _mat_neg(x: Rows) -> Rows:
     return [[-a for a in r] for r in x]
+
+
+def _scaled_mul(x: Scaled, y: Scaled, table: GeneratorTable) -> Scaled:
+    return x[0] * y[0], _mat_mul(x[1], y[1], table)
+
+
+def _scaled_add(x: Scaled, y: Scaled) -> Scaled:
+    """x + y over the lcm of their denominators."""
+    den = lcm(x[0], y[0])
+    return den, _mat_add(_scale_rows(x[1], den // x[0]),
+                         _scale_rows(y[1], den // y[0]))
+
+
+def _scaled_neg(x: Scaled) -> Scaled:
+    return x[0], _mat_neg(x[1])
 
 
 def _identity_rows(n: int, table: GeneratorTable) -> Rows:
@@ -110,9 +133,10 @@ def _charpoly(rows: Rows, table: GeneratorTable) -> list[SuperPoly]:
     the coefficient vector of the k x k block A by the lower triangular
     Toeplitz matrix whose first column is (1, -a, -RS, -RAS, ...,
     -RA^(k-1)S).  Only ring operations occur, and the leading
-    coefficient 1 is never multiplied.
+    coefficient 1 is never multiplied.  Callers pass cleared rows, so on
+    Fraction input every coefficient is integral; for the rows of a pair
+    (L, R) the coefficients of the matrix R / L are c_k / L^k.
     """
-    scale, rows = _clear_denominators(rows)
     coeffs: list[SuperPoly] = []
     for k in range(len(rows)):
         toeplitz = [-rows[k][k]]
@@ -128,15 +152,20 @@ def _charpoly(rows: Rows, table: GeneratorTable) -> list[SuperPoly]:
                 acc = acc + _dot(toeplitz, coeffs[i - 1::-1], table)
             new.append(acc)
         coeffs = new
-    if scale == 1:
-        return coeffs
-    # the characteristic coefficients of L M are L^k c_k
-    return [c.scale(Fraction(1, scale ** k)) for k, c in enumerate(coeffs, 1)]
+    return coeffs
+
+
+def _det(rows: Rows, table: GeneratorTable) -> SuperPoly:
+    if not rows:
+        return SuperPoly.one(table)
+    last = _charpoly(rows, table)[-1]
+    return -last if len(rows) % 2 else last
 
 
 def det_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> SuperPoly:
     """Determinant of a square matrix with even (commuting) entries, the
-    constant term of its Berkowitz characteristic polynomial."""
+    constant term of its Berkowitz characteristic polynomial, computed on
+    the cleared rows L M and divided by L^n once."""
     rows = _as_rows(rows)
     n = len(rows)
     _check_rect(rows, n, n, "square")
@@ -144,10 +173,9 @@ def det_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Supe
         for e in r:
             if not e.is_zero() and e.parity() != 0:
                 raise ValueError("det_even requires even entries")
-    if n == 0:
-        return SuperPoly.one(table)
-    last = _charpoly(rows, table)[-1]
-    return -last if n % 2 else last
+    scale, rows = _clear_denominators(rows)
+    det = _det(rows, table)
+    return det if scale == 1 else det.scale(Fraction(1, scale ** n))
 
 
 def _scalar_unit_inverse(det0: SuperPoly):
@@ -162,43 +190,64 @@ def _scalar_unit_inverse(det0: SuperPoly):
     return _coeff_inverse(c)
 
 
-def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows:
-    """Exact inverse of a square even-entry matrix.
+def _inverse(m: Scaled, table: GeneratorTable) -> Scaled:
+    """The inverse of R / L, given and returned as (den, rows) pairs.
 
-    Splits M = M0 + N with M0 the reduced part.  Cayley-Hamilton on the
-    characteristic polynomial t^n + c1 t^(n-1) + ... + cn of M0 gives
-    M0^{-1} = -(M0^(n-1) + c1 M0^(n-2) + ... + c(n-1) I) / cn, summed by
-    Horner, and the nilpotent N goes through the finite series
-    sum_k (-M0^{-1} N)^k M0^{-1}.
+    With R0 the reduced part of R and t^n + c1 t^(n-1) + ... + cn its
+    characteristic polynomial, Cayley-Hamilton gives R0^{-1} = -H / cn, H
+    the Horner sum R0^(n-1) + c1 R0^(n-2) + ... + c(n-1) I.  An int cn
+    joins the denominator: R0^{-1} = G / e with e = |cn|; any other unit
+    (a RationalFunction) scales H once, with e = 1.  Then (R0 / L)^{-1} =
+    L G / e, and the nilpotent N = R - R0 goes through the finite series
+    sum_k (-G N / e)^k L G / e, its k-th term over e^k times the first's.
     """
-    rows = _as_rows(rows)
+    den, rows = m
     n = len(rows)
-    _check_rect(rows, n, n, "square")
     if n == 0:
-        return []
+        return 1, []
     reduced = [[e.set_odd_to_zero() for e in r] for r in rows]
     coeffs = _charpoly(reduced, table)
     det0 = -coeffs[-1] if n % 2 else coeffs[-1]
     inv_det0 = _scalar_unit_inverse(det0)
     horner = _identity_rows(n, table)
     for k, c in enumerate(coeffs[:-1]):
-        # the first step is M0 + c1 I: M0 * I needs no product
+        # the first step is R0 + c1 I: R0 * I needs no product
         horner = (_mat_mul(reduced, horner, table) if k
                   else [r[:] for r in reduced])
         for i in range(n):
             horner[i][i] = horner[i][i] + c
-    scale = inv_det0 if n % 2 else -inv_det0
-    inv0 = [[e.scale(scale) for e in r] for r in horner]
-    rest = _mat_add(rows, _mat_neg(reduced))
-    step = _mat_neg(_mat_mul(inv0, rest, table))
-    out = [r[:] for r in inv0]
-    power = [r[:] for r in inv0]
+    scale = inv_det0 if n % 2 else -inv_det0      # -1/cn
+    if isinstance(scale, (int, Fraction)):
+        e, g = scale.denominator, _scale_rows(horner, scale.numerator)
+    else:
+        e, g = 1, _scale_rows(horner, scale)
+    out = power = (e, _scale_rows(g, den))
+    step = (e, _mat_neg(_mat_mul(g, _mat_add(rows, _mat_neg(reduced)), table)))
     for _ in range(len(table.odd_positions)):
-        power = _mat_mul(step, power, table)
-        if all(e.is_zero() for r in power for e in r):
+        power = _scaled_mul(step, power, table)
+        if all(x.is_zero() for r in power[1] for x in r):
             break
-        out = _mat_add(out, power)
+        out = _scaled_add(out, power)
     return out
+
+
+def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows:
+    """Exact inverse of a square even-entry matrix.  The rows are cleared
+    once; ``_inverse`` carries one denominator, which cn joins, and it is
+    divided out of the entries once, at the end."""
+    rows = _as_rows(rows)
+    n = len(rows)
+    _check_rect(rows, n, n, "square")
+    return _unscaled(_inverse(_clear_denominators(rows), table))
+
+
+def _schur(a: Scaled, b: Scaled, c: Scaled, d_inv: Scaled,
+           table: GeneratorTable) -> tuple[Scaled, Scaled]:
+    """(B D^{-1}, A - B D^{-1} C) from the cleared blocks and D^{-1}."""
+    b_d_inv = _scaled_mul(b, d_inv, table)
+    if not b[1] or not c[1]:    # p = 0 or q = 0: nothing to subtract
+        return b_d_inv, a
+    return b_d_inv, _scaled_add(a, _scaled_neg(_scaled_mul(b_d_inv, c, table)))
 
 
 class SuperMatrix:
@@ -253,9 +302,10 @@ class SuperMatrix:
             return NotImplemented
         if (self.p, self.q) != (other.p, other.q) or self.table != other.table:
             raise ValueError("shape or table mismatch")
-        return SuperMatrix.from_rows(
-            self.table, self.p, self.q,
-            _mat_mul(self.rows(), other.rows(), self.table))
+        product = _scaled_mul(_clear_denominators(self.rows()),
+                              _clear_denominators(other.rows()), self.table)
+        return SuperMatrix.from_rows(self.table, self.p, self.q,
+                                     _unscaled(product))
 
     def __add__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -285,19 +335,16 @@ class SuperMatrix:
         if self.p == 0:
             return SuperMatrix(table, 0, self.q, self.A, self.B, self.C,
                                inv_even(self.D, table))
-        d_inv = inv_even(self.D, table)
-        schur = _mat_add(self.A, _mat_neg(
-            _mat_mul(_mat_mul(self.B, d_inv, table), self.C, table)))
-        s_inv = inv_even(schur, table)
-        top_right = _mat_neg(_mat_mul(_mat_mul(s_inv, self.B, table),
-                                      d_inv, table))
-        bottom_left = _mat_neg(_mat_mul(_mat_mul(d_inv, self.C, table),
-                                        s_inv, table))
-        corr = _mat_mul(_mat_mul(_mat_mul(_mat_mul(
-            d_inv, self.C, table), s_inv, table), self.B, table), d_inv, table)
-        bottom_right = _mat_add(d_inv, corr)
-        return SuperMatrix(table, self.p, self.q,
-                           s_inv, top_right, bottom_left, bottom_right)
+        a, b, c, d = map(_clear_denominators, (self.A, self.B, self.C, self.D))
+        d_inv = _inverse(d, table)
+        s_inv = _inverse(_schur(a, b, c, d_inv, table)[1], table)
+        top_right = _scaled_neg(_scaled_mul(_scaled_mul(s_inv, b, table),
+                                            d_inv, table))
+        # D^{-1} C S^{-1} starts both bottom blocks
+        dcs = _scaled_mul(_scaled_mul(d_inv, c, table), s_inv, table)
+        corr = _scaled_mul(_scaled_mul(dcs, b, table), d_inv, table)
+        blocks = (s_inv, top_right, _scaled_neg(dcs), _scaled_add(d_inv, corr))
+        return SuperMatrix(table, self.p, self.q, *map(_unscaled, blocks))
 
     def map_entries(self, fn) -> "SuperMatrix":
         return SuperMatrix(self.table, self.p, self.q,
@@ -324,37 +371,33 @@ def supertrace(m: SuperMatrix) -> SuperPoly:
     return out
 
 
-def _schur_complement(m: SuperMatrix) -> tuple[Rows, Rows]:
-    """(A - B D^{-1} C, D^{-1})."""
-    d_inv = inv_even(m.D, m.table)
-    if m.q == 0 or m.p == 0:
-        return [r[:] for r in m.A], d_inv
-    bdc = _mat_mul(_mat_mul(m.B, d_inv, m.table), m.C, m.table)
-    return _mat_add(m.A, _mat_neg(bdc)), d_inv
-
-
 def berezinian(m: SuperMatrix) -> SuperPoly:
-    """det(A - B D^{-1} C) * det(D)^{-1}; requires D invertible."""
-    schur, _ = _schur_complement(m)
-    det_d = det_even(m.D, m.table)
-    det_s = det_even(schur, m.table)
-    return det_s * det_d.inverse()
+    """det(A - B D^{-1} C) * det(D)^{-1}; requires D invertible.  With the
+    pairs (ls, S) and (ld, D') for them, det(S) det(D')^{-1} ld^q / ls^p."""
+    table = m.table
+    a, b, c, d = map(_clear_denominators, (m.A, m.B, m.C, m.D))
+    ls, schur = _schur(a, b, c, _inverse(d, table), table)[1]
+    out = _det(schur, table) * _det(d[1], table).inverse()
+    scale = Fraction(d[0] ** m.q, ls ** m.p)
+    return out if scale == 1 else out.scale(scale)
 
 
 def decompose(m: SuperMatrix) -> tuple[SuperMatrix, SuperMatrix, SuperMatrix]:
     """Factor M = U * Delta * L with U unit upper triangular, L unit lower
     triangular, and Delta = blockdiag(A - B D^{-1} C, D)."""
-    schur, d_inv = _schur_complement(m)
     table = m.table
+    a, b, c, d = map(_clear_denominators, (m.A, m.B, m.C, m.D))
+    d_inv = _inverse(d, table)
+    b_d_inv, schur = _schur(a, b, c, d_inv, table)
     upper = SuperMatrix(table, m.p, m.q,
                         _identity_rows(m.p, table),
-                        _mat_mul(m.B, d_inv, table),
+                        _unscaled(b_d_inv),
                         _zero_rows(m.q, m.p, table),
                         _identity_rows(m.q, table))
-    delta = SuperMatrix.block_diagonal(table, schur, m.D)
+    delta = SuperMatrix.block_diagonal(table, _unscaled(schur), m.D)
     lower = SuperMatrix(table, m.p, m.q,
                         _identity_rows(m.p, table),
                         _zero_rows(m.p, m.q, table),
-                        _mat_mul(d_inv, m.C, table),
+                        _unscaled(_scaled_mul(d_inv, c, table)),
                         _identity_rows(m.q, table))
     return upper, delta, lower

@@ -16,6 +16,7 @@ from supercalc.charts import (
     conic_transition,
     pullback_matrix,
 )
+from supercalc.supermatrix import berezinian
 
 
 def build_conic_pair():
@@ -242,3 +243,29 @@ def test_cocycle_2_2_denominators_stay_small():
                 if isinstance(c, RationalFunction):
                     largest = max(largest, len(c.den.terms))
     assert largest <= 64
+
+
+def test_berezinian_reductions_stay_within_the_count_before_one_denominator(
+        monkeypatch):
+    # RationalFunction Jacobians go through the same code as Fraction
+    # blocks, but a denominator of 1 must cost them nothing: no scaling by
+    # 1 and one unit inverse per matrix.  909 is what berezinian spent on
+    # these 24 Jacobians when every matrix product cleared and restored
+    # its operands' denominators.
+    import supercalc.algebra as algebra
+
+    jacobians = []
+    for m1, m2 in random_split_pairs_2_2():
+        jacobians += [m1.jacobian(), m2.jacobian(),
+                      compose_maps(m1, m2).jacobian()]
+    calls = []
+    reduce = algebra._reduce_fraction
+
+    def counting(num, den):
+        calls.append(None)
+        return reduce(num, den)
+
+    monkeypatch.setattr(algebra, "_reduce_fraction", counting)
+    for jacobian in jacobians:
+        berezinian(jacobian)
+    assert 0 < len(calls) <= 909

@@ -275,6 +275,32 @@ def test_ber_matrix_with_singular_reduced_d_is_a_usage_error(tmp_path):
     assert "singular reduced matrix" in result.output
 
 
+@pytest.mark.parametrize("text, error", [
+    ("5", "expected a JSON object with fields 'p', 'q' and 'rows'"),
+    ("null", "expected a JSON object with fields 'p', 'q' and 'rows'"),
+    ('{"p": 1, "q": 1, "rows": 5}', "field 'rows' must be a list of lists"),
+    ('{"p": 1, "q": 1, "rows": [5, 6]}',
+     "field 'rows' must be a list of lists"),
+    ('{"p": true, "q": 1, "rows": []}',
+     "field 'p' must be a non-negative integer, got true"),
+    ('{"p": 1.5, "q": 1, "rows": []}',
+     "field 'p' must be a non-negative integer, got 1.5"),
+    ('{"p": -1, "q": 1, "rows": []}',
+     "field 'p' must be a non-negative integer, got -1"),
+    ('{"p": 1, "q": "1", "rows": []}',
+     "field 'q' must be a non-negative integer, got \"1\""),
+])
+def test_ber_matrix_malformed_file_is_a_usage_error(tmp_path, text, error):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["ber-matrix", "--ring", "2|2",
+                                       str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.endswith(f"Error: {path}: {error}\n")
+
+
 def _usage(command: str, operands: str, error: str) -> str:
     return (f"Usage: main {command} [OPTIONS] {operands}\n"
             f"Try 'main {command} --help' for help.\n\nError: {error}\n")

@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 from supercalc.algebra import GeneratorTable, SuperPoly
-from supercalc.koszul import HomologyRanks, KoszulAlgebra, exact_rank
+from supercalc.koszul import (
+    HomologyRanks,
+    KoszulAlgebra,
+    _sparse_rank,
+    exact_rank,
+)
 from supercalc.randoms import random_invertible_supermatrix, random_superpoly
 from supercalc.supermatrix import SuperMatrix, berezinian
 
@@ -271,6 +276,19 @@ class TestCodecColumns:
         for which, degree in (("koszul", -2), ("dual", 2)):
             assert k_alg.homology_ranks(which, degree, 6) == \
                 HomologyRanks(*frozen[2, 2, which, degree])
+
+
+def test_columns_keyed_by_monomial_rank_as_indexed_columns():
+    # homology_scan ranks the codec's {target key: int} maps as they are;
+    # relabelling the columns by target index leaves every rank alone
+    k_alg = KoszulAlgebra(2, 2)
+    for which, step in (("koszul", -1), ("dual", 1)):
+        for k in range(4):
+            for n in range(4):
+                source = k_alg.basis(which, k, n)
+                target = k_alg.basis(which, k + step, n + 1)
+                assert _sparse_rank(k_alg._columns(which, source)) == \
+                    _sparse_rank(k_alg._columns(which, source, target))
 
 
 class TestHomology:

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from supercalc.algebra import GeneratorTable, RationalFunction, SuperPoly
+from supercalc.algebra import (
+    GeneratorTable,
+    RationalFunction,
+    SuperPoly,
+    _coeff_inverse,
+)
 from supercalc.randoms import (
     random_invertible_supermatrix,
     random_nilpotent_even,
@@ -408,3 +414,192 @@ class TestFullInverse:
         m = SuperMatrix(table, 1, 1, [[zero]], [[zero]], [[zero]], [[one]])
         with pytest.raises(ValueError, match="singular"):
             m.inverse()
+
+
+# ---------------------------------------------------------------------------
+# one denominator per matrix, against the product-by-product composition
+
+def _clear(rows):
+    dens = {c.denominator for r in rows for e in r for c in e.terms.values()
+            if type(c) is Fraction}
+    if not dens:
+        return 1, rows
+    scale = math.lcm(*dens)
+    return scale, [[e.scale(scale) for e in r] for r in rows]
+
+
+def oracle_mul(x, y, table):
+    """Clear both operands, multiply, and scale the product back."""
+    lx, x = _clear(x)
+    ly, y = _clear(y)
+    out = [[SuperPoly.sum_of_products(table, zip(row, col))
+            for col in zip(*y)] for row in x]
+    if lx * ly == 1:
+        return out
+    return [[e.scale(Fraction(1, lx * ly)) for e in r] for r in out]
+
+
+def oracle_add(x, y):
+    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def oracle_neg(x):
+    return [[-a for a in r] for r in x]
+
+
+def oracle_charpoly(rows, table):
+    """Berkowitz on the cleared rows, each coefficient scaled back."""
+    scale, rows = _clear(rows)
+    coeffs = []
+    for k in range(len(rows)):
+        toeplitz = [-rows[k][k]]
+        col = [rows[i][k] for i in range(k)]
+        for _ in range(k):
+            toeplitz.append(-SuperPoly.sum_of_products(table, zip(rows[k], col)))
+            col = [SuperPoly.sum_of_products(table, zip(rows[i], col))
+                   for i in range(k)]
+        coeffs = [(toeplitz[i] if i == k else coeffs[i] + toeplitz[i])
+                  + SuperPoly.sum_of_products(
+                      table, zip(toeplitz, coeffs[i - 1::-1] if i else []))
+                  for i in range(k + 1)]
+    if scale == 1:
+        return coeffs
+    return [c.scale(Fraction(1, scale ** k)) for k, c in enumerate(coeffs, 1)]
+
+
+def oracle_det(rows, table):
+    if not rows:
+        return SuperPoly.one(table)
+    last = oracle_charpoly(rows, table)[-1]
+    return -last if len(rows) % 2 else last
+
+
+def oracle_inv(rows, table):
+    n = len(rows)
+    if n == 0:
+        return []
+    reduced = [[e.set_odd_to_zero() for e in r] for r in rows]
+    coeffs = oracle_charpoly(reduced, table)
+    det0 = -coeffs[-1] if n % 2 else coeffs[-1]
+    assert len(det0.terms) == 1 and det0.scalar_part()
+    inv_det0 = _coeff_inverse(det0.scalar_part())
+    horner = [[SuperPoly.one(table) if i == j else SuperPoly.zero(table)
+               for j in range(n)] for i in range(n)]
+    for k, c in enumerate(coeffs[:-1]):
+        horner = (oracle_mul(reduced, horner, table) if k
+                  else [r[:] for r in reduced])
+        for i in range(n):
+            horner[i][i] = horner[i][i] + c
+    scale = inv_det0 if n % 2 else -inv_det0
+    inv0 = [[e.scale(scale) for e in r] for r in horner]
+    step = oracle_neg(oracle_mul(
+        inv0, oracle_add(rows, oracle_neg(reduced)), table))
+    out, power = inv0, inv0
+    for _ in range(len(table.odd_positions)):
+        power = oracle_mul(step, power, table)
+        if all(e.is_zero() for r in power for e in r):
+            break
+        out = oracle_add(out, power)
+    return out
+
+
+def oracle_schur(m):
+    d_inv = oracle_inv(m.D, m.table)
+    if m.p == 0 or m.q == 0:
+        return [r[:] for r in m.A], d_inv
+    bdc = oracle_mul(oracle_mul(m.B, d_inv, m.table), m.C, m.table)
+    return oracle_add(m.A, oracle_neg(bdc)), d_inv
+
+
+def oracle_ber(m):
+    schur, _ = oracle_schur(m)
+    return oracle_det(schur, m.table) * oracle_det(m.D, m.table).inverse()
+
+
+def oracle_inverse(m):
+    t, mul = m.table, oracle_mul
+    if m.q == 0 or m.p == 0:
+        return SuperMatrix(t, m.p, m.q, oracle_inv(m.A, t), m.B, m.C,
+                           oracle_inv(m.D, t))
+    schur, d_inv = oracle_schur(m)
+    s_inv = oracle_inv(schur, t)
+    top_right = oracle_neg(mul(mul(s_inv, m.B, t), d_inv, t))
+    bottom_left = oracle_neg(mul(mul(d_inv, m.C, t), s_inv, t))
+    corr = mul(mul(mul(mul(d_inv, m.C, t), s_inv, t), m.B, t), d_inv, t)
+    return SuperMatrix(t, m.p, m.q, s_inv, top_right, bottom_left,
+                       oracle_add(d_inv, corr))
+
+
+def oracle_decompose(m):
+    t = m.table
+    schur, d_inv = oracle_schur(m)
+    eye = SuperMatrix.identity(t, m.p, m.q)
+    return (SuperMatrix(t, m.p, m.q, eye.A, oracle_mul(m.B, d_inv, t),
+                        eye.C, eye.D),
+            SuperMatrix.block_diagonal(t, schur, m.D),
+            SuperMatrix(t, m.p, m.q, eye.A, eye.B,
+                        oracle_mul(d_inv, m.C, t), eye.D))
+
+
+def unlike_denominators(m):
+    """m with A, B, C and D scaled by 1/2, 1/3, 1/5 and 1/7, so that each
+    block clears with its own lcm."""
+    return SuperMatrix(m.table, m.p, m.q, *(
+        [[e.scale(Fraction(1, k)) for e in r] for r in block]
+        for block, k in ((m.A, 2), (m.B, 3), (m.C, 5), (m.D, 7))))
+
+
+SHAPES = [(p, q) for p in range(6) for q in range(6)] + [(6, 6)]
+
+
+@pytest.mark.parametrize("p, q", SHAPES)
+def test_one_denominator_matches_the_product_by_product_oracle(p, q):
+    m = unlike_denominators(random_invertible_supermatrix(
+        random.Random(500 + 10 * p + q), E4, p, q))
+    assert str(berezinian(m)) == str(oracle_ber(m))
+    for block in (m.A, m.D):
+        assert str(inv_even(block, E4)) == str(oracle_inv(block, E4))
+    assert str(m.inverse()) == str(oracle_inverse(m))
+    assert str(decompose(m)) == str(oracle_decompose(m))
+
+
+def test_one_denominator_matches_the_oracle_on_chart_jacobians():
+    # RationalFunction coefficients: the same products in the same order,
+    # so even representations that reduction leaves unreduced agree
+    from supercalc.charts import Chart
+    from supercalc.randoms import random_split_map
+    rng = random.Random(61)
+    for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        U = Chart(["x", "y"][:p], ["th1", "th2"][:q])
+        V = Chart(["u", "v"][:p], ["e1", "e2"][:q])
+        for _ in range(3):
+            m = random_split_map(rng, U, V).jacobian()
+            assert str(berezinian(m)) == str(oracle_ber(m))
+            assert str(inv_even(m.D, m.table)) == str(oracle_inv(m.D, m.table))
+            assert str(m.inverse()) == str(oracle_inverse(m))
+
+
+def test_each_block_is_cleared_once_per_public_call(monkeypatch):
+    import supercalc.supermatrix as supermatrix
+
+    calls = []
+    clear = supermatrix._clear_denominators
+
+    def counting(rows):
+        calls.append(rows)
+        return clear(rows)
+
+    monkeypatch.setattr(supermatrix, "_clear_denominators", counting)
+    m = unlike_denominators(random_invertible_supermatrix(
+        random.Random(71), E4, 3, 3))
+    n = unlike_denominators(random_invertible_supermatrix(
+        random.Random(72), E4, 3, 3))
+    for call, blocks in ((lambda: det_even(m.A, E4), 1),
+                         (lambda: inv_even(m.D, E4), 1),
+                         (lambda: berezinian(m), 4),
+                         (m.inverse, 4),
+                         (lambda: decompose(m), 4),
+                         (lambda: m * n, 2)):
+        calls.clear()
+        call()
+        assert len(calls) <= blocks
