@@ -20,7 +20,8 @@ generators of given classes and :meth:`~GeneratorTable.sort_key` orders
 keys for printing.  Two bulk routines serve the Koszul complex:
 :meth:`~GeneratorTable.graded_keys` lists the keys of one multidegree and
 :meth:`~GeneratorTable.pair_images` writes their images under a
-differential straight from the keys.  Everywhere else a key of
+differential straight from the keys, and :meth:`SuperPoly.collect` groups
+terms by their factor in chosen generators.  Everywhere else a key of
 ``SuperPoly.terms`` is an opaque handle: it may be hashed, compared and
 passed back, never indexed, shifted, masked or built by hand.
 
@@ -36,6 +37,7 @@ a ``RationalFunction`` coefficient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -301,7 +303,9 @@ class GeneratorTable:
     def sort_key(self, mono: "Monomial") -> tuple:
         """The printing order: total degree, then the odd positions, then the
         even exponent vector, which the even bits order lexicographically."""
-        pairs = self.powers(mono)
+        return self._sort_key(mono, self.powers(mono))
+
+    def _sort_key(self, mono: "Monomial", pairs: list[tuple[int, int]]) -> tuple:
         return (sum(k for _, k in pairs), tuple(pos for pos, k in pairs if self.parities[pos]),
                 mono >> len(self.odd_positions))
 
@@ -441,6 +445,26 @@ class SuperPoly:
     def scalar_part(self):
         """Coefficient of the empty monomial."""
         return self.terms.get(0, 0)
+
+    def collect(self, positions: Iterable[int]) -> "dict[Monomial, SuperPoly]":
+        """Group the terms by their factor m in the generators at the given
+        table positions: a map from each m to the element c_m, free of
+        those generators, with self == sum of c_m * m."""
+        table = self.table
+        mask = 0
+        for pos in positions:
+            unit = table._unit[pos]
+            mask |= unit if table.parities[pos] else unit * _EXPONENT
+        odd, width = table._odd_mask, len(table.odd_positions)
+        groups: dict[Monomial, dict] = {}
+        for m, c in self.terms.items():
+            letters = m & mask
+            rest = m - letters
+            # m's odd factors move right past the odd factors of c_m above them
+            if (rest & odd & _below_parity(letters & odd, width)).bit_count() & 1:
+                c = -c
+            groups.setdefault(letters, {})[rest] = c
+        return {m: SuperPoly._of(table, terms) for m, terms in groups.items()}
 
     def set_odd_to_zero(self) -> "SuperPoly":
         """Projection killing every monomial with an odd factor."""
@@ -679,18 +703,25 @@ class SuperPoly:
 
     # --- rendering and serialization -----------------------------------------
 
-    def _sorted_terms(self):
-        order = self.table.sort_key
-        return sorted(self.terms.items(), key=lambda item: order(item[0]))
-
     def __str__(self):
-        if not self.terms:
+        """The released form when there is one, so that equal elements
+        print alike; a proper quotient prints its terms as stored."""
+        try:
+            shown = release_even_exponents(self)
+        except ValueError:
+            shown = self
+        if not shown.terms:
             return "0"
-        names, powers = self.table.names, self.table.powers
+        table, names = self.table, self.table.names
+        rows = []
+        for mono, c in shown.terms.items():
+            pairs = table.powers(mono)
+            rows.append((table._sort_key(mono, pairs), pairs, c))
+        rows.sort(key=lambda row: row[0])
         chunks: list[str] = []
-        for mono, c in self._sorted_terms():
+        for _, pairs, c in rows:
             body = "*".join([names[pos] if k == 1 else f"{names[pos]}^{k}"
-                             for pos, k in powers(mono)])
+                             for pos, k in pairs])
             cs = str(c)
             if not body:
                 text = cs
@@ -988,6 +1019,20 @@ def _divide_univariate(a: SuperPoly, g: SuperPoly, shift: int) -> SuperPoly:
     return _from_univ(a.table, out, shift)
 
 
+@functools.cache
+def _prefix_shift(src: GeneratorTable, dst: GeneratorTable):
+    """(lost, odd, low, high) when one table's generators begin the
+    other's, as a chart's begin its polyvector table's: a src key m with
+    no bit in ``lost`` is then the dst key m & odd | m >> low << high."""
+    short, longer = (src, dst) if len(src.gens) < len(dst.gens) else (dst, src)
+    if longer.gens[:len(short.gens)] != short.gens:
+        return None
+    odd, low = short._odd_mask, len(short.odd_positions)
+    high = len(longer.odd_positions) + _FIELD * (
+        len(longer.even_positions) - len(short.even_positions))
+    return (0, odd, low, high) if src is short else ((1 << high) - 1 & ~odd, odd, high, low)
+
+
 def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
     """Reinterpret an element over another table containing the same-named
     generators (with equal parities); rational-function coefficients are
@@ -995,21 +1040,26 @@ def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
     if poly.table == table:
         return poly
     src = poly.table
+    shift = _prefix_shift(src, table)
     target: dict[int, int] = {}
     terms: dict[Monomial, object] = {}
     for m, c in poly.terms.items():
-        pairs = src.powers(m)
-        for pos, _ in pairs:
-            if pos not in target:
-                name = src.names[pos]
-                target[pos] = table.index(name)
-                if table.parities[target[pos]] != src.parities[pos]:
-                    raise ValueError(f"generator {name!r} changes parity")
-        sign, mono = table.monomial([(target[pos], k) for pos, k in pairs])
+        if shift and not m & shift[0]:
+            sign, mono = 1, m & shift[1] | m >> shift[2] << shift[3]
+        else:
+            pairs = src.powers(m)
+            for pos, _ in pairs:
+                if pos not in target:
+                    name = src.names[pos]
+                    target[pos] = table.index(name)
+                    if table.parities[target[pos]] != src.parities[pos]:
+                        raise ValueError(f"generator {name!r} changes parity")
+            sign, mono = table.monomial([(target[pos], k) for pos, k in pairs])
         if isinstance(c, RationalFunction):
             c = RationalFunction(transport(c.num, table), transport(c.den, table))
-        terms[mono] = sign * c      # renaming keeps distinct keys distinct
-    return SuperPoly(table, terms)
+        terms[mono] = c if sign > 0 else -c
+    # renaming keeps the keys distinct and the coefficients canonical
+    return SuperPoly._of(table, terms)
 
 
 def absorb_even_exponents(poly: SuperPoly) -> SuperPoly:

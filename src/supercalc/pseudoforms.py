@@ -12,37 +12,52 @@ term carries all q delta slots; that maximal picture is the only one
 with a usable change-of-coordinates rule, so :class:`DeltaForm` enforces
 it.
 
-The delta symbols are formal.  No measure theory enters: the calculus is
-fixed by the module relations over the fiber letters, namely that dth
-acts on its own slot by del^{(l)} -> -l * del^{(l-1)}, that the formal
-derivative d/d(dth) raises l by one, and that inserting or removing a
-dx letter costs the sign of the odd letters it passes.  These rules make
-the multiplication and derivative letters close up into commutation
-relations with [d/d(dth_a), dth_b] = delta_ab on every form and
-{d/d(dx_i), dx_j} = delta_ij on every form, which is the whole content
-of :func:`cw_apply`.
+These forms are the integral forms in another notation, and a
+:class:`DeltaForm` stores exactly the polynomial its
+:class:`IntegralForm` holds, over ``polyvector_table(chart)``.  A dx
+letter that is absent becomes the odd polyvector letter pdx_i and a
+derived delta the even letter pdth_a to the power of its order:
 
-Degree-wise a term sits in Z-degree (number of dx letters) minus (total
-delta derivatives), unbounded below, capped above by p.  The degree-p
-piece is spanned over functions by the pivot dx_1..dx_p del(dth_1)..
-del(dth_q), which integrates along the fiber to the Berezin density of
-the base chart; :func:`to_integral_form` extends that identification
-mutually inversely to all degrees by matching the two one-sided
-derivative actions letter for letter.
+    f dx^eps del^{(ells)}  is stored as  s(eps) f prod_{e_i = 0} pdx_i prod_a pdth_a^{l_a},
+
+with s(eps) = (-1)^{sum of the indices i, counted from 0, with e_i = 0}.
+The pivot dx_1..dx_p del(dth_1)..del(dth_q) is the polynomial 1, and it
+integrates along the fiber to the Berezin density of the base chart.
+
+The delta symbols are formal; the calculus is fixed by four letter rules
+on the stored polynomial, applied by :func:`cw_apply`:
+
+    d/d(dx_i)    left multiplication by pdx_i,
+    dx_i         the left derivative along pdx_i,
+    d/d(dth_a)   multiplication by pdth_a,
+    dth_a        minus the left derivative along pdth_a,
+
+so dth acts on its slot by del^{(l)} -> -l * del^{(l-1)}, d/d(dth)
+raises l by one, and a dx letter costs the sign of the odd letters it
+passes.  They satisfy [d/d(dth_a), dth_b] = delta_ab and
+{d/d(dx_i), dx_j} = delta_ij on every form.  A term sits in Z-degree
+(number of dx letters) minus (total delta derivatives), which is p minus
+the polyvector degree of its stored monomials, and
+:func:`to_integral_form` and :func:`from_integral_form` only rewrap.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial, prod
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from supercalc.algebra import (
     FIBER_EVEN,
     FIBER_ODD,
     ODD_BASE,
+    POLYVECTOR_EVEN,
+    POLYVECTOR_ODD,
+    GeneratorTable,
     SuperPoly,
     absorb_even_exponents,
     release_even_exponents,
@@ -84,10 +99,25 @@ def _coerce_coefficient(chart: Chart, value) -> SuperPoly:
     return SuperPoly.constant(chart.table, value)
 
 
+@cache
+def _letter_positions(table: GeneratorTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions of pdx_1..pdx_p and of pdth_1..pdth_q in a polyvector
+    table, which lists them in coordinate order."""
+    return (table.positions_of_class(POLYVECTOR_ODD),
+            table.positions_of_class(POLYVECTOR_EVEN))
+
+
+def _sign(eps: Sequence[int]) -> int:
+    """s(eps): the sign of the stored letters of the dx word ``eps``."""
+    return -1 if sum(i for i, e in enumerate(eps) if not e) % 2 else 1
+
+
 class DeltaForm:
     """A finite sum of delta-type terms over one chart.
 
-    Terms are stored as a mapping from (eps, ells) to the base
+    The form is stored as one polynomial ``poly`` over
+    ``polyvector_table(chart)``, as the module docstring describes;
+    :attr:`terms` reads it back as a mapping from (eps, ells) to the base
     coefficient, with eps in {0,1}^p and ells a tuple of q nonnegative
     delta derivative orders.  The written order of a canonical term is
     coefficient first, then the dx letters ascending, then the delta
@@ -96,10 +126,12 @@ class DeltaForm:
     all odd.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "poly")
 
     def __init__(self, chart: Chart, terms: Mapping[TermKey, object] | None = None):
-        cleaned: dict[TermKey, SuperPoly] = {}
+        table = polyvector_table(chart)
+        dx, dth = _letter_positions(table)
+        pairs = []
         for (eps, ells), coeff in (terms or {}).items():
             eps = tuple(eps)
             ells = tuple(ells)
@@ -108,25 +140,26 @@ class DeltaForm:
             if len(ells) != chart.q or any(l < 0 or l != int(l) for l in ells):
                 raise ValueError(
                     f"need a nonnegative delta order per odd coordinate, got {ells}")
-            ells = tuple(int(l) for l in ells)
-            poly = _coerce_coefficient(chart, coeff)
-            if poly.is_zero():
-                continue
-            key = (eps, ells)
-            if key in cleaned:
-                poly = cleaned[key] + poly
-            if poly.is_zero():
-                cleaned.pop(key, None)
-            else:
-                cleaned[key] = poly
+            _, letters = table.monomial([(pos, 1) for pos, e in zip(dx, eps) if not e]
+                                        + [(pos, int(l)) for pos, l in zip(dth, ells)])
+            pairs.append((transport(_coerce_coefficient(chart, coeff), table),
+                          SuperPoly(table, {letters: _sign(eps)})))
         self.chart = chart
-        self.terms = cleaned
+        self.poly = SuperPoly.sum_of_products(table, pairs)
+
+    @classmethod
+    def _of(cls, chart: Chart, poly: SuperPoly) -> "DeltaForm":
+        """Wrap a polynomial over ``polyvector_table(chart)`` as it is."""
+        out = cls.__new__(cls)
+        out.chart = chart
+        out.poly = poly
+        return out
 
     # --- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, chart: Chart) -> "DeltaForm":
-        return cls(chart)
+        return cls._of(chart, SuperPoly.zero(polyvector_table(chart)))
 
     @classmethod
     def top(cls, chart: Chart, coefficient=1) -> "DeltaForm":
@@ -189,10 +222,32 @@ class DeltaForm:
         ells = tuple(orders[a] for a in range(chart.q))
         return cls(chart, {(tuple(eps), ells): poly})
 
+    # --- the term view --------------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[TermKey, SuperPoly]:
+        """The form term by term: a read-only map from (eps, ells) to the
+        base coefficient over the chart, with no zero entries."""
+        poly = self.poly
+        try:    # an absorbed density may hold pdth powers in its coefficients
+            poly = release_even_exponents(poly)
+        except ValueError:
+            pass
+        table = poly.table
+        dx, dth = _letter_positions(table)
+        view = {}
+        for letters, f in poly.collect(dx + dth).items():
+            powers = dict(table.powers(letters))
+            eps = tuple(0 if pos in powers else 1 for pos in dx)
+            f = transport(f, self.chart.table)
+            view[eps, tuple(powers.get(pos, 0) for pos in dth)] = \
+                f if _sign(eps) > 0 else -f
+        return MappingProxyType(view)
+
     # --- ring-module structure ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero()
 
     def _check(self, other: "DeltaForm") -> None:
         if self.chart.table != other.chart.table:
@@ -200,38 +255,31 @@ class DeltaForm:
 
     def __add__(self, other: "DeltaForm") -> "DeltaForm":
         self._check(other)
-        merged = dict(self.terms)
-        for key, poly in other.terms.items():
-            merged[key] = merged[key] + poly if key in merged else poly
-        return DeltaForm(self.chart, merged)
+        return DeltaForm._of(self.chart, self.poly + other.poly)
 
     def __sub__(self, other: "DeltaForm") -> "DeltaForm":
         return self + (-other)
 
     def __neg__(self) -> "DeltaForm":
-        return DeltaForm(self.chart,
-                         {key: -poly for key, poly in self.terms.items()})
+        return DeltaForm._of(self.chart, -self.poly)
 
     def scale(self, c) -> "DeltaForm":
-        return DeltaForm(self.chart,
-                         {key: poly.scale(c) for key, poly in self.terms.items()})
+        return DeltaForm._of(self.chart, self.poly.scale(c))
 
     def times(self, f) -> "DeltaForm":
         """Multiply by a coordinate function from the left."""
-        f = _coerce_coefficient(self.chart, f)
-        return DeltaForm(self.chart,
-                         {key: f * poly for key, poly in self.terms.items()})
+        f = transport(_coerce_coefficient(self.chart, f), self.poly.table)
+        return DeltaForm._of(self.chart, f * self.poly)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeltaForm):
             return NotImplemented
-        return (self.chart.table == other.chart.table
-                and self.terms == other.terms)
+        return self.poly == other.poly
 
     # --- gradings -----------------------------------------------------------
 
     def z_degrees(self) -> frozenset[int]:
-        return frozenset(sum(eps) - sum(ells) for eps, ells in self.terms)
+        return to_integral_form(self).degrees()
 
     def z_degree(self) -> int | None:
         """The common Z-degree, None for the zero form.
@@ -247,23 +295,9 @@ class DeltaForm:
         census = Counter(sum(eps) - sum(ells) for eps, ells in self.terms)
         raise ValueError(f"mixed degrees: {dict(sorted(census.items()))}")
 
-    def picture(self) -> int:
-        """Number of delta slots; always q here."""
-        return self.chart.q
-
     def parity(self) -> int | None:
         """Z2 parity q + |f| + (number of dx letters), None when mixed."""
-        found: int | None = None
-        for (eps, _), poly in self.terms.items():
-            fp = poly.parity()
-            if fp is None:
-                return None
-            this = (self.chart.q + fp + sum(eps)) % 2
-            if found is None:
-                found = this
-            elif found != this:
-                return None
-        return found
+        return to_integral_form(self).parity()
 
     # --- coordinate change ----------------------------------------------------
 
@@ -342,12 +376,13 @@ class DeltaForm:
     # --- presentation ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         odd_fibers = [fiber_name(n) for n in self.chart.odd_names]
         even_fibers = [fiber_name(n) for n in self.chart.even_names]
         parts = []
-        for (eps, ells), poly in sorted(self.terms.items()):
+        for (eps, ells), poly in sorted(terms.items()):
             letters = [even_fibers[i] for i, e in enumerate(eps) if e]
             letters += [f"del({name})" if l == 0 else f"del({name},{l})"
                         for name, l in zip(odd_fibers, ells)]
@@ -385,10 +420,6 @@ class CWOperator:
             return NotImplemented
         return CWOperator(self.letters + other.letters)
 
-    def z_shift(self) -> int:
-        """Net Z-degree shift: +1 per multiplication letter, -1 per derivative."""
-        return sum(-1 if token.startswith("dd_") else 1 for token in self.letters)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CWOperator):
             return NotImplemented
@@ -398,39 +429,14 @@ class CWOperator:
         return f"CWOperator({' '.join(self.letters) or '1'!r})"
 
 
-def _signed_by_parity(poly: SuperPoly, sign: int) -> SuperPoly:
-    """poly with each monomial scaled by sign * (-1)^{monomial parity}."""
-    even, odd = poly.homogeneous_parts()
-    out = even - odd
-    return out if sign > 0 else -out
-
-
-def _resolve_letter(chart: Chart, token: str) -> tuple[bool, int, int]:
-    """(is derivative, kind 0 for dx / 1 for dth, coordinate index)."""
-    derivative = token.startswith("dd_")
-    body = token[3:] if derivative else token
-    for i, name in enumerate(chart.even_names):
-        if body == fiber_name(name):
-            return derivative, 0, i
-    for a, name in enumerate(chart.odd_names):
-        if body == fiber_name(name):
-            return derivative, 1, a
-    raise ValueError(f"{token!r} is not a fiber letter of the chart")
-
-
 def cw_apply(op: CWOperator | str | Iterable[str], form: DeltaForm) -> DeltaForm:
     """Act on a delta form by a word of fiber letters.
 
-    Multiplication by dx_i inserts the letter with the sign of the dx
-    letters it passes (and of the base coefficient, dx being odd), and
-    annihilates terms already containing it; the derivative removes it
-    under the same sign and annihilates terms without it.  In the delta
-    directions, dth_a lowers the derivative order by the distribution
-    rule del^{(l)} -> -l * del^{(l-1)} and kills plain deltas, while the
-    derivative letter raises the order with no sign at all.  These four
-    actions satisfy the commutation relations
-    [d/d(dth_a), dth_b] = delta_ab and {d/d(dx_i), dx_j} = delta_ij
-    on every form.
+    Each letter is one operation on the stored polynomial, by the four
+    rules of the module docstring: a dx derivative multiplies by its
+    odd polyvector letter from the left and dx takes the left derivative
+    along it; a delta-raising letter multiplies by its even polyvector
+    letter and dth takes minus the left derivative along it.
     """
     if isinstance(op, CWOperator):
         letters = op.letters
@@ -438,36 +444,22 @@ def cw_apply(op: CWOperator | str | Iterable[str], form: DeltaForm) -> DeltaForm
         letters = tuple(op.split())
     else:
         letters = tuple(op)
-    chart = form.chart
-    terms = dict(form.terms)
+    chart, poly = form.chart, form.poly
+    table = poly.table
+    names = {fiber_name(n): polyvector_name(n) for n in chart.coordinate_names}
     for token in reversed(letters):
-        derivative, kind, idx = _resolve_letter(chart, token)
-        new: dict[TermKey, SuperPoly] = {}
-        for (eps, ells), poly in terms.items():
-            if kind == 0:
-                if eps[idx] == (0 if derivative else 1):
-                    continue
-                prefix = sum(eps[:idx]) % 2
-                moved = _signed_by_parity(poly, -1 if prefix else 1)
-                flipped = list(eps)
-                flipped[idx] ^= 1
-                key = (tuple(flipped), ells)
-            else:
-                order = ells[idx]
-                if derivative:
-                    moved = poly
-                    shifted = list(ells)
-                    shifted[idx] += 1
-                else:
-                    if order == 0:
-                        continue
-                    moved = poly.scale(-order)
-                    shifted = list(ells)
-                    shifted[idx] -= 1
-                key = (eps, tuple(shifted))
-            new[key] = new[key] + moved if key in new else moved
-        terms = new
-    return DeltaForm(chart, terms)
+        derivative = token.startswith("dd_")
+        name = names.get(token[3:] if derivative else token)
+        if name is None:
+            raise ValueError(f"{token!r} is not a fiber letter of the chart")
+        if table.parity(name):
+            poly = (SuperPoly.generator(table, name) * poly if derivative
+                    else poly.left_derivative(name))
+        elif derivative:
+            poly = poly * SuperPoly.generator(table, name)
+        else:
+            poly = -poly.left_derivative(name)
+    return DeltaForm._of(chart, poly)
 
 
 def _apply_step(form: DeltaForm, step) -> DeltaForm:
@@ -486,16 +478,15 @@ def delta_times_poly(form: DeltaForm, f) -> DeltaForm:
     """Right multiplication by a coordinate function.
 
     f moves left through each term's odd letters, its dx letters and its
-    q delta symbols, so its odd part picks up their parity.
+    q delta symbols, so its odd part picks up their parity.  On the
+    stored polynomial that is right multiplication by f with its odd part
+    negated when p + q is odd.
     """
     f = _coerce_coefficient(form.chart, f)
-    even, odd = f.homogeneous_parts()
-    out = DeltaForm.zero(form.chart)
-    q = form.chart.q
-    for (eps, ells), c in form.terms.items():
-        shifted = even + (odd.scale(-1) if (sum(eps) + q) % 2 else odd)
-        out = out + DeltaForm(form.chart, {(eps, ells): c * shifted})
-    return out
+    if (form.chart.p + form.chart.q) % 2:
+        even, odd = f.homogeneous_parts()
+        f = even - odd
+    return DeltaForm._of(form.chart, form.poly * transport(f, form.poly.table))
 
 
 def form_times_delta(omega: SuperPoly, form: DeltaForm) -> DeltaForm:
@@ -534,72 +525,20 @@ def form_times_delta(omega: SuperPoly, form: DeltaForm) -> DeltaForm:
 # --- the bridge to integral forms ---------------------------------------------
 
 
-def _derivative_word(chart: Chart, eps: Sequence[int],
-                     ells: Sequence[int]) -> list[str]:
-    word = [f"dd_{fiber_name(name)}" for i, name in enumerate(chart.even_names)
-            if not eps[i]]
-    for a, name in enumerate(chart.odd_names):
-        word += [f"dd_{fiber_name(name)}"] * ells[a]
-    return word
-
-
 def to_integral_form(form: DeltaForm) -> IntegralForm:
-    """Rewrite a delta form as a polyvector-weighted density.
+    """The same form as a polyvector-weighted density.
 
-    Each term is first expressed as a derivative word applied to the
-    degree-p pivot; the word then transfers letter for letter, with the
-    dx derivative in slot i becoming the odd polyvector letter of x_i
-    and the delta-raising letter of slot a becoming the even polyvector
-    letter of th_a.  Degrees match on the nose and
+    Both hold one polynomial over ``polyvector_table(chart)``, so this
+    only rewraps it; degrees match on the nose and
     :func:`from_integral_form` inverts exactly.
     """
-    chart = form.chart
-    table = polyvector_table(chart)
-    out = SuperPoly.zero(table)
-    for (eps, ells), f in form.terms.items():
-        word = _derivative_word(chart, eps, ells)
-        applied = cw_apply(word, DeltaForm.top(chart))
-        sign_poly = applied.terms[(tuple(eps), tuple(ells))]
-        sign = sign_poly.scalar_part()
-        powers = {polyvector_name(name): 1
-                  for i, name in enumerate(chart.even_names) if not eps[i]}
-        powers.update({polyvector_name(name): ells[a]
-                       for a, name in enumerate(chart.odd_names) if ells[a]})
-        letters = SuperPoly.from_monomial(table, powers, Fraction(1) / sign)
-        out = out + transport(f, table) * letters
-    return IntegralForm(chart, out)
+    return IntegralForm(form.chart, form.poly)
 
 
 def from_integral_form(sigma: IntegralForm) -> DeltaForm:
-    """Rewrite a polyvector-weighted density as a delta form.
-
-    Inverse of :func:`to_integral_form`: the polyvector letters of each
-    monomial are read back as a derivative word and applied to the
-    pivot, and the base factor multiplies from the left.
-    """
-    chart = sigma.chart
-    table = sigma.table
-    coordinates = set(chart.coordinate_names)
-    out = DeltaForm.zero(chart)
-    for mono, c in sigma.poly.terms.items():
-        base_powers: dict[str, int] = {}
-        ells = {name: 0 for name in chart.odd_names}
-        removed: set[str] = set()
-        for pos, k in table.powers(mono):
-            name = table.names[pos]
-            if name in coordinates:
-                base_powers[name] = k
-            elif table.parities[pos]:
-                removed.add(name[len(polyvector_name("")):])
-            else:
-                ells[name[len(polyvector_name("")):]] = k
-        eps = tuple(0 if name in removed else 1 for name in chart.even_names)
-        orders = tuple(ells[name] for name in chart.odd_names)
-        word = _derivative_word(chart, eps, orders)
-        applied = cw_apply(word, DeltaForm.top(chart))
-        base = SuperPoly.from_monomial(chart.table, base_powers, c)
-        out = out + applied.times(base)
-    return out
+    """The same density as a delta form: the inverse of
+    :func:`to_integral_form`, again a rewrap."""
+    return DeltaForm._of(sigma.chart, sigma.poly)
 
 
 # --- fiber integration ---------------------------------------------------------
@@ -615,10 +554,7 @@ def fiber_integral(form: DeltaForm) -> BerSection:
     """
     chart = form.chart
     key = ((1,) * chart.p, (0,) * chart.q)
-    coeff = form.terms.get(key)
-    if coeff is None:
-        coeff = SuperPoly.zero(chart.table)
-    return BerSection(chart, coeff)
+    return BerSection(chart, form.terms.get(key, SuperPoly.zero(chart.table)))
 
 
 def gaussian_fiber_integral(chart: Chart, form, gaussian: Iterable[str] = ()
@@ -667,4 +603,3 @@ def gaussian_fiber_integral(chart: Chart, form, gaussian: Iterable[str] = ()
             out = out + SuperPoly.from_monomial(chart.table, base_powers, c * factor)
     weight = PiValue.pi_power(Fraction(len(gaussian), 2))
     return weight, BerSection(chart, out)
-

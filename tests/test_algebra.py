@@ -17,7 +17,9 @@ from supercalc.algebra import (
     absorb_even_exponents,
     merge_odd_indices,
     sort_odd_indices,
+    transport,
 )
+from supercalc.randoms import random_superpoly
 
 T = GeneratorTable.chart(["x", "y"], ["th1", "th2", "th3"])
 
@@ -169,6 +171,48 @@ def test_encoder_sorts_odd_factors_with_their_sign():
     assert T.monomial([(th1, 1), (th1, 1)]) == (0, None)
     assert T.monomial([(th1, 2)]) == (0, None)
     assert T.monomial([(th1, 0), (x, 0)]) == T.monomial([])
+
+
+@pytest.mark.parametrize("kind", ["form", "polyvector"])
+def test_transport_matches_encoding_by_name(kind):
+    # A polyvector table begins with its chart's generators, so transport
+    # moves each key by one shift, both ways; a form table does not.
+    tables = _codec_tables()
+    base, ext = tables["chart"], tables[kind]
+    rng = random.Random(18)
+    for _ in range(50):
+        u = random_superpoly(rng, base, terms=4, max_exp=3)
+        by_name = SuperPoly.zero(ext)
+        for mono, c in u.terms.items():
+            named = {base.names[pos]: k for pos, k in base.powers(mono)}
+            by_name = by_name + SuperPoly.from_monomial(ext, named, c)
+        moved = transport(u, ext)
+        assert moved.terms == by_name.terms
+        assert transport(moved, base).terms == u.terms
+        assert transport(absorb_even_exponents(u), ext) == moved
+    letter = next(name for name in ext.names if name not in base.names)
+    with pytest.raises(KeyError, match="unknown generator"):
+        transport(SuperPoly.generator(ext, letter), base)
+
+
+@pytest.mark.parametrize("kind", ["form", "polyvector"])
+def test_collect_splits_off_the_chosen_generators(kind):
+    tables = _codec_tables()
+    base, table = tables["chart"], tables[kind]
+    letters = [pos for pos, name in enumerate(table.names) if name not in base.names]
+    # th1 sits left of th2 and the odd letters, so its grouping costs signs
+    mixed = [table.index("th1"), letters[-1], letters[0]]
+    rng = random.Random(19)
+    for positions in (letters, mixed):
+        for _ in range(50):
+            u = random_superpoly(rng, table, terms=5, max_exp=2)
+            total = SuperPoly.zero(table)
+            for mono, c in u.collect(positions).items():
+                assert {pos for pos, _ in table.powers(mono)} <= set(positions)
+                assert not any(pos in positions for key in c.terms
+                               for pos, _ in table.powers(key))
+                total = total + c * SuperPoly(table, {mono: 1})
+            assert total == u
 
 
 @pytest.mark.parametrize("powers", [{"x": -1}, {"th1": -1}, {"th1": 2, "y": -2}],
@@ -538,6 +582,21 @@ def test_equality_with_a_quotient_takes_it_as_a_constant():
 def test_str_is_stable():
     e = gen("x") * gen("th1") + 1
     assert str(e) == "1 + x*th1"
+
+
+@pytest.mark.parametrize("layer", ["chart", "form", "polyvector"])
+def test_absorbed_twins_print_alike(layer):
+    table = _codec_tables()[layer]
+    rng = random.Random(61)
+    for _ in range(40):
+        u = random_superpoly(rng, table, terms=4, max_exp=3)
+        assert str(absorb_even_exponents(u)) == str(u)
+
+
+def test_a_proper_quotient_prints_as_stored():
+    rf = RationalFunction(SuperPoly.one(T), gen("x"))
+    e = const(rf) * gen("th1") + gen("x") * gen("th2")
+    assert str(e) == "1/x*th1 + x*th2"
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,17 @@ def test_gaussian_weight_enters_the_lie_derivative(args, expected):
     assert result.output.strip() == expected
 
 
+def test_printing_releases_absorbed_powers():
+    # left_derivative leaves x1^2/x1 as 2/x1*x1 - 1/(x1^2)*x1^2; equal
+    # elements must print alike
+    args = ["lie-ber", "--ring", "1|1", "--"]
+    result = CliRunner().invoke(main, args + ["Ber @ x1^2/x1*th1", "x1 = 1"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "Ber @ th1\n"
+    assert CliRunner().invoke(main, args + ["Ber @ x1*th1", "x1 = 1"]).output \
+        == result.output
+
+
 @pytest.mark.parametrize("name", ["th1", "y"])
 @pytest.mark.parametrize("command, operands", [
     ("spencer-delta", ["Ber @ x1*th1"]),

@@ -42,3 +42,30 @@ def test_the_cli_workload_finds_its_names():
     assert cli.render(value) == "0"
     with pytest.raises(cli.ExpressionError, match="unknown generator 'pdx1'"):
         cli.parse_value("pdx1", ring)
+
+
+def test_the_delta_form_entry_points_the_workloads_call():
+    # The forms and cli workloads build delta forms term by term, add,
+    # compare and print them, and apply letter words given as strings.
+    from supercalc.algebra import SuperPoly
+    from supercalc.charts import Chart
+    from supercalc.pseudoforms import DeltaForm, cw_apply
+
+    chart = Chart.standard(3, 3)
+    th1 = SuperPoly.generator(chart.table, "th1")
+    x2 = SuperPoly.generator(chart.table, "x2")
+    raw = {((1, 0, 1), (0, 2, 0)): th1 + x2,
+           ((0, 0, 0), (1, 0, 0)): SuperPoly.constant(chart.table, 3)}
+    w = DeltaForm.zero(chart)
+    assert w.is_zero()
+    for key, c in raw.items():
+        w = w + DeltaForm(chart, {key: c})
+    assert not w.is_zero()
+    assert w == DeltaForm(chart, raw) and not w == DeltaForm.zero(chart)
+    assert set(w.terms) == set(raw)
+    assert all(w.terms[key] == c for key, c in raw.items())
+    assert str(w) == ("(3) del(dth1,1) del(dth2) del(dth3) + (x2 + th1) "
+                      "dx1 dx3 del(dth1) del(dth2,2) del(dth3)")
+    assert str(cw_apply("dx2 dd_dth2", w)) == (
+        "(3) dx2 del(dth1,1) del(dth2,1) del(dth3) + (-x2 + th1) "
+        "dx1 dx2 dx3 del(dth1) del(dth2,3) del(dth3)")

@@ -132,6 +132,138 @@ def form_pullback(m, eta):
     return release_even_exponents(eta.substitute(assignment, src_ftab))
 
 
+# --- the per-term reference ---------------------------------------------------
+#
+# A delta form written as a {(eps, ells): coefficient} map, with each letter
+# acting term by term, and the density picture reached by applying each
+# term's derivative word to the pivot.  DeltaForm stores one polynomial
+# instead; these rules are the oracle its four letter rules must reproduce.
+
+
+def _signed_by_parity(poly, sign):
+    """poly with each monomial scaled by sign * (-1)^{monomial parity}."""
+    even, odd = poly.homogeneous_parts()
+    out = even - odd
+    return out if sign > 0 else -out
+
+
+def reference_cw_apply(chart, letters, terms):
+    dxs = [fiber_name(n) for n in chart.even_names]
+    dths = [fiber_name(n) for n in chart.odd_names]
+    for token in reversed(letters):
+        derivative = token.startswith("dd_")
+        body = token[3:] if derivative else token
+        new = {}
+        for (eps, ells), poly in terms.items():
+            if body in dxs:
+                idx = dxs.index(body)
+                if eps[idx] == (0 if derivative else 1):
+                    continue
+                moved = _signed_by_parity(poly, -1 if sum(eps[:idx]) % 2 else 1)
+                flipped = list(eps)
+                flipped[idx] ^= 1
+                key = (tuple(flipped), ells)
+            else:
+                idx = dths.index(body)
+                shifted = list(ells)
+                if derivative:
+                    moved = poly
+                    shifted[idx] += 1
+                elif not ells[idx]:
+                    continue
+                else:
+                    moved = poly.scale(-ells[idx])
+                    shifted[idx] -= 1
+                key = (eps, tuple(shifted))
+            new[key] = new[key] + moved if key in new else moved
+        terms = {key: poly for key, poly in new.items() if not poly.is_zero()}
+    return terms
+
+
+def reference_to_integral_form(chart, terms):
+    table = polyvector_table(chart)
+    pivot = {((1,) * chart.p, (0,) * chart.q): SuperPoly.one(chart.table)}
+    out = SuperPoly.zero(table)
+    for (eps, ells), f in terms.items():
+        word = [f"dd_{fiber_name(n)}" for n, e in zip(chart.even_names, eps) if not e]
+        for n, l in zip(chart.odd_names, ells):
+            word += [f"dd_{fiber_name(n)}"] * l
+        sign = reference_cw_apply(chart, word, pivot)[(eps, ells)].scalar_part()
+        powers = {polyvector_name(n): 1 for n, e in zip(chart.even_names, eps) if not e}
+        powers.update({polyvector_name(n): l for n, l in zip(chart.odd_names, ells) if l})
+        out = out + transport(f, table) * SuperPoly.from_monomial(table, powers,
+                                                                   Fraction(1, sign))
+    return out
+
+
+def reference_delta_times_poly(chart, terms, f):
+    even, odd = f.homogeneous_parts()
+    out = {}
+    for (eps, ells), c in terms.items():
+        shifted = even + (-odd if (sum(eps) + chart.q) % 2 else odd)
+        if not (c * shifted).is_zero():
+            out[(eps, ells)] = c * shifted
+    return out
+
+
+class TestAgainstTermReference:
+    """Seeded draws on 1|1 .. 3|3: every letter, both products with a
+    function and the density picture agree with the per-term rules."""
+
+    SHAPES = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
+
+    def draws(self):
+        rng = random.Random(428)
+        for p, q in self.SHAPES:
+            chart = Chart.standard(p, q)
+            for _ in range(6):
+                terms = {}
+                for _ in range(3):
+                    key = (tuple(rng.randrange(2) for _ in range(p)),
+                           tuple(rng.randrange(3) for _ in range(q)))
+                    c = random_superpoly(rng, chart.table, terms=2, max_exp=2)
+                    terms[key] = terms[key] + c if key in terms else c
+                terms = {k: c for k, c in terms.items() if not c.is_zero()}
+                yield rng, chart, terms
+
+    def test_the_term_view_reads_back_the_terms(self):
+        for _, chart, terms in self.draws():
+            assert dict(DeltaForm(chart, terms).terms) == terms
+
+    def test_every_letter_matches(self):
+        changed = 0
+        for _, chart, terms in self.draws():
+            w = DeltaForm(chart, terms)
+            for name in chart.coordinate_names:
+                for token in (fiber_name(name), "dd_" + fiber_name(name)):
+                    want = reference_cw_apply(chart, [token], terms)
+                    assert dict(cw_apply(token, w).terms) == want, token
+                    changed += bool(want)
+        assert changed >= 300
+
+    def test_words_match(self):
+        for rng, chart, terms in self.draws():
+            letters = [fiber_name(n) for n in chart.coordinate_names]
+            word = [rng.choice(("", "dd_")) + rng.choice(letters)
+                    for _ in range(rng.randint(1, 4))]
+            assert (dict(cw_apply(word, DeltaForm(chart, terms)).terms)
+                    == reference_cw_apply(chart, word, terms))
+
+    def test_products_with_functions_match(self):
+        for rng, chart, terms in self.draws():
+            w = DeltaForm(chart, terms)
+            f = random_superpoly(rng, chart.table, terms=2, max_exp=2)
+            left = {k: f * c for k, c in terms.items() if not (f * c).is_zero()}
+            assert dict(w.times(f).terms) == left
+            assert (dict(delta_times_poly(w, f).terms)
+                    == reference_delta_times_poly(chart, terms, f))
+
+    def test_density_picture_matches(self):
+        for _, chart, terms in self.draws():
+            sigma = to_integral_form(DeltaForm(chart, terms))
+            assert sigma.poly == reference_to_integral_form(chart, terms)
+
+
 class TestCWAction:
     def test_multiplication_kills_plain_delta(self):
         plain = delta_term(R01, 1, (), (0,))
@@ -205,7 +337,6 @@ class TestCWAction:
     def test_operator_product_concatenates(self):
         op = CWOperator("dd_dth1") * CWOperator("dth2 dx")
         assert op == CWOperator("dd_dth1 dth2 dx")
-        assert op.z_shift() == -1 + 1 + 1
 
     def test_malformed_letter_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -344,7 +475,6 @@ class TestGradings:
             top = DeltaForm.top(chart)
             assert top.z_degree() == chart.p
             assert top.parity() == (chart.p + chart.q) % 2
-            assert top.picture() == chart.q
 
     def test_derived_delta_sits_below_zero(self):
         assert delta_term(R02, 1, (), (1, 0)).z_degree() == -1
@@ -369,7 +499,7 @@ class TestGradings:
             out = cw_apply(token, w)
             if out.is_zero() or w.is_zero():
                 continue
-            shift = CWOperator(token).z_shift()
+            shift = -1 if token.startswith("dd_") else 1
             assert out.z_degree() == w.z_degree() + shift
             moved += 1
         assert moved >= 10
@@ -417,6 +547,16 @@ class TestIsomorphism:
                                                       max_exp=2))
                 again = to_integral_form(from_integral_form(sigma))
                 assert again.poly == sigma.poly
+
+    def test_absorbed_density_reads_back_its_terms(self):
+        rng = random.Random(3)
+        for _ in range(10):
+            u = random_superpoly(rng, polyvector_table(R11), terms=3, max_exp=2)
+            twin = from_integral_form(IntegralForm(R11, absorb_even_exponents(u)))
+            plain = from_integral_form(IntegralForm(R11, u))
+            assert twin == plain
+            assert dict(twin.terms) == dict(plain.terms)
+            assert str(twin) == str(plain)
 
     def test_degrees_agree(self):
         rng = random.Random(423)
