@@ -63,25 +63,6 @@ def parity_of_class(cls: str) -> int:
     raise ValueError(f"unknown generator class {cls!r}")
 
 
-def sort_odd_indices(indices: Sequence[int]) -> tuple[int, tuple[int, ...] | None]:
-    """Sort odd-generator indices into table order.
-
-    Returns ``(sign, sorted_tuple)`` where the sign is the parity of the
-    sorting permutation, or ``(0, None)`` when an index repeats.
-    """
-    items = list(indices)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and items[j - 1] == items[j]:
-            return 0, None
-    return sign, tuple(items)
-
-
 def merge_odd_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
     """Merge two ascending index tuples, tracking the interleaving sign.
 

@@ -41,6 +41,8 @@ class Chart:
     @classmethod
     def standard(cls, p: int, q: int) -> "Chart":
         """R^{p|q} with coordinates x1..xp | th1..thq."""
+        if p < 0 or q < 0:
+            raise ValueError(f"dimensions must be nonnegative, got {p}|{q}")
         return cls([f"x{i}" for i in range(1, p + 1)],
                    [f"th{a}" for a in range(1, q + 1)], label=f"R{p}|{q}")
 

@@ -358,7 +358,7 @@ def cmd_koszul(p, q, which, degree, cutoff, json_mode):
 
 
 @main.command("con3-check")
-@click.option("--trials", type=int, default=25, show_default=True)
+@click.option("--trials", type=click.IntRange(min=0), default=25, show_default=True)
 @_seed_option
 @_ring_option
 @_json_option
@@ -436,7 +436,7 @@ def cmd_pd_pair(density_file, form_file, gaussian, dirac, formal, ring_text,
 @click.option("--gamma", required=True,
               help="structure constants as JSON: a number for 1|1, a q by q "
                    "matrix for one even direction, or a list of p matrices")
-@click.option("--trials", type=int, default=10, show_default=True,
+@click.option("--trials", type=click.IntRange(min=0), default=10, show_default=True,
               help="random Lagrangians for the invariance check")
 @_seed_option
 @_ring_option
@@ -546,10 +546,10 @@ def cmd_fiber_int(expression, gaussian, ring_text, json_mode):
 @main.command("verify", help="Run one named identity suite, or all of "
               f"them.\n\nSuites: {', '.join(SUITES)}.")
 @click.argument("suite", default="all")
-@click.option("--trials", type=int, default=None,
+@click.option("--trials", type=click.IntRange(min=0), default=None,
               help="override the suite's sample count")
-@click.option("--p", "p", type=int, default=2, show_default=True)
-@click.option("--q", "q", type=int, default=2, show_default=True)
+@click.option("--p", "p", type=click.IntRange(min=0), default=2, show_default=True)
+@click.option("--q", "q", type=click.IntRange(min=0), default=2, show_default=True)
 @_seed_option
 @_json_option
 @click.pass_context

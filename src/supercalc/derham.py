@@ -7,32 +7,43 @@ unbounded powers.  The extension lists fiber symbols first, so a canonical
 monomial always reads (fiber word) * (base word) with no hidden sign.
 
 The module provides the differential d, the contracting scaling homotopy
-for polynomial coefficients, pullback along coordinate maps, and the pair
-of operators on form-tensor-operator elements whose anticommutator is a
-degree-counting scalar; the monomials that scalar misses are exactly the
-densities dz_1...dz_p (X) d_th1...d_thq * f.
+for polynomial coefficients and pullback along coordinate maps.
+
+It also holds the total complex of forms tensor differential operators.
+An element (:class:`UniversalElement`) is one polynomial over the form
+table with one derivative letter dd_z, of z's parity, inserted between
+the fiber symbols and the coordinates, so that a monomial written in table
+order reads (fiber word) (x) (derivative word) * f.  The complex's two
+operators are polynomial operations:
+
+    script_D   left multiplication by sum_z dz*dd_z,
+    script_H   sum_z of the left derivative along dz, then along dd_z.
+
+Their anticommutator multiplies a monomial by p + q + (even fiber and
+derivative degree) - (odd fiber and derivative degree), which is zero
+exactly on the densities dz_1...dz_p (X) d_th1...d_thq * f.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from supercalc.algebra import (
     EVEN_BASE,
     FIBER_EVEN,
     FIBER_ODD,
     ODD_BASE,
+    POLYVECTOR_EVEN,
+    POLYVECTOR_ODD,
     GeneratorTable,
     Monomial,
     SuperPoly,
     release_even_exponents,
-    sort_odd_indices,
     transport,
 )
 from supercalc.charts import CoordinateMap
-from supercalc.diffops import DerivMonomial, DiffOp
 
 FIBER_PREFIX = "d"
 
@@ -134,66 +145,84 @@ def pullback_form(m: CoordinateMap, omega: SuperPoly) -> SuperPoly:
 # ---------------------------------------------------------------------------
 # The operator-valued complex
 
+DERIV_PREFIX = "dd_"
+_LETTERS = (FIBER_EVEN, FIBER_ODD, POLYVECTOR_EVEN, POLYVECTOR_ODD)
+
+
+@cache
+def _symbol_table(table: GeneratorTable) -> GeneratorTable:
+    """The symbols of the operator complex over a form table, once per table:
+    its fiber symbols, then one derivative letter dd_z per base coordinate z
+    with z's parity, then the coordinates.
+
+    The derivative letters borrow the polyvector classes for their parity
+    (even dd_x, odd dd_th); this table holds no polyvector letter, so the
+    classes cannot be confused.
+    """
+    fiber = [g for g in table.gens if g[1] in (FIBER_EVEN, FIBER_ODD)]
+    base = [g for g in table.gens if g[1] in (EVEN_BASE, ODD_BASE)]
+    if [g[0] for g in fiber] != [fiber_name(n) for n, _ in base]:
+        raise ValueError("the operator complex lives over a form table")
+    letters = [(DERIV_PREFIX + n, POLYVECTOR_ODD if c == ODD_BASE else POLYVECTOR_EVEN)
+               for n, c in base]
+    return GeneratorTable(fiber + letters + base)
+
+
 class UniversalElement:
     """Finite sum of monomials (fiber word) (x) (derivative word) * f.
 
-    The function coefficient f sits to the RIGHT of the derivative word;
-    that is the decomposition in which the contracting homotopy below acts
-    termwise.  Scalars produced while reordering are folded into f.
+    The element is one polynomial ``poly`` over ``_symbol_table(table)``,
+    ``table`` being the form table: the derivative d/dz is the letter dd_z,
+    and a stored monomial, written in table order, reads (fiber word) (x)
+    (derivative word) * f with the function f to the RIGHT of the
+    derivative word, the decomposition in which the contracting homotopy
+    acts termwise.  Odd letters sort block by block, so the sign of a term
+    is that of its fiber word times that of its derivative word.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "poly")
 
-    def __init__(self, table: GeneratorTable,
-                 terms: Mapping[tuple[Monomial, DerivMonomial], SuperPoly]):
+    def __init__(self, table: GeneratorTable, poly: SuperPoly):
+        if poly.table != _symbol_table(table):
+            raise ValueError("polynomial is not over the operator symbols")
         self.table = table
-        clean: dict[tuple[Monomial, DerivMonomial], SuperPoly] = {}
-        for (mu, jw), f in terms.items():
-            if f.is_zero():
-                continue
-            if any(table.classes[pos] not in (FIBER_EVEN, FIBER_ODD)
-                   for pos, _ in table.powers(mu)):
-                raise ValueError("form factor must be purely fiber content")
-            clean[(mu, jw)] = f
-        self.terms = clean
+        self.poly = poly
 
     @classmethod
     def zero(cls, table: GeneratorTable) -> "UniversalElement":
-        return cls(table, {})
+        return cls(table, SuperPoly.zero(_symbol_table(table)))
 
     @classmethod
     def monomial(cls, table: GeneratorTable, fiber_word: Sequence[str],
                  deriv_word: Sequence[str], f: SuperPoly | None = None,
                  coeff=1) -> "UniversalElement":
         """Build  (product of fiber symbols) (x) (product of derivatives) * f
-        with both words in the written order."""
-        fiber = SuperPoly.constant(table, Fraction(coeff))
-        for name in fiber_word:
-            fiber = fiber * SuperPoly.generator(table, name)
-        if fiber.is_zero():
-            return cls.zero(table)
-        (mu, c), = fiber.terms.items()
-        sign, jw = _deriv_key(DiffOp.zero(table),
-                              tuple(table.index(name) for name in deriv_word))
+        with both words in the written order and f a function of the
+        coordinates."""
+        symbols = _symbol_table(table)
+        if any(symbols.classes[symbols.index(name)] not in (FIBER_EVEN, FIBER_ODD)
+               for name in fiber_word):
+            raise ValueError("form factor must be purely fiber content")
+        f = SuperPoly.one(symbols) if f is None else transport(f, symbols)
+        if any(symbols.degree(mono, *_LETTERS) for mono in f.terms):
+            raise ValueError("coefficient must be a function of the coordinates")
+        sign, word = symbols.monomial(
+            [(symbols.index(name), 1) for name in fiber_word]
+            + [(symbols.index(DERIV_PREFIX + name), 1) for name in deriv_word])
         if sign == 0:
             return cls.zero(table)
-        f = SuperPoly.one(table) if f is None else f
-        return cls(table, {(mu, jw): f.scale(c * sign)})
+        return cls(table, SuperPoly(symbols, {word: sign * Fraction(coeff)}) * f)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero()
 
     def __add__(self, other):
         if not isinstance(other, UniversalElement):
             return NotImplemented
-        terms = dict(self.terms)
-        for key, f in other.terms.items():
-            acc = terms.get(key)
-            terms[key] = f if acc is None else acc + f
-        return UniversalElement(self.table, terms)
+        return UniversalElement(self.table, self.poly + other.poly)
 
     def __neg__(self):
-        return UniversalElement(self.table, {k: -f for k, f in self.terms.items()})
+        return UniversalElement(self.table, -self.poly)
 
     def __sub__(self, other):
         if not isinstance(other, UniversalElement):
@@ -201,111 +230,67 @@ class UniversalElement:
         return self + (-other)
 
     def scale(self, c) -> "UniversalElement":
-        return UniversalElement(self.table,
-                                {k: f.scale(c) for k, f in self.terms.items()})
+        return UniversalElement(self.table, self.poly.scale(c))
 
     def __eq__(self, other):
         if not isinstance(other, UniversalElement):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.table == other.table and self.poly == other.poly
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        ops = DiffOp.zero(self.table)
-        chunks = []
-        for (mu, jw), f in sorted(
-                self.terms.items(), key=lambda kv: (kv[0][1], self.table.sort_key(kv[0][0]))):
-            mu_str = str(SuperPoly(self.table, {mu: 1}))
-            op = "*".join(f"dd_{self.table.names[pos]}"
-                          for pos in ops._word(jw)) or "1"
-            chunks.append(f"{mu_str} @ {op}*({f})")
-        return " + ".join(chunks)
+        symbols = self.poly.table
+        fiber = symbols.positions_of_class(FIBER_EVEN, FIBER_ODD)
+        rows = []
+        for letters, f in self.poly.collect(symbols.positions_of_class(*_LETTERS)).items():
+            pairs = symbols.powers(letters)
+            _, mu = symbols.monomial([(pos, k) for pos, k in pairs if pos in fiber])
+            word = [pos for pos, k in pairs if pos not in fiber for _ in range(k)]
+            ell = tuple(word.count(pos) for pos in symbols.positions_of_class(POLYVECTOR_EVEN))
+            eps = tuple(pos for pos in word if symbols.parities[pos])
+            if symbols.degree(letters, FIBER_ODD, POLYVECTOR_ODD) % 2:
+                even, odd = f.homogeneous_parts()
+                f = even - odd      # collect put f to the left of the letters
+            op = "*".join(symbols.names[pos] for pos in word) or "1"
+            rows.append(((ell, eps, symbols.sort_key(mu)),
+                         f"{SuperPoly(symbols, {mu: 1})} @ {op}*({f})"))
+        return " + ".join(text for _, text in sorted(rows)) or "0"
 
     __repr__ = __str__
 
 
-def _base_positions(table: GeneratorTable) -> tuple[int, ...]:
-    return table.positions_of_class(EVEN_BASE) + table.positions_of_class(ODD_BASE)
-
-
-def _deriv_key(ops: DiffOp, word: tuple[int, ...]):
-    """(sign, derivative monomial) of a word of derivative positions,
-    the sign being that of sorting its odd letters; (0, None) when an odd
-    letter repeats."""
-    ell, odd_word = ops._mono_of_word(word)
-    sign, eps = sort_odd_indices(odd_word)
-    return sign, (None if sign == 0 else (ell, eps))
+def _letter_pairs(table: GeneratorTable) -> list[tuple[str, str]]:
+    """(dz, dd_z) for each base coordinate z of a form table."""
+    return [(fiber_name(name), DERIV_PREFIX + name)
+            for name in base_coordinate_names(table)]
 
 
 def script_D(u: UniversalElement) -> UniversalElement:
-    """Multiplication by the odd element sum_a (fiber symbol a) (x) d_a."""
-    table = u.table
-    ops = DiffOp.zero(table)
-    terms: dict = {}
-    for (mu, jw), f in u.terms.items():
-        mu_poly = SuperPoly(table, {mu: 1})
-        mu_parity = mu_poly.parity()
-        word = ops._word(jw)
-        for pos in _base_positions(table):
-            name = table.names[pos]
-            sign = -1 if (table.parities[pos] and mu_parity) else 1
-            prod = SuperPoly.generator(table, fiber_name(name)) * mu_poly
-            if prod.is_zero():
-                continue
-            (new_mu, c), = prod.terms.items()
-            extra, new_jw = _deriv_key(ops, (pos,) + word)
-            if extra == 0:
-                continue
-            key = (new_mu, new_jw)
-            add = f.scale(sign * c * extra)
-            acc = terms.get(key)
-            terms[key] = add if acc is None else acc + add
-    return UniversalElement(table, terms)
+    """Multiplication by the odd element sum_z dz (x) d/dz: left
+    multiplication of the polynomial by sum_z dz*dd_z."""
+    symbols = u.poly.table
+    gen = SuperPoly.generator
+    return UniversalElement(u.table, SuperPoly.sum_of_products(symbols, [
+        (gen(symbols, dz) * gen(symbols, dd), u.poly) for dz, dd in _letter_pairs(u.table)]))
 
 
 def script_H(u: UniversalElement) -> UniversalElement:
-    """Contracting homotopy: contract one fiber symbol, commute the matching
-    coordinate through the derivative word."""
-    table = u.table
-    terms: dict = {}
-    for (mu, jw), f in u.terms.items():
-        mu_poly = SuperPoly(table, {mu: 1})
-        dj = DiffOp(table, {jw: SuperPoly.one(table)})
-        mu_parity = mu_poly.parity()
-        j_parity = dj.parity()
-        for pos in _base_positions(table):
-            name = table.names[pos]
-            xa_parity = table.parities[pos]
-            sign = -1 if (xa_parity and (mu_parity + j_parity + 1) % 2) else 1
-            contracted = mu_poly.left_derivative(fiber_name(name))
-            if contracted.is_zero():
-                continue
-            br = dj.bracket(DiffOp.multiplication(SuperPoly.generator(table, name)))
-            for jw2, c2 in br.terms.items():
-                scalar = c2.scalar_part()
-                if not SuperPoly.constant(table, scalar) == c2:
-                    raise AssertionError(
-                        "coordinate bracket left a non-constant coefficient")
-                for new_mu, c_mu in contracted.terms.items():
-                    add = f.scale(sign * c_mu * scalar)
-                    key = (new_mu, jw2)
-                    acc = terms.get(key)
-                    terms[key] = add if acc is None else acc + add
-    return UniversalElement(table, terms)
+    """Contracting homotopy: contract one fiber symbol dz and commute the
+    coordinate z through the derivative word, which on the polynomial is
+    the left derivative along dz and then along dd_z."""
+    out = SuperPoly.zero(u.poly.table)
+    for dz, dd in _letter_pairs(u.table):
+        out = out + u.poly.left_derivative(dz).left_derivative(dd)
+    return UniversalElement(u.table, out)
 
 
 def con3_identity_factor(u: UniversalElement) -> int:
     """The scalar by which (HD + DH) multiplies a single monomial: zero
     exactly on the density monomials."""
-    if len(u.terms) != 1:
+    symbols = u.poly.table
+    keys = u.poly.collect(symbols.positions_of_class(*_LETTERS))
+    if len(keys) != 1:
         raise ValueError("factor is defined termwise; pass a single monomial")
-    table = u.table
-    p = len(table.positions_of_class(EVEN_BASE))
-    q = len(table.positions_of_class(ODD_BASE))
-    ((mu, (ell, eps)), _), = u.terms.items()
-    deg0_mu = table.degree(mu, FIBER_EVEN)
-    deg1_mu = table.degree(mu, FIBER_ODD)
-    deg0_j = sum(ell)
-    deg1_j = len(eps)
-    return p + q + deg0_mu + deg0_j - deg1_mu - deg1_j
+    letters, = keys
+    return (len(symbols.positions_of_class(EVEN_BASE, ODD_BASE))
+            + symbols.degree(letters, FIBER_EVEN, POLYVECTOR_EVEN)
+            - symbols.degree(letters, FIBER_ODD, POLYVECTOR_ODD))

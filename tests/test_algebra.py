@@ -16,7 +16,6 @@ from supercalc.algebra import (
     SuperPoly,
     absorb_even_exponents,
     merge_odd_indices,
-    sort_odd_indices,
     transport,
 )
 from supercalc.randoms import random_superpoly
@@ -66,18 +65,6 @@ def naive_mul(a, b):
 
 # ---------------------------------------------------------------------------
 # sign normalization
-
-def test_sort_two_transposed():
-    assert sort_odd_indices([3, 2]) == (-1, (2, 3))
-
-
-def test_sort_duplicate_vanishes():
-    assert sort_odd_indices([2, 2]) == (0, None)
-
-
-def test_sort_even_permutation():
-    assert sort_odd_indices([4, 2, 3]) == (1, (2, 3, 4))
-
 
 def test_merge_counts_crossings():
     assert merge_odd_indices((2, 4), (3,)) == (-1, (2, 3, 4))

@@ -29,6 +29,12 @@ def build_conic_pair():
     return m, m2
 
 
+@pytest.mark.parametrize("p, q", [(-1, 1), (1, -1)])
+def test_standard_chart_refuses_negative_dimensions(p, q):
+    with pytest.raises(ValueError, match="nonnegative"):
+        Chart.standard(p, q)
+
+
 # ---------------------------------------------------------------------------
 # pullback
 

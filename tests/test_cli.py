@@ -209,6 +209,21 @@ def test_koszul_negative_rank_is_a_usage_error(p, q):
     assert "ranks must be nonnegative" in result.output
 
 
+@pytest.mark.parametrize("args, option", [
+    (["verify", "homotopies", "--p", "-1", "--q", "1"], "--p"),
+    (["verify", "homotopies", "--p", "1", "--q", "-1"], "--q"),
+    (["verify", "nilpotency", "--trials", "-1"], "--trials"),
+    (["con3-check", "--ring", "1|1", "--trials", "-2"], "--trials"),
+    (["susy-check", "--ring", "1|1", "--gamma", "1", "--trials", "-1"], "--trials"),
+])
+def test_negative_sizes_are_usage_errors(args, option):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "Usage:" in result.output and f"Invalid value for '{option}'" in result.output
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("d", "pddx1", "unknown generator 'pddx1'"),
     ("d", "x1^40000", "an even exponent exceeds 32767"),

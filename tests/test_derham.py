@@ -25,12 +25,14 @@ from supercalc.derham import (
     d,
     degree_parts,
     fiber_degree,
+    fiber_name,
     form_table,
     homotopy_h,
     pullback_form,
     script_D,
     script_H,
 )
+from supercalc.diffops import DiffOp
 from supercalc.randoms import random_split_map, random_superpoly
 
 R12 = GeneratorTable.chart(["x"], ["th1", "th2"])
@@ -247,9 +249,12 @@ class TestUniversalElement:
         assert ue((), ("th", "th")).is_zero()
 
     def test_rejects_base_content_in_form_factor(self):
-        _, th = E11.monomial([(E11.index("th"), 1)])
         with pytest.raises(ValueError, match="fiber"):
-            UniversalElement(E11, {(th, ((0,), ())): SuperPoly.one(E11)})
+            UniversalElement.monomial(E11, ("th",), ())
+
+    def test_rejects_fiber_content_in_the_coefficient(self):
+        with pytest.raises(ValueError, match="function of the coordinates"):
+            ue((), ("z",), gen(E11, "dz"))
 
     def test_script_d_on_unit(self):
         out = script_D(ue((), ()))
@@ -324,3 +329,157 @@ class TestUniversalElement:
     def test_str_mentions_tensor_split(self):
         s = str(ue(("dz",), ("th",)))
         assert "@" in s and "dd_th" in s
+
+
+# ---------------------------------------------------------------------------
+# The operator complex term by term: the reference the polynomial rules of
+# script_D and script_H are checked against.  An element is a dict
+# {(fiber monomial, derivative key): f} with f a function to the right of
+# the derivative word; the derivative key is (even exponents, ascending odd
+# positions) as in DiffOp, and every sign is worked out per term.
+
+def _sort_odd_indices(indices):
+    """(sign of the sorting permutation, sorted tuple), (0, None) on a repeat."""
+    items = list(indices)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+        if j > 0 and items[j - 1] == items[j]:
+            return 0, None
+    return sign, tuple(items)
+
+
+def _deriv_key(ops, word):
+    ell, odd_word = ops._mono_of_word(word)
+    sign, eps = _sort_odd_indices(odd_word)
+    return sign, (None if sign == 0 else (ell, eps))
+
+
+def _base_positions(table):
+    return table.positions_of_class(EVEN_BASE) + table.positions_of_class(ODD_BASE)
+
+
+def _accumulate(terms, key, add):
+    acc = terms.get(key)
+    terms[key] = add if acc is None else acc + add
+
+
+def reference_monomial(table, fiber_word, deriv_word, f):
+    fiber = SuperPoly.one(table)
+    for name in fiber_word:
+        fiber = fiber * gen(table, name)
+    if fiber.is_zero():
+        return {}
+    (mu, c), = fiber.terms.items()
+    sign, jw = _deriv_key(DiffOp.zero(table), tuple(table.index(n) for n in deriv_word))
+    return {} if sign == 0 else {(mu, jw): f.scale(c * sign)}
+
+
+def reference_script_D(table, terms):
+    ops = DiffOp.zero(table)
+    out = {}
+    for (mu, jw), f in terms.items():
+        mu_poly = SuperPoly(table, {mu: 1})
+        word = ops._word(jw)
+        for pos in _base_positions(table):
+            sign = -1 if (table.parities[pos] and mu_poly.parity()) else 1
+            prod = gen(table, "d" + table.names[pos]) * mu_poly
+            if prod.is_zero():
+                continue
+            (new_mu, c), = prod.terms.items()
+            extra, new_jw = _deriv_key(ops, (pos,) + word)
+            if extra:
+                _accumulate(out, (new_mu, new_jw), f.scale(sign * c * extra))
+    return out
+
+
+def reference_script_H(table, terms):
+    out = {}
+    for (mu, jw), f in terms.items():
+        mu_poly = SuperPoly(table, {mu: 1})
+        dj = DiffOp(table, {jw: SuperPoly.one(table)})
+        for pos in _base_positions(table):
+            sign = -1 if (table.parities[pos] and (mu_poly.parity() + dj.parity() + 1) % 2) else 1
+            contracted = mu_poly.left_derivative("d" + table.names[pos])
+            if contracted.is_zero():
+                continue
+            bracket = dj.bracket(DiffOp.multiplication(gen(table, table.names[pos])))
+            for jw2, c2 in bracket.terms.items():
+                scalar = c2.scalar_part()
+                assert SuperPoly.constant(table, scalar) == c2
+                for new_mu, c_mu in contracted.terms.items():
+                    _accumulate(out, (new_mu, jw2), f.scale(sign * c_mu * scalar))
+    return out
+
+
+def reference_factor(table, terms):
+    (mu, (ell, eps)), = terms
+    p = len(table.positions_of_class(EVEN_BASE))
+    q = len(table.positions_of_class(ODD_BASE))
+    return (p + q + table.degree(mu, FIBER_EVEN) + sum(ell)
+            - table.degree(mu, FIBER_ODD) - len(eps))
+
+
+def from_reference(table, terms):
+    """The element a term dict stands for, built through the public builder."""
+    ops = DiffOp.zero(table)
+    out = UniversalElement.zero(table)
+    for (mu, jw), f in terms.items():
+        fiber_word = [table.names[pos] for pos, k in table.powers(mu) for _ in range(k)]
+        deriv_word = [table.names[pos] for pos in ops._word(jw)]
+        out = out + UniversalElement.monomial(table, fiber_word, deriv_word, f)
+    return out
+
+
+_SHAPES = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+def _random_words(rng, chart):
+    fiber = [fiber_name(rng.choice(chart.coordinate_names))
+             for _ in range(rng.randrange(0, 4))]
+    deriv = [rng.choice(chart.coordinate_names) for _ in range(rng.randrange(0, 4))]
+    return fiber, deriv
+
+
+def _random_pair(rng, chart, table, n_terms):
+    """One element, as a UniversalElement and as a reference term dict."""
+    u, ref = UniversalElement.zero(table), {}
+    for _ in range(n_terms):
+        fiber, deriv = _random_words(rng, chart)
+        f = transport(random_superpoly(rng, chart.table, terms=2, max_exp=2), table)
+        u = u + UniversalElement.monomial(table, fiber, deriv, f)
+        for key, g in reference_monomial(table, fiber, deriv, f).items():
+            _accumulate(ref, key, g)
+    return u, {key: g for key, g in ref.items() if not g.is_zero()}
+
+
+class TestAgainstTermReference:
+    @pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: "%d|%d" % s)
+    def test_builder_matches_the_reference(self, shape):
+        chart = Chart.standard(*shape)
+        table = form_table(chart.table)
+        rng = random.Random(60 + 10 * shape[0] + shape[1])
+        for _ in range(25):
+            u, ref = _random_pair(rng, chart, table, rng.randint(1, 3))
+            assert u == from_reference(table, ref)
+            assert u.is_zero() == (not ref)
+
+    @pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: "%d|%d" % s)
+    def test_operators_match_the_reference(self, shape):
+        chart = Chart.standard(*shape)
+        table = form_table(chart.table)
+        rng = random.Random(70 + 10 * shape[0] + shape[1])
+        odd_f = 0
+        for _ in range(30):
+            u, ref = _random_pair(rng, chart, table, rng.randint(1, 3))
+            odd_f += any(g.homogeneous_parts()[1] for g in ref.values())
+            assert script_D(u) == from_reference(table, reference_script_D(table, ref))
+            assert script_H(u) == from_reference(table, reference_script_H(table, ref))
+            if len(ref) == 1:
+                assert con3_identity_factor(u) == reference_factor(table, ref)
+        if shape[1]:
+            assert odd_f      # the draws reach odd coefficients

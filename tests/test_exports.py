@@ -1,7 +1,8 @@
 """Every exported name of the public modules resolves, the monomial
 encoding and the coefficient types stay private to ``supercalc.algebra``,
-no module expands over permutations, and only the command line imports
-click."""
+no module expands over permutations, only the command line imports
+click, and the operator complex does not lean on the differential
+operators."""
 
 import ast
 import importlib
@@ -96,3 +97,16 @@ def test_only_the_command_line_imports_click():
     importers = [path.name for path in sorted(src.glob("*.py"))
                  if _imports_click(ast.parse(path.read_text()))]
     assert importers == ["cli.py"]
+
+
+def test_the_operator_complex_imports_nothing_from_diffops():
+    # script_D and script_H are polynomial operations; DiffOp's private
+    # word helpers must not come back as their sign rules.
+    path = pathlib.Path(supercalc.__file__).parent / "derham.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "supercalc.diffops" not in imported
