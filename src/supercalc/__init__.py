@@ -15,7 +15,7 @@ from supercalc.algebra import (
 )
 from supercalc.charts import Chart, CoordinateMap
 from supercalc.diffops import DiffOp
-from supercalc.integral_forms import BerSection, IntegralForm, VectorField
+from supercalc.integral_forms import IntegralForm, VectorField
 from supercalc.integration import (
     GaussianIntegrand,
     PiValue,
@@ -38,7 +38,6 @@ from supercalc.pseudoforms import (
 from supercalc.supermatrix import SuperMatrix
 
 __all__ = [
-    "BerSection",
     "CWOperator",
     "Chart",
     "CoordinateMap",

@@ -143,14 +143,6 @@ def compose_maps(m1: CoordinateMap, m2: CoordinateMap) -> CoordinateMap:
     return CoordinateMap(m1.source, m2.target, images)
 
 
-def pullback_matrix(m: CoordinateMap, mat: SuperMatrix) -> SuperMatrix:
-    return SuperMatrix(m.source.table, mat.p, mat.q,
-                       [[m.pullback(e) for e in r] for r in mat.A],
-                       [[m.pullback(e) for e in r] for r in mat.B],
-                       [[m.pullback(e) for e in r] for r in mat.C],
-                       [[m.pullback(e) for e in r] for r in mat.D])
-
-
 def cocycle_check(m1: CoordinateMap, m2: CoordinateMap) -> bool:
     """Does Ber(Jac(m2 o m1)) equal pullback(m1, Ber(Jac(m2))) * Ber(Jac(m1))?"""
     composite = compose_maps(m1, m2)

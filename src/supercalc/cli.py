@@ -228,7 +228,7 @@ def cmd_lie_ber(density, field, gaussian, dirac, formal, ring_text,
     ring = Ring.parse(ring_text)
     value, markers = parse_value(density, ring)
     markers = _collect_markers(markers, gaussian, dirac, formal)
-    section = want(ring, value, IntegralForm).as_section()
+    u = want(ring, value, IntegralForm)
     comps = {}
     for piece in field.split(";"):
         if not piece.strip():
@@ -243,7 +243,7 @@ def cmd_lie_ber(density, field, gaussian, dirac, formal, ring_text,
             raise click.UsageError("field components take no marker tags")
         comps[name] = want(ring, v, BASE)
     x = VectorField(ring.chart, comps)
-    out = lie_derivative_ber(section, x, markers.gaussian)
+    out = lie_derivative_ber(u, x, markers.gaussian)
     _emit(json_mode, "lie-ber", str(out), ring)
 
 
@@ -387,8 +387,7 @@ def cmd_berezin_int(expression, gaussian, dirac, formal, ring_text,
     ring = Ring.parse(ring_text)
     value, markers = parse_value(expression, ring)
     markers = _collect_markers(markers, gaussian, dirac, formal)
-    section = want(ring, value, IntegralForm).as_section()
-    out = berezin_integral(section, **markers.kwargs())
+    out = berezin_integral(want(ring, value, IntegralForm), **markers.kwargs())
     _emit(json_mode, "berezin-int", str(out), ring)
 
 

@@ -10,9 +10,12 @@ generators ``pd<coordinate>``; reversal makes ``pdz`` odd and ``pdth``
 even, so they span a second supercommutative family on top of the
 coordinate ring and everything stays inside one :class:`SuperPoly`.
 
-A plain density ``Ber @ f`` sits in degree p (the number of even
-coordinates) and every polyvector letter lowers the degree by one.  The
-complex carries
+A density ``Ber @ f``, with f a function of the coordinates alone, is
+the integral form of degree p (the number of even coordinates), and every
+polyvector letter lowers the degree by one.  Densities have no type of
+their own: the functions that take or return one take or return a
+degree-p :class:`IntegralForm`, and refuse a form that carries a
+polyvector letter.  The complex carries
 
 * a degree-lowering differential :func:`spencer_delta`,
 * an explicit contracting homotopy :func:`homotopy_int` whose defect
@@ -87,88 +90,6 @@ def polyvector_degree(table: GeneratorTable, mono: Monomial) -> int:
 
 
 # --- densities ------------------------------------------------------------------
-
-
-class BerSection:
-    """A density ``Ber @ f`` on a chart, with polynomial coefficient f.
-
-    The symbol itself carries parity p + q mod 2, so the parity of the
-    section is that of the coefficient shifted accordingly.  Sections form
-    a module: they add, scale, and multiply by coordinate functions from
-    the right; they never multiply each other.
-    """
-
-    __slots__ = ("chart", "coefficient")
-
-    def __init__(self, chart: Chart, coefficient):
-        if not isinstance(coefficient, SuperPoly):
-            coefficient = SuperPoly.constant(chart.table, coefficient)
-        if coefficient.table != chart.table:
-            raise ValueError("coefficient is not over the chart's coordinates")
-        self.chart = chart
-        self.coefficient = coefficient
-
-    @classmethod
-    def generator(cls, chart: Chart) -> "BerSection":
-        return cls(chart, SuperPoly.one(chart.table))
-
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero()
-
-    def parity(self) -> int | None:
-        fp = self.coefficient.parity()
-        if fp is None:
-            return None
-        return (self.chart.p + self.chart.q + fp) % 2
-
-    def times(self, f) -> "BerSection":
-        """Right multiplication by a coordinate function."""
-        if not isinstance(f, SuperPoly):
-            f = SuperPoly.constant(self.chart.table, f)
-        return BerSection(self.chart, self.coefficient * f)
-
-    def scale(self, c) -> "BerSection":
-        return BerSection(self.chart, self.coefficient.scale(c))
-
-    def transform(self, m: CoordinateMap) -> "BerSection":
-        """Express the density in the source coordinates of ``m``.
-
-        The coefficient pulls back along the map and picks up the
-        Berezinian of the Jacobian.  Raises when the result fails to be
-        polynomial (the map divides by a coordinate somewhere).
-        """
-        if m.target.table != self.chart.table:
-            raise ValueError("section does not live on the target of the map")
-        moved = m.ber_jacobian() * m.pullback(self.coefficient)
-        return BerSection(m.source, release_even_exponents(moved))
-
-    def __add__(self, other: "BerSection") -> "BerSection":
-        self._check(other)
-        return BerSection(self.chart, self.coefficient + other.coefficient)
-
-    def __sub__(self, other: "BerSection") -> "BerSection":
-        self._check(other)
-        return BerSection(self.chart, self.coefficient - other.coefficient)
-
-    def __neg__(self) -> "BerSection":
-        return BerSection(self.chart, -self.coefficient)
-
-    def _check(self, other: "BerSection") -> None:
-        if not isinstance(other, BerSection):
-            raise TypeError("expected another density")
-        if other.chart.table != self.chart.table:
-            raise ValueError("densities live on different charts")
-
-    def __eq__(self, other):
-        if not isinstance(other, BerSection):
-            return NotImplemented
-        return (self.chart.table == other.chart.table
-                and self.coefficient == other.coefficient)
-
-    def __str__(self):
-        return f"Ber @ {self.coefficient}"
-
-    __repr__ = __str__
 
 
 class VectorField:
@@ -246,8 +167,8 @@ def _weighted_derivative(g: SuperPoly, name: str,
     return out
 
 
-def lie_derivative_ber(section: BerSection, field: VectorField,
-                       gaussian: Iterable[str] = ()) -> BerSection:
+def lie_derivative_ber(density: IntegralForm, field: VectorField,
+                       gaussian: Iterable[str] = ()) -> IntegralForm:
     """Dressed Lie derivative of a density along a vector field.
 
     Acts through the divergence: the coefficient f goes to
@@ -258,14 +179,15 @@ def lie_derivative_ber(section: BerSection, field: VectorField,
     the weight exp(-z^2), which stays factored out: their derivative
     picks up the weight's contribution -2z.
     """
-    if field.chart.table != section.chart.table:
+    parts = _density_coefficient(density).homogeneous_parts()
+    chart = density.chart
+    table = chart.table
+    if field.chart.table != table:
         raise ValueError("field and density live on different charts")
     xp = field.parity()
     if xp is None:
         raise ValueError("vector field must have homogeneous parity")
-    table = section.chart.table
-    gaussian = _gaussian_set(section.chart, gaussian)
-    parts = section.coefficient.homogeneous_parts()
+    gaussian = _gaussian_set(chart, gaussian)
     out = SuperPoly.zero(table)
     for name, comp in field.components.items():
         pa = table.parity(name)
@@ -277,7 +199,7 @@ def lie_derivative_ber(section: BerSection, field: VectorField,
             if pa and (fp + comp_parity) % 2:
                 term = -term
             out = out + term
-    return BerSection(section.chart, out)
+    return IntegralForm(chart, out)
 
 
 def _push_past_partial(g: SuperPoly, name: str, odd: bool) -> SuperPoly:
@@ -291,25 +213,26 @@ def _push_past_partial(g: SuperPoly, name: str, odd: bool) -> SuperPoly:
     return odd_part.left_derivative(name) - even_part.left_derivative(name)
 
 
-def right_action(section: BerSection, op: DiffOp) -> BerSection:
+def right_action(density: IntegralForm, op: DiffOp) -> IntegralForm:
     """Right action of a differential operator on a density.
 
     Satisfies ``right_action(s, P.compose(Q)) ==
     right_action(right_action(s, P), Q)`` and annihilates the generator
     on every bare coordinate derivative.
     """
-    table = section.chart.table
+    f = _density_coefficient(density)
+    table = density.chart.table
     if op.table != table:
         raise ValueError("operator and density live on different charts")
     total = SuperPoly.zero(table)
     for key, coeff in op.terms.items():
-        cur = section.coefficient * coeff
+        cur = f * coeff
         for pos in op._word(key):
             if cur.is_zero():
                 break
             cur = _push_past_partial(cur, table.names[pos], bool(table.parities[pos]))
         total = total + cur
-    return BerSection(section.chart, total)
+    return IntegralForm(density.chart, total)
 
 
 # --- integral forms -------------------------------------------------------------
@@ -322,6 +245,9 @@ class IntegralForm:
     so plain densities sit on top and the bottom is reached after p + q
     contractions are no longer possible (odd letters square to zero, even
     letters do not, hence the complex is unbounded below for q > 0).
+    A density, the section ``Ber @ f`` of the Berezinian sheaf that a
+    Berezin integral consumes, is an integral form of degree p: one with
+    no polyvector letter.
 
     Integral forms add and scale, multiply by functions and polyvectors
     through :meth:`times`, and pair with differential forms through
@@ -346,10 +272,6 @@ class IntegralForm:
         self.poly = poly
 
     @classmethod
-    def from_section(cls, section: BerSection) -> "IntegralForm":
-        return cls(section.chart, section.coefficient)
-
-    @classmethod
     def cohomology_generator(cls, chart: Chart) -> "IntegralForm":
         """``Ber @ th_1..th_q pdz_1..pdz_p``, the surviving class."""
         powers = {name: 1 for name in chart.odd_names}
@@ -363,7 +285,7 @@ class IntegralForm:
     def degrees(self) -> frozenset[int]:
         p = self.chart.p
         return frozenset(p - polyvector_degree(self.table, mono)
-                         for mono in self.poly.terms)
+                         for mono in _released(self.poly).terms)
 
     def degree(self) -> int | None:
         degs = self.degrees()
@@ -378,20 +300,21 @@ class IntegralForm:
 
     def times(self, factor) -> "IntegralForm":
         """Right multiplication by a function or polyvector polynomial."""
-        if not isinstance(factor, SuperPoly):
-            factor = SuperPoly.constant(self.table, factor)
-        if factor.table == self.chart.table:
-            factor = transport(factor, self.table)
-        elif factor.table != self.table:
-            raise ValueError("factor is not over the chart or its "
-                             "polyvector extension")
-        return IntegralForm(self.chart, self.poly * factor)
+        return IntegralForm(self.chart, self.poly * IntegralForm(self.chart, factor).poly)
 
-    def as_section(self) -> BerSection:
-        """Forget the (absent) polyvector part; degree must be p throughout."""
-        if any(polyvector_degree(self.table, mono) for mono in self.poly.terms):
-            raise ValueError("polyvector letters remain; not a plain density")
-        return BerSection(self.chart, transport(self.poly, self.chart.table))
+    def transform(self, m: CoordinateMap) -> "IntegralForm":
+        """Express a density in the source coordinates of ``m``.
+
+        The coefficient pulls back along the map and picks up the
+        Berezinian of the Jacobian.  Only densities (degree p) move; the
+        law on polyvector letters is not implemented.  Raises when the
+        result fails to be polynomial (the map divides by a coordinate
+        somewhere).
+        """
+        if m.target.table != self.chart.table:
+            raise ValueError("density does not live on the target of the map")
+        moved = m.ber_jacobian() * m.pullback(_density_coefficient(self))
+        return IntegralForm(m.source, release_even_exponents(moved))
 
     def scale(self, c) -> "IntegralForm":
         return IntegralForm(self.chart, self.poly.scale(c))
@@ -422,6 +345,32 @@ class IntegralForm:
         return f"Ber @ {self.poly}"
 
     __repr__ = __str__
+
+
+# The forms and cli workloads of perfbench/workloads.py build their
+# densities under this earlier name.
+BerSection = IntegralForm
+
+
+def _released(poly: SuperPoly) -> SuperPoly:
+    """``poly`` with absorbed even powers back in its keys, so that the
+    letters read off the keys do not depend on how it was written; a
+    proper quotient stays as stored."""
+    try:
+        return release_even_exponents(poly)
+    except ValueError:
+        return poly
+
+
+def _density_coefficient(u: IntegralForm) -> SuperPoly:
+    """The coefficient f of a density ``u = Ber @ f``, over the chart table.
+
+    Raises when a polyvector letter remains, so that u is not a density.
+    """
+    try:    # the chart table lacks exactly the polyvector letters
+        return transport(_released(u.poly), u.chart.table)
+    except KeyError:
+        raise ValueError("polyvector letters remain; not a plain density") from None
 
 
 def spencer_delta(u: IntegralForm, gaussian: Iterable[str] = ()) -> IntegralForm:
@@ -545,8 +494,9 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
     result = SuperPoly.zero(u.table)
     if u.poly.is_zero() or omega.is_zero():
         return IntegralForm(u.chart, result)
+    poly = _released(u.poly)
     max_fiber = max(fiber_degree(ftab, mono) for mono in omega.terms)
-    min_pv = min(polyvector_degree(u.table, mono) for mono in u.poly.terms)
+    min_pv = min(polyvector_degree(u.table, mono) for mono in poly.terms)
     if max_fiber > min_pv:
         raise ValueError("form degree exceeds the polyvector degree of the "
                          "integral form")
@@ -559,7 +509,7 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
                 letters.extend([name[1:]] * k)
             else:
                 remainder[name] = k
-        cur = u.poly.scale(c)
+        cur = poly.scale(c)
         for name in letters:
             cur = cur.right_derivative(polyvector_name(name))
             if cur.is_zero():

@@ -25,9 +25,9 @@ from .charts import Chart
 from .derham import fiber_degree, form_table
 from .diffops import DiffOp
 from .integral_forms import (
-    BerSection,
     IntegralForm,
     VectorField,
+    _density_coefficient,
     lie_derivative_ber,
     pair,
     spencer_delta,
@@ -217,13 +217,6 @@ class GaussianIntegrand:
         self.dirac = dirac
         self.formal = formal
 
-    @classmethod
-    def from_section(cls, section: BerSection, *, gaussian: Iterable[str] = (),
-                     dirac: Mapping[str, object] | None = None,
-                     formal: Iterable[str] = ()) -> "GaussianIntegrand":
-        return cls(section.chart, section.coefficient, gaussian=gaussian,
-                   dirac=dirac, formal=formal)
-
     def __str__(self):
         tags = []
         if self.gaussian:
@@ -241,7 +234,8 @@ def berezin_integral(target, *, gaussian: Iterable[str] = (),
                      formal: Iterable[str] = ()) -> PiValue:
     """Exact Berezin integral of a Gaussian-class density.
 
-    Accepts a :class:`GaussianIntegrand`, or a :class:`BerSection`
+    Accepts a :class:`GaussianIntegrand`, or a density (an
+    :class:`IntegralForm` of degree p, with no polyvector letter)
     together with the marker keywords.  The odd directions contribute
     the coefficient of the full odd monomial theta_1 .. theta_q, in
     table order; Dirac-pinned coordinates are evaluated at their
@@ -252,11 +246,11 @@ def berezin_integral(target, *, gaussian: Iterable[str] = (),
     and odd powers dropping out by symmetry.  A formal coordinate has
     no integral, so its presence is an error here.
     """
-    if isinstance(target, BerSection):
-        target = GaussianIntegrand.from_section(target, gaussian=gaussian,
-                                                dirac=dirac, formal=formal)
+    if isinstance(target, IntegralForm):
+        target = GaussianIntegrand(target.chart, _density_coefficient(target),
+                                   gaussian=gaussian, dirac=dirac, formal=formal)
     elif not isinstance(target, GaussianIntegrand):
-        raise TypeError("expected a BerSection or a GaussianIntegrand")
+        raise TypeError("expected a density or a GaussianIntegrand")
     if target.formal:
         raise ValueError(f"divergent/formal variable: {min(target.formal)}")
     table = target.chart.table
@@ -298,7 +292,7 @@ def stokes_check(u: IntegralForm,
         raise ValueError("expected a form of degree one below the top")
     gaussian = frozenset(chart.even_names if gaussian is None else gaussian)
     boundary = spencer_delta(u, gaussian)
-    value = berezin_integral(boundary.as_section(), gaussian=gaussian)
+    value = berezin_integral(boundary, gaussian=gaussian)
     return value, value.is_zero()
 
 
@@ -326,8 +320,7 @@ def duality_pair_integral(sigma: IntegralForm, eta: SuperPoly, *,
     if sd is None or len(eta_degrees) > 1 or sd + next(iter(eta_degrees)) != chart.p:
         raise ValueError("degrees are not complementary; the pairing needs "
                          "deg sigma + deg eta = p")
-    section = pair(sigma, eta).as_section()
-    return berezin_integral(section, gaussian=gaussian, dirac=dirac)
+    return berezin_integral(pair(sigma, eta), gaussian=gaussian, dirac=dirac)
 
 
 def _checked_gamma(chart: Chart, gamma) -> tuple:
@@ -396,15 +389,16 @@ def susy_algebra_check(chart: Chart, gamma: Sequence) -> bool:
     return True
 
 
-def susy_variation(lagrangian: BerSection, gamma: Sequence, a: int,
+def susy_variation(lagrangian: IntegralForm, gamma: Sequence, a: int,
                    gaussian: Iterable[str] | None = None) -> PiValue:
     """Variation of the action along the a-th supersymmetry generator.
 
     Computes the integral of the Lie derivative of the Lagrangian
-    density along Q_a, with the Gaussian weight (default: all even
-    coordinates) standing in for compact support.  A well-posed setup
-    always returns zero: the Lie derivative of a density is a total
-    derivative, and those integrate away.
+    density (a degree-p :class:`IntegralForm`, refused when it carries a
+    polyvector letter) along Q_a, with the Gaussian weight (default: all
+    even coordinates) standing in for compact support.  A well-posed
+    setup always returns zero: the Lie derivative of a density is a
+    total derivative, and those integrate away.
     """
     chart = lagrangian.chart
     gaussian = frozenset(chart.even_names if gaussian is None else gaussian)

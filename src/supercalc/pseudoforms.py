@@ -66,8 +66,8 @@ from supercalc.algebra import (
 from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import fiber_name, form_table
 from supercalc.integral_forms import (
-    BerSection,
     IntegralForm,
+    _released,
     polyvector_name,
     polyvector_table,
 )
@@ -228,11 +228,8 @@ class DeltaForm:
     def terms(self) -> Mapping[TermKey, SuperPoly]:
         """The form term by term: a read-only map from (eps, ells) to the
         base coefficient over the chart, with no zero entries."""
-        poly = self.poly
-        try:    # an absorbed density may hold pdth powers in its coefficients
-            poly = release_even_exponents(poly)
-        except ValueError:
-            pass
+        # an absorbed density may hold pdth powers in its coefficients
+        poly = _released(self.poly)
         table = poly.table
         dx, dth = _letter_positions(table)
         view = {}
@@ -544,21 +541,22 @@ def from_integral_form(sigma: IntegralForm) -> DeltaForm:
 # --- fiber integration ---------------------------------------------------------
 
 
-def fiber_integral(form: DeltaForm) -> BerSection:
+def fiber_integral(form: DeltaForm) -> IntegralForm:
     """Integrate along the fiber directions.
 
     Only the pivot-shaped terms survive: all dx letters present (the
     fiber Berezin integral needs the top odd monomial) and every delta
     underived (a derived delta integrates to zero against 1).  Their
-    base coefficients assemble the resulting density.
+    base coefficients assemble the resulting density, an integral form
+    of degree p.
     """
     chart = form.chart
     key = ((1,) * chart.p, (0,) * chart.q)
-    return BerSection(chart, form.terms.get(key, SuperPoly.zero(chart.table)))
+    return IntegralForm(chart, form.terms.get(key, SuperPoly.zero(chart.table)))
 
 
 def gaussian_fiber_integral(chart: Chart, form, gaussian: Iterable[str] = ()
-                            ) -> tuple[PiValue, BerSection]:
+                            ) -> tuple[PiValue, IntegralForm]:
     """Fiber integral of a polynomial pseudoform with Gaussian weights.
 
     Here the input is an honest polynomial in the fiber letters (the
@@ -570,7 +568,8 @@ def gaussian_fiber_integral(chart: Chart, form, gaussian: Iterable[str] = ()
     Gaussian moment, a square root of pi times a rational number.
 
     Returns the overall PiValue weight (pi to half the number of
-    weighted directions) and the density holding the rational content.
+    weighted directions) and the density holding the rational content,
+    an integral form of degree p.
     Any dth direction left unweighted makes the fiber integral diverge,
     which is reported as an error.
     """
@@ -602,4 +601,4 @@ def gaussian_fiber_integral(chart: Chart, form, gaussian: Iterable[str] = ()
         if factor:
             out = out + SuperPoly.from_monomial(chart.table, base_powers, c * factor)
     weight = PiValue.pi_power(Fraction(len(gaussian), 2))
-    return weight, BerSection(chart, out)
+    return weight, IntegralForm(chart, out)

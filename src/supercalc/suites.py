@@ -80,7 +80,6 @@ from supercalc.derham import (
 )
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import (
-    BerSection,
     IntegralForm,
     VectorField,
     cohomology_projection,
@@ -171,7 +170,7 @@ def susy_variation_failures(rng: random.Random, chart: Chart, gamma,
     densities, one per odd generator, fail to vanish."""
     bad = 0
     for _ in range(trials):
-        lagrangian = BerSection(
+        lagrangian = IntegralForm(
             chart, random_superpoly(rng, chart.table, terms=3, max_exp=2))
         for a in range(chart.q):
             if not susy_variation(lagrangian, gamma, a).is_zero():
@@ -424,7 +423,7 @@ def _suite_dmodule(rng, trials, p, q):
     table = chart.table
     checks = []
 
-    one = BerSection.generator(chart)
+    one = IntegralForm(chart, 1)
     killed = all(right_action(one, DiffOp.partial(table, name)).is_zero()
                  for name in chart.coordinate_names)
     checks.append(CheckResult("generator density killed by every "
@@ -432,8 +431,8 @@ def _suite_dmodule(rng, trials, p, q):
 
     bad = 0
     for _ in range(trials):
-        s = BerSection(chart, random_superpoly(rng, table, terms=2,
-                                               max_exp=1))
+        s = IntegralForm(chart, random_superpoly(rng, table, terms=2,
+                                                 max_exp=1))
         x = _random_parity_field(rng, chart)
         y = _random_parity_field(rng, chart)
         if x is None or y is None:
@@ -450,8 +449,8 @@ def _suite_dmodule(rng, trials, p, q):
 
     bad = 0
     for _ in range(trials):
-        s = BerSection(chart, random_superpoly(rng, table, terms=2,
-                                               max_exp=1))
+        s = IntegralForm(chart, random_superpoly(rng, table, terms=2,
+                                                 max_exp=1))
         f = random_superpoly(rng, table, terms=2, max_exp=1)
         x = _random_parity_field(rng, chart)
         if x is None:
@@ -468,8 +467,8 @@ def _suite_dmodule(rng, trials, p, q):
 
     bad = 0
     for _ in range(trials):
-        s = BerSection(chart, random_superpoly(rng, table, terms=2,
-                                               max_exp=1))
+        s = IntegralForm(chart, random_superpoly(rng, table, terms=2,
+                                                 max_exp=1))
         op1 = _random_diffop(rng, table)
         op2 = _random_diffop(rng, table)
         if right_action(right_action(s, op1), op2) != right_action(
@@ -499,7 +498,7 @@ def _suite_integrals(rng, trials, p, q):
         plane.table, "th2")
     checks.append(CheckResult(
         "purely odd plane normalizes to 1",
-        berezin_integral(BerSection(plane, top)) == 1))
+        berezin_integral(IntegralForm(plane, top)) == 1))
 
     chart = Chart.standard(1, 2)
     sigma0 = IntegralForm.cohomology_generator(chart)
@@ -669,8 +668,8 @@ def _suite_delta_forms(rng, trials, p, q):
         if eta.is_zero():
             continue
         lhs = pair(to_integral_form(w.transform(m)),
-                   release_even_exponents(pullback_form(m, eta))).as_section()
-        rhs = pair(to_integral_form(w), eta).as_section().transform(m)
+                   release_even_exponents(pullback_form(m, eta)))
+        rhs = pair(to_integral_form(w), eta).transform(m)
         if lhs != rhs:
             bad += 1
     checks.append(_count("transform commutes with the density picture",

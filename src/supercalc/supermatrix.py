@@ -242,12 +242,12 @@ def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows
 
 
 def _schur(a: Scaled, b: Scaled, c: Scaled, d_inv: Scaled,
-           table: GeneratorTable) -> tuple[Scaled, Scaled]:
-    """(B D^{-1}, A - B D^{-1} C) from the cleared blocks and D^{-1}."""
-    b_d_inv = _scaled_mul(b, d_inv, table)
+           table: GeneratorTable) -> Scaled:
+    """A - B D^{-1} C from the cleared blocks and D^{-1}."""
     if not b[1] or not c[1]:    # p = 0 or q = 0: nothing to subtract
-        return b_d_inv, a
-    return b_d_inv, _scaled_add(a, _scaled_neg(_scaled_mul(b_d_inv, c, table)))
+        return a
+    b_d_inv = _scaled_mul(b, d_inv, table)
+    return _scaled_add(a, _scaled_neg(_scaled_mul(b_d_inv, c, table)))
 
 
 class SuperMatrix:
@@ -337,7 +337,7 @@ class SuperMatrix:
                                inv_even(self.D, table))
         a, b, c, d = map(_clear_denominators, (self.A, self.B, self.C, self.D))
         d_inv = _inverse(d, table)
-        s_inv = _inverse(_schur(a, b, c, d_inv, table)[1], table)
+        s_inv = _inverse(_schur(a, b, c, d_inv, table), table)
         top_right = _scaled_neg(_scaled_mul(_scaled_mul(s_inv, b, table),
                                             d_inv, table))
         # D^{-1} C S^{-1} starts both bottom blocks
@@ -376,28 +376,8 @@ def berezinian(m: SuperMatrix) -> SuperPoly:
     pairs (ls, S) and (ld, D') for them, det(S) det(D')^{-1} ld^q / ls^p."""
     table = m.table
     a, b, c, d = map(_clear_denominators, (m.A, m.B, m.C, m.D))
-    ls, schur = _schur(a, b, c, _inverse(d, table), table)[1]
+    ls, schur = _schur(a, b, c, _inverse(d, table), table)
     out = _det(schur, table) * _det(d[1], table).inverse()
     scale = Fraction(d[0] ** m.q, ls ** m.p)
     return out if scale == 1 else out.scale(scale)
 
-
-def decompose(m: SuperMatrix) -> tuple[SuperMatrix, SuperMatrix, SuperMatrix]:
-    """Factor M = U * Delta * L with U unit upper triangular, L unit lower
-    triangular, and Delta = blockdiag(A - B D^{-1} C, D)."""
-    table = m.table
-    a, b, c, d = map(_clear_denominators, (m.A, m.B, m.C, m.D))
-    d_inv = _inverse(d, table)
-    b_d_inv, schur = _schur(a, b, c, d_inv, table)
-    upper = SuperMatrix(table, m.p, m.q,
-                        _identity_rows(m.p, table),
-                        _unscaled(b_d_inv),
-                        _zero_rows(m.q, m.p, table),
-                        _identity_rows(m.q, table))
-    delta = SuperMatrix.block_diagonal(table, _unscaled(schur), m.D)
-    lower = SuperMatrix(table, m.p, m.q,
-                        _identity_rows(m.p, table),
-                        _zero_rows(m.p, m.q, table),
-                        _unscaled(_scaled_mul(d_inv, c, table)),
-                        _identity_rows(m.q, table))
-    return upper, delta, lower

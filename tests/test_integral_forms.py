@@ -1,5 +1,6 @@
-"""Densities, the polyvector complex, its differential and homotopy, the
-right module structure, and the contraction pairing."""
+"""Densities (the integral forms of top degree), the polyvector complex,
+its differential and homotopy, the right module structure, and the
+contraction pairing."""
 
 import random
 from fractions import Fraction
@@ -18,9 +19,9 @@ from supercalc.charts import Chart, CoordinateMap, conic_transition
 from supercalc.derham import d, fiber_degree, form_table
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import (
-    BerSection,
     IntegralForm,
     VectorField,
+    _density_coefficient,
     cohomology_projection,
     homotopy_int,
     lie_derivative_ber,
@@ -31,6 +32,7 @@ from supercalc.integral_forms import (
     right_action,
     spencer_delta,
 )
+from supercalc.integration import berezin_integral, susy_variation
 from supercalc.randoms import random_rational, random_superpoly
 
 R11 = Chart(("z",), ("th",), label="R11")
@@ -104,20 +106,23 @@ class TestPolyvectorTable:
 
 
 class TestBerSection:
+    """Densities ``Ber @ f``: the integral forms of degree p, which once
+    had a type of their own under this name."""
+
     def test_rejects_foreign_coefficient(self):
         with pytest.raises(ValueError):
-            BerSection(R11, gen(R22.table, "z1"))
+            IntegralForm(R11, gen(R22.table, "z1"))
 
     def test_parity_includes_symbol(self):
-        assert BerSection.generator(R11).parity() == 0
-        assert BerSection(R11, gen(R11.table, "th")).parity() == 1
-        one = BerSection.generator(R22)
+        assert IntegralForm(R11, 1).parity() == 0
+        assert IntegralForm(R11, gen(R11.table, "th")).parity() == 1
+        one = IntegralForm(R22, 1)
         assert one.parity() == 0
-        mixed = BerSection(R22, gen(R22.table, "z1") + gen(R22.table, "th1"))
+        mixed = IntegralForm(R22, gen(R22.table, "z1") + gen(R22.table, "th1"))
         assert mixed.parity() is None
 
     def test_arithmetic(self):
-        s = BerSection(R11, gen(R11.table, "z"))
+        s = IntegralForm(R11, gen(R11.table, "z"))
         t = s.times(gen(R11.table, "th"))
         assert (s + t - s) == t
         assert (-t).scale(-1) == t
@@ -130,23 +135,54 @@ class TestBerSection:
             "xp": gen(src.table, "x").scale(2),
             "thp": gen(src.table, "th").scale(3),
         })
-        s = BerSection(tgt, gen(tgt.table, "xp") * gen(tgt.table, "thp"))
+        s = IntegralForm(tgt, gen(tgt.table, "xp") * gen(tgt.table, "thp"))
         moved = s.transform(m)
-        assert moved.chart is src
-        assert moved.coefficient == (gen(src.table, "x")
-                                     * gen(src.table, "th")).scale(4)
+        assert moved.chart is src and moved.degree() == 1
+        assert moved == IntegralForm(src, (gen(src.table, "x")
+                                           * gen(src.table, "th")).scale(4))
+        with pytest.raises(ValueError, match="target of the map"):
+            moved.transform(m)
 
     def test_transform_polynomial_despite_rational_images(self):
         m = conic_transition()
         w = gen(m.target.table, "w")
-        assert BerSection(m.target, w).transform(m).coefficient == \
-            -gen(m.source.table, "z")
+        assert IntegralForm(m.target, w).transform(m) == \
+            IntegralForm(m.source, -gen(m.source.table, "z"))
 
     def test_transform_refuses_non_polynomial_result(self):
         m = conic_transition()
         w = gen(m.target.table, "w")
         with pytest.raises(ValueError):
-            BerSection(m.target, w * w).transform(m)
+            IntegralForm(m.target, w * w).transform(m)
+
+
+def _identity_map(chart):
+    source = Chart(chart.even_names, chart.odd_names, label="source")
+    return CoordinateMap(source, chart, {
+        name: gen(source.table, name) for name in chart.coordinate_names})
+
+
+@pytest.mark.parametrize("consume", [
+    lambda u: berezin_integral(u, gaussian=("z",)),
+    lambda u: lie_derivative_ber(u, VectorField.coordinate(R11, "z")),
+    lambda u: right_action(u, DiffOp.partial(R11.table, "z")),
+    lambda u: susy_variation(u, [[[1]]], 0),
+    lambda u: u.transform(_identity_map(R11)),
+], ids=["berezin_integral", "lie_derivative_ber", "right_action",
+        "susy_variation", "transform"])
+@pytest.mark.parametrize("letter", ["pdz", "pdth"])
+def test_a_density_consumer_refuses_polyvector_letters(consume, letter):
+    plain = IntegralForm(R11, gen(P11, "z") * gen(P11, "th"))
+    consume(plain)
+    u = plain + IntegralForm(R11, gen(P11, letter) * gen(P11, "th"))
+    with pytest.raises(ValueError,
+                       match="^polyvector letters remain; not a plain density$"):
+        consume(u)
+    # an absorbed letter is still a letter
+    absorbed = IntegralForm(R11, absorb_even_exponents(u.poly))
+    with pytest.raises(ValueError,
+                       match="^polyvector letters remain; not a plain density$"):
+        consume(absorbed)
 
 
 class TestVectorField:
@@ -174,32 +210,32 @@ class TestVectorField:
 
 class TestLieDerivative:
     def test_coordinate_fields_kill_the_generator(self):
-        one = BerSection.generator(R22)
+        one = IntegralForm(R22, 1)
         for name in R22.coordinate_names:
             out = lie_derivative_ber(one, VectorField.coordinate(R22, name))
             assert out.is_zero()
 
     def test_even_euler_field(self):
-        one = BerSection.generator(R11)
+        one = IntegralForm(R11, 1)
         x = VectorField(R11, {"z": gen(R11.table, "z")})
         assert lie_derivative_ber(one, x) == one
 
     def test_odd_euler_field(self):
-        one = BerSection.generator(R11)
+        one = IntegralForm(R11, 1)
         x = VectorField(R11, {"th": gen(R11.table, "th")})
         assert lie_derivative_ber(one, x) == -one
 
     def test_mixed_parity_is_refused(self):
         with pytest.raises(ValueError):
-            lie_derivative_ber(BerSection.generator(R11),
+            lie_derivative_ber(IntegralForm(R11, 1),
                                VectorField(R11, {"z": 1, "th": 1}))
 
     def test_matches_right_action_with_a_sign(self):
         rng = random.Random(401)
         checked = 0
         for _ in range(40):
-            s = BerSection(R22, random_superpoly(rng, R22.table,
-                                                 terms=3, max_exp=2))
+            s = IntegralForm(R22, random_superpoly(rng, R22.table,
+                                                   terms=3, max_exp=2))
             x = random_field(rng, R22, R22.table, rng.choice([0, 1]))
             if x.parity() is None:
                 continue
@@ -210,14 +246,14 @@ class TestLieDerivative:
 
 class TestRightAction:
     def test_generator_killed_by_every_partial(self):
-        one = BerSection.generator(R22)
+        one = IntegralForm(R22, 1)
         for name in R22.coordinate_names:
             out = right_action(one, DiffOp.partial(R22.table, name))
             assert out.is_zero()
 
     def test_weyl_relations_through_the_symbol(self):
         # s.(d/dz o z) = s.(z d/dz + 1) must both give zero on the generator
-        one = BerSection.generator(R11)
+        one = IntegralForm(R11, 1)
         for name in ("z", "th"):
             dn = DiffOp.partial(R11.table, name)
             mult = DiffOp.multiplication(gen(R11.table, name))
@@ -226,8 +262,8 @@ class TestRightAction:
     def test_composition_associativity(self):
         rng = random.Random(402)
         for _ in range(40):
-            s = BerSection(R22, random_superpoly(rng, R22.table,
-                                                 terms=3, max_exp=2))
+            s = IntegralForm(R22, random_superpoly(rng, R22.table,
+                                                   terms=3, max_exp=2))
             op1 = random_diffop(rng, R22.table)
             op2 = random_diffop(rng, R22.table)
             assert right_action(right_action(s, op1), op2) == \
@@ -236,8 +272,8 @@ class TestRightAction:
     def test_function_slides_out_of_the_operator(self):
         rng = random.Random(403)
         for _ in range(25):
-            s = BerSection(R22, random_superpoly(rng, R22.table,
-                                                 terms=2, max_exp=1))
+            s = IntegralForm(R22, random_superpoly(rng, R22.table,
+                                                   terms=2, max_exp=1))
             x = random_field(rng, R22, R22.table, rng.choice([0, 1]))
             f = random_superpoly(rng, R22.table, terms=2, max_exp=1)
             mult = DiffOp.multiplication(f)
@@ -251,8 +287,8 @@ class TestRightAction:
         rng = random.Random(404)
         checked = 0
         for _ in range(30):
-            s = BerSection(R22, random_superpoly(rng, R22.table,
-                                                 terms=2, max_exp=1))
+            s = IntegralForm(R22, random_superpoly(rng, R22.table,
+                                                   terms=2, max_exp=1))
             x = random_field(rng, R22, R22.table, rng.choice([0, 1]))
             y = random_field(rng, R22, R22.table, rng.choice([0, 1]))
             px, py = x.parity(), y.parity()
@@ -273,7 +309,7 @@ class TestIntegralFormContainer:
         u = IntegralForm(R22, gen(P22, "pdz1") * gen(P22, "pdth1"))
         assert u.degree() == 0
         assert u.parity() == (2 + 2 + 1) % 2
-        v = IntegralForm.from_section(BerSection.generator(R22))
+        v = IntegralForm(R22, 1)
         assert v.degree() == 2
         w = u + v
         assert w.degree() is None
@@ -289,22 +325,39 @@ class TestIntegralFormContainer:
     def test_base_polynomials_are_lifted(self):
         u = IntegralForm(R11, gen(R11.table, "z"))
         assert u.poly.table == P11
-        assert u == IntegralForm.from_section(
-            BerSection(R11, gen(R11.table, "z")))
+        assert u == IntegralForm(R11, gen(P11, "z"))
 
     def test_times_accepts_both_layers(self):
-        u = IntegralForm.from_section(BerSection.generator(R11))
+        u = IntegralForm(R11, 1)
         v = u.times(gen(R11.table, "z")).times(gen(P11, "pdz"))
         assert v.poly == gen(P11, "z") * gen(P11, "pdz")
 
-    def test_as_section_roundtrip_and_refusal(self):
-        s = BerSection(R22, random_superpoly(random.Random(3), R22.table))
-        assert IntegralForm.from_section(s).as_section() == s
-        with pytest.raises(ValueError):
-            IntegralForm(R22, gen(P22, "pdz1")).as_section()
+    def test_seeded_absorbed_twins_read_alike(self):
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError as exc:
+                return "refused: " + str(exc)
+
+        # an even letter may sit in the key or in a quotient coefficient
+        rng = random.Random(3)
+        ftab = form_table(R11.table)
+        forms = [SuperPoly.one(ftab), gen(ftab, "dz"), gen(ftab, "dth"),
+                 gen(ftab, "z") * gen(ftab, "dth") ** 2]
+        polys = [gen(P11, "z") * gen(P11, "pdth") ** 2 + gen(P11, "th") * gen(P11, "pdz")]
+        polys += [random_superpoly(rng, P11, terms=3, max_exp=2) for _ in range(10)]
+        for poly in polys:
+            u = IntegralForm(R11, poly)
+            twin = IntegralForm(R11, absorb_even_exponents(u.poly))
+            assert twin == u
+            assert twin.degrees() == u.degrees()
+            for omega in forms:
+                assert outcome(pair, twin, omega) == outcome(pair, u, omega)
+            assert outcome(_density_coefficient, twin) == \
+                outcome(_density_coefficient, u)
 
     def test_no_product_of_integral_forms(self):
-        u = IntegralForm.from_section(BerSection.generator(R11))
+        u = IntegralForm(R11, 1)
         with pytest.raises(TypeError):
             u * u
 
@@ -489,8 +542,7 @@ class TestPair:
     def test_dual_basis(self):
         sig = IntegralForm(R11, gen(P11, "pdz"))
         ftab = form_table(R11.table)
-        assert pair(sig, gen(ftab, "dz")) == \
-            IntegralForm.from_section(BerSection.generator(R11))
+        assert pair(sig, gen(ftab, "dz")) == IntegralForm(R11, 1)
 
     def test_unit_and_functions(self):
         s0 = IntegralForm.cohomology_generator(R11)
@@ -508,7 +560,7 @@ class TestPair:
 
     def test_degree_overflow_is_an_error(self):
         ftab = form_table(R11.table)
-        plain = IntegralForm.from_section(BerSection.generator(R11))
+        plain = IntegralForm(R11, 1)
         with pytest.raises(ValueError):
             pair(plain, gen(ftab, "dz"))
 

@@ -11,7 +11,6 @@ from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import d, form_table
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import (
-    BerSection,
     IntegralForm,
     homotopy_int,
     polyvector_name,
@@ -52,7 +51,7 @@ def top_section(chart, coefficient_in_evens=None):
         poly = poly * gen(chart.table, name)
     if coefficient_in_evens is not None:
         poly = coefficient_in_evens * poly
-    return BerSection(chart, poly)
+    return IntegralForm(chart, poly)
 
 
 class TestMomentOracle:
@@ -147,7 +146,7 @@ class TestBerezinIntegral:
         assert berezin_integral(s, gaussian=("z",)) == SQRT_PI * Fraction(1, 2)
 
     def test_no_odd_coordinates(self):
-        s = BerSection(R10, gen(R10.table, "z") ** 2)
+        s = IntegralForm(R10, gen(R10.table, "z") ** 2)
         assert berezin_integral(s, gaussian=("z",)) == SQRT_PI * Fraction(1, 2)
 
     def test_lower_odd_terms_do_not_contribute(self):
@@ -155,7 +154,7 @@ class TestBerezinIntegral:
         poly = (gen(table, "th1") * gen(table, "th2")
                 + gen(table, "x") * gen(table, "th1")
                 + SuperPoly.constant(table, 7))
-        assert berezin_integral(BerSection(R12, poly), dirac={"x": 3}) == 1
+        assert berezin_integral(IntegralForm(R12, poly), dirac={"x": 3}) == 1
 
     def test_dirac_evaluates_at_the_point(self):
         table = R12.table
@@ -177,10 +176,10 @@ class TestBerezinIntegral:
             f = random_superpoly(rng, table, terms=3, max_exp=3)
             g = random_superpoly(rng, table, terms=3, max_exp=3)
             c = random_rational(rng)
-            lhs = berezin_integral(BerSection(R22, f + g.scale(c)),
+            lhs = berezin_integral(IntegralForm(R22, f + g.scale(c)),
                                    gaussian=("z1", "z2"))
-            rhs = (berezin_integral(BerSection(R22, f), gaussian=("z1", "z2"))
-                   + berezin_integral(BerSection(R22, g), gaussian=("z1", "z2"))
+            rhs = (berezin_integral(IntegralForm(R22, f), gaussian=("z1", "z2"))
+                   + berezin_integral(IntegralForm(R22, g), gaussian=("z1", "z2"))
                    * c)
             assert lhs == rhs
 
@@ -230,7 +229,7 @@ class TestChartIndependence:
                     images[f"ps{k}"] = th
                 m = CoordinateMap(source, target, images)
                 f = random_superpoly(rng, target.table, terms=3, max_exp=2)
-                s = BerSection(target, f)
+                s = IntegralForm(target, f)
                 before = berezin_integral(
                     s, gaussian=tuple(target.even_names))
                 after = berezin_integral(
@@ -295,8 +294,8 @@ class TestStokes:
         # complex happily writes it as a boundary, but the primitive it
         # produces stops working once the weight enters the derivative,
         # which is exactly the exactness criterion doing its job.
-        u = IntegralForm.from_section(top_section(R11))
-        mass = berezin_integral(u.as_section(), gaussian=("z",))
+        u = top_section(R11)
+        mass = berezin_integral(u, gaussian=("z",))
         assert mass == SQRT_PI
         primitive = homotopy_int(u)
         assert spencer_delta(primitive) == u
@@ -314,14 +313,14 @@ class TestDualityPairing:
 
     def test_gaussian_normalization(self):
         for chart in (R11, R12, R22):
-            sigma = IntegralForm.from_section(top_section(chart))
+            sigma = top_section(chart)
             value = duality_pair_integral(sigma, SuperPoly.one(chart.table),
                                           gaussian=chart.even_names)
             normalizer = PiValue.pi_power(Fraction(-chart.p, 2))
             assert value * normalizer == 1
 
     def test_degree_mismatch_raises(self):
-        sigma = IntegralForm.from_section(top_section(R12))
+        sigma = top_section(R12)
         dx = gen(form_table(R12.table), "dx")
         with pytest.raises(ValueError, match="not complementary"):
             duality_pair_integral(sigma, dx, dirac={"x": 0})
@@ -467,7 +466,7 @@ class TestSusy:
     def test_superfield_variation_vanishes(self):
         table = R11.table
         z, th = gen(table, "z"), gen(table, "th")
-        lagrangian = BerSection(R11, z ** 2 + th * z ** 3)
+        lagrangian = IntegralForm(R11, z ** 2 + th * z ** 3)
         assert susy_variation(lagrangian, (((2,),),), 0) == 0
 
     def test_randomized_variations_vanish(self):
@@ -481,7 +480,7 @@ class TestSusy:
         checked = 0
         for chart, gamma in cases:
             for _ in range(4):
-                lagrangian = BerSection(
+                lagrangian = IntegralForm(
                     R11 if chart is R11 else chart,
                     random_superpoly(rng, chart.table, terms=4, max_exp=3))
                 for a in range(chart.q):

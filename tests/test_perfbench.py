@@ -1,13 +1,17 @@
-"""The benchmark's workloads still import against the library, and the
+"""The benchmark's workloads still import against the library, the
 library attributes the traced linalg run wraps and the names the cli
-workload reads from ``supercalc.cli`` still exist."""
+workload reads from ``supercalc.cli`` still exist, and the density name
+the workloads build still feeds the calls they time."""
 
 import importlib
 import pathlib
+import random
 import sys
 from fractions import Fraction
 
 import pytest
+
+from supercalc.algebra import SuperPoly
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -69,3 +73,32 @@ def test_the_delta_form_entry_points_the_workloads_call():
     assert str(cw_apply("dx2 dd_dth2", w)) == (
         "(3) dx2 del(dth1,1) del(dth2,1) del(dth3) + (-x2 + th1) "
         "dx1 dx2 dx3 del(dth1) del(dth2,3) del(dth3)")
+
+
+def test_the_density_name_the_workloads_build():
+    # The forms workload feeds BerSection(chart, f) to right_action and the
+    # cli workload to berezin_integral, f a polynomial over the chart
+    # table; the name must build the same density as IntegralForm.
+    from supercalc import integral_forms
+    from supercalc.charts import Chart
+    from supercalc.diffops import DiffOp
+    from supercalc.integral_forms import IntegralForm, right_action
+    from supercalc.integration import berezin_integral
+    from supercalc.randoms import random_superpoly
+
+    rng = random.Random(7)
+    for p, q in ((3, 3), (2, 2), (1, 1)):
+        chart = Chart.standard(p, q)
+        table = chart.table
+        top = SuperPoly.from_monomial(table, {name: 1 for name in chart.odd_names})
+        for _ in range(5):
+            f = random_superpoly(rng, table, terms=2, max_exp=2) * (
+                top + random_superpoly(rng, table, terms=2, max_exp=1))
+            op = DiffOp.multiplication(random_superpoly(rng, table, terms=2))
+            for _k in range(2):
+                op = op.compose(DiffOp.partial(table, rng.choice(table.names)))
+            s, u = integral_forms.BerSection(chart, f), IntegralForm(chart, f)
+            assert right_action(s, op) == right_action(u, op)
+            gauss = list(chart.even_names)
+            assert berezin_integral(s, gaussian=gauss) == \
+                berezin_integral(u, gaussian=gauss)

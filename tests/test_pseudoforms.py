@@ -16,7 +16,6 @@ from supercalc.algebra import (
 from supercalc.charts import Chart, CoordinateMap, compose_maps
 from supercalc.derham import d, fiber_name, form_table
 from supercalc.integral_forms import (
-    BerSection,
     IntegralForm,
     pair,
     polyvector_name,
@@ -523,7 +522,7 @@ class TestIsomorphism:
         th1, th2 = gen(R02.table, "th1"), gen(R02.table, "th2")
         body = DeltaForm.top(R02, th1 * th2)
         sigma = to_integral_form(body)
-        assert sigma.as_section() == BerSection(R02, th1 * th2)
+        assert sigma == IntegralForm(R02, th1 * th2) and sigma.degree() == 0
         assert from_integral_form(sigma) == body
 
     def test_round_trip_randomized(self):
@@ -621,8 +620,8 @@ class TestTransform:
                 w = homogeneous_delta_form(rng, tgt, degree)
                 eta = random_fiber_form(rng, tgt, tgt.p - degree)
                 direct = pair(to_integral_form(w.transform(m)),
-                              form_pullback(m, eta)).as_section()
-                routed = pair(to_integral_form(w), eta).as_section().transform(m)
+                              form_pullback(m, eta))
+                routed = pair(to_integral_form(w), eta).transform(m)
                 assert direct == routed
                 checked += 1
         assert checked >= 16
@@ -634,8 +633,8 @@ class TestTransform:
             m = random_split_map(rng, src, R12)
             f = random_superpoly(rng, R12.table, terms=2, max_exp=2)
             w = DeltaForm.top(R12, f)
-            lhs = to_integral_form(w.transform(m)).as_section()
-            rhs = BerSection(R12, f).transform(m)
+            lhs = to_integral_form(w.transform(m))
+            rhs = IntegralForm(R12, f).transform(m)
             assert lhs == rhs
 
     def test_composition_law(self):
@@ -683,7 +682,7 @@ class TestFiberIntegral:
         th1, th2 = gen(R02.table, "th1"), gen(R02.table, "th2")
         body = DeltaForm.top(R02, th1 * th2)
         section = fiber_integral(body)
-        assert section == BerSection(R02, th1 * th2)
+        assert section == IntegralForm(R02, th1 * th2)
         assert berezin_integral(section) == 1
 
     def test_derived_delta_integrates_to_zero(self):
@@ -697,10 +696,10 @@ class TestFiberIntegral:
         checked = 0
         for chart in (R11, R12, R22):
             for _ in range(7):
-                s = BerSection(chart,
-                               random_superpoly(rng, chart.table, terms=3,
-                                                max_exp=2))
-                back = fiber_integral(from_integral_form(IntegralForm.from_section(s)))
+                s = IntegralForm(chart,
+                                 random_superpoly(rng, chart.table, terms=3,
+                                                  max_exp=2))
+                back = fiber_integral(from_integral_form(s))
                 assert back == s
                 checked += 1
         assert checked >= 20
@@ -711,7 +710,7 @@ class TestFiberIntegral:
             w = random_delta_form(rng, R12)
             top_key = ((1,), (0, 0))
             expect = w.terms.get(top_key, SuperPoly.zero(R12.table))
-            assert fiber_integral(w) == BerSection(R12, expect)
+            assert fiber_integral(w) == IntegralForm(R12, expect)
 
 
 class TestGaussianFiberIntegral:
@@ -720,7 +719,7 @@ class TestGaussianFiberIntegral:
         weight, section = gaussian_fiber_integral(R01, gen(ftab, "th"),
                                                   gaussian=("dth",))
         assert weight == SQRT_PI
-        assert section == BerSection(R01, gen(R01.table, "th"))
+        assert section == IntegralForm(R01, gen(R01.table, "th"))
         assert weight * berezin_integral(section) == SQRT_PI
 
     def test_unweighted_direction_diverges(self):
@@ -735,18 +734,16 @@ class TestGaussianFiberIntegral:
         weight, section = gaussian_fiber_integral(R11, body, gaussian=("dth",))
         x, th = gen(R11.table, "x"), gen(R11.table, "th")
         assert weight == SQRT_PI
-        assert section == BerSection(R11, x * x * th)
+        assert section == IntegralForm(R11, x * x * th)
 
     def test_even_moments(self):
         ftab = form_table(R01.table)
         dth = gen(ftab, "dth")
         _, second = gaussian_fiber_integral(R01, dth * dth, gaussian=("dth",))
-        assert second == BerSection(R01, SuperPoly.constant(R01.table,
-                                                            Fraction(1, 2)))
+        assert second == IntegralForm(R01, Fraction(1, 2))
         _, fourth = gaussian_fiber_integral(R01, dth * dth * dth * dth,
                                             gaussian=("dth",))
-        assert fourth == BerSection(R01, SuperPoly.constant(R01.table,
-                                                            Fraction(3, 4)))
+        assert fourth == IntegralForm(R01, Fraction(3, 4))
 
     def test_odd_moment_vanishes(self):
         ftab = form_table(R01.table)

@@ -1,4 +1,4 @@
-"""Supermatrices: determinants, inverses, Berezinian, decomposition."""
+"""Supermatrices: determinants, inverses, Berezinian."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from supercalc.supermatrix import (
     SuperMatrix,
     _mat_mul,
     berezinian,
-    decompose,
     det_even,
     inv_even,
     supertrace,
@@ -365,29 +364,6 @@ def test_ber_singular_d_raises():
                                [[gen("th1") * gen("th2")]]))
 
 
-# ---------------------------------------------------------------------------
-# decomposition
-
-def test_decompose_block_diagonal_is_trivial():
-    m = SuperMatrix.block_diagonal(T, [[const(2)]], [[const(3)]])
-    u, delta, lo = decompose(m)
-    assert u == SuperMatrix.identity(T, 1, 1)
-    assert lo == SuperMatrix.identity(T, 1, 1)
-    assert delta == m
-
-
-def test_decompose_recomposes():
-    rng = random.Random(31)
-    for p, q in ((1, 1), (2, 1), (2, 2)):
-        for _ in range(10):
-            m = random_invertible_supermatrix(rng, T, p, q)
-            u, delta, lo = decompose(m)
-            assert u * delta * lo == m
-            assert berezinian(u) == 1
-            assert berezinian(lo) == 1
-            assert berezinian(delta) == berezinian(m)
-
-
 class TestFullInverse:
     def test_inverse_round_trip(self):
         rng = random.Random(47)
@@ -530,17 +506,6 @@ def oracle_inverse(m):
                        oracle_add(d_inv, corr))
 
 
-def oracle_decompose(m):
-    t = m.table
-    schur, d_inv = oracle_schur(m)
-    eye = SuperMatrix.identity(t, m.p, m.q)
-    return (SuperMatrix(t, m.p, m.q, eye.A, oracle_mul(m.B, d_inv, t),
-                        eye.C, eye.D),
-            SuperMatrix.block_diagonal(t, schur, m.D),
-            SuperMatrix(t, m.p, m.q, eye.A, eye.B,
-                        oracle_mul(d_inv, m.C, t), eye.D))
-
-
 def unlike_denominators(m):
     """m with A, B, C and D scaled by 1/2, 1/3, 1/5 and 1/7, so that each
     block clears with its own lcm."""
@@ -560,7 +525,6 @@ def test_one_denominator_matches_the_product_by_product_oracle(p, q):
     for block in (m.A, m.D):
         assert str(inv_even(block, E4)) == str(oracle_inv(block, E4))
     assert str(m.inverse()) == str(oracle_inverse(m))
-    assert str(decompose(m)) == str(oracle_decompose(m))
 
 
 def test_one_denominator_matches_the_oracle_on_chart_jacobians():
@@ -598,7 +562,6 @@ def test_each_block_is_cleared_once_per_public_call(monkeypatch):
                          (lambda: inv_even(m.D, E4), 1),
                          (lambda: berezinian(m), 4),
                          (m.inverse, 4),
-                         (lambda: decompose(m), 4),
                          (lambda: m * n, 2)):
         calls.clear()
         call()
