@@ -11,8 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from supercalc.algebra import SuperPoly
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -80,6 +78,7 @@ def test_the_density_name_the_workloads_build():
     # cli workload to berezin_integral, f a polynomial over the chart
     # table; the name must build the same density as IntegralForm.
     from supercalc import integral_forms
+    from supercalc.algebra import SuperPoly
     from supercalc.charts import Chart
     from supercalc.diffops import DiffOp
     from supercalc.integral_forms import IntegralForm, right_action
