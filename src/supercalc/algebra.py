@@ -98,7 +98,7 @@ class GeneratorTable:
 
     __slots__ = ("gens", "names", "classes", "parities", "_index", "_hash",
                  "even_positions", "odd_positions", "_odd_mask", "_guard",
-                 "_unit", "_even_fields", "_class_masks")
+                 "_unit", "_even_fields", "_class_masks", "_class_positions")
 
     def __init__(self, gens: Iterable[tuple[str, str]]):
         gens = tuple((str(n), str(c)) for n, c in gens)
@@ -122,6 +122,7 @@ class GeneratorTable:
         self._unit = {pos: 1 << j for j, pos in enumerate(self.odd_positions)}
         self._unit.update((pos, 1 << shift) for pos, shift in self._even_fields)
         self._class_masks: dict = {}
+        self._class_positions: dict = {}
 
     @classmethod
     def chart(cls, evens: Sequence[str], odds: Sequence[str]) -> "GeneratorTable":
@@ -145,8 +146,11 @@ class GeneratorTable:
         return tuple(n for n, c in self.gens if c in want)
 
     def positions_of_class(self, *classes: str) -> tuple[int, ...]:
-        want = set(classes)
-        return tuple(i for i, c in enumerate(self.classes) if c in want)
+        out = self._class_positions.get(classes)
+        if out is None:
+            out = self._class_positions[classes] = tuple(
+                i for i, c in enumerate(self.classes) if c in classes)
+        return out
 
     # --- the monomial codec ---------------------------------------------------
 
@@ -749,7 +753,11 @@ class RationalFunction:
     no odd factors.  The representation cancels the rational content and any
     common monomial factor, runs a Euclidean gcd when only a single even
     variable occurs (enough to keep quotients on a punctured line fully
-    reduced), and makes the denominator's leading coefficient 1.
+    reduced), and makes the denominator's leading coefficient 1; see
+    :func:`_reduce_fraction` for which of these steps run on which
+    denominator.  The constructor refuses a zero denominator, odd factors
+    and coefficients that are not rational; arithmetic on checked operands
+    builds its results through :meth:`_quotient`, which only reduces.
 
     Sums and comparisons use a shared denominator when the two operands
     already have the same one: ``a/d + b/d`` is ``(a + b)/d`` and ``a/d ==
@@ -773,9 +781,7 @@ class RationalFunction:
                 if not isinstance(c, (int, Fraction)):
                     raise TypeError("rational functions need rational coefficients")
         _check_same_table(num, den)
-        num, den = _reduce_fraction(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _reduce_fraction(num, den)
 
     @classmethod
     def _reduced(cls, num: SuperPoly, den: SuperPoly) -> "RationalFunction":
@@ -787,15 +793,27 @@ class RationalFunction:
         return out
 
     @classmethod
+    def _quotient(cls, num: SuperPoly, den: SuperPoly) -> "RationalFunction":
+        """Reduce num/den without the constructor's checks: for results of
+        arithmetic on odd-free rational operands, with den nonzero."""
+        return cls._reduced(*_reduce_fraction(num, den))
+
+    @classmethod
     def from_scalar(cls, table: GeneratorTable, c) -> "RationalFunction":
-        return cls(SuperPoly.constant(table, c), SuperPoly.one(table))
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("rational functions need rational coefficients")
+        # c/1 is already reduced
+        return cls._reduced(SuperPoly.constant(table, c), SuperPoly.one(table))
 
     @property
     def table(self) -> GeneratorTable:
         return self.num.table
 
     def is_polynomial(self) -> bool:
-        return self.den == SuperPoly.one(self.table)
+        """Whether the denominator is 1, the only constant a reduced one
+        can be."""
+        terms = self.den.terms
+        return len(terms) == 1 and terms.get(0) == 1
 
     def __bool__(self):
         return bool(self.num)
@@ -816,8 +834,13 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         if self.den == o.den:
-            return RationalFunction(self.num + o.num, self.den)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+            return RationalFunction._quotient(self.num + o.num, self.den)
+        if o.is_polynomial():
+            return RationalFunction._quotient(self.num + o.num * self.den, self.den)
+        if self.is_polynomial():
+            return RationalFunction._quotient(self.num * o.den + o.num, o.den)
+        return RationalFunction._quotient(self.num * o.den + o.num * self.den,
+                                          self.den * o.den)
 
     __radd__ = __add__
 
@@ -844,7 +867,9 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        den = (self.den if o.is_polynomial() else o.den if self.is_polynomial()
+               else self.den * o.den)
+        return RationalFunction._quotient(self.num * o.num, den)
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -867,7 +892,7 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.num.is_zero():
             raise ZeroDivisionError("inverting zero rational function")
-        return RationalFunction(self.den, self.num)
+        return RationalFunction._quotient(self.den, self.num)
 
     def __eq__(self, other):
         if isinstance(other, SuperPoly):
@@ -883,7 +908,7 @@ class RationalFunction:
         """Quotient rule; the generator must be even."""
         dn = self.num.left_derivative(name)
         dd = self.den.left_derivative(name)
-        return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
+        return RationalFunction._quotient(dn * self.den - self.num * dd, self.den * self.den)
 
     def substitute(self, assignment: Mapping[str, SuperPoly],
                    table: GeneratorTable | None = None) -> SuperPoly:
@@ -915,29 +940,39 @@ def _leading_monomial(poly: SuperPoly) -> Monomial:
 
 
 def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPoly]:
+    """The reduced pair of num/den (den nonzero).
+
+    A zero numerator gives 0/1.  Otherwise, unless a side has a constant
+    term, the common monomial factor cancels.  Euclid then runs only when
+    the denominator has two or more terms and one variable occurs: with a
+    constant or one-monomial denominator the monomial step has already
+    removed the whole gcd, since x divides num only as far as its least
+    x-exponent.  Last, both sides are divided by the denominator's leading
+    coefficient unless it is 1.
+    """
     table = num.table
     if num.is_zero():
         return num, SuperPoly.one(table)
-    keys = [*num.terms, *den.terms]
     # cancel the common monomial factor: the field-wise minimum of the keys
     if 0 not in num.terms and 0 not in den.terms:
+        keys = [*num.terms, *den.terms]
         common = sum(min(m >> shift & _EXPONENT for m in keys) << shift
                      for _, shift in table._even_fields)
         if common:
             num, den = (SuperPoly._of(table, {m - common: c for m, c in poly.terms.items()})
                         for poly in (num, den))
-            keys = [*num.terms, *den.terms]
     # single-variable quotients reduce fully by Euclid
-    used = 0
-    for m in keys:
-        used |= m
-    shifts = [shift for _, shift in table._even_fields if used >> shift & _EXPONENT]
-    if len(shifts) == 1:
-        shift = shifts[0]
-        g = _gcd_univariate(num, den, shift)
-        if g is not None and _leading_monomial(g):
-            num = _divide_univariate(num, g, shift)
-            den = _divide_univariate(den, g, shift)
+    if len(den.terms) > 1:
+        used = 0
+        for m in itertools.chain(num.terms, den.terms):
+            used |= m
+        shifts = [shift for _, shift in table._even_fields if used >> shift & _EXPONENT]
+        if len(shifts) == 1:
+            shift = shifts[0]
+            g = _gcd_univariate(num, den, shift)
+            if g is not None and _leading_monomial(g):
+                num = _divide_univariate(num, g, shift)
+                den = _divide_univariate(den, g, shift)
     # make the denominator's leading coefficient 1
     lead = den.terms[_leading_monomial(den)]
     if lead != 1:
@@ -1055,7 +1090,7 @@ def absorb_even_exponents(poly: SuperPoly) -> SuperPoly:
     for m, c in poly.terms.items():
         rf = c if isinstance(c, RationalFunction) else RationalFunction.from_scalar(table, c)
         if m & ~odd:
-            rf = RationalFunction(rf.num * SuperPoly._of(table, {m & ~odd: 1}), rf.den)
+            rf = RationalFunction._quotient(rf.num * SuperPoly._of(table, {m & ~odd: 1}), rf.den)
         mono = m & odd
         acc = terms.get(mono)
         terms[mono] = rf if acc is None else acc + rf

@@ -518,6 +518,179 @@ def test_rational_arithmetic_matches_sympy(case):
         assert RationalFunction(a.num * h, a.den * h) == a
 
 
+@pytest.mark.parametrize("num, den", [
+    (gen("x"), SuperPoly.zero(T)),
+    (SuperPoly.zero(T), SuperPoly.zero(T)),
+])
+def test_constructor_refuses_a_zero_denominator(num, den):
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(num, den)
+
+
+@pytest.mark.parametrize("side", ["num", "den"])
+@pytest.mark.parametrize("names", [["th1"], ["x", "th2", "th3"]], ids=["th1", "x*th2*th3"])
+def test_constructor_refuses_odd_generators(side, names):
+    parts = {"num": gen("x") + 1, "den": gen("y") - 2}
+    parts[side] = parts[side] + SuperPoly.from_monomial(T, dict.fromkeys(names, 1))
+    with pytest.raises(ValueError, match="odd-free"):
+        RationalFunction(parts["num"], parts["den"])
+
+
+@pytest.mark.parametrize("side", ["num", "den"])
+@pytest.mark.parametrize("coeff", [0.5, RationalFunction(gen("x"), gen("y"))],
+                         ids=["float", "quotient"])
+def test_constructor_refuses_non_rational_coefficients(side, coeff):
+    parts = {"num": gen("x") + 1, "den": gen("y") - 2}
+    parts[side] = parts[side] + SuperPoly.from_monomial(T, {"x": 1}, coeff)
+    with pytest.raises(TypeError, match="rational coefficients"):
+        RationalFunction(parts["num"], parts["den"])
+    with pytest.raises(TypeError, match="rational coefficients"):
+        RationalFunction.from_scalar(T, coeff)
+
+
+# ---------------------------------------------------------------------------
+# The reduction as it was before it skipped the steps that cannot cancel,
+# written over the codec: cancel the common monomial factor unless a side
+# has a constant term, run Euclid whenever one variable occurs, whatever the
+# denominator, and make the denominator's leading coefficient 1.  Every
+# stored pair must be the one it gives.
+
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _euclid(fa, fb):
+    """Monic gcd of two trimmed coefficient lists, lowest degree first."""
+    while fb:
+        r = fa[:]
+        while len(r) >= len(fb):
+            factor = r[-1] / fb[-1]
+            offset = len(r) - len(fb)
+            for k, c in enumerate(fb):
+                r[offset + k] -= factor * c
+            _trim(r)
+        fa, fb = fb, r
+    return [c / fa[-1] for c in fa]
+
+
+def _exact_quotient(fa, g):
+    out = [Fraction(0)] * (len(fa) - len(g) + 1)
+    r = fa[:]
+    for k in reversed(range(len(out))):
+        out[k] = r[k + len(g) - 1] / g[-1]
+        for j, gc in enumerate(g):
+            r[k + j] -= out[k] * gc
+    return out
+
+
+def _reduce_before(num, den):
+    if num.is_zero():
+        return num, SuperPoly.one(T)
+    sides = [[(dict(T.powers(m)), Fraction(c)) for m, c in poly.terms.items()]
+             for poly in (num, den)]
+    if all(p for side in sides for p, _ in side):
+        common = {pos: min(p.get(pos, 0) for side in sides for p, _ in side)
+                  for pos in T.even_positions}
+        sides = [[({pos: k - common[pos] for pos, k in p.items()}, c) for p, c in side]
+                 for side in sides]
+    used = {pos for side in sides for p, _ in side for pos, k in p.items() if k}
+    if len(used) == 1:
+        (pos,) = used
+        lists = []
+        for side in sides:
+            f = [Fraction(0)] * (1 + max(p.get(pos, 0) for p, _ in side))
+            for p, c in side:
+                f[p.get(pos, 0)] += c
+            lists.append(_trim(f))
+        g = _euclid(*lists)
+        if len(g) > 1:
+            sides = [[({pos: k}, c) for k, c in enumerate(_exact_quotient(f, g))]
+                     for f in lists]
+    num, den = (SuperPoly(T, {T.monomial(p.items())[1]: c for p, c in side})
+                for side in sides)
+    inv = 1 / Fraction(den.terms[max(den.terms, key=T.sort_key)])
+    return num.scale(inv), den.scale(inv)
+
+
+def _typed(poly):
+    return {m: (type(c), c) for m, c in poly.terms.items()}
+
+
+def _stored_as_before(rf, num, den):
+    want_num, want_den = _reduce_before(num, den)
+    return (_typed(rf.num), _typed(rf.den)) == (_typed(want_num), _typed(want_den))
+
+
+def _random_side(rng, kind):
+    """A numerator or denominator of the given shape over x, y, with
+    non-unit coefficients and, often, a monomial or linear factor that a
+    partner of the same draw shares."""
+    x, y = gen("x"), gen("y")
+
+    def coeff():
+        return Fraction(rng.choice([-6, -3, -2, 2, 3, 5]), rng.choice([1, 1, 2, 7]))
+
+    def poly(variables, terms):
+        out = SuperPoly.zero(T)
+        for _ in range(terms):
+            mono = SuperPoly.one(T)
+            for v in variables:
+                mono = mono * v ** rng.randint(0, 2)
+            out = out + mono * coeff()
+        return out
+
+    if kind == "zero":
+        return SuperPoly.zero(T)
+    if kind == "constant":
+        return const(coeff())
+    if kind == "monomial":
+        return x ** rng.randint(1, 3) * y ** rng.randint(0, 2) * coeff()
+    out = SuperPoly.zero(T)
+    while out.is_zero():
+        out = poly([x] if kind == "univariate" else [x, y], rng.randint(1, 3))
+    return out
+
+
+SIDE_KINDS = ["constant", "monomial", "univariate", "bivariate"]
+
+
+@pytest.mark.parametrize("den_kind", SIDE_KINDS)
+def test_stored_pairs_match_the_reduction_before_the_fast_paths(den_kind):
+    rng = random.Random(41 + SIDE_KINDS.index(den_kind))
+    x = gen("x")
+    # over a univariate denominator, numerators in x alone let Euclid cancel
+    kinds = (["zero", "constant", "monomial", "univariate"] if den_kind == "univariate"
+             else ["zero", *SIDE_KINDS])
+    checked = set()
+    for _ in range(60):
+        num_kind = rng.choice(kinds)
+        num, den = _random_side(rng, num_kind), _random_side(rng, den_kind)
+        if den.is_zero():
+            continue
+        shared = rng.choice([SuperPoly.one(T), x, x ** 2, x + 3, 2 * x - 1,
+                             x * x + x + 1, 3 - x])
+        if den_kind in ("constant", "monomial") and len(shared.terms) > 1:
+            shared = x
+        for n, d in ((num, den), (num * shared, den * shared)):
+            a = RationalFunction(n, d)
+            assert _stored_as_before(a, n, d), (n, d)
+            b = RationalFunction(_random_side(rng, rng.choice(SIDE_KINDS)),
+                                 _random_side(rng, rng.choice(SIDE_KINDS)))
+            sum_pair = ((a.num + b.num, a.den) if a.den == b.den
+                        else (a.num * b.den + b.num * a.den, a.den * b.den))
+            assert _stored_as_before(a + b, *sum_pair)
+            assert _stored_as_before(a * b, a.num * b.num, a.den * b.den)
+            assert _stored_as_before(b.inverse(), b.den, b.num)
+            c = b.inverse()
+            assert _stored_as_before(a / b, a.num * c.num, a.den * c.den)
+            dn, dd = a.num.left_derivative("x"), a.den.left_derivative("x")
+            assert _stored_as_before(a.derivative("x"), dn * a.den - a.num * dd, a.den * a.den)
+            checked.add(num_kind)
+    assert checked == set(kinds)
+
+
 @pytest.mark.parametrize("name", ["x", "th1"])
 def test_superpoly_plus_rational_function_is_a_constant_term(name):
     # A RationalFunction is a scalar to SuperPoly, in sums as in products,

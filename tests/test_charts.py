@@ -255,6 +255,28 @@ def test_cocycle_2_2_denominators_stay_small():
     assert largest <= 64
 
 
+def test_cocycle_2_2_runs_euclid_only_where_it_can_cancel(monkeypatch):
+    # A constant or one-monomial denominator leaves no gcd for Euclid to
+    # find, so the reduction skips it there.  Running it on every
+    # one-variable quotient took 327 calls on the chain rule of these
+    # pairs; skipping it takes 106.
+    import supercalc.algebra as algebra
+
+    pairs = list(random_split_pairs_2_2())
+    calls = []
+    euclid = algebra._gcd_univariate
+
+    def counting(a, b, shift):
+        calls.append(None)
+        return euclid(a, b, shift)
+
+    monkeypatch.setattr(algebra, "_gcd_univariate", counting)
+    for m1, m2 in pairs:
+        lhs = compose_maps(m1, m2).ber_jacobian()
+        assert lhs == m1.pullback(m2.ber_jacobian()) * m1.ber_jacobian()
+    assert 0 < len(calls) <= 120
+
+
 def test_berezinian_reductions_stay_within_the_count_before_one_denominator(
         monkeypatch):
     # RationalFunction Jacobians go through the same code as Fraction
