@@ -63,31 +63,6 @@ def parity_of_class(cls: str) -> int:
     raise ValueError(f"unknown generator class {cls!r}")
 
 
-def merge_odd_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
-    """Merge two ascending index tuples, tracking the interleaving sign.
-
-    Each element of ``b`` that ends up left of k trailing elements of ``a``
-    crossed k odd symbols on its way there.
-    """
-    sign = 1
-    out: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        elif a[i] > b[j]:
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-        else:
-            return 0, None
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
-
-
 class GeneratorTable:
     """An ordered list of named generators with fixed parities.
 
@@ -1037,16 +1012,19 @@ def _divide_univariate(a: SuperPoly, g: SuperPoly, shift: int) -> SuperPoly:
 
 @functools.cache
 def _prefix_shift(src: GeneratorTable, dst: GeneratorTable):
-    """(lost, odd, low, high) when one table's generators begin the
-    other's, as a chart's begin its polyvector table's: a src key m with
-    no bit in ``lost`` is then the dst key m & odd | m >> low << high."""
-    short, longer = (src, dst) if len(src.gens) < len(dst.gens) else (dst, src)
-    if longer.gens[:len(short.gens)] != short.gens:
-        return None
-    odd, low = short._odd_mask, len(short.odd_positions)
-    high = len(longer.odd_positions) + _FIELD * (
-        len(longer.even_positions) - len(short.even_positions))
-    return (0, odd, low, high) if src is short else ((1 << high) - 1 & ~odd, odd, high, low)
+    """(lost, odd, low, high) for the generators both tables begin with,
+    as a chart's polyvector and Weyl tables begin with the chart's: a src
+    key m with no bit in ``lost``, i.e. one in those generators only, is
+    the dst key m & odd | m >> low << high."""
+    n = 0
+    while n < min(len(src.gens), len(dst.gens)) and src.gens[n] == dst.gens[n]:
+        n += 1
+    n_odd = sum(src.parities[:n])
+    n_even = n - n_odd
+    odd = (1 << n_odd) - 1
+    low, high = (len(t.odd_positions) + _FIELD * (len(t.even_positions) - n_even)
+                 for t in (src, dst))
+    return (1 << low) - 1 & ~odd, odd, low, high
 
 
 def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
@@ -1060,7 +1038,7 @@ def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
     target: dict[int, int] = {}
     terms: dict[Monomial, object] = {}
     for m, c in poly.terms.items():
-        if shift and not m & shift[0]:
+        if not m & shift[0]:
             sign, mono = 1, m & shift[1] | m >> shift[2] << shift[3]
         else:
             pairs = src.powers(m)

@@ -150,22 +150,29 @@ _LETTERS = (FIBER_EVEN, FIBER_ODD, POLYVECTOR_EVEN, POLYVECTOR_ODD)
 
 
 @cache
+def derivative_letters(table: GeneratorTable) -> tuple[tuple[str, str, str], ...]:
+    """(z, dd_z, class of dd_z) for each base coordinate z of a table, in
+    table order, once per table.
+
+    The letter dd_z has z's parity and borrows the polyvector class for it
+    (even dd_x, odd dd_th), so a table with polyvector letters of its own
+    is refused: the classes could then be confused.
+    """
+    if table.positions_of_class(POLYVECTOR_EVEN, POLYVECTOR_ODD):
+        raise ValueError("derivative letters need a table without polyvector letters")
+    return tuple((n, DERIV_PREFIX + n, POLYVECTOR_ODD if c == ODD_BASE else POLYVECTOR_EVEN)
+                 for n, c in table.gens if c in (EVEN_BASE, ODD_BASE))
+
+
+@cache
 def _symbol_table(table: GeneratorTable) -> GeneratorTable:
     """The symbols of the operator complex over a form table, once per table:
-    its fiber symbols, then one derivative letter dd_z per base coordinate z
-    with z's parity, then the coordinates.
-
-    The derivative letters borrow the polyvector classes for their parity
-    (even dd_x, odd dd_th); this table holds no polyvector letter, so the
-    classes cannot be confused.
-    """
+    its fiber symbols, then the derivative letters, then the coordinates."""
     fiber = [g for g in table.gens if g[1] in (FIBER_EVEN, FIBER_ODD)]
     base = [g for g in table.gens if g[1] in (EVEN_BASE, ODD_BASE)]
     if [g[0] for g in fiber] != [fiber_name(n) for n, _ in base]:
         raise ValueError("the operator complex lives over a form table")
-    letters = [(DERIV_PREFIX + n, POLYVECTOR_ODD if c == ODD_BASE else POLYVECTOR_EVEN)
-               for n, c in base]
-    return GeneratorTable(fiber + letters + base)
+    return GeneratorTable(fiber + [(dd, c) for _, dd, c in derivative_letters(table)] + base)
 
 
 class UniversalElement:
@@ -258,19 +265,14 @@ class UniversalElement:
     __repr__ = __str__
 
 
-def _letter_pairs(table: GeneratorTable) -> list[tuple[str, str]]:
-    """(dz, dd_z) for each base coordinate z of a form table."""
-    return [(fiber_name(name), DERIV_PREFIX + name)
-            for name in base_coordinate_names(table)]
-
-
 def script_D(u: UniversalElement) -> UniversalElement:
     """Multiplication by the odd element sum_z dz (x) d/dz: left
     multiplication of the polynomial by sum_z dz*dd_z."""
     symbols = u.poly.table
     gen = SuperPoly.generator
     return UniversalElement(u.table, SuperPoly.sum_of_products(symbols, [
-        (gen(symbols, dz) * gen(symbols, dd), u.poly) for dz, dd in _letter_pairs(u.table)]))
+        (gen(symbols, fiber_name(z)) * gen(symbols, dd), u.poly)
+        for z, dd, _ in derivative_letters(u.table)]))
 
 
 def script_H(u: UniversalElement) -> UniversalElement:
@@ -278,8 +280,8 @@ def script_H(u: UniversalElement) -> UniversalElement:
     coordinate z through the derivative word, which on the polynomial is
     the left derivative along dz and then along dd_z."""
     out = SuperPoly.zero(u.poly.table)
-    for dz, dd in _letter_pairs(u.table):
-        out = out + u.poly.left_derivative(dz).left_derivative(dd)
+    for z, dd, _ in derivative_letters(u.table):
+        out = out + u.poly.left_derivative(fiber_name(z)).left_derivative(dd)
     return UniversalElement(u.table, out)
 
 

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from supercalc.algebra import SuperPoly, absorb_even_exponents, transport
 from supercalc.charts import Chart, CoordinateMap
-from supercalc.derham import fiber_name, form_table
+from supercalc.derham import DERIV_PREFIX, fiber_name, form_table
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import IntegralForm, polyvector_table
 from supercalc.pseudoforms import DeltaForm, delta_times_poly, form_times_delta
@@ -417,8 +417,8 @@ class Evaluator:
             return Poly(SuperPoly.generator(ring.chart.table, text), BASE)
         if text in ring.fiber_names:
             return Poly(SuperPoly.generator(ring.ftab, text), FORM)
-        if text.startswith("dd_"):
-            coord = text[3:]
+        if text.startswith(DERIV_PREFIX):
+            coord = text[len(DERIV_PREFIX):]
             if coord in ring.chart.coordinate_names:
                 return DiffOp.partial(ring.chart.table, coord)
         raise ExpressionError(f"unknown generator {text!r}",

@@ -40,7 +40,7 @@ built, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Mapping
 
 from supercalc.algebra import (
@@ -57,7 +57,7 @@ from supercalc.algebra import (
     transport,
 )
 from supercalc.charts import Chart, CoordinateMap
-from supercalc.derham import fiber_degree, form_table
+from supercalc.derham import DERIV_PREFIX, fiber_degree, form_table
 from supercalc.diffops import DiffOp
 
 POLYVECTOR_PREFIX = "pd"
@@ -145,7 +145,7 @@ class VectorField:
     def __str__(self):
         if not self.components:
             return "0"
-        return " + ".join(f"({c})*dd_{n}" for n, c in sorted(self.components.items()))
+        return " + ".join(f"({c})*{DERIV_PREFIX}{n}" for n, c in sorted(self.components.items()))
 
     __repr__ = __str__
 
@@ -202,37 +202,49 @@ def lie_derivative_ber(density: IntegralForm, field: VectorField,
     return IntegralForm(chart, out)
 
 
-def _push_past_partial(g: SuperPoly, name: str, odd: bool) -> SuperPoly:
-    """One step of the right action: move d/dname through the symbol.
-
-    ``(Ber @ g) . d/dx_a = Ber @ -(-1)^{|x_a||g|} (left d/dx_a g)``.
-    """
-    if not odd:
-        return -g.left_derivative(name)
-    even_part, odd_part = g.homogeneous_parts()
-    return odd_part.left_derivative(name) - even_part.left_derivative(name)
-
-
 def right_action(density: IntegralForm, op: DiffOp) -> IntegralForm:
     """Right action of a differential operator on a density.
+
+    One derivative moves through the symbol as (Ber @ g) . d/dz = Ber @
+    -(-1)^{|z||g|} (left d/dz g), which is T_z = -(left d/dz) o (left
+    d/d dd_z) on the operator's polynomial.  The T_z commute, so (Ber @ f)
+    . A is Ber @ (dd-free part of) exp(sum_z T_z)(f A).  On a term h * D of
+    f A that part is h differentiated from the right along D's letters,
+    leftmost first, negated once per even letter: the step above is
+    (g)(right d/dz) for odd z and its negative for even z.  The work stays
+    in the operator's table.
 
     Satisfies ``right_action(s, P.compose(Q)) ==
     right_action(right_action(s, P), Q)`` and annihilates the generator
     on every bare coordinate derivative.
     """
-    f = _density_coefficient(density)
-    table = density.chart.table
-    if op.table != table:
+    if op.table != density.chart.table:
         raise ValueError("operator and density live on different charts")
-    total = SuperPoly.zero(table)
-    for key, coeff in op.terms.items():
-        cur = f * coeff
-        for pos in op._word(key):
-            if cur.is_zero():
-                break
-            cur = _push_past_partial(cur, table.names[pos], bool(table.parities[pos]))
-        total = total + cur
-    return IntegralForm(density.chart, total)
+    weyl = op.poly.table
+    product = _density_coefficient(density, weyl) * op.poly
+    out = SuperPoly.zero(weyl)
+    for word, h in product.collect(weyl.positions_of_class(POLYVECTOR_EVEN,
+                                                          POLYVECTOR_ODD)).items():
+        if word:
+            names, negate = _word_moves(weyl, word)
+            for name in names:
+                h = h.right_derivative(name)
+            if negate:
+                h = -h
+        out = out + h if out else h
+    return IntegralForm(density.chart, transport(out, density.table))
+
+
+@lru_cache(maxsize=4096)
+def _word_moves(weyl: GeneratorTable, word: Monomial) -> tuple[tuple[str, ...], bool]:
+    """The coordinates a word of derivative letters differentiates along,
+    leftmost first, and whether it holds an odd number of even letters."""
+    names: list[str] = []
+    negate = False
+    for pos, k in weyl.powers(word):
+        names += [weyl.names[pos][len(DERIV_PREFIX):]] * k
+        negate ^= bool(k % 2 and not weyl.parities[pos])
+    return tuple(names), negate
 
 
 # --- integral forms -------------------------------------------------------------
@@ -362,13 +374,15 @@ def _released(poly: SuperPoly) -> SuperPoly:
         return poly
 
 
-def _density_coefficient(u: IntegralForm) -> SuperPoly:
-    """The coefficient f of a density ``u = Ber @ f``, over the chart table.
+def _density_coefficient(u: IntegralForm, table: GeneratorTable | None = None) -> SuperPoly:
+    """The coefficient f of a density ``u = Ber @ f``, over ``table``: the
+    chart table, or a table that extends it by letters other than the
+    polyvector ones.
 
     Raises when a polyvector letter remains, so that u is not a density.
     """
-    try:    # the chart table lacks exactly the polyvector letters
-        return transport(_released(u.poly), u.chart.table)
+    try:    # the target table lacks the polyvector letters
+        return transport(_released(u.poly), table or u.chart.table)
     except KeyError:
         raise ValueError("polyvector letters remain; not a plain density") from None
 
@@ -440,7 +454,9 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
     p, q = chart.p, chart.q
     base_parity = (p + q) % 2
     coordinates = set(table.positions_of_class(EVEN_BASE, ODD_BASE))
-    pairs = []
+    letters = [(table.index(name), table.index(polyvector_name(name)), table.parity(name))
+               for name in chart.coordinate_names]
+    terms: dict[Monomial, Fraction] = {}
     for mono, c in release_even_exponents(u.poly).terms.items():
         base_ev = table.degree(mono, EVEN_BASE)
         base_od = table.degree(mono, ODD_BASE)
@@ -448,26 +464,22 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
         pv_od = table.degree(mono, POLYVECTOR_ODD)
         k_weight = p + q + pv_ev - pv_od - 2 * base_od - 1
         denominator = k_weight + base_ev + base_od + 1
-        f_parity = base_od % 2
         powers = table.powers(mono)
-        _, f_mono = table.monomial(pk for pk in powers if pk[0] in coordinates)
-        _, x_mono = table.monomial(pk for pk in powers if pk[0] not in coordinates)
-        f_poly = SuperPoly(table, {f_mono: 1})
-        x_poly = SuperPoly(table, {x_mono: 1})
+        f_powers = [pk for pk in powers if pk[0] in coordinates]
+        x_powers = [pk for pk in powers if pk[0] not in coordinates]
+        # (sign, key) of x_b * f * pdx_b * X, and x_b's parity, for every b
+        products = [(table.monomial([(xb, 1), *f_powers, (pdb, 1), *x_powers]), pb)
+                    for xb, pdb, pb in letters]
         if denominator <= 0:
-            assert not any(SuperPoly.generator(table, name) * f_poly
-                           * SuperPoly.generator(table, polyvector_name(name)) * x_poly
-                           for name in chart.coordinate_names), \
+            assert not any(sign for (sign, _), _ in products), \
                 "nonzero product on a generator monomial"
             continue
         weight = Fraction(1, denominator) * c
-        for name in chart.coordinate_names:
-            xb = SuperPoly.generator(table, name)
-            pdb = SuperPoly.generator(table, polyvector_name(name))
-            pb = table.parity(name)
-            exponent = (f_parity * (pb + 1) + pb + base_parity + 1) % 2
-            pairs.append((xb * f_poly * pdb, x_poly.scale(-weight if exponent else weight)))
-    return IntegralForm(chart, SuperPoly.sum_of_products(table, pairs))
+        for (sign, key), pb in products:
+            if sign:
+                odd = (base_od * (pb + 1) + pb + base_parity + 1 + (sign < 0)) % 2
+                terms[key] = terms.get(key, 0) + (-weight if odd else weight)
+    return IntegralForm(chart, SuperPoly(table, terms))
 
 
 def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:

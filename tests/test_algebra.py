@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from supercalc.algebra import (
     EVEN_BASE,
+    POLYVECTOR_EVEN,
+    POLYVECTOR_ODD,
     GeneratorTable,
     RationalFunction,
     SuperPoly,
     absorb_even_exponents,
-    merge_odd_indices,
     transport,
 )
 from supercalc.randoms import random_superpoly
@@ -61,15 +62,6 @@ def naive_mul(a, b):
             w = wa + wb
             words[w] = words.get(w, Fraction(0)) + ca * cb
     return _word_to_poly(a.table, words)
-
-
-# ---------------------------------------------------------------------------
-# sign normalization
-
-def test_merge_counts_crossings():
-    assert merge_odd_indices((2, 4), (3,)) == (-1, (2, 3, 4))
-    assert merge_odd_indices((2,), (3,)) == (1, (2, 3))
-    assert merge_odd_indices((3,), (3,)) == (0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +172,30 @@ def test_transport_matches_encoding_by_name(kind):
     letter = next(name for name in ext.names if name not in base.names)
     with pytest.raises(KeyError, match="unknown generator"):
         transport(SuperPoly.generator(ext, letter), base)
+
+
+def test_transport_between_tables_sharing_a_prefix():
+    # A chart's polyvector and Weyl tables begin with the chart's
+    # generators and then differ, so only keys in the chart's generators
+    # move by the shift; a key with another letter goes by name.
+    left = T.extend([("pdx", POLYVECTOR_ODD), ("pdth1", POLYVECTOR_EVEN)])
+    right = T.extend([("dd_x", POLYVECTOR_EVEN), ("dd_th1", POLYVECTOR_ODD),
+                      ("pdth1", POLYVECTOR_EVEN)])
+    rng = random.Random(19)
+    for _ in range(50):
+        u = random_superpoly(rng, left, terms=4, max_exp=3)
+        by_name = SuperPoly.zero(right)
+        for mono, c in u.terms.items():
+            named = {left.names[pos]: k for pos, k in left.powers(mono)}
+            if "pdx" not in named:
+                by_name = by_name + SuperPoly.from_monomial(right, named, c)
+        kept = SuperPoly(left, {m: c for m, c in u.terms.items()
+                                if left.degree(m, POLYVECTOR_ODD) == 0})
+        moved = transport(kept, right)
+        assert moved.terms == by_name.terms
+        assert transport(moved, left).terms == kept.terms
+    with pytest.raises(KeyError, match="unknown generator"):
+        transport(SuperPoly.generator(left, "pdx"), right)
 
 
 @pytest.mark.parametrize("kind", ["form", "polyvector"])

@@ -32,7 +32,6 @@ from supercalc.derham import (
     script_D,
     script_H,
 )
-from supercalc.diffops import DiffOp
 from supercalc.randoms import random_split_map, random_superpoly
 
 R12 = GeneratorTable.chart(["x"], ["th1", "th2"])
@@ -336,7 +335,8 @@ class TestUniversalElement:
 # script_D and script_H are checked against.  An element is a dict
 # {(fiber monomial, derivative key): f} with f a function to the right of
 # the derivative word; the derivative key is (even exponents, ascending odd
-# positions) as in DiffOp, and every sign is worked out per term.
+# positions) of the word d_x^ell d_th^eps, and every sign is worked out per
+# term.
 
 def _sort_odd_indices(indices):
     """(sign of the sorting permutation, sorted tuple), (0, None) on a repeat."""
@@ -353,10 +353,36 @@ def _sort_odd_indices(indices):
     return sign, tuple(items)
 
 
-def _deriv_key(ops, word):
-    ell, odd_word = ops._mono_of_word(word)
-    sign, eps = _sort_odd_indices(odd_word)
+def _deriv_key(table, word):
+    """(sign, key) of a word of coordinate positions in normal order: the
+    even derivatives commute with everything, the odd ones are sorted."""
+    ell = tuple(word.count(pos) for pos in table.positions_of_class(EVEN_BASE))
+    sign, eps = _sort_odd_indices(pos for pos in word if table.parities[pos])
     return sign, (None if sign == 0 else (ell, eps))
+
+
+def _deriv_word(table, key):
+    ell, eps = key
+    evens = table.positions_of_class(EVEN_BASE)
+    return tuple(pos for pos, k in zip(evens, ell) for _ in range(k)) + eps
+
+
+def _deriv_bracket(table, key, pos):
+    """[D, z] for the derivative monomial D of ``key`` and the coordinate
+    at ``pos``, as (scalar, key) or None: an even z lowers its exponent,
+    scaled by the exponent; an odd z is removed from eps with the sign of
+    moving it past the odd derivatives to its right."""
+    ell, eps = key
+    if not table.parities[pos]:
+        slot = table.positions_of_class(EVEN_BASE).index(pos)
+        if not ell[slot]:
+            return None
+        lowered = ell[:slot] + (ell[slot] - 1,) + ell[slot + 1:]
+        return ell[slot], (lowered, eps)
+    if pos not in eps:
+        return None
+    i = eps.index(pos)
+    return (-1) ** (len(eps) - 1 - i), (ell, eps[:i] + eps[i + 1:])
 
 
 def _base_positions(table):
@@ -375,23 +401,22 @@ def reference_monomial(table, fiber_word, deriv_word, f):
     if fiber.is_zero():
         return {}
     (mu, c), = fiber.terms.items()
-    sign, jw = _deriv_key(DiffOp.zero(table), tuple(table.index(n) for n in deriv_word))
+    sign, jw = _deriv_key(table, tuple(table.index(n) for n in deriv_word))
     return {} if sign == 0 else {(mu, jw): f.scale(c * sign)}
 
 
 def reference_script_D(table, terms):
-    ops = DiffOp.zero(table)
     out = {}
     for (mu, jw), f in terms.items():
         mu_poly = SuperPoly(table, {mu: 1})
-        word = ops._word(jw)
+        word = _deriv_word(table, jw)
         for pos in _base_positions(table):
             sign = -1 if (table.parities[pos] and mu_poly.parity()) else 1
             prod = gen(table, "d" + table.names[pos]) * mu_poly
             if prod.is_zero():
                 continue
             (new_mu, c), = prod.terms.items()
-            extra, new_jw = _deriv_key(ops, (pos,) + word)
+            extra, new_jw = _deriv_key(table, (pos,) + word)
             if extra:
                 _accumulate(out, (new_mu, new_jw), f.scale(sign * c * extra))
     return out
@@ -401,18 +426,16 @@ def reference_script_H(table, terms):
     out = {}
     for (mu, jw), f in terms.items():
         mu_poly = SuperPoly(table, {mu: 1})
-        dj = DiffOp(table, {jw: SuperPoly.one(table)})
+        dj_parity = len(jw[1]) % 2
         for pos in _base_positions(table):
-            sign = -1 if (table.parities[pos] and (mu_poly.parity() + dj.parity() + 1) % 2) else 1
+            sign = -1 if (table.parities[pos] and (mu_poly.parity() + dj_parity + 1) % 2) else 1
             contracted = mu_poly.left_derivative("d" + table.names[pos])
-            if contracted.is_zero():
+            bracket = _deriv_bracket(table, jw, pos)
+            if contracted.is_zero() or bracket is None:
                 continue
-            bracket = dj.bracket(DiffOp.multiplication(gen(table, table.names[pos])))
-            for jw2, c2 in bracket.terms.items():
-                scalar = c2.scalar_part()
-                assert SuperPoly.constant(table, scalar) == c2
-                for new_mu, c_mu in contracted.terms.items():
-                    _accumulate(out, (new_mu, jw2), f.scale(sign * c_mu * scalar))
+            scalar, jw2 = bracket
+            for new_mu, c_mu in contracted.terms.items():
+                _accumulate(out, (new_mu, jw2), f.scale(sign * c_mu * scalar))
     return out
 
 
@@ -426,11 +449,10 @@ def reference_factor(table, terms):
 
 def from_reference(table, terms):
     """The element a term dict stands for, built through the public builder."""
-    ops = DiffOp.zero(table)
     out = UniversalElement.zero(table)
     for (mu, jw), f in terms.items():
         fiber_word = [table.names[pos] for pos, k in table.powers(mu) for _ in range(k)]
-        deriv_word = [table.names[pos] for pos in ops._word(jw)]
+        deriv_word = [table.names[pos] for pos in _deriv_word(table, jw)]
         out = out + UniversalElement.monomial(table, fiber_word, deriv_word, f)
     return out
 
