@@ -28,11 +28,13 @@ passed back, never indexed, shifted, masked or built by hand.
 No floating point is used anywhere.  A coefficient is one of the
 :data:`SCALARS`: an ``int`` while it is integral (never a Fraction with
 denominator 1), else a ``fractions.Fraction``, or a :class:`RationalFunction`
-for charts that divide by even coordinates.  An even power may sit in a
-monomial or inside such a quotient; :func:`absorb_even_exponents` moves every
-one into the quotients and :func:`release_even_exponents` moves them back,
-refusing a coefficient that is no polynomial.  Only this module looks inside
-a ``RationalFunction`` coefficient.
+for charts that divide by even coordinates.  A quotient holds the even base
+coordinates only, so a power of one of them may sit in a monomial or inside
+a quotient, while every other letter stays in the monomials:
+:func:`absorb_even_exponents` moves the base powers into the quotients and
+:func:`release_even_exponents` moves them back, refusing a coefficient that
+is no polynomial.  Only this module looks inside a ``RationalFunction``
+coefficient.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ class GeneratorTable:
 
     __slots__ = ("gens", "names", "classes", "parities", "_index", "_hash",
                  "even_positions", "odd_positions", "_odd_mask", "_guard",
-                 "_unit", "_even_fields", "_class_masks", "_class_positions")
+                 "_unit", "_even_fields", "_base_mask", "_class_masks",
+                 "_class_positions")
 
     def __init__(self, gens: Iterable[tuple[str, str]]):
         gens = tuple((str(n), str(c)) for n, c in gens)
@@ -93,6 +96,9 @@ class GeneratorTable:
         self._even_fields = tuple((pos, n_odd + _FIELD * (n_even - 1 - slot))
                                   for slot, pos in enumerate(self.even_positions))
         self._guard = sum((_EXPONENT + 1) << shift for _, shift in self._even_fields)
+        # the fields of the even base coordinates, the only letters a quotient holds
+        self._base_mask = sum(_EXPONENT << shift for pos, shift in self._even_fields
+                              if self.classes[pos] == EVEN_BASE)
         # the key of each generator: its odd bit, or a 1 in its even field
         self._unit = {pos: 1 << j for j, pos in enumerate(self.odd_positions)}
         self._unit.update((pos, 1 << shift) for pos, shift in self._even_fields)
@@ -541,8 +547,8 @@ class SuperPoly:
         if any(not m & odd for m in rest.terms):
             raise ValueError(
                 "cannot invert: remainder has an odd-free monomial "
-                "(not nilpotent); absorb even variables into rational-"
-                "function coefficients first")
+                "(not nilpotent); only even base coordinates can move "
+                "into rational-function coefficients")
         inv_c0 = _coeff_inverse(c0)
         unit = SuperPoly.constant(self.table, inv_c0)
         out = unit
@@ -569,8 +575,9 @@ class SuperPoly:
         terms: dict[Monomial, object] = {}
         if unit > table._odd_mask:
             shift = unit.bit_length() - 1
+            rational = unit & table._base_mask    # quotients hold base letters only
             for m, c in self.terms.items():
-                if isinstance(c, RationalFunction):
+                if rational and isinstance(c, RationalFunction):
                     dc = c.derivative(name)
                     if dc:
                         acc = terms.get(m)
@@ -709,7 +716,7 @@ class SuperPoly:
         if self.table == other.table:
             if self.terms == other.terms:
                 return True
-            # An even power may sit in the monomial or inside a
+            # An even base power may sit in the monomial or inside a
             # RationalFunction coefficient (x*th and absorb_even_exponents(x*th)
             # print alike), so a side carrying such a coefficient is compared
             # in absorbed form.  Rational-only sides are canonical as they are.
@@ -724,15 +731,18 @@ class SuperPoly:
 class RationalFunction:
     """A quotient of polynomials in the even base generators.
 
-    Stored as a pair of Fraction-coefficient SuperPolys whose monomials have
-    no odd factors.  The representation cancels the rational content and any
-    common monomial factor, runs a Euclidean gcd when only a single even
-    variable occurs (enough to keep quotients on a punctured line fully
-    reduced), and makes the denominator's leading coefficient 1; see
-    :func:`_reduce_fraction` for which of these steps run on which
-    denominator.  The constructor refuses a zero denominator, odd factors
-    and coefficients that are not rational; arithmetic on checked operands
-    builds its results through :meth:`_quotient`, which only reduces.
+    Stored as a pair of Fraction-coefficient SuperPolys whose monomials hold
+    the even base coordinates only; odd factors and the even fiber and
+    polyvector letters stay in the monomials of the element that the
+    quotient is a coefficient of.  The representation cancels the rational
+    content and any common monomial factor, runs a Euclidean gcd when only a
+    single even variable occurs (enough to keep quotients on a punctured
+    line fully reduced), and makes the denominator's leading coefficient 1;
+    see :func:`_reduce_fraction` for which of these steps run on which
+    denominator.  The constructor refuses a zero denominator, any letter
+    but an even base coordinate and coefficients that are not rational;
+    arithmetic on checked operands builds its results through
+    :meth:`_quotient`, which only reduces.
 
     Sums and comparisons use a shared denominator when the two operands
     already have the same one: ``a/d + b/d`` is ``(a + b)/d`` and ``a/d ==
@@ -748,10 +758,12 @@ class RationalFunction:
     def __init__(self, num: SuperPoly, den: SuperPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        odd = num.table._odd_mask
+        odd, other = num.table._odd_mask, ~num.table._base_mask
         for poly in (num, den):
             if any(m & odd for m in poly.terms):
                 raise ValueError("rational functions must be odd-free")
+            if any(m & other for m in poly.terms):
+                raise ValueError("rational functions take the even base coordinates only")
             for c in poly.terms.values():
                 if not isinstance(c, (int, Fraction)):
                     raise TypeError("rational functions need rational coefficients")
@@ -1057,19 +1069,20 @@ def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
 
 
 def absorb_even_exponents(poly: SuperPoly) -> SuperPoly:
-    """Move all even-generator powers into RationalFunction coefficients.
+    """Move the powers of the even base coordinates into RationalFunction
+    coefficients; every other letter stays in the monomials.
 
     Charts keep their polynomials in this absorbed form so that division by
     even coordinates stays a scalar operation.
     """
     table = poly.table
-    odd = table._odd_mask
+    base = table._base_mask
     terms: dict[Monomial, object] = {}
     for m, c in poly.terms.items():
         rf = c if isinstance(c, RationalFunction) else RationalFunction.from_scalar(table, c)
-        if m & ~odd:
-            rf = RationalFunction._quotient(rf.num * SuperPoly._of(table, {m & ~odd: 1}), rf.den)
-        mono = m & odd
+        if m & base:
+            rf = RationalFunction._quotient(rf.num * SuperPoly._of(table, {m & base: 1}), rf.den)
+        mono = m & ~base
         acc = terms.get(mono)
         terms[mono] = rf if acc is None else acc + rf
     return SuperPoly(table, terms)
@@ -1080,19 +1093,49 @@ def release_even_exponents(poly: SuperPoly) -> SuperPoly:
     :func:`absorb_even_exponents`.
 
     Operations that need polynomial data call this on their input, so an
-    element may be written either way.  A quotient that is no polynomial
-    raises ``ValueError``.
+    element may be written either way.  A stored denominator other than 1
+    is divided into its numerator exactly, since the stored pair may share
+    a factor that :func:`_reduce_fraction` leaves in place; a quotient that
+    is no polynomial raises ``ValueError``.
     """
     if not any(type(c) is RationalFunction for c in poly.terms.values()):
         return poly
     table = poly.table
     pairs = []
-    # absorbing first collects every even power of one odd monomial into
-    # one quotient, so x*(1/x) releases to 1
+    # absorbing first collects every even power of one monomial into one
+    # quotient, so x*(1/x) releases to 1
     for mono, c in absorb_even_exponents(poly).terms.items():
-        if not c.is_polynomial():
+        num = c.num if c.is_polynomial() else _exact_quotient(c.num, c.den)
+        pairs.append((SuperPoly._of(table, {mono: 1}), num))
+    return SuperPoly.sum_of_products(table, pairs)
+
+
+def _exact_quotient(num: SuperPoly, den: SuperPoly) -> SuperPoly:
+    """num / den for the pair of a RationalFunction, when den divides num.
+
+    Divides by the one divisor den in the graded order of
+    :meth:`GeneratorTable.sort_key`.  With a single divisor the remainder
+    is zero exactly when den divides num, and a leading term that den's
+    leading term does not divide would stay in the remainder, so the first
+    such term raises ``ValueError``.
+    """
+    table, guard = num.table, num.table._guard
+    lead = _leading_monomial(den)       # its coefficient is 1: den is reduced
+    tail = [(m, c) for m, c in den.terms.items() if m != lead]
+    left, out = dict(num.terms), {}
+    while left:
+        m = max(left, key=table.sort_key)
+        if ((m | guard) - lead) & guard != guard:   # a field of m - lead borrows
             raise ValueError("non-polynomial coefficient: this operation takes "
                              "polynomial coefficients only; quotients by even "
                              "coordinates are unsupported")
-        pairs.append((SuperPoly._of(table, {mono: 1}), c.num))
-    return SuperPoly.sum_of_products(table, pairs)
+        shift = m - lead
+        factor = out[shift] = left.pop(m)
+        for dm, dc in tail:
+            key = dm + shift
+            value = left.get(key, 0) - factor * dc
+            if value:
+                left[key] = value
+            else:
+                del left[key]
+    return SuperPoly(table, out)

@@ -23,7 +23,8 @@ polyvector letter.  The complex carries
   ``Ber @ th_1..th_q pdz_1..pdz_p``,
 * a right action of differential operators :func:`right_action` making the
   densities a right module over the Weyl superalgebra of the chart,
-* Lie derivatives along vector fields :func:`lie_derivative_ber`, and
+* Lie derivatives along vector fields :func:`lie_derivative_ber`,
+* coordinate changes :meth:`IntegralForm.transform`, on every degree, and
 * a contraction pairing :func:`pair` against differential forms, filling
   the role a wedge product cannot play here: two integral forms never
   multiply, an integral form and a form do.
@@ -59,6 +60,7 @@ from supercalc.algebra import (
 from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import DERIV_PREFIX, fiber_degree, form_table
 from supercalc.diffops import DiffOp
+from supercalc.supermatrix import berezinian
 
 POLYVECTOR_PREFIX = "pd"
 
@@ -171,35 +173,27 @@ def lie_derivative_ber(density: IntegralForm, field: VectorField,
                        gaussian: Iterable[str] = ()) -> IntegralForm:
     """Dressed Lie derivative of a density along a vector field.
 
-    Acts through the divergence: the coefficient f goes to
-    sum_a (-1)^{|x_a| (|f| + |X^a|)} d/dx_a (f X^a), summed over the
-    chart coordinates, with the derivative taken from the left.  The
-    field must be parity homogeneous so the signs are well defined.
-    On the even coordinates listed in ``gaussian`` the density carries
-    the weight exp(-z^2), which stays factored out: their derivative
-    picks up the weight's contribution -2z.
+    It is minus the right action of the field as a first-order operator:
+    the coefficient f goes to the divergence sum_a (-1)^{|x_a| (|f| +
+    |X^a|)} d/dx_a (f X^a), summed over the chart coordinates, with the
+    derivative taken from the left.  The field must be parity homogeneous
+    so the signs are well defined.  On the even coordinates listed in
+    ``gaussian`` the density carries the weight exp(-z^2), which stays
+    factored out: their derivative picks up the weight's contribution
+    -2z, so each such z adds -2 z f X^z.
     """
-    parts = _density_coefficient(density).homogeneous_parts()
+    f = _density_coefficient(density)
     chart = density.chart
-    table = chart.table
-    if field.chart.table != table:
+    if field.chart.table != chart.table:
         raise ValueError("field and density live on different charts")
-    xp = field.parity()
-    if xp is None:
+    if field.parity() is None:
         raise ValueError("vector field must have homogeneous parity")
     gaussian = _gaussian_set(chart, gaussian)
-    out = SuperPoly.zero(table)
-    for name, comp in field.components.items():
-        pa = table.parity(name)
-        comp_parity = (xp + pa) % 2
-        for fp, fpart in enumerate(parts):
-            if fpart.is_zero():
-                continue
-            term = _weighted_derivative(fpart * comp, name, gaussian)
-            if pa and (fp + comp_parity) % 2:
-                term = -term
-            out = out + term
-    return IntegralForm(chart, out)
+    out = -right_action(density, field.as_diffop())
+    for name in sorted(gaussian & field.components.keys()):
+        z = SuperPoly.generator(f.table, name)
+        out = out - IntegralForm(chart, (z * f * field.components[name]).scale(2))
+    return out
 
 
 def right_action(density: IntegralForm, op: DiffOp) -> IntegralForm:
@@ -297,7 +291,7 @@ class IntegralForm:
     def degrees(self) -> frozenset[int]:
         p = self.chart.p
         return frozenset(p - polyvector_degree(self.table, mono)
-                         for mono in _released(self.poly).terms)
+                         for mono in self.poly.terms)
 
     def degree(self) -> int | None:
         degs = self.degrees()
@@ -315,18 +309,47 @@ class IntegralForm:
         return IntegralForm(self.chart, self.poly * IntegralForm(self.chart, factor).poly)
 
     def transform(self, m: CoordinateMap) -> "IntegralForm":
-        """Express a density in the source coordinates of ``m``.
+        """Express the form in the source coordinates of ``m``.
 
-        The coefficient pulls back along the map and picks up the
-        Berezinian of the Jacobian.  Only densities (degree p) move; the
-        law on polyvector letters is not implemented.  Raises when the
-        result fails to be polynomial (the map divides by a coordinate
-        somewhere).
+        The coordinates pull back along the map, each polyvector letter
+        moves as pd_t -> sum_s pd_s (J^-1)_st, J the Jacobian (rows the
+        target coordinates, columns the source ones), and the whole picks
+        up Ber J.  J^-1 is formed only when a polyvector letter occurs, so
+        a density costs the pullback and the Berezinian alone.  A Jacobian
+        that does not invert is refused, and so is a result that fails to
+        be polynomial (the map divides by a coordinate somewhere): the
+        quotients are released once, at the end.
         """
         if m.target.table != self.chart.table:
-            raise ValueError("density does not live on the target of the map")
-        moved = m.ber_jacobian() * m.pullback(_density_coefficient(self))
-        return IntegralForm(m.source, release_even_exponents(moved))
+            raise ValueError("form does not live on the target of the map")
+        src = m.source
+        table = polyvector_table(src)
+        jac = m.jacobian()
+        # the letters pd_t sit in the order of the target coordinates t
+        letters = self.table.positions_of_class(POLYVECTOR_EVEN, POLYVECTOR_ODD)
+        words = self.poly.collect(letters)
+        try:
+            ber = berezinian(jac)
+            if any(words):      # a nonzero key holds a polyvector letter
+                inv = jac.inverse().rows()
+                pds = [SuperPoly.generator(table, polyvector_name(n))
+                       for n in src.coordinate_names]
+                images = {pos: SuperPoly.sum_of_products(
+                              table, [(pd, transport(row[t], table))
+                                      for pd, row in zip(pds, inv)])
+                          for t, pos in enumerate(letters)}
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("the Jacobian does not invert: delta argument "
+                             "not reducible") from exc
+        pairs = []
+        for word, f in words.items():
+            image = SuperPoly.one(table)
+            for pos, k in self.table.powers(word):
+                image = image * images[pos] ** k
+            pulled = m.pullback(transport(f, self.chart.table))
+            pairs.append((transport(pulled, table), image))
+        moved = transport(ber, table) * SuperPoly.sum_of_products(table, pairs)
+        return IntegralForm(src, release_even_exponents(moved))
 
     def scale(self, c) -> "IntegralForm":
         return IntegralForm(self.chart, self.poly.scale(c))
@@ -364,16 +387,6 @@ class IntegralForm:
 BerSection = IntegralForm
 
 
-def _released(poly: SuperPoly) -> SuperPoly:
-    """``poly`` with absorbed even powers back in its keys, so that the
-    letters read off the keys do not depend on how it was written; a
-    proper quotient stays as stored."""
-    try:
-        return release_even_exponents(poly)
-    except ValueError:
-        return poly
-
-
 def _density_coefficient(u: IntegralForm, table: GeneratorTable | None = None) -> SuperPoly:
     """The coefficient f of a density ``u = Ber @ f``, over ``table``: the
     chart table, or a table that extends it by letters other than the
@@ -382,7 +395,7 @@ def _density_coefficient(u: IntegralForm, table: GeneratorTable | None = None) -
     Raises when a polyvector letter remains, so that u is not a density.
     """
     try:    # the target table lacks the polyvector letters
-        return transport(_released(u.poly), table or u.chart.table)
+        return transport(u.poly, table or u.chart.table)
     except KeyError:
         raise ValueError("polyvector letters remain; not a plain density") from None
 
@@ -506,9 +519,8 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
     result = SuperPoly.zero(u.table)
     if u.poly.is_zero() or omega.is_zero():
         return IntegralForm(u.chart, result)
-    poly = _released(u.poly)
     max_fiber = max(fiber_degree(ftab, mono) for mono in omega.terms)
-    min_pv = min(polyvector_degree(u.table, mono) for mono in poly.terms)
+    min_pv = min(polyvector_degree(u.table, mono) for mono in u.poly.terms)
     if max_fiber > min_pv:
         raise ValueError("form degree exceeds the polyvector degree of the "
                          "integral form")
@@ -521,7 +533,7 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
                 letters.extend([name[1:]] * k)
             else:
                 remainder[name] = k
-        cur = poly.scale(c)
+        cur = u.poly.scale(c)
         for name in letters:
             cur = cur.right_derivative(polyvector_name(name))
             if cur.is_zero():

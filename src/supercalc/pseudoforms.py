@@ -39,6 +39,15 @@ passes.  They satisfy [d/d(dth_a), dth_b] = delta_ab and
 (number of dx letters) minus (total delta derivatives), which is p minus
 the polyvector degree of its stored monomials, and
 :func:`to_integral_form` and :func:`from_integral_form` only rewrap.
+
+A coordinate change acts on the stored polynomial by the integral-form
+law of :meth:`IntegralForm.transform`: the coordinates pull back, pd_t
+goes to sum_s pd_s (J^-1)_st and the whole picks up Ber J.  Read back in
+the letters above, that is the term-by-term rule: each dx letter becomes
+the differential of its coordinate image, and with dth'_a = sum_b G_ab
+dth_b plus nilpotent dx terms the delta block picks up det(G)^-1 after a
+finite Taylor expansion in those terms, its derived deltas becoming
+G^-1-weighted raising letters.
 """
 
 from __future__ import annotations
@@ -46,8 +55,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import factorial, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -59,7 +66,6 @@ from supercalc.algebra import (
     POLYVECTOR_ODD,
     GeneratorTable,
     SuperPoly,
-    absorb_even_exponents,
     release_even_exponents,
     transport,
 )
@@ -67,12 +73,10 @@ from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import fiber_name, form_table
 from supercalc.integral_forms import (
     IntegralForm,
-    _released,
     polyvector_name,
     polyvector_table,
 )
 from supercalc.integration import PiValue, _moment_ratio
-from supercalc.supermatrix import det_even, inv_even
 
 __all__ = [
     "CWOperator",
@@ -228,12 +232,10 @@ class DeltaForm:
     def terms(self) -> Mapping[TermKey, SuperPoly]:
         """The form term by term: a read-only map from (eps, ells) to the
         base coefficient over the chart, with no zero entries."""
-        # an absorbed density may hold pdth powers in its coefficients
-        poly = _released(self.poly)
-        table = poly.table
+        table = self.poly.table
         dx, dth = _letter_positions(table)
         view = {}
-        for letters, f in poly.collect(dx + dth).items():
+        for letters, f in self.poly.collect(dx + dth).items():
             powers = dict(table.powers(letters))
             eps = tuple(0 if pos in powers else 1 for pos in dx)
             f = transport(f, self.chart.table)
@@ -299,76 +301,13 @@ class DeltaForm:
     # --- coordinate change ----------------------------------------------------
 
     def transform(self, m: CoordinateMap) -> "DeltaForm":
-        """Express the form in the source coordinates of ``m``.
-
-        The base coefficient pulls back, each dx letter is replaced by
-        the differential of the matching coordinate image, and the delta
-        block transforms through the linear rule: with dth'_a = sum_b
-        G_ab dth_b plus nilpotent dx terms, the product of deltas picks
-        up det(G)^{-1} after a finite Taylor expansion in the nilpotent
-        summands, and delta derivatives become G^{-1}-weighted derivative
-        letters.  G must be invertible over the source chart; otherwise
-        the delta factors cannot be brought back to the coordinate
-        directions and the computation stops.
+        """Express the form in the source coordinates of ``m``: the
+        integral-form law of :meth:`IntegralForm.transform` on the stored
+        polynomial.  A Jacobian that does not invert is refused, since the
+        delta factors cannot then be brought back to the coordinate
+        directions.
         """
-        src = m.source
-        if m.target.table != self.chart.table:
-            raise ValueError("form does not live on the target of the map")
-        if (src.p, src.q) != (self.chart.p, self.chart.q):
-            raise ValueError("transform needs equal source and target dimensions")
-        p, q = src.p, src.q
-
-        g_rows = [[absorb_even_exponents(
-            m.images[tname].left_derivative(sname))
-            for sname in src.odd_names]
-            for tname in self.chart.odd_names]
-        try:
-            det_inv = det_even(g_rows, src.table).inverse()
-            g_inv = inv_even(g_rows, src.table)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("delta argument not reducible") from exc
-
-        # Each block step is a sum of fiber letters with coefficients:
-        # the G^{-1}-weighted delta-raising letters of each target slot,
-        # the nilpotent dx summands of each dth'_a, and the full
-        # differentials of the even images.
-        def differential(img: SuperPoly, names) -> list:
-            return [(fiber_name(n), img.left_derivative(n)) for n in names]
-
-        raise_steps = [[(f"dd_{fiber_name(n)}", g_inv[b][a])
-                        for b, n in enumerate(src.odd_names)] for a in range(q)]
-        nil_steps = [differential(m.images[t], src.even_names)
-                     for t in self.chart.odd_names]
-        nil_zero = [all(c.is_zero() for _, c in step) for step in nil_steps]
-        dx_steps = [differential(m.images[t], src.coordinate_names)
-                    for t in self.chart.even_names]
-
-        result = DeltaForm.zero(src)
-        vacuum = ((0,) * p, (0,) * q)
-        for (eps, ells), f in self.terms.items():
-            pulled = m.pullback(f)
-            if pulled.is_zero():
-                continue
-            bound = p + 1 if p else 1
-            for orders in product(range(bound), repeat=q):
-                if sum(orders) > p:
-                    continue
-                if any(j and nil_zero[a] for a, j in enumerate(orders)):
-                    continue
-                weight = Fraction(1, prod(factorial(j) for j in orders))
-                block = DeltaForm(src, {vacuum: det_inv.scale(weight)})
-                for a in range(q):
-                    for _ in range(ells[a] + orders[a]):
-                        block = _apply_step(block, raise_steps[a])
-                for a in range(q):
-                    for _ in range(orders[a]):
-                        block = _apply_step(block, nil_steps[a])
-                for k in range(p - 1, -1, -1):
-                    if eps[k]:
-                        block = _apply_step(block, dx_steps[k])
-                result = result + block.times(pulled)
-        plain = {key: release_even_exponents(poly) for key, poly in result.terms.items()}
-        return DeltaForm(src, plain)
+        return from_integral_form(to_integral_form(self).transform(m))
 
     # --- presentation ---------------------------------------------------------
 
@@ -457,15 +396,6 @@ def cw_apply(op: CWOperator | str | Iterable[str], form: DeltaForm) -> DeltaForm
         else:
             poly = -poly.left_derivative(name)
     return DeltaForm._of(chart, poly)
-
-
-def _apply_step(form: DeltaForm, step) -> DeltaForm:
-    """Sum of ``cw_apply([letter], form.times(c))`` over (letter, c) pairs."""
-    out = DeltaForm.zero(form.chart)
-    for letter, c in step:
-        if not c.is_zero():
-            out = out + cw_apply([letter], form.times(c))
-    return out
 
 
 # --- products with functions and differential forms ---------------------------

@@ -17,6 +17,7 @@ from supercalc.algebra import (
     RationalFunction,
     SuperPoly,
     absorb_even_exponents,
+    release_even_exponents,
     transport,
 )
 from supercalc.randoms import random_superpoly
@@ -729,6 +730,32 @@ def test_absorbed_form_has_no_even_exponents():
     assert all(T.degree(mono, EVEN_BASE) == 0 for mono in e.terms)
 
 
+def test_absorbing_keeps_every_other_even_letter_in_the_keys():
+    table = _codec_tables()["polyvector"]
+    u = random_superpoly(random.Random(62), table, terms=6, max_exp=2)
+    for mono, c in absorb_even_exponents(u).terms.items():
+        assert table.degree(mono, EVEN_BASE) == 0
+        assert c.num.table is table and all(
+            table.degree(m, EVEN_BASE) == sum(k for _, k in table.powers(m))
+            for m in (*c.num.terms, *c.den.terms))
+    pdth = SuperPoly.generator(table, table.names_of_class(POLYVECTOR_EVEN)[0])
+    with pytest.raises(ValueError, match="even base coordinates only"):
+        RationalFunction(SuperPoly.one(table), pdth + 1)
+
+
+def test_release_divides_a_shared_factor_out():
+    x, y, th1 = gen("x"), gen("y"), gen("th1")
+    d = x * y - 2 * x + y + 3
+    p = x * x - 3 * y + 1
+    rf = RationalFunction(p * d, d)
+    assert not rf.is_polynomial()      # two variables: the factor stays stored
+    assert release_even_exponents(const(rf) * th1) == p * th1
+    assert str(const(rf) * th1) == str(p * th1)
+    inverse = RationalFunction(SuperPoly.one(T), 1 + x + y)
+    with pytest.raises(ValueError, match="non-polynomial coefficient"):
+        release_even_exponents(const(inverse) * th1)
+
+
 def test_equality_ignores_where_even_powers_sit():
     x, th1, th2 = gen("x"), gen("th1"), gen("th2")
     for e in (x * th1, x ** 2 * th1 * th2 + 3 * x + gen("y") * th2):
@@ -937,13 +964,14 @@ def test_packed_arithmetic_matches_the_tuple_keys(kind):
 
 def _with_coefficients(poly, kind, rng):
     """The same monomials with int, Fraction or RationalFunction
-    coefficients; the quotients are over the table's first even generator."""
+    coefficients; the quotients are over the table's first even base
+    coordinate, the only kind of letter a quotient may hold."""
     table = poly.table
     if kind == "int":
         return SuperPoly(table, {m: rng.randint(-5, 5) for m in poly.terms})
     if kind == "fraction":
         return poly
-    z = SuperPoly.generator(table, table.names[table.even_positions[0]])
+    z = SuperPoly.generator(table, table.names[table.positions_of_class(EVEN_BASE)[0]])
     return SuperPoly(table, {m: RationalFunction(z + c, z * z + rng.randint(1, 3))
                              for m, c in poly.terms.items()})
 

@@ -358,6 +358,14 @@ def _usage(command: str, operands: str, error: str) -> str:
      {"matrix": '{"p": 1, "q": 1, "rows": [["1"]]}'},
      _usage("ber-matrix", "MATRIX_FILE",
             "{path}: rows must form a square of side p+q = 2")),
+    # a quotient holds even base coordinates only
+    (["d", "--ring", "1|1", "--", "x1/(1 + x1*dth1)"], {},
+     _usage("d", "EXPRESSION", "line 1, column 3: cannot divide: cannot invert: "
+            "remainder has an odd-free monomial (not nilpotent); only even base "
+            "coordinates can move into rational-function coefficients")),
+    (["d", "--ring", "1|1", "--", "1/dth1"], {},
+     _usage("d", "EXPRESSION", "line 1, column 2: cannot divide: scalar part is "
+            "zero; element is not invertible")),
 ])
 def test_refusals_print_usage_and_the_exact_error(tmp_path, args, files,
                                                   output):

@@ -1,6 +1,8 @@
 """Delta forms: the fiber letter actions, gradings, the bridge to
 polyvector densities, coordinate changes, and fiber integration."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 from supercalc import randoms
 from supercalc.algebra import (
+    RationalFunction,
     SuperPoly,
     absorb_even_exponents,
     release_even_exponents,
@@ -34,6 +37,7 @@ from supercalc.pseudoforms import (
     to_integral_form,
 )
 from supercalc.randoms import random_superpoly
+from supercalc.supermatrix import det_even, inv_even
 from supercalc.suites import _random_delta_form, _unimodular_split_map
 
 R01 = Chart((), ("th",), label="R01")
@@ -129,6 +133,94 @@ def form_pullback(m, eta):
         assignment[name] = img
         assignment[fiber_name(name)] = d(img)
     return release_even_exponents(eta.substitute(assignment, src_ftab))
+
+
+# --- the term-wise transform -------------------------------------------------
+#
+# DeltaForm.transform once mapped each term through the Jacobian: the
+# coefficient pulls back, each dx letter becomes the differential of its
+# coordinate image, and the delta block with dth'_a = sum_b G_ab dth_b plus
+# nilpotent dx terms picks up det(G)^{-1} after a finite Taylor expansion
+# in the nilpotent summands, its derived deltas becoming G^{-1}-weighted
+# raising letters.  It is kept as the oracle of the integral-form law.
+
+
+def _apply_step(form, step):
+    """Sum of ``cw_apply([letter], form.times(c))`` over (letter, c) pairs."""
+    out = DeltaForm.zero(form.chart)
+    for letter, c in step:
+        if not c.is_zero():
+            out = out + cw_apply([letter], form.times(c))
+    return out
+
+
+def reference_transform(w, m):
+    src, tgt = m.source, w.chart
+    p, q = src.p, src.q
+    g_rows = [[absorb_even_exponents(m.images[t].left_derivative(s))
+               for s in src.odd_names] for t in tgt.odd_names]
+    try:
+        det_inv = det_even(g_rows, src.table).inverse()
+        g_inv = inv_even(g_rows, src.table)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("delta argument not reducible") from exc
+
+    def differential(img, names):
+        return [(fiber_name(n), img.left_derivative(n)) for n in names]
+
+    raise_steps = [[(f"dd_{fiber_name(n)}", g_inv[b][a])
+                    for b, n in enumerate(src.odd_names)] for a in range(q)]
+    nil_steps = [differential(m.images[t], src.even_names) for t in tgt.odd_names]
+    nil_zero = [all(c.is_zero() for _, c in step) for step in nil_steps]
+    dx_steps = [differential(m.images[t], src.coordinate_names)
+                for t in tgt.even_names]
+    result = DeltaForm.zero(src)
+    vacuum = ((0,) * p, (0,) * q)
+    for (eps, ells), f in w.terms.items():
+        pulled = m.pullback(f)
+        if pulled.is_zero():
+            continue
+        for orders in itertools.product(range(p + 1 if p else 1), repeat=q):
+            if sum(orders) > p or any(j and nil_zero[a] for a, j in enumerate(orders)):
+                continue
+            weight = Fraction(1, math.prod(math.factorial(j) for j in orders))
+            block = DeltaForm(src, {vacuum: det_inv.scale(weight)})
+            for a in range(q):
+                for _ in range(ells[a] + orders[a]):
+                    block = _apply_step(block, raise_steps[a])
+            for a in range(q):
+                for _ in range(orders[a]):
+                    block = _apply_step(block, nil_steps[a])
+            for k in range(p - 1, -1, -1):
+                if eps[k]:
+                    block = _apply_step(block, dx_steps[k])
+            result = result + block.times(pulled)
+    return DeltaForm(src, {key: release_even_exponents(poly)
+                           for key, poly in result.terms.items()})
+
+
+STREAM_SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (0, 2), (2, 0), (3, 1))
+
+
+def transform_stream(seed, draws):
+    """(draw, form, map) on the shapes above in turn: a general split map
+    on every third draw, a unimodular one otherwise."""
+    rng = random.Random(seed)
+    for i in range(draws):
+        p, q = STREAM_SHAPES[i % len(STREAM_SHAPES)]
+        chart = Chart.standard(p, q)
+        src = Chart([f"u{j}" for j in range(p)], [f"et{j}" for j in range(q)],
+                    label="S")
+        w = _random_delta_form(rng, chart, terms=3)
+        make = randoms.random_split_map if i % 3 == 0 else _unimodular_split_map
+        yield i, w, make(rng, src, chart)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "refused"
 
 
 # --- the per-term reference ---------------------------------------------------
@@ -549,8 +641,12 @@ class TestIsomorphism:
 
     def test_absorbed_density_reads_back_its_terms(self):
         rng = random.Random(3)
-        for _ in range(10):
-            u = random_superpoly(rng, polyvector_table(R11), terms=3, max_exp=2)
+        table = polyvector_table(R11)
+        quotient = gen(table, "pdth").scale(RationalFunction(SuperPoly.one(table),
+                                                             gen(table, "x")))
+        polys = [quotient] + [random_superpoly(rng, table, terms=3, max_exp=2)
+                              for _ in range(10)]
+        for u in polys:
             twin = from_integral_form(IntegralForm(R11, absorb_even_exponents(u)))
             plain = from_integral_form(IntegralForm(R11, u))
             assert twin == plain
@@ -661,6 +757,73 @@ class TestTransform:
             m = make(rng, chart, chart)
         assert (chart.p, chart.q) == (2, 2)
         with pytest.raises(ValueError, match="non-polynomial coefficient"):
+            w.transform(m)
+
+    def test_matches_the_term_wise_oracle(self):
+        compared = 0
+        for _, w, m in transform_stream(5, 210):
+            got = outcome(w.transform, m)
+            want = outcome(reference_transform, w, m)
+            assert got == want
+            assert str(got) == str(want)
+            compared += want != "refused"
+        assert compared >= 150
+
+    def test_integral_forms_with_polyvector_letters_follow_the_oracle(self):
+        # the forms that IntegralForm.transform once refused, then seeded
+        # forms with every kind of letter, under general split maps
+        rng = random.Random(11)
+        table = polyvector_table(R11)
+        src = Chart(("u",), ("et",), label="S")
+        identity = CoordinateMap(src, R11, {"x": gen(src.table, "u"),
+                                            "th": gen(src.table, "et")})
+        cases = [(IntegralForm(R11, (gen(table, "x") + gen(table, letter))
+                               * gen(table, "th")), m)
+                 for m in [identity] + [randoms.random_split_map(rng, src, R11)
+                                        for _ in range(4)]
+                 for letter in ("pdx", "pdth")]
+        # an even image with a nilpotent part puts odd entries in both
+        # off-diagonal blocks of J^-1
+        src = Chart(("y",), ("e1", "e2"), label="V")
+        y, e1, e2 = (gen(src.table, n) for n in ("y", "e1", "e2"))
+        m = CoordinateMap(src, R12, {"x": y + e1 * e2, "th1": e1 + y * e2, "th2": e2})
+        cases += [(IntegralForm(R12, gen(polyvector_table(R12), letter)), m)
+                  for letter in ("pdx", "pdth1", "pdth2")]
+        for tgt in (R12, R21, R22):
+            src = Chart([f"u{j}" for j in range(tgt.p)],
+                        [f"et{j}" for j in range(tgt.q)], label="S")
+            cases += [(IntegralForm(tgt, random_superpoly(rng, polyvector_table(tgt),
+                                                          terms=3, max_exp=2)),
+                       randoms.random_split_map(rng, src, tgt)) for _ in range(6)]
+        moved = 0
+        for u, m in cases:
+            want = outcome(reference_transform, from_integral_form(u), m)
+            got = outcome(u.transform, m)
+            assert got == (want if want == "refused" else to_integral_form(want))
+            moved += got != "refused"
+        assert moved >= 15
+
+    def test_polynomial_results_once_refused(self):
+        # the term-wise result is polynomial, but its stored quotients share
+        # a two-variable factor that the reduction does not cancel
+        _, w, m = next(itertools.islice(transform_stream(9, 382), 381, None))
+        assert str(w.transform(m)) == "(4*et0*et1) du0 del(det0) del(det1)"
+        _, w, m = next(itertools.islice(transform_stream(5, 28), 27, None))
+        assert (w.chart.p, w.chart.q) == (3, 1)
+        moved = w.transform(m)
+        assert moved.poly and all(type(c) in (int, Fraction)
+                                  for c in moved.poly.terms.values())
+
+    def test_polyvector_letters_refuse_a_map_that_does_not_invert(self):
+        # x1 = x2 = u0 is no coordinate change: the term-wise rule read
+        # only the odd block and returned (1) du0 del(det0)
+        chart = Chart.standard(2, 1)
+        src = Chart(("u0", "u1"), ("et0",), label="S")
+        u0, et0 = gen(src.table, "u0"), gen(src.table, "et0")
+        m = CoordinateMap(src, chart, {"x1": u0, "x2": u0, "th1": et0})
+        w = delta_term(chart, 1, (1, 0), (0,))
+        assert str(reference_transform(w, m)) == "(1) du0 del(det0)"
+        with pytest.raises(ValueError, match="delta argument not reducible"):
             w.transform(m)
 
     def test_singular_odd_block_rejected(self):
