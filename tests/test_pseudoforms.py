@@ -769,26 +769,37 @@ class TestTransform:
             compared += want != "refused"
         assert compared >= 150
 
-    def test_integral_forms_with_polyvector_letters_follow_the_oracle(self):
-        # the forms that IntegralForm.transform once refused, then seeded
-        # forms with every kind of letter, under general split maps
+    @pytest.mark.parametrize("letter", ["pdz", "pdth"])
+    def test_a_density_with_a_polyvector_letter_follows_the_oracle(self, letter):
+        # z*th + letter*th, which IntegralForm.transform once refused, under
+        # the identity and general split maps
         rng = random.Random(11)
-        table = polyvector_table(R11)
+        chart = Chart(("z",), ("th",), label="Z11")
+        table = polyvector_table(chart)
         src = Chart(("u",), ("et",), label="S")
-        identity = CoordinateMap(src, R11, {"x": gen(src.table, "u"),
-                                            "th": gen(src.table, "et")})
-        cases = [(IntegralForm(R11, (gen(table, "x") + gen(table, letter))
-                               * gen(table, "th")), m)
-                 for m in [identity] + [randoms.random_split_map(rng, src, R11)
-                                        for _ in range(4)]
-                 for letter in ("pdx", "pdth")]
+        identity = CoordinateMap(src, chart, {"z": gen(src.table, "u"),
+                                              "th": gen(src.table, "et")})
+        u = IntegralForm(chart, (gen(table, "z") + gen(table, letter))
+                         * gen(table, "th"))
+        moved = 0
+        for m in [identity] + [randoms.random_split_map(rng, src, chart)
+                               for _ in range(4)]:
+            want = outcome(reference_transform, from_integral_form(u), m)
+            got = outcome(u.transform, m)
+            assert got == (want if want == "refused" else to_integral_form(want))
+            moved += got != "refused"
+        assert moved == 5
+
+    def test_integral_forms_with_polyvector_letters_follow_the_oracle(self):
         # an even image with a nilpotent part puts odd entries in both
         # off-diagonal blocks of J^-1
+        rng = random.Random(11)
         src = Chart(("y",), ("e1", "e2"), label="V")
         y, e1, e2 = (gen(src.table, n) for n in ("y", "e1", "e2"))
         m = CoordinateMap(src, R12, {"x": y + e1 * e2, "th1": e1 + y * e2, "th2": e2})
-        cases += [(IntegralForm(R12, gen(polyvector_table(R12), letter)), m)
-                  for letter in ("pdx", "pdth1", "pdth2")]
+        cases = [(IntegralForm(R12, gen(polyvector_table(R12), letter)), m)
+                 for letter in ("pdx", "pdth1", "pdth2")]
+        # seeded forms with every kind of letter, under general split maps
         for tgt in (R12, R21, R22):
             src = Chart([f"u{j}" for j in range(tgt.p)],
                         [f"et{j}" for j in range(tgt.q)], label="S")
