@@ -17,13 +17,14 @@ monomial is the codec on :class:`GeneratorTable`: :meth:`~GeneratorTable.monomia
 encodes (position, power) pairs, :meth:`~GeneratorTable.powers` decodes a
 key into them in written order, :meth:`~GeneratorTable.degree` counts the
 generators of given classes and :meth:`~GeneratorTable.sort_key` orders
-keys for printing.  Two bulk routines serve the Koszul complex:
-:meth:`~GeneratorTable.graded_keys` lists the keys of one multidegree and
-:meth:`~GeneratorTable.pair_images` writes their images under a
-differential straight from the keys, and :meth:`SuperPoly.collect` groups
-terms by their factor in chosen generators.  Everywhere else a key of
-``SuperPoly.terms`` is an opaque handle: it may be hashed, compared and
-passed back, never indexed, shifted, masked or built by hand.
+keys for printing.  :meth:`~GeneratorTable.graded_keys` lists the keys of
+one multidegree, :meth:`~GeneratorTable.pair_images` writes their images
+under a sum over pairs of generators, each multiplied by or differentiated
+along (de Rham d, Spencer's, their homotopies, the total complex, Koszul's),
+and :meth:`SuperPoly.collect` groups terms by their factor in chosen
+generators.  Everywhere else a key of ``SuperPoly.terms`` is an opaque
+handle: it may be hashed, compared and passed back, never indexed, shifted,
+masked or built by hand.
 
 No floating point is used anywhere.  A coefficient is one of the
 :data:`SCALARS`: an ``int`` while it is integral (never a Fraction with
@@ -57,6 +58,11 @@ POLYVECTOR_ODD = "polyvector-odd"     # pi d/dx
 _EVEN_CLASSES = frozenset({EVEN_BASE, FIBER_EVEN, POLYVECTOR_EVEN})
 _ODD_CLASSES = frozenset({ODD_BASE, FIBER_ODD, POLYVECTOR_ODD})
 
+# What a step of GeneratorTable.pair_images does with a generator.
+MULTIPLY = "multiply"
+DERIVE = "derive"
+
+
 def parity_of_class(cls: str) -> int:
     if cls in _EVEN_CLASSES:
         return 0
@@ -76,7 +82,7 @@ class GeneratorTable:
     __slots__ = ("gens", "names", "classes", "parities", "_index", "_hash",
                  "even_positions", "odd_positions", "_odd_mask", "_guard",
                  "_unit", "_even_fields", "_base_mask", "_class_masks",
-                 "_class_positions")
+                 "_class_positions", "_steps")
 
     def __init__(self, gens: Iterable[tuple[str, str]]):
         gens = tuple((str(n), str(c)) for n, c in gens)
@@ -104,6 +110,7 @@ class GeneratorTable:
         self._unit.update((pos, 1 << shift) for pos, shift in self._even_fields)
         self._class_masks: dict = {}
         self._class_positions: dict = {}
+        self._steps: dict = {}
 
     @classmethod
     def chart(cls, evens: Sequence[str], odds: Sequence[str]) -> "GeneratorTable":
@@ -215,51 +222,76 @@ class GeneratorTable:
         return keys
 
     def pair_images(self, keys: "Iterable[Monomial]",
-                    pairs: Sequence[tuple[int, int]],
-                    derive: bool) -> "Iterator[dict[Monomial, int]]":
-        """The image of each key under the sum, over (module, partner)
-        pairs of table positions, of module * (left d/d partner) when
-        ``derive`` and of left multiplication by module * partner when not.
+                    steps: Sequence[tuple]) -> "Iterator[dict[Monomial, int]]":
+        """The image of each key under a sum of steps.  A step (module, op,
+        partner, op, c) names two table positions, each with the op
+        :data:`MULTIPLY` (left multiplication by the generator) or
+        :data:`DERIVE` (the left derivative along it), and stands for c times
+        the module's op after the partner's: de Rham d is (dz, MULTIPLY, z,
+        DERIVE, 1) over the coordinates z.
 
         Yields one {key: int} map per key, each before the next is built,
-        and builds no ``SuperPoly``: each term is the key with one factor
-        removed or added, its sign the parity
-        of the odd factors it passes, counted with popcounts as in
-        :meth:`SuperPoly.sum_of_products`.  The pairs must name distinct
-        generators, so that no two terms share a key.  An even exponent
-        past its field raises ``OverflowError``.
+        and builds no ``SuperPoly``: each term is the key with a factor
+        removed or added per op, its sign the parity of the odd factors it
+        passes, counted with popcounts as in :meth:`SuperPoly.sum_of_products`.
+        A step must name two distinct generators, and no two steps may act
+        alike on the same ones, so that no two terms share a key.  An even
+        exponent past its field raises ``OverflowError``.
         """
-        if len({pos for pair in pairs for pos in pair}) != 2 * len(pairs):
-            raise ValueError("the pairs must name distinct generators")
-        units = self._unit
-        steps = [(units[module], self.parities[module], units[partner],
-                  self.parities[partner], units[partner].bit_length() - 1)
-                 for module, partner in pairs]
+        steps = tuple(steps)
+        compiled = self._steps.get(steps)
+        if compiled is None:
+            # per step c, then (unit, odd, low, derive) for the partner and the
+            # module: low masks the odd factors before an odd letter or shifts to
+            # an even one's field; an odd letter's derive is the bit a key must
+            # hold; the op None leaves the key alone
+            compiled, pairs = [], set()
+            for module, m_op, partner, p_op, c in steps:
+                pair = frozenset(((module, m_op), (partner, p_op)))
+                if module == partner or pair in pairs:
+                    raise ValueError("a step must name two distinct generators, "
+                                     "and no two steps may act alike on the same ones")
+                pairs.add(pair)
+                letters = [c]
+                for pos, op in ((partner, p_op), (module, m_op)):
+                    unit, odd = self._unit[pos], self.parities[pos]
+                    letters += ((0, 0, 0, False) if op is None
+                                else (unit, 1, unit - 1, op == DERIVE and unit) if odd
+                                else (unit, 0, unit.bit_length() - 1, op == DERIVE))
+                compiled.append(tuple(letters))
+            compiled = self._steps[steps] = tuple(compiled)
         guard = self._guard
         for key in keys:
             seen = 0
             image: dict[Monomial, int] = {}
-            for m_unit, m_odd, p_unit, p_odd, p_shift in steps:
-                if p_odd:
-                    if bool(key & p_unit) != derive:
+            for c, u1, o1, l1, d1, u2, o2, l2, d2 in compiled:
+                new = key
+                if o1:
+                    if new & u1 != d1:
                         continue
-                    c = -1 if (key & (p_unit - 1)).bit_count() & 1 else 1
-                    new = key ^ p_unit
-                elif derive:
-                    c = key >> p_shift & _EXPONENT
-                    if not c:
+                    c = -c if (new & l1).bit_count() & 1 else c
+                    new ^= u1
+                elif d1:
+                    k = new >> l1 & _EXPONENT
+                    if not k:
                         continue
-                    new = key - p_unit
+                    c *= k
+                    new -= u1
                 else:
-                    c, new = 1, key + p_unit
-                if m_odd:
-                    if new & m_unit:
+                    new += u1
+                if o2:
+                    if new & u2 != d2:
                         continue
-                    if (new & (m_unit - 1)).bit_count() & 1:
-                        c = -c
-                    new |= m_unit
+                    c = -c if (new & l2).bit_count() & 1 else c
+                    new ^= u2
+                elif d2:
+                    k = new >> l2 & _EXPONENT
+                    if not k:
+                        continue
+                    c *= k
+                    new -= u2
                 else:
-                    new += m_unit
+                    new += u2
                 seen |= new
                 image[new] = c
             if seen & guard:
@@ -417,10 +449,12 @@ class SuperPoly:
         table positions: a map from each m to the element c_m, free of
         those generators, with self == sum of c_m * m."""
         table = self.table
-        mask = 0
-        for pos in positions:
-            unit = table._unit[pos]
-            mask |= unit if table.parities[pos] else unit * _EXPONENT
+        positions = tuple(positions)
+        mask = table._class_masks.get(positions)
+        if mask is None:    # once per (table, positions), beside degree's masks
+            mask = table._class_masks[positions] = sum(
+                table._unit[pos] * (1 if table.parities[pos] else _EXPONENT)
+                for pos in set(positions))
         odd, width = table._odd_mask, len(table.odd_positions)
         groups: dict[Monomial, dict] = {}
         for m, c in self.terms.items():
@@ -509,6 +543,38 @@ class SuperPoly:
             seen |= m
         if seen & table._guard:
             raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
+        return SuperPoly(table, terms)
+
+    def pair_sum(self, steps: Sequence[tuple]) -> "SuperPoly":
+        """The image under a sum of :meth:`GeneratorTable.pair_images`
+        steps, accumulated into one term map and normalized once.  By the
+        quotient rule, a derivative along an even base coordinate also hits
+        a ``RationalFunction`` coefficient, the step's other op then acting
+        on the key alone."""
+        table = self.table
+        terms: dict[Monomial, object] = {}
+
+        def add(c, image):
+            for new, k in image.items():
+                value = c if k == 1 else -c if k == -1 else c * k
+                acc = terms.get(new)
+                terms[new] = value if acc is None else acc + value
+
+        for c, image in zip(self.terms.values(), table.pair_images(self.terms, steps)):
+            add(c, image)
+        rational = [(m, c) for m, c in self.terms.items() if type(c) is RationalFunction]
+        for module, m_op, partner, p_op, c in steps if rational else ():
+            hits = [pos for pos, op in ((module, m_op), (partner, p_op))
+                    if op == DERIVE and table.classes[pos] == EVEN_BASE]
+            for n in range(1, len(hits) + 1):
+                for chosen in itertools.combinations(hits, n):
+                    rest = (module, None if module in chosen else m_op,
+                            partner, None if partner in chosen else p_op, c)
+                    for m, rf in rational:
+                        for pos in chosen:
+                            rf = rf.derivative(table.names[pos])
+                        if rf:
+                            add(rf, next(table.pair_images((m,), (rest,))))
         return SuperPoly(table, terms)
 
     __rmul__ = __mul__      # only scalars reach it, and they commute
@@ -1062,7 +1128,10 @@ def transport(poly: SuperPoly, table: GeneratorTable) -> SuperPoly:
                         raise ValueError(f"generator {name!r} changes parity")
             sign, mono = table.monomial([(target[pos], k) for pos, k in pairs])
         if isinstance(c, RationalFunction):
-            c = RationalFunction(transport(c.num, table), transport(c.den, table))
+            # a quotient in the shared leading generators keeps its reduced form
+            reduced = not any(k & shift[0] for k in itertools.chain(c.num.terms, c.den.terms))
+            c = (RationalFunction._reduced if reduced else RationalFunction)(
+                transport(c.num, table), transport(c.den, table))
         terms[mono] = c if sign > 0 else -c
     # renaming keeps the keys distinct and the coefficients canonical
     return SuperPoly._of(table, terms)

@@ -31,12 +31,14 @@ from functools import cache
 from typing import Sequence
 
 from supercalc.algebra import (
+    DERIVE,
     EVEN_BASE,
     FIBER_EVEN,
     FIBER_ODD,
     ODD_BASE,
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
+    MULTIPLY,
     GeneratorTable,
     Monomial,
     SuperPoly,
@@ -84,11 +86,8 @@ def degree_parts(omega: SuperPoly) -> dict[int, SuperPoly]:
 
 
 def d(omega: SuperPoly) -> SuperPoly:
-    """The de Rham differential: sum over coordinates of dy * (left d/dy)."""
-    table = omega.table
-    return SuperPoly.sum_of_products(table, [
-        (SuperPoly.generator(table, fiber_name(name)), omega.left_derivative(name))
-        for name in base_coordinate_names(table)])
+    """The de Rham differential sum_y dy * (left d/dy), one ``SuperPoly.pair_sum``."""
+    return omega.pair_sum(_pair_steps(omega.table)[0])
 
 
 def homotopy_h(omega: SuperPoly, k: int | None = None) -> SuperPoly:
@@ -103,19 +102,15 @@ def homotopy_h(omega: SuperPoly, k: int | None = None) -> SuperPoly:
     """
     omega = release_even_exponents(omega)
     table = omega.table
-    names = base_coordinate_names(table)
-    pairs = []
+    weighted = {}
     for mono, c in omega.terms.items():
         fd = fiber_degree(table, mono)
         if k is not None and fd != k:
             raise ValueError(f"form is not homogeneous of fiber degree {k}")
         if fd < 1:
             raise ValueError("homotopy is defined on fiber degree >= 1")
-        weight = Fraction(1, fd + table.degree(mono, EVEN_BASE, ODD_BASE))
-        term = SuperPoly(table, {mono: c * weight})
-        pairs += [(SuperPoly.generator(table, name), term.left_derivative(fiber_name(name)))
-                  for name in names]
-    return SuperPoly.sum_of_products(table, pairs)
+        weighted[mono] = c * Fraction(1, fd + table.degree(mono, EVEN_BASE, ODD_BASE))
+    return SuperPoly(table, weighted).pair_sum(_pair_steps(table)[1])
 
 
 def pullback_form(m: CoordinateMap, omega: SuperPoly) -> SuperPoly:
@@ -129,16 +124,10 @@ def pullback_form(m: CoordinateMap, omega: SuperPoly) -> SuperPoly:
     elif omega.table != tgt_ext:
         raise ValueError("form is not over the target chart")
     assignment: dict[str, SuperPoly] = {}
-    source_names = base_coordinate_names(src_ext)
     for name in base_coordinate_names(tgt_ext):
         img = transport(m.images[name], src_ext)
         assignment[name] = img
-        fib = SuperPoly.zero(src_ext)
-        for b in source_names:
-            der = img.left_derivative(b)
-            if not der.is_zero():
-                fib = fib + SuperPoly.generator(src_ext, fiber_name(b)) * der
-        assignment[fiber_name(name)] = fib
+        assignment[fiber_name(name)] = d(img)
     return omega.substitute(assignment, src_ext)
 
 
@@ -265,24 +254,32 @@ class UniversalElement:
     __repr__ = __str__
 
 
+@cache
+def _pair_steps(table: GeneratorTable) -> tuple[tuple, tuple, tuple, tuple]:
+    """The ``pair_images`` steps of :func:`d` (dz d/dz), :func:`homotopy_h`
+    (z d/d dz), :func:`script_D` (dz dd_z) and :func:`script_H` (d/d dd_z
+    d/d dz) over a form table and its symbols, once per table."""
+    letters = derivative_letters(table)
+    forms = [(table.index(fiber_name(z)), table.index(z)) for z, _, _ in letters]
+    symbols = _symbol_table(table)
+    ops = [(symbols.index(fiber_name(z)), symbols.index(dd)) for z, dd, _ in letters]
+    return (tuple((dz, MULTIPLY, z, DERIVE, 1) for dz, z in forms),
+            tuple((z, MULTIPLY, dz, DERIVE, 1) for dz, z in forms),
+            tuple((dz, MULTIPLY, dd, MULTIPLY, 1) for dz, dd in ops),
+            tuple((dd, DERIVE, dz, DERIVE, 1) for dz, dd in ops))
+
+
 def script_D(u: UniversalElement) -> UniversalElement:
     """Multiplication by the odd element sum_z dz (x) d/dz: left
     multiplication of the polynomial by sum_z dz*dd_z."""
-    symbols = u.poly.table
-    gen = SuperPoly.generator
-    return UniversalElement(u.table, SuperPoly.sum_of_products(symbols, [
-        (gen(symbols, fiber_name(z)) * gen(symbols, dd), u.poly)
-        for z, dd, _ in derivative_letters(u.table)]))
+    return UniversalElement(u.table, u.poly.pair_sum(_pair_steps(u.table)[2]))
 
 
 def script_H(u: UniversalElement) -> UniversalElement:
     """Contracting homotopy: contract one fiber symbol dz and commute the
     coordinate z through the derivative word, which on the polynomial is
     the left derivative along dz and then along dd_z."""
-    out = SuperPoly.zero(u.poly.table)
-    for z, dd, _ in derivative_letters(u.table):
-        out = out + u.poly.left_derivative(fiber_name(z)).left_derivative(dd)
-    return UniversalElement(u.table, out)
+    return UniversalElement(u.table, u.poly.pair_sum(_pair_steps(u.table)[3]))
 
 
 def con3_identity_factor(u: UniversalElement) -> int:

@@ -45,10 +45,12 @@ from functools import cache, lru_cache
 from typing import Iterable, Mapping
 
 from supercalc.algebra import (
+    DERIVE,
     EVEN_BASE,
     FIBER_EVEN,
     FIBER_ODD,
     GeneratorTable,
+    MULTIPLY,
     Monomial,
     ODD_BASE,
     POLYVECTOR_EVEN,
@@ -158,15 +160,6 @@ def _gaussian_set(chart: Chart, gaussian: Iterable[str]) -> frozenset[str]:
     if unknown:
         raise ValueError(f"{min(unknown)!r} is not an even coordinate of the chart")
     return gaussian
-
-
-def _weighted_derivative(g: SuperPoly, name: str,
-                         gaussian: frozenset[str]) -> SuperPoly:
-    """Left derivative of g * exp(-z^2) with the weight factored back out."""
-    out = g.left_derivative(name)
-    if name in gaussian:
-        out = out - (g * SuperPoly.generator(g.table, name)).scale(2)
-    return out
 
 
 def lie_derivative_ber(density: IntegralForm, field: VectorField,
@@ -411,22 +404,29 @@ def spencer_delta(u: IntegralForm, gaussian: Iterable[str] = ()) -> IntegralForm
     derivative.  Squares to zero and anticommutes with nothing else it
     needs to; see :func:`homotopy_int` for the contraction identity.
     With the Gaussian weight on the even coordinates in ``gaussian``,
-    their derivative picks up -2z as in :func:`lie_derivative_ber`; the
-    differential still squares to zero.
+    their derivative picks up -2z as in :func:`lie_derivative_ber`, one
+    more pair that multiplies by x_a; the differential still squares to
+    zero.  The whole sum is one ``SuperPoly.pair_sum``.
     """
-    chart = u.chart
-    gaussian = _gaussian_set(chart, gaussian)
-    base_parity = (chart.p + chart.q) % 2
-    out = SuperPoly.zero(u.table)
-    for name in chart.coordinate_names:
-        peeled = u.poly.left_derivative(polyvector_name(name))
-        if peeled.is_zero():
-            continue
-        term = _weighted_derivative(peeled, name, gaussian)
-        if (u.table.parity(name) + base_parity + 1) % 2:
-            term = -term
-        out = out + term
-    return IntegralForm(chart, out)
+    gaussian = _gaussian_set(u.chart, gaussian)
+    return IntegralForm(u.chart, u.poly.pair_sum(_integral_steps(u.table, gaussian)[0]))
+
+
+@cache
+def _integral_steps(table: GeneratorTable, gaussian=frozenset()) -> tuple[tuple, tuple]:
+    """The ``pair_images`` steps of :func:`spencer_delta` and of
+    :func:`homotopy_int` over a polyvector table, once per table and set
+    of weighted coordinates, each pair signed (-1)^{|x_a| + p + q + 1}."""
+    coordinates = table.positions_of_class(EVEN_BASE, ODD_BASE)
+    delta, homotopy = [], []
+    for x in coordinates:
+        pd = table.index(polyvector_name(table.names[x]))
+        sign = -1 if (table.parities[x] + len(coordinates) + 1) % 2 else 1
+        delta.append((x, DERIVE, pd, DERIVE, sign))
+        if table.names[x] in gaussian:
+            delta.append((x, MULTIPLY, pd, DERIVE, -2 * sign))
+        homotopy.append((x, MULTIPLY, pd, MULTIPLY, sign))
+    return tuple(delta), tuple(homotopy)
 
 
 def cohomology_projection(u: IntegralForm) -> IntegralForm:
@@ -460,39 +460,25 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
 
     The denominator vanishes only on scalar multiples of the surviving
     generator, where every product x_b f pdx_b X is already zero; the
-    assertion below guards that analysis rather than user input.
+    assertion below guards that analysis rather than user input.  The
+    weighted sum is one ``SuperPoly.pair_sum``, x_b (pdx_b f X) carrying
+    the sign of :func:`spencer_delta`'s pair.
     """
-    chart = u.chart
+    p, q = u.chart.p, u.chart.q
     table = u.table
-    p, q = chart.p, chart.q
-    base_parity = (p + q) % 2
-    coordinates = set(table.positions_of_class(EVEN_BASE, ODD_BASE))
-    letters = [(table.index(name), table.index(polyvector_name(name)), table.parity(name))
-               for name in chart.coordinate_names]
-    terms: dict[Monomial, Fraction] = {}
+    steps = _integral_steps(table)[1]
+    weighted = {}
     for mono, c in release_even_exponents(u.poly).terms.items():
-        base_ev = table.degree(mono, EVEN_BASE)
         base_od = table.degree(mono, ODD_BASE)
-        pv_ev = table.degree(mono, POLYVECTOR_EVEN)
-        pv_od = table.degree(mono, POLYVECTOR_ODD)
-        k_weight = p + q + pv_ev - pv_od - 2 * base_od - 1
-        denominator = k_weight + base_ev + base_od + 1
-        powers = table.powers(mono)
-        f_powers = [pk for pk in powers if pk[0] in coordinates]
-        x_powers = [pk for pk in powers if pk[0] not in coordinates]
-        # (sign, key) of x_b * f * pdx_b * X, and x_b's parity, for every b
-        products = [(table.monomial([(xb, 1), *f_powers, (pdb, 1), *x_powers]), pb)
-                    for xb, pdb, pb in letters]
+        k_weight = (p + q + table.degree(mono, POLYVECTOR_EVEN)
+                    - table.degree(mono, POLYVECTOR_ODD) - 2 * base_od - 1)
+        denominator = k_weight + table.degree(mono, EVEN_BASE) + base_od + 1
         if denominator <= 0:
-            assert not any(sign for (sign, _), _ in products), \
+            assert not any(next(table.pair_images((mono,), steps))), \
                 "nonzero product on a generator monomial"
             continue
-        weight = Fraction(1, denominator) * c
-        for (sign, key), pb in products:
-            if sign:
-                odd = (base_od * (pb + 1) + pb + base_parity + 1 + (sign < 0)) % 2
-                terms[key] = terms.get(key, 0) + (-weight if odd else weight)
-    return IntegralForm(chart, SuperPoly(table, terms))
+        weighted[mono] = c * Fraction(1, denominator)
+    return IntegralForm(u.chart, SuperPoly(table, weighted).pair_sum(steps))
 
 
 def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:

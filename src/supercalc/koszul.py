@@ -12,7 +12,7 @@ restricted to a bidegree (partner-side degree, module-side degree), both of
 which are finite-dimensional, is written straight from the packed monomial
 keys by ``GeneratorTable.pair_images``: sparse integer columns, one
 {target key: int} map per source monomial, with no ``SuperPoly`` built.
-``koszul_delta`` and ``dual_delta`` stay the differentials on elements.
+``koszul_delta`` and ``dual_delta`` take the same steps to elements.
 The columns are ranked by fraction-free sparse elimination, in integers
 throughout; the differentials are about 1% dense, so no dense matrix is
 formed.  ``homology_scan`` ranks the map out of each bidegree once per
@@ -33,7 +33,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from supercalc.algebra import GeneratorTable, Monomial, SuperPoly, transport
+from supercalc.algebra import (DERIVE, MULTIPLY, GeneratorTable, Monomial, SuperPoly,
+                               transport)
 from supercalc.supermatrix import SuperMatrix
 
 
@@ -128,44 +129,30 @@ class KoszulAlgebra:
             odds_prefix + list(self.dpiv_names))
         self.coefficient_table = GeneratorTable.chart(
             [], list(self.coefficient_odds))
-        # fixed operands of the differentials, built once per algebra
-        self._delta_pairs = tuple(
-            (SuperPoly.generator(self.table, module), partner)
-            for module, partner in zip(self.v_names + self.ch_names,
-                                       self.piv_names + self.pich_names))
-        dual_element = SuperPoly.zero(self.dual_table)
-        for module, partner in zip(self.v_names + self.ch_names,
-                                   self.dpiv_names + self.dpich_names):
-            dual_element = dual_element + (
-                SuperPoly.generator(self.dual_table, module)
-                * SuperPoly.generator(self.dual_table, partner))
-        self._dual_element = dual_element
-        # each side's table and its (module, partner) position pairs
+        # each side's table and its pair_images steps: module * (left
+        # d/d partner) on the Koszul side, module * partner on the dual one
         self._sides = {
-            which: (table, [(table.index(module), table.index(partner))
-                            for module, partner in zip(
-                                self.v_names + self.ch_names, partners)])
-            for which, table, partners in (
-                ("koszul", self.table, self.piv_names + self.pich_names),
-                ("dual", self.dual_table, self.dpiv_names + self.dpich_names))}
+            which: (table, tuple((table.index(module), MULTIPLY, table.index(partner), op, 1)
+                                 for module, partner in zip(
+                                     self.v_names + self.ch_names, partners)))
+            for which, table, partners, op in (
+                ("koszul", self.table, self.piv_names + self.pich_names, DERIVE),
+                ("dual", self.dual_table, self.dpiv_names + self.dpich_names, MULTIPLY))}
 
     # -- the differentials -------------------------------------------------
 
     def koszul_delta(self, e: SuperPoly) -> SuperPoly:
         """The odd derivation with piv_i -> v_i and pich_a -> ch_a: the
-        sum of module * (left d/d partner) e over the p+q partners, built
-        as one ``SuperPoly.sum_of_products``."""
+        sum of module * (left d/d partner) e over the p+q partners."""
         if e.table != self.table:
             raise ValueError("element is not in the Koszul algebra")
-        return SuperPoly.sum_of_products(self.table, [
-            (module, e.left_derivative(partner))
-            for module, partner in self._delta_pairs])
+        return e.pair_sum(self._sides["koszul"][1])
 
     def dual_delta(self, e: SuperPoly) -> SuperPoly:
         """Multiplication by the odd element sum v_i dpiv_i + sum ch_a dpich_a."""
         if e.table != self.dual_table:
             raise ValueError("element is not in the dual algebra")
-        return self._dual_element * e
+        return e.pair_sum(self._sides["dual"][1])
 
     # -- bigraded bases ----------------------------------------------------
 
@@ -175,11 +162,11 @@ class KoszulAlgebra:
         if self.coefficient_odds:
             raise ValueError("homology bases are computed fiberwise; build "
                              "the algebra without coefficient generators")
-        table, pairs = self._sides[which]
+        table, steps = self._sides[which]
         if k < 0 or n < 0:
             return []
-        return table.graded_keys(([module for module, _ in pairs], n),
-                                 ([partner for _, partner in pairs], k))
+        return table.graded_keys(([step[0] for step in steps], n),
+                                 ([step[2] for step in steps], k))
 
     @staticmethod
     def _step(which: Literal["koszul", "dual"]) -> int:
@@ -191,11 +178,12 @@ class KoszulAlgebra:
                  target: list[Monomial] | None = None
                  ) -> Iterable[dict[int, int]]:
         """The differential on the span of `source` as sparse integer
-        columns, one {target key: int} map per source monomial, as
-        ``GeneratorTable.pair_images`` writes them from the keys.  Given
-        the `target` basis, a list of {target index: int} maps instead."""
-        table, pairs = self._sides[which]
-        images = table.pair_images(source, pairs, derive=which == "koszul")
+        columns, one {target key: int} map per source monomial, as one
+        ``GeneratorTable.pair_images`` call writes them from the keys with
+        the side's steps.  Given the `target` basis, a list of {target
+        index: int} maps instead."""
+        table, steps = self._sides[which]
+        images = table.pair_images(source, steps)
         if target is None:
             return images
         index = {mono: i for i, mono in enumerate(target)}

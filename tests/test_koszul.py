@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercalc.algebra import GeneratorTable, SuperPoly
+from supercalc.algebra import DERIVE, MULTIPLY, GeneratorTable, SuperPoly
 from supercalc.koszul import (
     HomologyRanks,
     KoszulAlgebra,
@@ -254,16 +254,24 @@ class TestCodecColumns:
             k_alg._columns(which, list(monomial(_EXPONENT).terms), [])
 
     def test_pairs_sharing_a_generator_are_refused(self):
+        # Steps whose terms could share a key: one acting twice on a
+        # generator, or two acting alike on the same pair in either order.
+        # Steps that share a generator but act on it differently, as the
+        # Gaussian Spencer differential's do, are accepted.
         table = KoszulAlgebra(1, 1).table
         v1, piv1, ch1 = (table.index(name) for name in ("v1", "piv1", "ch1"))
-        with pytest.raises(ValueError, match="distinct generators"):
-            list(table.pair_images([], [(v1, piv1), (ch1, piv1)],
-                                   derive=True))
+        for steps in ([(v1, MULTIPLY, v1, DERIVE, 1)],
+                      [(v1, MULTIPLY, piv1, DERIVE, 1), (v1, MULTIPLY, piv1, DERIVE, 2)],
+                      [(v1, MULTIPLY, piv1, DERIVE, 1), (piv1, DERIVE, v1, MULTIPLY, 1)]):
+            with pytest.raises(ValueError, match="distinct generators"):
+                list(table.pair_images([], steps))
+        assert list(table.pair_images([0], [(v1, MULTIPLY, piv1, DERIVE, 1),
+                                            (ch1, MULTIPLY, piv1, DERIVE, 1),
+                                            (v1, DERIVE, piv1, DERIVE, 1)])) == [{}]
 
     def test_ranks_build_no_superpoly(self, monkeypatch):
         # The ranks come from the codec columns alone: no SuperPoly
-        # product, derivative or encoding per monomial.  The algebra
-        # itself is built first, since it multiplies out the dual element.
+        # product, derivative or encoding per monomial.
         k_alg = KoszulAlgebra(2, 2)
 
         def refuse(*args, **kwargs):
