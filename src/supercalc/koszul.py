@@ -1,11 +1,16 @@
-"""The two-sided Koszul complex of a free p|q module and its dual.
+"""The two-sided Koszul complex of a free p|q module and its dual, run on
+the tables and steps of :mod:`supercalc.derham`.
 
-The complex lives in a single supercommutative algebra: even module
-generators v_i, odd ones ch_a, their parity-reversed partners piv_i (odd)
-and pich_a (even).  The differential is the odd derivation sending each
-parity-reversed generator to its partner; the dual complex replaces the
-parity-reversed generators by dual ones (dpiv_i, dpich_a) and the
-differential by multiplication with the same odd element.
+The Koszul side lives on the form table of R^{p|q}: the module generators
+are the coordinates x_i (even) and th_a (odd), their parity-reversed
+partners the fiber symbols dx_i (odd) and dth_a (even).  The differential
+is the odd derivation dx_i -> x_i, dth_a -> th_a, that is sum_z z * (left
+d/d dz): the step of ``derham.homotopy_h`` without its weight.  The dual
+side lives on the symbol table of the total de Rham complex: the module
+generators are the derivative letters dd_x_i (even) and dd_th_a (odd), the
+dual partners again dx_i and dth_a, and the differential is multiplication
+by the odd element sum_z dz*dd_z, which is ``derham.script_D``.  The
+coordinates of the symbol table take no part in the dual complex.
 
 Homology is computed fiberwise over the rationals.  The differential
 restricted to a bidegree (partner-side degree, module-side degree), both of
@@ -21,10 +26,12 @@ kept between calls: a cache would serve only callers that repeat a query,
 while holding its columns for the life of the algebra.
 
 The dual complex has one-dimensional homology in degree p, generated by
-ch_1...ch_q * dpiv_1...dpiv_p, and an automorphism of the module acts on
-that class by the reciprocal of its Berezinian; the class transport is
-computed by honest multiplication in the algebra, not by the determinant
-formula, so the comparison with `berezinian` is a genuine cross-check.
+dd_th1...dd_thq * dx1...dxp.  That is a density of the total de Rham
+complex, so the Koszul class and the total de Rham class of the Berezinian
+are one element.  An automorphism of the module acts on the class by the
+reciprocal of its Berezinian; the class transport is computed by honest
+multiplication in the algebra, not by the determinant formula, so the
+comparison with `berezinian` is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from supercalc.algebra import (DERIVE, MULTIPLY, GeneratorTable, Monomial, SuperPoly,
-                               transport)
+from supercalc.algebra import ODD_BASE, GeneratorTable, Monomial, SuperPoly, transport
+from supercalc.charts import Chart
+from supercalc.derham import _pair_steps, _symbol_table, form_table
 from supercalc.supermatrix import SuperMatrix
 
 
@@ -100,7 +108,8 @@ def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
 
 class KoszulAlgebra:
     """Both sides of the complex for a free module of rank p|q, optionally
-    over a Grassmann coefficient algebra (for matrices with odd entries)."""
+    over a Grassmann coefficient algebra (for matrices with odd entries),
+    whose letters are appended to both tables."""
 
     def __init__(self, p: int, q: int,
                  coefficient_odds: Sequence[str] = ()):
@@ -109,50 +118,37 @@ class KoszulAlgebra:
         self.p = p
         self.q = q
         self.coefficient_odds = tuple(coefficient_odds)
-        self.v_names = tuple(f"v{i}" for i in range(1, p + 1))
-        self.ch_names = tuple(f"ch{a}" for a in range(1, q + 1))
-        self.piv_names = tuple(f"piv{i}" for i in range(1, p + 1))
-        self.pich_names = tuple(f"pich{a}" for a in range(1, q + 1))
-        self.dpiv_names = tuple(f"dpiv{i}" for i in range(1, p + 1))
-        self.dpich_names = tuple(f"dpich{a}" for a in range(1, q + 1))
-        reserved = set(self.v_names + self.ch_names + self.piv_names
-                       + self.pich_names + self.dpiv_names + self.dpich_names)
-        if reserved & set(self.coefficient_odds):
+        self._forms = form_table(Chart.standard(p, q).table)
+        symbols = _symbol_table(self._forms)
+        if set(symbols.names) & set(self.coefficient_odds):
             raise ValueError("coefficient generator names collide with the "
                              "module generator names")
-        odds_prefix = list(self.coefficient_odds) + list(self.ch_names)
-        self.table = GeneratorTable.chart(
-            list(self.v_names) + list(self.pich_names),
-            odds_prefix + list(self.piv_names))
-        self.dual_table = GeneratorTable.chart(
-            list(self.v_names) + list(self.dpich_names),
-            odds_prefix + list(self.dpiv_names))
-        self.coefficient_table = GeneratorTable.chart(
-            [], list(self.coefficient_odds))
-        # each side's table and its pair_images steps: module * (left
-        # d/d partner) on the Koszul side, module * partner on the dual one
-        self._sides = {
-            which: (table, tuple((table.index(module), MULTIPLY, table.index(partner), op, 1)
-                                 for module, partner in zip(
-                                     self.v_names + self.ch_names, partners)))
-            for which, table, partners, op in (
-                ("koszul", self.table, self.piv_names + self.pich_names, DERIVE),
-                ("dual", self.dual_table, self.dpiv_names + self.dpich_names, MULTIPLY))}
+        coefficients = [(name, ODD_BASE) for name in self.coefficient_odds]
+        self.table = self._forms.extend(coefficients) if coefficients else self._forms
+        self.dual_table = symbols.extend(coefficients) if coefficients else symbols
+        self.coefficient_table = GeneratorTable.chart([], self.coefficient_odds)
+
+    def _side(self, which: Literal["koszul", "dual"]) -> tuple[GeneratorTable, tuple, int]:
+        """A side's table, its ``pair_images`` steps and the slot of the
+        module letter in a step (the partner sits in the other one)."""
+        if which == "koszul":
+            return self.table, _pair_steps(self._forms)[1], 0
+        return self.dual_table, _pair_steps(self._forms)[2], 2
 
     # -- the differentials -------------------------------------------------
 
     def koszul_delta(self, e: SuperPoly) -> SuperPoly:
-        """The odd derivation with piv_i -> v_i and pich_a -> ch_a: the
-        sum of module * (left d/d partner) e over the p+q partners."""
+        """The odd derivation with dx_i -> x_i and dth_a -> th_a: the sum
+        of z * (left d/d dz) e over the p+q coordinates z."""
         if e.table != self.table:
             raise ValueError("element is not in the Koszul algebra")
-        return e.pair_sum(self._sides["koszul"][1])
+        return e.pair_sum(self._side("koszul")[1])
 
     def dual_delta(self, e: SuperPoly) -> SuperPoly:
-        """Multiplication by the odd element sum v_i dpiv_i + sum ch_a dpich_a."""
+        """Multiplication by the odd element sum_z dz*dd_z."""
         if e.table != self.dual_table:
             raise ValueError("element is not in the dual algebra")
-        return e.pair_sum(self._sides["dual"][1])
+        return e.pair_sum(self._side("dual")[1])
 
     # -- bigraded bases ----------------------------------------------------
 
@@ -162,11 +158,11 @@ class KoszulAlgebra:
         if self.coefficient_odds:
             raise ValueError("homology bases are computed fiberwise; build "
                              "the algebra without coefficient generators")
-        table, steps = self._sides[which]
+        table, steps, module = self._side(which)
         if k < 0 or n < 0:
             return []
-        return table.graded_keys(([step[0] for step in steps], n),
-                                 ([step[2] for step in steps], k))
+        return table.graded_keys(([step[module] for step in steps], n),
+                                 ([step[2 - module] for step in steps], k))
 
     @staticmethod
     def _step(which: Literal["koszul", "dual"]) -> int:
@@ -182,7 +178,7 @@ class KoszulAlgebra:
         ``GeneratorTable.pair_images`` call writes them from the keys with
         the side's steps.  Given the `target` basis, a list of {target
         index: int} maps instead."""
-        table, steps = self._sides[which]
+        table, steps, _ = self._side(which)
         images = table.pair_images(source, steps)
         if target is None:
             return images
@@ -246,35 +242,28 @@ class KoszulAlgebra:
     # -- the distinguished dual class and its transport --------------------
 
     def dual_homology_generator(self) -> SuperPoly:
-        """ch_1...ch_q * dpiv_1...dpiv_p, the kernel class in degree p."""
-        out = SuperPoly.one(self.dual_table)
-        for name in self.ch_names + self.dpiv_names:
-            out = out * SuperPoly.generator(self.dual_table, name)
-        return out
+        """dd_th1...dd_thq * dx1...dxp, the kernel class in degree p and a
+        density of the total de Rham complex."""
+        table, steps, _ = self._side("dual")
+        sign, key = table.monomial([(step[2], 1) for step in steps[self.p:]]
+                                   + [(step[0], 1) for step in steps[:self.p]])
+        return SuperPoly(table, {key: sign})
 
     def class_coefficient(self, e: SuperPoly) -> SuperPoly:
         """Coefficient of the generator class in e, as an element of the
         coefficient algebra.  Multiples of the class never occur in an image
-        of the dual differential (every image term carries a v or a dpich
-        factor), so on a cycle this reads off the homology class."""
+        of the dual differential (every image term carries a dd_x or a dth
+        factor), so on a cycle this reads off the homology class.  The class
+        key is stored with the sign of sorting dx before dd_th, (-1)^{pq},
+        which the coefficient takes back."""
         if e.table != self.dual_table:
             raise ValueError("element is not in the dual algebra")
-        table = self.dual_table
-        (class_mono,) = self.dual_homology_generator().terms
-        class_powers = set(table.powers(class_mono))
-        coefficient_names = set(self.coefficient_odds)
-        out = SuperPoly.zero(self.coefficient_table)
-        for mono, c in e.terms.items():
-            eta: dict[str, int] = {}
-            module = set()
-            for pos, k in table.powers(mono):
-                if table.names[pos] in coefficient_names:
-                    eta[table.names[pos]] = k
-                else:
-                    module.add((pos, k))
-            if module == class_powers:
-                out = out + SuperPoly.from_monomial(self.coefficient_table, eta, c)
-        return out
+        (key, sign), = self.dual_homology_generator().terms.items()
+        module = range(len(_symbol_table(self._forms).names))
+        c = e.collect(module).get(key)
+        if c is None:
+            return SuperPoly.zero(self.coefficient_table)
+        return transport(c.scale(sign), self.coefficient_table)
 
     def induced_automorphism_scalar(self, m: SuperMatrix) -> SuperPoly:
         """Transport the degree-p dual class through the automorphism with
@@ -282,27 +271,23 @@ class KoszulAlgebra:
         scalar it gets multiplied by."""
         if (m.p, m.q) != (self.p, self.q):
             raise ValueError("matrix shape does not match the module ranks")
-        table = self.dual_table
+        table, steps, _ = self._side("dual")
 
-        def lift(entry):
-            return transport(entry, table)
+        def letters(slot: int) -> list[SuperPoly]:
+            return [SuperPoly.generator(table, table.names[step[slot]]) for step in steps]
 
+        def image(column: list[SuperPoly], gens: list[SuperPoly]) -> SuperPoly:
+            return SuperPoly.sum_of_products(
+                table, [(transport(entry, table), gen) for entry, gen in zip(column, gens)])
+
+        modules, partners = letters(2), letters(0)
+        # the parity-reversed module lists its even letters (dth) first
+        duals = partners[self.p:] + partners[:self.p]
         n_inv = m.parity_swap().inverse().rows()
         elem = SuperPoly.one(table)
         for j in range(self.q):
-            img = SuperPoly.zero(table)
-            for h in range(self.p):
-                img = img + lift(m.B[h][j]) * SuperPoly.generator(
-                    table, self.v_names[h])
-            for kk in range(self.q):
-                img = img + lift(m.D[kk][j]) * SuperPoly.generator(
-                    table, self.ch_names[kk])
-            elem = elem * img
-        duals = ([SuperPoly.generator(table, nm) for nm in self.dpich_names]
-                 + [SuperPoly.generator(table, nm) for nm in self.dpiv_names])
+            elem = elem * image([m.B[h][j] for h in range(self.p)]
+                                + [m.D[k][j] for k in range(self.q)], modules)
         for i in range(self.p):
-            img = SuperPoly.zero(table)
-            for alpha, dual_gen in enumerate(duals):
-                img = img + lift(n_inv[self.q + i][alpha]) * dual_gen
-            elem = elem * img
+            elem = elem * image(n_inv[self.q + i], duals)
         return self.class_coefficient(elem)

@@ -425,11 +425,11 @@ def form_times_delta(omega: SuperPoly, form: DeltaForm) -> DeltaForm:
     left.  Base odd factors sitting to the right of the dx letters in the
     canonical word cross back out with the usual sign.
     """
-    chart = form.chart
+    chart, ptab = form.chart, form.poly.table
     ftab = form_table(chart.table)
     if omega.table != ftab:
         raise ValueError("form is not over the chart's differentials")
-    out = DeltaForm.zero(chart)
+    pairs = []
     for mono, c in release_even_exponents(omega).terms.items():
         base_powers: dict[str, int] = {}
         dth_letters: list[str] = []
@@ -443,10 +443,9 @@ def form_times_delta(omega: SuperPoly, form: DeltaForm) -> DeltaForm:
             else:
                 base_powers[name] = k
         sign = -1 if len(dx_letters) * ftab.degree(mono, ODD_BASE) % 2 else 1
-        coeff = SuperPoly.from_monomial(chart.table, base_powers,
-                                        Fraction(c) * sign)
-        out = out + cw_apply(dth_letters + dx_letters, form).times(coeff)
-    return out
+        pairs.append((SuperPoly.from_monomial(ptab, base_powers, sign * c),
+                      cw_apply(dth_letters + dx_letters, form).poly))
+    return DeltaForm._of(chart, SuperPoly.sum_of_products(ptab, pairs))
 
 
 # --- the bridge to integral forms ---------------------------------------------

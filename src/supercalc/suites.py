@@ -22,9 +22,12 @@ homotopies
     operator homotopy HD + DH scales each monomial by its counting factor
     and kills the density monomials.
 koszul
-    The Koszul complex is acyclic below degree 0 with rank-one H_0; the
-    dual complex has homology only in degree p; the class transforms by
-    the reciprocal Berezinian.
+    The Koszul complex, on the de Rham form table, is acyclic below
+    degree 0 with rank-one H_0; the dual complex, on the total complex's
+    symbol table, has homology only in degree p, and its class is a
+    density of the total complex (the Koszul and the total de Rham
+    definitions of the Berezinian meet); the class transforms by the
+    reciprocal Berezinian.
 dmodule
     Densities are a right module over differential operators: the
     generator is killed by every derivative, the action is flat on field
@@ -362,8 +365,12 @@ def _suite_homotopies(rng, trials, p, q):
 def _suite_koszul(rng, trials, p, q):
     checks = []
     cutoff = 6
+    densities = []
     for pp, qq in ((1, 1), (1, 2), (2, 1)):
         algebra = KoszulAlgebra(pp, qq)
+        u = UniversalElement(algebra.table, algebra.dual_homology_generator())
+        densities.append(con3_identity_factor(u) == 0
+                         and (script_H(script_D(u)) + script_D(script_H(u))).is_zero())
         koszul = [ranks.homology_dim for ranks in algebra.homology_scan(
             "koszul", (0, -1, -2, -3, -4), cutoff)]
         dual = [ranks.homology_dim for ranks in algebra.homology_scan(
@@ -376,6 +383,9 @@ def _suite_koszul(rng, trials, p, q):
         checks.append(CheckResult(
             f"dual homology concentrated in degree {pp} on {pp}|{qq}",
             dual == [int(deg == pp) for deg in range(pp + 2)]))
+    checks.append(CheckResult(
+        "dual class is a total de Rham density on 1|1, 1|2 and 2|1",
+        all(densities)))
 
     coeff = GeneratorTable.chart([], ["e1", "e2", "e3", "e4"])
     bad = 0

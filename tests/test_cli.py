@@ -209,6 +209,83 @@ def test_koszul_negative_rank_is_a_usage_error(p, q):
     assert "ranks must be nonnegative" in result.output
 
 
+# `supercalc koszul` output at 0|0, 1|1 and 2|1 on both sides, as text and
+# as --json, byte for byte; the Koszul complexes must keep these however
+# their tables are built.
+KOSZUL_GOLDEN = {
+    (0, 0, "koszul"): (
+        "degree 0: kernel 1 image 0 homology 1\n"
+        "degree -1: kernel 0 image 0 homology 0\n"
+        "degree -2: kernel 0 image 0 homology 0\n"
+        "degree -3: kernel 0 image 0 homology 0\n"
+        "degree -4: kernel 0 image 0 homology 0\n",
+        '{"command": "koszul", "cutoff": 6, "format": "supercalc.v1", "p": 0, "q": 0, '
+        '"result": [{"degree": 0, "homology": 1, "image": 0, "kernel": 1}, {"degree": '
+        '-1, "homology": 0, "image": 0, "kernel": 0}, {"degree": -2, "homology": 0, '
+        '"image": 0, "kernel": 0}, {"degree": -3, "homology": 0, "image": 0, "kernel": '
+        '0}, {"degree": -4, "homology": 0, "image": 0, "kernel": 0}], "which": '
+        '"koszul"}\n'),
+    (0, 0, "dual"): (
+        "degree 0: kernel 1 image 0 homology 1\n"
+        "degree 1: kernel 0 image 0 homology 0\n",
+        '{"command": "koszul", "cutoff": 6, "format": "supercalc.v1", "p": 0, "q": 0, '
+        '"result": [{"degree": 0, "homology": 1, "image": 0, "kernel": 1}, {"degree": '
+        '1, "homology": 0, "image": 0, "kernel": 0}], "which": "dual"}\n'),
+    (1, 1, "koszul"): (
+        "degree 0: kernel 13 image 12 homology 1\n"
+        "degree -1: kernel 12 image 12 homology 0\n"
+        "degree -2: kernel 12 image 12 homology 0\n"
+        "degree -3: kernel 12 image 12 homology 0\n"
+        "degree -4: kernel 12 image 12 homology 0\n",
+        '{"command": "koszul", "cutoff": 6, "format": "supercalc.v1", "p": 1, "q": 1, '
+        '"result": [{"degree": 0, "homology": 1, "image": 12, "kernel": 13}, {"degree": '
+        '-1, "homology": 0, "image": 12, "kernel": 12}, {"degree": -2, "homology": 0, '
+        '"image": 12, "kernel": 12}, {"degree": -3, "homology": 0, "image": 12, '
+        '"kernel": 12}, {"degree": -4, "homology": 0, "image": 12, "kernel": 12}], '
+        '"which": "koszul"}\n'),
+    (1, 1, "dual"): (
+        "degree 0: kernel 0 image 0 homology 0\n"
+        "degree 1: kernel 12 image 11 homology 1\n"
+        "degree 2: kernel 12 image 12 homology 0\n",
+        '{"command": "koszul", "cutoff": 6, "format": "supercalc.v1", "p": 1, "q": 1, '
+        '"result": [{"degree": 0, "homology": 0, "image": 0, "kernel": 0}, {"degree": '
+        '1, "homology": 1, "image": 11, "kernel": 12}, {"degree": 2, "homology": 0, '
+        '"image": 12, "kernel": 12}], "which": "dual"}\n'),
+    (2, 1, "koszul"): (
+        "degree 0: kernel 49 image 48 homology 1\n"
+        "degree -1: kernel 84 image 84 homology 0\n"
+        "degree -2: kernel 84 image 84 homology 0\n"
+        "degree -3: kernel 84 image 84 homology 0\n"
+        "degree -4: kernel 84 image 84 homology 0\n",
+        '{"command": "koszul", "cutoff": 6, "format": "supercalc.v1", "p": 2, "q": 1, '
+        '"result": [{"degree": 0, "homology": 1, "image": 48, "kernel": 49}, {"degree": '
+        '-1, "homology": 0, "image": 84, "kernel": 84}, {"degree": -2, "homology": 0, '
+        '"image": 84, "kernel": 84}, {"degree": -3, "homology": 0, "image": 84, '
+        '"kernel": 84}, {"degree": -4, "homology": 0, "image": 84, "kernel": 84}], '
+        '"which": "koszul"}\n'),
+    (2, 1, "dual"): (
+        "degree 0: kernel 0 image 0 homology 0\n"
+        "degree 1: kernel 36 image 36 homology 0\n"
+        "degree 2: kernel 84 image 83 homology 1\n"
+        "degree 3: kernel 84 image 84 homology 0\n",
+        '{"command": "koszul", "cutoff": 6, "format": "supercalc.v1", "p": 2, "q": 1, '
+        '"result": [{"degree": 0, "homology": 0, "image": 0, "kernel": 0}, {"degree": '
+        '1, "homology": 0, "image": 36, "kernel": 36}, {"degree": 2, "homology": 1, '
+        '"image": 83, "kernel": 84}, {"degree": 3, "homology": 0, "image": 84, '
+        '"kernel": 84}], "which": "dual"}\n'),
+}
+
+
+@pytest.mark.parametrize("p, q, which", sorted(KOSZUL_GOLDEN))
+def test_koszul_output_is_pinned(p, q, which):
+    text, as_json = KOSZUL_GOLDEN[p, q, which]
+    args = ["koszul", "--p", str(p), "--q", str(q), "--which", which]
+    for extra, expected in (([], text), (["--json"], as_json)):
+        result = CliRunner().invoke(main, args + extra)
+        assert result.exit_code == 0, result.output
+        assert result.output == expected
+
+
 @pytest.mark.parametrize("args, option", [
     (["verify", "homotopies", "--p", "-1", "--q", "1"], "--p"),
     (["verify", "homotopies", "--p", "1", "--q", "-1"], "--q"),

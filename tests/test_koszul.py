@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from supercalc.algebra import DERIVE, MULTIPLY, GeneratorTable, SuperPoly
+from supercalc.algebra import GeneratorTable, SuperPoly
+from supercalc.derham import (
+    UniversalElement,
+    con3_identity_factor,
+    script_D,
+    script_H,
+)
 from supercalc.koszul import (
     HomologyRanks,
     KoszulAlgebra,
@@ -151,24 +157,24 @@ class TestRank:
 class TestDelta:
     def test_partner_generators_map_to_module_generators(self):
         k = KoszulAlgebra(1, 1)
-        assert k.koszul_delta(gen(k.table, "piv1")) == gen(k.table, "v1")
-        assert k.koszul_delta(gen(k.table, "pich1")) == gen(k.table, "ch1")
+        assert k.koszul_delta(gen(k.table, "dx1")) == gen(k.table, "x1")
+        assert k.koszul_delta(gen(k.table, "dth1")) == gen(k.table, "th1")
 
     def test_delta_squared_on_product(self):
         k = KoszulAlgebra(1, 1)
-        e = gen(k.table, "piv1") * gen(k.table, "pich1")
+        e = gen(k.table, "dx1") * gen(k.table, "dth1")
         assert k.koszul_delta(k.koszul_delta(e)).is_zero()
 
     def test_delta_is_odd_and_lowers_partner_degree(self):
         k = KoszulAlgebra(2, 1)
-        e = gen(k.table, "piv1") * gen(k.table, "piv2")
+        e = gen(k.table, "dx1") * gen(k.table, "dx2")
         out = k.koszul_delta(e)
         assert e.parity() == 0 and out.parity() == 1
-        piv_positions = {k.table.index(n) for n in k.piv_names}
+        dx_positions = {k.table.index(n) for n in ("dx1", "dx2")}
 
         def partner_degree(poly):
             return max(sum(power for pos, power in poly.table.powers(mono)
-                           if pos in piv_positions)
+                           if pos in dx_positions)
                        for mono in poly.terms)
 
         assert partner_degree(e) == 2
@@ -185,8 +191,8 @@ class TestDelta:
     def test_dual_delta_of_unit(self):
         k = KoszulAlgebra(2, 1)
         t = k.dual_table
-        expected = (gen(t, "v1") * gen(t, "dpiv1") + gen(t, "v2") * gen(t, "dpiv2")
-                    + gen(t, "ch1") * gen(t, "dpich1"))
+        expected = (gen(t, "dd_x1") * gen(t, "dx1") + gen(t, "dd_x2") * gen(t, "dx2")
+                    + gen(t, "dd_th1") * gen(t, "dth1"))
         assert k.dual_delta(SuperPoly.one(t)) == expected
 
     def test_dual_delta_kills_generator_class(self):
@@ -229,9 +235,9 @@ class TestCodecColumns:
         assert checked > 0
 
     @pytest.mark.parametrize("which,powers", [
-        ("koszul", {"v1": "top", "piv1": 1}),       # d/d piv1, then * v1
-        ("dual", {"v1": "top"}),                    # * v1 dpiv1
-        ("dual", {"dpich1": "top"}),                # * ch1 dpich1
+        ("koszul", {"x1": "top", "dx1": 1}),        # d/d dx1, then * x1
+        ("dual", {"dd_x1": "top"}),                 # * dx1 dd_x1
+        ("dual", {"dth1": "top"}),                  # * dth1 dd_th1
     ])
     def test_columns_refuse_an_exponent_past_the_guard(self, which, powers):
         from supercalc.algebra import _EXPONENT
@@ -252,22 +258,6 @@ class TestCodecColumns:
             delta(monomial(_EXPONENT))
         with pytest.raises(OverflowError):
             k_alg._columns(which, list(monomial(_EXPONENT).terms), [])
-
-    def test_pairs_sharing_a_generator_are_refused(self):
-        # Steps whose terms could share a key: one acting twice on a
-        # generator, or two acting alike on the same pair in either order.
-        # Steps that share a generator but act on it differently, as the
-        # Gaussian Spencer differential's do, are accepted.
-        table = KoszulAlgebra(1, 1).table
-        v1, piv1, ch1 = (table.index(name) for name in ("v1", "piv1", "ch1"))
-        for steps in ([(v1, MULTIPLY, v1, DERIVE, 1)],
-                      [(v1, MULTIPLY, piv1, DERIVE, 1), (v1, MULTIPLY, piv1, DERIVE, 2)],
-                      [(v1, MULTIPLY, piv1, DERIVE, 1), (piv1, DERIVE, v1, MULTIPLY, 1)]):
-            with pytest.raises(ValueError, match="distinct generators"):
-                list(table.pair_images([], steps))
-        assert list(table.pair_images([0], [(v1, MULTIPLY, piv1, DERIVE, 1),
-                                            (ch1, MULTIPLY, piv1, DERIVE, 1),
-                                            (v1, DERIVE, piv1, DERIVE, 1)])) == [{}]
 
     def test_ranks_build_no_superpoly(self, monkeypatch):
         # The ranks come from the codec columns alone: no SuperPoly
@@ -334,8 +324,10 @@ class TestHomology:
         assert KoszulAlgebra(3, 3).homology_ranks("dual", 3, 4) == \
             HomologyRanks(992, 991, 1)
 
-    def test_generator_class_never_appears_in_images(self):
-        k = KoszulAlgebra(2, 2)
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_generator_class_never_appears_in_images(self, p, q):
+        # at odd pq the class key is stored with the sign -1
+        k = KoszulAlgebra(p, q)
         rng = random.Random(77)
         for _ in range(15):
             y = random_superpoly(rng, k.dual_table, terms=4, max_exp=2)
@@ -347,6 +339,27 @@ class TestHomology:
         k = KoszulAlgebra(1, 1, coefficient_odds=["e1"])
         with pytest.raises(ValueError, match="fiberwise"):
             k.basis("koszul", 0, 0)
+
+    @pytest.mark.parametrize("name", ["x1", "dth1", "dd_x1"])
+    def test_coefficient_names_may_not_collide(self, name):
+        with pytest.raises(ValueError, match="collide"):
+            KoszulAlgebra(1, 1, coefficient_odds=["e1", name])
+
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_dual_class_is_the_total_de_rham_density(self, p, q):
+        # the second and third definitions of the Berezinian: the Koszul
+        # dual class is the density dx1...dxp (x) d_th1...d_thq of the
+        # total complex, up to the sign of moving dd_th past dx
+        k = KoszulAlgebra(p, q)
+        u = UniversalElement(k.table, k.dual_homology_generator())
+        density = UniversalElement.monomial(
+            k.table, [f"dx{i}" for i in range(1, p + 1)],
+            [f"th{a}" for a in range(1, q + 1)])
+        assert u == density.scale((-1) ** (p * q))
+        assert con3_identity_factor(u) == 0
+        assert (script_H(script_D(u)) + script_D(script_H(u))).is_zero()
+        # off the densities the factor is not zero: the unit has p + q
+        assert con3_identity_factor(UniversalElement.monomial(k.table, [], [])) == p + q
 
 
 # The full (kernel, image, homology) triple at every degree that

@@ -2,8 +2,8 @@
 
 De Rham d, its homotopy h, Spencer's differential (plain and Gaussian) and
 its homotopy, the total complex's script_D and script_H and both Koszul
-differentials are each one ``SuperPoly.pair_sum`` over
-``GeneratorTable.pair_images`` steps.
+differentials (h's unweighted step and script_D) are each one
+``SuperPoly.pair_sum`` over ``GeneratorTable.pair_images`` steps.
 The oracles below build the same sums one letter at a time from
 ``SuperPoly.generator``, ``left_derivative`` and products, as the library
 did before; new and old must agree by ``==`` and by ``str``."""
@@ -139,18 +139,16 @@ def oracle_script_H(u):
 def oracle_koszul_delta(k_alg, e):
     table = k_alg.table
     return SuperPoly.sum_of_products(table, [
-        (SuperPoly.generator(table, module), e.left_derivative(partner))
-        for module, partner in zip(k_alg.v_names + k_alg.ch_names,
-                                   k_alg.piv_names + k_alg.pich_names)])
+        (SuperPoly.generator(table, z), e.left_derivative(fiber_name(z)))
+        for z in base_coordinate_names(table)])
 
 
 def oracle_dual_delta(k_alg, e):
     table = k_alg.dual_table
     element = SuperPoly.zero(table)
-    for module, partner in zip(k_alg.v_names + k_alg.ch_names,
-                               k_alg.dpiv_names + k_alg.dpich_names):
-        element = element + (SuperPoly.generator(table, module)
-                             * SuperPoly.generator(table, partner))
+    for z, dd, _ in derivative_letters(k_alg.table):
+        element = element + (SuperPoly.generator(table, dd)
+                             * SuperPoly.generator(table, fiber_name(z)))
     return element * e
 
 
@@ -309,6 +307,23 @@ def test_quotient_rule_on_every_step_kind(m_op, p_op):
         steps = [(0, m_op, 1, p_op, 2), (2, m_op, 3, p_op, -1)]
         oracle = oracle_step(poly, steps[0]) + oracle_step(poly, steps[1])
         assert poly.pair_sum(steps) == oracle
+
+
+def test_pairs_sharing_a_generator_are_refused():
+    # Steps whose terms could share a key: one acting twice on a
+    # generator, or two acting alike on the same pair in either order.
+    # Steps that share a generator but act on it differently, as the
+    # Gaussian Spencer differential's do, are accepted.
+    table = form_table(Chart.standard(1, 1).table)
+    x1, dx1, th1 = (table.index(name) for name in ("x1", "dx1", "th1"))
+    for steps in ([(x1, MULTIPLY, x1, DERIVE, 1)],
+                  [(x1, MULTIPLY, dx1, DERIVE, 1), (x1, MULTIPLY, dx1, DERIVE, 2)],
+                  [(x1, MULTIPLY, dx1, DERIVE, 1), (dx1, DERIVE, x1, MULTIPLY, 1)]):
+        with pytest.raises(ValueError, match="distinct generators"):
+            list(table.pair_images([], steps))
+    assert list(table.pair_images([0], [(x1, MULTIPLY, dx1, DERIVE, 1),
+                                        (th1, MULTIPLY, dx1, DERIVE, 1),
+                                        (x1, DERIVE, dx1, DERIVE, 1)])) == [{}]
 
 
 # --- the guard bit --------------------------------------------------------------

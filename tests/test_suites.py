@@ -7,7 +7,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from supercalc.algebra import SuperPoly
 from supercalc.cli import main
+from supercalc.koszul import KoszulAlgebra
 from supercalc.suites import SUITES, CheckResult, SuiteSpec, run_suite
 
 
@@ -76,3 +78,19 @@ def test_susy_check_passes():
     assert result.exit_code == 0, result.output
     assert result.output == ("bracket holds; 10 Lagrangians, "
                              "0 non-invariant variations\n")
+
+
+def test_koszul_suite_checks_the_dual_class_is_a_density(monkeypatch):
+    label = "dual class is a total de Rham density on 1|1, 1|2 and 2|1"
+    checks = {r.label: r.ok for r in run_suite("koszul", seed=1, trials=1)}
+    assert checks[label] is True
+    # the class with one dx traded for its dd_x is no density: caught
+    original = KoszulAlgebra.dual_homology_generator
+
+    def off_density(self):
+        table = self.dual_table
+        return original(self).left_derivative("dx1") * SuperPoly.generator(table, "dd_x1")
+
+    monkeypatch.setattr(KoszulAlgebra, "dual_homology_generator", off_density)
+    checks = {r.label: r.ok for r in run_suite("koszul", seed=1, trials=1)}
+    assert checks[label] is False
