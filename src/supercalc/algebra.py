@@ -21,7 +21,9 @@ keys for printing.  :meth:`~GeneratorTable.graded_keys` lists the keys of
 one multidegree, :meth:`~GeneratorTable.pair_images` writes their images
 under a sum over pairs of generators, each multiplied by or differentiated
 along (de Rham d, Spencer's, their homotopies, the total complex, Koszul's),
-and :meth:`SuperPoly.collect` groups terms by their factor in chosen
+:meth:`~GeneratorTable.compile_word` compiles a word of such ops on fiber
+letters for :meth:`SuperPoly.apply_word` (the delta-form letters), and
+:meth:`SuperPoly.collect` groups terms by their factor in chosen
 generators.  Everywhere else a key of ``SuperPoly.terms`` is an opaque
 handle: it may be hashed, compared and passed back, never indexed, shifted,
 masked or built by hand.
@@ -58,7 +60,7 @@ POLYVECTOR_ODD = "polyvector-odd"     # pi d/dx
 _EVEN_CLASSES = frozenset({EVEN_BASE, FIBER_EVEN, POLYVECTOR_EVEN})
 _ODD_CLASSES = frozenset({ODD_BASE, FIBER_ODD, POLYVECTOR_ODD})
 
-# What a step of GeneratorTable.pair_images does with a generator.
+# What a letter of a GeneratorTable.pair_images step or word does with a generator.
 MULTIPLY = "multiply"
 DERIVE = "derive"
 
@@ -241,10 +243,7 @@ class GeneratorTable:
         steps = tuple(steps)
         compiled = self._steps.get(steps)
         if compiled is None:
-            # per step c, then (unit, odd, low, derive) for the partner and the
-            # module: low masks the odd factors before an odd letter or shifts to
-            # an even one's field; an odd letter's derive is the bit a key must
-            # hold; the op None leaves the key alone
+            # per step c, then the partner's and the module's letters
             compiled, pairs = [], set()
             for module, m_op, partner, p_op, c in steps:
                 pair = frozenset(((module, m_op), (partner, p_op)))
@@ -252,13 +251,8 @@ class GeneratorTable:
                     raise ValueError("a step must name two distinct generators, "
                                      "and no two steps may act alike on the same ones")
                 pairs.add(pair)
-                letters = [c]
-                for pos, op in ((partner, p_op), (module, m_op)):
-                    unit, odd = self._unit[pos], self.parities[pos]
-                    letters += ((0, 0, 0, False) if op is None
-                                else (unit, 1, unit - 1, op == DERIVE and unit) if odd
-                                else (unit, 0, unit.bit_length() - 1, op == DERIVE))
-                compiled.append(tuple(letters))
+                compiled.append((c, *self._letter(partner, p_op),
+                                 *self._letter(module, m_op)))
             compiled = self._steps[steps] = tuple(compiled)
         guard = self._guard
         for key in keys:
@@ -297,6 +291,31 @@ class GeneratorTable:
             if seen & guard:
                 raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
             yield image
+
+    def compile_word(self, letters: Sequence[tuple[int, str]], c=1) -> tuple:
+        """Compile c times a word of (position, op) letters for
+        :meth:`SuperPoly.apply_word`.  Each op is :data:`MULTIPLY` or
+        :data:`DERIVE`, as in :meth:`pair_images`, and the last letter acts
+        first.  A word acts on fiber and polyvector letters only: a base
+        coordinate raises ``ValueError``, since a derivative along it would
+        owe a ``RationalFunction`` coefficient the quotient rule."""
+        for pos, _ in letters:
+            if self.classes[pos] in (EVEN_BASE, ODD_BASE):
+                raise ValueError(f"a word cannot act on the base coordinate "
+                                 f"{self.names[pos]!r}")
+        return self, c, tuple(self._letter(pos, op) for pos, op in reversed(letters))
+
+    def _letter(self, pos: int, op: str | None) -> tuple:
+        """(unit, odd, low, derive) for ``op`` on the generator at ``pos``:
+        low masks the odd factors before an odd letter or shifts to an even
+        one's field; an odd letter's derive is the bit a key must hold; the
+        op None leaves the key alone."""
+        unit = self._unit[pos]
+        if op is None:
+            return 0, 0, 0, False
+        if self.parities[pos]:
+            return unit, 1, unit - 1, op == DERIVE and unit
+        return unit, 0, unit.bit_length() - 1, op == DERIVE
 
     def sort_key(self, mono: "Monomial") -> tuple:
         """The printing order: total degree, then the odd positions, then the
@@ -575,6 +594,41 @@ class SuperPoly:
                             rf = rf.derivative(table.names[pos])
                         if rf:
                             add(rf, next(table.pair_images((m,), (rest,))))
+        return SuperPoly(table, terms)
+
+    def apply_word(self, word: tuple) -> "SuperPoly":
+        """The image under a word from :meth:`GeneratorTable.compile_word`,
+        in one pass over the terms with the bit operations of
+        :meth:`GeneratorTable.pair_images`.  Each letter maps distinct keys
+        to distinct keys, so the images are written as they come, with no
+        accumulation.  A raising letter that takes an even exponent past its
+        field raises ``OverflowError`` at once."""
+        table, c0, letters = word
+        if table is not self.table and table != self.table:
+            raise ValueError("generator table mismatch")
+        guard = table._guard
+        terms = {}
+        for key, c in self.terms.items():
+            k = c0
+            for unit, odd, low, derive in letters:
+                if odd:
+                    if key & unit != derive:
+                        break
+                    if (key & low).bit_count() & 1:
+                        k = -k
+                    key ^= unit
+                elif derive:
+                    e = key >> low & _EXPONENT
+                    if not e:
+                        break
+                    k *= e
+                    key -= unit
+                else:
+                    key += unit
+                    if key & guard:
+                        raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
+            else:
+                terms[key] = c if k == 1 else -c if k == -1 else c * k
         return SuperPoly(table, terms)
 
     __rmul__ = __mul__      # only scalars reach it, and they commute

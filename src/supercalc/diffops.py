@@ -27,7 +27,7 @@ with T_z = -(left d/dz) o (left d/d dd_z).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from supercalc.algebra import (
     EVEN_BASE,
@@ -35,6 +35,7 @@ from supercalc.algebra import (
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
     GeneratorTable,
+    Monomial,
     SuperPoly,
     _check_same_table,
     transport,
@@ -138,20 +139,12 @@ class DiffOp:
             return NotImplemented
         return self.table == other.table and self.poly == other.poly
 
-    # --- action and composition -------------------------------------------------
-
-    def apply(self, f: SuperPoly) -> SuperPoly:
-        """Act on an algebra element: the derivative-free part of
-        self o f."""
-        if f.table != self.table:
-            raise ValueError("generator table mismatch")
-        composed = self.compose(DiffOp.multiplication(f)).poly
-        words = composed.collect(composed.table.positions_of_class(*_LETTERS))
-        return transport(words.get(0, SuperPoly.zero(composed.table)), self.table)
+    # --- composition ------------------------------------------------------------
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered operator product mu(exp(P) (self (x) other)):
-        apply(self.compose(other), f) equals apply(self, apply(other, f)).
+        acting on a function f, the product acts as other on f and then
+        self on the result.
 
         The derivatives in P commute, so exp(P) sums each multiset of
         letters once: the pairs of one level are those of the level below
@@ -200,19 +193,25 @@ class DiffOp:
 
     def __str__(self):
         weyl = self.poly.table
-        evens = weyl.positions_of_class(POLYVECTOR_EVEN)
         rows = []
         for word, c in self.poly.collect(weyl.positions_of_class(*_LETTERS)).items():
-            pairs = weyl.powers(word)
-            powers = dict(pairs)
-            ell = tuple(powers.get(pos, 0) for pos in evens)
-            eps = tuple(pos for pos, _ in pairs if weyl.parities[pos])
-            body = "*".join(weyl.names[pos] + (f"^{k}" if k > 1 else "") for pos, k in pairs)
+            order, body = _word_text(weyl, word)
             cs = str(c)
             if " " in cs:
                 cs = f"({cs})"
-            rows.append(((sum(ell) + len(eps), ell, eps),
-                         f"{cs}*{body}" if body and cs != "1" else (body or cs)))
+            rows.append((order, f"{cs}*{body}" if body and cs != "1" else (body or cs)))
         return " + ".join(text for _, text in sorted(rows)) or "0"
 
     __repr__ = __str__
+
+
+@lru_cache(maxsize=4096)
+def _word_text(weyl: GeneratorTable, word: Monomial) -> tuple[tuple, str]:
+    """The printing order of a word of derivative letters (total order, the
+    even letters' orders, the odd letters) and its text."""
+    pairs = weyl.powers(word)
+    powers = dict(pairs)
+    ell = tuple(powers.get(pos, 0) for pos in weyl.positions_of_class(POLYVECTOR_EVEN))
+    eps = tuple(pos for pos, _ in pairs if weyl.parities[pos])
+    body = "*".join(weyl.names[pos] + (f"^{k}" if k > 1 else "") for pos, k in pairs)
+    return (sum(ell) + len(eps), ell, eps), body

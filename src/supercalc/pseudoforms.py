@@ -25,7 +25,8 @@ The pivot dx_1..dx_p del(dth_1)..del(dth_q) is the polynomial 1, and it
 integrates along the fiber to the Berezin density of the base chart.
 
 The delta symbols are formal; the calculus is fixed by four letter rules
-on the stored polynomial, applied by :func:`cw_apply`:
+on the stored polynomial, applied by :func:`cw_apply`, which compiles
+each word once per table and applies it in one pass over the stored keys:
 
     d/d(dx_i)    left multiplication by pdx_i,
     dx_i         the left derivative along pdx_i,
@@ -54,13 +55,16 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from supercalc.algebra import (
+    DERIVE,
+    EVEN_BASE,
     FIBER_EVEN,
     FIBER_ODD,
+    MULTIPLY,
     ODD_BASE,
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
@@ -372,7 +376,9 @@ def cw_apply(op: CWOperator | str | Iterable[str], form: DeltaForm) -> DeltaForm
     rules of the module docstring: a dx derivative multiplies by its
     odd polyvector letter from the left and dx takes the left derivative
     along it; a delta-raising letter multiplies by its even polyvector
-    letter and dth takes minus the left derivative along it.
+    letter and dth takes minus the left derivative along it.  The word is
+    compiled once per table and applied in one pass over the stored keys
+    (:meth:`SuperPoly.apply_word`).
     """
     if isinstance(op, CWOperator):
         letters = op.letters
@@ -380,22 +386,28 @@ def cw_apply(op: CWOperator | str | Iterable[str], form: DeltaForm) -> DeltaForm
         letters = tuple(op.split())
     else:
         letters = tuple(op)
-    chart, poly = form.chart, form.poly
-    table = poly.table
-    names = {fiber_name(n): polyvector_name(n) for n in chart.coordinate_names}
-    for token in reversed(letters):
+    poly = form.poly
+    return DeltaForm._of(form.chart, poly.apply_word(_word(poly.table, letters)))
+
+
+@lru_cache(maxsize=4096)
+def _word(table: GeneratorTable, letters: tuple[str, ...]) -> tuple:
+    """The word of fiber letters over a polyvector table, compiled: each
+    letter becomes a multiplication by or a derivative along its
+    polyvector letter, and the minus sign of each dth letter is folded
+    into the word's coefficient."""
+    names = {fiber_name(n): table.index(polyvector_name(n))
+             for n in table.names_of_class(EVEN_BASE, ODD_BASE)}
+    sign, ops = 1, []
+    for token in letters:
         derivative = token.startswith("dd_")
-        name = names.get(token[3:] if derivative else token)
-        if name is None:
+        pos = names.get(token[3:] if derivative else token)
+        if pos is None:
             raise ValueError(f"{token!r} is not a fiber letter of the chart")
-        if table.parity(name):
-            poly = (SuperPoly.generator(table, name) * poly if derivative
-                    else poly.left_derivative(name))
-        elif derivative:
-            poly = poly * SuperPoly.generator(table, name)
-        else:
-            poly = -poly.left_derivative(name)
-    return DeltaForm._of(chart, poly)
+        if not (derivative or table.parities[pos]):
+            sign = -sign
+        ops.append((pos, MULTIPLY if derivative else DERIVE))
+    return table.compile_word(ops, sign)
 
 
 # --- products with functions and differential forms ---------------------------

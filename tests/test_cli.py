@@ -318,6 +318,10 @@ def test_bad_letters_and_huge_powers_are_usage_errors(command, text, message):
     (["pair", "--ring", "1|1", "--", "Ber @ 1", "dx1"],
      "form degree exceeds the polyvector degree"),
     (["homotopy", "--", "Ber*1/x1"], "non-polynomial coefficient"),
+    (["cw-apply", "--ring", "1|1", "--", "dd_dth1 dz", "dx1*del(dth1)"],
+     "'dz' is not a fiber letter of the chart"),
+    (["cw-apply", "--ring", "1|1", "--", "dth1 dd_dth1", "dx1*del(dth1,32767)"],
+     "an even exponent exceeds 32767"),
 ])
 def test_library_refusals_are_usage_errors(args, message):
     result = CliRunner().invoke(main, args)

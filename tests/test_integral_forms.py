@@ -34,6 +34,7 @@ from supercalc.integral_forms import (
 )
 from supercalc.integration import berezin_integral, susy_variation
 from supercalc.randoms import random_rational, random_superpoly
+from test_diffops import apply
 
 R11 = Chart(("z",), ("th",), label="R11")
 R22 = Chart(("z1", "z2"), ("th1", "th2"), label="R22")
@@ -213,7 +214,7 @@ class TestVectorField:
     def test_as_diffop_acts_as_derivation(self):
         x = VectorField(R22, {"z1": gen(R22.table, "th1"), "th2": 1})
         f = gen(R22.table, "z1") * gen(R22.table, "th2")
-        applied = x.as_diffop().apply(f)
+        applied = apply(x.as_diffop(), f)
         expected = gen(R22.table, "th1") * gen(R22.table, "th2") \
             + gen(R22.table, "z1")
         assert applied == expected

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from supercalc import randoms
+from supercalc import pseudoforms, randoms
 from supercalc.algebra import (
+    DERIVE,
+    GeneratorTable,
     RationalFunction,
     SuperPoly,
     absorb_even_exponents,
@@ -434,6 +436,132 @@ class TestCWAction:
             CWOperator("dd_")
         with pytest.raises(ValueError, match="not a fiber letter"):
             cw_apply("dq", DeltaForm.top(R11))
+
+
+def per_letter_cw_apply(op, form):
+    """The letter-by-letter action, one element per letter: the oracle for
+    the compiled words of ``cw_apply``."""
+    letters = op.split() if isinstance(op, str) else list(op)
+    chart, poly = form.chart, form.poly
+    table = poly.table
+    names = {fiber_name(n): polyvector_name(n) for n in chart.coordinate_names}
+    for token in reversed(letters):
+        derivative = token.startswith("dd_")
+        name = names.get(token[3:] if derivative else token)
+        if name is None:
+            raise ValueError(f"{token!r} is not a fiber letter of the chart")
+        if table.parity(name):
+            poly = (SuperPoly.generator(table, name) * poly if derivative
+                    else poly.left_derivative(name))
+        elif derivative:
+            poly = poly * SuperPoly.generator(table, name)
+        else:
+            poly = -poly.left_derivative(name)
+    return DeltaForm._of(chart, poly)
+
+
+class TestCompiledWords:
+    """``cw_apply`` compiles each word once and walks the stored keys in one
+    pass; it must agree with the per-letter oracle by value and in print."""
+
+    R33 = Chart.standard(3, 3)
+    LETTERS = [prefix + fiber_name(n) for n in R33.coordinate_names
+               for prefix in ("", "dd_")]
+    TWICE = ["dd_dx1 dx1", "dth1 dd_dth1 dd_dth1", "dx2 dd_dx2 dx2",
+             "dd_dth3 dth3"]
+
+    def draws(self, count=1000):
+        """Seeded 3|3 delta forms drawn like the forms benchmark's, each
+        with a word of one to four letters."""
+        rng = random.Random(2207)
+        chart = self.R33
+        for k in range(count):
+            w = DeltaForm.zero(chart)
+            while w.is_zero():
+                for _ in range(2):
+                    eps = tuple(rng.randint(0, 1) for _ in range(chart.p))
+                    ells = tuple(rng.choice((0, 0, 1, 2)) for _ in range(chart.q))
+                    coeff = random_superpoly(rng, chart.table, terms=2, max_exp=1)
+                    w = w + DeltaForm(chart, {(eps, ells): coeff})
+            word = (self.TWICE[k % 4].split() if k % 5 == 0 else
+                    [rng.choice(self.LETTERS) for _ in range(rng.randint(1, 4))])
+            yield word, w
+
+    @staticmethod
+    def mismatches(draws):
+        bad = 0
+        for word, w in draws:
+            got, want = cw_apply(word, w), per_letter_cw_apply(word, w)
+            bad += got != want or str(got) != str(want)
+        return bad
+
+    def test_words_match_the_per_letter_oracle(self):
+        draws = list(self.draws())
+        assert self.mismatches(draws) == 0
+        nonzero = sum(not cw_apply(word, w).is_zero() for word, w in draws)
+        assert nonzero >= 500
+
+    def test_a_dropped_dth_sign_is_caught(self, monkeypatch):
+        compile_word = GeneratorTable.compile_word
+        monkeypatch.setattr(GeneratorTable, "compile_word",
+                            lambda self, letters, c=1: compile_word(self, letters))
+        pseudoforms._word.cache_clear()
+        try:
+            assert self.mismatches(self.draws(200)) > 0
+        finally:
+            pseudoforms._word.cache_clear()
+
+    def test_form_times_delta_matches_the_per_letter_oracle(self, monkeypatch):
+        rng = random.Random(2208)
+        cases = []
+        for k in range(60):
+            chart = Chart.standard(*((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))[k % 5])
+            cases.append((random_superpoly(rng, form_table(chart.table), terms=3,
+                                           max_exp=2),
+                          _random_delta_form(rng, chart, terms=2)))
+        got = [form_times_delta(omega, w) for omega, w in cases]
+        monkeypatch.setattr(pseudoforms, "cw_apply", per_letter_cw_apply)
+        want = [form_times_delta(omega, w) for omega, w in cases]
+        assert got == want
+        assert [str(g) for g in got] == [str(w) for w in want]
+        assert sum(not g.is_zero() for g in got) >= 20
+
+    def test_rational_coefficients_match_the_per_letter_oracle(self):
+        chart = Chart.standard(1, 1)
+        x1 = gen(chart.table, "x1")
+        inverse = absorb_even_exponents(x1).inverse()
+        forms = [delta_term(chart, inverse, (1,), (0,)),
+                 delta_term(chart, inverse * gen(chart.table, "th1") + x1, (0,), (2,)),
+                 delta_term(chart, absorb_even_exponents(x1 + 1).inverse(), (1,), (1,))]
+        for w in forms:
+            for word in ("dd_dth1", "dth1", "dd_dx1 dx1", "dx1 dd_dth1 dth1",
+                         "dd_dx1 dth1 dth1"):
+                got, want = cw_apply(word, w), per_letter_cw_apply(word, w)
+                assert got == want and str(got) == str(want), (word, str(w))
+        assert str(cw_apply("dd_dth1", forms[0])) == "(1/x1) dx1 del(dth1,1)"
+
+    def test_each_raising_letter_checks_the_guard_bit(self):
+        # the last letter would bring the order back into its field
+        chart = Chart.standard(1, 1)
+        top = delta_term(chart, 1, (1,), (32767,))
+        for apply in (cw_apply, per_letter_cw_apply):
+            with pytest.raises(OverflowError, match="exceeds 32767"):
+                apply("dth1 dd_dth1", top)
+        assert cw_apply("dth1", top) == delta_term(chart, -32767, (1,), (32766,))
+
+    def test_a_failed_compile_raises_and_is_not_cached(self):
+        before = pseudoforms._word.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match="'dz' is not a fiber letter of the chart"):
+                cw_apply("dd_dth dz", DeltaForm.top(R11))
+        assert pseudoforms._word.cache_info().currsize == before
+
+    def test_a_word_cannot_act_on_a_base_coordinate(self):
+        table = polyvector_table(R11)
+        for name in ("x", "th"):
+            with pytest.raises(ValueError, match=f"base coordinate '{name}'"):
+                table.compile_word([(table.index(name), DERIVE)])
 
 
 class TestProducts:
