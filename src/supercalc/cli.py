@@ -80,16 +80,23 @@ JSON_FORMAT = "supercalc.v1"
 # --- command plumbing ------------------------------------------------------
 
 
+def _echo(text: str) -> None:
+    # click.echo's default stdout is cached per sys.stdout object and the
+    # cache entry keeps its key alive, so each in-process invocation (as
+    # under click's CliRunner) would leak its captured output stream
+    click.echo(text, file=click.get_text_stream("stdout"))
+
+
 def _emit(json_mode: bool, command: str, text: str, ring: Ring | None = None,
           **extra):
     if not json_mode:
-        click.echo(text)
+        _echo(text)
         return
     payload = {"format": JSON_FORMAT, "command": command, "result": text}
     if ring is not None:
         payload["ring"] = ring.describe()
     payload.update(extra)
-    click.echo(json.dumps(payload, sort_keys=True))
+    _echo(json.dumps(payload, sort_keys=True))
 
 
 def _ring_option(f):
@@ -286,11 +293,11 @@ def cmd_jacobian(map_file, ring_text, json_mode):
     m = read_map_file(map_file, ring)
     data = matrix_json(m.jacobian())
     if json_mode:
-        click.echo(json.dumps({"format": JSON_FORMAT, "command": "jacobian",
-                               "ring": ring.describe(), "result": data},
-                              sort_keys=True))
+        _echo(json.dumps({"format": JSON_FORMAT, "command": "jacobian",
+                          "ring": ring.describe(), "result": data},
+                         sort_keys=True))
     else:
-        click.echo(json.dumps(data, indent=2, sort_keys=True))
+        _echo(json.dumps(data, indent=2, sort_keys=True))
 
 
 @main.command("ber-jacobian")
@@ -347,14 +354,14 @@ def cmd_koszul(p, q, which, degree, cutoff, json_mode):
             for deg, ranks in zip(degrees,
                                   algebra.homology_scan(which, degrees, cutoff))]
     if json_mode:
-        click.echo(json.dumps({"format": JSON_FORMAT, "command": "koszul",
-                               "p": p, "q": q, "which": which,
-                               "cutoff": cutoff, "result": rows},
-                              sort_keys=True))
+        _echo(json.dumps({"format": JSON_FORMAT, "command": "koszul",
+                          "p": p, "q": q, "which": which,
+                          "cutoff": cutoff, "result": rows},
+                         sort_keys=True))
     else:
         for row in rows:
-            click.echo(f"degree {row['degree']}: kernel {row['kernel']} "
-                       f"image {row['image']} homology {row['homology']}")
+            _echo(f"degree {row['degree']}: kernel {row['kernel']} "
+                  f"image {row['image']} homology {row['homology']}")
 
 
 @main.command("con3-check")
@@ -572,14 +579,14 @@ def cmd_verify(ctx, suite, trials, p, q, seed, json_mode):
             for r in results:
                 status = "ok" if r.ok else "FAIL"
                 detail = f" ({r.detail})" if r.detail else ""
-                click.echo(f"{status:4} {name}: {r.label}{detail}")
+                _echo(f"{status:4} {name}: {r.label}{detail}")
     if json_mode:
-        click.echo(json.dumps({"format": JSON_FORMAT, "command": "verify",
-                               "seed": seed, "passed": all_ok,
-                               "suites": report}, sort_keys=True))
+        _echo(json.dumps({"format": JSON_FORMAT, "command": "verify",
+                          "seed": seed, "passed": all_ok,
+                          "suites": report}, sort_keys=True))
     else:
-        click.echo(f"{'all suites passed' if all_ok else 'FAILURES above'}"
-                   f" (seed {seed})")
+        _echo(f"{'all suites passed' if all_ok else 'FAILURES above'}"
+              f" (seed {seed})")
     if not all_ok:
         ctx.exit(1)
 

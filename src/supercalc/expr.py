@@ -17,13 +17,24 @@ one for each odd fiber direction; trailing ``gauss(x1,..)``,
 ``dirac(x1, point)`` and ``formal(x1,..)`` tags weight the expression for
 integration.
 
+Printed values are read back in one pass.  The parser makes one node per
+sum and one per product, holding all its terms or factors, and the
+:class:`Evaluator` folds a sum of numbers and polynomials into one term
+map, each monomial term (numbers, integer quotients, generator names and
+their powers) encoded by one :meth:`GeneratorTable.monomial` call.  Other
+sums and products fold left to right, one binary step at a time, so
+their values and refusals are those of the binary evaluator.  A sum of
+any length evaluates without recursion.
+
 Input that cannot be used raises :class:`ExpressionError`, a
-``ValueError``; a syntax error names its line and column.  The module
+``ValueError``; a syntax error names its line and column, and input
+nested too deeply to parse or evaluate is refused as such.  The module
 does not depend on any command line toolkit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -52,7 +63,9 @@ class ExpressionError(ValueError):
 
 # --- tokens ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|\*\*|[-+*/^@(),=]|\S")
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|([0-9]+)|(\*\*)|([-+*/^@(),=])|(\S)")
+# the kind of a token by the group it matched; punctuation is its own kind
+_GROUP_KINDS = (None, "name", "int", "^", None, None)
 
 
 class Token(NamedTuple):
@@ -64,22 +77,22 @@ class Token(NamedTuple):
 
 def _tokenize(text: str) -> list[Token]:
     out: list[Token] = []
+    make = tuple.__new__    # a Token, without NamedTuple's Python-level __new__
     for lineno, line in enumerate(text.splitlines() or [""], start=1):
         for m in _TOKEN.finditer(line):
-            piece = m.group()
-            col = m.start() + 1
-            if piece[0].isdigit():
-                out.append(Token("int", piece, lineno, col))
-            elif piece[0].isalpha() or piece[0] == "_":
-                out.append(Token("name", piece, lineno, col))
-            elif piece == "**":
-                out.append(Token("^", "^", lineno, col))
-            elif piece in "+-*/^@(),=":
-                out.append(Token(piece, piece, lineno, col))
-            else:
-                raise ExpressionError(
-                    f"syntax error: unexpected character {piece!r}",
-                    lineno, col)
+            group, piece = m.lastindex, m.group()
+            kind = _GROUP_KINDS[group] or piece
+            if group == 3:
+                piece = "^"
+            elif group == 5:
+                # a digit or letter outside ASCII reads as one
+                kind = ("int" if piece.isdigit() else
+                        "name" if piece.isalpha() else None)
+                if kind is None:
+                    raise ExpressionError(
+                        f"syntax error: unexpected character {piece!r}",
+                        lineno, m.start() + 1)
+            out.append(make(Token, (kind, piece, lineno, m.start() + 1)))
     last = out[-1] if out else None
     out.append(Token("end", "", last.line if last else 1,
                      last.column + len(last.text) if last else 1))
@@ -89,8 +102,11 @@ def _tokenize(text: str) -> list[Token]:
 # --- syntax trees ----------------------------------------------------------
 #
 # Nodes are plain tuples: ("int", Fraction, tok), ("name", str, tok),
-# ("call", fname, [args], tok), ("neg", a), ("add", a, b), ("sub", a, b),
-# ("mul", a, b), ("div", a, b, tok), ("pow", a, k, tok), ("at", a, b, tok).
+# ("call", fname, [args], tok), ("neg", a), ("pow", a, k, tok),
+# ("at", a, b, tok), ("sum", [(term, negated), ...]) for two or more terms
+# and ("product", [(factor, slash), ...]) for two or more factors, where
+# ``slash`` is the '/' token of a divisor and None for a factor.  The
+# evaluator wraps a value it already holds as ("value", v).
 
 _CALLS = ("del", "gauss", "dirac", "formal")
 
@@ -134,29 +150,24 @@ class _Parser:
         return node
 
     def sum(self):
-        node = self.product()
+        terms = [(self.product(), False)]
         while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.product()
-            node = ("add" if op.kind == "+" else "sub", node, rhs)
-        return node
+            negated = self.take().kind == "-"
+            terms.append((self.product(), negated))
+        return terms[0][0] if len(terms) == 1 else ("sum", terms)
 
     def product(self):
-        node = self.power()
+        factors = [(self.power(), None)]
         while True:
             tok = self.peek()
-            if tok.kind == "*":
+            if tok.kind in ("*", "/"):
                 self.take()
-                node = ("mul", node, self.power())
-            elif tok.kind == "/":
-                self.take()
-                node = ("div", node, self.power(), tok)
-            elif tok.kind in ("name", "int", "("):
-                # juxtaposition reads as multiplication, so rendered
-                # delta forms like "(x1) dx1 del(dth1)" parse back
-                node = ("mul", node, self.power())
-            else:
-                return node
+            elif tok.kind not in ("name", "int", "("):
+                break
+            # juxtaposition reads as multiplication, so rendered
+            # delta forms like "(x1) dx1 del(dth1)" parse back
+            factors.append((self.power(), tok if tok.kind == "/" else None))
+        return factors[0][0] if len(factors) == 1 else ("product", factors)
 
     def power(self):
         node = self.atom()
@@ -177,7 +188,7 @@ class _Parser:
             self.expect(")")
             return node
         if tok.kind == "int":
-            return ("int", Fraction(tok.text), tok)
+            return ("int", Fraction(int(tok.text)), tok)
         if tok.kind == "name":
             if tok.text in _CALLS:
                 self.expect("(")
@@ -195,6 +206,8 @@ class _Parser:
 
 # --- the ring --------------------------------------------------------------
 
+BASE, FORM, PV = "base", "form", "pv"
+
 
 class Ring:
     """The single chart of an invocation, with every generator layer.
@@ -202,34 +215,50 @@ class Ring:
     Names follow one scheme so the three tables resolve without
     declarations: x1..xp and th1..thq on the base, dx*/dth* on the form
     layer, pdx*/pdth* on the polyvector layer, dd_x*/dd_th* for
-    derivative symbols.
+    derivative symbols.  A ring is read-only, so :meth:`parse` hands out
+    one shared ring per ``p|q``.
     """
 
+    __slots__ = ("p", "q", "chart", "ftab", "ptab", "fiber_names", "letters")
+
     def __init__(self, p: int, q: int):
-        self.p = p
-        self.q = q
-        self.chart = Chart.standard(p, q)
-        self.ftab = form_table(self.chart.table)
-        self.ptab = polyvector_table(self.chart)
-        names = self.chart.coordinate_names
-        self.fiber_names = {fiber_name(n): n for n in names}
+        chart = Chart.standard(p, q)
+        ftab = form_table(chart.table)
+        names = chart.coordinate_names
+        # each generator name: its layer, its position in that layer's
+        # table and its position in the form table, where sums and
+        # products of both layers meet
+        letters = {n: (BASE, chart.table.index(n), ftab.index(n))
+                   for n in names}
+        for n in names:
+            pos = ftab.index(fiber_name(n))
+            letters[fiber_name(n)] = (FORM, pos, pos)
+        for slot, value in (("p", p), ("q", q), ("chart", chart),
+                            ("ftab", ftab), ("ptab", polyvector_table(chart)),
+                            ("fiber_names", {fiber_name(n): n for n in names}),
+                            ("letters", letters)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Ring is read-only")
 
     @classmethod
     def parse(cls, text: str) -> "Ring":
-        """The ring written ``p|q``."""
+        """The shared ring written ``p|q``."""
         m = re.fullmatch(r"(\d+)\|(\d+)", text.strip())
         if not m:
             raise ValueError(
                 f"ring must look like p|q (for example 2|2), got {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+        return _shared_ring(int(m.group(1)), int(m.group(2)))
 
     def describe(self) -> str:
         return f"{self.p}|{self.q}"
 
 
-# --- evaluated values ------------------------------------------------------
+_shared_ring = functools.lru_cache(maxsize=32)(Ring)
 
-BASE, FORM, PV = "base", "form", "pv"
+
+# --- evaluated values ------------------------------------------------------
 
 
 class Poly(NamedTuple):
@@ -372,6 +401,20 @@ def want(ring: Ring, value, key):
 
 
 class Evaluator:
+    """Evaluates a syntax tree over one ring.
+
+    Sums and products are n-ary.  A sum folds its numbers and polynomials
+    left to right into one term map, lifting it to the joined layer as
+    terms of a higher layer arrive; at the first term of another kind
+    (a delta form, a density, an operator, a tagged value) it hands the
+    value so far and the remaining terms to :meth:`add`, one at a time.
+    A product of numbers, integer quotients, generator names and their
+    powers is one coefficient and one :meth:`GeneratorTable.monomial`
+    key, the codec giving the sign of reordering its odd letters; every
+    other product folds its factors left to right through :meth:`mul` and
+    :meth:`div`.  Values and refusals are those of the binary fold.
+    """
+
     def __init__(self, ring: Ring):
         self.ring = ring
 
@@ -391,38 +434,128 @@ class Evaluator:
             return node[1]
         if head == "name":
             return self.name(node[1], node[2])
+        if head == "sum":
+            return self.sum(node[1])
+        if head == "product":
+            return self.product(node)
         if head == "neg":
             return self.neg(self.eval(node[1]))
-        if head == "add":
-            return self.add(self.eval(node[1]), self.eval(node[2]))
-        if head == "sub":
-            return self.add(self.eval(node[1]), self.neg(self.eval(node[2])))
-        if head == "mul":
-            return self.product(_flatten_mul(node))
-        if head == "div":
-            return self.div(self.eval(node[1]), self.eval(node[2]), node[3])
         if head == "pow":
             return self.pow(node[1], node[2], node[3])
         if head == "at":
             return self.at(node[1], node[2], node[3])
         if head == "call":
             return self.call(node)
+        if head == "value":
+            return node[1]
         raise AssertionError(head)
 
     def name(self, text: str, tok: Token):
         ring = self.ring
+        letter = ring.letters.get(text)
+        if letter is not None:
+            return Poly(SuperPoly.generator(_table(ring, letter[0]), text),
+                        letter[0])
         if text == "Ber":
             return BerPending(SuperPoly.one(ring.ptab))
-        if text in ring.chart.coordinate_names:
-            return Poly(SuperPoly.generator(ring.chart.table, text), BASE)
-        if text in ring.fiber_names:
-            return Poly(SuperPoly.generator(ring.ftab, text), FORM)
         if text.startswith(DERIV_PREFIX):
             coord = text[len(DERIV_PREFIX):]
-            if coord in ring.chart.coordinate_names:
+            if ring.letters.get(coord, (None,))[0] == BASE:
                 return DiffOp.partial(ring.chart.table, coord)
         raise ExpressionError(f"unknown generator {text!r}",
                               tok.line, tok.column)
+
+    def _monomial(self, node, layer: str | None):
+        """``node`` as (layer, coefficient, key) when it is a product of
+        numbers, integer quotients, generator names and their powers, else
+        None.  The key is encoded over the join of ``layer`` (None for a
+        number) and the node's letters; a number keeps ``layer``, key 0."""
+        factors = node[1] if node[0] == "product" else ((node, None),)
+        letters = self.ring.letters
+        num = den = 1
+        pairs = []
+        for f, slash in factors:
+            while f[0] == "neg":
+                num = -num
+                f = f[1]
+            k = 1
+            if f[0] == "pow":
+                f, k = f[1], f[2]
+            if f[0] == "int":
+                v = f[1].numerator ** k
+                if slash is None:
+                    num *= v
+                elif v:
+                    den *= v
+                else:
+                    return None     # the full path refuses the division
+            elif f[0] == "name" and slash is None and f[1] in letters:
+                if k:
+                    pairs.append((letters[f[1]], k))
+            else:
+                return None
+        c = num if den == 1 else Fraction(num, den)
+        if not pairs:
+            return layer, c, 0
+        # names are base or form letters, so no fold reaches the polyvector layer
+        if layer != FORM:
+            layer = FORM if any(lt[0] == FORM for lt, _ in pairs) else BASE
+        slot = 1 if layer == BASE else 2
+        try:
+            sign, key = _table(self.ring, layer).monomial(
+                [(lt[slot], k) for lt, k in pairs])
+        except OverflowError:
+            return None     # the full path raises its own message
+        if not sign:
+            return layer, 0, 0      # an odd letter occurs twice
+        return layer, -c if sign < 0 else c, key
+
+    def _settled(self, layer: str | None, terms: dict):
+        """The value of a folded term map: a number or a polynomial."""
+        if layer is None:
+            return Fraction(terms.get(0, 0))
+        return Poly(SuperPoly(_table(self.ring, layer), terms), layer)
+
+    def sum(self, terms: list):
+        ring = self.ring
+        layer, acc = None, {}
+        for i, (node, negated) in enumerate(terms):
+            mono = self._monomial(node, layer)
+            if mono is not None:
+                joined, c, key = mono
+                pieces = ((key, -c if negated else c),) if c else ()
+            else:
+                value = self.eval(node)
+                if negated:
+                    value = self.neg(value)
+                if isinstance(value, Fraction):
+                    joined, pieces = layer, ((0, value),) if value else ()
+                elif isinstance(value, Poly):
+                    joined = value.layer if layer is None else \
+                        _join_layers(layer, value.layer)
+                    pieces = _lift(ring, value, joined).terms.items()
+                else:
+                    out = value if i == 0 else self.add(
+                        self._settled(layer, acc), value)
+                    for node, negated in terms[i + 1:]:
+                        value = self.eval(node)
+                        out = self.add(out, self.neg(value) if negated else value)
+                    return out
+            if joined != layer and layer is not None and acc:
+                acc = transport(SuperPoly._of(_table(ring, layer), acc),
+                                _table(ring, joined)).terms
+            layer = joined
+            for key, c in pieces:
+                old = acc.get(key)
+                if old is None:
+                    acc[key] = c
+                else:
+                    c = old + c
+                    if c:
+                        acc[key] = c
+                    else:
+                        del acc[key]    # as the binary fold drops it
+        return self._settled(layer, acc)
 
     def call(self, node):
         _, fname, args, tok = node
@@ -509,12 +642,33 @@ class Evaluator:
         raise ExpressionError(
             f"cannot use {_describe(value)} in an operator expression")
 
-    def product(self, factors: list):
-        if any(_is_delta_letter(f) for f in factors):
-            return self._delta_term(factors)
-        value = self.eval(factors[0])
-        for node in factors[1:]:
-            value = self.mul(value, self.eval(node))
+    def product(self, node):
+        mono = self._monomial(node, None)
+        if mono is not None:
+            layer, c, key = mono
+            if layer is None:
+                return Fraction(c)
+            return Poly(SuperPoly(_table(self.ring, layer), {key: c}), layer)
+        value, run = _NOTHING, []
+        for f, slash in node[1]:
+            if slash is None:
+                run.append(f)
+            else:
+                value = self.div(self._run(value, run), self.eval(f), slash)
+                run = []
+        return self._run(value, run)
+
+    def _run(self, value, run: list):
+        """``value`` times the factors of ``run``, which no '/' separates,
+        left to right; a run with a delta factor is one delta term.  The
+        first factor is ``value`` unless that is _NOTHING."""
+        if value is not _NOTHING:
+            run = [("value", value), *run]
+        if len(run) > 1 and any(_is_delta_letter(f) for f in run):
+            return self._delta_term(run)
+        value = self.eval(run[0])
+        for f in run[1:]:
+            value = self.mul(value, self.eval(f))
         return value
 
     def mul(self, a, b):
@@ -683,8 +837,8 @@ class Evaluator:
             raise ExpressionError("del takes a fiber letter and an "
                                   "optional order", tok.line, tok.column)
         name = _marker_name(args[0], tok)
-        if name not in self.ring.fiber_names or \
-                self.ring.fiber_names[name] not in self.ring.chart.odd_names:
+        coord = self.ring.fiber_names.get(name)
+        if coord is None or not self.ring.chart.table.parity(coord):
             raise ExpressionError(
                 f"del expects an odd fiber letter such as dth1, got {name!r}",
                 tok.line, tok.column)
@@ -699,19 +853,7 @@ class Evaluator:
 
 
 _ZERO_LETTER = object()
-
-
-def _flatten_mul(node) -> list:
-    out = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n[0] == "mul":
-            stack.append(n[2])
-            stack.append(n[1])
-        else:
-            out.append(n)
-    return out
+_NOTHING = object()
 
 
 def _is_delta_letter(node) -> bool:
@@ -730,10 +872,9 @@ def _marker_name(node, tok: Token) -> str:
 def parse_value(text: str, ring: Ring):
     """Parse one expression; the value plus any marker tags it carried."""
     try:
-        node = _Parser(text).parse()
+        value = Evaluator(ring).run(_Parser(text).parse())
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
-    value = Evaluator(ring).run(node)
     if isinstance(value, Marked):
         return value.value, value.markers
     if isinstance(value, Markers):

@@ -3,6 +3,8 @@ input is a usage error, never a traceback."""
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import random
 from fractions import Fraction
@@ -151,6 +153,18 @@ def test_a_delta_term_takes_any_form_factor():
     assert cw_apply("dd_dth1", "1/x1*dx1*del(dth1)").output == \
         "(1/x1) dx1 del(dth1,1)\n"
     assert cw_apply("", "del(dth1)*dx1*th1").output == "(-th1) dx1 del(dth1)\n"
+
+
+def test_invocations_leave_no_output_stream_alive():
+    def live_streams():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+    runner = CliRunner()
+    before = live_streams()
+    for args in (["d", "--", "x1*th1"], ["d", "--json", "--", "x1"],
+                 ["koszul", "--p", "1", "--q", "1", "--degree", "0"]) * 10:
+        assert runner.invoke(main, args).exit_code == 0
+    assert live_streams() == before
 
 
 def test_deep_nesting_is_an_expression_error():

@@ -1,0 +1,340 @@
+"""The expression evaluator against the binary one it replaced: printed
+values and hand-written inputs read back to equal values and identical
+refusals, long sums stay flat, and printed polynomials are built without
+SuperPoly arithmetic."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from click.testing import CliRunner
+
+from supercalc.algebra import GeneratorTable, SuperPoly
+from supercalc.cli import main
+from supercalc.derham import DERIV_PREFIX
+from supercalc.diffops import DiffOp
+from supercalc.expr import (
+    BASE,
+    FORM,
+    BerPending,
+    Evaluator,
+    ExpressionError,
+    Marked,
+    Markers,
+    Poly,
+    Ring,
+    _is_delta_letter,
+    _Parser,
+    parse_value,
+    render,
+)
+from supercalc.integral_forms import IntegralForm
+from supercalc.pseudoforms import from_integral_form
+from supercalc.randoms import random_superpoly
+
+SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
+
+
+# --- the oracle: left-nested binary trees, folded one node at a time --------
+
+
+class BinaryParser(_Parser):
+    """Sums and products as left-nested ("add", a, b), ("sub", a, b),
+    ("mul", a, b) and ("div", a, b, tok) chains."""
+
+    def sum(self):
+        node = self.product()
+        while self.peek().kind in ("+", "-"):
+            op = self.take()
+            rhs = self.product()
+            node = ("add" if op.kind == "+" else "sub", node, rhs)
+        return node
+
+    def product(self):
+        node = self.power()
+        while True:
+            tok = self.peek()
+            if tok.kind == "*":
+                self.take()
+                node = ("mul", node, self.power())
+            elif tok.kind == "/":
+                self.take()
+                node = ("div", node, self.power(), tok)
+            elif tok.kind in ("name", "int", "("):
+                node = ("mul", node, self.power())
+            else:
+                return node
+
+
+def _flatten_mul(node) -> list:
+    out = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n[0] == "mul":
+            stack.append(n[2])
+            stack.append(n[1])
+        else:
+            out.append(n)
+    return out
+
+
+class BinaryEvaluator(Evaluator):
+    """One SuperPoly per letter, one binary + or * per node."""
+
+    def eval(self, node):
+        head = node[0]
+        if head == "add":
+            return self.add(self.eval(node[1]), self.eval(node[2]))
+        if head == "sub":
+            return self.add(self.eval(node[1]), self.neg(self.eval(node[2])))
+        if head == "mul":
+            return self.product(_flatten_mul(node))
+        if head == "div":
+            return self.div(self.eval(node[1]), self.eval(node[2]), node[3])
+        return super().eval(node)
+
+    def name(self, text, tok):
+        ring = self.ring
+        if text == "Ber":
+            return BerPending(SuperPoly.one(ring.ptab))
+        if text in ring.chart.coordinate_names:
+            return Poly(SuperPoly.generator(ring.chart.table, text), BASE)
+        if text in ring.fiber_names:
+            return Poly(SuperPoly.generator(ring.ftab, text), FORM)
+        if text.startswith(DERIV_PREFIX):
+            coord = text[len(DERIV_PREFIX):]
+            if coord in ring.chart.coordinate_names:
+                return DiffOp.partial(ring.chart.table, coord)
+        raise ExpressionError(f"unknown generator {text!r}",
+                              tok.line, tok.column)
+
+    def product(self, factors):
+        if any(_is_delta_letter(f) for f in factors):
+            return self._delta_term(factors)
+        value = self.eval(factors[0])
+        for node in factors[1:]:
+            value = self.mul(value, self.eval(node))
+        return value
+
+
+def binary_parse_value(text: str, ring: Ring):
+    try:
+        node = BinaryParser(text).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
+    value = BinaryEvaluator(ring).run(node)
+    if isinstance(value, Marked):
+        return value.value, value.markers
+    if isinstance(value, Markers):
+        raise ExpressionError("marker tags need an expression to weight")
+    return value, Markers.none()
+
+
+def outcome(parse, text: str, ring: Ring):
+    """What ``parse`` makes of ``text``: the value, its text and its
+    markers, or the refusal's type and message."""
+    try:
+        value, markers = parse(text, ring)
+    except Exception as exc:    # every refusal is compared, whatever its type
+        return "refused", type(exc).__name__, str(exc)
+    return type(value).__name__, value, str(value), markers
+
+
+def mismatches(cases) -> list:
+    return [(str(ring.describe()), text) for ring, text in cases
+            if outcome(parse_value, text, ring)
+            != outcome(binary_parse_value, text, ring)]
+
+
+# --- the inputs -------------------------------------------------------------
+
+
+def random_diffop(rng: random.Random, ring: Ring) -> DiffOp:
+    table = ring.chart.table
+    out = DiffOp.zero(table)
+    for _ in range(rng.randint(1, 3)):
+        word = DiffOp.multiplication(random_superpoly(rng, table, terms=2,
+                                                      max_exp=2))
+        for _k in range(rng.randint(0, 3)):
+            word = word.compose(DiffOp.partial(
+                table, rng.choice(ring.chart.coordinate_names)))
+        out = out + word
+    return out
+
+
+def printed(count: int = 40):
+    """Seeded output of every printer, on every shape."""
+    rng = random.Random(2301)
+    for p, q in SHAPES:
+        ring = Ring(p, q)
+        even = ring.chart.even_names
+        for _ in range(count):
+            size = rng.choice((1, 2, 4, 8, 16))
+            yield ring, str(random_superpoly(rng, ring.chart.table, terms=size,
+                                             max_exp=3))
+            omega = random_superpoly(rng, ring.ftab, terms=size, max_exp=2)
+            yield ring, str(omega)
+            # polyvector densities name pdx1.., which the parser refuses
+            density = IntegralForm(ring.chart, random_superpoly(
+                rng, ring.ptab, terms=size, max_exp=2))
+            yield ring, str(density)
+            yield ring, str(from_integral_form(density))
+            top = IntegralForm(ring.chart, random_superpoly(
+                rng, ring.chart.table, terms=size, max_exp=2))
+            yield ring, str(top)
+            yield ring, str(random_diffop(rng, ring))
+            markers = Markers(frozenset(even[:1]), tuple(
+                (n, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                for n in even[1:2]), frozenset(even[2:]))
+            if markers:
+                yield ring, render(Marked(top, markers))
+                yield ring, render(Marked(Poly(omega, FORM), markers))
+
+
+HAND_WRITTEN = {
+    (1, 1): [
+        "th1^2", "x1^0", "th1^0", "x1^0*2", "2/0", "x1/0", "0/0", "1/x1",
+        "-(-x1)", "-x1^2", "(-x1)^2", "x1/-2", "2/3*x1/4*th1", "x1*th1/x1",
+        "0*x1", "th1*th1", "x1 - x1", "1 - 1", "x1^40000", "x1^32767*x1",
+        "x1^32767 + x1^32767*x1", "x1^0*dx1^0", "dx1^2", "dth1^3*x1",
+        "1/(x1^2)*dx1 - x1", "x1/(1 + x1*dth1)", "1/dth1",
+        # delta terms and their neighbours
+        "del(dth1)", "del(dth1)/x1", "x1/del(dth1)", "del(dth1)^2*dx1",
+        "del(dth1)^0*dx1", "dx1*del(dth1)/x1*x1", "1/x1*dx1*del(dth1)",
+        "dx1*del(dth1)/x1*dx1", "x1*del(dth1,2) + 0", "0 + x1*del(dth1)",
+        "1 - 1 + dx1*del(dth1)", "x1 - x1 + dx1*del(dth1)",
+        "dx1*del(dth1) + x1", "dx1*del(dth1) - dx1*del(dth1)",
+        "(x1 + dx1)*del(dth1)", "del(dx1)*x1", "del(dth1, x1)*x1",
+        # mixed dx1 and Ber layers
+        "dx1 + Ber", "Ber + dx1", "Ber*dx1", "dx1*Ber", "Ber @ dx1",
+        "x1*dx1 + Ber @ x1", "Ber @ x1 + dx1", "Ber*x1 + Ber*th1",
+        "Ber*x1 - Ber*x1 + 0", "Ber*x1 + 1", "2*Ber*x1/3", "Ber @ 1 @ 2",
+        "Ber @ 2*th1*x1 - x1^2*th1 + 3", "Ber @ (1 + x1) gauss(x1)",
+        "Ber @ 1 + x1 gauss(x1)", "x1 + Ber @ 1", "Ber @ Ber",
+        # operators, markers and unknown letters
+        "dd_x1 + x1", "x1 + dd_x1", "-dd_x1 + 1", "x1*dd_x1*x2 - dd_th1",
+        "dd_x1^2 - dd_x1*dd_x1", "dd_x1/x1", "dd_x1 + dx1", "dx1 + dd_x1",
+        "gauss(x1)", "gauss(x1) + x1", "x1 + gauss(x1)", "x1 gauss(x1) + 1",
+        "(x1 + th1) gauss(x1) formal(x1)", "gauss(x1) x1", "dirac(x1, 1/2)",
+        "pdx1", "pdx1^0*x1", "x1*pdx1", "x1 + pdx1", "1 + pdx1 + y",
+        "dd_y", "x1 + th1 +", "x1 ** 2 * th1", "x1^2^3",
+    ],
+    (2, 2): [
+        "th2*th1", "2*th2*th1 + th1*th2", "th2 th1 x1 dx2 dx1",
+        "x1 x2 th1 th2 - th2 th1 x2 x1", "-th2*-th1", "dth1*dth2^2*th2*dx2",
+        "(x1 + th1)^2 - x1^2", "x1*th1 + dx1 + x2*th2 - dx1",
+        "x1/x2", "x1/(x2*x1)*th2", "1/x1 + 1/x2 - 1/x1",
+        "dx1*del(dth1)*del(dth2)", "del(dth2)*dx1*del(dth1)*th1",
+        "Ber @ th2*th1*x1", "dd_th2*dd_th1 + dd_th1*dd_th2",
+    ],
+}
+
+
+def hand_written():
+    for (p, q), texts in HAND_WRITTEN.items():
+        ring = Ring(p, q)
+        for text in texts:
+            yield ring, text
+
+
+# --- the tests --------------------------------------------------------------
+
+
+class TestAgainstTheBinaryEvaluator:
+    def test_printed_values_match(self):
+        cases = list(printed())
+        assert mismatches(cases) == []
+        refused = sum(outcome(parse_value, text, ring)[0] == "refused"
+                      for ring, text in cases)
+        # only the pdx1.. densities are refused
+        assert 0 < refused < len(cases) // 4
+
+    def test_hand_written_inputs_match(self):
+        cases = list(hand_written())
+        assert mismatches(cases) == []
+        # the refusals name their line and column where they can
+        assert outcome(parse_value, "2/0", Ring(1, 1)) == (
+            "refused", "ExpressionError", "line 1, column 2: division by zero")
+        assert outcome(parse_value, "1 + pdx1", Ring(1, 1)) == (
+            "refused", "ExpressionError",
+            "line 1, column 5: unknown generator 'pdx1'")
+
+    def test_a_dropped_reordering_sign_is_caught(self, monkeypatch):
+        monomial = GeneratorTable.monomial
+
+        def unsigned(self, powers):
+            sign, key = monomial(self, powers)
+            return abs(sign), key
+        cases = list(printed(10)) + list(hand_written())
+        want = [outcome(binary_parse_value, text, ring) for ring, text in cases]
+        monkeypatch.setattr(GeneratorTable, "monomial", unsigned)
+        got = [outcome(parse_value, text, ring) for ring, text in cases]
+        assert sum(g != w for g, w in zip(got, want)) > 0
+
+
+def test_trailing_tags_still_bind_to_the_last_product():
+    result = CliRunner().invoke(main, ["berezin-int", "--ring", "1|1", "--",
+                                       "Ber @ 1 + x1 gauss(x1)"])
+    assert result.exit_code == 2
+    assert result.output.endswith(
+        "Error: cannot add a number and a polynomial\n")
+
+
+def test_a_long_flat_sum_is_folded_without_recursion():
+    terms = [f"{k % 7 - 3}*x1^{k % 5}*th{k % 2 + 1}" for k in range(5000)]
+    result = CliRunner().invoke(main, ["d", "--ring", "2|2", "--",
+                                       " + ".join(terms)])
+    want = SuperPoly.zero(Ring(2, 2).chart.table)
+    for k in range(5000):
+        want = want + SuperPoly.from_monomial(
+            want.table, {"x1": k % 5, f"th{k % 2 + 1}": 1}, k % 7 - 3)
+    expected = CliRunner().invoke(main, ["d", "--ring", "2|2", "--", str(want)])
+    assert result.exit_code == 0, result.output
+    assert expected.exit_code == 0
+    assert result.output == expected.output != "0\n"
+
+
+def test_deep_evaluation_is_an_expression_error(monkeypatch):
+    def deep(self, node):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(Evaluator, "run", deep)
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        parse_value("x1", Ring(1, 1))
+    result = CliRunner().invoke(main, ["d", "--", "x1"])
+    assert result.exit_code == 2
+    assert "nested too deeply" in result.output
+
+
+def test_a_printed_form_is_built_without_superpoly_arithmetic(monkeypatch):
+    ring = Ring(2, 2)
+    rng = random.Random(2302)
+    omega = SuperPoly.zero(ring.ftab)
+    while len(omega.terms) < 200:
+        omega = omega + random_superpoly(rng, ring.ftab, terms=1, max_exp=3)
+    text = str(omega)
+    calls = {"sum_of_products": 0, "__add__": 0}
+    sum_of_products, add = SuperPoly.sum_of_products, SuperPoly.__add__
+
+    def counted_products(*args):
+        calls["sum_of_products"] += 1
+        return sum_of_products(*args)
+
+    def counted_add(self, other):
+        calls["__add__"] += 1
+        return add(self, other)
+    monkeypatch.setattr(SuperPoly, "sum_of_products",
+                        staticmethod(counted_products))
+    monkeypatch.setattr(SuperPoly, "__add__", counted_add)
+    value, _ = parse_value(text, ring)
+    assert calls == {"sum_of_products": 0, "__add__": 0}
+    assert value == Poly(omega, FORM)
+
+
+def test_parsed_rings_are_shared_and_read_only():
+    assert Ring.parse("2|2") is Ring.parse(" 2|2 ")
+    assert Ring.parse("2|2") is not Ring.parse("2|1")
+    with pytest.raises(AttributeError):
+        Ring.parse("2|2").q = 3
