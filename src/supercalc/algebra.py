@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Generator classes.  The parity of a generator is determined by its class;
@@ -851,26 +852,30 @@ class SuperPoly:
 class RationalFunction:
     """A quotient of polynomials in the even base generators.
 
-    Stored as a pair of Fraction-coefficient SuperPolys whose monomials hold
-    the even base coordinates only; odd factors and the even fiber and
+    Stored as a fraction-free pair of SuperPolys whose monomials hold the
+    even base coordinates only; odd factors and the even fiber and
     polyvector letters stay in the monomials of the element that the
-    quotient is a coefficient of.  The representation cancels the rational
-    content and any common monomial factor, runs a Euclidean gcd when only a
-    single even variable occurs (enough to keep quotients on a punctured
-    line fully reduced), and makes the denominator's leading coefficient 1;
-    see :func:`_reduce_fraction` for which of these steps run on which
-    denominator.  The constructor refuses a zero denominator, any letter
-    but an even base coordinate and coefficients that are not rational;
-    arithmetic on checked operands builds its results through
-    :meth:`_quotient`, which only reduces.
+    quotient is a coefficient of.  Every coefficient of the pair is an
+    ``int``, the gcd of all of them, numerator's and denominator's
+    together, is 1, and the denominator's coefficient at its largest key
+    is positive, so a pair is fixed by its ratio.  The reduction cancels
+    any common monomial factor and runs a Euclidean gcd when only a single
+    even variable occurs (enough to keep quotients on a punctured line
+    fully reduced); see :func:`_reduce_fraction` for which steps run on
+    which denominator.  The constructor refuses a zero denominator, any
+    letter but an even base coordinate and coefficients that are not
+    rational; arithmetic on checked operands builds its results through
+    :meth:`_quotient`, which only reduces.  Printing divides by the
+    denominator's leading coefficient, so text shows a monic denominator.
 
-    Sums and comparisons use a shared denominator when the two operands
-    already have the same one: ``a/d + b/d`` is ``(a + b)/d`` and ``a/d ==
-    b/d`` compares ``a`` with ``b``.  Only unequal denominators are
-    cross-multiplied, which keeps repeated sums over one denominator from
-    squaring it each time.  Both rules are exact because Q[x1..xp] is an
-    integral domain, and since unequal denominators are still compared by
-    cross-multiplication, partial reduction never affects ``==``.
+    Sums and comparisons use a shared denominator when the two operands'
+    denominators are integer multiples k1*P and k2*P of one primitive P:
+    ``a/(k1 P) + b/(k2 P)`` is taken over lcm(k1, k2) P and ``a/(k1 P) ==
+    b/(k2 P)`` compares ``a k2`` with ``b k1``.  Only other denominators
+    are cross-multiplied, which keeps repeated sums over one denominator
+    from squaring it each time.  Both rules are exact because Q[x1..xp] is
+    an integral domain, and since unequal denominators are still compared
+    by cross-multiplication, partial reduction never affects ``==``.
     """
 
     __slots__ = ("num", "den")
@@ -909,18 +914,33 @@ class RationalFunction:
     def from_scalar(cls, table: GeneratorTable, c) -> "RationalFunction":
         if not isinstance(c, (int, Fraction)):
             raise TypeError("rational functions need rational coefficients")
-        # c/1 is already reduced
-        return cls._reduced(SuperPoly.constant(table, c), SuperPoly.one(table))
+        # n/d is stored as (n, d); a Fraction is already in lowest terms
+        n, d = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        return cls._reduced(SuperPoly._of(table, {0: n} if n else {}),
+                            SuperPoly._of(table, {0: d}))
 
     @property
     def table(self) -> GeneratorTable:
         return self.num.table
 
     def is_polynomial(self) -> bool:
-        """Whether the denominator is 1, the only constant a reduced one
-        can be."""
+        """Whether the denominator is a constant."""
         terms = self.den.terms
-        return len(terms) == 1 and terms.get(0) == 1
+        return len(terms) == 1 and 0 in terms
+
+    def _shared(self, o: "RationalFunction") -> "tuple[int, int] | None":
+        """(a, b) with a * self.den == b * o.den, a and b coprime positive
+        ints, when the two denominators have the same primitive part."""
+        d1, d2 = self.den.terms, o.den.terms
+        if d1 == d2:
+            return 1, 1
+        if d1.keys() != d2.keys():
+            return None
+        k1, k2 = gcd(*d1.values()), gcd(*d2.values())
+        if k1 == k2 or any(c * k2 != d2[m] * k1 for m, c in d1.items()):
+            return None
+        g = gcd(k1, k2)
+        return k2 // g, k1 // g
 
     def __bool__(self):
         return bool(self.num)
@@ -940,11 +960,14 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return RationalFunction._quotient(self.num + o.num, self.den)
-        if o.is_polynomial():
+        shared = self._shared(o)
+        if shared:
+            a, b = shared
+            return RationalFunction._quotient(_times(self.num, a) + _times(o.num, b),
+                                              _times(self.den, a))
+        if _is_one(o.den):
             return RationalFunction._quotient(self.num + o.num * self.den, self.den)
-        if self.is_polynomial():
+        if _is_one(self.den):
             return RationalFunction._quotient(self.num * o.den + o.num, o.den)
         return RationalFunction._quotient(self.num * o.den + o.num * self.den,
                                           self.den * o.den)
@@ -974,7 +997,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        den = (self.den if o.is_polynomial() else o.den if self.is_polynomial()
+        den = (self.den if _is_one(o.den) else o.den if _is_one(self.den)
                else self.den * o.den)
         return RationalFunction._quotient(self.num * o.num, den)
 
@@ -1007,8 +1030,10 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return self.num == o.num
+        shared = self._shared(o)
+        if shared:
+            a, b = shared
+            return _times(self.num, a) == _times(o.num, b)
         return self.num * o.den == o.num * self.den
 
     def derivative(self, name: str) -> "RationalFunction":
@@ -1026,14 +1051,14 @@ class RationalFunction:
         return num * den.inverse()
 
     def __str__(self):
-        if self.is_polynomial():
-            if len(self.num.terms) <= 1:
-                return str(self.num)
-            return f"({self.num})"
-        num = str(self.num) if len(self.num.terms) <= 1 else f"({self.num})"
-        den = str(self.den) if len(self.den.terms) == 1 and "^" not in str(self.den) \
-            else f"({self.den})"
-        return f"{num}/{den}"
+        num, den = _monic(self.num, self.den)
+        shown = str(num) if len(num.terms) <= 1 else f"({num})"
+        if _is_one(den):
+            return shown
+        text = str(den)
+        if len(den.terms) > 1 or "^" in text or "*" in text:
+            text = f"({text})"
+        return f"{shown}/{text}"
 
     __repr__ = __str__
 
@@ -1046,6 +1071,24 @@ def _leading_monomial(poly: SuperPoly) -> Monomial:
     return max(poly.terms, key=poly.table.sort_key)
 
 
+def _is_one(poly: SuperPoly) -> bool:
+    terms = poly.terms
+    return len(terms) == 1 and terms.get(0) == 1
+
+
+def _times(poly: SuperPoly, k: int) -> SuperPoly:
+    return poly if k == 1 else SuperPoly._of(poly.table, {m: c * k for m, c in poly.terms.items()})
+
+
+def _monic(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPoly]:
+    """num/den with den's coefficient at its leading monomial scaled to 1."""
+    lead = den.terms[_leading_monomial(den)]
+    if lead == 1:
+        return num, den
+    inv = Fraction(1, lead)
+    return num.scale(inv), den.scale(inv)
+
+
 def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPoly]:
     """The reduced pair of num/den (den nonzero).
 
@@ -1054,8 +1097,8 @@ def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPo
     the denominator has two or more terms and one variable occurs: with a
     constant or one-monomial denominator the monomial step has already
     removed the whole gcd, since x divides num only as far as its least
-    x-exponent.  Last, both sides are divided by the denominator's leading
-    coefficient unless it is 1.
+    x-exponent.  Last, the pair is scaled to integers whose gcd is 1,
+    with a positive denominator coefficient at the largest key.
     """
     table = num.table
     if num.is_zero():
@@ -1080,12 +1123,19 @@ def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPo
             if g is not None and _leading_monomial(g):
                 num = _divide_univariate(num, g, shift)
                 den = _divide_univariate(den, g, shift)
-    # make the denominator's leading coefficient 1
-    lead = den.terms[_leading_monomial(den)]
-    if lead != 1:
-        inv = _coeff_inverse(lead)
-        num = num.scale(inv)
-        den = den.scale(inv)
+    # clear the Fraction denominators, then the common integer factor and
+    # the sign
+    scale = lcm(*(c.denominator for poly in (num, den) for c in poly.terms.values()
+                  if type(c) is Fraction))
+    if scale != 1:
+        num, den = (SuperPoly._of(table, {m: int(c * scale) for m, c in poly.terms.items()})
+                    for poly in (num, den))
+    content = gcd(*num.terms.values(), *den.terms.values())
+    if den.terms[max(den.terms)] < 0:
+        content = -content
+    if content != 1:
+        num, den = (SuperPoly._of(table, {m: c // content for m, c in poly.terms.items()})
+                    for poly in (num, den))
     return num, den
 
 
@@ -1228,7 +1278,7 @@ def release_even_exponents(poly: SuperPoly) -> SuperPoly:
     # absorbing first collects every even power of one monomial into one
     # quotient, so x*(1/x) releases to 1
     for mono, c in absorb_even_exponents(poly).terms.items():
-        num = c.num if c.is_polynomial() else _exact_quotient(c.num, c.den)
+        num = c.num if _is_one(c.den) else _exact_quotient(c.num, c.den)
         pairs.append((SuperPoly._of(table, {mono: 1}), num))
     return SuperPoly.sum_of_products(table, pairs)
 
@@ -1236,14 +1286,16 @@ def release_even_exponents(poly: SuperPoly) -> SuperPoly:
 def _exact_quotient(num: SuperPoly, den: SuperPoly) -> SuperPoly:
     """num / den for the pair of a RationalFunction, when den divides num.
 
-    Divides by the one divisor den in the graded order of
+    Scales the pair to make den's leading coefficient 1, then divides by
+    the one divisor den in the graded order of
     :meth:`GeneratorTable.sort_key`.  With a single divisor the remainder
     is zero exactly when den divides num, and a leading term that den's
     leading term does not divide would stay in the remainder, so the first
     such term raises ``ValueError``.
     """
     table, guard = num.table, num.table._guard
-    lead = _leading_monomial(den)       # its coefficient is 1: den is reduced
+    num, den = _monic(num, den)
+    lead = _leading_monomial(den)
     tail = [(m, c) for m, c in den.terms.items() if m != lead]
     left, out = dict(num.terms), {}
     while left:

@@ -85,9 +85,9 @@ def _tokenize(text: str) -> list[Token]:
             if group == 3:
                 piece = "^"
             elif group == 5:
-                # a digit or letter outside ASCII reads as one
-                kind = ("int" if piece.isdigit() else
-                        "name" if piece.isalpha() else None)
+                # a letter outside ASCII reads as one; a digit outside
+                # ASCII ('²', '٣') is refused like any other character
+                kind = "name" if piece.isalpha() else None
                 if kind is None:
                     raise ExpressionError(
                         f"syntax error: unexpected character {piece!r}",

@@ -24,8 +24,9 @@ multiply int coefficients through ``SuperPoly.sum_of_products`` and
 multiply the denominators, sums go over the lcm, and the Cayley-Hamilton
 inverse puts its integer cn into the denominator.  Each public result is
 divided by its den once, and the den is dropped there.  RationalFunction
-entries, as in a chart Jacobian, have L = 1: nothing is scaled by 1, and
-the inverse scales by the unit 1/cn once per matrix.
+entries, as in a chart Jacobian, have L = 1, since each quotient keeps
+its own integer pair and no Fraction: nothing is scaled by 1, and the
+inverse scales by the unit 1/cn once per matrix.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -569,8 +570,10 @@ def test_constructor_refuses_non_rational_coefficients(side, coeff):
 # The reduction as it was before it skipped the steps that cannot cancel,
 # written over the codec: cancel the common monomial factor unless a side
 # has a constant term, run Euclid whenever one variable occurs, whatever the
-# denominator, and make the denominator's leading coefficient 1.  Every
-# stored pair must be the one it gives.
+# denominator, and make the denominator's leading coefficient 1.  Scaled to
+# integers with no common factor and a positive denominator coefficient at
+# its largest key, it gives the pair every quotient must store; divided by
+# the leading coefficient, every stored pair must give it back.
 
 def _trim(f):
     while f and not f[-1]:
@@ -631,13 +634,32 @@ def _reduce_before(num, den):
     return num.scale(inv), den.scale(inv)
 
 
+def _integral(num, den):
+    """num/den scaled to int coefficients whose gcd, over both sides, is 1,
+    with a positive denominator coefficient at the largest key."""
+    values = [Fraction(c) for c in (*num.terms.values(), *den.terms.values())]
+    scale = math.lcm(*(c.denominator for c in values))
+    content = math.gcd(*(int(c * scale) for c in values))
+    factor = Fraction(scale, content) * (1 if den.terms[max(den.terms)] > 0 else -1)
+    return num.scale(factor), den.scale(factor)
+
+
+def _monic(rf):
+    """The stored pair divided by the denominator's leading coefficient:
+    the pair a quotient stored before it stored integers."""
+    inv = 1 / Fraction(rf.den.terms[max(rf.den.terms, key=rf.table.sort_key)])
+    return rf.num.scale(inv), rf.den.scale(inv)
+
+
 def _typed(poly):
     return {m: (type(c), c) for m, c in poly.terms.items()}
 
 
 def _stored_as_before(rf, num, den):
-    want_num, want_den = _reduce_before(num, den)
-    return (_typed(rf.num), _typed(rf.den)) == (_typed(want_num), _typed(want_den))
+    before = _reduce_before(num, den)
+    want_num, want_den = _integral(*before)
+    return ((_typed(rf.num), _typed(rf.den)) == (_typed(want_num), _typed(want_den))
+            and [_typed(p) for p in _monic(rf)] == [_typed(p) for p in before])
 
 
 def _random_side(rng, kind):
@@ -695,17 +717,66 @@ def test_stored_pairs_match_the_reduction_before_the_fast_paths(den_kind):
             assert _stored_as_before(a, n, d), (n, d)
             b = RationalFunction(_random_side(rng, rng.choice(SIDE_KINDS)),
                                  _random_side(rng, rng.choice(SIDE_KINDS)))
-            sum_pair = ((a.num + b.num, a.den) if a.den == b.den
-                        else (a.num * b.den + b.num * a.den, a.den * b.den))
+            # each operation's pair as it was formed from the monic pairs
+            (an, ad), (bn, bd) = _monic(a), _monic(b)
+            sum_pair = ((an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd))
             assert _stored_as_before(a + b, *sum_pair)
-            assert _stored_as_before(a * b, a.num * b.num, a.den * b.den)
-            assert _stored_as_before(b.inverse(), b.den, b.num)
-            c = b.inverse()
-            assert _stored_as_before(a / b, a.num * c.num, a.den * c.den)
-            dn, dd = a.num.left_derivative("x"), a.den.left_derivative("x")
-            assert _stored_as_before(a.derivative("x"), dn * a.den - a.num * dd, a.den * a.den)
+            assert _stored_as_before(a * b, an * bn, ad * bd)
+            assert _stored_as_before(b.inverse(), bd, bn)
+            cn, cd = _monic(b.inverse())
+            assert _stored_as_before(a / b, an * cn, ad * cd)
+            dn, dd = an.left_derivative("x"), ad.left_derivative("x")
+            assert _stored_as_before(a.derivative("x"), dn * ad - an * dd, ad * ad)
             checked.add(num_kind)
     assert checked == set(kinds)
+
+
+def _normal(rf):
+    """Whether rf stores int coefficients whose gcd is 1 over both sides,
+    with a positive denominator coefficient at the largest key."""
+    values = [*rf.num.terms.values(), *rf.den.terms.values()]
+    return (all(type(c) is int for c in values) and math.gcd(*values) == 1
+            and rf.den.terms[max(rf.den.terms)] > 0)
+
+
+def _monic_text(rf):
+    """The text of the monic pair: a numerator of two or more terms and a
+    denominator other than one letter in parentheses, a denominator of 1
+    left out."""
+    num, den = _monic(rf)
+    shown = str(num) if len(num.terms) <= 1 else f"({num})"
+    if den == SuperPoly.one(den.table):
+        return shown
+    text = str(den)
+    if len(den.terms) > 1 or "^" in text or "*" in text:
+        text = f"({text})"
+    return f"{shown}/{text}"
+
+
+def test_every_result_stores_the_integer_normal_form():
+    rng = random.Random(73)
+    swapped = GeneratorTable.chart(["y", "x"], ["th1", "th2", "th3"])
+
+    def draw(num_kinds=("zero", *SIDE_KINDS)):
+        return RationalFunction(_random_side(rng, rng.choice(num_kinds)),
+                                _random_side(rng, rng.choice(SIDE_KINDS)))
+
+    seen = 0
+    for _ in range(80):
+        a, b = draw(), draw(SIDE_KINDS)
+        # a denominator with a's primitive part and another content
+        c = RationalFunction(_random_side(rng, rng.choice(SIDE_KINDS)),
+                             a.den.scale(rng.choice([2, 3, -5, Fraction(1, 6)])))
+        assert (a + c) - c == a and (a == c) == (a - c == 0)
+        results = [a, b, c, a + b, a - b, a + c, a * b, a / b, b.inverse(), -a,
+                   a.derivative("x"), b.derivative("y")]
+        moved = transport(const(a) + const(b) * gen("th1") + const(c) * gen("th2"), swapped)
+        results += moved.terms.values()
+        for rf in results:
+            assert _normal(rf), (rf.num.terms, rf.den.terms)
+            assert str(rf) == _monic_text(rf)
+            seen += 1
+    assert seen > 1000
 
 
 @pytest.mark.parametrize("name", ["x", "th1"])

@@ -190,6 +190,18 @@ def test_gaussian_weight_enters_the_lie_derivative(args, expected):
     assert result.output.strip() == expected
 
 
+@pytest.mark.parametrize("text", ["th2/(x2*x1)", "x1/(x2*x1)*th2", "th1/(3*x1^2*x2)"])
+def test_a_one_term_denominator_of_several_letters_reads_back(text):
+    # x2*x1 in a denominator prints in parentheses: 1/x1*x2 reads as x2/x1
+    value = parse_value(text, RING)[0].poly
+    assert parse_value(str(value), RING)[0].poly == value
+    result = CliRunner().invoke(main, ["d", "--ring", "2|2", "--", text])
+    assert result.exit_code == 0, result.output
+    assert str(parse_value(result.output, RING)[0].poly) == result.output.strip()
+    if text == "th2/(x2*x1)":
+        assert result.output.startswith("1/(x1*x2)*dth2 - ")
+
+
 def test_printing_releases_absorbed_powers():
     # left_derivative leaves x1^2/x1 as 2/x1*x1 - 1/(x1^2)*x1^2; equal
     # elements must print alike
@@ -461,6 +473,13 @@ def _usage(command: str, operands: str, error: str) -> str:
     (["d", "--ring", "1|1", "--", "1/dth1"], {},
      _usage("d", "EXPRESSION", "line 1, column 2: cannot divide: scalar part is "
             "zero; element is not invertible")),
+    # a digit outside ASCII is no number
+    (["d", "--ring", "1|1", "--", "x1 + \u00b2"], {},
+     _usage("d", "EXPRESSION",
+            "line 1, column 6: syntax error: unexpected character '\u00b2'")),
+    (["d", "--ring", "1|1", "--", "\u0663*x1"], {},
+     _usage("d", "EXPRESSION",
+            "line 1, column 1: syntax error: unexpected character '\u0663'")),
 ])
 def test_refusals_print_usage_and_the_exact_error(tmp_path, args, files,
                                                   output):

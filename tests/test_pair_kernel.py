@@ -422,12 +422,14 @@ def test_transport_keeps_the_stored_quotients():
 
 
 def test_transport_reduces_quotients_whose_base_order_changes():
-    # (x + 2y) leads with x in (x, y) and with y in (y, x), where the
-    # reduced denominator is x/2 + y.
+    # The largest key of x - 2y is x in (x, y) and y in (y, x), so the
+    # stored pair 1/(x - 2y) turns into -1/(2y - x), whose denominator is
+    # positive at y; it prints as before, over the monic -x/2 + y.
     src = GeneratorTable.chart(["x", "y"], [])
     dst = GeneratorTable.chart(["y", "x"], [])
     x, y = SuperPoly.generator(src, "x"), SuperPoly.generator(src, "y")
-    poly = SuperPoly.constant(src, RationalFunction(SuperPoly.one(src), x + y.scale(2)))
+    poly = SuperPoly.constant(src, RationalFunction(SuperPoly.one(src), x - y.scale(2)))
     c, = transport(poly, dst).terms.values()
-    assert c.den == SuperPoly.generator(dst, "x").scale(Fraction(1, 2)) \
-        + SuperPoly.generator(dst, "y")
+    assert c.num == SuperPoly.constant(dst, -1)
+    assert c.den == SuperPoly.generator(dst, "y").scale(2) - SuperPoly.generator(dst, "x")
+    assert str(c) == "-1/2/(-1/2*x + y)"
