@@ -532,13 +532,20 @@ class SuperPoly:
 
     @staticmethod
     def sum_of_products(table: GeneratorTable,
-                        pairs: Iterable[tuple["SuperPoly", "SuperPoly"]]) -> "SuperPoly":
+                        pairs: Iterable[tuple["SuperPoly", "SuperPoly"]],
+                        memo: dict | None = None) -> "SuperPoly":
         """The sum of a * b over the (a, b) pairs, all over ``table``.
 
         Every product accumulates into one term map, normalized once at
         the end, so a sum of k products builds one element instead of 2k.
         An operand over another table raises ``ValueError`` and an even
         exponent past its field ``OverflowError``.
+
+        Each right operand b is first prepared as a list of (key, parity
+        mask, c, -c).  A caller that multiplies the same b many times, as
+        a matrix product does each entry of its right factor, passes one
+        dict ``memo`` to every call: it maps ``id(b)`` to (b, list), and
+        holding b keeps its id from being reused while the memo lives.
         """
         odd = table._odd_mask
         width = len(table.odd_positions)
@@ -548,7 +555,13 @@ class SuperPoly:
             if (a.table is not table or b.table is not table) and (
                     a.table != table or b.table != table):
                 raise ValueError("generator table mismatch")
-            right = [(m, _below_parity(m & odd, width), c, -c) for m, c in b.terms.items()]
+            if memo is None or (hit := memo.get(id(b))) is None:
+                right = [(m, _below_parity(m & odd, width), c, -c)
+                         for m, c in b.terms.items()]
+                if memo is not None:
+                    memo[id(b)] = b, right
+            else:
+                right = hit[1]
             for m1, c1 in a.terms.items():
                 o1 = m1 & odd
                 for m2, below, c2, neg_c2 in right:

@@ -963,7 +963,12 @@ def read_map_file(path: str, ring: Ring) -> CoordinateMap:
 
 
 def read_matrix_file(path: str, ring: Ring) -> SuperMatrix:
-    """A supermatrix as JSON: ``p``, ``q`` and ``rows`` of expressions."""
+    """A supermatrix as JSON: ``p``, ``q`` and ``rows`` of expressions.
+
+    Each entry is read in absorbed form, its even powers moved into
+    rational-function coefficients as a coordinate change keeps its
+    images, so an entry such as ``1 + x1`` in D stays invertible and a
+    printed Jacobian reads back as the matrix it was."""
     try:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -994,7 +999,7 @@ def read_matrix_file(path: str, ring: Ring) -> SuperMatrix:
             if markers:
                 raise ValueError(
                     f"{path}: marker tags do not belong in a matrix")
-            row.append(want(ring, value, BASE))
+            row.append(absorb_even_exponents(want(ring, value, BASE)))
         rows.append(row)
     try:
         return SuperMatrix.from_rows(ring.chart.table, p, q, rows)

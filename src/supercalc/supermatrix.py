@@ -16,6 +16,17 @@ exact: Cayley-Hamilton inverts the reduced part (odd generators set to
 zero), dividing only by its unit determinant, and a finite geometric
 series absorbs the nilpotent remainder.
 
+The Berezinian takes det(D)^{-1} from that series by Jacobi's formula:
+with D0 the reduced part and Y = D0^{-1} (D - D0),
+
+    det(D) = det(D0) * exp(sum_k (-1)^(k+1) tr(Y^k) / k),
+
+and the series already holds every power of Y.  This is exact, not an
+approximation: the even entries of Y commute, they are nilpotent, so
+both the log and the exp sum stop after finitely many terms, and the
+coefficient ring is a Q-algebra, so 1/k and 1/j! exist.  Only det(D0),
+a unit, is inverted, and D needs no determinant of its own.
+
 One denominator per matrix.  Each public entry point clears the Fraction
 denominators of each input block once, multiplying it by their lcm L.
 Inside, a matrix is a pair (den, rows) standing for rows / den, its rows
@@ -26,7 +37,9 @@ inverse puts its integer cn into the denominator.  Each public result is
 divided by its den once, and the den is dropped there.  RationalFunction
 entries, as in a chart Jacobian, have L = 1, since each quotient keeps
 its own integer pair and no Fraction: nothing is scaled by 1, and the
-inverse scales by the unit 1/cn once per matrix.
+inverse scales by the unit 1/cn once per matrix.  A matrix product, and
+each step of Berkowitz's A^j S chain, passes the kernel one memo, so
+every entry of the right factor is prepared for multiplication once.
 """
 
 from __future__ import annotations
@@ -61,9 +74,10 @@ def _check_parity(rows: Rows, want: int, label: str) -> None:
 
 
 def _dot(row: Sequence[SuperPoly], col: Sequence[SuperPoly],
-         table: GeneratorTable) -> SuperPoly:
-    """Sum of row[i] * col[i] over the length of the shorter one."""
-    return SuperPoly.sum_of_products(table, zip(row, col))
+         table: GeneratorTable, memo: dict | None = None) -> SuperPoly:
+    """Sum of row[i] * col[i] over the length of the shorter one; ``memo``
+    is the kernel's, shared by the dots that reuse the entries of col."""
+    return SuperPoly.sum_of_products(table, zip(row, col), memo)
 
 
 def _clear_denominators(rows: Rows) -> Scaled:
@@ -91,7 +105,8 @@ def _unscaled(x: Scaled) -> Rows:
 
 def _mat_mul(x: Rows, y: Rows, table: GeneratorTable) -> Rows:
     cols = list(zip(*y))
-    return [[_dot(row, col, table) for col in cols] for row in x]
+    memo: dict = {}     # each entry of y is prepared once, not once per row
+    return [[_dot(row, col, table, memo) for col in cols] for row in x]
 
 
 def _mat_add(x: Rows, y: Rows) -> Rows:
@@ -143,9 +158,10 @@ def _charpoly(rows: Rows, table: GeneratorTable) -> list[SuperPoly]:
         toeplitz = [-rows[k][k]]
         col = [rows[i][k] for i in range(k)]
         for j in range(k):
-            toeplitz.append(-_dot(rows[k], col, table))
+            memo: dict = {}     # the k + 1 dots below share col's entries
+            toeplitz.append(-_dot(rows[k], col, table, memo))
             if j < k - 1:   # A^(k-1) S would go unused
-                col = [_dot(rows[i], col, table) for i in range(k)]
+                col = [_dot(rows[i], col, table, memo) for i in range(k)]
         new = []
         for i in range(k + 1):
             acc = toeplitz[i] if i == k else coeffs[i] + toeplitz[i]
@@ -191,8 +207,11 @@ def _scalar_unit_inverse(det0: SuperPoly):
     return _coeff_inverse(c)
 
 
-def _inverse(m: Scaled, table: GeneratorTable) -> Scaled:
-    """The inverse of R / L, given and returned as (den, rows) pairs.
+def _inverse(m: Scaled, table: GeneratorTable, with_det: bool = False
+             ) -> tuple[Scaled, tuple[object, SuperPoly] | None]:
+    """The inverse of R / L, given and returned as (den, rows) pairs, and
+    with ``with_det`` also det(R / L)^{-1} as a pair (c, P) standing for
+    c P, P integral on integral rows; without it, None.
 
     With R0 the reduced part of R and t^n + c1 t^(n-1) + ... + cn its
     characteristic polynomial, Cayley-Hamilton gives R0^{-1} = -H / cn, H
@@ -201,11 +220,23 @@ def _inverse(m: Scaled, table: GeneratorTable) -> Scaled:
     (a RationalFunction) scales H once, with e = 1.  Then (R0 / L)^{-1} =
     L G / e, and the nilpotent N = R - R0 goes through the finite series
     sum_k (-G N / e)^k L G / e, its k-th term over e^k times the first's.
+
+    The determinant comes from the same series by Jacobi's formula.  With
+    Y = R0^{-1} N, det R = det R0 * exp(log det(I + Y)) and log det(I + Y)
+    = sum_k (-1)^(k+1) tr(Y^k) / k.  The series' (k-1)-th term is L P with
+    P = (-Y)^(k-1) R0^{-1}, and P N = (-1)^(k-1) Y^k, so the log is the sum
+    of tr(P N) / k: one sum of n^2 products per term, no matrix product.
+    Both series are exact and finite: Y's entries are even, so they
+    commute, and nilpotent, so Y^k = 0 once k exceeds half the number of
+    odd generators, and the ring is a Q-algebra, so the 1/k and the
+    1/j! of exp are defined.  Hence det(R / L)^{-1} = L^n exp(-log) / det R0,
+    and the log and exp sums go over one integer denominator each, so
+    their products multiply int coefficients.
     """
     den, rows = m
     n = len(rows)
     if n == 0:
-        return 1, []
+        return (1, []), (1, SuperPoly.one(table)) if with_det else None
     reduced = [[e.set_odd_to_zero() for e in r] for r in rows]
     coeffs = _charpoly(reduced, table)
     det0 = -coeffs[-1] if n % 2 else coeffs[-1]
@@ -222,14 +253,40 @@ def _inverse(m: Scaled, table: GeneratorTable) -> Scaled:
         e, g = scale.denominator, _scale_rows(horner, scale.numerator)
     else:
         e, g = 1, _scale_rows(horner, scale)
+    nil = _mat_add(rows, _mat_neg(reduced))
     out = power = (e, _scale_rows(g, den))
-    step = (e, _mat_neg(_mat_mul(g, _mat_add(rows, _mat_neg(reduced)), table)))
-    for _ in range(len(table.odd_positions)):
+    step = (e, _mat_neg(_mat_mul(g, nil, table)))
+    log_den, log = 1, SuperPoly.zero(table)    # log / log_den
+    memo: dict = {}     # every trace multiplies by the entries of N
+    bound = len(table.odd_positions)
+    for k in range(1, bound + 1):
+        if with_det:    # power = L P over its den: tr(P N) / k
+            trace = SuperPoly.sum_of_products(table, (
+                (power[1][i][j], nil[j][i]) for i in range(n) for j in range(n)),
+                memo)
+            if trace.terms:
+                k_den = k * den * power[0]
+                new_den = lcm(log_den, k_den)
+                log = log.scale(new_den // log_den) + trace.scale(new_den // k_den)
+                log_den = new_den
         power = _scaled_mul(step, power, table)
         if all(x.is_zero() for r in power[1] for x in r):
             break
         out = _scaled_add(out, power)
-    return out
+    if not with_det:
+        return out, None
+    # exp(-log / log_den) = sum_j (-log)^j / (j! log_den^j), to its first
+    # zero term, over the denominator exp_den = j! log_den^j of the last
+    exp_den, exp = 1, SuperPoly.one(table)
+    term = exp
+    for j in range(1, bound + 1):
+        term = term * -log
+        if term.is_zero():
+            break
+        exp = exp.scale(j * log_den) + term
+        exp_den *= j * log_den
+    ratio = Fraction(den ** n, exp_den)
+    return out, (inv_det0 if ratio == 1 else inv_det0 * ratio, exp)
 
 
 def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows:
@@ -239,7 +296,7 @@ def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows
     rows = _as_rows(rows)
     n = len(rows)
     _check_rect(rows, n, n, "square")
-    return _unscaled(_inverse(_clear_denominators(rows), table))
+    return _unscaled(_inverse(_clear_denominators(rows), table)[0])
 
 
 def _schur(a: Scaled, b: Scaled, c: Scaled, d_inv: Scaled,
@@ -337,8 +394,8 @@ class SuperMatrix:
             return SuperMatrix(table, 0, self.q, self.A, self.B, self.C,
                                inv_even(self.D, table))
         a, b, c, d = map(_clear_denominators, (self.A, self.B, self.C, self.D))
-        d_inv = _inverse(d, table)
-        s_inv = _inverse(_schur(a, b, c, d_inv, table), table)
+        d_inv = _inverse(d, table)[0]
+        s_inv = _inverse(_schur(a, b, c, d_inv, table), table)[0]
         top_right = _scaled_neg(_scaled_mul(_scaled_mul(s_inv, b, table),
                                             d_inv, table))
         # D^{-1} C S^{-1} starts both bottom blocks
@@ -374,11 +431,19 @@ def supertrace(m: SuperMatrix) -> SuperPoly:
 
 def berezinian(m: SuperMatrix) -> SuperPoly:
     """det(A - B D^{-1} C) * det(D)^{-1}; requires D invertible.  With the
-    pairs (ls, S) and (ld, D') for them, det(S) det(D')^{-1} ld^q / ls^p."""
+    pair (ls, S) for the Schur complement, det(S) det(D)^{-1} / ls^p.
+
+    det(D)^{-1} comes from ``_inverse``'s own series by Jacobi's formula,
+    det(D) = det(D0) exp(sum_k (-1)^(k+1) tr(Y^k) / k) with D0 the reduced
+    part and Y = D0^{-1} (D - D0).  It is exact: Y is nilpotent, so both
+    series are finite, and the ring is a Q-algebra, so their 1/k and 1/j!
+    exist.  So D needs no characteristic polynomial of its own and det(D)
+    no inverse.  det(S) keeps Berkowitz: the reduced part of S is A's,
+    which may be singular, and then Ber is nilpotent.
+    """
     table = m.table
     a, b, c, d = map(_clear_denominators, (m.A, m.B, m.C, m.D))
-    ls, schur = _schur(a, b, c, _inverse(d, table), table)
-    out = _det(schur, table) * _det(d[1], table).inverse()
-    scale = Fraction(d[0] ** m.q, ls ** m.p)
-    return out if scale == 1 else out.scale(scale)
-
+    d_inv, (scale, inv_det) = _inverse(d, table, with_det=True)
+    ls, schur = _schur(a, b, c, d_inv, table)
+    out = _det(schur, table) * inv_det
+    return out.scale(scale if ls == 1 else scale * Fraction(1, ls ** m.p))

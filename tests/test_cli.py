@@ -408,6 +408,32 @@ def test_ber_matrix_with_singular_reduced_d_is_a_usage_error(tmp_path):
     assert "singular reduced matrix" in result.output
 
 
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_printed_jacobian_reads_back_into_ber_matrix(tmp_path, p, q):
+    # A D block such as "1 + x1" is a unit only once its even powers are
+    # absorbed, as the coordinate change that printed it held them.
+    from supercalc.randoms import random_split_map
+    ring, runner = f"{p}|{q}", CliRunner()
+    chart = Ring.parse(ring).chart
+    map_path, jac_path = tmp_path / "map.txt", tmp_path / "j.json"
+    rng = random.Random(90 + 10 * p + q)
+    for _ in range(3):
+        m = random_split_map(rng, chart, chart)
+        map_path.write_text("".join(f"{n} = {m.images[n]}\n"
+                                    for n in chart.coordinate_names))
+        jacobian = runner.invoke(main, ["jacobian", "--ring", ring,
+                                        str(map_path)])
+        assert jacobian.exit_code == 0, jacobian.output
+        jac_path.write_text(jacobian.output)
+        ber = runner.invoke(main, ["ber-matrix", "--ring", ring,
+                                   str(jac_path)])
+        expected = runner.invoke(main, ["ber-jacobian", "--ring", ring,
+                                        str(map_path)])
+        assert expected.exit_code == 0, expected.output
+        assert ber.exit_code == 0, ber.output
+        assert ber.output == expected.output
+
+
 @pytest.mark.parametrize("text, error", [
     ("5", "expected a JSON object with fields 'p', 'q' and 'rows'"),
     ("null", "expected a JSON object with fields 'p', 'q' and 'rows'"),

@@ -23,6 +23,8 @@ from supercalc.randoms import (
 )
 from supercalc.supermatrix import (
     SuperMatrix,
+    _clear_denominators,
+    _inverse,
     _mat_mul,
     berezinian,
     det_even,
@@ -169,10 +171,10 @@ def test_rational_function_products_stay_within_the_leibniz_count(monkeypatch):
     pairs = []
     kernel = SuperPoly.sum_of_products
 
-    def counting(table, operands):
+    def counting(table, operands, memo=None):
         operands = list(operands)
         pairs.extend(operands)
-        return kernel(table, operands)
+        return kernel(table, operands, memo)
 
     monkeypatch.setattr(SuperPoly, "sum_of_products", staticmethod(counting))
     det_even(rows, T)
@@ -196,11 +198,11 @@ def test_fraction_blocks_reach_the_kernel_with_integer_coefficients(monkeypatch)
             return getattr(SuperPoly, name)
 
         @staticmethod
-        def sum_of_products(table, operands):
+        def sum_of_products(table, operands, memo=None):
             operands = list(operands)
             seen.extend(type(c).__name__ for pair in operands for e in pair
                         for c in e.terms.values())
-            return SuperPoly.sum_of_products(table, operands)
+            return SuperPoly.sum_of_products(table, operands, memo)
 
     monkeypatch.setattr(supermatrix, "SuperPoly", Watched())
     table = GeneratorTable.chart(["x"], ["e1", "e2", "e3", "e4"])
@@ -566,3 +568,123 @@ def test_each_block_is_cleared_once_per_public_call(monkeypatch):
         calls.clear()
         call()
         assert len(calls) <= blocks
+
+
+# ---------------------------------------------------------------------------
+# det(D)^{-1} by Jacobi's formula, against det(D).inverse()
+
+E8 = GeneratorTable.chart([], [f"e{i}" for i in range(1, 9)])
+JACOBI_SHAPES = ([(n, n) for n in range(1, 4)] + [(n, n + 1) for n in range(3)]
+                 + [(n + 1, n) for n in range(3)] + [(0, 3), (3, 0), (0, 0)])
+
+
+def jacobi_det_inverse(rows, table):
+    """det(rows)^{-1} as ``berezinian`` takes it from ``_inverse``."""
+    _, (scale, inv_det) = _inverse(_clear_denominators(rows), table,
+                                   with_det=True)
+    return inv_det.scale(scale)
+
+
+def assert_jacobi_matches_the_oracle(m):
+    got, want = jacobi_det_inverse(m.D, m.table), \
+        oracle_det(m.D, m.table).inverse()
+    assert got == want and str(got) == str(want)
+    got, want = berezinian(m), oracle_ber(m)
+    assert got == want and str(got) == str(want)
+
+
+@pytest.mark.parametrize("table", [E4, E8], ids=["E4", "E8"])
+@pytest.mark.parametrize("p, q", JACOBI_SHAPES)
+def test_jacobi_det_inverse_matches_the_inverse_of_det(table, p, q):
+    rng = random.Random(700 + 10 * p + q + len(table.odd_positions))
+    assert_jacobi_matches_the_oracle(unlike_denominators(
+        random_invertible_supermatrix(rng, table, p, q)))
+
+
+def test_jacobi_det_inverse_reaches_the_higher_traces():
+    # eight odd letters make tr(Y^k) nonzero up to k = 4, so a lost 1/k
+    # or a sign slip in exp shows
+    m = random_invertible_supermatrix(random.Random(97), E8, 4, 4)
+    assert_jacobi_matches_the_oracle(m)
+
+
+def test_jacobi_det_inverse_on_chart_jacobians_and_the_conic():
+    from supercalc.charts import Chart, conic_transition
+    from supercalc.randoms import random_split_map
+    rng = random.Random(67)
+    for p, q in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)):
+        U = Chart(["x", "y", "z"][:p], ["th1", "th2", "th3"][:q])
+        V = Chart(["u", "v", "w"][:p], ["e1", "e2", "e3"][:q])
+        for _ in range(2):
+            assert_jacobi_matches_the_oracle(
+                random_split_map(rng, U, V).jacobian())
+    assert_jacobi_matches_the_oracle(conic_transition().jacobian())
+
+
+def test_jacobi_det_inverse_on_even_keys_and_a_nilpotent_berezinian():
+    x, th1, th2 = gen("x"), gen("th1"), gen("th2")
+    # a unimodular D whose reduced part holds the even letter x
+    for nil in (ZERO, th1 * th2):
+        m = SuperMatrix(T, 1, 2, [[ONE + x * nil]], [[th1, th2]],
+                        [[th2], [x * th1]], [[ONE + nil, x], [ZERO, ONE]])
+        assert_jacobi_matches_the_oracle(m)
+    # a singular A0 leaves det(S) = Ber nilpotent: Ber = -e1 e2
+    e1, e2 = (SuperPoly.generator(E4, n) for n in ("e1", "e2"))
+    one, zero = SuperPoly.one(E4), SuperPoly.zero(E4)
+    m = SuperMatrix(E4, 1, 1, [[zero]], [[e1]], [[e2]], [[one]])
+    assert berezinian(m) == -(e1 * e2)
+    assert_jacobi_matches_the_oracle(m)
+
+
+def test_jacobi_det_inverse_refuses_a_singular_reduced_d():
+    eps = gen("th1") * gen("th2")
+    m = SuperMatrix(T, 1, 2, [[ONE]], [[ZERO, ZERO]], [[ZERO], [ZERO]],
+                    [[ONE, gen("x")], [ONE + eps, gen("x")]])
+    with pytest.raises(ValueError, match="singular reduced matrix"):
+        berezinian(m)
+
+
+def test_berezinian_runs_berkowitz_on_d0_and_s_only(monkeypatch):
+    import supercalc.supermatrix as supermatrix
+    m = random_invertible_supermatrix(random.Random(89), E4, 6, 6)
+    a, b, c, d = map(supermatrix._clear_denominators, (m.A, m.B, m.C, m.D))
+    d0 = [[e.set_odd_to_zero() for e in r] for r in d[1]]
+    schur = supermatrix._schur(a, b, c, supermatrix._inverse(d, E4)[0], E4)[1]
+    calls = []
+    charpoly = supermatrix._charpoly
+
+    def counting(rows, table):
+        calls.append(rows)
+        return charpoly(rows, table)
+
+    def refuse(self):
+        raise AssertionError("Ber inverted a determinant")
+
+    monkeypatch.setattr(supermatrix, "_charpoly", counting)
+    monkeypatch.setattr(SuperPoly, "inverse", refuse)
+    berezinian(m)
+    assert calls == [d0, schur]
+
+
+def test_a_matrix_product_prepares_each_right_entry_once(monkeypatch):
+    import supercalc.algebra as algebra
+    n = 5
+    x = random_invertible_supermatrix(random.Random(83), E4, n, n).A
+    y = random_invertible_supermatrix(random.Random(84), E4, n, n).D
+    prepared, memos = [0], []
+    below, kernel = algebra._below_parity, SuperPoly.sum_of_products
+
+    def counting(odds, width):      # one call per term of a prepared entry
+        prepared[0] += 1
+        return below(odds, width)
+
+    def watching(table, pairs, memo=None):
+        memos.append(memo)
+        return kernel(table, pairs, memo)
+
+    monkeypatch.setattr(algebra, "_below_parity", counting)
+    monkeypatch.setattr(SuperPoly, "sum_of_products", staticmethod(watching))
+    _mat_mul(x, y, E4)
+    assert len(memos) == n * n and all(m is memos[0] for m in memos)
+    assert len(memos[0]) <= n * n
+    assert prepared[0] == sum(len(e.terms) for r in y for e in r)
