@@ -20,7 +20,8 @@ generators of given classes and :meth:`~GeneratorTable.sort_key` orders
 keys for printing.  :meth:`~GeneratorTable.graded_keys` lists the keys of
 one multidegree, :meth:`~GeneratorTable.pair_images` writes their images
 under a sum over pairs of generators, each multiplied by or differentiated
-along (de Rham d, Spencer's, their homotopies, the total complex, Koszul's),
+along (de Rham d, Spencer's, their homotopies, the total complex, Koszul's)
+and :meth:`SuperPoly.pair_sum` sums them over integer numerators,
 :meth:`~GeneratorTable.compile_word` compiles a word of such ops on fiber
 letters for :meth:`SuperPoly.apply_word` (the delta-form letters), and
 :meth:`SuperPoly.collect` groups terms by their factor in chosen
@@ -240,21 +241,15 @@ class GeneratorTable:
         A step must name two distinct generators, and no two steps may act
         alike on the same ones, so that no two terms share a key.  An even
         exponent past its field raises ``OverflowError``.
+
+        :meth:`SuperPoly.pair_sum` walks the same compiled steps in a loop
+        of its own that adds into one term map.  This loop stays separate
+        because the Koszul matrices read one fresh map per key, lazily, and
+        every way of sharing one loop between the two (a per-key walker
+        function, one generator with an accumulating mode, a ``yield from``
+        wrapper) measured slower on the Koszul rank checks.
         """
-        steps = tuple(steps)
-        compiled = self._steps.get(steps)
-        if compiled is None:
-            # per step c, then the partner's and the module's letters
-            compiled, pairs = [], set()
-            for module, m_op, partner, p_op, c in steps:
-                pair = frozenset(((module, m_op), (partner, p_op)))
-                if module == partner or pair in pairs:
-                    raise ValueError("a step must name two distinct generators, "
-                                     "and no two steps may act alike on the same ones")
-                pairs.add(pair)
-                compiled.append((c, *self._letter(partner, p_op),
-                                 *self._letter(module, m_op)))
-            compiled = self._steps[steps] = tuple(compiled)
+        compiled = self._compile_steps(steps)
         guard = self._guard
         for key in keys:
             seen = 0
@@ -292,6 +287,24 @@ class GeneratorTable:
             if seen & guard:
                 raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
             yield image
+
+    def _compile_steps(self, steps: Sequence[tuple]) -> tuple:
+        """The steps of :meth:`pair_images` as (c, then the partner's and the
+        module's :meth:`_letter`), checked and compiled once per table."""
+        steps = tuple(steps)
+        compiled = self._steps.get(steps)
+        if compiled is None:
+            compiled, pairs = [], set()
+            for module, m_op, partner, p_op, c in steps:
+                pair = frozenset(((module, m_op), (partner, p_op)))
+                if module == partner or pair in pairs:
+                    raise ValueError("a step must name two distinct generators, "
+                                     "and no two steps may act alike on the same ones")
+                pairs.add(pair)
+                compiled.append((c, *self._letter(partner, p_op),
+                                 *self._letter(module, m_op)))
+            compiled = self._steps[steps] = tuple(compiled)
+        return compiled
 
     def compile_word(self, letters: Sequence[tuple[int, str]], c=1) -> tuple:
         """Compile c times a word of (position, op) letters for
@@ -389,7 +402,10 @@ class SuperPoly:
 
     Immutable after construction.  ``terms`` maps monomials to nonzero
     coefficients, integral ones stored as ints; the zero element has an
-    empty map.
+    empty map.  The constructor normalizes to that form; the kernels that
+    wrap their output with :meth:`_of` keep it themselves, as
+    :meth:`pair_sum` does by dropping zero sums and dividing each sum by
+    its common denominator into an ``int`` whenever it can.
     """
 
     __slots__ = ("table", "terms")
@@ -578,37 +594,96 @@ class SuperPoly:
             raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
         return SuperPoly(table, terms)
 
-    def pair_sum(self, steps: Sequence[tuple]) -> "SuperPoly":
+    def pair_sum(self, steps: Sequence[tuple], den: int | None = None) -> "SuperPoly":
         """The image under a sum of :meth:`GeneratorTable.pair_images`
-        steps, accumulated into one term map and normalized once.  By the
-        quotient rule, a derivative along an even base coordinate also hits
-        a ``RationalFunction`` coefficient, the step's other op then acting
-        on the key alone."""
+        steps, in one walk of the compiled steps over the keys that adds
+        c0 * c into one term map, where c0 is the key's coefficient and c
+        the step's signed integer factor.
+
+        The walk runs over integers.  With no ``RationalFunction``
+        coefficient, L is the lcm of the ``Fraction`` denominators, every
+        coefficient enters as the integer c0 * L, and each output term is
+        divided by L once at the end: an ``int`` when L divides it, else a
+        ``Fraction``.  A caller that owns a common denominator passes the
+        integer numerators as the coefficients and it as ``den``; the
+        image is then divided by ``den``.  The guard-bit ``OverflowError``
+        is raised after the walk and before any division.
+
+        By the quotient rule, a derivative along an even base coordinate
+        also hits a ``RationalFunction`` coefficient, the step's other op
+        then acting on the key alone; those terms go through the same walk,
+        with the coefficients as they are.
+        """
         table = self.table
+        items = self.terms.items()
+        compiled = table._compile_steps(steps)
+        jobs = [(compiled, items)]
+        rational = den is None and [(m, c) for m, c in items if type(c) is RationalFunction]
+        if rational:
+            for module, m_op, partner, p_op, c in steps:
+                hits = [pos for pos, op in ((module, m_op), (partner, p_op))
+                        if op == DERIVE and table.classes[pos] == EVEN_BASE]
+                for n in range(1, len(hits) + 1):
+                    for chosen in itertools.combinations(hits, n):
+                        rest = (module, None if module in chosen else m_op,
+                                partner, None if partner in chosen else p_op, c)
+                        derived = []
+                        for m, rf in rational:
+                            for pos in chosen:
+                                rf = rf.derivative(table.names[pos])
+                            if rf:
+                                derived.append((m, rf))
+                        jobs.append((table._compile_steps((rest,)), derived))
+        elif den is None:
+            den = lcm(*{c.denominator for c in self.terms.values()})
+            if den > 1:
+                jobs[0] = compiled, [(m, c.numerator * (den // c.denominator))
+                                     for m, c in items]
         terms: dict[Monomial, object] = {}
-
-        def add(c, image):
-            for new, k in image.items():
-                value = c if k == 1 else -c if k == -1 else c * k
-                acc = terms.get(new)
-                terms[new] = value if acc is None else acc + value
-
-        for c, image in zip(self.terms.values(), table.pair_images(self.terms, steps)):
-            add(c, image)
-        rational = [(m, c) for m, c in self.terms.items() if type(c) is RationalFunction]
-        for module, m_op, partner, p_op, c in steps if rational else ():
-            hits = [pos for pos, op in ((module, m_op), (partner, p_op))
-                    if op == DERIVE and table.classes[pos] == EVEN_BASE]
-            for n in range(1, len(hits) + 1):
-                for chosen in itertools.combinations(hits, n):
-                    rest = (module, None if module in chosen else m_op,
-                            partner, None if partner in chosen else p_op, c)
-                    for m, rf in rational:
-                        for pos in chosen:
-                            rf = rf.derivative(table.names[pos])
-                        if rf:
-                            add(rf, next(table.pair_images((m,), (rest,))))
-        return SuperPoly(table, terms)
+        get = terms.get
+        seen = 0
+        for compiled, pairs in jobs:
+            for key, c0 in pairs:
+                for c, u1, o1, l1, d1, u2, o2, l2, d2 in compiled:
+                    new = key
+                    if o1:
+                        if new & u1 != d1:
+                            continue
+                        c = -c if (new & l1).bit_count() & 1 else c
+                        new ^= u1
+                    elif d1:
+                        k = new >> l1 & _EXPONENT
+                        if not k:
+                            continue
+                        c *= k
+                        new -= u1
+                    else:
+                        new += u1
+                    if o2:
+                        if new & u2 != d2:
+                            continue
+                        c = -c if (new & l2).bit_count() & 1 else c
+                        new ^= u2
+                    elif d2:
+                        k = new >> l2 & _EXPONENT
+                        if not k:
+                            continue
+                        c *= k
+                        new -= u2
+                    else:
+                        new += u2
+                    seen |= new
+                    c = c0 if c == 1 else -c0 if c == -1 else c0 * c
+                    acc = get(new)
+                    terms[new] = c if acc is None else acc + c
+        if seen & table._guard:
+            raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
+        if rational:
+            return SuperPoly(table, terms)
+        if den == 1:
+            return SuperPoly._of(table, {m: v for m, v in terms.items() if v})
+        return SuperPoly._of(table, {m: v // den if not v % den else Fraction(v, den)
+                                     for m, v in terms.items() if v})
 
     def apply_word(self, word: tuple) -> "SuperPoly":
         """The image under a word from :meth:`GeneratorTable.compile_word`,

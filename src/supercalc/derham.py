@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Sequence
 
 from supercalc.algebra import (
@@ -99,18 +100,32 @@ def homotopy_h(omega: SuperPoly, k: int | None = None) -> SuperPoly:
     come absorbed into rational-function coefficients (x^2*(1/x) is x);
     a proper quotient raises, since the radial scaling has no polynomial
     meaning there.
+
+    Each term's weight w is an int, and the insertion is one
+    ``SuperPoly.pair_sum`` over the integer numerators c * D / w, with D
+    the lcm over the terms of w times the coefficient's denominator.
     """
     omega = release_even_exponents(omega)
     table = omega.table
-    weighted = {}
+    weights = []
     for mono, c in omega.terms.items():
         fd = fiber_degree(table, mono)
         if k is not None and fd != k:
             raise ValueError(f"form is not homogeneous of fiber degree {k}")
         if fd < 1:
             raise ValueError("homotopy is defined on fiber degree >= 1")
-        weighted[mono] = c * Fraction(1, fd + table.degree(mono, EVEN_BASE, ODD_BASE))
-    return SuperPoly(table, weighted).pair_sum(_pair_steps(table)[1])
+        weights.append((mono, c, fd + table.degree(mono, EVEN_BASE, ODD_BASE)))
+    return _weighted_pair_sum(table, weights, _pair_steps(table)[1])
+
+
+def _weighted_pair_sum(table: GeneratorTable, weights: list[tuple[Monomial, object, int]],
+                       steps: tuple) -> SuperPoly:
+    """The image of sum c/w * mono over the (mono, c, w) terms under the
+    ``pair_images`` steps: one ``SuperPoly.pair_sum`` over the integer
+    numerators c * D / w, D the lcm of w times c's denominator."""
+    den = lcm(*{w * c.denominator for _, c, w in weights})
+    numerators = {mono: c.numerator * (den // (w * c.denominator)) for mono, c, w in weights}
+    return SuperPoly._of(table, numerators).pair_sum(steps, den)
 
 
 def pullback_form(m: CoordinateMap, omega: SuperPoly) -> SuperPoly:

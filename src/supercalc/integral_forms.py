@@ -40,7 +40,6 @@ built, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, Mapping
 
@@ -60,7 +59,7 @@ from supercalc.algebra import (
     transport,
 )
 from supercalc.charts import Chart, CoordinateMap
-from supercalc.derham import DERIV_PREFIX, fiber_degree, form_table
+from supercalc.derham import DERIV_PREFIX, _weighted_pair_sum, fiber_degree, form_table
 from supercalc.diffops import DiffOp
 from supercalc.supermatrix import berezinian
 
@@ -436,11 +435,18 @@ def cohomology_projection(u: IntegralForm) -> IntegralForm:
     ``th_1..th_q pdz_1..pdz_p``: full odd coordinate content, all odd
     polyvector letters, no even ones, and a constant coefficient.
     """
-    table = u.table
+    mono = _surviving_key(u.table)
+    c = release_even_exponents(u.poly).coefficient(mono)
+    return IntegralForm(u.chart, SuperPoly(u.table, {mono: c}))
+
+
+@cache
+def _surviving_key(table: GeneratorTable) -> Monomial:
+    """The key of ``th_1..th_q pdz_1..pdz_p`` in a polyvector table, once
+    per table."""
     _, mono = table.monomial((pos, 1) for pos in
                              table.positions_of_class(ODD_BASE, POLYVECTOR_ODD))
-    c = release_even_exponents(u.poly).coefficient(mono)
-    return IntegralForm(u.chart, SuperPoly(table, {mono: c}))
+    return mono
 
 
 def homotopy_int(u: IntegralForm) -> IntegralForm:
@@ -458,27 +464,31 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
         K = p + q + (even polyvector degree) - (odd polyvector degree)
               - 2 (odd coordinate degree) - 1.
 
-    The denominator vanishes only on scalar multiples of the surviving
-    generator, where every product x_b f pdx_b X is already zero; the
-    assertion below guards that analysis rather than user input.  The
-    weighted sum is one ``SuperPoly.pair_sum``, x_b (pdx_b f X) carrying
-    the sign of :func:`spencer_delta`'s pair.
+    K + deg f + 1 simplifies to the int
+
+        w = p + q + (even coordinate and polyvector degree)
+              - (odd coordinate and polyvector degree).
+
+    It vanishes only on scalar multiples of the surviving generator, where
+    every product x_b f pdx_b X is already zero; the assertion below
+    guards that analysis rather than user input.  The weighted sum is one
+    ``SuperPoly.pair_sum`` over the integer numerators c * D / w, with D
+    the lcm over the terms of w times the coefficient's denominator, and
+    x_b (pdx_b f X) carries the sign of :func:`spencer_delta`'s pair.
     """
-    p, q = u.chart.p, u.chart.q
+    pq = u.chart.p + u.chart.q
     table = u.table
     steps = _integral_steps(table)[1]
-    weighted = {}
+    weights = []
     for mono, c in release_even_exponents(u.poly).terms.items():
-        base_od = table.degree(mono, ODD_BASE)
-        k_weight = (p + q + table.degree(mono, POLYVECTOR_EVEN)
-                    - table.degree(mono, POLYVECTOR_ODD) - 2 * base_od - 1)
-        denominator = k_weight + table.degree(mono, EVEN_BASE) + base_od + 1
-        if denominator <= 0:
+        w = (pq + table.degree(mono, EVEN_BASE, POLYVECTOR_EVEN)
+             - table.degree(mono, ODD_BASE, POLYVECTOR_ODD))
+        if w <= 0:
             assert not any(next(table.pair_images((mono,), steps))), \
                 "nonzero product on a generator monomial"
             continue
-        weighted[mono] = c * Fraction(1, denominator)
-    return IntegralForm(u.chart, SuperPoly(table, weighted).pair_sum(steps))
+        weights.append((mono, c, w))
+    return IntegralForm(u.chart, _weighted_pair_sum(table, weights, steps))
 
 
 def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:

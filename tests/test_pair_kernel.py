@@ -433,3 +433,165 @@ def test_transport_reduces_quotients_whose_base_order_changes():
     assert c.num == SuperPoly.constant(dst, -1)
     assert c.den == SuperPoly.generator(dst, "y").scale(2) - SuperPoly.generator(dst, "x")
     assert str(c) == "-1/2/(-1/2*x + y)"
+
+
+# --- one common denominator -----------------------------------------------------
+
+
+def _poly(table, *terms):
+    """The sum of coeff * monomial over (coeff, {name: power}) terms."""
+    return sum((SuperPoly.from_monomial(table, powers, coeff) for coeff, powers in terms),
+               SuperPoly.zero(table))
+
+
+def assert_canonical(poly):
+    """Every coefficient nonzero, and an int exactly when it is integral."""
+    for c in poly.terms.values():
+        assert c
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+def test_weight_and_denominator_join_one_lcm():
+    # x1^2 dx1 has weight 3 and coefficient 1/3, x1 dx1 weight 2: the
+    # common denominator is lcm(3 * 3, 2) = 18.  An lcm taken over the
+    # denominators (3) and the weights (6) separately gives 6, which 3 * 3
+    # does not divide.
+    ftab = form_table(Chart.standard(1, 0).table)
+    omega = _poly(ftab, (Fraction(1, 3), {"x1": 2, "dx1": 1}), (5, {"x1": 1, "dx1": 1}))
+    expected = _poly(ftab, (Fraction(1, 9), {"x1": 3}), (Fraction(5, 2), {"x1": 2}))
+    assert_same(homotopy_h(omega), expected)
+    assert_same(homotopy_h(omega), oracle_homotopy_h(omega))
+    chart = Chart.standard(1, 0)
+    ptab = polyvector_table(chart)
+    u = IntegralForm(chart, _poly(ptab, (Fraction(1, 3), {"x1": 2}), (5, {"x1": 1})))
+    hint = homotopy_int(u)
+    assert_same(hint, IntegralForm(chart, _poly(ptab, (Fraction(1, 9), {"x1": 3, "pdx1": 1}),
+                                                (Fraction(5, 2), {"x1": 2, "pdx1": 1}))))
+    assert_same(hint, oracle_homotopy_int(u))
+
+
+def test_integer_coefficients_are_scaled_by_the_common_denominator():
+    # Beside a 1/3, the int 2 enters the walk as 6 and leaves as 2.
+    ftab = form_table(Chart.standard(2, 0).table)
+    omega = _poly(ftab, (2, {"x1": 1, "x2": 1}), (Fraction(1, 3), {"x1": 2}))
+    out = d(omega)
+    assert_same(out, _poly(ftab, (2, {"dx1": 1, "x2": 1}), (2, {"dx2": 1, "x1": 1}),
+                           (Fraction(2, 3), {"dx1": 1, "x1": 1})))
+    assert_canonical(out)
+    assert sorted(map(type, out.terms.values()), key=str) == [Fraction, int, int]
+
+
+def test_images_that_cancel_or_become_integral():
+    ftab = form_table(Chart.standard(2, 1).table)
+    f = _poly(ftab, (Fraction(1, 3), {"x1": 1, "x2": 1}), (Fraction(1, 2), {"x1": 2, "th1": 1}))
+    assert d(d(f)).terms == {}          # images that cancel leave no term
+    assert d(d(f.scale(6))).terms == {}
+    out = d(_poly(ftab, (Fraction(1, 2), {"x1": 2})))
+    assert out.terms == {next(iter(_poly(ftab, (1, {"dx1": 1, "x1": 1})).terms)): 1}
+    assert type(next(iter(out.terms.values()))) is int
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_operators_return_canonical_coefficients(shape):
+    # Seeded inputs over several denominators: each output coefficient of
+    # d, h, delta and its homotopy is an int when integral, else a
+    # Fraction, and never zero.
+    chart = Chart.standard(*shape)
+    ftab, ptab = form_table(chart.table), polyvector_table(chart)
+    rng = random.Random(700 + 10 * shape[0] + shape[1])
+
+    def scaled(poly):
+        return SuperPoly(poly.table, {m: c * Fraction(rng.choice([1, 2, 3, 4, 6]),
+                                                      rng.choice([1, 2, 3, 4, 6]))
+                                      for m, c in poly.terms.items()})
+
+    integral = 0
+    for _ in range(15):
+        omega = scaled(draw_form(rng, chart, "int"))
+        u = IntegralForm(chart, scaled(draw(rng, ptab, "int", terms=4)))
+        gaussian = [n for n in chart.even_names if rng.random() < 0.6]
+        outputs = [(d(omega), oracle_d(omega)),
+                   (homotopy_h(omega), oracle_homotopy_h(omega)),
+                   (spencer_delta(u, gaussian).poly, oracle_spencer_delta(u, gaussian).poly),
+                   (homotopy_int(u).poly, oracle_homotopy_int(u).poly)]
+        for new, old in outputs:
+            assert_same(new, old)
+            assert_canonical(new)
+            integral += sum(type(c) is int for c in new.terms.values())
+    assert integral
+
+
+def test_pair_sum_divides_by_a_given_denominator():
+    symbols = _symbol_table(form_table(Chart.standard(2, 2).table))
+    rng = random.Random(800)
+    for m_op, p_op in OPS:
+        steps = random_steps(rng, symbols, m_op, p_op)
+        poly = draw(rng, symbols, "int", terms=5)
+        for den in (1, 2, 6, 35):
+            out = poly.pair_sum(steps, den)
+            assert_same(out, poly.scale(Fraction(1, den)).pair_sum(steps))
+            assert_canonical(out)
+
+
+def test_pair_sum_walks_without_pair_images(monkeypatch):
+    # The fused walk builds no per-key image map, quotient-rule terms too.
+    chart = Chart.standard(2, 1)
+    ftab, ptab = form_table(chart.table), polyvector_table(chart)
+    rng = random.Random(900)
+    cases = []
+    for kind in KINDS:
+        omega, form = draw(rng, ftab, kind), draw_form(rng, chart, kind)
+        u = IntegralForm(chart, draw(rng, ptab, kind, terms=4))
+        cases += [(d, omega, oracle_d(omega)),
+                  (homotopy_h, form, oracle_homotopy_h(form)),
+                  (spencer_delta, u, oracle_spencer_delta(u)),
+                  (homotopy_int, u, oracle_homotopy_int(u))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair_sum built a map per key")
+
+    monkeypatch.setattr(GeneratorTable, "pair_images", refuse)
+    for operator, argument, expected in cases:
+        assert_same(operator(argument), expected)
+
+
+# --- the Koszul and guard contracts ---------------------------------------------
+
+
+def test_pair_images_yields_a_fresh_map_before_reading_the_next_key():
+    k_alg = KoszulAlgebra(2, 2)
+    table, steps, _ = k_alg._side("koszul")
+    key, = _poly(table, (1, {"dx1": 1, "dth1": 2, "x2": 1})).terms
+    expected = SuperPoly.sum_of_products(table, [
+        (SuperPoly.one(table), oracle_step(SuperPoly(table, {key: 1}), step))
+        for step in steps]).terms
+
+    def keys():
+        yield key
+        raise RuntimeError("read the second key")
+
+    images = table.pair_images(keys(), steps)
+    first = next(images)
+    assert first == expected and first
+    with pytest.raises(RuntimeError, match="second key"):
+        next(images)
+    maps = list(table.pair_images([key, key], steps))
+    assert maps == [expected, expected] and maps[0] is not maps[1]
+
+
+def test_guard_bit_overflow_comes_before_any_division(monkeypatch):
+    # Fraction input whose other images would be divided into Fractions:
+    # the overflow is raised before the kernel divides anything.
+    ftab = form_table(Chart.standard(1, 1).table)
+    fine = _poly(ftab, (Fraction(1, 3), {"th1": 1, "x1": 2}))
+    over = fine + _top(ftab, "dth1", _EXPONENT, [("th1", 1)]).scale(Fraction(2, 5))
+    import supercalc.algebra as algebra
+
+    def divided(*args):
+        raise AssertionError("divided")
+
+    monkeypatch.setattr(algebra, "Fraction", divided)
+    with pytest.raises(AssertionError, match="divided"):
+        d(fine)
+    with pytest.raises(OverflowError):
+        d(over)
