@@ -947,14 +947,24 @@ class RationalFunction:
     ``int``, the gcd of all of them, numerator's and denominator's
     together, is 1, and the denominator's coefficient at its largest key
     is positive, so a pair is fixed by its ratio.  The reduction cancels
-    any common monomial factor and runs a Euclidean gcd when only a single
-    even variable occurs (enough to keep quotients on a punctured line
-    fully reduced); see :func:`_reduce_fraction` for which steps run on
-    which denominator.  The constructor refuses a zero denominator, any
-    letter but an even base coordinate and coefficients that are not
-    rational; arithmetic on checked operands builds its results through
-    :meth:`_quotient`, which only reduces.  Printing divides by the
-    denominator's leading coefficient, so text shows a monic denominator.
+    any common monomial factor and, when only a single even variable
+    occurs, the full gcd (enough to keep quotients on a punctured line
+    fully reduced).  That gcd runs on integer coefficients
+    (:func:`_gcd_cofactors`): the heuristic gcd of Char, Geddes and Gonnet
+    evaluates both sides at one integer ξ >= 2 min(|a|, |b|) + 2, a
+    bound under which a small gcd of the two values proves the sides
+    coprime, and a gcd read from the digits of the values is accepted
+    only after it divides both sides exactly; when no reading passes, an
+    integer primitive remainder sequence decides.  See
+    :func:`_reduce_fraction` for which steps run on which denominator.
+    The products inside ``+``, ``==``, ``*`` and :meth:`derivative` go
+    through :func:`_products`, which relies on the pair being odd-free
+    with ``int`` coefficients.  The constructor refuses a zero
+    denominator, any letter but an even base coordinate and coefficients
+    that are not rational; arithmetic on checked operands builds its
+    results through :meth:`_quotient`, which only reduces.  Printing
+    divides by the denominator's leading coefficient, so text shows a
+    monic denominator.
 
     Sums and comparisons use a shared denominator when the two operands'
     denominators are integer multiples k1*P and k2*P of one primitive P:
@@ -981,6 +991,12 @@ class RationalFunction:
                 if not isinstance(c, (int, Fraction)):
                     raise TypeError("rational functions need rational coefficients")
         _check_same_table(num, den)
+        # clear the Fraction denominators: the reduction takes ints
+        scale = lcm(*(c.denominator for poly in (num, den) for c in poly.terms.values()
+                      if type(c) is Fraction))
+        if scale != 1:
+            num, den = (SuperPoly._of(num.table, {m: int(c * scale) for m, c in poly.terms.items()})
+                        for poly in (num, den))
         self.num, self.den = _reduce_fraction(num, den)
 
     @classmethod
@@ -1053,12 +1069,11 @@ class RationalFunction:
             a, b = shared
             return RationalFunction._quotient(_times(self.num, a) + _times(o.num, b),
                                               _times(self.den, a))
-        if _is_one(o.den):
-            return RationalFunction._quotient(self.num + o.num * self.den, self.den)
-        if _is_one(self.den):
-            return RationalFunction._quotient(self.num * o.den + o.num, o.den)
-        return RationalFunction._quotient(self.num * o.den + o.num * self.den,
-                                          self.den * o.den)
+        # a denominator of 1 makes its product a copy
+        num = _products(((self.num, o.den), (o.num, self.den)))
+        den = (self.den if _is_one(o.den) else o.den if _is_one(self.den)
+               else _products(((self.den, o.den),)))
+        return RationalFunction._quotient(num, den)
 
     __radd__ = __add__
 
@@ -1086,8 +1101,8 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         den = (self.den if _is_one(o.den) else o.den if _is_one(self.den)
-               else self.den * o.den)
-        return RationalFunction._quotient(self.num * o.num, den)
+               else _products(((self.den, o.den),)))
+        return RationalFunction._quotient(_products(((self.num, o.num),)), den)
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -1122,13 +1137,15 @@ class RationalFunction:
         if shared:
             a, b = shared
             return _times(self.num, a) == _times(o.num, b)
-        return self.num * o.den == o.num * self.den
+        return (_products(((self.num, o.den),)).terms
+                == _products(((o.num, self.den),)).terms)
 
     def derivative(self, name: str) -> "RationalFunction":
         """Quotient rule; the generator must be even."""
         dn = self.num.left_derivative(name)
         dd = self.den.left_derivative(name)
-        return RationalFunction._quotient(dn * self.den - self.num * dd, self.den * self.den)
+        return RationalFunction._quotient(_products(((dn, self.den), (self.num, -dd))),
+                                          _products(((self.den, self.den),)))
 
     def substitute(self, assignment: Mapping[str, SuperPoly],
                    table: GeneratorTable | None = None) -> SuperPoly:
@@ -1168,6 +1185,28 @@ def _times(poly: SuperPoly, k: int) -> SuperPoly:
     return poly if k == 1 else SuperPoly._of(poly.table, {m: c * k for m, c in poly.terms.items()})
 
 
+def _products(pairs: Iterable[tuple[SuperPoly, SuperPoly]]) -> SuperPoly:
+    """The sum of a * b over (a, b) pairs of one table, for the odd-free
+    ``int`` polynomials a ``RationalFunction`` pair holds: keys add with no
+    sign and no parity test, and products of ints need no normalizing.  An
+    even exponent past its field raises ``OverflowError``."""
+    terms: dict[Monomial, int] = {}
+    get = terms.get
+    for a, b in pairs:
+        right = b.terms.items()
+        for m1, c1 in a.terms.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                acc = get(m)
+                terms[m] = c1 * c2 if acc is None else acc + c1 * c2
+    seen = 0
+    for m in terms:
+        seen |= m
+    if seen & a.table._guard:
+        raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
+    return SuperPoly._of(a.table, {m: c for m, c in terms.items() if c})
+
+
 def _monic(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPoly]:
     """num/den with den's coefficient at its leading monomial scaled to 1."""
     lead = den.terms[_leading_monomial(den)]
@@ -1178,15 +1217,21 @@ def _monic(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPoly]:
 
 
 def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPoly]:
-    """The reduced pair of num/den (den nonzero).
+    """The reduced pair of num/den (den nonzero, every coefficient an
+    ``int``).
 
     A zero numerator gives 0/1.  Otherwise, unless a side has a constant
-    term, the common monomial factor cancels.  Euclid then runs only when
+    term, the common monomial factor cancels.  The gcd then runs only when
     the denominator has two or more terms and one variable occurs: with a
     constant or one-monomial denominator the monomial step has already
     removed the whole gcd, since x divides num only as far as its least
-    x-exponent.  Last, the pair is scaled to integers whose gcd is 1,
-    with a positive denominator coefficient at the largest key.
+    x-exponent.  Each side becomes its content times a primitive ``int``
+    coefficient list, and :func:`_gcd_cofactors` returns the two lists
+    divided by their gcd, which is accepted only after an exact division
+    over Z, or proven to be 1 by a bound with no division at all.  Last,
+    the pair is divided by the gcd of all its coefficients and its sign
+    is fixed, so that the denominator's coefficient at the largest key is
+    positive.
     """
     table = num.table
     if num.is_zero():
@@ -1199,7 +1244,7 @@ def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPo
         if common:
             num, den = (SuperPoly._of(table, {m - common: c for m, c in poly.terms.items()})
                         for poly in (num, den))
-    # single-variable quotients reduce fully by Euclid
+    # single-variable quotients reduce fully by an integer gcd
     if len(den.terms) > 1:
         used = 0
         for m in itertools.chain(num.terms, den.terms):
@@ -1207,17 +1252,13 @@ def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPo
         shifts = [shift for _, shift in table._even_fields if used >> shift & _EXPONENT]
         if len(shifts) == 1:
             shift = shifts[0]
-            g = _gcd_univariate(num, den, shift)
-            if g is not None and _leading_monomial(g):
-                num = _divide_univariate(num, g, shift)
-                den = _divide_univariate(den, g, shift)
-    # clear the Fraction denominators, then the common integer factor and
-    # the sign
-    scale = lcm(*(c.denominator for poly in (num, den) for c in poly.terms.values()
-                  if type(c) is Fraction))
-    if scale != 1:
-        num, den = (SuperPoly._of(table, {m: int(c * scale) for m, c in poly.terms.items()})
-                    for poly in (num, den))
+            (a, ka), (b, kb) = _univariate_integers(num, shift), _univariate_integers(den, shift)
+            qa, qb = _gcd_cofactors(a, b)
+            if len(qb) < len(b):
+                # num/den = (ka qa)/(kb qb)
+                num, den = (SuperPoly._of(table, {k << shift: c * s for k, c in enumerate(q) if c})
+                            for q, s in ((qa, ka), (qb, kb)))
+    # the common integer factor and the sign
     content = gcd(*num.terms.values(), *den.terms.values())
     if den.terms[max(den.terms)] < 0:
         content = -content
@@ -1227,57 +1268,151 @@ def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPo
     return num, den
 
 
-def _univ_coeffs(poly: SuperPoly, shift: int) -> list:
-    deg = max((m >> shift & _EXPONENT for m in poly.terms), default=0)
-    out = [0] * (deg + 1)
+def _univariate_integers(poly: SuperPoly, shift: int) -> tuple[list[int], int]:
+    """(f, k) with poly = k * f(x), f a primitive coefficient list, lowest
+    degree first, in the one even letter x whose field is at ``shift``;
+    poly is odd-free, holds no other letter and has ``int`` coefficients."""
+    f = [0] * (1 + (max(poly.terms) >> shift))
     for m, c in poly.terms.items():
-        out[m >> shift & _EXPONENT] += c
+        f[m >> shift] = c
+    content = gcd(*f)
+    return [c // content for c in f], content
+
+
+# ξ values tried by the heuristic gcd before the primitive PRS runs
+_GCDHEU_TRIES = 6
+
+
+def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(a/g, b/g) for g = gcd(a, b), a and b primitive integer
+    polynomials (coefficient lists, lowest degree first, both nonzero).
+
+    This is GCDHEU (Char, Geddes and Gonnet, *Heuristic GCD*, 1989).  With
+    m = min(|a|, |b|), the smaller sup-norm, take ξ >= 2m + 2, compute
+    γ = gcd(a(ξ), b(ξ)) over the integers and read h from the balanced
+    ξ-adic digits of γ, each of absolute value at most ξ/2.
+
+    Bound.  Let k be a nonconstant integer polynomial dividing the side c
+    of norm m.  By Cauchy's bound every root β of c has |β| < 1 + m, since
+    |lc(c)| >= 1; the roots of k are roots of c, so
+    |k(ξ)| = |lc(k)| prod |ξ - β| > (ξ - 1 - m)^deg k >= ξ - 1 - m >= ξ/2.
+    In particular c(ξ), and so γ, is not zero.
+
+    Certificate.  Let G be the primitive gcd of a and b; G(ξ) divides γ.
+    If h is a constant, γ <= ξ/2 < |G(ξ)| unless G is a constant: a and b
+    are coprime, and nothing is divided.
+
+    Exact check.  A candidate is accepted only when it divides both sides
+    exactly over Z, and those divisions give the cofactors.  Candidates
+    whose acceptance proves G: pp(h), since then G = pp(h) k with k(ξ)
+    dividing the content of h, at most ξ/2, so k is a constant; and
+    D = a / c for the cofactor c read from a(ξ)/γ (then b / c' for b(ξ)/γ),
+    since D(ξ) = γ and D is primitive, so G = D k with k(ξ) dividing 1.
+    When no candidate passes, ξ grows; after ``_GCDHEU_TRIES`` values the
+    integer primitive PRS (:func:`_prs_cofactors`) decides.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_GCDHEU_TRIES):
+        found = _gcdheu_step(a, b, xi)
+        if found is not None:
+            return found
+        xi = xi * 73794 // 27011    # about 1 + √3 times
+    return _prs_cofactors(a, b)
+
+
+def _gcdheu_step(a: list[int], b: list[int], xi: int) -> tuple[list[int], list[int]] | None:
+    """:func:`_gcd_cofactors` at one ξ (at least its bound): the cofactors,
+    (a, b) itself when γ certifies that a and b are coprime, or None when
+    no candidate passes the exact check."""
+    va, vb = _value(a, xi), _value(b, xi)
+    gamma = gcd(va, vb)
+    if gamma <= xi // 2:
+        return a, b
+    h = _xi_adic(gamma, xi)
+    content = gcd(*h)
+    g = [c // content for c in h]
+    qa = _divide(a, g)
+    qb = qa and _divide(b, g)
+    if qb:
+        return qa, qb
+    return _cofactor_candidates(a, b, va // gamma, vb // gamma, xi)
+
+
+def _cofactor_candidates(a: list[int], b: list[int], ca: int, cb: int,
+                         xi: int) -> tuple[list[int], list[int]] | None:
+    """The cofactors read from ca = a(ξ)/γ, else from cb = b(ξ)/γ, when
+    the gcd they give divides the other side exactly."""
+    for c, side, other in ((ca, a, b), (cb, b, a)):
+        q = _xi_adic(c, xi)     # empty when ξ is a root of this side
+        g = q and _divide(side, q)
+        rest = g and _divide(other, g)
+        if rest:
+            return (q, rest) if side is a else (rest, q)
+    return None
+
+
+def _value(f: list[int], xi: int) -> int:
+    v = 0
+    for c in reversed(f):
+        v = v * xi + c
+    return v
+
+
+def _xi_adic(v: int, xi: int) -> list[int]:
+    """The balanced base-ξ digits of v, lowest first, each in
+    [-ξ/2, ξ/2]: the polynomial h with h(ξ) = v."""
+    half = xi // 2
+    out = []
+    while v:
+        d = v % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        v = (v - d) // xi
     return out
 
 
-def _from_univ(table: GeneratorTable, coeffs: list, shift: int) -> SuperPoly:
-    return SuperPoly(table, {k << shift: c for k, c in enumerate(coeffs)})
-
-
-def _gcd_univariate(a: SuperPoly, b: SuperPoly, shift: int) -> SuperPoly | None:
-    fa, fb = _univ_coeffs(a, shift), _univ_coeffs(b, shift)
-
-    def trim(f):
-        while f and not f[-1]:
-            f.pop()
-        return f
-
-    fa, fb = trim(fa[:]), trim(fb[:])
-    while fb:
-        # remainder of fa by fb
-        r = fa[:]
-        while len(r) >= len(fb) and trim(r):
-            if not r[-1]:
-                r.pop()
-                continue
-            offset = len(r) - len(fb)
-            factor = Fraction(r[-1]) / fb[-1]
-            for k, c in enumerate(fb):
-                r[offset + k] -= factor * c
-            trim(r)
-        fa, fb = fb, trim(r)
-    if not fa:
+def _divide(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g when g divides f exactly over Z, else None."""
+    n = len(g) - 1
+    if len(f) <= n:
         return None
-    monic = [Fraction(c) / fa[-1] for c in fa]
-    return _from_univ(a.table, monic, shift)
-
-
-def _divide_univariate(a: SuperPoly, g: SuperPoly, shift: int) -> SuperPoly:
-    fa, fg = _univ_coeffs(a, shift), _univ_coeffs(g, shift)
-    out = [0] * (len(fa) - len(fg) + 1)
-    r = fa[:]
-    for k in range(len(out) - 1, -1, -1):
-        c = Fraction(r[k + len(fg) - 1]) / fg[-1]
-        out[k] = c
+    lead = g[-1]
+    r = f[:]
+    q = [0] * (len(f) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + n], lead)
+        if rest:
+            return None
         if c:
-            for j, gc in enumerate(fg):
-                r[k + j] -= c * gc
-    return _from_univ(a.table, out, shift)
+            q[k] = c
+            for j in range(n):
+                r[k + j] -= c * g[j]
+    return None if any(r[:n]) else q
+
+
+def _prs_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """:func:`_gcd_cofactors` by the primitive polynomial remainder
+    sequence: pseudo-remainders over Z, each made primitive, until one is
+    zero; the last nonzero one is the gcd."""
+    f, g = (a, b) if len(a) >= len(b) else (b, a)
+    while len(g) > 1:
+        r = f[:]
+        lead, n = g[-1], len(g)
+        while len(r) >= n:
+            top, k = r[-1], len(r) - n
+            r = [c * lead for c in r]
+            for j in range(n):
+                r[k + j] -= top * g[j]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        content = gcd(*r)
+        f, g = g, [c // content for c in r]
+    else:
+        return a, b     # a nonzero constant remainder: coprime
+    return _divide(a, g), _divide(b, g)
 
 
 @functools.cache

@@ -536,6 +536,137 @@ def test_rational_arithmetic_matches_sympy(case):
         assert RationalFunction(a.num * h, a.den * h) == a
 
 
+# ---------------------------------------------------------------------------
+# the integer gcd of one-variable quotients
+
+def _x_poly(coeffs):
+    """The polynomial sum of coeffs[k] * x^k over T."""
+    x = T.index("x")
+    return SuperPoly(T, {T.monomial([(x, k)])[1]: c for k, c in enumerate(coeffs)})
+
+
+def _x_coeffs(poly):
+    """The coefficients of a polynomial in x alone, lowest degree first."""
+    by_degree = {sum(k for _, k in T.powers(m)): c for m, c in poly.terms.items()}
+    return [by_degree.get(k, 0) for k in range(1 + max(by_degree))]
+
+
+def _int_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _int_poly(rng, degree, size):
+    return ([rng.randint(-size, size) for _ in range(degree)]
+            + [rng.choice([-3, -2, -1, 1, 2, 3])])
+
+
+GCD_CASES = ["planted", "coprime", "content"]
+
+
+def _gcd_draw(rng, case):
+    """Two integer coefficient lists in x: with a planted common factor of
+    degree 1-3, drawn apart, or planted and scaled by integer contents."""
+    if case == "coprime":
+        return _int_poly(rng, rng.randint(1, 4), 9), _int_poly(rng, rng.randint(1, 4), 9)
+    g = _int_poly(rng, rng.randint(1, 3), rng.choice([1, 5, 40]))
+    a, b = (_int_mul(g, _int_poly(rng, rng.randint(0, 3), 9)) for _ in range(2))
+    if case == "content":
+        ka, kb = rng.choice([2, 6, 35]), rng.choice([3, 10, 12])
+        a, b = [c * ka for c in a], [c * kb for c in b]
+    return a, b
+
+
+def _primitive(f):
+    content = math.gcd(*f)
+    return [c // content for c in f]
+
+
+@pytest.mark.parametrize("case", GCD_CASES)
+def test_integer_gcd_matches_sympy(case):
+    import supercalc.algebra as algebra
+
+    sympy = pytest.importorskip("sympy")
+    sx = sympy.Symbol("x")
+
+    def poly(f):
+        return sympy.Poly(list(reversed(f)), sx)
+
+    rng = random.Random(59 + GCD_CASES.index(case))
+    for _ in range(40):
+        a, b = _gcd_draw(rng, case)
+        pa, pb = _primitive(a), _primitive(b)
+        g = sympy.gcd(poly(pa), poly(pb))
+        want = sympy.div(poly(pa), g)[0], sympy.div(poly(pb), g)[0]
+        qa, qb = algebra._gcd_cofactors(pa, pb)
+        assert (poly(qa), poly(qb)) in (want, (-want[0], -want[1])), (a, b)
+        if case != "coprime":
+            assert g.degree() >= 1
+        elif g.degree() == 0:
+            assert (qa, qb) == (pa, pb)
+        # the stored pair of the quotient, contents included
+        rf = RationalFunction(_x_poly(a), _x_poly(b))
+        num, den = poly(_x_coeffs(rf.num)), poly(_x_coeffs(rf.den))
+        assert sympy.gcd(num, den).degree() == 0
+        assert num * poly(b) == den * poly(a)
+        assert _normal(rf)
+
+
+# a pair whose gcd 2x - 1 the heuristic reads from the cofactor a(ξ)/γ,
+# after pp(h) fails the exact check at the first ξ
+COFACTOR_READ = ([-3, 5, 4, -4], [-3, 8, -4])
+
+
+@pytest.mark.parametrize("fallback", ["prs", "no-cofactors"])
+def test_gcd_fallbacks_store_the_heuristic_pairs(monkeypatch, fallback):
+    import supercalc.algebra as algebra
+
+    rng = random.Random(67)
+    sides = [_gcd_draw(rng, case) for case in GCD_CASES for _ in range(15)]
+    sides.append(COFACTOR_READ)
+    quotients = [(_x_poly(a), _x_poly([Fraction(c, 7) for c in b])) for a, b in sides]
+    calls = {"gcd": 0, "read": 0, "prs": 0}
+
+    def spy(name, real, count=lambda out: True):
+        def counting(*args):
+            out = real(*args)
+            calls[name] += count(out)
+            return out
+        monkeypatch.setattr(algebra, real.__name__, counting)
+
+    spy("gcd", algebra._gcd_cofactors)
+    spy("read", algebra._cofactor_candidates, lambda out: out is not None)
+    spy("prs", algebra._prs_cofactors)
+    heuristic = [RationalFunction(n, d) for n, d in quotients]
+    runs = calls["gcd"]
+    assert runs > len(sides) // 2 and calls["read"] >= 1 and calls["prs"] == 0
+    if fallback == "prs":
+        monkeypatch.setattr(algebra, "_GCDHEU_TRIES", 0)
+    else:
+        monkeypatch.setattr(algebra, "_cofactor_candidates", lambda *args: None)
+    for (n, d), want in zip(quotients, heuristic):
+        got = RationalFunction(n, d)
+        assert (_typed(got.num), _typed(got.den)) == (_typed(want.num), _typed(want.den))
+    assert calls["gcd"] == 2 * runs
+    assert calls["prs"] == (runs if fallback == "prs" else 0)
+
+
+def test_a_xi_below_the_bound_misses_a_common_factor():
+    import supercalc.algebra as algebra
+
+    # (x - 3)(x + 1) and (x - 3)(x + 2): the smaller norm is 3, so the
+    # bound asks for ξ >= 8.  At ξ = 4 the values 5 and 6 are coprime, and
+    # the certificate would wrongly call the two sides coprime.
+    a, b = [-3, -2, 1], [-6, -1, 1]
+    assert algebra._gcdheu_step(a, b, 4) == (a, b)
+    assert algebra._gcdheu_step(a, b, 8) == ([1, 1], [2, 1])
+    assert algebra._gcd_cofactors(a, b) == ([1, 1], [2, 1])
+    assert str(RationalFunction(_x_poly(a), _x_poly(b))) == "(1 + x)/(2 + x)"
+
+
 @pytest.mark.parametrize("num, den", [
     (gen("x"), SuperPoly.zero(T)),
     (SuperPoly.zero(T), SuperPoly.zero(T)),
@@ -1100,6 +1231,21 @@ def test_sum_of_products_guards_the_exponent_fields():
     # a product that overflows and then cancels still raises
     with pytest.raises(OverflowError):
         SuperPoly.sum_of_products(T, [(top, x), (-top, x)])
+
+
+def test_quotient_products_guard_the_exponent_fields():
+    # RationalFunction arithmetic multiplies its pairs through its own
+    # product, which keeps the kernel's guard bit.
+    from supercalc.algebra import _EXPONENT
+
+    x, y, one = gen("x"), gen("y"), SuperPoly.one(T)
+    top = RationalFunction(x ** _EXPONENT, y + 1)
+    assert top * RationalFunction(one, x) == RationalFunction(x ** (_EXPONENT - 1), y + 1)
+    for make in (lambda: top * RationalFunction(x, y + 2),
+                 lambda: top == RationalFunction(one, x * y + 2),
+                 lambda: RationalFunction(one, x ** _EXPONENT + y).derivative("x")):
+        with pytest.raises(OverflowError):
+            make()
 
 
 # ---------------------------------------------------------------------------

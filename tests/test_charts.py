@@ -256,25 +256,31 @@ def test_cocycle_2_2_denominators_stay_small():
 
 
 def test_cocycle_2_2_runs_euclid_only_where_it_can_cancel(monkeypatch):
-    # A constant or one-monomial denominator leaves no gcd for Euclid to
-    # find, so the reduction skips it there.  Running it on every
-    # one-variable quotient took 327 calls on the chain rule of these
-    # pairs; skipping it takes 106.
+    # A constant or one-monomial denominator leaves no gcd for the
+    # one-variable gcd to find, so the reduction skips it there.  Running
+    # it on every one-variable quotient took 327 calls on the chain rule of
+    # these pairs; skipping it takes 106.  The heuristic gcd decides every
+    # one of them, so the primitive PRS behind it never runs.
     import supercalc.algebra as algebra
 
     pairs = list(random_split_pairs_2_2())
-    calls = []
-    euclid = algebra._gcd_univariate
+    calls = {"gcd": 0, "prs": 0}
 
-    def counting(a, b, shift):
-        calls.append(None)
-        return euclid(a, b, shift)
+    def counting(name, real):
+        def spy(a, b):
+            calls[name] += 1
+            return real(a, b)
+        return spy
 
-    monkeypatch.setattr(algebra, "_gcd_univariate", counting)
+    monkeypatch.setattr(algebra, "_gcd_cofactors",
+                        counting("gcd", algebra._gcd_cofactors))
+    monkeypatch.setattr(algebra, "_prs_cofactors",
+                        counting("prs", algebra._prs_cofactors))
     for m1, m2 in pairs:
         lhs = compose_maps(m1, m2).ber_jacobian()
         assert lhs == m1.pullback(m2.ber_jacobian()) * m1.ber_jacobian()
-    assert 0 < len(calls) <= 120
+    assert 0 < calls["gcd"] <= 120
+    assert calls["prs"] == 0
 
 
 def test_berezinian_reductions_stay_within_the_count_before_one_denominator(

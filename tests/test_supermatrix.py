@@ -144,7 +144,7 @@ def random_rational_function_entry(rng):
     return entry
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_det_matches_leibniz_on_rational_function_entries(n):
     rng = random.Random(300 + n)
     for _ in range(3):
