@@ -594,6 +594,29 @@ class SuperPoly:
             raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
         return SuperPoly(table, terms)
 
+    def add_times_monomial(self, terms: dict, key: Monomial, sign: int = 1) -> None:
+        """Add sign * self * m into ``terms``, a term map over self's
+        table, for m the monomial with ``key`` and a sign of 1 or -1: the
+        accumulating form of ``self * SuperPoly(table, {key: sign})``, for
+        callers that fold many products into one map and normalize it once
+        with the constructor.  An even exponent past its field raises
+        ``OverflowError``."""
+        table = self.table
+        odd, guard = table._odd_mask, table._guard
+        below = _below_parity(key & odd, len(table.odd_positions))
+        get = terms.get
+        for m, c in self.terms.items():
+            if m & key & odd:
+                continue        # a shared odd factor squares to zero
+            mono = m + key
+            if mono & guard:
+                raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
+            # m's odd factors stay left of the monomial's
+            if (sign < 0) ^ (m & odd & below).bit_count() & 1:
+                c = -c
+            acc = get(mono)
+            terms[mono] = c if acc is None else acc + c
+
     def pair_sum(self, steps: Sequence[tuple], den: int | None = None) -> "SuperPoly":
         """The image under a sum of :meth:`GeneratorTable.pair_images`
         steps, in one walk of the compiled steps over the keys that adds
@@ -1026,11 +1049,6 @@ class RationalFunction:
     @property
     def table(self) -> GeneratorTable:
         return self.num.table
-
-    def is_polynomial(self) -> bool:
-        """Whether the denominator is a constant."""
-        terms = self.den.terms
-        return len(terms) == 1 and 0 in terms
 
     def _shared(self, o: "RationalFunction") -> "tuple[int, int] | None":
         """(a, b) with a * self.den == b * o.den, a and b coprime positive

@@ -21,10 +21,17 @@ Printed values are read back in one pass.  The parser makes one node per
 sum and one per product, holding all its terms or factors, and the
 :class:`Evaluator` folds a sum of numbers and polynomials into one term
 map, each monomial term (numbers, integer quotients, generator names and
-their powers) encoded by one :meth:`GeneratorTable.monomial` call.  Other
-sums and products fold left to right, one binary step at a time, so
-their values and refusals are those of the binary evaluator.  A sum of
-any length evaluates without recursion.
+their powers) encoded by one :meth:`GeneratorTable.monomial` call.  A
+printed delta term, ``(f) dx1 dx3 del(dth1) del(dth2,1)``, has one shape:
+no '/', a coefficient that is a number or a base polynomial, dx letters
+strictly ascending and one ``del(dth_a)`` or ``del(dth_a, <integer>)`` per
+odd slot in slot order.  A sum whose first term ends in a del factor
+adds its terms of that shape into one term map over the polyvector
+table, each term's letters encoded by one ``monomial`` call; every other
+delta product goes through ``Evaluator._delta_term``.  Other sums and
+products fold left to right, one binary step at a time, so their values
+and refusals are those of the binary evaluator.  A sum of any length
+evaluates without recursion.
 
 Input that cannot be used raises :class:`ExpressionError`, a
 ``ValueError``; a syntax error names its line and column, and input
@@ -45,7 +52,12 @@ from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import DERIV_PREFIX, fiber_name, form_table
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import IntegralForm, polyvector_table
-from supercalc.pseudoforms import DeltaForm, delta_times_poly, form_times_delta
+from supercalc.pseudoforms import (
+    DeltaForm,
+    _term_key,
+    delta_times_poly,
+    form_times_delta,
+)
 from supercalc.supermatrix import SuperMatrix
 
 MATRIX_FORMAT = "supercalc.matrix.v1"
@@ -219,7 +231,8 @@ class Ring:
     one shared ring per ``p|q``.
     """
 
-    __slots__ = ("p", "q", "chart", "ftab", "ptab", "fiber_names", "letters")
+    __slots__ = ("p", "q", "chart", "ftab", "ptab", "fiber_names", "letters",
+                 "dx_index", "del_names")
 
     def __init__(self, p: int, q: int):
         chart = Chart.standard(p, q)
@@ -233,10 +246,15 @@ class Ring:
         for n in names:
             pos = ftab.index(fiber_name(n))
             letters[fiber_name(n)] = (FORM, pos, pos)
+        # the printed delta shape: each dx letter's index and each odd
+        # slot's fiber letter
+        dx_index = {fiber_name(n): i for i, n in enumerate(chart.even_names)}
+        del_names = tuple(fiber_name(n) for n in chart.odd_names)
         for slot, value in (("p", p), ("q", q), ("chart", chart),
                             ("ftab", ftab), ("ptab", polyvector_table(chart)),
                             ("fiber_names", {fiber_name(n): n for n in names}),
-                            ("letters", letters)):
+                            ("letters", letters), ("dx_index", dx_index),
+                            ("del_names", del_names)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
@@ -410,9 +428,15 @@ class Evaluator:
     value so far and the remaining terms to :meth:`add`, one at a time.
     A product of numbers, integer quotients, generator names and their
     powers is one coefficient and one :meth:`GeneratorTable.monomial`
-    key, the codec giving the sign of reordering its odd letters; every
-    other product folds its factors left to right through :meth:`mul` and
-    :meth:`div`.  Values and refusals are those of the binary fold.
+    key, the codec giving the sign of reordering its odd letters.  A sum
+    whose first term is a product ending in a del factor, or one such
+    product, is a delta sum: each term of the printed delta shape
+    (:meth:`_delta_shape`) is s(eps) * coefficient * letters and adds into
+    one polyvector term map, wrapped once as a :class:`DeltaForm`; from
+    the first term of another shape on, the terms go through
+    :meth:`_delta_term` and :meth:`add`.  Every other product folds its
+    factors left to right through :meth:`mul` and :meth:`div`.  Values
+    and refusals are those of the binary fold.
     """
 
     def __init__(self, ring: Ring):
@@ -517,6 +541,8 @@ class Evaluator:
         return Poly(SuperPoly(_table(self.ring, layer), terms), layer)
 
     def sum(self, terms: list):
+        if _ends_in_del(terms[0][0]):
+            return self._delta_fold(terms)
         ring = self.ring
         layer, acc = None, {}
         for i, (node, negated) in enumerate(terms):
@@ -649,6 +675,13 @@ class Evaluator:
             if layer is None:
                 return Fraction(c)
             return Poly(SuperPoly(_table(self.ring, layer), {key: c}), layer)
+        if _ends_in_del(node):
+            return self._delta_fold(((node, False),))
+        return self._runs(node)
+
+    def _runs(self, node):
+        """A product node folded factor by factor, in runs between its '/'
+        divisors."""
         value, run = _NOTHING, []
         for f, slash in node[1]:
             if slash is None:
@@ -780,6 +813,83 @@ class Evaluator:
 
     # -- delta terms --------------------------------------------------------
 
+    def _delta_fold(self, terms):
+        """A sum whose first term is a product ending in a del factor, or
+        one such product as a sum of one term.
+
+        Terms of the printed delta shape (:meth:`_delta_shape`) add into
+        one term map over the polyvector table: s(eps) * coefficient * key,
+        the coefficient's letters preceding the key's in that table.  At
+        the first term of another shape the fold hands the form so far and
+        the remaining terms to :meth:`add`, each evaluated in full.
+        """
+        ring = self.ring
+        acc: dict = {}
+        for i, (node, negated) in enumerate(terms):
+            shape = self._delta_shape(node)
+            if shape is None:
+                value = self._runs(node) if node[0] == "product" else self.eval(node)
+                break
+            sign, key = shape
+            coefficient = self.eval(node[1][0][0])
+            if isinstance(coefficient, Fraction):
+                coefficient = SuperPoly.constant(ring.ptab, coefficient)
+            elif isinstance(coefficient, Poly) and coefficient.layer == BASE:
+                coefficient = transport(coefficient.poly, ring.ptab)
+            else:
+                value = self._delta_term([("value", coefficient),
+                                          *(f for f, _ in node[1][1:])])
+                break
+            coefficient.add_times_monomial(acc, key, -sign if negated else sign)
+        else:
+            return DeltaForm._of(ring.chart, SuperPoly(ring.ptab, acc))
+        if negated:
+            value = self.neg(value)
+        out = self.add(DeltaForm._of(ring.chart, SuperPoly(ring.ptab, acc)),
+                       value) if i else value
+        for node, negated in terms[i + 1:]:
+            value = self.eval(node)
+            out = self.add(out, self.neg(value) if negated else value)
+        return out
+
+    def _delta_shape(self, node):
+        """(s(eps), key) when ``node`` is a product in the printed delta
+        shape, else None.  That shape has no '/' and its factors are, in
+        order: one coefficient, which is no delta factor; dx letters of
+        the even coordinates, strictly ascending; and del(dth_a) or
+        del(dth_a, <int>) for each odd slot a in slot order."""
+        if node[0] != "product":
+            return None
+        factors, ring = node[1], self.ring
+        names = ring.del_names
+        n = len(factors) - len(names)
+        if n < 1 or _is_delta_letter(factors[0][0]):
+            return None
+        eps = [0] * ring.p
+        last = -1
+        for f, slash in factors[1:n]:
+            i = ring.dx_index.get(f[1]) if f[0] == "name" and slash is None else None
+            if i is None or i <= last:
+                return None
+            eps[i], last = 1, i
+        ells = []
+        for (f, slash), name in zip(factors[n:], names):
+            if slash is not None or f[0] != "call" or f[1] != "del":
+                return None
+            args = f[2]
+            if args[0][0] != "name" or args[0][1] != name:
+                return None
+            if len(args) == 1:
+                ells.append(0)
+            elif len(args) == 2 and args[1][0] == "int":
+                ells.append(args[1][1].numerator)
+            else:
+                return None
+        try:
+            return _term_key(ring.ptab, eps, ells)
+        except OverflowError:
+            return None     # the full path raises its own message
+
     def _delta_term(self, factors: list):
         """One product containing delta factors, in the written order.
 
@@ -854,6 +964,14 @@ class Evaluator:
 
 _ZERO_LETTER = object()
 _NOTHING = object()
+
+
+def _ends_in_del(node) -> bool:
+    """Whether ``node`` is a product whose last factor is a del call."""
+    if node[0] != "product":
+        return False
+    last = node[1][-1][0]
+    return last[0] == "call" and last[1] == "del"
 
 
 def _is_delta_letter(node) -> bool:

@@ -24,6 +24,13 @@ with s(eps) = (-1)^{sum of the indices i, counted from 0, with e_i = 0}.
 The pivot dx_1..dx_p del(dth_1)..del(dth_q) is the polynomial 1, and it
 integrates along the fiber to the Berezin density of the base chart.
 
+A :class:`DeltaForm` prints each term in exactly that written order,
+``(f) dx1 dx3 del(dth1) del(dth2,1)``: the coefficient in parentheses,
+the present dx letters ascending, then one delta factor per odd slot in
+slot order, its order written only when it is not zero.  The expression
+evaluator reads that shape back in one pass, as s(eps) f times the
+stored letters.
+
 The delta symbols are formal; the calculus is fixed by four letter rules
 on the stored polynomial, applied by :func:`cw_apply`, which compiles
 each word once per table and applies it in one pass over the stored keys:
@@ -53,7 +60,6 @@ G^-1-weighted raising letters.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import MappingProxyType
@@ -120,6 +126,17 @@ def _sign(eps: Sequence[int]) -> int:
     return -1 if sum(i for i, e in enumerate(eps) if not e) % 2 else 1
 
 
+def _term_key(table: GeneratorTable, eps: Sequence[int],
+              ells: Sequence[int]) -> tuple[int, int]:
+    """(s(eps), key) for the term dx^eps del^(ells) over a polyvector
+    table: the key of prod_{e_i = 0} pdx_i prod_a pdth_a^{l_a}.  An order
+    too large for its field raises ``OverflowError``."""
+    dx, dth = _letter_positions(table)
+    _, key = table.monomial([(pos, 1) for pos, e in zip(dx, eps) if not e]
+                            + [(pos, l) for pos, l in zip(dth, ells)])
+    return _sign(eps), key
+
+
 class DeltaForm:
     """A finite sum of delta-type terms over one chart.
 
@@ -138,8 +155,7 @@ class DeltaForm:
 
     def __init__(self, chart: Chart, terms: Mapping[TermKey, object] | None = None):
         table = polyvector_table(chart)
-        dx, dth = _letter_positions(table)
-        pairs = []
+        acc: dict = {}
         for (eps, ells), coeff in (terms or {}).items():
             eps = tuple(eps)
             ells = tuple(ells)
@@ -148,12 +164,11 @@ class DeltaForm:
             if len(ells) != chart.q or any(l < 0 or l != int(l) for l in ells):
                 raise ValueError(
                     f"need a nonnegative delta order per odd coordinate, got {ells}")
-            _, letters = table.monomial([(pos, 1) for pos, e in zip(dx, eps) if not e]
-                                        + [(pos, int(l)) for pos, l in zip(dth, ells)])
-            pairs.append((transport(_coerce_coefficient(chart, coeff), table),
-                          SuperPoly(table, {letters: _sign(eps)})))
+            sign, letters = _term_key(table, eps, [int(l) for l in ells])
+            transport(_coerce_coefficient(chart, coeff), table).add_times_monomial(
+                acc, letters, sign)
         self.chart = chart
-        self.poly = SuperPoly.sum_of_products(table, pairs)
+        self.poly = SuperPoly(table, acc)
 
     @classmethod
     def _of(cls, chart: Chart, poly: SuperPoly) -> "DeltaForm":
@@ -236,16 +251,19 @@ class DeltaForm:
     def terms(self) -> Mapping[TermKey, SuperPoly]:
         """The form term by term: a read-only map from (eps, ells) to the
         base coefficient over the chart, with no zero entries."""
+        chart = self.chart.table
+        return MappingProxyType({key: transport(f, chart) for key, f in self._groups()})
+
+    def _groups(self) -> Iterable[tuple[TermKey, SuperPoly]]:
+        """Each term's (eps, ells) and its base coefficient, still over
+        the polyvector table, which prints as it would over the chart."""
         table = self.poly.table
         dx, dth = _letter_positions(table)
-        view = {}
         for letters, f in self.poly.collect(dx + dth).items():
             powers = dict(table.powers(letters))
             eps = tuple(0 if pos in powers else 1 for pos in dx)
-            f = transport(f, self.chart.table)
-            view[eps, tuple(powers.get(pos, 0) for pos in dth)] = \
+            yield (eps, tuple(powers.get(pos, 0) for pos in dth)), \
                 f if _sign(eps) > 0 else -f
-        return MappingProxyType(view)
 
     # --- ring-module structure ---------------------------------------------
 
@@ -284,20 +302,6 @@ class DeltaForm:
     def z_degrees(self) -> frozenset[int]:
         return to_integral_form(self).degrees()
 
-    def z_degree(self) -> int | None:
-        """The common Z-degree, None for the zero form.
-
-        Raises on mixed input, reporting how many terms sit in each
-        degree.
-        """
-        degs = self.z_degrees()
-        if not degs:
-            return None
-        if len(degs) == 1:
-            return next(iter(degs))
-        census = Counter(sum(eps) - sum(ells) for eps, ells in self.terms)
-        raise ValueError(f"mixed degrees: {dict(sorted(census.items()))}")
-
     def parity(self) -> int | None:
         """Z2 parity q + |f| + (number of dx letters), None when mixed."""
         return to_integral_form(self).parity()
@@ -316,13 +320,12 @@ class DeltaForm:
     # --- presentation ---------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = self.terms
-        if not terms:
+        if self.poly.is_zero():
             return "0"
         odd_fibers = [fiber_name(n) for n in self.chart.odd_names]
         even_fibers = [fiber_name(n) for n in self.chart.even_names]
         parts = []
-        for (eps, ells), poly in sorted(terms.items()):
+        for (eps, ells), poly in sorted(self._groups(), key=lambda kv: kv[0]):
             letters = [even_fibers[i] for i, e in enumerate(eps) if e]
             letters += [f"del({name})" if l == 0 else f"del({name},{l})"
                         for name, l in zip(odd_fibers, ells)]

@@ -429,7 +429,7 @@ def test_rational_function_euclid_cancellation():
     den = z - 1
     r = RationalFunction(num, den)
     assert r == RationalFunction(z + 1, SuperPoly.one(T))
-    assert r.is_polynomial()
+    assert set(r.den.terms) == {0}     # a constant denominator
 
 
 def test_rational_function_substitute_divides_exactly():
@@ -950,7 +950,7 @@ def test_release_divides_a_shared_factor_out():
     d = x * y - 2 * x + y + 3
     p = x * x - 3 * y + 1
     rf = RationalFunction(p * d, d)
-    assert not rf.is_polynomial()      # two variables: the factor stays stored
+    assert set(rf.den.terms) != {0}    # two variables: the factor stays stored
     assert release_even_exponents(const(rf) * th1) == p * th1
     assert str(const(rf) * th1) == str(p * th1)
     inverse = RationalFunction(SuperPoly.one(T), 1 + x + y)

@@ -1,17 +1,19 @@
 """The expression evaluator against the binary one it replaced: printed
 values and hand-written inputs read back to equal values and identical
-refusals, long sums stay flat, and printed polynomials are built without
-SuperPoly arithmetic."""
+refusals, long sums stay flat, and printed polynomials and delta forms
+are built without SuperPoly or DeltaForm arithmetic."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from supercalc.algebra import GeneratorTable, SuperPoly
+from supercalc import expr, pseudoforms
+from supercalc.algebra import GeneratorTable, RationalFunction, SuperPoly
 from supercalc.cli import main
 from supercalc.derham import DERIV_PREFIX
 from supercalc.diffops import DiffOp
@@ -31,7 +33,7 @@ from supercalc.expr import (
     render,
 )
 from supercalc.integral_forms import IntegralForm
-from supercalc.pseudoforms import from_integral_form
+from supercalc.pseudoforms import DeltaForm, from_integral_form
 from supercalc.randoms import random_superpoly
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
@@ -165,6 +167,32 @@ def random_diffop(rng: random.Random, ring: Ring) -> DiffOp:
     return out
 
 
+def random_delta_form(rng: random.Random, ring: Ring, size: int) -> DeltaForm:
+    """A delta form of ``size`` terms with distinct (eps, ells), some with
+    quotient coefficients."""
+    chart = ring.chart
+    keys = list(itertools.product(itertools.product((0, 1), repeat=chart.p),
+                                  itertools.product(range(8), repeat=chart.q)))
+    terms = {}
+    for key in rng.sample(keys, size):
+        coeff = random_superpoly(rng, chart.table, terms=3, max_exp=2)
+        if not rng.randrange(4):
+            x = SuperPoly.generator(chart.table, chart.even_names[0])
+            coeff = coeff.scale(RationalFunction(SuperPoly.one(chart.table),
+                                                 x + rng.randint(0, 2)))
+        terms[key] = coeff if coeff else 1
+    return DeltaForm(chart, terms)
+
+
+def printed_delta_forms():
+    """Seeded multi-term delta forms of 1 to 16 terms on every shape."""
+    rng = random.Random(2303)
+    for p, q in SHAPES:
+        ring = Ring(p, q)
+        for size in range(1, 17):
+            yield ring, str(random_delta_form(rng, ring, size))
+
+
 def printed(count: int = 40):
     """Seeded output of every printer, on every shape."""
     rng = random.Random(2301)
@@ -192,6 +220,7 @@ def printed(count: int = 40):
             if markers:
                 yield ring, render(Marked(top, markers))
                 yield ring, render(Marked(Poly(omega, FORM), markers))
+    yield from printed_delta_forms()
 
 
 HAND_WRITTEN = {
@@ -223,6 +252,37 @@ HAND_WRITTEN = {
         "dd_y", "x1 + th1 +", "x1 ** 2 * th1", "x1^2^3",
     ],
     (2, 2): [
+        # each way out of the printed delta shape
+        "(x1) dx2 dx1 del(dth1) del(dth2)", "(x1) dx1 dx1 del(dth1) del(dth2)",
+        "(x1) dx2 dx2 del(dth1) del(dth2)", "(th1) dx1 del(dth2) del(dth1)",
+        "(x1) dx1 del(dth1)", "(x1) dx1 del(dth2)", "(th2) del(dth1)",
+        "(x1) del(dth1) del(dth1) del(dth2)", "(x1) del(dth1) del(dth2) del(dth2)",
+        "(dx1) del(dth1) del(dth2)", "(x1*dx1) dx2 del(dth1) del(dth2)",
+        "(x1) dx1 del(dth1) th2 del(dth2)", "(x1) del(dth1) del(dth2) th1",
+        "(x1) dth1 del(dth1) del(dth2)", "(x1) th1 del(dth1) del(dth2)",
+        "(x1) dx1 del(dth1, -1) del(dth2)", "(x1) del(dth1) del(dth2, -2)",
+        "(x1) del(dth1, 32767) del(dth2)", "(x1) del(dth1) del(dth2, 32768)",
+        "(x1) del(dth1, 40000) del(dth2)", "(1/0) del(dth1, 40000) del(dth2)",
+        "(x1) del(dth1, 1/1) del(dth2, 2*1)",
+        "(x1) del(dth1, x1) del(dth2)", "(x1) del(dth1, 1, 2) del(dth2)",
+        "(x1) del(dth1) del(dth2) + 0", "0 + (x1) del(dth1) del(dth2)",
+        "(x1) del(dth1) del(dth2) + 0 + (th1) dx2 del(dth1) del(dth2,3)",
+        "(x1) dx1 del(dth1) del(dth2) + x1",
+        "(x1) del(dth1) del(dth2) + (th1) dx1 del(dth1) del(dth2) + x1*th1",
+        "(x1) del(dth1) del(dth2) + (th1) dx1 del(dth1) del(dth2) - dx1",
+        "(x1) del(dth1) del(dth2) + Ber @ x1", "(x1) del(dth1) del(dth2) + dd_x1",
+        "(x1) del(dth1) del(dth2) - (x1) del(dth1) del(dth2)",
+        "-(x1) dx1 dx2 del(dth1) del(dth2) - (th1*th2) dx2 del(dth1,1) del(dth2)",
+        "(1/x1) dx1 del(dth1,1) del(dth2) + (1/(1 + x2)*th1) del(dth1) del(dth2)",
+        "(0) del(dth1) del(dth2) + (3/2) dx2 del(dth1) del(dth2)",
+        "(x1/0) del(dth1) del(dth2)", "(y) del(dth1) del(dth2)",
+        "(pdx1) del(dth1) del(dth2)", "(Ber) del(dth1) del(dth2)",
+        "(dd_x1) del(dth1) del(dth2)", "gauss(x1) del(dth1) del(dth2)",
+        "del(dth1)^1 del(dth1) del(dth2)", "del(dth2) del(dth1) del(dth2)",
+        "(x1) dx1 / x1 del(dth1) del(dth2)", "(x1) dx1^1 del(dth1) del(dth2)",
+        "(x1) del(dth1)^1 del(dth2)", "(x1) del(dth1) del(dth2) gauss(x1)",
+        "(x1) del(th1) del(dth2)", "(x1) del(dth1) del((dth2))",
+        "x1 dx1 del(dth1) del(dth2)", "dx1 del(dth1) del(dth2)",
         "th2*th1", "2*th2*th1 + th1*th2", "th2 th1 x1 dx2 dx1",
         "x1 x2 th1 th2 - th2 th1 x2 x1", "-th2*-th1", "dth1*dth2^2*th2*dx2",
         "(x1 + th1)^2 - x1^2", "x1*th1 + dx1 + x2*th2 - dx1",
@@ -230,6 +290,11 @@ HAND_WRITTEN = {
         "dx1*del(dth1)*del(dth2)", "del(dth2)*dx1*del(dth1)*th1",
         "Ber @ th2*th1*x1", "dd_th2*dd_th1 + dd_th1*dd_th2",
     ],
+    (0, 2): [
+        "(th1) del(dth1) del(dth2)", "(2) del(dth1,3) del(dth2) + (th2) del(dth1) del(dth2)",
+        "(th1*th2) del(dth2) del(dth1)", "(1) dx1 del(dth1) del(dth2)",
+    ],
+    (1, 0): ["(x1) dx1 del(dth1)", "(x1) del(dx1)", "(x1) dx1 + (2) dx1"],
 }
 
 
@@ -273,6 +338,76 @@ class TestAgainstTheBinaryEvaluator:
         monkeypatch.setattr(GeneratorTable, "monomial", unsigned)
         got = [outcome(parse_value, text, ring) for ring, text in cases]
         assert sum(g != w for g, w in zip(got, want)) > 0
+
+
+def delta_cases() -> list:
+    """The printed delta forms and the hand-written inputs with a del."""
+    return list(printed_delta_forms()) + [
+        (ring, text) for ring, text in hand_written() if "del(" in text]
+
+
+class TestThePrintedDeltaFold:
+    def test_a_dropped_term_sign_is_caught(self, monkeypatch):
+        term_key = pseudoforms._term_key
+
+        def unsigned(table, eps, ells):
+            return 1, term_key(table, eps, ells)[1]
+        cases = delta_cases()
+        assert mismatches(cases) == []
+        monkeypatch.setattr(expr, "_term_key", unsigned)
+        assert len(mismatches(cases)) > len(cases) // 4
+
+    def test_accepting_descending_dx_letters_is_caught(self, monkeypatch):
+        class Sorting(Evaluator):
+            """Reads the dx letters of a delta term in any order."""
+
+            def _delta_shape(self, node):
+                if node[0] == "product":
+                    factors = node[1]
+                    n = len(factors) - self.ring.q
+                    dx = sorted(factors[1:n], key=lambda f: (
+                        f[0][0] != "name", self.ring.dx_index.get(f[0][1], -1)))
+                    node = ("product", [factors[0], *dx, *factors[n:]])
+                return super()._delta_shape(node)
+        ring = Ring(2, 2)
+        cases = [(ring, "(x1) dx2 dx1 del(dth1) del(dth2)"),
+                 (ring, "(th1) dx1 del(dth1) del(dth2) + (x2) dx2 dx1 del(dth1,1) del(dth2)")]
+        assert mismatches(cases) == []
+        monkeypatch.setattr(expr, "Evaluator", Sorting)
+        assert len(mismatches(cases)) == 2
+
+
+def test_a_long_printed_delta_sum_is_folded_without_delta_arithmetic(monkeypatch):
+    ring = Ring(2, 2)
+    chart = ring.chart
+    keys = itertools.product(itertools.product((0, 1), repeat=2),
+                             itertools.product(range(32), repeat=2))
+    terms = {}
+    for k, key in zip(range(4000), keys):
+        terms[key] = SuperPoly.from_monomial(
+            chart.table, {"x1": k % 3, f"th{k % 2 + 1}": k % 5 // 3}, k % 7 - 3 or 5)
+    want = DeltaForm(chart, terms)
+    text = str(want)
+    calls = {"__add__": 0, "from_factors": 0, "form_times_delta": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+    monkeypatch.setattr(DeltaForm, "__add__", counted("__add__", DeltaForm.__add__))
+    monkeypatch.setattr(DeltaForm, "from_factors", classmethod(counted(
+        "from_factors", DeltaForm.from_factors.__func__)))
+    for module in (expr, pseudoforms):
+        monkeypatch.setattr(module, "form_times_delta", counted(
+            "form_times_delta", pseudoforms.form_times_delta))
+    value, markers = parse_value(text, ring)
+    assert calls == {"__add__": 0, "from_factors": 0, "form_times_delta": 0}
+    assert not markers and value == want
+    assert dict(value.terms) == terms
+    # the spies see the binary path: a term out of the shape, then a sum
+    parse_value("(x1) dx2 dx1 del(dth1) del(dth2) + (x1) del(dth1) del(dth2)", ring)
+    assert calls == {"__add__": 2, "from_factors": 1, "form_times_delta": 1}
 
 
 def test_trailing_tags_still_bind_to_the_last_product():
