@@ -117,9 +117,13 @@ def _seed_option(f):
                              "(default: SUPERCALC_SEED or 0)")(f)
 
 
+def _gaussian_option(f):
+    return click.option("--gaussian", multiple=True, metavar="NAME",
+                        help="coordinate carrying the Gaussian weight")(f)
+
+
 def _markers_options(f):
-    f = click.option("--gaussian", multiple=True, metavar="NAME",
-                     help="coordinate carrying the Gaussian weight")(f)
+    f = _gaussian_option(f)
     f = click.option("--dirac", multiple=True, metavar="NAME=POINT",
                      help="coordinate pinned at a rational point")(f)
     f = click.option("--formal", multiple=True, metavar="NAME",
@@ -140,6 +144,14 @@ def _collect_markers(markers: Markers, gaussian, dirac, formal) -> Markers:
     flagged = Markers(frozenset(gaussian), tuple(sorted(pins)),
                       frozenset(formal))
     return markers.merged(flagged)
+
+
+def _gaussian_weights(markers: Markers, gaussian, what: str) -> set:
+    """The coordinates weighted by gauss(...) tags or ``--gaussian``, for a
+    command that has no use for dirac(...) or formal(...) tags."""
+    if markers.dirac or markers.formal:
+        raise click.UsageError(f"the {what} takes gauss(...) tags only")
+    return set(markers.gaussian) | set(gaussian)
 
 
 class _Command(click.Command):
@@ -205,28 +217,26 @@ def cmd_homotopy(expression, degree, ring_text, json_mode):
 
 @main.command("spencer-delta")
 @click.argument("expression")
-@_markers_options
+@_gaussian_option
 @_ring_option
 @_json_option
-def cmd_spencer_delta(expression, gaussian, dirac, formal, ring_text,
-                      json_mode):
+def cmd_spencer_delta(expression, gaussian, ring_text, json_mode):
     """Differential of a density; Gaussian weights ride along."""
     ring = Ring.parse(ring_text)
     value, markers = parse_value(expression, ring)
-    markers = _collect_markers(markers, gaussian, dirac, formal)
+    weights = _gaussian_weights(markers, gaussian, "Spencer differential")
     u = want(ring, value, IntegralForm)
-    out = spencer_delta(u, markers.gaussian)
+    out = spencer_delta(u, weights)
     _emit(json_mode, "spencer-delta", str(out), ring)
 
 
 @main.command("lie-ber")
 @click.argument("density")
 @click.argument("field")
-@_markers_options
+@_gaussian_option
 @_ring_option
 @_json_option
-def cmd_lie_ber(density, field, gaussian, dirac, formal, ring_text,
-                json_mode):
+def cmd_lie_ber(density, field, gaussian, ring_text, json_mode):
     """Lie derivative of a density along a vector field.
 
     FIELD lists components as 'name = expr' separated by semicolons,
@@ -234,7 +244,7 @@ def cmd_lie_ber(density, field, gaussian, dirac, formal, ring_text,
     """
     ring = Ring.parse(ring_text)
     value, markers = parse_value(density, ring)
-    markers = _collect_markers(markers, gaussian, dirac, formal)
+    weights = _gaussian_weights(markers, gaussian, "Lie derivative")
     u = want(ring, value, IntegralForm)
     comps = {}
     for piece in field.split(";"):
@@ -250,7 +260,7 @@ def cmd_lie_ber(density, field, gaussian, dirac, formal, ring_text,
             raise click.UsageError("field components take no marker tags")
         comps[name] = want(ring, v, BASE)
     x = VectorField(ring.chart, comps)
-    out = lie_derivative_ber(u, x, markers.gaussian)
+    out = lie_derivative_ber(u, x, weights)
     _emit(json_mode, "lie-ber", str(out), ring)
 
 
@@ -409,7 +419,7 @@ def cmd_stokes(ctx, expression, gaussian, ring_text, json_mode):
     """Integrate the differential of a degree p-1 density; expect zero."""
     ring = Ring.parse(ring_text)
     value, markers = parse_value(expression, ring)
-    weights = set(markers.gaussian) | set(gaussian)
+    weights = _gaussian_weights(markers, gaussian, "Stokes check")
     u = want(ring, value, IntegralForm)
     value_out, vanished = stokes_check(u, weights or None)
     _emit(json_mode, "stokes", str(value_out), ring, passed=vanished)
@@ -530,7 +540,7 @@ def cmd_fiber_int(expression, gaussian, ring_text, json_mode):
     """
     ring = Ring.parse(ring_text)
     value, markers = parse_value(expression, ring)
-    weights = set(markers.gaussian) | set(gaussian)
+    weights = _gaussian_weights(markers, gaussian, "fiber integral")
     if weights:
         if isinstance(value, DeltaForm):
             raise click.UsageError(

@@ -19,19 +19,16 @@ integration.
 
 Printed values are read back in one pass.  The parser makes one node per
 sum and one per product, holding all its terms or factors, and the
-:class:`Evaluator` folds a sum of numbers and polynomials into one term
-map, each monomial term (numbers, integer quotients, generator names and
-their powers) encoded by one :meth:`GeneratorTable.monomial` call.  A
-printed delta term, ``(f) dx1 dx3 del(dth1) del(dth2,1)``, has one shape:
-no '/', a coefficient that is a number or a base polynomial, dx letters
-strictly ascending and one ``del(dth_a)`` or ``del(dth_a, <integer>)`` per
-odd slot in slot order.  A sum whose first term ends in a del factor
-adds its terms of that shape into one term map over the polyvector
-table, each term's letters encoded by one ``monomial`` call; every other
-delta product goes through ``Evaluator._delta_term``.  Other sums and
-products fold left to right, one binary step at a time, so their values
-and refusals are those of the binary evaluator.  A sum of any length
-evaluates without recursion.
+:class:`Evaluator` folds a sum of numbers and polynomials, or a sum of
+delta forms, into one term map, each monomial term (numbers, integer
+quotients, generator names and their powers) encoded by one
+:meth:`GeneratorTable.monomial` call.  A delta term, printed as
+``(f) dx1 dx3 del(dth1) del(dth2,1)`` or written in any other factor
+order, is read by one reader: its dx letters and del factors make one
+word for :meth:`DeltaForm.from_factors`, which charges the reordering
+sign.  Other sums and products fold left to right, one binary step at a
+time, so their values and refusals are those of the binary evaluator.  A
+sum of any length evaluates without recursion.
 
 Input that cannot be used raises :class:`ExpressionError`, a
 ``ValueError``; a syntax error names its line and column, and input
@@ -52,12 +49,7 @@ from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import DERIV_PREFIX, fiber_name, form_table
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import IntegralForm, polyvector_table
-from supercalc.pseudoforms import (
-    DeltaForm,
-    _term_key,
-    delta_times_poly,
-    form_times_delta,
-)
+from supercalc.pseudoforms import DeltaForm, delta_times_poly, form_times_delta
 from supercalc.supermatrix import SuperMatrix
 
 MATRIX_FORMAT = "supercalc.matrix.v1"
@@ -219,6 +211,8 @@ class _Parser:
 # --- the ring --------------------------------------------------------------
 
 BASE, FORM, PV = "base", "form", "pv"
+# the layer of a sum of delta forms, which the polyvector table holds
+DELTA = "delta"
 
 
 class Ring:
@@ -231,8 +225,7 @@ class Ring:
     one shared ring per ``p|q``.
     """
 
-    __slots__ = ("p", "q", "chart", "ftab", "ptab", "fiber_names", "letters",
-                 "dx_index", "del_names")
+    __slots__ = ("p", "q", "chart", "ftab", "ptab", "letters")
 
     def __init__(self, p: int, q: int):
         chart = Chart.standard(p, q)
@@ -246,15 +239,9 @@ class Ring:
         for n in names:
             pos = ftab.index(fiber_name(n))
             letters[fiber_name(n)] = (FORM, pos, pos)
-        # the printed delta shape: each dx letter's index and each odd
-        # slot's fiber letter
-        dx_index = {fiber_name(n): i for i, n in enumerate(chart.even_names)}
-        del_names = tuple(fiber_name(n) for n in chart.odd_names)
         for slot, value in (("p", p), ("q", q), ("chart", chart),
                             ("ftab", ftab), ("ptab", polyvector_table(chart)),
-                            ("fiber_names", {fiber_name(n): n for n in names}),
-                            ("letters", letters), ("dx_index", dx_index),
-                            ("del_names", del_names)):
+                            ("letters", letters)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
@@ -392,6 +379,7 @@ _KINDS = {
     IntegralForm: _Kind("a density", _density,
                         "a density (written Ber @ coefficient)"),
     BerPending: _Kind("a density"),
+    Markers: _Kind("marker tags"),
 }
 
 
@@ -423,20 +411,18 @@ class Evaluator:
 
     Sums and products are n-ary.  A sum folds its numbers and polynomials
     left to right into one term map, lifting it to the joined layer as
-    terms of a higher layer arrive; at the first term of another kind
-    (a delta form, a density, an operator, a tagged value) it hands the
-    value so far and the remaining terms to :meth:`add`, one at a time.
-    A product of numbers, integer quotients, generator names and their
-    powers is one coefficient and one :meth:`GeneratorTable.monomial`
-    key, the codec giving the sign of reordering its odd letters.  A sum
-    whose first term is a product ending in a del factor, or one such
-    product, is a delta sum: each term of the printed delta shape
-    (:meth:`_delta_shape`) is s(eps) * coefficient * letters and adds into
-    one polyvector term map, wrapped once as a :class:`DeltaForm`; from
-    the first term of another shape on, the terms go through
-    :meth:`_delta_term` and :meth:`add`.  Every other product folds its
-    factors left to right through :meth:`mul` and :meth:`div`.  Values
-    and refusals are those of the binary fold.
+    terms of a higher layer arrive; a sum that starts with delta forms,
+    or with a zero number, folds them into one polyvector term map,
+    wrapped once as a :class:`DeltaForm`.  At the first term of another
+    kind (a density, an operator, a tagged value, or a delta form beside
+    a polynomial or a nonzero number) it hands the value so far and the
+    remaining terms to :meth:`add`, one at a time.  A product of numbers, integer
+    quotients, generator names and their powers is one coefficient and
+    one :meth:`GeneratorTable.monomial` key, the codec giving the sign of
+    reordering its odd letters.  A product with a del factor is one delta
+    term (:meth:`_delta_term`); every other product folds its factors
+    left to right through :meth:`mul` and :meth:`div`.  Values and
+    refusals are those of the binary fold.
     """
 
     def __init__(self, ring: Ring):
@@ -535,28 +521,36 @@ class Evaluator:
         return layer, -c if sign < 0 else c, key
 
     def _settled(self, layer: str | None, terms: dict):
-        """The value of a folded term map: a number or a polynomial."""
+        """The value of a folded term map: a number, a polynomial or a
+        delta form."""
         if layer is None:
             return Fraction(terms.get(0, 0))
-        return Poly(SuperPoly(_table(self.ring, layer), terms), layer)
+        poly = SuperPoly(_table(self.ring, layer), terms)
+        return DeltaForm._of(self.ring.chart, poly) if layer == DELTA \
+            else Poly(poly, layer)
 
     def sum(self, terms: list):
-        if _ends_in_del(terms[0][0]):
-            return self._delta_fold(terms)
         ring = self.ring
         layer, acc = None, {}
         for i, (node, negated) in enumerate(terms):
-            mono = self._monomial(node, layer)
+            mono = self._monomial(node, layer) if layer != DELTA else None
             if mono is not None:
                 joined, c, key = mono
                 pieces = ((key, -c if negated else c),) if c else ()
             else:
-                value = self.eval(node)
+                # a product's monomial reading, if any, was tried above
+                value = self._runs(node) if node[0] == "product" \
+                    else self.eval(node)
                 if negated:
                     value = self.neg(value)
-                if isinstance(value, Fraction):
+                delta = layer == DELTA
+                if isinstance(value, DeltaForm) and (
+                        delta or layer is None and not acc):
+                    # a delta form adds to delta forms or to a zero number
+                    joined, pieces = DELTA, value.poly.terms.items()
+                elif isinstance(value, Fraction) and not delta:
                     joined, pieces = layer, ((0, value),) if value else ()
-                elif isinstance(value, Poly):
+                elif isinstance(value, Poly) and not delta:
                     joined = value.layer if layer is None else \
                         _join_layers(layer, value.layer)
                     pieces = _lift(ring, value, joined).terms.items()
@@ -675,8 +669,6 @@ class Evaluator:
             if layer is None:
                 return Fraction(c)
             return Poly(SuperPoly(_table(self.ring, layer), {key: c}), layer)
-        if _ends_in_del(node):
-            return self._delta_fold(((node, False),))
         return self._runs(node)
 
     def _runs(self, node):
@@ -813,96 +805,25 @@ class Evaluator:
 
     # -- delta terms --------------------------------------------------------
 
-    def _delta_fold(self, terms):
-        """A sum whose first term is a product ending in a del factor, or
-        one such product as a sum of one term.
-
-        Terms of the printed delta shape (:meth:`_delta_shape`) add into
-        one term map over the polyvector table: s(eps) * coefficient * key,
-        the coefficient's letters preceding the key's in that table.  At
-        the first term of another shape the fold hands the form so far and
-        the remaining terms to :meth:`add`, each evaluated in full.
-        """
-        ring = self.ring
-        acc: dict = {}
-        for i, (node, negated) in enumerate(terms):
-            shape = self._delta_shape(node)
-            if shape is None:
-                value = self._runs(node) if node[0] == "product" else self.eval(node)
-                break
-            sign, key = shape
-            coefficient = self.eval(node[1][0][0])
-            if isinstance(coefficient, Fraction):
-                coefficient = SuperPoly.constant(ring.ptab, coefficient)
-            elif isinstance(coefficient, Poly) and coefficient.layer == BASE:
-                coefficient = transport(coefficient.poly, ring.ptab)
-            else:
-                value = self._delta_term([("value", coefficient),
-                                          *(f for f, _ in node[1][1:])])
-                break
-            coefficient.add_times_monomial(acc, key, -sign if negated else sign)
-        else:
-            return DeltaForm._of(ring.chart, SuperPoly(ring.ptab, acc))
-        if negated:
-            value = self.neg(value)
-        out = self.add(DeltaForm._of(ring.chart, SuperPoly(ring.ptab, acc)),
-                       value) if i else value
-        for node, negated in terms[i + 1:]:
-            value = self.eval(node)
-            out = self.add(out, self.neg(value) if negated else value)
-        return out
-
-    def _delta_shape(self, node):
-        """(s(eps), key) when ``node`` is a product in the printed delta
-        shape, else None.  That shape has no '/' and its factors are, in
-        order: one coefficient, which is no delta factor; dx letters of
-        the even coordinates, strictly ascending; and del(dth_a) or
-        del(dth_a, <int>) for each odd slot a in slot order."""
-        if node[0] != "product":
-            return None
-        factors, ring = node[1], self.ring
-        names = ring.del_names
-        n = len(factors) - len(names)
-        if n < 1 or _is_delta_letter(factors[0][0]):
-            return None
-        eps = [0] * ring.p
-        last = -1
-        for f, slash in factors[1:n]:
-            i = ring.dx_index.get(f[1]) if f[0] == "name" and slash is None else None
-            if i is None or i <= last:
-                return None
-            eps[i], last = 1, i
-        ells = []
-        for (f, slash), name in zip(factors[n:], names):
-            if slash is not None or f[0] != "call" or f[1] != "del":
-                return None
-            args = f[2]
-            if args[0][0] != "name" or args[0][1] != name:
-                return None
-            if len(args) == 1:
-                ells.append(0)
-            elif len(args) == 2 and args[1][0] == "int":
-                ells.append(args[1][1].numerator)
-            else:
-                return None
-        try:
-            return _term_key(ring.ptab, eps, ells)
-        except OverflowError:
-            return None     # the full path raises its own message
-
     def _delta_term(self, factors: list):
         """One product containing delta factors, in the written order.
 
-        The del(...) factors make the term's delta symbols.  Every other
-        factor first moves left past the delta symbols written before it,
-        its odd part changing sign at each (they are odd), and then acts
-        from the left, innermost first: a function as a coefficient, a
-        form through :func:`form_times_delta`.
+        The del(...) factors and the bare dx letters make the term's word
+        of odd fiber letters, which :meth:`DeltaForm.from_factors` reads
+        in any order.  Every other factor first moves left past the
+        letters written before it, its odd part changing sign at each, and
+        then acts from the left, innermost first: a function as a
+        coefficient, a form through :func:`form_times_delta`.
         """
         ring = self.ring
         letters: list = []
         actions: list = []
         for node in factors:
+            if node[0] == "name":
+                layer, pos, _ = ring.letters.get(node[1], (None, 0, 0))
+                if layer == FORM and ring.ftab.parities[pos]:
+                    letters.append(node[1])     # a dx letter
+                    continue
             letter = self._delta_letter(node)
             if letter is _ZERO_LETTER:
                 return DeltaForm.zero(ring.chart)
@@ -947,8 +868,9 @@ class Evaluator:
             raise ExpressionError("del takes a fiber letter and an "
                                   "optional order", tok.line, tok.column)
         name = _marker_name(args[0], tok)
-        coord = self.ring.fiber_names.get(name)
-        if coord is None or not self.ring.chart.table.parity(coord):
+        # the fiber letters of the odd coordinates are the even form letters
+        letter = self.ring.letters.get(name)
+        if letter is None or letter[0] != FORM or self.ring.ftab.parities[letter[1]]:
             raise ExpressionError(
                 f"del expects an odd fiber letter such as dth1, got {name!r}",
                 tok.line, tok.column)
@@ -964,14 +886,6 @@ class Evaluator:
 
 _ZERO_LETTER = object()
 _NOTHING = object()
-
-
-def _ends_in_del(node) -> bool:
-    """Whether ``node`` is a product whose last factor is a del call."""
-    if node[0] != "product":
-        return False
-    last = node[1][-1][0]
-    return last[0] == "call" and last[1] == "del"
 
 
 def _is_delta_letter(node) -> bool:

@@ -28,8 +28,10 @@ A :class:`DeltaForm` prints each term in exactly that written order,
 ``(f) dx1 dx3 del(dth1) del(dth2,1)``: the coefficient in parentheses,
 the present dx letters ascending, then one delta factor per odd slot in
 slot order, its order written only when it is not zero.  The expression
-evaluator reads that shape back in one pass, as s(eps) f times the
-stored letters.
+evaluator reads a term in that order or any other through
+:meth:`DeltaForm.from_factors`, which stores s(eps) f times the letters
+with the sign of the reordering, and folds a sum of terms into one
+stored polynomial.
 
 The delta symbols are formal; the calculus is fixed by four letter rules
 on the stored polynomial, applied by :func:`cw_apply`, which compiles
@@ -121,6 +123,16 @@ def _letter_positions(table: GeneratorTable) -> tuple[tuple[int, ...], tuple[int
             table.positions_of_class(POLYVECTOR_EVEN))
 
 
+@cache
+def _fiber_slots(table: GeneratorTable) -> tuple[dict[str, int], dict[str, int]]:
+    """For a chart table: each dx letter's index among the even
+    coordinates, and each odd fiber letter's delta slot."""
+    return ({fiber_name(table.names[pos]): i
+             for i, pos in enumerate(table.even_positions)},
+            {fiber_name(table.names[pos]): a
+             for a, pos in enumerate(table.odd_positions)})
+
+
 def _sign(eps: Sequence[int]) -> int:
     """s(eps): the sign of the stored letters of the dx word ``eps``."""
     return -1 if sum(i for i, e in enumerate(eps) if not e) % 2 else 1
@@ -199,51 +211,53 @@ class DeltaForm:
         example ``"dx"`` on a chart with even coordinate ``x``) or a pair
         ``(fiber_odd_name, order)`` for a delta factor.  The factors may
         come in any order; the normalization to the canonical order
-        counts transpositions of the odd letters.  A repeated dx letter
-        squares to zero; a repeated or missing delta slot is an error
-        because sub-maximal pictures have no delta-form calculus.
+        counts transpositions of the odd letters.  A repeated or missing
+        delta slot is an error because sub-maximal pictures have no
+        delta-form calculus; once the slots check out, a repeated dx
+        letter squares to zero.
         """
-        even_fibers = {fiber_name(n): i for i, n in enumerate(chart.even_names)}
-        odd_fibers = {fiber_name(n): a for a, n in enumerate(chart.odd_names)}
-        eps = [0] * chart.p
-        orders: dict[int, int] = {}
-        word: list[tuple[int, int]] = []
+        even_fibers, odd_fibers = _fiber_slots(chart.table)
+        p = len(even_fibers)
+        eps = [0] * p
+        ells: list = [None] * len(odd_fibers)
+        # the letters so far as bits, dx_i at i and the delta slot a at
+        # p + a, and the parity of the transpositions that sort them
+        seen = inversions = 0
         for factor in factors:
             if isinstance(factor, str):
-                if factor not in even_fibers:
+                bit = even_fibers.get(factor)
+                if bit is None:
                     raise ValueError(f"unknown dx letter {factor!r}")
-                i = even_fibers[factor]
-                if eps[i]:
-                    return cls.zero(chart)
-                eps[i] = 1
-                word.append((0, i))
+                eps[bit] += 1
             else:
                 name, order = factor
-                if name not in odd_fibers:
+                a = odd_fibers.get(name)
+                if a is None:
                     raise ValueError(f"unknown delta direction {name!r}")
-                a = odd_fibers[name]
-                if a in orders:
+                if ells[a] is not None:
                     raise ValueError(
                         f"delta slot {name!r} appears twice; a product of two "
                         "deltas in one fiber direction is not defined")
                 if order < 0:
                     raise ValueError("delta derivative orders are nonnegative")
-                orders[a] = int(order)
-                word.append((1, a))
-        if set(orders) != set(range(chart.q)):
-            missing = [fiber_name(chart.odd_names[a])
-                       for a in range(chart.q) if a not in orders]
+                ells[a] = int(order)
+                bit = p + a
+            inversions ^= (seen >> bit).bit_count() & 1
+            seen |= 1 << bit
+        if None in ells:
+            missing = [name for name, a in odd_fibers.items() if ells[a] is None]
             raise ValueError(
                 f"every odd fiber direction needs exactly one delta factor "
                 f"(missing {', '.join(missing)}); sub-maximal pictures have "
                 "no delta-form calculus")
-        inversions = sum(1 for i in range(len(word)) for j in range(i + 1, len(word))
-                         if word[i] > word[j])
-        poly = _coerce_coefficient(chart, coefficient)
-        if inversions % 2:
-            poly = -poly
-        ells = tuple(orders[a] for a in range(chart.q))
-        return cls(chart, {(tuple(eps), ells): poly})
+        table = polyvector_table(chart)
+        sign, key = _term_key(table, eps, ells)
+        if max(eps, default=0) > 1:
+            return cls.zero(chart)
+        acc: dict = {}
+        transport(_coerce_coefficient(chart, coefficient), table).add_times_monomial(
+            acc, key, -sign if inversions else sign)
+        return cls._of(chart, SuperPoly._of(table, acc))
 
     # --- the term view --------------------------------------------------------
 

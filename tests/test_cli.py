@@ -225,6 +225,19 @@ def test_gaussian_weight_needs_an_even_coordinate(command, operands, name):
     assert f"{name!r} is not an even coordinate" in result.output
 
 
+@pytest.mark.parametrize("command, operands", [
+    ("spencer-delta", ["Ber @ x1*th1"]),
+    ("lie-ber", ["Ber @ x1*th1", "x1 = x1"]),
+])
+@pytest.mark.parametrize("option", ["--dirac=x1=0", "--formal=x1"])
+def test_only_integrals_take_dirac_and_formal_options(command, operands, option):
+    result = CliRunner().invoke(main, [command, "--ring", "1|1", option, "--",
+                                       *operands])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert option.split("=")[0] in result.output
+
+
 @pytest.mark.parametrize("p, q", [(-1, 1), (1, -1)])
 def test_koszul_negative_rank_is_a_usage_error(p, q):
     result = CliRunner().invoke(main, ["koszul", "--p", str(p),
@@ -506,6 +519,28 @@ def _usage(command: str, operands: str, error: str) -> str:
     (["d", "--ring", "1|1", "--", "\u0663*x1"], {},
      _usage("d", "EXPRESSION",
             "line 1, column 1: syntax error: unexpected character '\u0663'")),
+    # a tag inside a delta term is no coefficient
+    (["cw-apply", "--ring", "1|1", "--", "dx1", "(x1) del(dth1) gauss(x1)"], {},
+     _usage("cw-apply", "WORD EXPRESSION",
+            "expected a polynomial, got marker tags")),
+    (["fiber-int", "--ring", "1|1", "--", "(x1) dx1 del(dth1) formal(x1)"], {},
+     _usage("fiber-int", "EXPRESSION",
+            "expected a polynomial, got marker tags")),
+    # commands that integrate nothing have no use for pins or formal names
+    (["spencer-delta", "--ring", "1|1", "--", "Ber @ x1*th1 dirac(x1,0)"], {},
+     _usage("spencer-delta", "EXPRESSION",
+            "the Spencer differential takes gauss(...) tags only")),
+    (["lie-ber", "--ring", "1|1", "--", "Ber @ x1*th1 formal(x1)", "x1 = x1"],
+     {}, _usage("lie-ber", "DENSITY FIELD",
+                "the Lie derivative takes gauss(...) tags only")),
+    (["stokes", "--ring", "1|1", "--", "Ber @ th1 gauss(x1) dirac(x1,0)"], {},
+     _usage("stokes", "EXPRESSION", "the Stokes check takes gauss(...) tags only")),
+    (["fiber-int", "--ring", "1|1", "--", "((x1) dx1 del(dth1)) formal(x1)"], {},
+     _usage("fiber-int", "EXPRESSION",
+            "the fiber integral takes gauss(...) tags only")),
+    (["fiber-int", "--ring", "1|1", "--", "(dx1*dth1^2) gauss(dth1) dirac(x1,1)"],
+     {}, _usage("fiber-int", "EXPRESSION",
+                "the fiber integral takes gauss(...) tags only")),
 ])
 def test_refusals_print_usage_and_the_exact_error(tmp_path, args, files,
                                                   output):

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from supercalc import expr, pseudoforms
 from supercalc.algebra import GeneratorTable, RationalFunction, SuperPoly
 from supercalc.cli import main
-from supercalc.derham import DERIV_PREFIX
+from supercalc.derham import DERIV_PREFIX, fiber_name
 from supercalc.diffops import DiffOp
 from supercalc.expr import (
     BASE,
@@ -29,11 +29,12 @@ from supercalc.expr import (
     Ring,
     _is_delta_letter,
     _Parser,
+    _ZERO_LETTER,
     parse_value,
     render,
 )
 from supercalc.integral_forms import IntegralForm
-from supercalc.pseudoforms import DeltaForm, from_integral_form
+from supercalc.pseudoforms import DeltaForm, form_times_delta, from_integral_form
 from supercalc.randoms import random_superpoly
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
@@ -104,7 +105,7 @@ class BinaryEvaluator(Evaluator):
             return BerPending(SuperPoly.one(ring.ptab))
         if text in ring.chart.coordinate_names:
             return Poly(SuperPoly.generator(ring.chart.table, text), BASE)
-        if text in ring.fiber_names:
+        if text in map(fiber_name, ring.chart.coordinate_names):
             return Poly(SuperPoly.generator(ring.ftab, text), FORM)
         if text.startswith(DERIV_PREFIX):
             coord = text[len(DERIV_PREFIX):]
@@ -120,6 +121,37 @@ class BinaryEvaluator(Evaluator):
         for node in factors[1:]:
             value = self.mul(value, self.eval(node))
         return value
+
+    def _delta_term(self, factors):
+        """The del(...) factors alone make the term's delta symbols; every
+        other factor, dx letters included, moves left past the delta
+        symbols before it and acts from the left: a function as a
+        coefficient, a form through form_times_delta."""
+        ring = self.ring
+        letters = []
+        actions = []
+        for node in factors:
+            letter = self._delta_letter(node)
+            if letter is _ZERO_LETTER:
+                return DeltaForm.zero(ring.chart)
+            if letter is not None:
+                letters.append(letter)
+                continue
+            value = self.eval(node)
+            is_form = isinstance(value, Poly) and value.layer == FORM
+            poly = value.poly if is_form else expr.want(ring, value, BASE)
+            if len(letters) % 2:
+                even, odd = poly.homogeneous_parts()
+                poly = even - odd
+            if actions and actions[-1][0] == is_form:
+                actions[-1] = (is_form, actions[-1][1] * poly)
+            else:
+                actions.append((is_form, poly))
+        inner = actions.pop()[1] if actions and not actions[-1][0] else 1
+        out = DeltaForm.from_factors(ring.chart, inner, letters)
+        for is_form, poly in reversed(actions):
+            out = form_times_delta(poly, out) if is_form else out.times(poly)
+        return out
 
 
 def binary_parse_value(text: str, ring: Ring):
@@ -305,6 +337,40 @@ def hand_written():
             yield ring, text
 
 
+def shuffled_delta_products(count: int, seed: int = 2304):
+    """Seeded delta products with their factors in random order: a
+    coefficient, dx letters, del factors and stray function or form
+    factors, some inside sums with leading or trailing number and
+    polynomial terms.  A few repeat a dx letter or miss a delta slot."""
+    rng = random.Random(seed)
+    shapes = SHAPES + [(0, 2)]
+    for _ in range(count):
+        ring = Ring(*rng.choice(shapes))
+        chart = ring.chart
+        dx = [f"d{n}" for n in chart.even_names]
+        dth = [f"d{n}" for n in chart.odd_names]
+        coefficient = random_superpoly(rng, chart.table, terms=2, max_exp=2)
+        factors = [f"({coefficient})"]
+        factors += rng.sample(dx, rng.randint(0, len(dx)))
+        if dx and not rng.randrange(12):
+            factors.append(rng.choice(dx))
+        slots = dth if rng.randrange(16) else dth[1:]
+        factors += [f"del({name},{k})" if k else f"del({name})"
+                    for name, k in ((n, rng.choice((0, 0, 1, 3))) for n in slots)]
+        strays = list(chart.coordinate_names) + dth + [
+            f"({n} + {d})" for n, d in zip(chart.coordinate_names, dx)] + [
+            f"{d}^1" for d in dx]
+        factors += rng.sample(strays, min(len(strays), rng.choice((0, 0, 1, 2))))
+        rng.shuffle(factors)
+        text = rng.choice((" ", "*")).join(factors)
+        roll = rng.randrange(6)
+        if roll == 0:
+            text = rng.choice(("0 + ", "1 - 1 + ", "x1 - x1 + ", "3 + ")) + text
+        elif roll == 1:
+            text += rng.choice((" + 0", " - 0*th1", " + x1", " - " + text))
+        yield ring, text
+
+
 # --- the tests --------------------------------------------------------------
 
 
@@ -346,7 +412,26 @@ def delta_cases() -> list:
         (ring, text) for ring, text in hand_written() if "del(" in text]
 
 
+def changed_outcomes(cases, monkeypatch, name: str, mutant) -> int:
+    """How many of ``cases`` read differently from the binary evaluator
+    once ``DeltaForm.<name>`` or ``pseudoforms.<name>`` is ``mutant``."""
+    want = [outcome(binary_parse_value, text, ring) for ring, text in cases]
+    if name == "from_factors":
+        monkeypatch.setattr(DeltaForm, name, classmethod(mutant))
+    else:
+        monkeypatch.setattr(pseudoforms, name, mutant)
+    got = [outcome(parse_value, text, ring) for ring, text in cases]
+    return sum(g != w for g, w in zip(got, want))
+
+
 class TestThePrintedDeltaFold:
+    def test_shuffled_delta_products_match(self):
+        cases = list(shuffled_delta_products(400))
+        assert mismatches(cases) == []
+        refused = sum(outcome(parse_value, text, ring)[0] == "refused"
+                      for ring, text in cases)
+        assert 0 < refused < len(cases) // 3
+
     def test_a_dropped_term_sign_is_caught(self, monkeypatch):
         term_key = pseudoforms._term_key
 
@@ -354,27 +439,20 @@ class TestThePrintedDeltaFold:
             return 1, term_key(table, eps, ells)[1]
         cases = delta_cases()
         assert mismatches(cases) == []
-        monkeypatch.setattr(expr, "_term_key", unsigned)
-        assert len(mismatches(cases)) > len(cases) // 4
+        assert changed_outcomes(cases, monkeypatch, "_term_key",
+                                unsigned) > len(cases) // 4
 
     def test_accepting_descending_dx_letters_is_caught(self, monkeypatch):
-        class Sorting(Evaluator):
-            """Reads the dx letters of a delta term in any order."""
+        from_factors = DeltaForm.from_factors.__func__
 
-            def _delta_shape(self, node):
-                if node[0] == "product":
-                    factors = node[1]
-                    n = len(factors) - self.ring.q
-                    dx = sorted(factors[1:n], key=lambda f: (
-                        f[0][0] != "name", self.ring.dx_index.get(f[0][1], -1)))
-                    node = ("product", [factors[0], *dx, *factors[n:]])
-                return super()._delta_shape(node)
-        ring = Ring(2, 2)
-        cases = [(ring, "(x1) dx2 dx1 del(dth1) del(dth2)"),
-                 (ring, "(th1) dx1 del(dth1) del(dth2) + (x2) dx2 dx1 del(dth1,1) del(dth2)")]
+        def in_order(cls, chart, coefficient, factors):
+            # the letters sorted into canonical order: no reordering sign
+            return from_factors(cls, chart, coefficient, sorted(
+                factors, key=lambda f: (not isinstance(f, str), f)))
+        cases = list(shuffled_delta_products(200))
         assert mismatches(cases) == []
-        monkeypatch.setattr(expr, "Evaluator", Sorting)
-        assert len(mismatches(cases)) == 2
+        assert changed_outcomes(cases, monkeypatch, "from_factors",
+                                in_order) > len(cases) // 8
 
 
 def test_a_long_printed_delta_sum_is_folded_without_delta_arithmetic(monkeypatch):
@@ -388,7 +466,7 @@ def test_a_long_printed_delta_sum_is_folded_without_delta_arithmetic(monkeypatch
             chart.table, {"x1": k % 3, f"th{k % 2 + 1}": k % 5 // 3}, k % 7 - 3 or 5)
     want = DeltaForm(chart, terms)
     text = str(want)
-    calls = {"__add__": 0, "from_factors": 0, "form_times_delta": 0}
+    calls = {"__add__": 0, "form_times_delta": 0}
 
     def counted(name, fn):
         def spy(*args):
@@ -396,18 +474,18 @@ def test_a_long_printed_delta_sum_is_folded_without_delta_arithmetic(monkeypatch
             return fn(*args)
         return spy
     monkeypatch.setattr(DeltaForm, "__add__", counted("__add__", DeltaForm.__add__))
-    monkeypatch.setattr(DeltaForm, "from_factors", classmethod(counted(
-        "from_factors", DeltaForm.from_factors.__func__)))
     for module in (expr, pseudoforms):
         monkeypatch.setattr(module, "form_times_delta", counted(
             "form_times_delta", pseudoforms.form_times_delta))
     value, markers = parse_value(text, ring)
-    assert calls == {"__add__": 0, "from_factors": 0, "form_times_delta": 0}
+    assert calls == {"__add__": 0, "form_times_delta": 0}
     assert not markers and value == want
     assert dict(value.terms) == terms
-    # the spies see the binary path: a term out of the shape, then a sum
-    parse_value("(x1) dx2 dx1 del(dth1) del(dth2) + (x1) del(dth1) del(dth2)", ring)
-    assert calls == {"__add__": 2, "from_factors": 1, "form_times_delta": 1}
+    # the spies see the binary path: a zero term hands the sum to add,
+    # and a form factor acts through form_times_delta
+    parse_value("(x1) del(dth1) del(dth2) + 0 + (x1 + dx1) del(dth1) del(dth2)",
+                ring)
+    assert calls == {"__add__": 3, "form_times_delta": 1}
 
 
 def test_trailing_tags_still_bind_to_the_last_product():

@@ -656,6 +656,28 @@ class TestTermStructure:
         assert DeltaForm.from_factors(
             R12, 1, ["dx", "dx", ("dth1", 0), ("dth2", 0)]).is_zero()
 
+    def test_slots_are_checked_before_a_repeated_dx_squares_to_zero(self):
+        with pytest.raises(ValueError, match="missing dth2"):
+            DeltaForm.from_factors(Chart.standard(2, 2), 1,
+                                   ["dx1", "dx1", ("dth1", 0)])
+        with pytest.raises(ValueError, match="appears twice"):
+            DeltaForm.from_factors(R12, 1, ["dx", "dx", ("dth1", 0), ("dth1", 0)])
+        with pytest.raises(OverflowError):
+            DeltaForm.from_factors(R12, 1, ["dx", "dx", ("dth1", 40000),
+                                            ("dth2", 0)])
+
+    def test_a_term_is_built_without_the_constructor(self, monkeypatch):
+        want = DeltaForm(R22, {((1, 0), (2, 0)): SuperPoly.one(R22.table)})
+        calls = []
+        init = DeltaForm.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+        monkeypatch.setattr(DeltaForm, "__init__", counted)
+        got = DeltaForm.from_factors(R22, 1, [("dth1", 2), "dx", ("dth2", 0)])
+        assert calls == [] and got == -want
+
     def test_repeated_delta_slot_rejected(self):
         with pytest.raises(ValueError, match="appears twice"):
             DeltaForm.from_factors(R02, 1, [("dth1", 0), ("dth1", 1)])
