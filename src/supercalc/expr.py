@@ -30,10 +30,24 @@ sign.  Other sums and products fold left to right, one binary step at a
 time, so their values and refusals are those of the binary evaluator.  A
 sum of any length evaluates without recursion.
 
+The tokens are what one ``findall`` of one regular expression returns:
+a name (an ASCII letter or '_', then letters, digits and '_'), a run of
+ASCII digits, ``**``, one of ``-+*/^@(),=``, or any other character
+that is not blank.  Such a character reads as a name when it is a
+letter and is refused otherwise, so a digit outside ASCII ('²', '٣') is
+no number.  The parser takes each token's kind from its text, and the
+syntax tree holds a token's index, not its position.
+
 Input that cannot be used raises :class:`ExpressionError`, a
-``ValueError``; a syntax error names its line and column, and input
-nested too deeply to parse or evaluate is refused as such.  The module
-does not depend on any command line toolkit.
+``ValueError``; a refusal at a token names its line and column, and
+input nested too deeply to parse or evaluate is refused as such.  A
+position is worked out only for a refusal, by scanning the text again
+up to the refused token.  Lines break where ``str.splitlines`` breaks
+them (``\\n``, ``\\r\\n``, ``\\r``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
+``\\x85``, ``\\u2028``, ``\\u2029``); every one of them is blank to the
+tokenizer, so no token spans two lines.  Columns count characters from 1,
+and the end of input stands just after the last token.  The module does
+not depend on any command line toolkit.
 """
 
 from __future__ import annotations
@@ -65,147 +79,204 @@ class ExpressionError(ValueError):
         super().__init__(message)
 
 
+class _Refusal(Exception):
+    """A refusal at a token, raised inside the parser and the evaluator;
+    :func:`parse_value` locates the token and raises the
+    :class:`ExpressionError`."""
+
+    def __init__(self, message: str, at):
+        super().__init__(message)
+        self.message = message
+        self.at = at    # the token: its index in the text
+
+
 # --- tokens ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|([0-9]+)|(\*\*)|([-+*/^@(),=])|(\S)")
-# the kind of a token by the group it matched; punctuation is its own kind
-_GROUP_KINDS = (None, "name", "int", "^", None, None)
+# names, integers, '**', one punctuation character, or any other character
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|\*\*|[-+*/^@(),=]|\S")
+# a character only the last branch of _TOKEN takes
+_STRAY = re.compile(r"[^\sA-Za-z_0-9*+\-/^@(),=]")
+# the tokens that are neither a name nor an integer; "" ends the input
+_PUNCT = frozenset(("-", "+", "*", "/", "^", "**", "@", "(", ")", ",", "=", ""))
 
 
-class Token(NamedTuple):
-    kind: str  # "name", "int", a punctuation string, or "end"
-    text: str
-    line: int
-    column: int
+def _tokenize(text: str) -> list[str]:
+    """The token strings of ``text``, then "" for the end of input."""
+    tokens = _TOKEN.findall(text)
+    m = _STRAY.search(text)
+    while m is not None:
+        # a letter outside ASCII reads as a name; a digit outside ASCII
+        # ('²', '٣') is refused like any other character
+        if not m.group().isalpha():
+            raise _Refusal(f"syntax error: unexpected character {m.group()!r}",
+                           len(_TOKEN.findall(text, 0, m.start())))
+        m = _STRAY.search(text, m.end())
+    tokens.append("")
+    return tokens
 
 
-def _tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    make = tuple.__new__    # a Token, without NamedTuple's Python-level __new__
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        for m in _TOKEN.finditer(line):
-            group, piece = m.lastindex, m.group()
-            kind = _GROUP_KINDS[group] or piece
-            if group == 3:
-                piece = "^"
-            elif group == 5:
-                # a letter outside ASCII reads as one; a digit outside
-                # ASCII ('²', '٣') is refused like any other character
-                kind = "name" if piece.isalpha() else None
-                if kind is None:
-                    raise ExpressionError(
-                        f"syntax error: unexpected character {piece!r}",
-                        lineno, m.start() + 1)
-            out.append(make(Token, (kind, piece, lineno, m.start() + 1)))
-    last = out[-1] if out else None
-    out.append(Token("end", "", last.line if last else 1,
-                     last.column + len(last.text) if last else 1))
-    return out
+def _shown(token: str) -> str:
+    """A token as a syntax error quotes it."""
+    return "^" if token == "**" else token or "end of input"
+
+
+def _locate(text: str, index: int, line: int = 1,
+            column: int = 1) -> tuple[int, int]:
+    """The line and column of token ``index`` of ``text``, whose first
+    character stands at ``line`` and ``column``.  The end of input stands
+    just after the last token; lines break where ``str.splitlines`` breaks
+    them."""
+    offset = 0
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == index:
+            offset = m.start()
+            break
+        offset = m.end()
+    # the token is on the last line that starts at or before it
+    row = row_start = start = 0
+    for k, piece in enumerate(text.splitlines(keepends=True)):
+        if start > offset:
+            break
+        row, row_start = k, start
+        start += len(piece)
+    return line + row, (column if row == 0 else 1) + offset - row_start
 
 
 # --- syntax trees ----------------------------------------------------------
 #
-# Nodes are plain tuples: ("int", Fraction, tok), ("name", str, tok),
+# Nodes are plain tuples: ("int", int, tok), ("name", str, tok),
 # ("call", fname, [args], tok), ("neg", a), ("pow", a, k, tok),
 # ("at", a, b, tok), ("sum", [(term, negated), ...]) for two or more terms
 # and ("product", [(factor, slash), ...]) for two or more factors, where
-# ``slash`` is the '/' token of a divisor and None for a factor.  The
-# evaluator wraps a value it already holds as ("value", v).
+# ``slash`` is the '/' token of a divisor and None for a factor.  A tok is
+# the index of the token in the text.  The evaluator wraps a value it
+# already holds as ("value", v).
 
-_CALLS = ("del", "gauss", "dirac", "formal")
+_CALLS = frozenset(("del", "gauss", "dirac", "formal"))
+_POWER = frozenset(("^", "**"))
+_ARGUMENT_END = frozenset((",", ")"))
 
 
 class _Parser:
+    """Recursive descent over the token strings of one text.  Each rule
+    takes the index of its first token and returns its node and the index
+    after it."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.take()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise ExpressionError(
-                f"syntax error: expected {kind!r}, found {shown!r}",
-                tok.line, tok.column)
-        return tok
 
     def parse(self):
-        node = self.sum()
-        if self.peek().kind == "@":
-            tok = self.take()
-            node = ("at", node, self.sum(), tok)
-            if self.peek().kind == "@":
-                bad = self.peek()
-                raise ExpressionError(
-                    "syntax error: a density takes a single '@' separator",
-                    bad.line, bad.column)
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(
-                f"syntax error: unexpected {tok.text!r}", tok.line, tok.column)
+        tokens = self.tokens
+        node, i = self.sum(0)
+        if tokens[i] == "@":
+            rhs, j = self.sum(i + 1)
+            node, i = ("at", node, rhs, i), j
+            if tokens[i] == "@":
+                raise _Refusal(
+                    "syntax error: a density takes a single '@' separator", i)
+        if tokens[i]:   # not the end of input
+            raise _Refusal(f"syntax error: unexpected {_shown(tokens[i])!r}", i)
         return node
 
-    def sum(self):
-        terms = [(self.product(), False)]
-        while self.peek().kind in ("+", "-"):
-            negated = self.take().kind == "-"
-            terms.append((self.product(), negated))
-        return terms[0][0] if len(terms) == 1 else ("sum", terms)
+    def expect(self, token: str, i: int) -> int:
+        if self.tokens[i] != token:
+            raise _Refusal(f"syntax error: expected {token!r}, found "
+                           f"{_shown(self.tokens[i])!r}", i)
+        return i + 1
 
-    def product(self):
-        factors = [(self.power(), None)]
+    def sum(self, i: int):
+        tokens = self.tokens
+        node, i = self.product(i)
+        op = tokens[i]
+        if op != "+" and op != "-":
+            return node, i
+        terms = [(node, False)]
+        while op == "+" or op == "-":
+            node, i = self.product(i + 1)
+            terms.append((node, op == "-"))
+            op = tokens[i]
+        return ("sum", terms), i
+
+    def product(self, i: int):
+        tokens, punct = self.tokens, _PUNCT
+        factors = []
+        slash = None
         while True:
-            tok = self.peek()
-            if tok.kind in ("*", "/"):
-                self.take()
-            elif tok.kind not in ("name", "int", "("):
+            tok = tokens[i]
+            if tok in punct or tok in _CALLS or tokens[i + 1] in _POWER:
+                node, i = self.power(i)
+            else:   # a bare name or integer, as most printed factors are
+                node, i = _operand(tok, i), i + 1
+            factors.append((node, slash))
+            tok = tokens[i]
+            if tok == "*":
+                slash = None
+                i += 1
+            elif tok == "/":
+                slash = i
+                i += 1
+            elif tok == "(" or tok not in punct:
+                # juxtaposition reads as multiplication, so rendered
+                # delta forms like "(x1) dx1 del(dth1)" parse back
+                slash = None
+            else:
                 break
-            # juxtaposition reads as multiplication, so rendered
-            # delta forms like "(x1) dx1 del(dth1)" parse back
-            factors.append((self.power(), tok if tok.kind == "/" else None))
-        return factors[0][0] if len(factors) == 1 else ("product", factors)
+        return (factors[0][0] if len(factors) == 1 else ("product", factors)), i
 
-    def power(self):
-        node = self.atom()
-        if self.peek().kind == "^":
-            tok = self.take()
-            exp = self.expect("int")
-            node = ("pow", node, int(exp.text), tok)
-        return node
+    def power(self, i: int):
+        tokens = self.tokens
+        tok = tokens[i]
+        if tok in _PUNCT:
+            node, i = self.group(i)
+        elif tok in _CALLS:
+            node, i = self.call(i)
+        else:
+            node, i = _operand(tok, i), i + 1
+        tok = tokens[i]
+        if tok in _POWER:
+            exp = tokens[i + 1]
+            if exp in _PUNCT or exp >= ":":
+                raise _Refusal("syntax error: expected 'int', found "
+                               f"{_shown(exp)!r}", i + 1)
+            node, i = ("pow", node, int(exp), i), i + 2
+        return node, i
 
-    def atom(self):
-        tok = self.take()
-        if tok.kind == "-":
-            return ("neg", self.power())
-        if tok.kind == "+":
-            return self.power()
-        if tok.kind == "(":
-            node = self.sum()
-            self.expect(")")
-            return node
-        if tok.kind == "int":
-            return ("int", Fraction(int(tok.text)), tok)
-        if tok.kind == "name":
-            if tok.text in _CALLS:
-                self.expect("(")
-                args = [self.sum()]
-                while self.peek().kind == ",":
-                    self.take()
-                    args.append(self.sum())
-                self.expect(")")
-                return ("call", tok.text, args, tok)
-            return ("name", tok.text, tok)
-        shown = tok.text or "end of input"
-        raise ExpressionError(f"syntax error: unexpected {shown!r}",
-                              tok.line, tok.column)
+    def group(self, i: int):
+        """A signed power, a parenthesized sum, or a refusal."""
+        tok = self.tokens[i]
+        if tok == "-":
+            node, i = self.power(i + 1)
+            return ("neg", node), i
+        if tok == "+":
+            return self.power(i + 1)
+        if tok == "(":
+            node, i = self.sum(i + 1)
+            return node, self.expect(")", i)
+        raise _Refusal(f"syntax error: unexpected {_shown(tok)!r}", i)
+
+    def call(self, i: int):
+        tokens = self.tokens
+        args = []
+        j = self.expect("(", i + 1)
+        while True:
+            tok = tokens[j]
+            if tok not in _PUNCT and tok not in _CALLS and \
+                    tokens[j + 1] in _ARGUMENT_END:
+                # a bare name or integer, as in del(dth1, 2)
+                args.append(_operand(tok, j))
+                j += 1
+            else:
+                node, j = self.sum(j)
+                args.append(node)
+            if tokens[j] != ",":
+                return ("call", tokens[i], args, i), self.expect(")", j)
+            j += 1
+
+
+def _operand(token: str, i: int) -> tuple:
+    """The node of a name or an integer token."""
+    # digits sort before every letter
+    return ("int", int(token), i) if token < ":" else ("name", token, i)
 
 
 # --- the ring --------------------------------------------------------------
@@ -441,7 +512,7 @@ class Evaluator:
     def eval(self, node):
         head = node[0]
         if head == "int":
-            return node[1]
+            return Fraction(node[1])
         if head == "name":
             return self.name(node[1], node[2])
         if head == "sum":
@@ -460,7 +531,7 @@ class Evaluator:
             return node[1]
         raise AssertionError(head)
 
-    def name(self, text: str, tok: Token):
+    def name(self, text: str, tok: int):
         ring = self.ring
         letter = ring.letters.get(text)
         if letter is not None:
@@ -472,8 +543,7 @@ class Evaluator:
             coord = text[len(DERIV_PREFIX):]
             if ring.letters.get(coord, (None,))[0] == BASE:
                 return DiffOp.partial(ring.chart.table, coord)
-        raise ExpressionError(f"unknown generator {text!r}",
-                              tok.line, tok.column)
+        raise _Refusal(f"unknown generator {text!r}", tok)
 
     def _monomial(self, node, layer: str | None):
         """``node`` as (layer, coefficient, key) when it is a product of
@@ -484,14 +554,18 @@ class Evaluator:
         letters = self.ring.letters
         num = den = 1
         pairs = []
+        form = layer == FORM
         for f, slash in factors:
-            while f[0] == "neg":
+            head = f[0]
+            while head == "neg":
                 num = -num
                 f = f[1]
+                head = f[0]
             k = 1
-            if f[0] == "pow":
+            if head == "pow":
                 f, k = f[1], f[2]
-            if f[0] == "int":
+                head = f[0]
+            if head == "int":
                 v = f[1].numerator ** k
                 if slash is None:
                     num *= v
@@ -499,21 +573,26 @@ class Evaluator:
                     den *= v
                 else:
                     return None     # the full path refuses the division
-            elif f[0] == "name" and slash is None and f[1] in letters:
+            elif head == "name" and slash is None:
+                letter = letters.get(f[1])
+                if letter is None:
+                    return None
                 if k:
-                    pairs.append((letters[f[1]], k))
+                    pairs.append((letter, k))
+                    if letter[0] == FORM:
+                        form = True
             else:
                 return None
         c = num if den == 1 else Fraction(num, den)
         if not pairs:
             return layer, c, 0
         # names are base or form letters, so no fold reaches the polyvector layer
-        if layer != FORM:
-            layer = FORM if any(lt[0] == FORM for lt, _ in pairs) else BASE
-        slot = 1 if layer == BASE else 2
+        if form:
+            layer, slot, table = FORM, 2, self.ring.ftab
+        else:
+            layer, slot, table = BASE, 1, self.ring.chart.table
         try:
-            sign, key = _table(self.ring, layer).monomial(
-                [(lt[slot], k) for lt, k in pairs])
+            sign, key = table.monomial([(lt[slot], k) for lt, k in pairs])
         except OverflowError:
             return None     # the full path raises its own message
         if not sign:
@@ -536,7 +615,7 @@ class Evaluator:
             mono = self._monomial(node, layer) if layer != DELTA else None
             if mono is not None:
                 joined, c, key = mono
-                pieces = ((key, -c if negated else c),) if c else ()
+                pieces = {key: -c if negated else c} if c else {}
             else:
                 # a product's monomial reading, if any, was tried above
                 value = self._runs(node) if node[0] == "product" \
@@ -547,13 +626,13 @@ class Evaluator:
                 if isinstance(value, DeltaForm) and (
                         delta or layer is None and not acc):
                     # a delta form adds to delta forms or to a zero number
-                    joined, pieces = DELTA, value.poly.terms.items()
+                    joined, pieces = DELTA, value.poly.terms
                 elif isinstance(value, Fraction) and not delta:
-                    joined, pieces = layer, ((0, value),) if value else ()
+                    joined, pieces = layer, {0: value} if value else {}
                 elif isinstance(value, Poly) and not delta:
                     joined = value.layer if layer is None else \
                         _join_layers(layer, value.layer)
-                    pieces = _lift(ring, value, joined).terms.items()
+                    pieces = _lift(ring, value, joined).terms
                 else:
                     out = value if i == 0 else self.add(
                         self._settled(layer, acc), value)
@@ -565,7 +644,10 @@ class Evaluator:
                 acc = transport(SuperPoly._of(_table(ring, layer), acc),
                                 _table(ring, joined)).terms
             layer = joined
-            for key, c in pieces:
+            if acc.keys().isdisjoint(pieces):
+                acc.update(pieces)  # no zero terms: pieces are canonical
+                continue
+            for key, c in pieces.items():
                 old = acc.get(key)
                 if old is None:
                     acc[key] = c
@@ -580,18 +662,15 @@ class Evaluator:
     def call(self, node):
         _, fname, args, tok = node
         if fname == "del":
-            raise ExpressionError(
-                "a delta factor must multiply the rest of its term",
-                tok.line, tok.column)
+            raise _Refusal(
+                "a delta factor must multiply the rest of its term", tok)
         if fname == "dirac":
             if len(args) != 2:
-                raise ExpressionError("dirac takes a coordinate and a point",
-                                      tok.line, tok.column)
+                raise _Refusal("dirac takes a coordinate and a point", tok)
             name = _marker_name(args[0], tok)
             point = self.eval(args[1])
             if not isinstance(point, Fraction):
-                raise ExpressionError("dirac points must be rational numbers",
-                                      tok.line, tok.column)
+                raise _Refusal("dirac points must be rational numbers", tok)
             return Markers(frozenset(), ((name, point),), frozenset())
         names = frozenset(_marker_name(a, tok) for a in args)
         if fname == "gauss":
@@ -689,7 +768,7 @@ class Evaluator:
         first factor is ``value`` unless that is _NOTHING."""
         if value is not _NOTHING:
             run = [("value", value), *run]
-        if len(run) > 1 and any(_is_delta_letter(f) for f in run):
+        if len(run) > 1 and any(map(_is_delta_letter, run)):
             return self._delta_term(run)
         value = self.eval(run[0])
         for f in run[1:]:
@@ -752,28 +831,23 @@ class Evaluator:
             return value.scale(c)
         raise ExpressionError(f"cannot scale {_describe(value)}")
 
-    def div(self, a, b, tok: Token):
+    def div(self, a, b, tok: int):
         if isinstance(b, Fraction):
             if b == 0:
-                raise ExpressionError("division by zero",
-                                      tok.line, tok.column)
+                raise _Refusal("division by zero", tok)
             return self.mul(a, 1 / b)
         if isinstance(b, Poly):
             layer = b.layer
             try:
                 inv = absorb_even_exponents(b.poly).inverse()
             except (ValueError, ZeroDivisionError) as exc:
-                raise ExpressionError(f"cannot divide: {exc}",
-                                      tok.line, tok.column)
+                raise _Refusal(f"cannot divide: {exc}", tok)
             return self.mul(a, Poly(inv, layer))
-        raise ExpressionError(f"cannot divide by {_describe(b)}",
-                              tok.line, tok.column)
+        raise _Refusal(f"cannot divide by {_describe(b)}", tok)
 
-    def pow(self, base_node, k: int, tok: Token):
+    def pow(self, base_node, k: int, tok: int):
         if _is_delta_letter(base_node):
-            raise ExpressionError(
-                "raise delta factors inside their own term",
-                tok.line, tok.column)
+            raise _Refusal("raise delta factors inside their own term", tok)
         value = self.eval(base_node)
         if k == 0:
             return Fraction(1)
@@ -786,15 +860,14 @@ class Evaluator:
             for _ in range(k - 1):
                 out = out.compose(value)
             return out
-        raise ExpressionError(f"cannot raise {_describe(value)} to a power",
-                              tok.line, tok.column)
+        raise _Refusal(f"cannot raise {_describe(value)} to a power", tok)
 
-    def at(self, lhs_node, rhs_node, tok: Token):
+    def at(self, lhs_node, rhs_node, tok: int):
         lhs = self.eval(lhs_node)
         if not isinstance(lhs, BerPending):
-            raise ExpressionError(
+            raise _Refusal(
                 "'@' attaches a coefficient to Ber; the left side must be "
-                "Ber or Ber * f", tok.line, tok.column)
+                "Ber or Ber * f", tok)
         rhs = self.eval(rhs_node)
         markers = Markers.none()
         if isinstance(rhs, Marked):
@@ -816,23 +889,28 @@ class Evaluator:
         coefficient, a form through :func:`form_times_delta`.
         """
         ring = self.ring
+        names, parities = ring.letters, ring.ftab.parities
         letters: list = []
         actions: list = []
         for node in factors:
-            if node[0] == "name":
-                layer, pos, _ = ring.letters.get(node[1], (None, 0, 0))
-                if layer == FORM and ring.ftab.parities[pos]:
+            head = node[0]
+            if head == "name":
+                layer, pos, _ = names.get(node[1], (None, 0, 0))
+                if layer == FORM and parities[pos]:
                     letters.append(node[1])     # a dx letter
                     continue
-            letter = self._delta_letter(node)
-            if letter is _ZERO_LETTER:
-                return DeltaForm.zero(ring.chart)
-            if letter is not None:
-                letters.append(letter)
-                continue
+            elif head == "call" or head == "pow":
+                letter = self._delta_letter(node)
+                if letter is _ZERO_LETTER:
+                    return DeltaForm.zero(ring.chart)
+                if letter is not None:
+                    letters.append(letter)
+                    continue
             value = self.eval(node)
-            is_form = isinstance(value, Poly) and value.layer == FORM
-            poly = value.poly if is_form else want(ring, value, BASE)
+            if isinstance(value, Poly) and value.layer != PV:
+                is_form, poly = value.layer == FORM, value.poly
+            else:
+                is_form, poly = False, want(ring, value, BASE)
             if len(letters) % 2:
                 even, odd = poly.homogeneous_parts()
                 poly = even - odd
@@ -856,31 +934,35 @@ class Evaluator:
                 return None
             k = node[2]
             if k == 0:
-                raise ExpressionError(
+                raise _Refusal(
                     "a delta factor to the power zero drops its slot; "
                     "remove it or give every odd fiber direction a factor",
-                    node[3].line, node[3].column)
+                    node[3])
             return inner if k == 1 else _ZERO_LETTER
         if node[0] != "call" or node[1] != "del":
             return None
         _, _, args, tok = node
         if not 1 <= len(args) <= 2:
-            raise ExpressionError("del takes a fiber letter and an "
-                                  "optional order", tok.line, tok.column)
+            raise _Refusal("del takes a fiber letter and an optional order",
+                           tok)
         name = _marker_name(args[0], tok)
         # the fiber letters of the odd coordinates are the even form letters
-        letter = self.ring.letters.get(name)
-        if letter is None or letter[0] != FORM or self.ring.ftab.parities[letter[1]]:
-            raise ExpressionError(
+        ring = self.ring
+        letter = ring.letters.get(name)
+        if letter is None or letter[0] != FORM or ring.ftab.parities[letter[1]]:
+            raise _Refusal(
                 f"del expects an odd fiber letter such as dth1, got {name!r}",
-                tok.line, tok.column)
+                tok)
         order = 0
         if len(args) == 2:
-            val = self.eval(args[1])
-            if not isinstance(val, Fraction) or val.denominator != 1 or val < 0:
-                raise ExpressionError("delta orders are nonnegative integers",
-                                      tok.line, tok.column)
-            order = int(val)
+            if args[1][0] == "int":
+                order = int(args[1][1])     # digits: a nonnegative integer
+            else:
+                val = self.eval(args[1])
+                if not isinstance(val, Fraction) or val.denominator != 1 \
+                        or val < 0:
+                    raise _Refusal("delta orders are nonnegative integers", tok)
+                order = int(val)
         return (name, order)
 
 
@@ -894,17 +976,26 @@ def _is_delta_letter(node) -> bool:
     return node[0] == "call" and node[1] == "del"
 
 
-def _marker_name(node, tok: Token) -> str:
+def _marker_name(node, tok: int) -> str:
     if node[0] != "name":
-        raise ExpressionError("expected a coordinate or fiber letter here",
-                              tok.line, tok.column)
+        raise _Refusal("expected a coordinate or fiber letter here", tok)
     return node[1]
 
 
-def parse_value(text: str, ring: Ring):
-    """Parse one expression; the value plus any marker tags it carried."""
+def parse_value(text: str, ring: Ring, origin: tuple = (None, 1, 1)):
+    """Parse one expression; the value plus any marker tags it carried.
+
+    ``origin`` is (source, line, column): what a refusal calls the place
+    the text came from, None for nothing, and where the text's first
+    character stands there.  A refusal at a token names its line and
+    column counted from that character."""
     try:
         value = Evaluator(ring).run(_Parser(text).parse())
+    except _Refusal as exc:
+        source, line, column = origin
+        message = exc.message if source is None else f"{source}: {exc.message}"
+        raise ExpressionError(message,
+                              *_locate(text, exc.at, line, column)) from None
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
     if isinstance(value, Marked):
@@ -946,7 +1037,9 @@ def matrix_json(m: SuperMatrix) -> dict:
 
 # --- files -----------------------------------------------------------------
 #
-# Refusals name the file, except syntax errors, which name the line.
+# The readers' own refusals name the file.  A refusal at a token names its
+# line and column in the file and then the file; in a matrix, lines and
+# columns count within the entry, which the refusal names after the file.
 
 
 def _read_text(path: str) -> str:
@@ -959,12 +1052,13 @@ def _read_text(path: str) -> str:
 
 def read_expression_file(path: str, ring: Ring):
     """An expression file: comment lines start with '#', the rest is
-    one expression (line breaks allowed)."""
-    lines = [line for line in _read_text(path).splitlines()
-             if line.strip() and not line.lstrip().startswith("#")]
-    if not lines:
+    one expression (line breaks allowed).  Comment lines read as blank
+    ones, so a refusal names its line in the file."""
+    lines = ["" if line.lstrip().startswith("#") else line
+             for line in _read_text(path).splitlines()]
+    if not any(line.strip() for line in lines):
         raise ValueError(f"{path}: no expression found")
-    return parse_value(" ".join(lines), ring)
+    return parse_value("\n".join(lines), ring, (path, 1, 1))
 
 
 def read_map_file(path: str, ring: Ring) -> CoordinateMap:
@@ -980,7 +1074,9 @@ def read_map_file(path: str, ring: Ring) -> CoordinateMap:
             raise ExpressionError(
                 f"{path}: expected 'coordinate = expression', got {line!r}",
                 lineno, 1)
-        value, markers = parse_value(rhs, ring)
+        # the right side starts just after the line's first '='
+        value, markers = parse_value(rhs, ring,
+                                     (path, lineno, raw.index("=") + 2))
         if markers:
             raise ExpressionError(f"{path}: marker tags do not belong in a "
                                   "coordinate change", lineno, 1)
@@ -1024,10 +1120,12 @@ def read_matrix_file(path: str, ring: Ring) -> SuperMatrix:
         raise ValueError(
             f"{path}: rows must form a square of side p+q = {p + q}")
     rows = []
-    for r in rows_text:
+    for i, r in enumerate(rows_text, start=1):
         row = []
-        for entry in r:
-            value, markers = parse_value(str(entry), ring)
+        for j, entry in enumerate(r, start=1):
+            # a refusal's line and column count within the entry
+            value, markers = parse_value(str(entry), ring,
+                                         (f"{path}: entry ({i}, {j})", 1, 1))
             if markers:
                 raise ValueError(
                     f"{path}: marker tags do not belong in a matrix")

@@ -85,6 +85,7 @@ from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import fiber_name, form_table
 from supercalc.integral_forms import (
     IntegralForm,
+    _polyvector_table,
     polyvector_name,
     polyvector_table,
 )
@@ -124,13 +125,16 @@ def _letter_positions(table: GeneratorTable) -> tuple[tuple[int, ...], tuple[int
 
 
 @cache
-def _fiber_slots(table: GeneratorTable) -> tuple[dict[str, int], dict[str, int]]:
+def _fiber_slots(table: GeneratorTable) -> tuple[dict[str, int], dict[str, int],
+                                                 GeneratorTable]:
     """For a chart table: each dx letter's index among the even
-    coordinates, and each odd fiber letter's delta slot."""
+    coordinates, each odd fiber letter's delta slot, and the polyvector
+    table."""
     return ({fiber_name(table.names[pos]): i
              for i, pos in enumerate(table.even_positions)},
             {fiber_name(table.names[pos]): a
-             for a, pos in enumerate(table.odd_positions)})
+             for a, pos in enumerate(table.odd_positions)},
+            _polyvector_table(table))
 
 
 def _sign(eps: Sequence[int]) -> int:
@@ -144,9 +148,14 @@ def _term_key(table: GeneratorTable, eps: Sequence[int],
     table: the key of prod_{e_i = 0} pdx_i prod_a pdth_a^{l_a}.  An order
     too large for its field raises ``OverflowError``."""
     dx, dth = _letter_positions(table)
-    _, key = table.monomial([(pos, 1) for pos, e in zip(dx, eps) if not e]
-                            + [(pos, l) for pos, l in zip(dth, ells)])
-    return _sign(eps), key
+    powers = list(zip(dth, ells))
+    shift = 0
+    for i, e in enumerate(eps):
+        if not e:
+            powers.append((dx[i], 1))
+            shift += i
+    _, key = table.monomial(powers)
+    return -1 if shift % 2 else 1, key
 
 
 class DeltaForm:
@@ -216,19 +225,20 @@ class DeltaForm:
         delta-form calculus; once the slots check out, a repeated dx
         letter squares to zero.
         """
-        even_fibers, odd_fibers = _fiber_slots(chart.table)
+        even_fibers, odd_fibers, table = _fiber_slots(chart.table)
         p = len(even_fibers)
         eps = [0] * p
         ells: list = [None] * len(odd_fibers)
         # the letters so far as bits, dx_i at i and the delta slot a at
         # p + a, and the parity of the transpositions that sort them
-        seen = inversions = 0
+        seen = inversions = squares = 0
         for factor in factors:
             if isinstance(factor, str):
                 bit = even_fibers.get(factor)
                 if bit is None:
                     raise ValueError(f"unknown dx letter {factor!r}")
-                eps[bit] += 1
+                squares |= eps[bit]
+                eps[bit] = 1
             else:
                 name, order = factor
                 a = odd_fibers.get(name)
@@ -250,9 +260,8 @@ class DeltaForm:
                 f"every odd fiber direction needs exactly one delta factor "
                 f"(missing {', '.join(missing)}); sub-maximal pictures have "
                 "no delta-form calculus")
-        table = polyvector_table(chart)
         sign, key = _term_key(table, eps, ells)
-        if max(eps, default=0) > 1:
+        if squares:
             return cls.zero(chart)
         acc: dict = {}
         transport(_coerce_coefficient(chart, coefficient), table).add_times_monomial(

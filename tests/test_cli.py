@@ -541,13 +541,40 @@ def _usage(command: str, operands: str, error: str) -> str:
     (["fiber-int", "--ring", "1|1", "--", "(dx1*dth1^2) gauss(dth1) dirac(x1,1)"],
      {}, _usage("fiber-int", "EXPRESSION",
                 "the fiber integral takes gauss(...) tags only")),
+    # the end of input after '**' stands after both stars
+    (["d", "--", "x1 **"], {}, _usage(
+        "d", "EXPRESSION",
+        "line 1, column 6: syntax error: expected 'int', found 'end of input'")),
+    (["d", "--", "x1**"], {}, _usage(
+        "d", "EXPRESSION",
+        "line 1, column 5: syntax error: expected 'int', found 'end of input'")),
+    # the file readers name the file and count lines and columns in it
+    (["jacobian", "--ring", "2|2", "{path}"], {"map": "x1 = x1\nx2 = x2 +* 3\n"},
+     _usage("jacobian", "MAP_FILE",
+            "line 2, column 10: {path}: syntax error: unexpected '*'")),
+    (["jacobian", "--ring", "1|1", "{path}"], {"map": "\tx1 =  x1^\n"},
+     _usage("jacobian", "MAP_FILE", "line 1, column 11: {path}: syntax error: "
+            "expected 'int', found 'end of input'")),
+    (["pd-pair", "--ring", "1|1", "{density}", "{form}"],
+     {"density": "Ber @ x1\n", "form": "# comment\nx1 +\n  x2 *\n  ) \n"},
+     _usage("pd-pair", "DENSITY_FILE FORM_FILE",
+            "line 4, column 3: {form}: syntax error: unexpected ')'")),
+    (["pd-pair", "--ring", "1|1", "{density}", "{form}"],
+     {"density": "# a density\n\n  # on R^{1|1}\nBer @ x1 $\n", "form": "dx1\n"},
+     _usage("pd-pair", "DENSITY_FILE FORM_FILE", "line 4, column 10: {density}: "
+            "syntax error: unexpected character '$'")),
+    (["ber-matrix", "--ring", "1|1", "{path}"],
+     {"matrix": '{"p": 1, "q": 1, "rows": [["1", "0"], ["0", "th1 +* 2"]]}'},
+     _usage("ber-matrix", "MATRIX_FILE",
+            "line 1, column 6: {path}: entry (2, 2): syntax error: unexpected '*'")),
 ])
 def test_refusals_print_usage_and_the_exact_error(tmp_path, args, files,
                                                   output):
-    path = ""
+    # {path} is the last file, {<name>} the file of that name
+    paths = {"path": ""}
     for name, text in files.items():
-        path = str(tmp_path / name)
+        paths[name] = paths["path"] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
-    result = CliRunner().invoke(main, [a.format(path=path) for a in args])
+    result = CliRunner().invoke(main, [a.format(**paths) for a in args])
     assert result.exit_code == 2
-    assert result.output == output.format(path=path)
+    assert result.output == output.format(**paths)

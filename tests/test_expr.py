@@ -1,13 +1,17 @@
-"""The expression evaluator against the binary one it replaced: printed
-values and hand-written inputs read back to equal values and identical
-refusals, long sums stay flat, and printed polynomials and delta forms
-are built without SuperPoly or DeltaForm arithmetic."""
+"""The expression reader against the line-by-line tokenizer and binary
+evaluator it replaced: printed values and hand-written inputs read back
+to equal values and identical refusals, malformed inputs are refused at
+the line and column the reference names, positions are worked out only
+for a refusal, long sums stay flat, and printed polynomials and delta
+forms are built without SuperPoly or DeltaForm arithmetic."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from click.testing import CliRunner
@@ -28,7 +32,6 @@ from supercalc.expr import (
     Poly,
     Ring,
     _is_delta_letter,
-    _Parser,
     _ZERO_LETTER,
     parse_value,
     render,
@@ -40,12 +43,87 @@ from supercalc.randoms import random_superpoly
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
 
 
-# --- the oracle: left-nested binary trees, folded one node at a time --------
+# --- the oracle: the line-by-line token stream and left-nested binary trees --
+#
+# A copy of the tokenizer and recursive-descent parser that came before the
+# one-findall tokenizer, kept as the reference for values, positions and
+# refusal texts; it shares no code with expr's parser.  Its one change is
+# the end of input after '**', which stands two characters after the '**'.
+
+_REFERENCE_TOKEN = re.compile(
+    r"([A-Za-z_][A-Za-z_0-9]*)|([0-9]+)|(\*\*)|([-+*/^@(),=])|(\S)")
+# the kind of a token by the group it matched; punctuation is its own kind
+_GROUP_KINDS = (None, "name", "int", "^", None, None)
 
 
-class BinaryParser(_Parser):
+class Token(NamedTuple):
+    kind: str  # "name", "int", a punctuation string, or "end"
+    text: str
+    line: int
+    column: int
+
+
+def reference_tokens(text: str) -> list[Token]:
+    out: list[Token] = []
+    end = (1, 1)
+    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        for m in _REFERENCE_TOKEN.finditer(line):
+            group, piece = m.lastindex, m.group()
+            kind = _GROUP_KINDS[group] or piece
+            if group == 3:
+                piece = "^"
+            elif group == 5:
+                kind = "name" if piece.isalpha() else None
+                if kind is None:
+                    raise ExpressionError(
+                        f"syntax error: unexpected character {piece!r}",
+                        lineno, m.start() + 1)
+            out.append(Token(kind, piece, lineno, m.start() + 1))
+            end = (lineno, m.end() + 1)
+    out.append(Token("end", "", *end))
+    return out
+
+
+class BinaryParser:
     """Sums and products as left-nested ("add", a, b), ("sub", a, b),
-    ("mul", a, b) and ("div", a, b, tok) chains."""
+    ("mul", a, b) and ("div", a, b, tok) chains, over reference tokens."""
+
+    def __init__(self, text: str):
+        self.tokens = reference_tokens(text)
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def take(self) -> Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        tok = self.take()
+        if tok.kind != kind:
+            shown = tok.text or "end of input"
+            raise ExpressionError(
+                f"syntax error: expected {kind!r}, found {shown!r}",
+                tok.line, tok.column)
+        return tok
+
+    def parse(self):
+        node = self.sum()
+        if self.peek().kind == "@":
+            tok = self.take()
+            node = ("at", node, self.sum(), tok)
+            if self.peek().kind == "@":
+                bad = self.peek()
+                raise ExpressionError(
+                    "syntax error: a density takes a single '@' separator",
+                    bad.line, bad.column)
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExpressionError(
+                f"syntax error: unexpected {tok.text!r}", tok.line, tok.column)
+        return node
 
     def sum(self):
         node = self.product()
@@ -69,6 +147,40 @@ class BinaryParser(_Parser):
                 node = ("mul", node, self.power())
             else:
                 return node
+
+    def power(self):
+        node = self.atom()
+        if self.peek().kind == "^":
+            tok = self.take()
+            exp = self.expect("int")
+            node = ("pow", node, int(exp.text), tok)
+        return node
+
+    def atom(self):
+        tok = self.take()
+        if tok.kind == "-":
+            return ("neg", self.power())
+        if tok.kind == "+":
+            return self.power()
+        if tok.kind == "(":
+            node = self.sum()
+            self.expect(")")
+            return node
+        if tok.kind == "int":
+            return ("int", Fraction(int(tok.text)), tok)
+        if tok.kind == "name":
+            if tok.text in ("del", "gauss", "dirac", "formal"):
+                self.expect("(")
+                args = [self.sum()]
+                while self.peek().kind == ",":
+                    self.take()
+                    args.append(self.sum())
+                self.expect(")")
+                return ("call", tok.text, args, tok)
+            return ("name", tok.text, tok)
+        shown = tok.text or "end of input"
+        raise ExpressionError(f"syntax error: unexpected {shown!r}",
+                              tok.line, tok.column)
 
 
 def _flatten_mul(node) -> list:
@@ -159,7 +271,11 @@ def binary_parse_value(text: str, ring: Ring):
         node = BinaryParser(text).parse()
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
-    value = BinaryEvaluator(ring).run(node)
+    try:
+        value = BinaryEvaluator(ring).run(node)
+    except expr._Refusal as exc:
+        # the evaluator names the reference token it refuses at
+        raise ExpressionError(exc.message, exc.at.line, exc.at.column) from None
     if isinstance(value, Marked):
         return value.value, value.markers
     if isinstance(value, Markers):
@@ -281,7 +397,8 @@ HAND_WRITTEN = {
         "gauss(x1)", "gauss(x1) + x1", "x1 + gauss(x1)", "x1 gauss(x1) + 1",
         "(x1 + th1) gauss(x1) formal(x1)", "gauss(x1) x1", "dirac(x1, 1/2)",
         "pdx1", "pdx1^0*x1", "x1*pdx1", "x1 + pdx1", "1 + pdx1 + y",
-        "dd_y", "x1 + th1 +", "x1 ** 2 * th1", "x1^2^3",
+        "dd_y", "x1 + th1 +", "x1 ** 2 * th1", "x1^2^3", "x1 **", "x1**",
+        "x1 ** ** 2", "** 2", "x1 ^",
     ],
     (2, 2): [
         # each way out of the printed delta shape
@@ -551,3 +668,115 @@ def test_parsed_rings_are_shared_and_read_only():
     assert Ring.parse("2|2") is not Ring.parse("2|1")
     with pytest.raises(AttributeError):
         Ring.parse("2|2").q = 3
+
+
+# --- positions: the one-findall tokenizer against the reference locator -----
+
+_JUNK = ["**", "*", "+", "-", "/", "^", "@", "(", ")", ",", "=", "$", "x1",
+         "7", "del(", "dth1", "Ber", "gauss(", "**2", "^x1", "\u00e9", "\u00df",
+         "\u00b2", "\u0663", "\u0301"]
+# blanks and every kind of line break str.splitlines knows
+_GAPS = [" ", "\t", "\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+         "\u2028", "\u2029", "\n\n  "]
+
+
+def malformed_inputs(count: int, seed: int = 2305):
+    """Seeded malformed inputs: printed values and hand-written inputs with
+    stray tokens, characters outside ASCII, unbalanced parentheses and
+    trailing operators put in, and blanks turned into tabs and line
+    breaks."""
+    rng = random.Random(seed)
+    sources = list(printed(2)) + list(hand_written()) + list(
+        shuffled_delta_products(100, seed))
+    for _ in range(count):
+        ring, text = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.randrange(5)
+            at = rng.randint(0, len(text))
+            if roll == 0:
+                text = text[:at] + rng.choice(_JUNK) + text[at:]
+            elif roll == 1:
+                text += rng.choice((" +", " *", "**", " -", "/", "^", "(", " @"))
+            elif roll == 2:
+                parens = [k for k, c in enumerate(text) if c in "()"]
+                if parens:
+                    k = rng.choice(parens)
+                    text = text[:k] + text[k + 1:]
+                else:
+                    text = "(" + text
+            elif roll == 3:
+                text = text[:at] + rng.choice(_GAPS) + text[at:]
+            else:
+                text = "".join(rng.choice(_GAPS) if c == " " and rng.random() < 0.3
+                               else c for c in text)
+        yield ring, text
+
+
+class TestPositions:
+    def test_malformed_inputs_are_refused_as_the_reference_refuses(self):
+        cases = list(malformed_inputs(2400))
+        assert mismatches(cases) == []
+        refusals = [outcome(parse_value, text, ring) for ring, text in cases]
+        refusals = [r[2] for r in refusals if r[0] == "refused"]
+        assert len(refusals) > len(cases) * 3 // 4
+        # positions past the first line, and every kind of syntax error
+        lines = [re.match(r"line ([0-9]+), column", r) for r in refusals]
+        assert sum(m is not None and int(m.group(1)) > 1 for m in lines) > 100
+        for kind in ("unexpected character", "unexpected ')'", "expected ')'",
+                     "'end of input'", "expected 'int'"):
+            assert any(kind in r for r in refusals), kind
+
+    def test_the_end_of_input_after_a_double_star(self):
+        ring = Ring(1, 1)
+        end = "syntax error: expected 'int', found 'end of input'"
+        assert outcome(parse_value, "x1 **", ring)[2] == f"line 1, column 6: {end}"
+        assert outcome(parse_value, "x1**", ring)[2] == f"line 1, column 5: {end}"
+        assert outcome(parse_value, "x1 ^", ring)[2] == f"line 1, column 5: {end}"
+        # a '**' is quoted as the '^' it stands for
+        assert outcome(parse_value, "x1 ** ** 2", ring)[2] == (
+            "line 1, column 7: syntax error: expected 'int', found '^'")
+
+    def test_printed_values_are_read_without_locating_a_token(self, monkeypatch):
+        located = []
+        locate = expr._locate
+
+        def spy(*args):
+            located.append(args)
+            return locate(*args)
+        monkeypatch.setattr(expr, "_locate", spy)
+        read = refused = 0
+        for ring, text in printed():
+            before = len(located)
+            try:
+                parse_value(text, ring)
+            except ExpressionError as exc:
+                # the pdx1.. densities: refused at the token they name
+                refused += 1
+                assert len(located) == before + 1
+                assert str(exc).startswith("line 1, column ")
+            else:
+                read += 1
+                assert len(located) == before
+        assert read > refused > 0
+
+    @pytest.mark.parametrize("mutant", [
+        lambda locate, text, index, line, column: (
+            lambda at: (at[0], at[1] + 1))(locate(text, index, line, column)),
+        lambda locate, text, index, line, column: locate(
+            text, index + 1, line, column),
+        lambda locate, text, index, line, column: (
+            lambda at: (at[0] - 1, at[1]) if at[0] > 1 else at)(
+                locate(text, index, line, column)),
+        # lines broken at '\n' alone
+        lambda locate, text, index, line, column: locate(
+            "".join(" " if c in "\r\x0b\x0c\x1c\x85\u2028\u2029" else c
+                    for c in text), index, line, column),
+    ], ids=["column", "token", "line", "line-breaks"])
+    def test_an_off_by_one_locator_is_caught(self, monkeypatch, mutant):
+        cases = list(malformed_inputs(600))
+        assert mismatches(cases) == []
+        locate = expr._locate
+        monkeypatch.setattr(expr, "_locate",
+                            lambda text, index, line=1, column=1:
+                            mutant(locate, text, index, line, column))
+        assert len(mismatches(cases)) > 0
