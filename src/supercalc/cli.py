@@ -247,7 +247,9 @@ def cmd_lie_ber(density, field, gaussian, ring_text, json_mode):
     weights = _gaussian_weights(markers, gaussian, "Lie derivative")
     u = want(ring, value, IntegralForm)
     comps = {}
+    end = -1    # where the previous piece ended in FIELD
     for piece in field.split(";"):
+        end += len(piece) + 1
         if not piece.strip():
             continue
         name, eq, rhs = piece.partition("=")
@@ -255,7 +257,9 @@ def cmd_lie_ber(density, field, gaussian, ring_text, json_mode):
         if not eq or name not in ring.chart.coordinate_names:
             raise click.UsageError(
                 f"field components read 'name = expr', got {piece.strip()!r}")
-        v, extra = parse_value(rhs, ring)
+        # a refusal names its place in FIELD: rows runs up to the '='
+        rows = field[:end - len(rhs)].splitlines()
+        v, extra = parse_value(rhs, ring, ("FIELD", len(rows), len(rows[-1]) + 1))
         if extra:
             raise click.UsageError("field components take no marker tags")
         comps[name] = want(ring, v, BASE)

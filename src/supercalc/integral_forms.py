@@ -29,6 +29,12 @@ polyvector letter.  The complex carries
   the role a wedge product cannot play here: two integral forms never
   multiply, an integral form and a form do.
 
+A form acts on the polyvector polynomial in one place, :func:`_form_action`,
+shared with :func:`supercalc.pseudoforms.form_times_delta`.  The pairing is
+that action with a Koszul sign, pair(u, omega) = (-1)^{deg omega +
+|u||omega|} omega . u, and takes quotient coefficients on both sides, while
+a form inside a delta term still refuses them.
+
 :func:`spencer_delta` and :func:`lie_derivative_ber` take an optional set
 of even coordinates that carry the Gaussian weight exp(-z^2).  The weight
 stays factored out of the coefficient, and the derivative along each of
@@ -59,7 +65,8 @@ from supercalc.algebra import (
     transport,
 )
 from supercalc.charts import Chart, CoordinateMap
-from supercalc.derham import DERIV_PREFIX, _weighted_pair_sum, fiber_degree, form_table
+from supercalc.derham import (DERIV_PREFIX, _weighted_pair_sum, fiber_degree, fiber_name,
+                              form_table)
 from supercalc.diffops import DiffOp
 from supercalc.supermatrix import berezinian
 
@@ -498,9 +505,12 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
     chart's exterior table.  Each fiber symbol of the form consumes one
     matching polyvector letter of ``u`` from the right, in the written
     order of the form monomial, and the remaining coordinate factor
-    multiplies the result.  The operation is associative against the
-    wedge product: pairing with ``omega1 * omega2`` equals pairing with
-    ``omega1`` and then with ``omega2``.
+    multiplies the result.  That is the delta-form action with a sign,
+    pair(u, omega) = (-1)^{deg omega + |u||omega|} omega . u (see
+    :func:`_form_action`), deg the fiber degree and |u| the parity of u's
+    polynomial; both may carry quotient coefficients.  The operation is
+    associative against the wedge product: pairing with ``omega1 *
+    omega2`` equals pairing with ``omega1`` and then with ``omega2``.
 
     Raises when the fiber degree of the form exceeds the polyvector
     degree of the integral form anywhere (the contraction would
@@ -512,31 +522,50 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
         omega = transport(omega, ftab)
     elif omega.table != ftab:
         raise ValueError("form is not over the chart's coordinates")
-    result = SuperPoly.zero(u.table)
     if u.poly.is_zero() or omega.is_zero():
-        return IntegralForm(u.chart, result)
+        return IntegralForm(u.chart, 0)
     max_fiber = max(fiber_degree(ftab, mono) for mono in omega.terms)
     min_pv = min(polyvector_degree(u.table, mono) for mono in u.poly.terms)
     if max_fiber > min_pv:
         raise ValueError("form degree exceeds the polyvector degree of the "
                          "integral form")
-    for mono, c in omega.terms.items():
-        letters: list[str] = []
-        remainder: dict[str, int] = {}
-        for pos, k in ftab.powers(mono):
-            name = ftab.names[pos]
-            if ftab.classes[pos] in (FIBER_EVEN, FIBER_ODD):
-                letters.extend([name[1:]] * k)
-            else:
-                remainder[name] = k
-        cur = u.poly.scale(c)
-        for name in letters:
-            cur = cur.right_derivative(polyvector_name(name))
-            if cur.is_zero():
-                break
-        if cur.is_zero():
-            continue
-        if remainder:
-            cur = cur * SuperPoly.from_monomial(u.table, remainder)
-        result = result + cur
-    return IntegralForm(u.chart, result)
+    even, odd = (SuperPoly._of(ftab, {m: -c if fiber_degree(ftab, m) % 2 else c
+                                      for m, c in part.terms.items()})
+                 for part in omega.homogeneous_parts())
+    u_even, u_odd = u.poly.homogeneous_parts()
+    return IntegralForm(u.chart, _form_action(even, u.poly)
+                        + _form_action(odd, u_even - u_odd))
+
+
+def _form_action(omega: SuperPoly, poly: SuperPoly) -> SuperPoly:
+    """omega . h for a form over ``form_table(chart)`` and h over
+    ``polyvector_table(chart)``: each fiber word of omega acts through its
+    compiled word (:func:`_word`), and the base coefficient before it, with
+    the sign of crossing the word's dx letters, multiplies from the left,
+    moved to the polyvector table with any quotient it holds."""
+    ftab, ptab = omega.table, poly.table
+    pairs = []
+    for word, f in omega.collect(ftab.positions_of_class(FIBER_EVEN, FIBER_ODD)).items():
+        letters = tuple(ftab.names[pos] for pos, k in ftab.powers(word) for _ in range(k))
+        pairs.append((transport(f, ptab), poly.apply_word(_word(ptab, letters))))
+    return SuperPoly.sum_of_products(ptab, pairs)
+
+
+@lru_cache(maxsize=4096)
+def _word(table: GeneratorTable, letters: tuple[str, ...]) -> tuple:
+    """The word of fiber letters over a polyvector table, compiled: each
+    letter becomes a multiplication by or a derivative along its
+    polyvector letter, and the minus sign of each dth letter is folded
+    into the word's coefficient."""
+    names = {fiber_name(n): table.index(polyvector_name(n))
+             for n in table.names_of_class(EVEN_BASE, ODD_BASE)}
+    sign, ops = 1, []
+    for token in letters:
+        derivative = token.startswith("dd_")
+        pos = names.get(token[3:] if derivative else token)
+        if pos is None:
+            raise ValueError(f"{token!r} is not a fiber letter of the chart")
+        if not (derivative or table.parities[pos]):
+            sign = -sign
+        ops.append((pos, MULTIPLY if derivative else DERIVE))
+    return table.compile_word(ops, sign)

@@ -50,6 +50,11 @@ passes.  They satisfy [d/d(dth_a), dth_b] = delta_ab and
 the polyvector degree of its stored monomials, and
 :func:`to_integral_form` and :func:`from_integral_form` only rewrap.
 
+A differential form multiplies from the left through :func:`form_times_delta`,
+the action that :func:`supercalc.integral_forms.pair` shares: pair(u, omega)
+= (-1)^{deg omega + |u||omega|} omega . u.  Its coefficients must be
+polynomial, so a quotient inside a delta term is refused, where pair takes one.
+
 A coordinate change acts on the stored polynomial by the integral-form
 law of :meth:`IntegralForm.transform`: the coordinates pull back, pd_t
 goes to sum_s pd_s (J^-1)_st and the whole picks up Ber J.  Read back in
@@ -63,17 +68,13 @@ G^-1-weighted raising letters.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from supercalc.algebra import (
-    DERIVE,
-    EVEN_BASE,
     FIBER_EVEN,
     FIBER_ODD,
-    MULTIPLY,
-    ODD_BASE,
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
     GeneratorTable,
@@ -85,8 +86,9 @@ from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import fiber_name, form_table
 from supercalc.integral_forms import (
     IntegralForm,
+    _form_action,
     _polyvector_table,
-    polyvector_name,
+    _word,
     polyvector_table,
 )
 from supercalc.integration import PiValue, _moment_ratio
@@ -416,26 +418,6 @@ def cw_apply(op: CWOperator | str | Iterable[str], form: DeltaForm) -> DeltaForm
     return DeltaForm._of(form.chart, poly.apply_word(_word(poly.table, letters)))
 
 
-@lru_cache(maxsize=4096)
-def _word(table: GeneratorTable, letters: tuple[str, ...]) -> tuple:
-    """The word of fiber letters over a polyvector table, compiled: each
-    letter becomes a multiplication by or a derivative along its
-    polyvector letter, and the minus sign of each dth letter is folded
-    into the word's coefficient."""
-    names = {fiber_name(n): table.index(polyvector_name(n))
-             for n in table.names_of_class(EVEN_BASE, ODD_BASE)}
-    sign, ops = 1, []
-    for token in letters:
-        derivative = token.startswith("dd_")
-        pos = names.get(token[3:] if derivative else token)
-        if pos is None:
-            raise ValueError(f"{token!r} is not a fiber letter of the chart")
-        if not (derivative or table.parities[pos]):
-            sign = -sign
-        ops.append((pos, MULTIPLY if derivative else DERIVE))
-    return table.compile_word(ops, sign)
-
-
 # --- products with functions and differential forms ---------------------------
 
 
@@ -455,35 +437,14 @@ def delta_times_poly(form: DeltaForm, f) -> DeltaForm:
 
 
 def form_times_delta(omega: SuperPoly, form: DeltaForm) -> DeltaForm:
-    """Left multiplication of a delta form by a differential form.
-
-    The form lives over the chart's differential extension.  Each of its
-    monomials splits into a base coefficient and a fiber word; the word
-    acts through :func:`cw_apply` and the coefficient multiplies from the
-    left.  Base odd factors sitting to the right of the dx letters in the
-    canonical word cross back out with the usual sign.
-    """
-    chart, ptab = form.chart, form.poly.table
-    ftab = form_table(chart.table)
-    if omega.table != ftab:
+    """Left multiplication of a delta form by a differential form over the
+    chart's differential extension, with polynomial coefficients: each
+    fiber word acts through :func:`cw_apply`'s compiled word and the base
+    coefficient in front of it multiplies from the left, the action
+    :func:`~supercalc.integral_forms.pair` shares."""
+    if omega.table != form_table(form.chart.table):
         raise ValueError("form is not over the chart's differentials")
-    pairs = []
-    for mono, c in release_even_exponents(omega).terms.items():
-        base_powers: dict[str, int] = {}
-        dth_letters: list[str] = []
-        dx_letters: list[str] = []
-        for pos, k in ftab.powers(mono):
-            name = ftab.names[pos]
-            if ftab.classes[pos] == FIBER_EVEN:
-                dth_letters.extend([name] * k)
-            elif ftab.classes[pos] == FIBER_ODD:
-                dx_letters.append(name)
-            else:
-                base_powers[name] = k
-        sign = -1 if len(dx_letters) * ftab.degree(mono, ODD_BASE) % 2 else 1
-        pairs.append((SuperPoly.from_monomial(ptab, base_powers, sign * c),
-                      cw_apply(dth_letters + dx_letters, form).poly))
-    return DeltaForm._of(chart, SuperPoly.sum_of_products(ptab, pairs))
+    return DeltaForm._of(form.chart, _form_action(release_even_exponents(omega), form.poly))
 
 
 # --- the bridge to integral forms ---------------------------------------------

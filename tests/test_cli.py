@@ -155,6 +155,16 @@ def test_a_delta_term_takes_any_form_factor():
     assert cw_apply("", "del(dth1)*dx1*th1").output == "(-th1) dx1 del(dth1)\n"
 
 
+def test_a_quotient_form_pairs_with_a_quotient_density():
+    result = CliRunner().invoke(main, ["pair", "--ring", "1|1", "--",
+                                       "Ber @ th1/(1+x1)", "1/(1+x1)"])
+    assert result.exit_code == 0, result.output
+    # the quotient holds x1 alone, no polyvector letter
+    assert result.output == "Ber @ 1/(1 + 2*x1 + x1^2)*th1\n"
+    ring = Ring(1, 1)
+    assert parse_value(result.output, ring) == parse_value("Ber @ th1/(1+x1)^2", ring)
+
+
 def test_invocations_leave_no_output_stream_alive():
     def live_streams():
         gc.collect()
@@ -567,6 +577,13 @@ def _usage(command: str, operands: str, error: str) -> str:
      {"matrix": '{"p": 1, "q": 1, "rows": [["1", "0"], ["0", "th1 +* 2"]]}'},
      _usage("ber-matrix", "MATRIX_FILE",
             "line 1, column 6: {path}: entry (2, 2): syntax error: unexpected '*'")),
+    # a field component's refusal names its place in FIELD
+    (["lie-ber", "--ring", "1|1", "--", "Ber @ x1", "x1 = th1; th1 = 1 +* 2"], {},
+     _usage("lie-ber", "DENSITY FIELD",
+            "line 1, column 20: FIELD: syntax error: unexpected '*'")),
+    (["lie-ber", "--ring", "1|1", "--", "Ber @ x1", "x1 = th1;\n th1 =\n 1 +"], {},
+     _usage("lie-ber", "DENSITY FIELD", "line 3, column 5: FIELD: syntax error: "
+            "unexpected 'end of input'")),
 ])
 def test_refusals_print_usage_and_the_exact_error(tmp_path, args, files,
                                                   output):

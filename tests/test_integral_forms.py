@@ -7,7 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from supercalc import integral_forms, pseudoforms
 from supercalc.algebra import (
+    EVEN_BASE,
+    FIBER_EVEN,
+    FIBER_ODD,
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
     RationalFunction,
@@ -82,6 +86,75 @@ def reference_lie_derivative(density, field, gaussian=()):
                 term = term - (g * gen(table, name)).scale(2)
             out = out - term if pa and (fp + xp + pa) % 2 else out + term
     return IntegralForm(density.chart, out)
+
+
+def reference_pair(u, omega):
+    """The per-letter contraction: each fiber letter of a form monomial
+    takes the right derivative along its polyvector letter, in the written
+    order of the monomial, and the rest of the monomial, coefficient
+    included, multiplies from the right.  The oracle for :func:`pair`."""
+    ftab = form_table(u.chart.table)
+    if omega.table == u.chart.table:
+        omega = transport(omega, ftab)
+    elif omega.table != ftab:
+        raise ValueError("form is not over the chart's coordinates")
+    if u.is_zero() or omega.is_zero():
+        return IntegralForm(u.chart, 0)
+    if (max(fiber_degree(ftab, m) for m in omega.terms)
+            > min(polyvector_degree(u.table, m) for m in u.poly.terms)):
+        raise ValueError("form degree exceeds the polyvector degree of the "
+                         "integral form")
+    out = SuperPoly.zero(u.table)
+    for mono, c in omega.terms.items():
+        cur, rest = u.poly, []
+        for pos, k in ftab.powers(mono):
+            if ftab.classes[pos] in (FIBER_EVEN, FIBER_ODD):
+                for _ in range(k):
+                    cur = cur.right_derivative(polyvector_name(ftab.names[pos][1:]))
+            else:
+                rest.append((pos, k))
+        _, key = ftab.monomial(rest)
+        out = out + cur * transport(SuperPoly(ftab, {key: c}), u.table)
+    return IntegralForm(u.chart, out)
+
+
+def outcome(fn, *args):
+    """The value's text, or the refusal's."""
+    try:
+        return str(fn(*args))
+    except ValueError as exc:
+        return "refused: " + str(exc)
+
+
+def quotient(rng, table):
+    """A quotient c / (b + sum of a x) in a few even base coordinates."""
+    xs = [gen(table, n) for n in table.names_of_class(EVEN_BASE)]
+    den = SuperPoly.constant(table, rng.choice((1, 2, -1)))
+    for x in rng.sample(xs, rng.randint(1, len(xs))):
+        den = den + x.scale(rng.randint(1, 3))
+    return RationalFunction(SuperPoly.constant(table, rng.randint(1, 3)), den)
+
+
+def pair_draws(count, seed):
+    """Seeded (u, omega) on 1|1 .. 3|2, every third u with quotient
+    coefficients; omega is polynomial or, in every fifth draw, a function."""
+    rng = random.Random(seed)
+    shapes = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2))
+    for k in range(count):
+        chart = Chart.standard(*shapes[k % len(shapes)])
+        table = polyvector_table(chart)
+        poly = random_superpoly(rng, table, terms=3, max_exp=2)
+        if k % 3 == 0:
+            poly = (poly.scale(quotient(rng, table))
+                    + random_superpoly(rng, table, terms=2, max_exp=1))
+        omega = random_superpoly(rng, chart.table if k % 5 == 4 else
+                                 form_table(chart.table), terms=3, max_exp=1)
+        yield IntegralForm(chart, poly), omega
+
+
+def pair_mismatches(draws) -> int:
+    return sum(outcome(pair, u, om) != outcome(reference_pair, u, om)
+               for u, om in draws)
 
 
 def random_diffop(rng, table, terms=3, letters=2):
@@ -353,12 +426,6 @@ class TestIntegralFormContainer:
         assert v.poly == gen(P11, "z") * gen(P11, "pdz")
 
     def test_seeded_absorbed_twins_read_alike(self):
-        def outcome(fn, *args):
-            try:
-                return fn(*args)
-            except ValueError as exc:
-                return "refused: " + str(exc)
-
         # an even letter may sit in the key or in a quotient coefficient
         rng = random.Random(3)
         ftab = form_table(R11.table)
@@ -625,6 +692,76 @@ class TestPair:
                 rhs = rhs + tail if spar == 0 else rhs - tail
                 assert lhs == rhs
             assert checked >= 30
+
+    def test_matches_the_right_derivative_reference(self):
+        draws = list(pair_draws(600, 2231))
+        assert pair_mismatches(draws) == 0
+        values = [outcome(pair, u, om) for u, om in draws]
+        refused = sum(v.startswith("refused") for v in values)
+        assert 100 < refused < 400
+        assert sum(v != "Ber @ 0" for v in values) - refused > 150
+
+    def test_a_dropped_koszul_sign_is_caught(self, monkeypatch):
+        action = integral_forms._form_action
+
+        def u_counted_even(omega, poly):
+            if omega.parity() == 1:     # undo the parity involution on u
+                even, odd = poly.homogeneous_parts()
+                poly = even - odd
+            return action(omega, poly)
+        monkeypatch.setattr(integral_forms, "_form_action", u_counted_even)
+        assert pair_mismatches(pair_draws(600, 2231)) > 40
+
+    def test_a_dropped_degree_sign_is_caught(self, monkeypatch):
+        action = integral_forms._form_action
+
+        def unsigned(omega, poly):     # undo (-1)^{deg omega}
+            table = omega.table
+            return action(SuperPoly(table, {
+                m: -c if fiber_degree(table, m) % 2 else c
+                for m, c in omega.terms.items()}), poly)
+        monkeypatch.setattr(integral_forms, "_form_action", unsigned)
+        assert pair_mismatches(pair_draws(600, 2231)) > 40
+
+    def test_quotient_functions_move_from_the_form_to_the_density(self):
+        # both sides of the pairing carry quotients in every third draw
+        rng = random.Random(2232)
+        for chart, table in ((R11, P11), (R22, P22)):
+            ftab = form_table(chart.table)
+            checked = 0
+            for k in range(60):
+                sig = _dense_integral_form(rng, chart, table, pv_min=2)
+                if k % 3 == 0:
+                    sig = sig.times(SuperPoly.constant(
+                        chart.table, quotient(rng, chart.table)))
+                om = _dense_form(rng, chart, ftab, fiber_max=2)
+                g = SuperPoly.constant(chart.table, quotient(rng, chart.table))
+                lhs = pair(sig, transport(g, ftab) * om)
+                assert lhs == pair(sig.times(g), om)
+                assert lhs == reference_pair(sig, transport(g, ftab) * om)
+                assert all("pd" not in str(c) for c in lhs.poly.terms.values())
+                checked += not lhs.is_zero()
+            assert checked >= 25
+
+    def test_one_action_serves_the_pairing_and_the_delta_product(self, monkeypatch):
+        calls = []
+        action = integral_forms._form_action
+
+        def counted(omega, poly):
+            calls.append(omega.table)
+            return action(omega, poly)
+
+        def refused(*args):
+            raise AssertionError("a right derivative was taken")
+        monkeypatch.setattr(integral_forms, "_form_action", counted)
+        monkeypatch.setattr(pseudoforms, "_form_action", counted)
+        monkeypatch.setattr(SuperPoly, "right_derivative", refused)
+        ftab = form_table(R11.table)
+        sig = IntegralForm(R11, gen(P11, "pdz") * gen(P11, "pdth"))
+        assert pair(sig, gen(ftab, "dz")) == IntegralForm(R11, gen(P11, "pdth"))
+        assert len(calls) == 2      # the even and the odd part of the form
+        pseudoforms.form_times_delta(gen(ftab, "dz"), pseudoforms.from_integral_form(sig))
+        assert len(calls) == 3
 
 
 def _dense_integral_form(rng, chart, table, pv_min, parity=None):
