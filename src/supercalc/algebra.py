@@ -22,12 +22,14 @@ one multidegree, :meth:`~GeneratorTable.pair_images` writes their images
 under a sum over pairs of generators, each multiplied by or differentiated
 along (de Rham d, Spencer's, their homotopies, the total complex, Koszul's)
 and :meth:`SuperPoly.pair_sum` sums them over integer numerators,
-:meth:`~GeneratorTable.compile_word` compiles a word of such ops on fiber
-letters for :meth:`SuperPoly.apply_word` (the delta-form letters), and
-:meth:`SuperPoly.collect` groups terms by their factor in chosen
-generators.  Everywhere else a key of ``SuperPoly.terms`` is an opaque
-handle: it may be hashed, compared and passed back, never indexed, shifted,
-masked or built by hand.
+:meth:`~GeneratorTable.compile_word` compiles a word of such ops, right
+derivatives and the quotient rule along even base coordinates included, for
+:meth:`SuperPoly.apply_word`, the one walk of every derivative (left and
+right derivatives, the delta-form letters, the right action of operators,
+a ``pair_sum`` on quotients), and :meth:`SuperPoly.collect` groups terms by
+their factor in chosen generators.  Everywhere else a key of
+``SuperPoly.terms`` is an opaque handle: it may be hashed, compared and
+passed back, never indexed, shifted, masked or built by hand.
 
 No floating point is used anywhere.  A coefficient is one of the
 :data:`SCALARS`: an ``int`` while it is integral (never a Fraction with
@@ -65,6 +67,7 @@ _ODD_CLASSES = frozenset({ODD_BASE, FIBER_ODD, POLYVECTOR_ODD})
 # What a letter of a GeneratorTable.pair_images step or word does with a generator.
 MULTIPLY = "multiply"
 DERIVE = "derive"
+RIGHT_DERIVE = "right-derive"   # the derivative acting from the right
 
 
 def parity_of_class(cls: str) -> int:
@@ -86,7 +89,7 @@ class GeneratorTable:
     __slots__ = ("gens", "names", "classes", "parities", "_index", "_hash",
                  "even_positions", "odd_positions", "_odd_mask", "_guard",
                  "_unit", "_even_fields", "_base_mask", "_class_masks",
-                 "_class_positions", "_steps")
+                 "_class_positions", "_steps", "_words")
 
     def __init__(self, gens: Iterable[tuple[str, str]]):
         gens = tuple((str(n), str(c)) for n, c in gens)
@@ -115,6 +118,7 @@ class GeneratorTable:
         self._class_masks: dict = {}
         self._class_positions: dict = {}
         self._steps: dict = {}
+        self._words: dict = {}
 
     @classmethod
     def chart(cls, evens: Sequence[str], odds: Sequence[str]) -> "GeneratorTable":
@@ -307,29 +311,42 @@ class GeneratorTable:
         return compiled
 
     def compile_word(self, letters: Sequence[tuple[int, str]], c=1) -> tuple:
-        """Compile c times a word of (position, op) letters for
-        :meth:`SuperPoly.apply_word`.  Each op is :data:`MULTIPLY` or
-        :data:`DERIVE`, as in :meth:`pair_images`, and the last letter acts
-        first.  A word acts on fiber and polyvector letters only: a base
-        coordinate raises ``ValueError``, since a derivative along it would
-        owe a ``RationalFunction`` coefficient the quotient rule."""
-        for pos, _ in letters:
-            if self.classes[pos] in (EVEN_BASE, ODD_BASE):
-                raise ValueError(f"a word cannot act on the base coordinate "
-                                 f"{self.names[pos]!r}")
-        return self, c, tuple(self._letter(pos, op) for pos, op in reversed(letters))
+        """Compile c (nonzero) times a word of (position, op) letters for
+        :meth:`SuperPoly.apply_word`; the last letter acts first.  Each op
+        is :data:`MULTIPLY` or :data:`DERIVE`, as in :meth:`pair_images`,
+        or :data:`RIGHT_DERIVE`, which differs from :data:`DERIVE` on an
+        odd letter only: its sign counts the odd factors after the letter.
 
-    def _letter(self, pos: int, op: str | None) -> tuple:
+        A derivative along an even base coordinate also hits a
+        ``RationalFunction`` coefficient.  The word compiles that quotient
+        rule too: for each nonempty set of those derivatives it stores
+        their names and a copy of itself with them dropped, which acts on
+        the key while the names differentiate the coefficient."""
+        word = [(pos, op, self._letter(pos, op)) for pos, op in reversed(letters)]
+        hits = [i for i, (pos, op, _) in enumerate(word)
+                if op != MULTIPLY and self.classes[pos] == EVEN_BASE]
+        quotient = tuple(
+            (tuple(self.names[word[i][0]] for i in chosen),
+             tuple(letter for i, (*_, letter) in enumerate(word) if i not in chosen))
+            for n in range(1, len(hits) + 1) for chosen in itertools.combinations(hits, n))
+        return self, c, tuple(letter for *_, letter in word), quotient
+
+    def _derivative_word(self, name: str, op: str) -> tuple:
+        """The one-letter word of the derivative along ``name``, compiled
+        on the first lookup of ``(name, op)`` in ``_words``."""
+        word = self._words[name, op] = self.compile_word(((self.index(name), op),))
+        return word
+
+    def _letter(self, pos: int, op: str) -> tuple:
         """(unit, odd, low, derive) for ``op`` on the generator at ``pos``:
-        low masks the odd factors before an odd letter or shifts to an even
-        one's field; an odd letter's derive is the bit a key must hold; the
-        op None leaves the key alone."""
+        low masks the odd factors an odd letter passes, those before it or,
+        for :data:`RIGHT_DERIVE`, those after it, or shifts to an even
+        one's field; an odd letter's derive is the bit a key must hold."""
         unit = self._unit[pos]
-        if op is None:
-            return 0, 0, 0, False
         if self.parities[pos]:
-            return unit, 1, unit - 1, op == DERIVE and unit
-        return unit, 0, unit.bit_length() - 1, op == DERIVE
+            low = self._odd_mask & -(unit << 1) if op == RIGHT_DERIVE else unit - 1
+            return unit, 1, low, op != MULTIPLY and unit
+        return unit, 0, unit.bit_length() - 1, op != MULTIPLY
 
     def sort_key(self, mono: "Monomial") -> tuple:
         """The printing order: total degree, then the odd positions, then the
@@ -632,77 +649,65 @@ class SuperPoly:
         image is then divided by ``den``.  The guard-bit ``OverflowError``
         is raised after the walk and before any division.
 
-        By the quotient rule, a derivative along an even base coordinate
-        also hits a ``RationalFunction`` coefficient, the step's other op
-        then acting on the key alone; those terms go through the same walk,
-        with the coefficients as they are.
+        With a ``RationalFunction`` coefficient and no ``den``, each step
+        is instead the two-letter word (module, partner) of
+        :meth:`GeneratorTable.compile_word`, compiled once per table, and
+        the image is the sum of the words' :meth:`apply_word` images,
+        which carry the quotient rule.
         """
         table = self.table
         items = self.terms.items()
         compiled = table._compile_steps(steps)
-        jobs = [(compiled, items)]
-        rational = den is None and [(m, c) for m, c in items if type(c) is RationalFunction]
-        if rational:
-            for module, m_op, partner, p_op, c in steps:
-                hits = [pos for pos, op in ((module, m_op), (partner, p_op))
-                        if op == DERIVE and table.classes[pos] == EVEN_BASE]
-                for n in range(1, len(hits) + 1):
-                    for chosen in itertools.combinations(hits, n):
-                        rest = (module, None if module in chosen else m_op,
-                                partner, None if partner in chosen else p_op, c)
-                        derived = []
-                        for m, rf in rational:
-                            for pos in chosen:
-                                rf = rf.derivative(table.names[pos])
-                            if rf:
-                                derived.append((m, rf))
-                        jobs.append((table._compile_steps((rest,)), derived))
-        elif den is None:
+        if den is None:
+            if any(type(c) is RationalFunction for c in self.terms.values()):
+                steps = tuple(steps)
+                words = table._words.get(steps)
+                if words is None:
+                    words = table._words[steps] = tuple(
+                        table.compile_word(((module, m_op), (partner, p_op)), c)
+                        for module, m_op, partner, p_op, c in steps)
+                return sum(map(self.apply_word, words), SuperPoly.zero(table))
             den = lcm(*{c.denominator for c in self.terms.values()})
             if den > 1:
-                jobs[0] = compiled, [(m, c.numerator * (den // c.denominator))
-                                     for m, c in items]
-        terms: dict[Monomial, object] = {}
+                items = [(m, c.numerator * (den // c.denominator)) for m, c in items]
+        terms: dict[Monomial, int] = {}
         get = terms.get
         seen = 0
-        for compiled, pairs in jobs:
-            for key, c0 in pairs:
-                for c, u1, o1, l1, d1, u2, o2, l2, d2 in compiled:
-                    new = key
-                    if o1:
-                        if new & u1 != d1:
-                            continue
-                        c = -c if (new & l1).bit_count() & 1 else c
-                        new ^= u1
-                    elif d1:
-                        k = new >> l1 & _EXPONENT
-                        if not k:
-                            continue
-                        c *= k
-                        new -= u1
-                    else:
-                        new += u1
-                    if o2:
-                        if new & u2 != d2:
-                            continue
-                        c = -c if (new & l2).bit_count() & 1 else c
-                        new ^= u2
-                    elif d2:
-                        k = new >> l2 & _EXPONENT
-                        if not k:
-                            continue
-                        c *= k
-                        new -= u2
-                    else:
-                        new += u2
-                    seen |= new
-                    c = c0 if c == 1 else -c0 if c == -1 else c0 * c
-                    acc = get(new)
-                    terms[new] = c if acc is None else acc + c
+        for key, c0 in items:
+            for c, u1, o1, l1, d1, u2, o2, l2, d2 in compiled:
+                new = key
+                if o1:
+                    if new & u1 != d1:
+                        continue
+                    c = -c if (new & l1).bit_count() & 1 else c
+                    new ^= u1
+                elif d1:
+                    k = new >> l1 & _EXPONENT
+                    if not k:
+                        continue
+                    c *= k
+                    new -= u1
+                else:
+                    new += u1
+                if o2:
+                    if new & u2 != d2:
+                        continue
+                    c = -c if (new & l2).bit_count() & 1 else c
+                    new ^= u2
+                elif d2:
+                    k = new >> l2 & _EXPONENT
+                    if not k:
+                        continue
+                    c *= k
+                    new -= u2
+                else:
+                    new += u2
+                seen |= new
+                c = c0 if c == 1 else -c0 if c == -1 else c0 * c
+                acc = get(new)
+                terms[new] = c if acc is None else acc + c
         if seen & table._guard:
             raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
-        if rational:
-            return SuperPoly(table, terms)
         if den == 1:
             return SuperPoly._of(table, {m: v for m, v in terms.items() if v})
         return SuperPoly._of(table, {m: v // den if not v % den else Fraction(v, den)
@@ -712,14 +717,16 @@ class SuperPoly:
         """The image under a word from :meth:`GeneratorTable.compile_word`,
         in one pass over the terms with the bit operations of
         :meth:`GeneratorTable.pair_images`.  Each letter maps distinct keys
-        to distinct keys, so the images are written as they come, with no
-        accumulation.  A raising letter that takes an even exponent past its
-        field raises ``OverflowError`` at once."""
-        table, c0, letters = word
+        to distinct keys, so the images are written as they come.  Each
+        stored quotient-rule set then applies the word without its letters
+        to the ``RationalFunction`` terms differentiated along its names,
+        adding into the same term map.  A raising letter that takes an even
+        exponent past its field raises ``OverflowError`` at once."""
+        table, c0, letters, quotient = word
         if table is not self.table and table != self.table:
             raise ValueError("generator table mismatch")
         guard = table._guard
-        terms = {}
+        terms: dict[Monomial, object] = {}
         for key, c in self.terms.items():
             k = c0
             for unit, odd, low, derive in letters:
@@ -740,7 +747,27 @@ class SuperPoly:
                     if key & guard:
                         raise OverflowError(f"an even exponent exceeds {_EXPONENT}")
             else:
-                terms[key] = c if k == 1 else -c if k == -1 else c * k
+                c = c if k == 1 else -c if k == -1 else c * k
+                terms[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        rational = []
+        if quotient:
+            for m, c in self.terms.items():
+                if type(c) is RationalFunction:
+                    rational.append((m, c))
+        if not rational:
+            return SuperPoly._of(table, terms)
+        for names, rest in quotient:
+            derived = {}
+            for m, c in rational:
+                for name in names:
+                    c = c.derivative(name)
+                if c:
+                    derived[m] = c
+            if rest or c0 != 1:     # else the word leaves the derived terms alone
+                derived = SuperPoly._of(table, derived).apply_word((table, c0, rest, ())).terms
+            for m, c in derived.items():
+                acc = terms.get(m)
+                terms[m] = c if acc is None else acc + c
         return SuperPoly(table, terms)
 
     __rmul__ = __mul__      # only scalars reach it, and they commute
@@ -797,33 +824,13 @@ class SuperPoly:
     # --- derivations ----------------------------------------------------------
 
     def left_derivative(self, name: str) -> "SuperPoly":
-        """Graded derivative acting from the left.
+        """Graded derivative acting from the left, one compiled word.
 
         For an odd generator, passing the derivation over j earlier odd
         factors contributes (-1)^j.
         """
-        table = self.table
-        unit = table._unit[table.index(name)]
-        terms: dict[Monomial, object] = {}
-        if unit > table._odd_mask:
-            shift = unit.bit_length() - 1
-            rational = unit & table._base_mask    # quotients hold base letters only
-            for m, c in self.terms.items():
-                if rational and isinstance(c, RationalFunction):
-                    dc = c.derivative(name)
-                    if dc:
-                        acc = terms.get(m)
-                        terms[m] = dc if acc is None else acc + dc
-                k = m >> shift & _EXPONENT
-                if k:
-                    acc = terms.get(m - unit)
-                    terms[m - unit] = c * k if acc is None else acc + c * k
-        else:
-            before = unit - 1
-            for m, c in self.terms.items():
-                if m & unit:
-                    terms[m ^ unit] = -c if (m & before).bit_count() & 1 else c
-        return SuperPoly(table, terms)
+        word = self.table._words.get((name, DERIVE))
+        return self.apply_word(word or self.table._derivative_word(name, DERIVE))
 
     def right_derivative(self, name: str) -> "SuperPoly":
         """Derivative acting from the right, removing the rightmost factor.
@@ -831,15 +838,8 @@ class SuperPoly:
         Termwise: (f)d^R = (-1)^{|d|(|f|+1)} d^L(f), so both rules agree on
         even generators and on odd-degree terms.
         """
-        table = self.table
-        unit = table._unit[table.index(name)]
-        if unit > table._odd_mask:
-            return self.left_derivative(name)
-        # passing the derivation over the odd factors to the right of it
-        after = table._odd_mask & -(unit << 1)
-        return SuperPoly._of(table, {
-            m ^ unit: -c if (m & after).bit_count() & 1 else c
-            for m, c in self.terms.items() if m & unit})
+        word = self.table._words.get((name, RIGHT_DERIVE))
+        return self.apply_word(word or self.table._derivative_word(name, RIGHT_DERIVE))
 
     # --- substitution -----------------------------------------------------------
 

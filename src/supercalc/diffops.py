@@ -21,7 +21,7 @@ lets one letter of A differentiate B's coefficient.
 
 The right action on densities (``integral_forms.right_action``) reads the
 same polynomial: (Ber @ f) . A = Ber @ (dd-free part of) exp(sum_z T_z)(f A),
-with T_z = -(left d/dz) o (left d/d dd_z).
+with T_z = -(left d/dz) o (left d/d dd_z): one compiled word per dd word.
 """
 
 from __future__ import annotations

@@ -116,8 +116,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _shown(token: str) -> str:
-    """A token as a syntax error quotes it."""
-    return "^" if token == "**" else token or "end of input"
+    """A token as a syntax error quotes it: as written."""
+    return token or "end of input"
 
 
 def _locate(text: str, index: int, line: int = 1,

@@ -60,6 +60,7 @@ from supercalc.algebra import (
     ODD_BASE,
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
+    RIGHT_DERIVE,
     SuperPoly,
     release_even_exponents,
     transport,
@@ -204,8 +205,9 @@ def right_action(density: IntegralForm, op: DiffOp) -> IntegralForm:
     . A is Ber @ (dd-free part of) exp(sum_z T_z)(f A).  On a term h * D of
     f A that part is h differentiated from the right along D's letters,
     leftmost first, negated once per even letter: the step above is
-    (g)(right d/dz) for odd z and its negative for even z.  The work stays
-    in the operator's table.
+    (g)(right d/dz) for odd z and its negative for even z.  Each D is one
+    compiled word (:func:`_right_word`), quotient rule included, and the
+    work stays in the operator's table.
 
     Satisfies ``right_action(s, P.compose(Q)) ==
     right_action(right_action(s, P), Q)`` and annihilates the generator
@@ -219,25 +221,21 @@ def right_action(density: IntegralForm, op: DiffOp) -> IntegralForm:
     for word, h in product.collect(weyl.positions_of_class(POLYVECTOR_EVEN,
                                                           POLYVECTOR_ODD)).items():
         if word:
-            names, negate = _word_moves(weyl, word)
-            for name in names:
-                h = h.right_derivative(name)
-            if negate:
-                h = -h
+            h = h.apply_word(_right_word(weyl, word))
         out = out + h if out else h
     return IntegralForm(density.chart, transport(out, density.table))
 
 
 @lru_cache(maxsize=4096)
-def _word_moves(weyl: GeneratorTable, word: Monomial) -> tuple[tuple[str, ...], bool]:
-    """The coordinates a word of derivative letters differentiates along,
-    leftmost first, and whether it holds an odd number of even letters."""
-    names: list[str] = []
-    negate = False
-    for pos, k in weyl.powers(word):
-        names += [weyl.names[pos][len(DERIV_PREFIX):]] * k
-        negate ^= bool(k % 2 and not weyl.parities[pos])
-    return tuple(names), negate
+def _right_word(weyl: GeneratorTable, word: Monomial) -> tuple:
+    """A word of derivative letters as the compiled word of right
+    derivatives along their coordinates, leftmost first, negated once per
+    even letter."""
+    pairs = weyl.powers(word)
+    letters = [(weyl.index(weyl.names[pos][len(DERIV_PREFIX):]), RIGHT_DERIVE)
+               for pos, k in reversed(pairs) for _ in range(k)]
+    return weyl.compile_word(letters, (-1) ** sum(k for pos, k in pairs
+                                                  if not weyl.parities[pos]))
 
 
 # --- integral forms -------------------------------------------------------------

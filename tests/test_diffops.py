@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercalc import integral_forms
 from supercalc.algebra import (
+    DERIVE,
     EVEN_BASE,
     ODD_BASE,
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
+    RIGHT_DERIVE,
     GeneratorTable,
     RationalFunction,
     SuperPoly,
@@ -25,6 +28,7 @@ from supercalc.derham import DERIV_PREFIX, form_table
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import IntegralForm, right_action
 from supercalc.randoms import random_superpoly
+from test_algebra import reference_left_derivative
 
 T = GeneratorTable.chart(["x", "y"], ["th1", "th2"])
 
@@ -315,7 +319,8 @@ def ref_partial(table, name):
 
 def ref_right_action(chart, f, a):
     """Ber @ f acted on by a: each symbol of a word, leftmost first, takes
-    (Ber @ g) . d/dz to Ber @ -(-1)^{|z||g|} (left d/dz g)."""
+    (Ber @ g) . d/dz to Ber @ -(-1)^{|z||g|} (left d/dz g), through the
+    reference loop of the left derivative and its quotient rule."""
     table = chart.table
     total = SuperPoly.zero(table)
     for key, coeff in a.items():
@@ -324,9 +329,10 @@ def ref_right_action(chart, f, a):
             name = table.names[pos]
             if table.parities[pos]:
                 even, odd = cur.homogeneous_parts()
-                cur = odd.left_derivative(name) - even.left_derivative(name)
+                cur = (reference_left_derivative(odd, name)
+                       - reference_left_derivative(even, name))
             else:
-                cur = -cur.left_derivative(name)
+                cur = -reference_left_derivative(cur, name)
         total = total + cur
     return IntegralForm(chart, total)
 
@@ -358,13 +364,26 @@ def ref_of(op):
     return out
 
 
-def _draw_pair(rng, table, coefficient=None):
+def _with_a_quotient(rng, f):
+    """f times a quotient in one even base coordinate, a third of the time
+    when the table has one."""
+    bases = [n for n, c in f.table.gens if c == EVEN_BASE]
+    if not bases or rng.randrange(3):
+        return f
+    z = SuperPoly.generator(f.table, rng.choice(bases))
+    return f.scale(RationalFunction(z + rng.randint(-2, 2), z * z + rng.randint(1, 3)))
+
+
+def _draw_pair(rng, table, coefficient=None, quotients=False):
     """One operator, drawn as a sum of coefficient * word products, built
-    through DiffOp and through the reference alike."""
+    through DiffOp and through the reference alike; with ``quotients`` a
+    third of the coefficients carry a quotient."""
     names = [n for n, c in table.gens if c in (EVEN_BASE, ODD_BASE)]
     op, ref = DiffOp.zero(table), {}
     for _ in range(rng.randint(1, 3)):
         c = coefficient or random_superpoly(rng, table, terms=2, max_exp=2)
+        if quotients:
+            c = _with_a_quotient(rng, c)
         term, ref_term = DiffOp.multiplication(c), ref_mult(c)
         for _k in range(rng.randint(0, 3)):
             name = rng.choice(names)
@@ -407,14 +426,63 @@ class TestAgainstWordReference:
                 op = op + term
             assert str(op) == ref_str(table, ref_of(op))
 
-    @pytest.mark.parametrize("shape", _ORACLE_SHAPES, ids=lambda s: "%d|%d" % s)
-    def test_right_action_matches(self, shape):
+    @staticmethod
+    def right_action_draws(shape, count=20):
+        """Densities and operators on one chart, a third of the densities
+        and of the operator coefficients carrying a quotient."""
         chart = Chart.standard(*shape)
         rng = random.Random(_seed(shape) + 1)
-        for _ in range(20):
-            a, ra = _draw_pair(rng, chart.table)
-            f = random_superpoly(rng, chart.table, terms=3, max_exp=2)
+        for _ in range(count):
+            a, ra = _draw_pair(rng, chart.table, quotients=True)
+            f = _with_a_quotient(rng, random_superpoly(rng, chart.table, terms=3, max_exp=2))
+            yield chart, f, a, ra
+
+    @pytest.mark.parametrize("shape", _ORACLE_SHAPES, ids=lambda s: "%d|%d" % s)
+    def test_right_action_matches(self, shape):
+        draws = list(self.right_action_draws(shape))
+        for chart, f, a, ra in draws:
             assert right_action(IntegralForm(chart, f), a) == ref_right_action(chart, f, ra)
+        if shape[0]:
+            quotients = [any(isinstance(c, RationalFunction)
+                             for c in (*f.terms.values(), *a.poly.terms.values()))
+                         for _, f, a, _ in draws]
+            assert 5 <= sum(quotients) < len(draws)
+
+    @pytest.mark.parametrize("mutant", ["left sign mask", "no quotient passes"])
+    def test_a_broken_right_word_is_caught(self, monkeypatch, mutant):
+        draws = [d for shape in ((1, 1), (2, 1), (2, 2)) for d in self.right_action_draws(shape)]
+        if mutant == "left sign mask":
+            letter = GeneratorTable._letter
+            monkeypatch.setattr(GeneratorTable, "_letter", lambda self, pos, op: letter(
+                self, pos, DERIVE if op == RIGHT_DERIVE else op))
+        else:
+            apply_word = SuperPoly.apply_word
+            monkeypatch.setattr(SuperPoly, "apply_word",
+                                lambda self, word: apply_word(self, (*word[:3], ())))
+        integral_forms._right_word.cache_clear()
+        try:
+            assert any(right_action(IntegralForm(chart, f), a) != ref_right_action(chart, f, ra)
+                       for chart, f, a, ra in draws)
+        finally:
+            integral_forms._right_word.cache_clear()
+
+    def test_right_action_walks_one_word_per_derivative_word(self, monkeypatch):
+        draws = list(self.right_action_draws((2, 2)))
+        compiled, walked, chained = [], [], []
+        right_word = integral_forms._right_word
+        apply_word, right_derivative = SuperPoly.apply_word, SuperPoly.right_derivative
+        monkeypatch.setattr(integral_forms, "_right_word",
+                            lambda weyl, word: compiled.append(right_word(weyl, word))
+                            or compiled[-1])
+        monkeypatch.setattr(SuperPoly, "apply_word",
+                            lambda self, word: walked.append(word) or apply_word(self, word))
+        monkeypatch.setattr(SuperPoly, "right_derivative",
+                            lambda self, name: chained.append(name)
+                            or right_derivative(self, name))
+        for chart, f, a, _ in draws:
+            right_action(IntegralForm(chart, f), a)
+        assert len(compiled) >= 10 and chained == []
+        assert all(any(w is word for w in walked) for word in compiled)
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2)], ids=lambda s: "%d|%d" % s)
     def test_form_table_operators_match(self, shape):

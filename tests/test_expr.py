@@ -47,8 +47,9 @@ SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
 #
 # A copy of the tokenizer and recursive-descent parser that came before the
 # one-findall tokenizer, kept as the reference for values, positions and
-# refusal texts; it shares no code with expr's parser.  Its one change is
-# the end of input after '**', which stands two characters after the '**'.
+# refusal texts; it shares no code with expr's parser.  Its changes are
+# the end of input after '**', which stands two characters after the '**',
+# and the text of a '**' token, which stays '**'.
 
 _REFERENCE_TOKEN = re.compile(
     r"([A-Za-z_][A-Za-z_0-9]*)|([0-9]+)|(\*\*)|([-+*/^@(),=])|(\S)")
@@ -70,9 +71,7 @@ def reference_tokens(text: str) -> list[Token]:
         for m in _REFERENCE_TOKEN.finditer(line):
             group, piece = m.lastindex, m.group()
             kind = _GROUP_KINDS[group] or piece
-            if group == 3:
-                piece = "^"
-            elif group == 5:
+            if group == 5:
                 kind = "name" if piece.isalpha() else None
                 if kind is None:
                     raise ExpressionError(
@@ -732,9 +731,9 @@ class TestPositions:
         assert outcome(parse_value, "x1 **", ring)[2] == f"line 1, column 6: {end}"
         assert outcome(parse_value, "x1**", ring)[2] == f"line 1, column 5: {end}"
         assert outcome(parse_value, "x1 ^", ring)[2] == f"line 1, column 5: {end}"
-        # a '**' is quoted as the '^' it stands for
+        # a '**' is quoted as written
         assert outcome(parse_value, "x1 ** ** 2", ring)[2] == (
-            "line 1, column 7: syntax error: expected 'int', found '^'")
+            "line 1, column 7: syntax error: expected 'int', found '**'")
 
     def test_printed_values_are_read_without_locating_a_token(self, monkeypatch):
         located = []

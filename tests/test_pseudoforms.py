@@ -15,6 +15,7 @@ from supercalc.algebra import (
     FIBER_EVEN,
     FIBER_ODD,
     ODD_BASE,
+    RIGHT_DERIVE,
     GeneratorTable,
     RationalFunction,
     SuperPoly,
@@ -579,11 +580,26 @@ class TestCompiledWords:
                 cw_apply("dd_dth dz", DeltaForm.top(R11))
         assert pseudoforms._word.cache_info().currsize == before
 
-    def test_a_word_cannot_act_on_a_base_coordinate(self):
+    def test_a_base_coordinate_word_applies_the_quotient_rule(self):
         table = polyvector_table(R11)
-        for name in ("x", "th"):
-            with pytest.raises(ValueError, match=f"base coordinate '{name}'"):
-                table.compile_word([(table.index(name), DERIVE)])
+        x, th = (SuperPoly.generator(table, n) for n in ("x", "th"))
+        f = SuperPoly.constant(table, RationalFunction(SuperPoly.one(table), 1 + x)) * th
+        got = f.apply_word(table.compile_word([(table.index("x"), DERIVE)] * 2))
+        assert got == f.left_derivative("x").left_derivative("x")
+        assert got == SuperPoly.constant(table, RationalFunction(
+            SuperPoly.constant(table, 2), (1 + x) ** 3)) * th
+        assert str(got) == "2/(1 + 3*x + 3*x^2 + x^3)*th"
+
+    def test_a_right_derivative_word_matches_the_tuple_keys(self):
+        from test_algebra import _agrees, _to_tuples, _tuple_right_derivative
+
+        table = polyvector_table(R22)
+        rng = random.Random(2209)
+        for _ in range(100):
+            a = random_superpoly(rng, table, terms=5, max_exp=2)
+            for pos in table.odd_positions:
+                got = a.apply_word(table.compile_word([(pos, RIGHT_DERIVE)]))
+                assert _agrees(got, table, _tuple_right_derivative(table, _to_tuples(a), pos))
 
 
 class TestProducts:
