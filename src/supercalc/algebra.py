@@ -851,54 +851,16 @@ class SuperPoly:
         Within one table, unassigned generators map to themselves; when the
         images live over a different table, every generator occurring in the
         element (or its coefficients) must be assigned.
+
+        The assignment is checked once, and one evaluator (:func:`_pull_back`)
+        then maps the element and the numerator and denominator of each
+        quotient coefficient.  It raises each image to each power at most
+        once, in a memo that lives for this one call, and leaves a
+        denominator of 1 alone.
         """
         if not assignment and table is None:
             return self
-        images: dict[int, SuperPoly] = {}
-        out_table = table
-        for name, img in assignment.items():
-            i = self.table.index(name)
-            if not isinstance(img, SuperPoly):
-                img = SuperPoly.constant(out_table or self.table, img)
-            p = img.parity()
-            if p is not None and p != self.table.parities[i]:
-                raise ValueError(
-                    f"parity violation: image of {name!r} has parity {p}, "
-                    f"expected {self.table.parities[i]}")
-            if p is None and img.terms:
-                raise ValueError(f"parity violation: image of {name!r} is inhomogeneous")
-            images[i] = img
-            if out_table is None:
-                out_table = img.table
-        if out_table is None:
-            out_table = self.table
-        cross_table = out_table != self.table
-
-        def image_of(pos: int) -> SuperPoly:
-            img = images.get(pos)
-            if img is None:
-                if cross_table:
-                    raise ValueError(
-                        f"no image given for generator {self.table.names[pos]!r} "
-                        "in a cross-table substitution")
-                img = SuperPoly.generator(out_table, self.table.names[pos])
-            return img
-
-        # accumulate left to right in written order: evens first (they
-        # commute), then the odd factors in canonical order
-        result = SuperPoly.zero(out_table)
-        for m, c in self.terms.items():
-            if isinstance(c, RationalFunction):
-                piece = c.substitute(assignment, out_table)
-            else:
-                piece = SuperPoly.constant(out_table, c)
-            for pos, k in self.table.powers(m):
-                img = image_of(pos)
-                piece = piece * (img if k == 1 else img ** k)
-                if piece.is_zero():
-                    break
-            result = result + piece
-        return result
+        return _pull_back(self.table, (self,), assignment, table)[0]
 
     # --- rendering and serialization -----------------------------------------
 
@@ -985,9 +947,15 @@ class RationalFunction:
     with ``int`` coefficients.  The constructor refuses a zero
     denominator, any letter but an even base coordinate and coefficients
     that are not rational; arithmetic on checked operands builds its
-    results through :meth:`_quotient`, which only reduces.  Printing
-    divides by the denominator's leading coefficient, so text shows a
-    monic denominator.
+    results through :meth:`_quotient`, which only reduces.  A quotient
+    whose denominator is a constant is a polynomial, and its arithmetic
+    costs what polynomial arithmetic costs: :meth:`derivative` reduces
+    (num', den) with no quotient rule, an ``int`` factor k goes into the
+    numerator and divides out only gcd(k, content of den), and the
+    reduction returns a pair over 1 as it is.  Each gives the pair the
+    general rule gives, since a constant-denominator pair is fixed by
+    its value.  Printing divides by the denominator's leading
+    coefficient, so text shows a monic denominator.
 
     Sums and comparisons use a shared denominator when the two operands'
     denominators are integer multiples k1*P and k2*P of one primitive P:
@@ -1113,6 +1081,8 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int:
+            return self._times_int(other)
         if isinstance(other, SuperPoly):
             return NotImplemented   # let SuperPoly treat us as a scalar
         o = self._coerce(other)
@@ -1122,7 +1092,21 @@ class RationalFunction:
                else _products(((self.den, o.den),)))
         return RationalFunction._quotient(_products(((self.num, o.num),)), den)
 
+    def _times_int(self, k: int) -> "RationalFunction":
+        """self * k.  The stored pair (n, d) is reduced, so the reduced
+        pair of (k n, d) only divides by g = gcd(k, content of d): n and d
+        share no monomial factor, no gcd, and no integer factor."""
+        if not k:
+            return RationalFunction._reduced(SuperPoly._of(self.table, {}),
+                                             SuperPoly.one(self.table))
+        g = gcd(k, *self.den.terms.values())
+        den = self.den if g == 1 else SuperPoly._of(
+            self.table, {m: c // g for m, c in self.den.terms.items()})
+        return RationalFunction._reduced(_times(self.num, k // g), den)
+
     def __rmul__(self, other):
+        if type(other) is int:
+            return self._times_int(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -1159,8 +1143,11 @@ class RationalFunction:
                 == _products(((o.num, self.den),)).terms)
 
     def derivative(self, name: str) -> "RationalFunction":
-        """Quotient rule; the generator must be even."""
+        """Quotient rule; the generator must be even.  Over a constant d it
+        is (num' d)/d^2, whose reduced pair is that of num'/d."""
         dn = self.num.left_derivative(name)
+        if self.den.terms.keys() == {0}:
+            return RationalFunction._quotient(dn, self.den)
         dd = self.den.left_derivative(name)
         return RationalFunction._quotient(_products(((dn, self.den), (self.num, -dd))),
                                           _products(((self.den, self.den),)))
@@ -1169,9 +1156,8 @@ class RationalFunction:
                    table: GeneratorTable | None = None) -> SuperPoly:
         """Evaluate at generator images; needs the shifted denominator to be
         scalar plus nilpotent."""
-        num = self.num.substitute(assignment, table)
-        den = self.den.substitute(assignment, table)
-        return num * den.inverse()
+        return _pull_back(self.table, (SuperPoly._of(self.table, {0: self}),),
+                          assignment, table)[0]
 
     def __str__(self):
         num, den = _monic(self.num, self.den)
@@ -1254,6 +1240,8 @@ def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPo
     table = num.table
     if num.is_zero():
         return num, SuperPoly.one(table)
+    if _is_one(den):
+        return num, den     # the content step divides by gcd(..., 1) = 1
     # cancel the common monomial factor: the field-wise minimum of the keys
     if 0 not in num.terms and 0 not in den.terms:
         keys = [*num.terms, *den.terms]
@@ -1431,6 +1419,76 @@ def _prs_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     else:
         return a, b     # a nonzero constant remainder: coprime
     return _divide(a, g), _divide(b, g)
+
+
+def _pull_back(source: GeneratorTable, polys: Iterable[SuperPoly],
+               assignment: Mapping[str, object],
+               table: GeneratorTable | None) -> list[SuperPoly]:
+    """The images of polys, elements over ``source``, under the
+    homomorphism of :meth:`SuperPoly.substitute`, all through one check of
+    the assignment and one memo of image powers keyed by (position,
+    exponent), so every image is raised to every power at most once.
+
+    Each term accumulates left to right in written order: its coefficient,
+    then the even factors (they commute), then the odd ones in canonical
+    order.  A quotient coefficient is num(images) * den(images)^-1, and a
+    denominator of 1 is not mapped at all.
+    """
+    images: dict[int, SuperPoly] = {}
+    out_table = table
+    for name, img in assignment.items():
+        i = source.index(name)
+        if not isinstance(img, SuperPoly):
+            img = SuperPoly.constant(out_table or source, img)
+        p = img.parity()
+        if p is not None and p != source.parities[i]:
+            raise ValueError(
+                f"parity violation: image of {name!r} has parity {p}, "
+                f"expected {source.parities[i]}")
+        if p is None and img.terms:
+            raise ValueError(f"parity violation: image of {name!r} is inhomogeneous")
+        images[i] = img
+        if out_table is None:
+            out_table = img.table
+    if out_table is None:
+        out_table = source
+    cross_table = out_table != source
+    powers: dict[tuple[int, int], SuperPoly] = {}
+
+    def power(pos: int, k: int) -> SuperPoly:
+        img = images.get(pos)
+        if img is None:
+            if cross_table:
+                raise ValueError(
+                    f"no image given for generator {source.names[pos]!r} "
+                    "in a cross-table substitution")
+            img = images[pos] = SuperPoly.generator(out_table, source.names[pos])
+        if k == 1:
+            return img
+        out = powers.get((pos, k))
+        if out is None:
+            out = powers[pos, k] = img ** k
+        return out
+
+    def evaluate(poly: SuperPoly) -> SuperPoly:
+        if poly.table is not source and poly.table != source:
+            raise ValueError("generator table mismatch")
+        result = SuperPoly.zero(out_table)
+        for m, c in poly.terms.items():
+            if type(c) is RationalFunction:
+                piece = evaluate(c.num)
+                if not _is_one(c.den):
+                    piece = piece * evaluate(c.den).inverse()
+            else:
+                piece = SuperPoly.constant(out_table, c)
+            for pos, k in source.powers(m):
+                piece = piece * power(pos, k)
+                if piece.is_zero():
+                    break
+            result = result + piece
+        return result
+
+    return [evaluate(poly) for poly in polys]
 
 
 @functools.cache

@@ -6,6 +6,14 @@ dependence lives inside :class:`RationalFunction` coefficients, so monomials
 show only odd factors.  That makes quotients like 1/z first-class and keeps
 every division that the Berezinian needs a scalar operation.
 
+The price is that every coefficient is a quotient, even where it is a
+polynomial: most of the coefficients of a split map, its Jacobian and its
+powers have a constant denominator.  Such quotients skip the quotient
+rule and the polynomial gcd, their sums share a denominator (see
+:class:`RationalFunction`), and a pullback maps no denominator of 1.
+:func:`compose_maps` pulls every image back through one evaluator, so the
+images share its powers of the first map's coordinate images.
+
 The Jacobian of a map uses right derivatives of the coordinate images
 (rows indexed by target coordinates, columns by source coordinates).  With
 that convention the chain rule is a literal block-matrix product,
@@ -24,6 +32,7 @@ from supercalc.algebra import (
     GeneratorTable,
     RationalFunction,
     SuperPoly,
+    _pull_back,
     absorb_even_exponents,
 )
 from supercalc.supermatrix import SuperMatrix, berezinian
@@ -139,8 +148,9 @@ def compose_maps(m1: CoordinateMap, m2: CoordinateMap) -> CoordinateMap:
     """m1: U -> V followed by m2: V -> W, as a map U -> W."""
     if m2.source.table != m1.target.table:
         raise ValueError("charts do not chain: m2 must start where m1 ends")
-    images = {name: m1.pullback(img) for name, img in m2.images.items()}
-    return CoordinateMap(m1.source, m2.target, images)
+    # one evaluator for all the images, so they share its powers of m1's images
+    pulled = _pull_back(m1.target.table, m2.images.values(), m1.images, m1.source.table)
+    return CoordinateMap(m1.source, m2.target, dict(zip(m2.images, pulled)))
 
 
 def cocycle_check(m1: CoordinateMap, m2: CoordinateMap) -> bool:

@@ -740,13 +740,14 @@ def _exact_quotient(fa, g):
 
 
 def _reduce_before(num, den):
+    table = num.table
     if num.is_zero():
-        return num, SuperPoly.one(T)
-    sides = [[(dict(T.powers(m)), Fraction(c)) for m, c in poly.terms.items()]
+        return num, SuperPoly.one(table)
+    sides = [[(dict(table.powers(m)), Fraction(c)) for m, c in poly.terms.items()]
              for poly in (num, den)]
     if all(p for side in sides for p, _ in side):
         common = {pos: min(p.get(pos, 0) for side in sides for p, _ in side)
-                  for pos in T.even_positions}
+                  for pos in table.even_positions}
         sides = [[({pos: k - common[pos] for pos, k in p.items()}, c) for p, c in side]
                  for side in sides]
     used = {pos for side in sides for p, _ in side for pos, k in p.items() if k}
@@ -762,9 +763,9 @@ def _reduce_before(num, den):
         if len(g) > 1:
             sides = [[({pos: k}, c) for k, c in enumerate(_exact_quotient(f, g))]
                      for f in lists]
-    num, den = (SuperPoly(T, {T.monomial(p.items())[1]: c for p, c in side})
+    num, den = (SuperPoly(table, {table.monomial(p.items())[1]: c for p, c in side})
                 for side in sides)
-    inv = 1 / Fraction(den.terms[max(den.terms, key=T.sort_key)])
+    inv = 1 / Fraction(den.terms[max(den.terms, key=table.sort_key)])
     return num.scale(inv), den.scale(inv)
 
 
@@ -832,12 +833,13 @@ SIDE_KINDS = ["constant", "monomial", "univariate", "bivariate"]
 @pytest.mark.parametrize("den_kind", SIDE_KINDS)
 def test_stored_pairs_match_the_reduction_before_the_fast_paths(den_kind):
     rng = random.Random(41 + SIDE_KINDS.index(den_kind))
+    extra = random.Random(141 + SIDE_KINDS.index(den_kind))   # for the sums over 1
     x = gen("x")
     # over a univariate denominator, numerators in x alone let Euclid cancel
     kinds = (["zero", "constant", "monomial", "univariate"] if den_kind == "univariate"
              else ["zero", *SIDE_KINDS])
     checked = set()
-    for _ in range(60):
+    for draw in range(60):
         num_kind = rng.choice(kinds)
         num, den = _random_side(rng, num_kind), _random_side(rng, den_kind)
         if den.is_zero():
@@ -862,7 +864,139 @@ def test_stored_pairs_match_the_reduction_before_the_fast_paths(den_kind):
             dn, dd = an.left_derivative("x"), ad.left_derivative("x")
             assert _stored_as_before(a.derivative("x"), dn * ad - an * dd, ad * ad)
             checked.add(num_kind)
+        if draw % 2:
+            continue
+        # the paths for int factors, sums over 1 and substitution
+        assert _pair(a * 1) == _pair(a) and _pair(a * -1) == _pair(-a)
+        for k in (0, 1, -1, 6, -6, Fraction(-5, 6)):
+            if k not in (1, -1):
+                assert _stored_as_before(a * k, an * k, ad)
+            assert _pair(k * a) == _pair(a * k)
+        p = _over_one(n)
+        for q in (_over_one(_random_side(extra, extra.choice(SIDE_KINDS))), -p):
+            assert _stored_as_before(p + q, p.num + q.num, SuperPoly.one(T))
+        images = {"x": absorb_even_exponents(gen("y") + 1 + gen("th1") * gen("th2")),
+                  "y": absorb_even_exponents(2 * x - gen("y"))}
+        assert _stored(a.substitute(images)) == _stored(
+            reference_substitute(a.num, images) * reference_substitute(a.den, images).inverse())
     assert checked == set(kinds)
+
+
+def _pair(rf):
+    return _typed(rf.num), _typed(rf.den)
+
+
+def _over_one(poly):
+    """A quotient over 1 with poly's terms, each scaled to an integer."""
+    one = SuperPoly.one(poly.table)
+    return RationalFunction(RationalFunction(poly, one).num, one)
+
+
+def _stored(poly):
+    """Each coefficient as stored: its type and value, and for a quotient
+    the typed terms of its pair."""
+    return {m: _pair(c) if type(c) is RationalFunction else (type(c), c)
+            for m, c in poly.terms.items()}
+
+
+def reference_substitute(poly, assignment, table=None):
+    """SuperPoly.substitute term by term, each term accumulating left to
+    right as the fast path does: a quotient's numerator and denominator
+    mapped afresh, a denominator of 1 too, and every image raised to every
+    power anew."""
+    images = {poly.table.index(name): img for name, img in assignment.items()}
+    out = table or next(iter(images.values())).table
+    result = SuperPoly.zero(out)
+    for m, c in poly.terms.items():
+        if isinstance(c, RationalFunction):
+            piece = (reference_substitute(c.num, assignment, out)
+                     * reference_substitute(c.den, assignment, out).inverse())
+        else:
+            piece = SuperPoly.constant(out, c)
+        for pos, k in poly.table.powers(m):
+            img = images[pos] if pos in images else SuperPoly.generator(out, poly.table.names[pos])
+            piece = piece * (img if k == 1 else img ** k)
+            if piece.is_zero():
+                break
+        result = result + piece
+    return result
+
+
+def _split_maps(p, q, count, seed):
+    from supercalc.charts import Chart
+    from supercalc.randoms import random_split_map
+
+    rng = random.Random(seed)
+    u, v, w = (Chart([f"{e}{i}" for i in range(1, p + 1)], [f"{o}{i}" for i in range(1, q + 1)])
+               for e, o in (("u", "et"), ("v", "ps"), ("w", "ch")))
+    for _ in range(count):
+        yield random_split_map(rng, u, v), random_split_map(rng, v, w)
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 2)])
+def test_chart_quotients_store_the_pairs_of_the_general_rules(p, q):
+    # Absorbed split-map images, their powers and their Ber J: mostly
+    # quotients over a constant, where the fast paths apply.
+    constant = count = 0
+    for m1, m2 in _split_maps(p, q, 4 - p, 60 + p):
+        table = m1.source.table
+        # on 3|2, pulling back (Ber J)^3 and (Ber J)^4 takes 0.1-0.3 s each
+        tops = [(f, 4) for f in m2.images.values()] + [(m2.ber_jacobian(), 4 if p < 3 else 2)]
+        for f, top in tops:
+            for k in range(1, top + 1):
+                g = f ** k
+                assert _stored(m1.pullback(g)) == _stored(
+                    reference_substitute(g, m1.images, table))
+        elements = [*m1.images.values(), m1.ber_jacobian()]
+        quotients = [c for f in elements for k in (1, 2) for c in (f ** k).terms.values()]
+        count += len(quotients)
+        x = table.names[0]
+        for a in quotients:
+            an, ad = _monic(a)
+            constant += len(ad.terms) == 1 and 0 in ad.terms
+            for k in (0, 1, -1, 6, -6):
+                assert _stored_as_before(a * k, an * k, ad)
+                assert _pair(k * a) == _pair(a * k)
+            dn, dd = an.left_derivative(x), ad.left_derivative(x)
+            assert _stored_as_before(a.derivative(x), dn * ad - an * dd, ad * ad)
+            for b in quotients[1::4]:
+                bn, bd = _monic(b)
+                assert _stored_as_before(a * b, an * bn, ad * bd)
+            # sums over 1, one of which cancels to 0
+            over_one = _over_one(an)
+            for b in (_over_one(_monic(quotients[0])[0]), -over_one):
+                assert _stored_as_before(over_one + b, over_one.num + b.num, SuperPoly.one(table))
+    assert count // 2 < constant < count
+
+
+def test_a_constant_denominator_derivative_forms_no_products(monkeypatch):
+    import supercalc.algebra as algebra
+
+    calls = []
+    products = algebra._products
+    monkeypatch.setattr(algebra, "_products", lambda pairs: calls.append(None) or products(pairs))
+    x, y = gen("x"), gen("y")
+    over_six = RationalFunction(x ** 3 + 3 * x * y, const(6))
+    got = over_six.derivative("x")
+    assert not calls
+    assert _pair(got) == _pair(RationalFunction(x * x + y, const(2)))
+    RationalFunction(x, x + 1).derivative("x")
+    assert calls     # the quotient rule forms its products there
+
+
+def test_one_substitution_raises_each_image_to_each_power_once(monkeypatch):
+    m1, m2 = next(_split_maps(2, 2, 1, 62))
+    f = m2.ber_jacobian() ** 2 + sum(img ** 3 for img in m2.images.values())
+    raised = []
+    power = SuperPoly.__pow__
+    monkeypatch.setattr(SuperPoly, "__pow__",
+                        lambda self, n: raised.append((id(self), n)) or power(self, n))
+    got = m1.pullback(f)
+    assert raised and len(raised) == len(set(raised))
+    raised.clear()
+    want = reference_substitute(f, m1.images, m1.source.table)
+    assert len(raised) > len(set(raised))   # term by term, the powers repeat
+    assert _stored(got) == _stored(want)
 
 
 def _normal(rf):

@@ -240,6 +240,21 @@ def test_cocycle_random_split_maps_2_2():
         assert cocycle_check(m1, m2)
 
 
+def test_compose_maps_pulls_every_image_back_in_one_evaluator_pass(monkeypatch):
+    import supercalc.charts as charts
+
+    m1, m2 = next(random_split_pairs_2_2())
+    want = {name: m1.pullback(img) for name, img in m2.images.items()}
+    passes = []
+    pull_back = charts._pull_back
+    monkeypatch.setattr(charts, "_pull_back",
+                        lambda *args: passes.append(args) or pull_back(*args))
+    monkeypatch.setattr(SuperPoly, "substitute", None)
+    got = compose_maps(m1, m2).images
+    assert len(passes) == 1
+    assert all(str(got[n]) == str(want[n]) and got[n] == want[n] for n in want)
+
+
 def test_cocycle_2_2_denominators_stay_small():
     # Sums over a shared denominator keep it; cross-multiplying every sum
     # grew the largest one to 1514 terms on these pairs.
