@@ -1036,11 +1036,16 @@ class RationalFunction:
         return bool(self.num)
 
     def _coerce(self, other) -> "RationalFunction | None":
+        """``other`` as a quotient over this table, None for a foreign type.
+        A quotient or polynomial over another table raises: the arithmetic
+        reads monomial keys by position."""
         if isinstance(other, RationalFunction):
+            _check_same_table(self.num, other.num)
             return other
         if isinstance(other, (int, Fraction)):
             return RationalFunction.from_scalar(self.table, other)
         if isinstance(other, SuperPoly):
+            _check_same_table(self.num, other)
             return RationalFunction(other, SuperPoly.one(other.table))
         return None
 
@@ -1132,7 +1137,10 @@ class RationalFunction:
     def __eq__(self, other):
         if isinstance(other, SuperPoly):
             return NotImplemented   # SuperPoly compares us as a constant
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except ValueError:   # over another table: unequal, as in SuperPoly.__eq__
+            return False
         if o is None:
             return NotImplemented
         shared = self._shared(o)

@@ -564,7 +564,13 @@ def cmd_fiber_int(expression, gaussian, ring_text, json_mode):
 
 
 @main.command("verify", help="Run one named identity suite, or all of "
-              f"them.\n\nSuites: {', '.join(SUITES)}.")
+              f"them.\n\nSuites: {', '.join(SUITES)}.\n\n"
+              "--p and --q set the chart of nilpotency, dmodule and the operator "
+              "checks of homotopies; every other check uses fixed charts. --trials "
+              "does not scale berezinian's block-diagonal and infinitesimal checks "
+              "(10 draws each), delta-forms' pivot and transform checks "
+              "(max(trials // 2, 20) and max(trials // 3, 12) draws), or the checks "
+              "that draw nothing.")
 @click.argument("suite", default="all")
 @click.option("--trials", type=click.IntRange(min=0), default=None,
               help="override the suite's sample count")

@@ -48,6 +48,16 @@ delta-forms
     its derivative word applied to the pivot, the two pictures commute
     with coordinate changes, and fiber integration reproduces the
     benchmark integrals.
+
+Only ``nilpotency``, ``dmodule`` and the two operator checks of
+``homotopies`` run on the chart R^{p|q} given by ``p`` and ``q``; every
+other check uses fixed charts.  A randomized check makes ``trials``
+draws (the density homotopy 4 * trials per chart, the susy invariance
+trials * q variations per chart), except for four counts that
+``trials`` does not scale: ``berezinian``'s block-diagonal and
+infinitesimal checks draw 10 matrices each, and ``delta-forms`` draws
+max(trials // 2, 20) maps for the pivot check and max(trials // 3, 12)
+rounds for the transform check.  Checks that draw nothing run once.
 """
 
 from __future__ import annotations
@@ -132,233 +142,201 @@ class SuiteSpec(NamedTuple):
     summary: str
 
 
+def _failures(n: int, failed: Callable[[], object]) -> int:
+    return sum(1 for _ in range(n) if failed())
+
+
+def _count(label: str, total: int, bad: int) -> CheckResult:
+    return CheckResult(label, bad == 0, f"{bad} of {total} failed" if bad else f"{total} checked")
+
+
+def _trials(label: str, n: int, failed: Callable[[], object]) -> CheckResult:
+    """Run one randomized check ``n`` times and count the draws that fail.
+
+    Each call of ``failed`` draws its own inputs from the suite's
+    generator and returns something truthy exactly when the identity
+    fails on them; a draw it skips (a zero input, say) counts as passing.
+    All ``n`` calls run, in order, so a suite's draws depend only on its
+    seed and trial counts, and a failure replays from its seed.  A check
+    keeps the order of its draws: reordering them moves every later draw
+    of the suite, and each seed then tests other inputs.
+    """
+    return _count(label, n, _failures(n, failed))
+
+
+def _with_letters(rng: random.Random, poly: SuperPoly, letters, k: int) -> SuperPoly:
+    """``poly`` times ``k`` generators of its table drawn from ``letters``."""
+    for _ in range(k):
+        poly = poly * SuperPoly.generator(poly.table, rng.choice(letters))
+    return poly
+
+
+def _gaussian_line_is_sqrt_pi() -> bool:
+    """Whether the odd tangent line with a Gaussian fiber weight integrates to √π."""
+    line = Chart.standard(0, 1)
+    theta = transport(SuperPoly.generator(line.table, "th1"), form_table(line.table))
+    weight, section = gaussian_fiber_integral(line, theta, [fiber_name("th1")])
+    return weight * berezin_integral(section) == PiValue.pi_power(Fraction(1, 2))
+
+
 def _random_universal_monomial(rng: random.Random, chart: Chart,
                                ftab: GeneratorTable) -> UniversalElement:
-    fiber = []
-    for name in chart.even_names:
-        if rng.random() < 0.4:
-            fiber.append(fiber_name(name))
+    fiber = [fiber_name(n) for n in chart.even_names if rng.random() < 0.4]
     for name in chart.odd_names:
-        fiber.extend([fiber_name(name)] * rng.choice((0, 0, 1, 2)))
-    deriv = []
-    for name in chart.even_names:
-        deriv.extend([name] * rng.choice((0, 0, 1, 2)))
-    for name in chart.odd_names:
-        if rng.random() < 0.4:
-            deriv.append(name)
+        fiber += [fiber_name(name)] * rng.choice((0, 0, 1, 2))
+    deriv = [n for n in chart.even_names for _ in range(rng.choice((0, 0, 1, 2)))]
+    deriv += [n for n in chart.odd_names if rng.random() < 0.4]
     f = transport(random_superpoly(rng, chart.table, terms=2, max_exp=1), ftab)
     return UniversalElement.monomial(ftab, fiber, deriv, f)
 
 
-def operator_homotopy_failures(rng: random.Random, chart: Chart,
-                               trials: int) -> int:
+def operator_homotopy_failures(rng: random.Random, chart: Chart, trials: int) -> int:
     """How many of ``trials`` random universal monomials u break
     H(D(u)) + D(H(u)) = c(u) u, c(u) being the counting factor.
     Monomials that come out zero are drawn but not checked."""
     ftab = form_table(chart.table)
-    bad = 0
-    for _ in range(trials):
+
+    def failed():
         u = _random_universal_monomial(rng, chart, ftab)
         if u.is_zero():
-            continue
+            return False
         factor = con3_identity_factor(u)
-        if script_H(script_D(u)) + script_D(script_H(u)) != u.scale(factor):
-            bad += 1
-    return bad
+        return script_H(script_D(u)) + script_D(script_H(u)) != u.scale(factor)
+    return _failures(trials, failed)
 
 
-def susy_variation_failures(rng: random.Random, chart: Chart, gamma,
-                            trials: int) -> int:
+def susy_variation_failures(rng: random.Random, chart: Chart, gamma, trials: int) -> int:
     """How many supersymmetry variations of ``trials`` random Lagrangian
     densities, one per odd generator, fail to vanish."""
-    bad = 0
-    for _ in range(trials):
-        lagrangian = IntegralForm(
-            chart, random_superpoly(rng, chart.table, terms=3, max_exp=2))
-        for a in range(chart.q):
-            if not susy_variation(lagrangian, gamma, a).is_zero():
-                bad += 1
-    return bad
+    lagrangians = (IntegralForm(chart, random_superpoly(rng, chart.table, terms=3, max_exp=2))
+                   for _ in range(trials))
+    variations = ((lagrangian, a) for lagrangian in lagrangians for a in range(chart.q))
 
-
-def _count(label: str, total: int, bad: int) -> CheckResult:
-    return CheckResult(label, bad == 0, f"{bad} of {total} failed" if bad
-                       else f"{total} checked")
+    def failed():
+        lagrangian, a = next(variations)
+        return not susy_variation(lagrangian, gamma, a).is_zero()
+    return _failures(trials * chart.q, failed)
 
 
 def _suite_nilpotency(rng, trials, p, q):
     chart = Chart.standard(p, q)
     ftab = form_table(chart.table)
     ptab = polyvector_table(chart)
-    checks = []
-
-    bad = sum(1 for _ in range(trials)
-              if not d(d(random_superpoly(rng, ftab, terms=3,
-                                          max_exp=2))).is_zero())
-    checks.append(_count("exterior differential squares to zero",
-                         trials, bad))
-
-    bad = 0
-    for _ in range(trials):
-        u = IntegralForm(chart, random_superpoly(rng, ptab, terms=3,
-                                                 max_exp=2))
-        if not spencer_delta(spencer_delta(u)).is_zero():
-            bad += 1
-    checks.append(_count("density differential squares to zero",
-                         trials, bad))
-
-    bad = 0
-    for _ in range(trials):
-        u = _random_universal_monomial(rng, chart, ftab)
-        if not script_D(script_D(u)).is_zero():
-            bad += 1
-    checks.append(_count("operator-complex differential squares to zero",
-                         trials, bad))
-
     algebra = KoszulAlgebra(p, q)
-    bad = sum(1 for _ in range(trials) if not algebra.koszul_delta(
-        algebra.koszul_delta(random_superpoly(
-            rng, algebra.table, terms=3, max_exp=2))).is_zero())
-    checks.append(_count("koszul differential squares to zero", trials, bad))
 
-    bad = sum(1 for _ in range(trials) if not algebra.dual_delta(
-        algebra.dual_delta(random_superpoly(
-            rng, algebra.dual_table, terms=3, max_exp=2))).is_zero())
-    checks.append(_count("dual koszul differential squares to zero",
-                         trials, bad))
-    return checks
+    def poly(table):
+        return random_superpoly(rng, table, terms=3, max_exp=2)
+
+    def squares_to_zero(label, op, draw):
+        return _trials(f"{label} squares to zero", trials, lambda: not op(op(draw())).is_zero())
+
+    return [
+        squares_to_zero("exterior differential", d, lambda: poly(ftab)),
+        squares_to_zero("density differential", spencer_delta,
+                        lambda: IntegralForm(chart, poly(ptab))),
+        squares_to_zero("operator-complex differential", script_D,
+                        lambda: _random_universal_monomial(rng, chart, ftab)),
+        squares_to_zero("koszul differential", algebra.koszul_delta, lambda: poly(algebra.table)),
+        squares_to_zero("dual koszul differential", algebra.dual_delta,
+                        lambda: poly(algebra.dual_table)),
+    ]
 
 
 def _suite_berezinian(rng, trials, p, q):
     table = GeneratorTable.chart([], ["e1", "e2", "e3", "e4"])
-    checks = []
-    for shape in ((1, 1), (2, 1), (2, 2)):
-        bad = 0
-        for _ in range(trials):
+    shapes = ((1, 1), (2, 1), (2, 2))
+    eps = SuperPoly.generator(table, "e1") * SuperPoly.generator(table, "e2")
+
+    def multiplicative(shape):
+        def failed():
             m = random_invertible_supermatrix(rng, table, *shape)
             n = random_invertible_supermatrix(rng, table, *shape)
-            if berezinian(m * n) != berezinian(m) * berezinian(n):
-                bad += 1
-        checks.append(_count(
-            f"multiplicative on shape {shape[0]}|{shape[1]}", trials, bad))
+            return berezinian(m * n) != berezinian(m) * berezinian(n)
+        return _trials(f"multiplicative on shape {shape[0]}|{shape[1]}", trials, failed)
 
-    bad = 0
-    for _ in range(10):
+    def constant_block(n):
+        return [[SuperPoly.constant(table, e) for e in row]
+                for row in random_invertible_fraction_matrix(rng, n)]
+
+    def block_diagonal():
         n = rng.choice((1, 2))
-        a_rows = random_invertible_fraction_matrix(rng, n)
-        d_rows = random_invertible_fraction_matrix(rng, n)
-        A = [[SuperPoly.constant(table, e) for e in r] for r in a_rows]
-        D = [[SuperPoly.constant(table, e) for e in r] for r in d_rows]
-        m = SuperMatrix.block_diagonal(table, A, D)
+        A = constant_block(n)
+        D = constant_block(n)
         expected = det_even(A, table) * det_even(D, table).inverse()
-        if berezinian(m) != expected:
-            bad += 1
-    checks.append(_count("block diagonal gives detA/detD", 10, bad))
+        return berezinian(SuperMatrix.block_diagonal(table, A, D)) != expected
 
-    eps = (SuperPoly.generator(table, "e1")
-           * SuperPoly.generator(table, "e2"))
-    bad = 0
-    for _ in range(10):
-        shape = rng.choice(((1, 1), (2, 1), (2, 2)))
+    def infinitesimal():
+        shape = rng.choice(shapes)
         x = random_invertible_supermatrix(rng, table, *shape)
-        m = SuperMatrix.identity(table, *shape) + x.map_entries(
-            lambda e: eps * e)
-        if berezinian(m) != SuperPoly.one(table) + eps * supertrace(x):
-            bad += 1
-    checks.append(_count("infinitesimally 1 + eps Str", 10, bad))
-    return checks
+        m = SuperMatrix.identity(table, *shape) + x.map_entries(lambda e: eps * e)
+        return berezinian(m) != SuperPoly.one(table) + eps * supertrace(x)
+
+    return [multiplicative(shape) for shape in shapes] + [
+        _trials("block diagonal gives detA/detD", 10, block_diagonal),
+        _trials("infinitesimally 1 + eps Str", 10, infinitesimal),
+    ]
 
 
 def _suite_cocycle(rng, trials, p, q):
-    checks = []
     m = conic_transition()
-    back = conic_transition(z="w", w="z", source_odds=("psi1", "psi2"),
-                            target_odds=("th1", "th2"))
-    chain = cocycle_check(m, back)
-    round_trip = compose_maps(m, back).ber_jacobian() == SuperPoly.one(
-        m.source.table)
-    checks.append(CheckResult("punctured-plane transition chain rule",
-                              chain))
-    checks.append(CheckResult("punctured-plane round trip has Berezinian 1",
-                              round_trip))
-
+    back = conic_transition(z="w", w="z", source_odds=("psi1", "psi2"), target_odds=("th1", "th2"))
     u = Chart(["u1", "u2"], ["et1", "et2"], label="U")
     v = Chart(["v1", "v2"], ["ps1", "ps2"], label="V")
     w = Chart(["w1", "w2"], ["ch1", "ch2"], label="W")
-    bad = 0
-    for _ in range(trials):
-        m1 = random_split_map(rng, u, v)
-        m2 = random_split_map(rng, v, w)
-        if not cocycle_check(m1, m2):
-            bad += 1
-    checks.append(_count("chain rule on random coordinate changes",
-                         trials, bad))
-    return checks
+    return [
+        CheckResult("punctured-plane transition chain rule", cocycle_check(m, back)),
+        CheckResult("punctured-plane round trip has Berezinian 1",
+                    compose_maps(m, back).ber_jacobian() == SuperPoly.one(m.source.table)),
+        _trials("chain rule on random coordinate changes", trials,
+                lambda: not cocycle_check(random_split_map(rng, u, v),
+                                          random_split_map(rng, v, w))),
+    ]
 
 
 def _suite_homotopies(rng, trials, p, q):
-    checks = []
     chart = Chart.standard(2, 2)
     ftab = form_table(chart.table)
     fiber_letters = [fiber_name(n) for n in chart.coordinate_names]
-    for degree in (1, 2, 3, 4):
-        bad = 0
-        for _ in range(trials):
+
+    def form_homotopy(degree):
+        def failed():
             omega = SuperPoly.zero(ftab)
             for _ in range(2):
-                f = transport(random_superpoly(rng, chart.table, terms=2,
-                                               max_exp=2), ftab)
-                for _k in range(degree):
-                    f = f * SuperPoly.generator(ftab,
-                                                rng.choice(fiber_letters))
-                omega = omega + f
-            if omega.is_zero():
-                continue
-            parts = degree_parts(omega)
-            if set(parts) != {degree}:
-                continue
-            if homotopy_h(d(omega)) + d(homotopy_h(omega)) != omega:
-                bad += 1
-        checks.append(_count(f"form homotopy is the identity in degree "
-                             f"{degree}", trials, bad))
+                f = transport(random_superpoly(rng, chart.table, terms=2, max_exp=2), ftab)
+                omega = omega + _with_letters(rng, f, fiber_letters, degree)
+            return (not omega.is_zero() and set(degree_parts(omega)) == {degree}
+                    and homotopy_h(d(omega)) + d(homotopy_h(omega)) != omega)
+        return _trials(f"form homotopy is the identity in degree {degree}", trials, failed)
 
-    for pp, qq in ((1, 1), (2, 2)):
+    def density_homotopy(pp, qq):
         c = Chart.standard(pp, qq)
         ptab = polyvector_table(c)
         pv_letters = [polyvector_name(n) for n in c.coordinate_names]
-        bad = 0
-        for k in range(0, 4):
-            for _ in range(trials):
-                poly = random_superpoly(rng, c.table, terms=2, max_exp=2)
-                poly = transport(poly, ptab)
-                for _j in range(k):
-                    poly = poly * SuperPoly.generator(
-                        ptab, rng.choice(pv_letters))
-                u = IntegralForm(c, poly)
-                if u.is_zero():
-                    continue
-                anti = (spencer_delta(homotopy_int(u))
-                        + homotopy_int(spencer_delta(u)))
-                if anti != u - cohomology_projection(u):
-                    bad += 1
-        checks.append(_count(
-            f"density homotopy hits the identity off the generator "
-            f"on R{pp}|{qq}", 4 * trials, bad))
+        degrees = (k for k in range(4) for _ in range(trials))
+
+        def failed():
+            poly = transport(random_superpoly(rng, c.table, terms=2, max_exp=2), ptab)
+            u = IntegralForm(c, _with_letters(rng, poly, pv_letters, next(degrees)))
+            if u.is_zero():
+                return False
+            anti = spencer_delta(homotopy_int(u)) + homotopy_int(spencer_delta(u))
+            return anti != u - cohomology_projection(u)
+        return _trials(f"density homotopy hits the identity off the generator on R{pp}|{qq}",
+                       4 * trials, failed)
+
+    checks = [form_homotopy(degree) for degree in (1, 2, 3, 4)]
+    checks += [density_homotopy(1, 1), density_homotopy(2, 2)]
 
     chart = Chart.standard(p, q)
-    ftab = form_table(chart.table)
-    checks.append(_count("operator homotopy scales each monomial by its "
-                         "counting factor", trials,
+    checks.append(_count("operator homotopy scales each monomial by its counting factor", trials,
                          operator_homotopy_failures(rng, chart, trials)))
 
-    density = UniversalElement.monomial(
-        ftab, [fiber_name(n) for n in chart.even_names],
-        list(chart.odd_names))
-    factor = con3_identity_factor(density)
+    density = UniversalElement.monomial(form_table(chart.table),
+                                        [fiber_name(n) for n in chart.even_names],
+                                        list(chart.odd_names))
     total = script_H(script_D(density)) + script_D(script_H(density))
-    checks.append(CheckResult(
-        "density monomials sit in the operator-homotopy kernel",
-        factor == 0 and total.is_zero()))
+    checks.append(CheckResult("density monomials sit in the operator-homotopy kernel",
+                              con3_identity_factor(density) == 0 and total.is_zero()))
     return checks
 
 
@@ -375,44 +353,36 @@ def _suite_koszul(rng, trials, p, q):
             "koszul", (0, -1, -2, -3, -4), cutoff)]
         dual = [ranks.homology_dim for ranks in algebra.homology_scan(
             "dual", range(pp + 2), cutoff)]
-        checks.append(CheckResult(
-            f"koszul complex on {pp}|{qq} acyclic below degree zero",
-            not any(koszul[1:])))
-        checks.append(CheckResult(
-            f"koszul degree zero rank one on {pp}|{qq}", koszul[0] == 1))
-        checks.append(CheckResult(
-            f"dual homology concentrated in degree {pp} on {pp}|{qq}",
-            dual == [int(deg == pp) for deg in range(pp + 2)]))
-    checks.append(CheckResult(
-        "dual class is a total de Rham density on 1|1, 1|2 and 2|1",
-        all(densities)))
+        checks += [
+            CheckResult(f"koszul complex on {pp}|{qq} acyclic below degree zero",
+                        not any(koszul[1:])),
+            CheckResult(f"koszul degree zero rank one on {pp}|{qq}", koszul[0] == 1),
+            CheckResult(f"dual homology concentrated in degree {pp} on {pp}|{qq}",
+                        dual == [int(deg == pp) for deg in range(pp + 2)]),
+        ]
+    checks.append(CheckResult("dual class is a total de Rham density on 1|1, 1|2 and 2|1",
+                              all(densities)))
 
-    coeff = GeneratorTable.chart([], ["e1", "e2", "e3", "e4"])
-    bad = 0
-    for _ in range(trials):
+    odds = ["e1", "e2", "e3", "e4"]
+    coeff = GeneratorTable.chart([], odds)
+
+    def failed():
         pp, qq = rng.choice(((1, 1), (1, 2), (2, 1)))
-        algebra = KoszulAlgebra(pp, qq,
-                                coefficient_odds=["e1", "e2", "e3", "e4"])
+        algebra = KoszulAlgebra(pp, qq, coefficient_odds=odds)
         m = random_invertible_supermatrix(rng, coeff, pp, qq)
-        scalar = algebra.induced_automorphism_scalar(m)
-        expected = transport(berezinian(m).inverse(),
-                             algebra.coefficient_table)
-        if scalar != expected:
-            bad += 1
-    checks.append(_count("class transforms by the reciprocal Berezinian",
-                         trials, bad))
+        return algebra.induced_automorphism_scalar(m) != transport(
+            berezinian(m).inverse(), algebra.coefficient_table)
+    checks.append(_trials("class transforms by the reciprocal Berezinian", trials, failed))
     return checks
 
 
 def _random_parity_field(rng, chart):
     table = chart.table
-    comps = {}
     parity = rng.choice((0, 1))
-    for name in chart.coordinate_names:
-        want = (parity + table.parity(name)) % 2
-        comps[name] = random_superpoly(rng, table, parity=want, terms=2,
-                                       max_exp=1)
-    field = VectorField(chart, comps)
+    field = VectorField(chart, {
+        name: random_superpoly(rng, table, parity=(parity + table.parity(name)) % 2, terms=2,
+                               max_exp=1)
+        for name in chart.coordinate_names})
     return field if field.parity() is not None else None
 
 
@@ -420,8 +390,7 @@ def _random_diffop(rng, table, terms=2, letters=2):
     out = DiffOp.zero(table)
     names = list(table.names)
     for _ in range(rng.randint(1, terms)):
-        w = DiffOp.multiplication(random_superpoly(rng, table, terms=2,
-                                                   max_exp=1))
+        w = DiffOp.multiplication(random_superpoly(rng, table, terms=2, max_exp=1))
         for _k in range(rng.randint(0, letters)):
             w = w.compose(DiffOp.partial(table, rng.choice(names)))
         out = out + w
@@ -431,141 +400,99 @@ def _random_diffop(rng, table, terms=2, letters=2):
 def _suite_dmodule(rng, trials, p, q):
     chart = Chart.standard(p, q)
     table = chart.table
-    checks = []
 
-    one = IntegralForm(chart, 1)
-    killed = all(right_action(one, DiffOp.partial(table, name)).is_zero()
-                 for name in chart.coordinate_names)
-    checks.append(CheckResult("generator density killed by every "
-                              "derivative", killed))
+    def poly():
+        return random_superpoly(rng, table, terms=2, max_exp=1)
 
-    bad = 0
-    for _ in range(trials):
-        s = IntegralForm(chart, random_superpoly(rng, table, terms=2,
-                                                 max_exp=1))
+    def flat():
+        s = IntegralForm(chart, poly())
         x = _random_parity_field(rng, chart)
         y = _random_parity_field(rng, chart)
         if x is None or y is None:
-            continue
+            return False
         xop, yop = x.as_diffop(), y.as_diffop()
         lhs = right_action(s, xop.bracket(yop))
         first = right_action(right_action(s, xop), yop)
         second = right_action(right_action(s, yop), xop)
-        rhs = first + second if (x.parity() and y.parity()) else \
-            first - second
-        if lhs != rhs:
-            bad += 1
-    checks.append(_count("right action flat on field brackets", trials, bad))
+        return lhs != (first + second if x.parity() and y.parity() else first - second)
 
-    bad = 0
-    for _ in range(trials):
-        s = IntegralForm(chart, random_superpoly(rng, table, terms=2,
-                                                 max_exp=1))
-        f = random_superpoly(rng, table, terms=2, max_exp=1)
+    def product_rules():
+        s = IntegralForm(chart, poly())
+        f = poly()
         x = _random_parity_field(rng, chart)
         if x is None:
-            continue
-        mult = DiffOp.multiplication(f)
-        xop = x.as_diffop()
-        if right_action(s, mult.compose(xop)) != right_action(
-                s.times(f), xop):
-            bad += 1
-        if right_action(s, xop.compose(mult)) != right_action(
-                right_action(s, xop), mult):
-            bad += 1
-    checks.append(_count("connection-style product rules", trials, bad))
+            return False
+        mult, xop = DiffOp.multiplication(f), x.as_diffop()
+        left = right_action(s, mult.compose(xop)) != right_action(s.times(f), xop)
+        right = right_action(s, xop.compose(mult)) != right_action(right_action(s, xop), mult)
+        return left or right
 
-    bad = 0
-    for _ in range(trials):
-        s = IntegralForm(chart, random_superpoly(rng, table, terms=2,
-                                                 max_exp=1))
+    def associative():
+        s = IntegralForm(chart, poly())
         op1 = _random_diffop(rng, table)
         op2 = _random_diffop(rng, table)
-        if right_action(right_action(s, op1), op2) != right_action(
-                s, op1.compose(op2)):
-            bad += 1
-    checks.append(_count("action associative over operator composition",
-                         trials, bad))
-    return checks
+        return right_action(right_action(s, op1), op2) != right_action(s, op1.compose(op2))
+
+    return [
+        CheckResult("generator density killed by every derivative",
+                    all(right_action(IntegralForm(chart, 1), DiffOp.partial(table, n)).is_zero()
+                        for n in chart.coordinate_names)),
+        _trials("right action flat on field brackets", trials, flat),
+        _trials("connection-style product rules", trials, product_rules),
+        _trials("action associative over operator composition", trials, associative),
+    ]
 
 
 def _suite_integrals(rng, trials, p, q):
-    checks = []
-    half = Fraction(1, 2)
-
-    line = Chart.standard(0, 1)
-    ftab = form_table(line.table)
-    theta = transport(SuperPoly.generator(line.table, "th1"), ftab)
-    weight, section = gaussian_fiber_integral(line, theta,
-                                              [fiber_name("th1")])
-    value = weight * berezin_integral(section)
-    checks.append(CheckResult(
-        "odd tangent line with Gaussian fiber weight integrates to "
-        "sqrt(pi)", value == PiValue.pi_power(half)))
-
     plane = Chart.standard(0, 2)
-    top = SuperPoly.generator(plane.table, "th1") * SuperPoly.generator(
-        plane.table, "th2")
-    checks.append(CheckResult(
-        "purely odd plane normalizes to 1",
-        berezin_integral(IntegralForm(plane, top)) == 1))
-
+    top = SuperPoly.generator(plane.table, "th1") * SuperPoly.generator(plane.table, "th2")
     chart = Chart.standard(1, 2)
     sigma0 = IntegralForm.cohomology_generator(chart)
     ftab = form_table(chart.table)
     dx1 = SuperPoly.generator(ftab, fiber_name("x1"))
-    paired = duality_pair_integral(sigma0, dx1, dirac={"x1": 0})
-    checks.append(CheckResult(
-        "point class against the pinned line form pairs to 1", paired == 1))
-
     eta = SuperPoly.from_monomial(ftab, {n: 1 for n in chart.odd_names})
-    shifted = duality_pair_integral(sigma0, dx1 + d(eta), dirac={"x1": 0})
-    checks.append(CheckResult(
-        "pairing unchanged by an exact shift of the form",
-        shifted == paired == 1))
-    return checks
+    paired = duality_pair_integral(sigma0, dx1, dirac={"x1": 0})
+    return [
+        CheckResult("odd tangent line with Gaussian fiber weight integrates to sqrt(pi)",
+                    _gaussian_line_is_sqrt_pi()),
+        CheckResult("purely odd plane normalizes to 1",
+                    berezin_integral(IntegralForm(plane, top)) == 1),
+        CheckResult("point class against the pinned line form pairs to 1", paired == 1),
+        CheckResult("pairing unchanged by an exact shift of the form",
+                    duality_pair_integral(sigma0, dx1 + d(eta), dirac={"x1": 0}) == paired == 1),
+    ]
 
 
 def _suite_stokes(rng, trials, p, q):
-    checks = []
-    for pp, qq in ((1, 1), (1, 2), (2, 2)):
+    def boundary(pp, qq):
         chart = Chart.standard(pp, qq)
         ptab = polyvector_table(chart)
         pv_letters = [polyvector_name(n) for n in chart.coordinate_names]
-        bad = 0
-        for _ in range(trials):
-            poly = transport(random_superpoly(rng, chart.table, terms=3,
-                                              max_exp=2), ptab)
-            poly = poly * SuperPoly.generator(ptab, rng.choice(pv_letters))
-            u = IntegralForm(chart, poly)
-            if u.is_zero():
-                continue
-            _value, vanished = stokes_check(u)
-            if not vanished:
-                bad += 1
-        checks.append(_count(
-            f"boundary integral vanishes on R{pp}|{qq}", trials, bad))
-    return checks
+
+        def failed():
+            poly = transport(random_superpoly(rng, chart.table, terms=3, max_exp=2), ptab)
+            u = IntegralForm(chart, _with_letters(rng, poly, pv_letters, 1))
+            return not u.is_zero() and not stokes_check(u)[1]
+        return _trials(f"boundary integral vanishes on R{pp}|{qq}", trials, failed)
+    return [boundary(pp, qq) for pp, qq in ((1, 1), (1, 2), (2, 2))]
 
 
 def _suite_susy(rng, trials, p, q):
     checks = []
-    cases = [((1, 1), [[[2]]]), ((1, 2), [[[2, 0], [0, 2]]])]
-    for (pp, qq), gamma in cases:
-        chart = Chart.standard(pp, qq)
-        checks.append(CheckResult(
-            f"bracket closes on translations for 1|{qq}",
-            susy_algebra_check(chart, gamma)))
-        checks.append(_count(
-            f"action invariant under every generator for 1|{qq}",
-            trials * qq, susy_variation_failures(rng, chart, gamma, trials)))
+    for qq, gamma in ((1, [[[2]]]), (2, [[[2, 0], [0, 2]]])):
+        chart = Chart.standard(1, qq)
+        checks += [
+            CheckResult(f"bracket closes on translations for 1|{qq}",
+                        susy_algebra_check(chart, gamma)),
+            _count(f"action invariant under every generator for 1|{qq}", trials * qq,
+                   susy_variation_failures(rng, chart, gamma, trials)),
+        ]
     return checks
 
 
 def _unimodular_split_map(rng, source: Chart, target: Chart) -> CoordinateMap:
     """A coordinate change whose Jacobian blocks have constant
     determinants, so delta forms transform with polynomial output."""
-    p, q = source.p, source.q
     table = source.table
     xs = [SuperPoly.generator(table, n) for n in source.even_names]
     ths = [SuperPoly.generator(table, n) for n in source.odd_names]
@@ -609,12 +536,17 @@ def _pivot_words(sigma: IntegralForm) -> DeltaForm:
 
 
 def _suite_delta_forms(rng, trials, p, q):
-    checks = []
     charts = [Chart.standard(1, 1), Chart.standard(2, 1),
               Chart.standard(1, 2), Chart.standard(2, 2)]
+    pairs = [(Chart(["u1", "u2"], ["et1", "et2"], label="U"),
+              Chart(["v1", "v2"], ["ps1", "ps2"], label="V")),
+             (Chart(["u"], ["et1", "et2"], label="U"),
+              Chart(["v"], ["ps1", "ps2"], label="V"))]
+    src, tgt = pairs[0]
+    ftab = form_table(tgt.table)
+    fiber_letters = [fiber_name(n) for n in tgt.coordinate_names]
 
-    bad = 0
-    for _ in range(trials):
+    def letter_relations():
         chart = rng.choice(charts)
         w = _random_delta_form(rng, chart)
         i = rng.randrange(chart.p)
@@ -623,107 +555,60 @@ def _suite_delta_forms(rng, trials, p, q):
         dth = fiber_name(chart.odd_names[a])
         anti = cw_apply(f"dd_{dx} {dx}", w) + cw_apply(f"{dx} dd_{dx}", w)
         comm = cw_apply(f"dd_{dth} {dth}", w) - cw_apply(f"{dth} dd_{dth}", w)
-        if anti != w or comm != w:
-            bad += 1
+        broken = anti != w or comm != w
         if chart.p > 1:
             other = fiber_name(chart.even_names[(i + 1) % chart.p])
-            square = cw_apply(f"{dx} {other}", w) + cw_apply(
-                f"{other} {dx}", w)
-            if not square.is_zero():
-                bad += 1
-    checks.append(_count("letter relations hold on random delta forms",
-                         trials, bad))
+            broken |= not (cw_apply(f"{dx} {other}", w) + cw_apply(f"{other} {dx}", w)).is_zero()
+        return broken
 
-    bad = 0
-    maps = max(trials // 2, 20)
-    pairs = [(Chart(["u1", "u2"], ["et1", "et2"], label="U"),
-              Chart(["v1", "v2"], ["ps1", "ps2"], label="V")),
-             (Chart(["u"], ["et1", "et2"], label="U"),
-              Chart(["v"], ["ps1", "ps2"], label="V"))]
-    for _ in range(maps):
-        src, tgt = rng.choice(pairs)
-        m = _unimodular_split_map(rng, src, tgt)
+    def pivot_transforms():
+        source, target = rng.choice(pairs)
+        m = _unimodular_split_map(rng, source, target)
         ber = release_even_exponents(m.ber_jacobian())
-        if DeltaForm.top(tgt).transform(m) != DeltaForm.top(src, ber):
-            bad += 1
-    checks.append(_count("pivot transforms by the Berezinian", maps, bad))
+        return DeltaForm.top(target).transform(m) != DeltaForm.top(source, ber)
 
-    bad = 0
-    for _ in range(trials):
-        chart = rng.choice(charts)
-        w = _random_delta_form(rng, chart)
-        if _pivot_words(to_integral_form(w)) != w:
-            bad += 1
-    checks.append(_count("delta and density pictures invert each other",
-                         trials, bad))
+    def pictures_invert():
+        w = _random_delta_form(rng, rng.choice(charts))
+        return _pivot_words(to_integral_form(w)) != w
 
-    bad = 0
-    rounds = max(trials // 3, 12)
-    for _ in range(rounds):
-        src, tgt = pairs[0]
+    def transform_commutes():
         m = _unimodular_split_map(rng, src, tgt)
         w = _random_delta_form(rng, tgt)
         degs = w.z_degrees()
-        if len(degs) != 1:  # zero or of mixed degree
-            continue
-        (deg,) = degs
-        if not tgt.p - deg >= 0:
-            continue
-        eta = transport(random_superpoly(rng, tgt.table, terms=2, max_exp=1),
-                        form_table(tgt.table))
-        for _k in range(tgt.p - deg):
-            eta = eta * SuperPoly.generator(
-                form_table(tgt.table),
-                rng.choice([fiber_name(n) for n in tgt.coordinate_names]))
+        if len(degs) != 1 or max(degs) > tgt.p:  # zero, of mixed degree, or above the top
+            return False
+        eta = transport(random_superpoly(rng, tgt.table, terms=2, max_exp=1), ftab)
+        eta = _with_letters(rng, eta, fiber_letters, tgt.p - max(degs))
         if eta.is_zero():
-            continue
-        lhs = pair(to_integral_form(w.transform(m)),
-                   release_even_exponents(pullback_form(m, eta)))
-        rhs = pair(to_integral_form(w), eta).transform(m)
-        if lhs != rhs:
-            bad += 1
-    checks.append(_count("transform commutes with the density picture",
-                         rounds, bad))
-
-    line = Chart.standard(0, 1)
-    theta = transport(SuperPoly.generator(line.table, "th1"),
-                      form_table(line.table))
-    weight, section = gaussian_fiber_integral(line, theta,
-                                              [fiber_name("th1")])
-    value = weight * berezin_integral(section)
-    sqrt_pi = value == PiValue.pi_power(Fraction(1, 2))
+            return False
+        lhs = pair(to_integral_form(w.transform(m)), release_even_exponents(pullback_form(m, eta)))
+        return lhs != pair(to_integral_form(w), eta).transform(m)
 
     plane = Chart.standard(0, 2)
-    sigma = DeltaForm.top(
-        plane, SuperPoly.from_monomial(plane.table, {"th1": 1, "th2": 1}))
-    unit = berezin_integral(fiber_integral(sigma)) == 1
-    checks.append(CheckResult(
-        "fiber integration reproduces the benchmark integrals",
-        sqrt_pi and unit))
-    return checks
+    sigma = DeltaForm.top(plane, SuperPoly.from_monomial(plane.table, {"th1": 1, "th2": 1}))
+    return [
+        _trials("letter relations hold on random delta forms", trials, letter_relations),
+        _trials("pivot transforms by the Berezinian", max(trials // 2, 20), pivot_transforms),
+        _trials("delta and density pictures invert each other", trials, pictures_invert),
+        _trials("transform commutes with the density picture", max(trials // 3, 12),
+                transform_commutes),
+        CheckResult("fiber integration reproduces the benchmark integrals",
+                    _gaussian_line_is_sqrt_pi()
+                    and berezin_integral(fiber_integral(sigma)) == 1),
+    ]
 
 
 SUITES: dict[str, SuiteSpec] = {
-    "nilpotency": SuiteSpec(_suite_nilpotency, 50,
-                            "every differential squares to zero"),
-    "berezinian": SuiteSpec(_suite_berezinian, 100,
-                            "Berezinian multiplicativity and expansions"),
-    "cocycle": SuiteSpec(_suite_cocycle, 50,
-                         "chain rule for Berezinians of coordinate changes"),
-    "homotopies": SuiteSpec(_suite_homotopies, 12,
-                            "contracting homotopies hit the identity"),
-    "koszul": SuiteSpec(_suite_koszul, 20,
-                        "homology ranks and class transport"),
-    "dmodule": SuiteSpec(_suite_dmodule, 50,
-                         "right module structure on densities"),
-    "integrals": SuiteSpec(_suite_integrals, 1,
-                           "benchmark integral values"),
-    "stokes": SuiteSpec(_suite_stokes, 50,
-                        "boundary integrals vanish"),
-    "susy": SuiteSpec(_suite_susy, 10,
-                      "supersymmetry algebra and invariance"),
-    "delta-forms": SuiteSpec(_suite_delta_forms, 50,
-                             "delta form calculus and transforms"),
+    "nilpotency": SuiteSpec(_suite_nilpotency, 50, "every differential squares to zero"),
+    "berezinian": SuiteSpec(_suite_berezinian, 100, "Berezinian multiplicativity and expansions"),
+    "cocycle": SuiteSpec(_suite_cocycle, 50, "chain rule for Berezinians of coordinate changes"),
+    "homotopies": SuiteSpec(_suite_homotopies, 12, "contracting homotopies hit the identity"),
+    "koszul": SuiteSpec(_suite_koszul, 20, "homology ranks and class transport"),
+    "dmodule": SuiteSpec(_suite_dmodule, 50, "right module structure on densities"),
+    "integrals": SuiteSpec(_suite_integrals, 1, "benchmark integral values"),
+    "stokes": SuiteSpec(_suite_stokes, 50, "boundary integrals vanish"),
+    "susy": SuiteSpec(_suite_susy, 10, "supersymmetry algebra and invariance"),
+    "delta-forms": SuiteSpec(_suite_delta_forms, 50, "delta form calculus and transforms"),
 }
 
 

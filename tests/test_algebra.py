@@ -426,6 +426,26 @@ def test_rational_function_field_ops():
     assert (r - r) == RationalFunction.from_scalar(T, 0)
 
 
+def test_rational_function_arithmetic_refuses_another_table():
+    U = GeneratorTable.chart(["u1"], ["et1"])
+    V = GeneratorTable.chart(["v1"], ["ps1"])
+    u, v = SuperPoly.generator(U, "u1"), SuperPoly.generator(V, "v1")
+    a, b = RationalFunction(u, u + 1), RationalFunction(v * v, v + 2)
+    over_one = RationalFunction(v, SuperPoly.one(V))
+    for left, right in ((a, b), (b, a), (a, over_one)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y, lambda x, y: x / y):
+            with pytest.raises(ValueError, match="generator table mismatch"):
+                op(left, right)
+    with pytest.raises(ValueError, match="generator table mismatch"):
+        a / v
+    assert a != b and not a == RationalFunction(v, v + 1)
+    # an equal table built twice is the same table
+    twin = GeneratorTable.chart(["u1"], ["et1"])
+    w = SuperPoly.generator(twin, "u1")
+    assert a + RationalFunction(w, w + 2) == RationalFunction(u, u + 1) + RationalFunction(u, u + 2)
+
+
 def test_rational_function_euclid_cancellation():
     z = SuperPoly.generator(T, "x")
     num = z ** 2 - 1

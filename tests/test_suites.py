@@ -7,6 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from supercalc import charts, integration, suites
 from supercalc.algebra import SuperPoly
 from supercalc.cli import main
 from supercalc.koszul import KoszulAlgebra
@@ -20,6 +21,90 @@ def test_suite_passes(name, seed):
     assert results
     failed = [r for r in results if not r.ok]
     assert not failed, failed
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (0, 2), (2, 0)])
+@pytest.mark.parametrize("name", ["nilpotency", "homotopies", "dmodule"])
+def test_chart_suites_pass_on_other_shapes(name, shape):
+    # the suites that read p and q; the rest use fixed charts
+    results = run_suite(name, seed=1, trials=3, p=shape[0], q=shape[1])
+    assert [r for r in results if not r.ok] == []
+
+
+def _doubled(f):
+    def wrapped(*args, **kwargs):
+        out = f(*args, **kwargs)
+        return out + out
+    return wrapped
+
+
+def _without_gaussian(f):
+    return lambda u, gaussian=(): f(u)
+
+
+def _plus_identity(f):
+    return lambda w: f(w) + w
+
+
+def _plus_one(f):
+    return lambda *args, **kwargs: f(*args, **kwargs) + 1
+
+
+@pytest.mark.parametrize("name, module, attribute, fault, failed", [
+    ("nilpotency", suites, "d", _plus_identity,
+     [("exterior differential squares to zero", "4 of 4 failed")]),
+    ("berezinian", suites, "berezinian", _doubled,
+     [("multiplicative on shape 1|1", "4 of 4 failed"),
+      ("multiplicative on shape 2|1", "4 of 4 failed"),
+      ("multiplicative on shape 2|2", "4 of 4 failed"),
+      ("block diagonal gives detA/detD", "10 of 10 failed"),
+      ("infinitesimally 1 + eps Str", "10 of 10 failed")]),
+    ("cocycle", charts, "berezinian", _doubled,
+     [("punctured-plane transition chain rule", ""),
+      ("punctured-plane round trip has Berezinian 1", ""),
+      ("chain rule on random coordinate changes", "4 of 4 failed")]),
+    ("homotopies", suites, "d", _doubled,
+     [("form homotopy is the identity in degree 1", "4 of 4 failed"),
+      ("form homotopy is the identity in degree 2", "4 of 4 failed"),
+      ("form homotopy is the identity in degree 3", "4 of 4 failed"),
+      ("form homotopy is the identity in degree 4", "3 of 4 failed")]),
+    ("koszul", suites, "berezinian", _doubled,
+     [("class transforms by the reciprocal Berezinian", "4 of 4 failed")]),
+    ("dmodule", suites, "right_action", _doubled,
+     [("right action flat on field brackets", "2 of 4 failed"),
+      ("connection-style product rules", "2 of 4 failed")]),
+    ("integrals", suites, "berezin_integral", _plus_one,
+     [("odd tangent line with Gaussian fiber weight integrates to sqrt(pi)", ""),
+      ("purely odd plane normalizes to 1", "")]),
+    # most draws integrate to zero even without the weight's term
+    ("stokes", integration, "spencer_delta", _without_gaussian,
+     [("boundary integral vanishes on R1|1", "1 of 4 failed")]),
+    ("susy", integration, "susy_generator", _doubled,
+     [("bracket closes on translations for 1|1", ""),
+      ("bracket closes on translations for 1|2", "")]),
+    ("delta-forms", suites, "cw_apply", _doubled,
+     [("letter relations hold on random delta forms", "4 of 4 failed"),
+      ("delta and density pictures invert each other", "4 of 4 failed")]),
+])
+def test_planted_fault_turns_the_suite_red(monkeypatch, name, module, attribute, fault,
+                                           failed):
+    monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
+    results = run_suite(name, seed=1, trials=4)
+    assert [(r.label, r.detail) for r in results if not r.ok] == failed
+
+
+def test_failures_are_counted_per_draw(monkeypatch):
+    # a draw that breaks both product rules is one failed draw, not two
+    original, calls = suites.right_action, []
+
+    def every_third_negated(*args):
+        calls.append(None)
+        out = original(*args)
+        return -out if len(calls) % 3 == 0 else out
+
+    monkeypatch.setattr(suites, "right_action", every_third_negated)
+    details = {r.label: r.detail for r in run_suite("dmodule", seed=2, trials=4)}
+    assert details["connection-style product rules"] == "4 of 4 failed"
 
 
 def invoke(*args):
