@@ -530,6 +530,8 @@ class SuperPoly:
         if not isinstance(other, SuperPoly):
             if not isinstance(other, SCALARS):
                 return NotImplemented
+            if type(other) is RationalFunction:
+                _check_same_table(self, other.num)
             other = SuperPoly.constant(self.table, other)
         _check_same_table(self, other)
         terms = dict(self.terms)
@@ -554,6 +556,8 @@ class SuperPoly:
     def scale(self, c) -> "SuperPoly":
         if not c:
             return SuperPoly.zero(self.table)
+        if type(c) is RationalFunction:
+            _check_same_table(self, c.num)
         return SuperPoly(self.table, {m: coeff * c for m, coeff in self.terms.items()})
 
     def __mul__(self, other):

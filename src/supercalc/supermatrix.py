@@ -27,25 +27,32 @@ both the log and the exp sum stop after finitely many terms, and the
 coefficient ring is a Q-algebra, so 1/k and 1/j! exist.  Only det(D0),
 a unit, is inverted, and D needs no determinant of its own.
 
-One denominator per matrix.  Each public entry point clears the Fraction
-denominators of each input block once, multiplying it by their lcm L.
-Inside, a matrix is a pair (den, rows) standing for rows / den, its rows
-integral (a scalar denominator leaves entry parity alone): products
-multiply int coefficients through ``SuperPoly.sum_of_products`` and
-multiply the denominators, sums go over the lcm, and the Cayley-Hamilton
-inverse puts its integer cn into the denominator.  Each public result is
-divided by its den once, and the den is dropped there.  RationalFunction
-entries, as in a chart Jacobian, have L = 1, since each quotient keeps
-its own integer pair and no Fraction: nothing is scaled by 1, and the
-inverse scales by the unit 1/cn once per matrix.  A matrix product, and
-each step of Berkowitz's A^j S chain, passes the kernel one memo, so
-every entry of the right factor is prepared for multiplication once.
+One denominator per matrix.  A matrix is held as pairs (den, rows)
+standing for rows / den, the rows integral (a scalar denominator leaves
+entry parity alone).  A ``SuperMatrix`` stores each of its four blocks
+as the pair (L, L * block), L the lcm of the block's Fraction
+denominators, made once when the matrix is built from entries.  Its
+products, sums, inverses and parity swaps are built from pairs, each
+divided by the gcd of its den and its coefficients so that it is the
+pair its entries would clear to, and ``berezinian`` reads the pairs:
+no Fraction entry is made on the way.  Products multiply int
+coefficients through ``SuperPoly.sum_of_products`` and multiply the
+denominators, sums go over the lcm, and the Cayley-Hamilton inverse puts
+its integer cn into the denominator.  A block is divided by its den only
+when it is read (``m.A`` and the like), once, and a scalar result once.
+``det_even`` and ``inv_even`` take row lists and clear them once per
+call.  RationalFunction entries, as in a chart Jacobian, have L = 1,
+since each quotient keeps its own integer pair and no Fraction: nothing
+is scaled by 1, and the inverse scales by the unit 1/cn once per
+matrix.  A matrix product, and each step of Berkowitz's A^j S chain,
+passes the kernel one memo, so every entry of the right factor is
+prepared for multiplication once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from supercalc.algebra import GeneratorTable, SuperPoly, _coeff_inverse
@@ -63,9 +70,13 @@ def _check_rect(rows: Rows, n: int, m: int, label: str) -> None:
         raise ValueError(f"block {label} must be {n}x{m}")
 
 
-def _check_parity(rows: Rows, want: int, label: str) -> None:
+def _check_entries(rows: Rows, table: GeneratorTable, want: int,
+                   label: str) -> None:
+    """Every entry is over ``table`` and, unless zero, of parity want."""
     for r in rows:
         for e in r:
+            if e.table is not table and e.table != table:
+                raise ValueError(f"block {label}: generator table mismatch")
             if e.is_zero():
                 continue
             if e.parity() != want:
@@ -101,6 +112,27 @@ def _scale_rows(rows: Rows, c) -> Rows:
 
 def _unscaled(x: Scaled) -> Rows:
     return x[1] if x[0] == 1 else _scale_rows(x[1], Fraction(1, x[0]))
+
+
+def _reduced(x: Scaled) -> Scaled:
+    """The pair ``_clear_denominators`` makes of the entries x stands for.
+
+    On int rows that is den and every coefficient divided by their gcd g:
+    den / g is the lcm of the reduced entries' denominators.  A pair whose
+    rows hold quotient coefficients and whose den is not 1 (an integer cn
+    beside quotient entries) is unscaled and cleared, as its entries are.
+    """
+    den, rows = x
+    if den == 1:
+        return x
+    coeffs = [c for r in rows for e in r for c in e.terms.values()]
+    if any(type(c) is not int for c in coeffs):
+        return _clear_denominators(_unscaled(x))
+    g = gcd(den, *coeffs)
+    if g == 1:
+        return x
+    return den // g, [[SuperPoly._of(e.table, {m: c // g for m, c in e.terms.items()})
+                       for e in r] for r in rows]
 
 
 def _mat_mul(x: Rows, y: Rows, table: GeneratorTable) -> Rows:
@@ -309,24 +341,53 @@ def _schur(a: Scaled, b: Scaled, c: Scaled, d_inv: Scaled,
 
 
 class SuperMatrix:
-    """Immutable block matrix with the even/odd parity pattern enforced."""
+    """Immutable block matrix with the even/odd parity pattern enforced.
 
-    __slots__ = ("table", "p", "q", "A", "B", "C", "D")
+    Each block is stored as its cleared pair (den, rows), made after the
+    shape, table and parity checks.  ``A``, ``B``, ``C`` and ``D`` return
+    the constructor's entries; a matrix that ``*``, ``+``, ``inverse`` or
+    ``parity_swap`` builds from pairs divides a block by its den when the
+    block is first read, and keeps it.
+    """
+
+    __slots__ = ("table", "p", "q", "_scaled", "_blocks")
 
     def __init__(self, table: GeneratorTable, p: int, q: int,
                  A: Sequence[Sequence[SuperPoly]], B, C, D):
         self.table = table
         self.p = p
         self.q = q
-        self.A, self.B, self.C, self.D = (_as_rows(x) for x in (A, B, C, D))
-        _check_rect(self.A, p, p, "A")
-        _check_rect(self.B, p, q, "B")
-        _check_rect(self.C, q, p, "C")
-        _check_rect(self.D, q, q, "D")
-        _check_parity(self.A, 0, "A")
-        _check_parity(self.D, 0, "D")
-        _check_parity(self.B, 1, "B")
-        _check_parity(self.C, 1, "C")
+        blocks = [_as_rows(x) for x in (A, B, C, D)]
+        for rows, (n, m), label in zip(
+                blocks, ((p, p), (p, q), (q, p), (q, q)), "ABCD"):
+            _check_rect(rows, n, m, label)
+        for i, want in ((0, 0), (3, 0), (1, 1), (2, 1)):
+            _check_entries(blocks[i], table, want, "ABCD"[i])
+        self._blocks = blocks
+        self._scaled = tuple(map(_clear_denominators, blocks))
+
+    @classmethod
+    def _from_scaled(cls, table: GeneratorTable, p: int, q: int,
+                     scaled: Sequence[Scaled], blocks=(None,) * 4) -> "SuperMatrix":
+        """The matrix of four pairs over checked entries, each reduced to
+        the pair the constructor would store; ``blocks`` hands on any
+        blocks already unscaled."""
+        out = cls.__new__(cls)
+        out.table, out.p, out.q = table, p, q
+        out._scaled = tuple(map(_reduced, scaled))
+        out._blocks = list(blocks)
+        return out
+
+    def _block(self, i: int) -> Rows:
+        rows = self._blocks[i]
+        if rows is None:
+            rows = self._blocks[i] = _unscaled(self._scaled[i])
+        return rows
+
+    A = property(lambda self: self._block(0))
+    B = property(lambda self: self._block(1))
+    C = property(lambda self: self._block(2))
+    D = property(lambda self: self._block(3))
 
     @classmethod
     def identity(cls, table: GeneratorTable, p: int, q: int) -> "SuperMatrix":
@@ -355,21 +416,34 @@ class SuperMatrix:
         D = [r[p:] for r in rows[p:]]
         return cls(table, p, q, A, B, C, D)
 
+    def _check_like(self, other: "SuperMatrix") -> None:
+        if (self.p, self.q) != (other.p, other.q) or self.table != other.table:
+            raise ValueError("shape or table mismatch")
+
+    def _cleared_rows(self) -> Scaled:
+        """The full matrix as one pair, over the lcm of the blocks' dens."""
+        den = lcm(*(x[0] for x in self._scaled))
+        a, b, c, d = (_scale_rows(rows, den // k) for k, rows in self._scaled)
+        return den, [x + y for x, y in zip(a, b)] + [x + y for x, y in zip(c, d)]
+
     def __mul__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        if (self.p, self.q) != (other.p, other.q) or self.table != other.table:
-            raise ValueError("shape or table mismatch")
-        product = _scaled_mul(_clear_denominators(self.rows()),
-                              _clear_denominators(other.rows()), self.table)
-        return SuperMatrix.from_rows(self.table, self.p, self.q,
-                                     _unscaled(product))
+        self._check_like(other)
+        p = self.p
+        den, rows = _scaled_mul(self._cleared_rows(), other._cleared_rows(),
+                                self.table)
+        top, bottom = rows[:p], rows[p:]
+        return SuperMatrix._from_scaled(self.table, p, self.q, (
+            (den, [r[:p] for r in top]), (den, [r[p:] for r in top]),
+            (den, [r[:p] for r in bottom]), (den, [r[p:] for r in bottom])))
 
     def __add__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        return SuperMatrix.from_rows(self.table, self.p, self.q,
-                                     _mat_add(self.rows(), other.rows()))
+        self._check_like(other)
+        return SuperMatrix._from_scaled(self.table, self.p, self.q, (
+            _scaled_add(x, y) for x, y in zip(self._scaled, other._scaled)))
 
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -380,29 +454,28 @@ class SuperMatrix:
     def parity_swap(self) -> "SuperMatrix":
         """Swap the roles of the even and odd directions (A and D trade
         places, as do B and C)."""
-        return SuperMatrix(self.table, self.q, self.p,
-                           self.D, self.C, self.B, self.A)
+        return SuperMatrix._from_scaled(self.table, self.q, self.p,
+                                        self._scaled[::-1], self._blocks[::-1])
 
     def inverse(self) -> "SuperMatrix":
         """Exact two-sided inverse via the Schur complement of D; both
         reduced diagonal blocks must be invertible over the rationals."""
         table = self.table
+        a, b, c, d = self._scaled
         if self.q == 0:
-            return SuperMatrix(table, self.p, 0, inv_even(self.A, table),
-                               self.B, self.C, self.D)
-        if self.p == 0:
-            return SuperMatrix(table, 0, self.q, self.A, self.B, self.C,
-                               inv_even(self.D, table))
-        a, b, c, d = map(_clear_denominators, (self.A, self.B, self.C, self.D))
-        d_inv = _inverse(d, table)[0]
-        s_inv = _inverse(_schur(a, b, c, d_inv, table), table)[0]
-        top_right = _scaled_neg(_scaled_mul(_scaled_mul(s_inv, b, table),
-                                            d_inv, table))
-        # D^{-1} C S^{-1} starts both bottom blocks
-        dcs = _scaled_mul(_scaled_mul(d_inv, c, table), s_inv, table)
-        corr = _scaled_mul(_scaled_mul(dcs, b, table), d_inv, table)
-        blocks = (s_inv, top_right, _scaled_neg(dcs), _scaled_add(d_inv, corr))
-        return SuperMatrix(table, self.p, self.q, *map(_unscaled, blocks))
+            blocks = (_inverse(a, table)[0], b, c, d)
+        elif self.p == 0:
+            blocks = (a, b, c, _inverse(d, table)[0])
+        else:
+            d_inv = _inverse(d, table)[0]
+            s_inv = _inverse(_schur(a, b, c, d_inv, table), table)[0]
+            top_right = _scaled_neg(_scaled_mul(_scaled_mul(s_inv, b, table),
+                                                d_inv, table))
+            # D^{-1} C S^{-1} starts both bottom blocks
+            dcs = _scaled_mul(_scaled_mul(d_inv, c, table), s_inv, table)
+            corr = _scaled_mul(_scaled_mul(dcs, b, table), d_inv, table)
+            blocks = (s_inv, top_right, _scaled_neg(dcs), _scaled_add(d_inv, corr))
+        return SuperMatrix._from_scaled(table, self.p, self.q, blocks)
 
     def map_entries(self, fn) -> "SuperMatrix":
         return SuperMatrix(self.table, self.p, self.q,
@@ -442,7 +515,7 @@ def berezinian(m: SuperMatrix) -> SuperPoly:
     which may be singular, and then Ber is nilpotent.
     """
     table = m.table
-    a, b, c, d = map(_clear_denominators, (m.A, m.B, m.C, m.D))
+    a, b, c, d = m._scaled
     d_inv, (scale, inv_det) = _inverse(d, table, with_det=True)
     ls, schur = _schur(a, b, c, d_inv, table)
     out = _det(schur, table) * inv_det

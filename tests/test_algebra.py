@@ -446,6 +446,26 @@ def test_rational_function_arithmetic_refuses_another_table():
     assert a + RationalFunction(w, w + 2) == RationalFunction(u, u + 1) + RationalFunction(u, u + 2)
 
 
+def test_polynomial_refuses_a_quotient_scalar_from_another_table():
+    # the quotient reaches SuperPoly as a constant coefficient, through
+    # SuperPoly's own operators or their reflected forms
+    U = GeneratorTable.chart(["u1"], ["et1"])
+    V = GeneratorTable.chart(["v1"], ["ps1"])
+    u, v = SuperPoly.generator(U, "u1"), SuperPoly.generator(V, "v1")
+    rf = RationalFunction(u, u + 1)
+    for left, right in ((rf, v), (v, rf)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y, lambda x, y: x / y):
+            with pytest.raises(ValueError, match="generator table mismatch"):
+                op(left, right)
+    with pytest.raises(ValueError, match="generator table mismatch"):
+        v.scale(rf)
+    assert v != rf and not v == rf and not rf == v
+    # over its own table the quotient is an ordinary coefficient
+    assert str(rf + u) == "u1/(1 + u1) + u1"
+    assert u / rf == u + 1
+
+
 def test_rational_function_euclid_cancellation():
     z = SuperPoly.generator(T, "x")
     num = z ** 2 - 1

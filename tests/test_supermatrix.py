@@ -521,12 +521,27 @@ SHAPES = [(p, q) for p in range(6) for q in range(6)] + [(6, 6)]
 
 @pytest.mark.parametrize("p, q", SHAPES)
 def test_one_denominator_matches_the_product_by_product_oracle(p, q):
-    m = unlike_denominators(random_invertible_supermatrix(
-        random.Random(500 + 10 * p + q), E4, p, q))
+    rng = random.Random(500 + 10 * p + q)
+    m, n = (unlike_denominators(random_invertible_supermatrix(rng, E4, p, q))
+            for _ in range(2))
     assert str(berezinian(m)) == str(oracle_ber(m))
     for block in (m.A, m.D):
         assert str(inv_even(block, E4)) == str(oracle_inv(block, E4))
-    assert str(m.inverse()) == str(oracle_inverse(m))
+    # the results built from pairs against the same matrices built from
+    # the oracle's Fraction entries through the public constructor
+    product = SuperMatrix.from_rows(E4, p, q, oracle_mul(m.rows(), n.rows(), E4))
+    swap = SuperMatrix(E4, q, p, m.D, m.C, m.B, m.A)
+    for got, want in ((m * n, product), (m.parity_swap(), swap),
+                      (m.inverse(), oracle_inverse(m))):
+        assert str(got) == str(want)
+        # each stored pair is the one the entries clear to
+        assert got._scaled == tuple(map(_clear_denominators,
+                                        (want.A, want.B, want.C, want.D)))
+        assert str(berezinian(got)) == str(oracle_ber(want))
+    assert berezinian(m * n) == berezinian(m) * berezinian(n)
+    # a sum of two invertible matrices may be singular: compare entries
+    total = oracle_add(m.rows(), n.rows())
+    assert str(m + n) == str(SuperMatrix.from_rows(E4, p, q, total))
 
 
 def test_one_denominator_matches_the_oracle_on_chart_jacobians():
@@ -546,6 +561,8 @@ def test_one_denominator_matches_the_oracle_on_chart_jacobians():
 
 
 def test_each_block_is_cleared_once_per_public_call(monkeypatch):
+    # construction clears each block once; results built from a matrix's
+    # pairs clear nothing, and row-list entry points clear once per call
     import supercalc.supermatrix as supermatrix
 
     calls = []
@@ -560,14 +577,106 @@ def test_each_block_is_cleared_once_per_public_call(monkeypatch):
         random.Random(71), E4, 3, 3))
     n = unlike_denominators(random_invertible_supermatrix(
         random.Random(72), E4, 3, 3))
-    for call, blocks in ((lambda: det_even(m.A, E4), 1),
-                         (lambda: inv_even(m.D, E4), 1),
-                         (lambda: berezinian(m), 4),
-                         (m.inverse, 4),
-                         (lambda: m * n, 2)):
+    calls.clear()
+    SuperMatrix(E4, 3, 3, m.A, m.B, m.C, m.D)
+    assert calls == [m.A, m.B, m.C, m.D]
+    for call, count in ((lambda: det_even(m.A, E4), 1),
+                        (lambda: inv_even(m.D, E4), 1),
+                        (lambda: berezinian(m), 0),
+                        (m.inverse, 0),
+                        (lambda: m * n, 0),
+                        (lambda: m + n, 0),
+                        (m.parity_swap, 0),
+                        (lambda: berezinian(m.inverse() * n.parity_swap()), 0)):
         calls.clear()
         call()
-        assert len(calls) <= blocks
+        assert len(calls) == count
+
+
+def test_results_make_no_fraction_entry_until_a_block_is_read(monkeypatch):
+    import supercalc.supermatrix as supermatrix
+
+    unscaled = []
+    unscale = supermatrix._unscaled
+
+    def counting(x):
+        unscaled.append(x)
+        return unscale(x)
+
+    monkeypatch.setattr(supermatrix, "_unscaled", counting)
+    m = unlike_denominators(random_invertible_supermatrix(
+        random.Random(73), E4, 2, 2))
+    n = unlike_denominators(random_invertible_supermatrix(
+        random.Random(74), E4, 2, 2))
+    product = m * n
+    results = (product, m.inverse(), m + n, product.parity_swap())
+    for r in results:
+        berezinian(r)
+    assert not unscaled
+    for r in results:
+        for den, rows in r._scaled:
+            assert {type(c) for row in rows for e in row
+                    for c in e.terms.values()} <= {int}
+    # the first read unscales one block, and later reads reuse it
+    assert any(type(c) is Fraction for e in product.A[0]
+               for c in e.terms.values())
+    assert len(unscaled) == 1
+    assert product.A is product.A and len(unscaled) == 1
+    product.rows()
+    assert len(unscaled) == 4
+
+
+def test_public_blocks_are_the_constructors_entries():
+    x, th1 = gen("x"), gen("th1")
+    rf = const(RationalFunction(x, x + 1))
+    given = ([[ONE + x, rf], [const(Fraction(1, 2)), x * x]],
+             [[th1], [Fraction(2, 3) * th1]], [[x * th1, rf * th1]],
+             [[rf + 1]])
+    m = SuperMatrix(T, 2, 1, *given)
+    for block, rows in zip((m.A, m.B, m.C, m.D), given):
+        assert all(a is b for r, s in zip(block, rows) for a, b in zip(r, s))
+    # a block read from a product carries the types its values call for:
+    # an int where a Fraction coefficient is integral
+    eye = SuperMatrix.identity(T, 2, 1)
+    for block, rows in zip(((eye * m).A, (m * eye).B, (eye * m).C,
+                            (m * eye).D), given):
+        for r, s in zip(block, rows):
+            for a, b in zip(r, s):
+                assert a == b and {k: type(c) for k, c in a.terms.items()} == \
+                    {k: type(c) for k, c in b.terms.items()}
+
+
+def test_entries_and_operands_over_another_table_or_shape_are_refused():
+    other = GeneratorTable.chart(["x", "y"], ["th1", "th2", "th3"])
+    for i in range(4):
+        blocks = [[[ONE]], [[ZERO]], [[ZERO]], [[ONE]]]
+        blocks[i] = [[SuperPoly.one(other) if i in (0, 3)
+                      else SuperPoly.zero(other)]]
+        with pytest.raises(ValueError, match="generator table mismatch"):
+            SuperMatrix(T, 1, 1, *blocks)
+    m = SuperMatrix.identity(T, 1, 1)
+    for n in (SuperMatrix.identity(T, 1, 0), SuperMatrix.identity(other, 1, 1)):
+        for op in (lambda x, y: x + y, lambda x, y: x * y):
+            with pytest.raises(ValueError, match="shape or table mismatch"):
+                op(m, n)
+            with pytest.raises(ValueError, match="shape or table mismatch"):
+                op(n, m)
+
+
+def test_quotient_entries_beside_an_integer_determinant():
+    # the Schur complement 2 - th1 th2 / (1 + x) has the integer reduced
+    # determinant 2, so its inverse holds quotients over den 4: the pair
+    # is brought to the form its entries clear to, as the oracle's are
+    x, th1, th2 = gen("x"), gen("th1"), gen("th2")
+    rf = const(RationalFunction(ONE, x + 1))
+    m = SuperMatrix(T, 1, 1, [[const(2)]], [[rf * th1]], [[th2]], [[ONE]])
+    inv = m.inverse()
+    assert inv._scaled == tuple(map(_clear_denominators,
+                                    (inv.A, inv.B, inv.C, inv.D)))
+    assert str(inv) == str(oracle_inverse(m))
+    assert str(berezinian(inv)) == str(oracle_ber(oracle_inverse(m)))
+    assert berezinian(inv) * berezinian(m) == ONE
+    assert m * inv == SuperMatrix.identity(T, 1, 1)
 
 
 # ---------------------------------------------------------------------------
