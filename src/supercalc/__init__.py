@@ -15,9 +15,8 @@ from supercalc.algebra import (
 )
 from supercalc.charts import Chart, CoordinateMap
 from supercalc.diffops import DiffOp
-from supercalc.integral_forms import IntegralForm, VectorField
+from supercalc.integral_forms import IntegralForm, Markers, VectorField
 from supercalc.integration import (
-    GaussianIntegrand,
     PiValue,
     berezin_integral,
     duality_pair_integral,
@@ -43,9 +42,9 @@ __all__ = [
     "CoordinateMap",
     "DeltaForm",
     "DiffOp",
-    "GaussianIntegrand",
     "GeneratorTable",
     "IntegralForm",
+    "Markers",
     "PiValue",
     "RationalFunction",
     "SuperMatrix",

@@ -422,7 +422,10 @@ class SuperPoly:
     empty map.  The constructor normalizes to that form; the kernels that
     wrap their output with :meth:`_of` keep it themselves, as
     :meth:`pair_sum` does by dropping zero sums and dividing each sum by
-    its common denominator into an ``int`` whenever it can.
+    its common denominator into an ``int`` whenever it can.  The
+    constructor trusts its terms: it does not check that a quotient
+    coefficient is over ``table``, as :meth:`constant`,
+    :meth:`from_monomial` and the arithmetic operators do.
     """
 
     __slots__ = ("table", "terms")
@@ -448,6 +451,8 @@ class SuperPoly:
 
     @classmethod
     def constant(cls, table: GeneratorTable, c) -> "SuperPoly":
+        if type(c) is RationalFunction:
+            _check_same_table(cls.zero(table), c.num)
         return cls(table, {0: c})
 
     @classmethod
@@ -461,7 +466,10 @@ class SuperPoly:
     @classmethod
     def from_monomial(cls, table: GeneratorTable, powers: Mapping[str, int], coeff=1) -> "SuperPoly":
         """Build coeff * prod(gen^power), the odd factors multiplied in the
-        order given; a negative power raises ``ValueError``."""
+        order given; a negative power, or a quotient coefficient over
+        another table, raises ``ValueError``."""
+        if type(coeff) is RationalFunction:
+            _check_same_table(cls.zero(table), coeff.num)
         sign, mono = table.monomial((table.index(name), k) for name, k in powers.items())
         if sign == 0:
             return cls.zero(table)
@@ -530,8 +538,6 @@ class SuperPoly:
         if not isinstance(other, SuperPoly):
             if not isinstance(other, SCALARS):
                 return NotImplemented
-            if type(other) is RationalFunction:
-                _check_same_table(self, other.num)
             other = SuperPoly.constant(self.table, other)
         _check_same_table(self, other)
         terms = dict(self.terms)
@@ -908,7 +914,10 @@ class SuperPoly:
 
     def __eq__(self, other):
         if isinstance(other, SCALARS):
-            other = SuperPoly.constant(self.table, other)
+            try:
+                other = SuperPoly.constant(self.table, other)
+            except ValueError:      # a quotient over another table
+                return False
         if not isinstance(other, SuperPoly):
             return NotImplemented
         if self.table == other.table:

@@ -141,9 +141,8 @@ def _collect_markers(markers: Markers, gaussian, dirac, formal) -> Markers:
             pins.append((name.strip(), Fraction(point.strip())))
         except (ValueError, ZeroDivisionError):
             raise click.UsageError(f"--dirac point must be rational: {item!r}")
-    flagged = Markers(frozenset(gaussian), tuple(sorted(pins)),
-                      frozenset(formal))
-    return markers.merged(flagged)
+    # of two --dirac pins on one coordinate, the larger point wins
+    return markers.merged(Markers.of(gaussian, sorted(pins), formal))
 
 
 def _gaussian_weights(markers: Markers, gaussian, what: str) -> set:

@@ -62,7 +62,7 @@ from supercalc.algebra import SuperPoly, absorb_even_exponents, transport
 from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import DERIV_PREFIX, fiber_name, form_table
 from supercalc.diffops import DiffOp
-from supercalc.integral_forms import IntegralForm, polyvector_table
+from supercalc.integral_forms import IntegralForm, Markers, polyvector_table
 from supercalc.pseudoforms import DeltaForm, delta_times_poly, form_times_delta
 from supercalc.supermatrix import SuperMatrix
 
@@ -340,29 +340,6 @@ _shared_ring = functools.lru_cache(maxsize=32)(Ring)
 class Poly(NamedTuple):
     poly: SuperPoly
     layer: str
-
-
-class Markers(NamedTuple):
-    gaussian: frozenset
-    dirac: tuple  # sorted (name, Fraction) pairs
-    formal: frozenset
-
-    @classmethod
-    def none(cls) -> "Markers":
-        return cls(frozenset(), (), frozenset())
-
-    def merged(self, other: "Markers") -> "Markers":
-        return Markers(self.gaussian | other.gaussian,
-                       tuple(sorted(dict(self.dirac + other.dirac).items())),
-                       self.formal | other.formal)
-
-    def kwargs(self) -> dict:
-        """The keyword arguments of :func:`berezin_integral`."""
-        return {"gaussian": sorted(self.gaussian), "dirac": dict(self.dirac),
-                "formal": sorted(self.formal)}
-
-    def __bool__(self):
-        return bool(self.gaussian or self.dirac or self.formal)
 
 
 class Marked(NamedTuple):
@@ -671,11 +648,11 @@ class Evaluator:
             point = self.eval(args[1])
             if not isinstance(point, Fraction):
                 raise _Refusal("dirac points must be rational numbers", tok)
-            return Markers(frozenset(), ((name, point),), frozenset())
-        names = frozenset(_marker_name(a, tok) for a in args)
+            return Markers.of(dirac={name: point})
+        names = [_marker_name(a, tok) for a in args]
         if fname == "gauss":
-            return Markers(names, (), frozenset())
-        return Markers(frozenset(), (), names)
+            return Markers.of(gaussian=names)
+        return Markers.of(formal=names)
 
     def neg(self, value):
         if isinstance(value, Fraction):
@@ -693,44 +670,32 @@ class Evaluator:
     def add(self, a, b):
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             return a + b
+        ring = self.ring
         if isinstance(a, DeltaForm) or isinstance(b, DeltaForm):
-            return self._delta_sum(a, b)
+            return self._sum_of(DeltaForm.zero(ring.chart), a, b)
         if isinstance(a, (IntegralForm, BerPending)) or \
                 isinstance(b, (IntegralForm, BerPending)):
-            return self._density_sum(a, b)
+            return self._sum_of(
+                IntegralForm(ring.chart, SuperPoly.zero(ring.ptab)), a, b)
         if isinstance(a, DiffOp) or isinstance(b, DiffOp):
             return self._as_op(a) + self._as_op(b)
         if isinstance(a, (Fraction, Poly)) and isinstance(b, (Fraction, Poly)):
             layer = _join_layers(a.layer if isinstance(a, Poly) else BASE,
                                  b.layer if isinstance(b, Poly) else BASE)
-            return Poly(want(self.ring, a, layer) + want(self.ring, b, layer),
-                        layer)
+            return Poly(want(ring, a, layer) + want(ring, b, layer), layer)
         raise ExpressionError(
             f"cannot add {_describe(a)} and {_describe(b)}")
 
-    def _density_sum(self, a, b):
-        out = IntegralForm(self.ring.chart, SuperPoly.zero(self.ring.ptab))
+    def _sum_of(self, zero, a, b):
+        """a + b, each a value of the kind of ``zero`` or a zero number."""
+        out = zero
         for v in (a, b):
             v = self._finish(v)
-            if isinstance(v, IntegralForm):
+            if isinstance(v, type(zero)):
                 out = out + v
-            elif isinstance(v, Fraction) and v == 0:
-                continue
-            else:
+            elif not (isinstance(v, Fraction) and v == 0):
                 raise ExpressionError(
-                    f"cannot add a density and {_describe(v)}")
-        return out
-
-    def _delta_sum(self, a, b):
-        out = DeltaForm.zero(self.ring.chart)
-        for v in (a, b):
-            if isinstance(v, DeltaForm):
-                out = out + v
-            elif isinstance(v, Fraction) and v == 0:
-                continue
-            else:
-                raise ExpressionError(
-                    f"cannot add a delta form and {_describe(v)}")
+                    f"cannot add {_describe(zero)} and {_describe(v)}")
         return out
 
     def _as_op(self, value) -> DiffOp:
@@ -1018,14 +983,7 @@ def render(value) -> str:
         inner = value.value
         text = (f"Ber @ ({inner.poly})" if isinstance(inner, IntegralForm)
                 else f"({render(inner)})")
-        tags = []
-        if value.markers.gaussian:
-            tags.append("gauss(" + ",".join(sorted(value.markers.gaussian)) + ")")
-        for name, point in value.markers.dirac:
-            tags.append(f"dirac({name},{point})")
-        if value.markers.formal:
-            tags.append("formal(" + ",".join(sorted(value.markers.formal)) + ")")
-        return " ".join([text] + tags)
+        return f"{text} {value.markers}"
     return str(value)
 
 

@@ -35,10 +35,14 @@ that action with a Koszul sign, pair(u, omega) = (-1)^{deg omega +
 |u||omega|} omega . u, and takes quotient coefficients on both sides, while
 a form inside a delta term still refuses them.
 
-:func:`spencer_delta` and :func:`lie_derivative_ber` take an optional set
-of even coordinates that carry the Gaussian weight exp(-z^2).  The weight
-stays factored out of the coefficient, and the derivative along each of
-those coordinates picks up its contribution -2z.
+The weights of an integral are one value, :class:`Markers`: each even
+coordinate carries the Gaussian weight exp(-z^2), a point evaluation, or
+a formal marker.  It checks its names against a chart and prints as the
+tags that :mod:`supercalc.expr` reads back.  :func:`spencer_delta` and
+:func:`lie_derivative_ber` take an optional set of Gaussian coordinates,
+checked as markers.  The weight stays factored out of the coefficient,
+and the derivative along each of those coordinates picks up its
+contribution -2z.
 
 All coefficients are exact rationals and every object is immutable once
 built, so values can be shared freely between threads.
@@ -46,8 +50,9 @@ built, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from supercalc.algebra import (
     DERIVE,
@@ -161,12 +166,67 @@ class VectorField:
     __repr__ = __str__
 
 
-def _gaussian_set(chart: Chart, gaussian: Iterable[str]) -> frozenset[str]:
-    gaussian = frozenset(gaussian)
-    unknown = gaussian - set(chart.even_names)
-    if unknown:
-        raise ValueError(f"{min(unknown)!r} is not an even coordinate of the chart")
-    return gaussian
+class Markers(NamedTuple):
+    """How an integral treats each even coordinate: the weights of a density.
+
+    A coordinate in ``gaussian`` sits under the weight exp(-z^2), one in
+    ``dirac`` is pinned by a point evaluation delta(z - a) at a rational
+    point, and one in ``formal`` carries no integration data at all.
+    ``dirac`` holds (name, Fraction) pairs sorted by name.  The value
+    prints as the tags the expression language reads back, for example
+    ``gauss(z1) dirac(z2,1/2)``, and is false when it holds no tag.
+    """
+
+    gaussian: frozenset
+    dirac: tuple
+    formal: frozenset
+
+    @classmethod
+    def none(cls) -> "Markers":
+        return cls(frozenset(), (), frozenset())
+
+    @classmethod
+    def of(cls, gaussian: Iterable[str] = (), dirac=None,
+           formal: Iterable[str] = ()) -> "Markers":
+        """The markers of the library's keywords; ``dirac`` maps names to
+        points, or lists (name, point) pairs of which the last one for a
+        name wins."""
+        pins = sorted((name, Fraction(a)) for name, a in dict(dirac).items()) if dirac else ()
+        return cls(frozenset(gaussian), tuple(pins), frozenset(formal))
+
+    def merged(self, other: "Markers") -> "Markers":
+        """Both sets of tags; a pin in ``other`` replaces one on its name."""
+        return Markers.of(self.gaussian | other.gaussian,
+                          self.dirac + other.dirac, self.formal | other.formal)
+
+    def kwargs(self) -> dict:
+        """The keyword arguments of :func:`berezin_integral`."""
+        return {"gaussian": sorted(self.gaussian), "dirac": dict(self.dirac),
+                "formal": sorted(self.formal)}
+
+    def check(self, chart: Chart) -> "Markers":
+        """``self``, once every name is an even coordinate of ``chart`` and
+        no name carries two markers."""
+        pinned = [name for name, _ in self.dirac]
+        names = self.gaussian.union(pinned, self.formal)
+        unknown = names.difference(chart.even_names)
+        if unknown:
+            raise ValueError(f"{min(unknown)!r} is not an even coordinate of the chart")
+        if len(names) < len(self.gaussian) + len(pinned) + len(self.formal):
+            raise ValueError("each even coordinate takes at most one marker")
+        return self
+
+    def __bool__(self):
+        return bool(self.gaussian or self.dirac or self.formal)
+
+    def __str__(self):
+        tags = []
+        if self.gaussian:
+            tags.append("gauss(" + ",".join(sorted(self.gaussian)) + ")")
+        tags += (f"dirac({name},{point})" for name, point in self.dirac)
+        if self.formal:
+            tags.append("formal(" + ",".join(sorted(self.formal)) + ")")
+        return " ".join(tags)
 
 
 def lie_derivative_ber(density: IntegralForm, field: VectorField,
@@ -188,7 +248,7 @@ def lie_derivative_ber(density: IntegralForm, field: VectorField,
         raise ValueError("field and density live on different charts")
     if field.parity() is None:
         raise ValueError("vector field must have homogeneous parity")
-    gaussian = _gaussian_set(chart, gaussian)
+    gaussian = Markers.of(gaussian).check(chart).gaussian
     out = -right_action(density, field.as_diffop())
     for name in sorted(gaussian & field.components.keys()):
         z = SuperPoly.generator(f.table, name)
@@ -412,7 +472,7 @@ def spencer_delta(u: IntegralForm, gaussian: Iterable[str] = ()) -> IntegralForm
     more pair that multiplies by x_a; the differential still squares to
     zero.  The whole sum is one ``SuperPoly.pair_sum``.
     """
-    gaussian = _gaussian_set(u.chart, gaussian)
+    gaussian = Markers.of(gaussian).check(u.chart).gaussian
     return IntegralForm(u.chart, u.poly.pair_sum(_integral_steps(u.table, gaussian)[0]))
 
 

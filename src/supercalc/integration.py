@@ -1,11 +1,11 @@
 """Exact Berezin integration for Gaussian-class densities.
 
-Integrands are polynomial coefficients dressed with an optional global
-Gaussian weight exp(-sum z_i^2) over a declared set of even coordinates
-and optional point evaluations delta(z_i - a_i) at rational points.
-That class is closed under coordinate derivatives and every moment is a
-rational multiple of a power of sqrt(pi), so the integral stays exact;
-values live in :class:`PiValue`.
+Integrands are densities whose even coordinates each carry one of the
+:class:`~supercalc.integral_forms.Markers`: a factor of the global
+Gaussian weight exp(-sum z_i^2), or a point evaluation delta(z_i - a_i)
+at a rational point.  That class is closed under coordinate derivatives
+and every moment is a rational multiple of a power of sqrt(pi), so the
+integral stays exact; values live in :class:`PiValue`.
 
 The module also provides a Stokes checker, which integrates the
 weighted integral-form differential of :mod:`supercalc.integral_forms`,
@@ -26,6 +26,7 @@ from .derham import fiber_degree, form_table
 from .diffops import DiffOp
 from .integral_forms import (
     IntegralForm,
+    Markers,
     VectorField,
     _density_coefficient,
     lie_derivative_ber,
@@ -35,7 +36,6 @@ from .integral_forms import (
 
 __all__ = [
     "PiValue",
-    "GaussianIntegrand",
     "berezin_integral",
     "gaussian_moment",
     "stokes_check",
@@ -175,68 +175,16 @@ def gaussian_moment(n: int) -> PiValue:
     return PiValue.pi_power(Fraction(1, 2), _moment_ratio(2 * n))
 
 
-class GaussianIntegrand:
-    """A density coefficient with every even coordinate accounted for.
-
-    The payload is a polynomial over the chart.  Alongside it the
-    instance records which even coordinates sit under the global weight
-    exp(-z^2) (``gaussian``), which are pinned by a point evaluation
-    delta(z - a) at a rational point (``dirac``), and which carry no
-    integration data at all (``formal``).  Every even coordinate must
-    land in exactly one of the three groups, otherwise its integral
-    would be an honest divergent improper integral and the exact story
-    ends.  Formal coordinates survive algebra but refuse integration.
-    """
-
-    __slots__ = ("chart", "poly", "gaussian", "dirac", "formal")
-
-    def __init__(self, chart: Chart, poly, *, gaussian: Iterable[str] = (),
-                 dirac: Mapping[str, object] | None = None,
-                 formal: Iterable[str] = ()):
-        if not isinstance(poly, SuperPoly):
-            poly = SuperPoly.constant(chart.table, poly)
-        if poly.table != chart.table:
-            raise ValueError("coefficient is not over the chart's coordinates")
-        gaussian = frozenset(gaussian)
-        dirac = {name: Fraction(a) for name, a in dict(dirac or {}).items()}
-        formal = frozenset(formal)
-        evens = set(chart.even_names)
-        for name in (*gaussian, *dirac, *formal):
-            if name not in evens:
-                raise ValueError(f"{name!r} is not an even coordinate of the chart")
-        if gaussian & dirac.keys() or gaussian & formal or formal & dirac.keys():
-            raise ValueError("each even coordinate takes at most one marker")
-        uncovered = evens - gaussian - dirac.keys() - formal
-        if uncovered:
-            name = min(uncovered)
-            raise ValueError(f"even coordinate {name!r} carries no Gaussian "
-                             "weight, point evaluation, or formal marker")
-        self.chart = chart
-        self.poly = poly
-        self.gaussian = gaussian
-        self.dirac = dirac
-        self.formal = formal
-
-    def __str__(self):
-        tags = []
-        if self.gaussian:
-            tags.append("gauss(" + ",".join(sorted(self.gaussian)) + ")")
-        for name in sorted(self.dirac):
-            tags.append(f"dirac({name},{self.dirac[name]})")
-        if self.formal:
-            tags.append("formal(" + ",".join(sorted(self.formal)) + ")")
-        suffix = (" " + " ".join(tags)) if tags else ""
-        return f"Ber @ {self.poly}{suffix}"
-
-
-def berezin_integral(target, *, gaussian: Iterable[str] = (),
+def berezin_integral(density: IntegralForm, *, gaussian: Iterable[str] = (),
                      dirac: Mapping[str, object] | None = None,
                      formal: Iterable[str] = ()) -> PiValue:
     """Exact Berezin integral of a Gaussian-class density.
 
-    Accepts a :class:`GaussianIntegrand`, or a density (an
-    :class:`IntegralForm` of degree p, with no polyvector letter)
-    together with the marker keywords.  The odd directions contribute
+    Takes a density (an :class:`IntegralForm` of degree p, with no
+    polyvector letter) and the :class:`Markers` of its even coordinates
+    as keywords: every even coordinate must carry exactly one marker,
+    otherwise its integral would be an honest divergent improper
+    integral and the exact story ends.  The odd directions contribute
     the coefficient of the full odd monomial theta_1 .. theta_q, in
     table order; Dirac-pinned coordinates are evaluated at their
     points; every Gaussian coordinate is then integrated out with
@@ -246,29 +194,32 @@ def berezin_integral(target, *, gaussian: Iterable[str] = (),
     and odd powers dropping out by symmetry.  A formal coordinate has
     no integral, so its presence is an error here.
     """
-    if isinstance(target, IntegralForm):
-        target = GaussianIntegrand(target.chart, _density_coefficient(target),
-                                   gaussian=gaussian, dirac=dirac, formal=formal)
-    elif not isinstance(target, GaussianIntegrand):
-        raise TypeError("expected a density or a GaussianIntegrand")
-    if target.formal:
-        raise ValueError(f"divergent/formal variable: {min(target.formal)}")
-    table = target.chart.table
-    ftop = target.poly
-    for name in target.chart.odd_names:
+    if not isinstance(density, IntegralForm):
+        raise TypeError("expected a density")
+    chart = density.chart
+    ftop = _density_coefficient(density)
+    markers = Markers.of(gaussian, dirac, formal).check(chart)
+    uncovered = set(chart.even_names).difference(
+        markers.gaussian, dict(markers.dirac), markers.formal)
+    if uncovered:
+        raise ValueError(f"even coordinate {min(uncovered)!r} carries no "
+                         "Gaussian weight, point evaluation, or formal marker")
+    if markers.formal:
+        raise ValueError(f"divergent/formal variable: {min(markers.formal)}")
+    table = chart.table
+    for name in chart.odd_names:
         ftop = ftop.left_derivative(name)
     ftop = release_even_exponents(ftop)
-    if target.dirac:
-        points = {name: SuperPoly.constant(table, a)
-                  for name, a in target.dirac.items()}
+    if markers.dirac:
+        points = {name: SuperPoly.constant(table, a) for name, a in markers.dirac}
         ftop = release_even_exponents(ftop.substitute(points))
-    power = Fraction(len(target.gaussian), 2)
+    power = Fraction(len(markers.gaussian), 2)
     total = PiValue()
     for mono, c in ftop.terms.items():
         coeff = Fraction(c)
         for pos, e in table.powers(mono):
             name = table.names[pos]
-            assert name in target.gaussian
+            assert name in markers.gaussian
             coeff *= _moment_ratio(e)
             if not coeff:
                 break

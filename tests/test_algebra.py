@@ -466,6 +466,24 @@ def test_polynomial_refuses_a_quotient_scalar_from_another_table():
     assert u / rf == u + 1
 
 
+def test_constructors_refuse_a_quotient_coefficient_from_another_table():
+    U = GeneratorTable.chart(["u1"], ["et1"])
+    V = GeneratorTable.chart(["v1"], ["ps1"])
+    u = SuperPoly.generator(U, "u1")
+    rf = RationalFunction(u, u + 1)
+    with pytest.raises(ValueError, match="generator table mismatch"):
+        SuperPoly.constant(V, rf)
+    for powers in ({"v1": 1}, {"ps1": 2}):    # also when the monomial is zero
+        with pytest.raises(ValueError, match="generator table mismatch"):
+            SuperPoly.from_monomial(V, powers, rf)
+    # over its own table, and over an equal copy of it, the quotient is kept
+    assert str(SuperPoly.constant(U, rf)) == "u1/(1 + u1)"
+    copy = GeneratorTable.chart(["u1"], ["et1"])
+    assert SuperPoly.constant(copy, rf).terms == {0: rf}
+    assert SuperPoly.from_monomial(U, {"et1": 1}, rf) == \
+        SuperPoly.generator(U, "et1").scale(rf)
+
+
 def test_rational_function_euclid_cancellation():
     z = SuperPoly.generator(T, "x")
     num = z ** 2 - 1

@@ -12,13 +12,13 @@ from supercalc.derham import d, form_table
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import (
     IntegralForm,
+    Markers,
     homotopy_int,
     polyvector_name,
     polyvector_table,
     spencer_delta,
 )
 from supercalc.integration import (
-    GaussianIntegrand,
     PiValue,
     berezin_integral,
     duality_pair_integral,
@@ -112,26 +112,57 @@ class TestPiValue:
 
 
 class TestGaussianIntegrand:
+    """A density and the markers of its even coordinates: the keywords of
+    berezin_integral, which Markers normalizes, checks and prints."""
+
     def test_every_even_coordinate_needs_a_marker(self):
-        with pytest.raises(ValueError, match="carries no Gaussian"):
-            GaussianIntegrand(R22, SuperPoly.one(R22.table), gaussian=("z1",))
+        with pytest.raises(ValueError, match="'z2' carries no Gaussian weight, "
+                           "point evaluation, or formal marker"):
+            berezin_integral(top_section(R22), gaussian=("z1",))
+        # markers describe any set of coordinates; coverage is the integral's
+        assert Markers.of(gaussian=("z1",)).check(R22)
 
     def test_markers_are_exclusive(self):
-        with pytest.raises(ValueError, match="at most one marker"):
-            GaussianIntegrand(R11, 1, gaussian=("z",), dirac={"z": 0})
+        for kwargs in ({"gaussian": ("z",), "dirac": {"z": 0}},
+                       {"gaussian": ("z",), "formal": ("z",)},
+                       {"dirac": {"z": 0}, "formal": ("z",)}):
+            with pytest.raises(ValueError, match="at most one marker"):
+                berezin_integral(top_section(R11), **kwargs)
+            with pytest.raises(ValueError, match="at most one marker"):
+                Markers.of(**kwargs).check(R11)
 
     def test_only_even_coordinates_take_markers(self):
-        with pytest.raises(ValueError, match="not an even coordinate"):
-            GaussianIntegrand(R11, 1, gaussian=("th",))
+        with pytest.raises(ValueError, match="'th' is not an even coordinate"):
+            berezin_integral(top_section(R11), gaussian=("z", "th"))
+        for kwargs in ({"dirac": {"w": 1}}, {"formal": ("w",)},
+                       {"gaussian": ("w", "z"), "dirac": {"z": 0}}):
+            with pytest.raises(ValueError, match="'w' is not an even coordinate"):
+                Markers.of(**kwargs).check(R11)
+        with pytest.raises(ValueError, match="'a' is not"):    # the least name
+            Markers.of(gaussian=("b", "a")).check(R11)
 
     def test_formal_refuses_integration(self):
-        ig = GaussianIntegrand(R11, 1, formal=("z",))
-        with pytest.raises(ValueError, match="divergent/formal variable"):
-            berezin_integral(ig)
+        with pytest.raises(ValueError, match="divergent/formal variable: z"):
+            berezin_integral(top_section(R11), formal=("z",))
 
     def test_str_lists_markers(self):
-        ig = GaussianIntegrand(R22, 1, gaussian=("z1",), dirac={"z2": Fraction(1, 2)})
-        assert str(ig) == "Ber @ 1 gauss(z1) dirac(z2,1/2)"
+        m = Markers.of(gaussian=("z1",), dirac={"z2": Fraction(1, 2)})
+        assert str(m) == "gauss(z1) dirac(z2,1/2)"
+        m = Markers.of(gaussian=("z2", "z1"), dirac={"w2": 3, "w1": "-1/2"},
+                       formal=("y2", "y1"))
+        assert str(m) == "gauss(z1,z2) dirac(w1,-1/2) dirac(w2,3) formal(y1,y2)"
+        assert str(Markers.none()) == "" and not Markers.none() and m
+
+    def test_of_normalizes_the_keywords(self):
+        m = Markers.of(gaussian=["z1"], dirac=[("z2", 1), ("z2", "3/2")])
+        assert m == Markers(frozenset({"z1"}), (("z2", Fraction(3, 2)),),
+                            frozenset())
+        assert Markers.of(**m.kwargs()) == m
+        assert Markers.of() == Markers.none()
+        # merging joins the tags; a later pin replaces an earlier one
+        later = Markers.of(gaussian=["z3"], dirac={"z2": 5, "z0": 0})
+        assert m.merged(later) == Markers.of(
+            gaussian=["z1", "z3"], dirac={"z0": 0, "z2": 5})
 
 
 class TestBerezinIntegral:
