@@ -532,6 +532,23 @@ class SuperPoly:
         odd = self.table._odd_mask
         return SuperPoly._of(self.table, {m: c for m, c in self.terms.items() if not m & odd})
 
+    def nilpotent_split(self) -> "tuple[SuperPoly, SuperPoly, int]":
+        """(r, n, l) with self == r + n: r the terms free of odd factors,
+        n the rest, each in self's order, and l the fewest odd factors in
+        a term of n, 0 when n is zero.  A product of more than w // l
+        elements like n is zero, w the number of odd generators."""
+        odd = self.table._odd_mask
+        body, nil, fewest = {}, {}, 0
+        for m, c in self.terms.items():
+            k = (m & odd).bit_count()
+            if not k:
+                body[m] = c
+                continue
+            nil[m] = c
+            if not fewest or k < fewest:
+                fewest = k
+        return SuperPoly._of(self.table, body), SuperPoly._of(self.table, nil), fewest
+
     # --- ring operations ----------------------------------------------------
 
     def __add__(self, other):
@@ -804,16 +821,20 @@ class SuperPoly:
     def inverse(self) -> "SuperPoly":
         """Invert an element whose non-scalar part is nilpotent.
 
-        Writes the element as c + n with c an invertible scalar and n a sum
-        of monomials each carrying at least one odd factor, then runs the
-        finite geometric series for (c + n)^{-1}.
+        Splits the element by its keys into c + n, c an invertible scalar
+        and n the terms with at least one odd factor, then runs the finite
+        geometric series sum_k (-n / c)^k / c.  With l the fewest odd
+        factors in a term of n, n^k = 0 once k l exceeds the number w of
+        odd generators, so the series stops at k = w // l, or earlier at
+        its first zero term.  l is read from the keys and not taken to be
+        2: an n with odd terms, which only a non-homogeneous element has,
+        gives l = 1.
         """
         c0 = self.scalar_part()
         if not c0:
             raise ZeroDivisionError("scalar part is zero; element is not invertible")
-        rest = self - SuperPoly.constant(self.table, c0)
-        odd = self.table._odd_mask
-        if any(not m & odd for m in rest.terms):
+        body, rest, fewest = self.nilpotent_split()
+        if len(body.terms) > 1:
             raise ValueError(
                 "cannot invert: remainder has an odd-free monomial "
                 "(not nilpotent); only even base coordinates can move "
@@ -823,8 +844,7 @@ class SuperPoly:
         out = unit
         power = unit
         step = rest.scale(inv_c0)
-        bound = len(self.table.odd_positions)
-        for _ in range(bound):
+        for _ in range(len(self.table.odd_positions) // fewest if fewest else 0):
             power = -(power * step)
             if power.is_zero():
                 break

@@ -141,8 +141,10 @@ def _collect_markers(markers: Markers, gaussian, dirac, formal) -> Markers:
             pins.append((name.strip(), Fraction(point.strip())))
         except (ValueError, ZeroDivisionError):
             raise click.UsageError(f"--dirac point must be rational: {item!r}")
-    # of two --dirac pins on one coordinate, the larger point wins
-    return markers.merged(Markers.of(gaussian, sorted(pins), formal))
+    # every pin kept (``of`` would keep the last per name), so that
+    # ``merged`` refuses two on one coordinate
+    return markers.merged(Markers(frozenset(gaussian), tuple(sorted(pins)),
+                                  frozenset(formal)))
 
 
 def _gaussian_weights(markers: Markers, gaussian, what: str) -> set:

@@ -195,9 +195,13 @@ class Markers(NamedTuple):
         return cls(frozenset(gaussian), tuple(pins), frozenset(formal))
 
     def merged(self, other: "Markers") -> "Markers":
-        """Both sets of tags; a pin in ``other`` replaces one on its name."""
-        return Markers.of(self.gaussian | other.gaussian,
-                          self.dirac + other.dirac, self.formal | other.formal)
+        """Both sets of tags.  Two pins on one name, from either side, are
+        refused: two point evaluations of one coordinate have no value."""
+        pins = self.dirac + other.dirac
+        if len({name for name, _ in pins}) < len(pins):
+            raise ValueError("each even coordinate takes at most one marker")
+        return Markers.of(self.gaussian | other.gaussian, pins,
+                          self.formal | other.formal)
 
     def kwargs(self) -> dict:
         """The keyword arguments of :func:`berezin_integral`."""

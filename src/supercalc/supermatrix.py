@@ -12,20 +12,27 @@ ordinary determinant of A and D meaningful, and
 
 well defined whenever D is invertible.  Determinants are division-free
 Berkowitz characteristic polynomials (Berkowitz 1984).  Inverses are
-exact: Cayley-Hamilton inverts the reduced part (odd generators set to
-zero), dividing only by its unit determinant, and a finite geometric
-series absorbs the nilpotent remainder.
+exact: each entry splits by its keys into its reduced part (the terms
+free of odd generators) and its nilpotent part, Cayley-Hamilton inverts
+the reduced matrix, dividing only by its unit determinant, and a finite
+geometric series absorbs the nilpotent matrix N.
 
 The Berezinian takes det(D)^{-1} from that series by Jacobi's formula:
-with D0 the reduced part and Y = D0^{-1} (D - D0),
+with D0 the reduced part and Y = D0^{-1} N, N = D - D0,
 
     det(D) = det(D0) * exp(sum_k (-1)^(k+1) tr(Y^k) / k),
 
 and the series already holds every power of Y.  This is exact, not an
-approximation: the even entries of Y commute, they are nilpotent, so
-both the log and the exp sum stop after finitely many terms, and the
-coefficient ring is a Q-algebra, so 1/k and 1/j! exist.  Only det(D0),
-a unit, is inverted, and D needs no determinant of its own.
+approximation: the even entries of Y commute and the coefficient ring is
+a Q-algebra, so 1/k and 1/j! exist.  Only det(D0), a unit, is inverted,
+and D needs no determinant of its own.  The odd count bounds all three
+sums: with w odd generators and l the fewest odd factors in a term of
+N, a product of more than w // l factors from N is zero, so the series,
+the log and the exp stop at k = w // l.  l is read from N's keys, since
+an even block gives l >= 2 but ``inv_even`` also takes odd entries,
+with l = 1.  A split map's Jacobian has an odd-free D (its odd images
+are linear in the odd coordinates), so N = 0 and no sum is run; and
+when B or C is a zero matrix the Schur complement is A.
 
 One denominator per matrix.  A matrix is held as pairs (den, rows)
 standing for rows / den, the rows integral (a scalar denominator leaves
@@ -245,13 +252,15 @@ def _inverse(m: Scaled, table: GeneratorTable, with_det: bool = False
     with ``with_det`` also det(R / L)^{-1} as a pair (c, P) standing for
     c P, P integral on integral rows; without it, None.
 
-    With R0 the reduced part of R and t^n + c1 t^(n-1) + ... + cn its
-    characteristic polynomial, Cayley-Hamilton gives R0^{-1} = -H / cn, H
-    the Horner sum R0^(n-1) + c1 R0^(n-2) + ... + c(n-1) I.  An int cn
-    joins the denominator: R0^{-1} = G / e with e = |cn|; any other unit
-    (a RationalFunction) scales H once, with e = 1.  Then (R0 / L)^{-1} =
-    L G / e, and the nilpotent N = R - R0 goes through the finite series
-    sum_k (-G N / e)^k L G / e, its k-th term over e^k times the first's.
+    Each entry of R splits by its keys into its reduced part, the terms
+    free of odd factors, and its nilpotent part, the rest: R = R0 + N,
+    with no subtraction.  With t^n + c1 t^(n-1) + ... + cn the
+    characteristic polynomial of R0, Cayley-Hamilton gives R0^{-1} = -H /
+    cn, H the Horner sum R0^(n-1) + c1 R0^(n-2) + ... + c(n-1) I.  An int
+    cn joins the denominator: R0^{-1} = G / e with e = |cn|; any other
+    unit (a RationalFunction) scales H once, with e = 1.  Then (R0 / L)^{-1}
+    = L G / e, and N goes through the finite series sum_k (-G N / e)^k L G
+    / e, its k-th term over e^k times the first's.
 
     The determinant comes from the same series by Jacobi's formula.  With
     Y = R0^{-1} N, det R = det R0 * exp(log det(I + Y)) and log det(I + Y)
@@ -259,17 +268,30 @@ def _inverse(m: Scaled, table: GeneratorTable, with_det: bool = False
     P = (-Y)^(k-1) R0^{-1}, and P N = (-1)^(k-1) Y^k, so the log is the sum
     of tr(P N) / k: one sum of n^2 products per term, no matrix product.
     Both series are exact and finite: Y's entries are even, so they
-    commute, and nilpotent, so Y^k = 0 once k exceeds half the number of
-    odd generators, and the ring is a Q-algebra, so the 1/k and the
-    1/j! of exp are defined.  Hence det(R / L)^{-1} = L^n exp(-log) / det R0,
-    and the log and exp sums go over one integer denominator each, so
-    their products multiply int coefficients.
+    commute, and the ring is a Q-algebra, so the 1/k and the 1/j! of exp
+    are defined.  Hence det(R / L)^{-1} = L^n exp(-log) / det R0, and the
+    log and exp sums go over one integer denominator each, so their
+    products multiply int coefficients.
+
+    The series, the log and the exp all stop at k = w // l, w the number
+    of odd generators and l the fewest odd factors in a term of N: every
+    term of Y^k, of tr(Y^k) and of log^k has at least k l odd factors, so
+    none past that bound is computed (each loop still stops at its first
+    zero term).  l is read from the keys, not taken to be 2: an even
+    block gives l >= 2, but ``inv_even`` accepts odd entries and then l =
+    1.  When N is zero, as in the D block of a split map's Jacobian, the
+    inverse is the first term and exp = 1, with no G N product, trace or
+    power.
     """
     den, rows = m
     n = len(rows)
     if n == 0:
         return (1, []), (1, SuperPoly.one(table)) if with_det else None
-    reduced = [[e.set_odd_to_zero() for e in r] for r in rows]
+    parts = [[e.nilpotent_split() for e in r] for r in rows]
+    reduced = [[x for x, _, _ in r] for r in parts]
+    nil = [[x for _, x, _ in r] for r in parts]
+    fewest = min((k for r in parts for _, _, k in r if k), default=0)
+    bound = len(table.odd_positions) // fewest if fewest else 0
     coeffs = _charpoly(reduced, table)
     det0 = -coeffs[-1] if n % 2 else coeffs[-1]
     inv_det0 = _scalar_unit_inverse(det0)
@@ -285,12 +307,11 @@ def _inverse(m: Scaled, table: GeneratorTable, with_det: bool = False
         e, g = scale.denominator, _scale_rows(horner, scale.numerator)
     else:
         e, g = 1, _scale_rows(horner, scale)
-    nil = _mat_add(rows, _mat_neg(reduced))
     out = power = (e, _scale_rows(g, den))
-    step = (e, _mat_neg(_mat_mul(g, nil, table)))
+    if bound:
+        step = (e, _mat_neg(_mat_mul(g, nil, table)))
     log_den, log = 1, SuperPoly.zero(table)    # log / log_den
     memo: dict = {}     # every trace multiplies by the entries of N
-    bound = len(table.odd_positions)
     for k in range(1, bound + 1):
         if with_det:    # power = L P over its den: tr(P N) / k
             trace = SuperPoly.sum_of_products(table, (
@@ -333,8 +354,10 @@ def inv_even(rows: Sequence[Sequence[SuperPoly]], table: GeneratorTable) -> Rows
 
 def _schur(a: Scaled, b: Scaled, c: Scaled, d_inv: Scaled,
            table: GeneratorTable) -> Scaled:
-    """A - B D^{-1} C from the cleared blocks and D^{-1}."""
-    if not b[1] or not c[1]:    # p = 0 or q = 0: nothing to subtract
+    """A - B D^{-1} C from the cleared blocks and D^{-1}, or A itself when
+    B or C is a zero matrix (p = 0 or q = 0 among them): then no product
+    is formed, and the pair is A's, not A over the product's den."""
+    if not any(x for r in b[1] for x in r) or not any(x for r in c[1] for x in r):
         return a
     b_d_inv = _scaled_mul(b, d_inv, table)
     return _scaled_add(a, _scaled_neg(_scaled_mul(b_d_inv, c, table)))

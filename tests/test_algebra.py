@@ -20,6 +20,7 @@ from supercalc.algebra import (
     GeneratorTable,
     RationalFunction,
     SuperPoly,
+    _coeff_inverse,
     absorb_even_exponents,
     release_even_exponents,
     transport,
@@ -405,6 +406,86 @@ def test_inverse_rejects_non_nilpotent_rest():
         (const(1) + gen("x")).inverse()
     with pytest.raises(ZeroDivisionError):
         gen("th1").inverse()
+
+
+def unbounded_inverse(f):
+    """``SuperPoly.inverse`` with n = f - c by subtraction and the series
+    run to w, the number of odd generators, stopping only at a zero term."""
+    c0 = f.scalar_part()
+    rest = f - SuperPoly.constant(f.table, c0)
+    inv_c0 = _coeff_inverse(c0)
+    out = power = SuperPoly.constant(f.table, inv_c0)
+    step = rest.scale(inv_c0)
+    for _ in range(len(f.table.odd_positions)):
+        power = -(power * step)
+        if power.is_zero():
+            break
+        out = out + power
+    return out
+
+
+def _in_order(poly):
+    """The terms as stored, in order, a quotient as its typed pair."""
+    return [(m, (type(c), [*c.num.terms.items()], [*c.den.terms.items()])
+             if type(c) is RationalFunction else (type(c), c))
+            for m, c in poly.terms.items()]
+
+
+def _nilpotent(rng, table, fewest):
+    """A random element whose terms have at least ``fewest`` odd factors,
+    and one with exactly that many."""
+    odds = [f"e{i}" for i in range(1, len(table.odd_positions) + 1)]
+    out = SuperPoly.zero(table)
+    for k in [fewest] + [rng.randint(fewest, len(odds)) for _ in range(rng.randint(0, 3))]:
+        powers = {name: 1 for name in rng.sample(odds, k)}
+        powers["x"] = rng.randint(0, 2)
+        out = out + SuperPoly.from_monomial(table, powers, Fraction(rng.randint(-4, 4) or 1,
+                                                                    rng.randint(1, 3)))
+    return out
+
+
+def test_bounded_inverse_stores_what_the_unbounded_series_stores():
+    for w in range(1, 6):
+        table = GeneratorTable.chart(["x"], [f"e{i}" for i in range(1, w + 1)])
+        rng = random.Random(40 + w)
+        x = SuperPoly.generator(table, "x")
+        for fewest in range(1, min(w, 3) + 1):
+            for _ in range(6):
+                n = _nilpotent(rng, table, fewest)
+                for c in (Fraction(rng.randint(1, 5), rng.randint(1, 3)), 1):
+                    f = n + c
+                    assert _in_order(f.inverse()) == _in_order(unbounded_inverse(f))
+                # a quotient scalar part: 1 + x absorbed
+                f = absorb_even_exponents(n * (x + 2) + 1 + x)
+                assert _in_order(f.inverse()) == _in_order(unbounded_inverse(f))
+
+
+@pytest.mark.parametrize("w, terms, products", [
+    (3, [("e1",), ("e2", "e3")], 3),            # l = 1: n^2 = 2 e1 e2 e3
+    (4, [("e1", "e2"), ("e3", "e4")], 2),       # l = 2
+    (5, [("e1", "e2"), ("e3", "e4")], 2),
+    (5, [("e1", "e2", "e3"), ("e2", "e4", "e5")], 1),   # l = 3
+    (2, [], 0),
+])
+def test_inverse_multiplies_as_often_as_the_odd_count_allows(monkeypatch, w, terms,
+                                                            products):
+    table = GeneratorTable.chart([], [f"e{i}" for i in range(1, w + 1)])
+    f = SuperPoly.one(table)
+    for names in terms:
+        f = f + SuperPoly.from_monomial(table, {name: 1 for name in names})
+    calls = [0]
+    mul = SuperPoly.__mul__
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(SuperPoly, "__mul__", counting)
+    inv = f.inverse()
+    assert calls[0] == products
+    monkeypatch.undo()
+    assert f * inv == SuperPoly.one(table)
+    assert _in_order(inv) == _in_order(unbounded_inverse(f))
 
 
 # ---------------------------------------------------------------------------

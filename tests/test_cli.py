@@ -584,6 +584,23 @@ def _usage(command: str, operands: str, error: str) -> str:
     (["lie-ber", "--ring", "1|1", "--", "Ber @ x1", "x1 = th1;\n th1 =\n 1 +"], {},
      _usage("lie-ber", "DENSITY FIELD", "line 3, column 5: FIELD: syntax error: "
             "unexpected 'end of input'")),
+    # two point evaluations of one coordinate, however they are written
+    (["berezin-int", "--ring", "2|1", "--",
+      "Ber @ (x1^2*x2^2*th1) gauss(x1) dirac(x2,3) dirac(x2,1)"], {},
+     _usage("berezin-int", "EXPRESSION",
+            "each even coordinate takes at most one marker")),
+    (["berezin-int", "--ring", "2|1", "--dirac", "x2=1", "--dirac", "x2=3",
+      "--", "Ber @ (x1^2*x2^2*th1) gauss(x1)"], {},
+     _usage("berezin-int", "EXPRESSION",
+            "each even coordinate takes at most one marker")),
+    (["berezin-int", "--ring", "2|1", "--dirac", "x2=1", "--",
+      "Ber @ (x1^2*x2^2*th1) gauss(x1) dirac(x2,1)"], {},
+     _usage("berezin-int", "EXPRESSION",
+            "each even coordinate takes at most one marker")),
+    (["pd-pair", "--ring", "1|1", "{density}", "{form}"],
+     {"density": "Ber @ th1 dirac(x1,1)\n", "form": "x1 dirac(x1,2)\n"},
+     _usage("pd-pair", "DENSITY_FILE FORM_FILE",
+            "each even coordinate takes at most one marker")),
 ])
 def test_refusals_print_usage_and_the_exact_error(tmp_path, args, files,
                                                   output):

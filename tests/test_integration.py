@@ -159,10 +159,17 @@ class TestGaussianIntegrand:
                             frozenset())
         assert Markers.of(**m.kwargs()) == m
         assert Markers.of() == Markers.none()
-        # merging joins the tags; a later pin replaces an earlier one
-        later = Markers.of(gaussian=["z3"], dirac={"z2": 5, "z0": 0})
+        # merging joins the tags and refuses a second pin on a name, from
+        # either side or from within one
+        later = Markers.of(gaussian=["z3"], dirac={"z0": 0})
         assert m.merged(later) == Markers.of(
-            gaussian=["z1", "z3"], dirac={"z0": 0, "z2": 5})
+            gaussian=["z1", "z3"], dirac={"z0": 0, "z2": Fraction(3, 2)})
+        twice = Markers(frozenset(), (("z0", 1), ("z0", 1)), frozenset())
+        for a, b in ((m, Markers.of(dirac={"z2": 5})),
+                     (Markers.of(dirac={"z2": 5}), m),
+                     (Markers.none(), twice), (twice, Markers.none())):
+            with pytest.raises(ValueError, match="at most one marker"):
+                a.merged(b)
 
 
 class TestBerezinIntegral:

@@ -23,9 +23,18 @@ from supercalc.randoms import (
 )
 from supercalc.supermatrix import (
     SuperMatrix,
+    _charpoly,
     _clear_denominators,
+    _identity_rows,
     _inverse,
+    _mat_add,
     _mat_mul,
+    _mat_neg,
+    _scalar_unit_inverse,
+    _scale_rows,
+    _scaled_add,
+    _scaled_mul,
+    _schur,
     berezinian,
     det_even,
     inv_even,
@@ -797,3 +806,197 @@ def test_a_matrix_product_prepares_each_right_entry_once(monkeypatch):
     assert len(memos) == n * n and all(m is memos[0] for m in memos)
     assert len(memos[0]) <= n * n
     assert prepared[0] == sum(len(e.terms) for r in y for e in r)
+
+
+# ---------------------------------------------------------------------------
+# the odd count bounds the nilpotent work, against the unbounded loops
+
+def unbounded_inverse(m, table, with_det=False):
+    """``_inverse`` with N = R - R0 formed by subtraction and every loop run
+    to w, the number of odd generators, stopping only at a zero term."""
+    den, rows = m
+    n = len(rows)
+    if n == 0:
+        return (1, []), (1, SuperPoly.one(table)) if with_det else None
+    reduced = [[e.set_odd_to_zero() for e in r] for r in rows]
+    coeffs = _charpoly(reduced, table)
+    det0 = -coeffs[-1] if n % 2 else coeffs[-1]
+    inv_det0 = _scalar_unit_inverse(det0)
+    horner = _identity_rows(n, table)
+    for k, c in enumerate(coeffs[:-1]):
+        horner = (_mat_mul(reduced, horner, table) if k
+                  else [r[:] for r in reduced])
+        for i in range(n):
+            horner[i][i] = horner[i][i] + c
+    scale = inv_det0 if n % 2 else -inv_det0
+    if isinstance(scale, (int, Fraction)):
+        e, g = scale.denominator, _scale_rows(horner, scale.numerator)
+    else:
+        e, g = 1, _scale_rows(horner, scale)
+    nil = _mat_add(rows, _mat_neg(reduced))
+    out = power = (e, _scale_rows(g, den))
+    step = (e, _mat_neg(_mat_mul(g, nil, table)))
+    log_den, log = 1, SuperPoly.zero(table)
+    bound = len(table.odd_positions)
+    for k in range(1, bound + 1):
+        if with_det:
+            trace = SuperPoly.sum_of_products(table, (
+                (power[1][i][j], nil[j][i]) for i in range(n) for j in range(n)))
+            if trace.terms:
+                k_den = k * den * power[0]
+                new_den = math.lcm(log_den, k_den)
+                log = log.scale(new_den // log_den) + trace.scale(new_den // k_den)
+                log_den = new_den
+        power = _scaled_mul(step, power, table)
+        if all(x.is_zero() for r in power[1] for x in r):
+            break
+        out = _scaled_add(out, power)
+    if not with_det:
+        return out, None
+    exp_den, exp = 1, SuperPoly.one(table)
+    term = exp
+    for j in range(1, bound + 1):
+        term = term * -log
+        if term.is_zero():
+            break
+        exp = exp.scale(j * log_den) + term
+        exp_den *= j * log_den
+    ratio = Fraction(den ** n, exp_den)
+    return out, (inv_det0 if ratio == 1 else inv_det0 * ratio, exp)
+
+
+def stored(x):
+    """What is stored, in order: keys, coefficient types and values, a
+    quotient as its numerator and denominator."""
+    if isinstance(x, SuperPoly):
+        return [(m, stored(c)) for m, c in x.terms.items()]
+    if isinstance(x, RationalFunction):
+        return ["quotient", stored(x.num), stored(x.den)]
+    if isinstance(x, (list, tuple)):
+        return [stored(y) for y in x]
+    return [type(x), x]
+
+
+ODD_TABLES = [GeneratorTable.chart(["x"], [f"e{i}" for i in range(1, w + 1)])
+              for w in range(1, 6)]
+
+
+def fewest_odd_factors(rows):
+    return min((k for r in rows for e in r for k in [e.nilpotent_split()[2]] if k),
+               default=0)
+
+
+def nilpotent_families(rng, table, n):
+    """Seeded n x n matrices with a constant invertible reduced part and a
+    nilpotent part N whose terms have at least l odd factors: even (l = 2,
+    or N = 0 on one odd letter), mixed (odd terms too, so l = 1; only
+    ``inv_even`` takes them), e1 e2 e3 e4 alone (l = 4), none, and N zero
+    on the first row only."""
+    while True:
+        base = [[SuperPoly.constant(table, random_rational(rng)) for _ in range(n)]
+                for _ in range(n)]
+        if not det_even(base, table).is_zero():
+            break
+    nilpotent = random_superpoly(rng, table, terms=3)
+    mixed = nilpotent - nilpotent.set_odd_to_zero()
+    families = {
+        "even": [[e + random_nilpotent_even(rng, table) for e in r] for r in base],
+        "mixed": [[e + (f - f.set_odd_to_zero()) for e in r
+                   for f in [random_superpoly(rng, table, terms=3)]] for r in base],
+        "zero": base,
+    }
+    if mixed and n > 1:
+        families["lower rows"] = [base[0]] + [[e + mixed for e in r] for r in base[1:]]
+    if len(table.odd_positions) >= 4:
+        top = SuperPoly.from_monomial(table, {"e1": 1, "e2": 1, "e3": 1, "e4": 1})
+        families["top"] = [[e + top.scale(random_rational(rng)) if rng.random() < 0.7
+                            else e for e in r] for r in base]
+    return families
+
+
+def test_bounded_inverse_stores_what_the_unbounded_loops_store():
+    seen = set()
+    for table in ODD_TABLES:
+        w = len(table.odd_positions)
+        rng = random.Random(900 + w)
+        for n in (1, 2, 3):
+            for name, rows in nilpotent_families(rng, table, n).items():
+                seen.add((name, fewest_odd_factors(rows)))
+                # Fraction entries clear to one den, as the callers pass them
+                pair = _clear_denominators([[e.scale(Fraction(1, 3)) for e in r]
+                                            for r in rows])
+                for with_det in (False, True):
+                    got = _inverse(pair, table, with_det)
+                    assert stored(got) == stored(
+                        unbounded_inverse(pair, table, with_det)), (name, w, n)
+    assert {("even", 2), ("mixed", 1), ("top", 4), ("zero", 0),
+            ("lower rows", 1)} <= seen
+
+
+def test_odd_entries_need_the_bound_read_from_the_keys():
+    # l = 1: N^2 = diag(e1 (e2 + e3), (e2 + e3) e1) is not zero, so a bound
+    # of w // 2 = 1 would lose it
+    table = GeneratorTable.chart([], ["e1", "e2", "e3"])
+    e1, e2, e3 = (SuperPoly.generator(table, n) for n in ("e1", "e2", "e3"))
+    one = SuperPoly.one(table)
+    rows = [[one, e1], [e2 + e3, one]]
+    inv = inv_even(rows, table)
+    for x, y in ((rows, inv), (inv, rows)):
+        assert rows_equal(_mat_mul(x, y, table), _identity_rows(2, table))
+    assert inv[0][0] == one + e1 * (e2 + e3)
+
+
+def test_a_split_map_jacobian_runs_no_nilpotent_series(monkeypatch):
+    import supercalc.supermatrix as supermatrix
+    from supercalc.charts import Chart
+    from supercalc.randoms import random_split_map
+    calls: dict[str, int] = {}
+
+    def spy(name, fn):
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counting
+
+    for name in ("_mat_mul", "_scaled_mul", "_scaled_add"):
+        monkeypatch.setattr(supermatrix, name, spy(name, getattr(supermatrix, name)))
+    monkeypatch.setattr(SuperPoly, "sum_of_products", staticmethod(
+        spy("sum_of_products", SuperPoly.sum_of_products)))
+    rng = random.Random(71)
+    empty_schur = 0
+    for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        U = Chart(["x", "y"][:p], ["th1", "th2"][:q])
+        V = Chart(["u", "v"][:p], ["e1", "e2"][:q])
+        for _ in range(4):
+            m = random_split_map(rng, U, V).jacobian()
+            table = m.table
+            a, b, c, d = m._scaled
+            assert fewest_odd_factors(d[1]) == 0    # linear odd images
+            calls.clear()
+            supermatrix._charpoly(d[1], table)
+            charpoly = dict(calls)
+            calls.clear()
+            d_inv, (scale, exp) = _inverse(d, table, with_det=True)
+            # Horner's products (none for q <= 2) and the characteristic
+            # polynomial, then no G N product, no trace and no power
+            assert calls == charpoly
+            assert stored(exp) == stored(SuperPoly.one(table))
+            assert stored((d_inv, (scale, exp))) == stored(
+                unbounded_inverse(d, table, with_det=True))
+            calls.clear()
+            schur = _schur(a, b, c, d_inv, table)
+            if not any(x for r in b[1] for x in r) or not any(x for r in c[1] for x in r):
+                empty_schur += 1
+                assert schur is a and not calls
+    assert empty_schur
+
+
+def test_schur_subtracts_when_only_some_entries_of_b_are_zero():
+    e1, e2, e3 = (SuperPoly.generator(E4, n) for n in ("e1", "e2", "e3"))
+    one, zero = SuperPoly.one(E4), SuperPoly.zero(E4)
+    for b in ([[zero, e1]], [[e1, zero]]):
+        m = SuperMatrix(E4, 1, 2, [[one]], b, [[e2], [e3]], [[one, zero], [zero, one]])
+        a, b, c, d = m._scaled
+        got = _schur(a, b, c, _inverse(d, E4)[0], E4)
+        assert got[1] != a[1]
+        assert rows_equal(got[1], oracle_schur(m)[0])
