@@ -3,7 +3,10 @@
 Everything else in this package (differential forms, integral forms, delta
 forms, differential operators, supermatrices) is built on one substrate:
 sparse polynomials over a fixed table of even and odd generators, with
-rational or rational-function coefficients.
+rational or rational-function coefficients.  The values stored as one such
+polynomial (operators, the operator complex, integral and delta forms)
+take their sums, negation, scaling, zero test and equality from one base
+here, :class:`PolyElement`.
 
 A monomial is one ``int``: the odd generators form a bitmask in the low
 bits, and above it each even exponent fills a field of ``_FIELD`` bits, the
@@ -1215,6 +1218,60 @@ class RationalFunction:
 
 # The coefficient types: everything SuperPoly treats as a constant.
 SCALARS = (int, Fraction, RationalFunction)
+
+
+class PolyElement:
+    """Base of the values stored as one polynomial ``poly``: operators,
+    the operator complex and the two polyvector pictures.
+
+    It owns their module operations on ``poly``.  A subclass gives its
+    slots and :meth:`_with`, which wraps a polynomial over the same table
+    as the same type with the same context and checks nothing.  ``+``,
+    ``-`` and ``==`` take only an operand of exactly the same type and
+    return ``NotImplemented`` for any other; operands over different
+    tables raise ``ValueError`` with the subclass's ``_mismatch`` text.
+    Values are unhashable.
+    """
+
+    __slots__ = ()
+    _mismatch = "generator table mismatch"
+
+    def _with(self, poly: SuperPoly) -> "PolyElement":
+        raise NotImplementedError
+
+    def _operand(self, other) -> SuperPoly | None:
+        """``other.poly`` when other is of exactly this type, else None."""
+        if type(other) is not type(self):
+            return None
+        table = other.poly.table
+        if table is not self.poly.table and table != self.poly.table:
+            raise ValueError(self._mismatch)
+        return other.poly
+
+    def is_zero(self) -> bool:
+        return not self.poly.terms
+
+    def __bool__(self):
+        return bool(self.poly.terms)
+
+    def __add__(self, other):
+        poly = self._operand(other)
+        return NotImplemented if poly is None else self._with(self.poly + poly)
+
+    def __sub__(self, other):
+        poly = self._operand(other)
+        return NotImplemented if poly is None else self._with(self.poly - poly)
+
+    def __neg__(self):
+        return self._with(-self.poly)
+
+    def scale(self, c):
+        return self._with(self.poly.scale(c))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.poly == other.poly
 
 
 def _leading_monomial(poly: SuperPoly) -> Monomial:

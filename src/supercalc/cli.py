@@ -131,6 +131,14 @@ def _markers_options(f):
     return f
 
 
+def _gaussian_flags(gaussian) -> frozenset:
+    """The ``--gaussian`` names; one given twice would weigh exp(-2z^2)."""
+    names = frozenset(gaussian)
+    if len(names) < len(gaussian):
+        raise ValueError("each even coordinate takes at most one marker")
+    return names
+
+
 def _collect_markers(markers: Markers, gaussian, dirac, formal) -> Markers:
     pins = []
     for item in dirac:
@@ -143,7 +151,7 @@ def _collect_markers(markers: Markers, gaussian, dirac, formal) -> Markers:
             raise click.UsageError(f"--dirac point must be rational: {item!r}")
     # every pin kept (``of`` would keep the last per name), so that
     # ``merged`` refuses two on one coordinate
-    return markers.merged(Markers(frozenset(gaussian), tuple(sorted(pins)),
+    return markers.merged(Markers(_gaussian_flags(gaussian), tuple(sorted(pins)),
                                   frozenset(formal)))
 
 
@@ -152,7 +160,7 @@ def _gaussian_weights(markers: Markers, gaussian, what: str) -> set:
     command that has no use for dirac(...) or formal(...) tags."""
     if markers.dirac or markers.formal:
         raise click.UsageError(f"the {what} takes gauss(...) tags only")
-    return set(markers.gaussian) | set(gaussian)
+    return set(markers.merged(Markers.of(_gaussian_flags(gaussian))).gaussian)
 
 
 class _Command(click.Command):

@@ -42,6 +42,7 @@ from supercalc.algebra import (
     MULTIPLY,
     GeneratorTable,
     Monomial,
+    PolyElement,
     SuperPoly,
     release_even_exponents,
     transport,
@@ -179,7 +180,7 @@ def _symbol_table(table: GeneratorTable) -> GeneratorTable:
     return GeneratorTable(fiber + [(dd, c) for _, dd, c in derivative_letters(table)] + base)
 
 
-class UniversalElement:
+class UniversalElement(PolyElement):
     """Finite sum of monomials (fiber word) (x) (derivative word) * f.
 
     The element is one polynomial ``poly`` over ``_symbol_table(table)``,
@@ -198,6 +199,11 @@ class UniversalElement:
             raise ValueError("polynomial is not over the operator symbols")
         self.table = table
         self.poly = poly
+
+    def _with(self, poly: SuperPoly) -> "UniversalElement":
+        out = UniversalElement.__new__(UniversalElement)
+        out.table, out.poly = self.table, poly
+        return out
 
     @classmethod
     def zero(cls, table: GeneratorTable) -> "UniversalElement":
@@ -223,30 +229,6 @@ class UniversalElement:
         if sign == 0:
             return cls.zero(table)
         return cls(table, SuperPoly(symbols, {word: sign * Fraction(coeff)}) * f)
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __add__(self, other):
-        if not isinstance(other, UniversalElement):
-            return NotImplemented
-        return UniversalElement(self.table, self.poly + other.poly)
-
-    def __neg__(self):
-        return UniversalElement(self.table, -self.poly)
-
-    def __sub__(self, other):
-        if not isinstance(other, UniversalElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "UniversalElement":
-        return UniversalElement(self.table, self.poly.scale(c))
-
-    def __eq__(self, other):
-        if not isinstance(other, UniversalElement):
-            return NotImplemented
-        return self.table == other.table and self.poly == other.poly
 
     def __str__(self):
         symbols = self.poly.table
@@ -287,14 +269,14 @@ def _pair_steps(table: GeneratorTable) -> tuple[tuple, tuple, tuple, tuple]:
 def script_D(u: UniversalElement) -> UniversalElement:
     """Multiplication by the odd element sum_z dz (x) d/dz: left
     multiplication of the polynomial by sum_z dz*dd_z."""
-    return UniversalElement(u.table, u.poly.pair_sum(_pair_steps(u.table)[2]))
+    return u._with(u.poly.pair_sum(_pair_steps(u.table)[2]))
 
 
 def script_H(u: UniversalElement) -> UniversalElement:
     """Contracting homotopy: contract one fiber symbol dz and commute the
     coordinate z through the derivative word, which on the polynomial is
     the left derivative along dz and then along dd_z."""
-    return UniversalElement(u.table, u.poly.pair_sum(_pair_steps(u.table)[3]))
+    return u._with(u.poly.pair_sum(_pair_steps(u.table)[3]))
 
 
 def con3_identity_factor(u: UniversalElement) -> int:

@@ -5,7 +5,8 @@ followed by one derivative letter dd_z per base coordinate z, of z's
 parity (:func:`derham.derivative_letters`).  Read in table order, a
 monomial is  coefficient * d_x^l * d_th^eps  with the coefficient LEFT of
 the letters and the odd letters ascending: the normal order.  Sums,
-scaling, parity and left multiplication are polynomial operations.  Extra
+scaling, parity and left multiplication are polynomial operations, the
+module ones inherited from :class:`~supercalc.algebra.PolyElement`.  Extra
 generators in the table (form symbols, say) carry no letter and live in
 the coefficients.
 
@@ -36,6 +37,7 @@ from supercalc.algebra import (
     POLYVECTOR_ODD,
     GeneratorTable,
     Monomial,
+    PolyElement,
     SuperPoly,
     _check_same_table,
     transport,
@@ -52,7 +54,7 @@ def weyl_table(table: GeneratorTable) -> GeneratorTable:
     return table.extend((dd, c) for _, dd, c in derivative_letters(table))
 
 
-class DiffOp:
+class DiffOp(PolyElement):
     """Element of the Weyl superalgebra over a generator table.
 
     ``poly`` is the operator as one polynomial over ``weyl_table(table)``,
@@ -67,6 +69,11 @@ class DiffOp:
             raise ValueError("polynomial is not over the operator's Weyl table")
         self.table = table
         self.poly = poly
+
+    def _with(self, poly: SuperPoly) -> "DiffOp":
+        out = DiffOp.__new__(DiffOp)
+        out.table, out.poly = self.table, poly
+        return out
 
     # --- constructors -----------------------------------------------------
 
@@ -92,12 +99,6 @@ class DiffOp:
 
     # --- views --------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __bool__(self):
-        return bool(self.poly)
-
     def degree(self) -> int:
         """Filtration degree: highest total derivative order, -1 for zero."""
         weyl = self.poly.table
@@ -109,35 +110,11 @@ class DiffOp:
     def homogeneous_parts(self) -> "tuple[DiffOp, DiffOp]":
         """Split into (even operator, odd operator)."""
         even, odd = self.poly.homogeneous_parts()
-        return DiffOp(self.table, even), DiffOp(self.table, odd)
-
-    # --- module structure ------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        _check_same_table(self, other)
-        return DiffOp(self.table, self.poly + other.poly)
-
-    def __neg__(self):
-        return DiffOp(self.table, -self.poly)
-
-    def __sub__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "DiffOp":
-        return DiffOp(self.table, self.poly.scale(c))
+        return self._with(even), self._with(odd)
 
     def left_multiply(self, f: SuperPoly) -> "DiffOp":
         """f * D; cheap because coefficients already sit on the left."""
-        return DiffOp(self.table, transport(f, self.poly.table) * self.poly)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.table == other.table and self.poly == other.poly
+        return self._with(transport(f, self.poly.table) * self.poly)
 
     # --- composition ------------------------------------------------------------
 
@@ -171,7 +148,7 @@ class DiffOp:
                         continue
                     taken = run + 1 if i == last else 1
                     level.append((d_left, d_right, i, taken, weight * Fraction(1, taken)))
-        return DiffOp(self.table, SuperPoly.sum_of_products(self.poly.table, pairs))
+        return self._with(SuperPoly.sum_of_products(self.poly.table, pairs))
 
     def bracket(self, other: "DiffOp") -> "DiffOp":
         """Super-commutator [D, E] = DE - (-1)^{|D||E|} ED, extended

@@ -58,7 +58,7 @@ import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from supercalc.algebra import SuperPoly, absorb_even_exponents, transport
+from supercalc.algebra import PolyElement, SuperPoly, absorb_even_exponents, transport
 from supercalc.charts import Chart, CoordinateMap
 from supercalc.derham import DERIV_PREFIX, fiber_name, form_table
 from supercalc.diffops import DiffOp
@@ -651,6 +651,8 @@ class Evaluator:
             return Markers.of(dirac={name: point})
         names = [_marker_name(a, tok) for a in args]
         if fname == "gauss":
+            if len(set(names)) < len(names):    # exp(-z^2) twice is no tag's weight
+                raise _Refusal("each even coordinate takes at most one marker", tok)
             return Markers.of(gaussian=names)
         return Markers.of(formal=names)
 
@@ -659,7 +661,7 @@ class Evaluator:
             return -value
         if isinstance(value, Poly):
             return Poly(-value.poly, value.layer)
-        if isinstance(value, (DiffOp, DeltaForm, IntegralForm)):
+        if isinstance(value, PolyElement):
             return -value
         if isinstance(value, BerPending):
             return BerPending(-value.poly)

@@ -15,7 +15,12 @@ the integral form of degree p (the number of even coordinates), and every
 polyvector letter lowers the degree by one.  Densities have no type of
 their own: the functions that take or return one take or return a
 degree-p :class:`IntegralForm`, and refuse a form that carries a
-polyvector letter.  The complex carries
+polyvector letter.  An integral form and a
+:class:`~supercalc.pseudoforms.DeltaForm` store the same polynomial over
+the polyvector table, so both derive from :class:`PolyvectorForm`, which
+gives them their degrees, parity and coordinate change; their sums,
+negation, scaling and equality come from
+:class:`~supercalc.algebra.PolyElement`.  The complex carries
 
 * a degree-lowering differential :func:`spencer_delta`,
 * an explicit contracting homotopy :func:`homotopy_int` whose defect
@@ -24,7 +29,7 @@ polyvector letter.  The complex carries
 * a right action of differential operators :func:`right_action` making the
   densities a right module over the Weyl superalgebra of the chart,
 * Lie derivatives along vector fields :func:`lie_derivative_ber`,
-* coordinate changes :meth:`IntegralForm.transform`, on every degree, and
+* coordinate changes :meth:`PolyvectorForm.transform`, on every degree, and
 * a contraction pairing :func:`pair` against differential forms, filling
   the role a wedge product cannot play here: two integral forms never
   multiply, an integral form and a form do.
@@ -66,6 +71,7 @@ from supercalc.algebra import (
     POLYVECTOR_EVEN,
     POLYVECTOR_ODD,
     RIGHT_DERIVE,
+    PolyElement,
     SuperPoly,
     release_even_exponents,
     transport,
@@ -196,9 +202,11 @@ class Markers(NamedTuple):
 
     def merged(self, other: "Markers") -> "Markers":
         """Both sets of tags.  Two pins on one name, from either side, are
-        refused: two point evaluations of one coordinate have no value."""
+        refused: two point evaluations of one coordinate have no value.  So
+        is a Gaussian weight on one name from both sides, which would make
+        the weight exp(-2z^2) that no tag spells."""
         pins = self.dirac + other.dirac
-        if len({name for name, _ in pins}) < len(pins):
+        if self.gaussian & other.gaussian or len({name for name, _ in pins}) < len(pins):
             raise ValueError("each even coordinate takes at most one marker")
         return Markers.of(self.gaussian | other.gaussian, pins,
                           self.formal | other.formal)
@@ -287,7 +295,7 @@ def right_action(density: IntegralForm, op: DiffOp) -> IntegralForm:
         if word:
             h = h.apply_word(_right_word(weyl, word))
         out = out + h if out else h
-    return IntegralForm(density.chart, transport(out, density.table))
+    return density._with(transport(out, density.table))
 
 
 @lru_cache(maxsize=4096)
@@ -305,51 +313,31 @@ def _right_word(weyl: GeneratorTable, word: Monomial) -> tuple:
 # --- integral forms -------------------------------------------------------------
 
 
-class IntegralForm:
-    """``Ber @ h`` with h a polynomial in coordinates and polyvector letters.
+class PolyvectorForm(PolyElement):
+    """One polynomial ``poly`` over ``polyvector_table(chart)``: the
+    stored data of an :class:`IntegralForm` and of a
+    :class:`~supercalc.pseudoforms.DeltaForm`, the two pictures of one
+    form, which share their gradings and their coordinate change here."""
 
-    The numerical degree of a monomial is p minus its polyvector degree,
-    so plain densities sit on top and the bottom is reached after p + q
-    contractions are no longer possible (odd letters square to zero, even
-    letters do not, hence the complex is unbounded below for q > 0).
-    A density, the section ``Ber @ f`` of the Berezinian sheaf that a
-    Berezin integral consumes, is an integral form of degree p: one with
-    no polyvector letter.
-
-    Integral forms add and scale, multiply by functions and polyvectors
-    through :meth:`times`, and pair with differential forms through
-    :func:`pair`.  There is deliberately no product of two integral
-    forms; the density symbol cannot appear twice.
-    """
-
-    __slots__ = ("chart", "table", "poly")
-
-    def __init__(self, chart: Chart, poly):
-        table = polyvector_table(chart)
-        if isinstance(poly, SuperPoly):
-            if poly.table == chart.table:
-                poly = transport(poly, table)
-            elif poly.table != table:
-                raise ValueError("element is not over the chart or its "
-                                 "polyvector extension")
-        else:
-            poly = SuperPoly.constant(table, poly)
-        self.chart = chart
-        self.table = table
-        self.poly = poly
+    __slots__ = ("chart", "poly")
 
     @classmethod
-    def cohomology_generator(cls, chart: Chart) -> "IntegralForm":
-        """``Ber @ th_1..th_q pdz_1..pdz_p``, the surviving class."""
-        powers = {name: 1 for name in chart.odd_names}
-        powers.update({polyvector_name(n): 1 for n in chart.even_names})
-        table = polyvector_table(chart)
-        return cls(chart, SuperPoly.from_monomial(table, powers))
+    def _of(cls, chart: Chart, poly: SuperPoly):
+        """Wrap a polynomial over ``polyvector_table(chart)`` as it is."""
+        out = cls.__new__(cls)
+        out.chart = chart
+        out.poly = poly
+        return out
 
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
+    def _with(self, poly: SuperPoly):
+        return self._of(self.chart, poly)
+
+    @property
+    def table(self) -> GeneratorTable:
+        return self.poly.table
 
     def degrees(self) -> frozenset[int]:
+        """p minus the polyvector degree, over the stored monomials."""
         p = self.chart.p
         return frozenset(p - polyvector_degree(self.table, mono)
                          for mono in self.poly.terms)
@@ -359,17 +347,11 @@ class IntegralForm:
         return next(iter(degs)) if len(degs) == 1 else None
 
     def parity(self) -> int | None:
-        base = (self.chart.p + self.chart.q) % 2
+        """Z2 parity p + q + |poly|, None when mixed or zero."""
         pp = self.poly.parity()
-        if pp is None:
-            return None
-        return (base + pp) % 2
+        return None if pp is None else (self.chart.p + self.chart.q + pp) % 2
 
-    def times(self, factor) -> "IntegralForm":
-        """Right multiplication by a function or polyvector polynomial."""
-        return IntegralForm(self.chart, self.poly * IntegralForm(self.chart, factor).poly)
-
-    def transform(self, m: CoordinateMap) -> "IntegralForm":
+    def transform(self, m: CoordinateMap):
         """Express the form in the source coordinates of ``m``.
 
         The coordinates pull back along the map, each polyvector letter
@@ -410,32 +392,53 @@ class IntegralForm:
             pulled = m.pullback(transport(f, self.chart.table))
             pairs.append((transport(pulled, table), image))
         moved = transport(ber, table) * SuperPoly.sum_of_products(table, pairs)
-        return IntegralForm(src, release_even_exponents(moved))
+        return self._of(src, release_even_exponents(moved))
 
-    def scale(self, c) -> "IntegralForm":
-        return IntegralForm(self.chart, self.poly.scale(c))
 
-    def __add__(self, other: "IntegralForm") -> "IntegralForm":
-        self._check(other)
-        return IntegralForm(self.chart, self.poly + other.poly)
+class IntegralForm(PolyvectorForm):
+    """``Ber @ h`` with h a polynomial in coordinates and polyvector letters.
 
-    def __sub__(self, other: "IntegralForm") -> "IntegralForm":
-        self._check(other)
-        return IntegralForm(self.chart, self.poly - other.poly)
+    The numerical degree of a monomial is p minus its polyvector degree,
+    so plain densities sit on top and the bottom is reached after p + q
+    contractions are no longer possible (odd letters square to zero, even
+    letters do not, hence the complex is unbounded below for q > 0).
+    A density, the section ``Ber @ f`` of the Berezinian sheaf that a
+    Berezin integral consumes, is an integral form of degree p: one with
+    no polyvector letter.
 
-    def __neg__(self) -> "IntegralForm":
-        return IntegralForm(self.chart, -self.poly)
+    Integral forms add and scale, multiply by functions and polyvectors
+    through :meth:`times`, and pair with differential forms through
+    :func:`pair`.  There is deliberately no product of two integral
+    forms; the density symbol cannot appear twice.
+    """
 
-    def _check(self, other: "IntegralForm") -> None:
-        if not isinstance(other, IntegralForm):
-            raise TypeError("expected another integral form")
-        if other.table != self.table:
-            raise ValueError("integral forms live on different charts")
+    __slots__ = ()
+    _mismatch = "integral forms live on different charts"
 
-    def __eq__(self, other):
-        if not isinstance(other, IntegralForm):
-            return NotImplemented
-        return self.table == other.table and self.poly == other.poly
+    def __init__(self, chart: Chart, poly):
+        table = polyvector_table(chart)
+        if isinstance(poly, SuperPoly):
+            if poly.table == chart.table:
+                poly = transport(poly, table)
+            elif poly.table != table:
+                raise ValueError("element is not over the chart or its "
+                                 "polyvector extension")
+        else:
+            poly = SuperPoly.constant(table, poly)
+        self.chart = chart
+        self.poly = poly
+
+    @classmethod
+    def cohomology_generator(cls, chart: Chart) -> "IntegralForm":
+        """``Ber @ th_1..th_q pdz_1..pdz_p``, the surviving class."""
+        powers = {name: 1 for name in chart.odd_names}
+        powers.update({polyvector_name(n): 1 for n in chart.even_names})
+        table = polyvector_table(chart)
+        return cls(chart, SuperPoly.from_monomial(table, powers))
+
+    def times(self, factor) -> "IntegralForm":
+        """Right multiplication by a function or polyvector polynomial."""
+        return self._with(self.poly * IntegralForm(self.chart, factor).poly)
 
     def __str__(self):
         return f"Ber @ {self.poly}"
@@ -477,7 +480,7 @@ def spencer_delta(u: IntegralForm, gaussian: Iterable[str] = ()) -> IntegralForm
     zero.  The whole sum is one ``SuperPoly.pair_sum``.
     """
     gaussian = Markers.of(gaussian).check(u.chart).gaussian
-    return IntegralForm(u.chart, u.poly.pair_sum(_integral_steps(u.table, gaussian)[0]))
+    return u._with(u.poly.pair_sum(_integral_steps(u.table, gaussian)[0]))
 
 
 @cache
@@ -506,7 +509,7 @@ def cohomology_projection(u: IntegralForm) -> IntegralForm:
     """
     mono = _surviving_key(u.table)
     c = release_even_exponents(u.poly).coefficient(mono)
-    return IntegralForm(u.chart, SuperPoly(u.table, {mono: c}))
+    return u._with(SuperPoly(u.table, {mono: c}))
 
 
 @cache
@@ -557,7 +560,7 @@ def homotopy_int(u: IntegralForm) -> IntegralForm:
                 "nonzero product on a generator monomial"
             continue
         weights.append((mono, c, w))
-    return IntegralForm(u.chart, _weighted_pair_sum(table, weights, steps))
+    return u._with(_weighted_pair_sum(table, weights, steps))
 
 
 def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
@@ -595,8 +598,7 @@ def pair(u: IntegralForm, omega: SuperPoly) -> IntegralForm:
                                       for m, c in part.terms.items()})
                  for part in omega.homogeneous_parts())
     u_even, u_odd = u.poly.homogeneous_parts()
-    return IntegralForm(u.chart, _form_action(even, u.poly)
-                        + _form_action(odd, u_even - u_odd))
+    return u._with(_form_action(even, u.poly) + _form_action(odd, u_even - u_odd))
 
 
 def _form_action(omega: SuperPoly, poly: SuperPoly) -> SuperPoly:

@@ -14,7 +14,10 @@ it.
 
 These forms are the integral forms in another notation, and a
 :class:`DeltaForm` stores exactly the polynomial its
-:class:`IntegralForm` holds, over ``polyvector_table(chart)``.  A dx
+:class:`IntegralForm` holds, over ``polyvector_table(chart)``.  Both
+derive from :class:`~supercalc.integral_forms.PolyvectorForm`, so they
+share their module arithmetic, degrees, parity and coordinate change, and
+:func:`to_integral_form` and :func:`from_integral_form` only rewrap.  A dx
 letter that is absent becomes the odd polyvector letter pdx_i and a
 derived delta the even letter pdth_a to the power of its order:
 
@@ -47,16 +50,17 @@ raises l by one, and a dx letter costs the sign of the odd letters it
 passes.  They satisfy [d/d(dth_a), dth_b] = delta_ab and
 {d/d(dx_i), dx_j} = delta_ij on every form.  A term sits in Z-degree
 (number of dx letters) minus (total delta derivatives), which is p minus
-the polyvector degree of its stored monomials, and
-:func:`to_integral_form` and :func:`from_integral_form` only rewrap.
+the polyvector degree of its stored monomials, the degree that
+:meth:`~supercalc.integral_forms.PolyvectorForm.degrees` reads.
 
 A differential form multiplies from the left through :func:`form_times_delta`,
 the action that :func:`supercalc.integral_forms.pair` shares: pair(u, omega)
 = (-1)^{deg omega + |u||omega|} omega . u.  Its coefficients must be
 polynomial, so a quotient inside a delta term is refused, where pair takes one.
 
-A coordinate change acts on the stored polynomial by the integral-form
-law of :meth:`IntegralForm.transform`: the coordinates pull back, pd_t
+A coordinate change is the one
+:meth:`~supercalc.integral_forms.PolyvectorForm.transform` of both pictures,
+the integral-form law on the stored polynomial: the coordinates pull back, pd_t
 goes to sum_s pd_s (J^-1)_st and the whole picks up Ber J.  Read back in
 the letters above, that is the term-by-term rule: each dx letter becomes
 the differential of its coordinate image, and with dth'_a = sum_b G_ab
@@ -82,10 +86,11 @@ from supercalc.algebra import (
     release_even_exponents,
     transport,
 )
-from supercalc.charts import Chart, CoordinateMap
+from supercalc.charts import Chart
 from supercalc.derham import fiber_name, form_table
 from supercalc.integral_forms import (
     IntegralForm,
+    PolyvectorForm,
     _form_action,
     _polyvector_table,
     _word,
@@ -160,7 +165,7 @@ def _term_key(table: GeneratorTable, eps: Sequence[int],
     return -1 if shift % 2 else 1, key
 
 
-class DeltaForm:
+class DeltaForm(PolyvectorForm):
     """A finite sum of delta-type terms over one chart.
 
     The form is stored as one polynomial ``poly`` over
@@ -174,7 +179,8 @@ class DeltaForm:
     all odd.
     """
 
-    __slots__ = ("chart", "poly")
+    __slots__ = ()
+    _mismatch = "delta forms live on different charts"
 
     def __init__(self, chart: Chart, terms: Mapping[TermKey, object] | None = None):
         table = polyvector_table(chart)
@@ -192,14 +198,6 @@ class DeltaForm:
                 acc, letters, sign)
         self.chart = chart
         self.poly = SuperPoly(table, acc)
-
-    @classmethod
-    def _of(cls, chart: Chart, poly: SuperPoly) -> "DeltaForm":
-        """Wrap a polynomial over ``polyvector_table(chart)`` as it is."""
-        out = cls.__new__(cls)
-        out.chart = chart
-        out.poly = poly
-        return out
 
     # --- constructors -----------------------------------------------------
 
@@ -292,55 +290,10 @@ class DeltaForm:
 
     # --- ring-module structure ---------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def _check(self, other: "DeltaForm") -> None:
-        if self.chart.table != other.chart.table:
-            raise ValueError("delta forms live on different charts")
-
-    def __add__(self, other: "DeltaForm") -> "DeltaForm":
-        self._check(other)
-        return DeltaForm._of(self.chart, self.poly + other.poly)
-
-    def __sub__(self, other: "DeltaForm") -> "DeltaForm":
-        return self + (-other)
-
-    def __neg__(self) -> "DeltaForm":
-        return DeltaForm._of(self.chart, -self.poly)
-
-    def scale(self, c) -> "DeltaForm":
-        return DeltaForm._of(self.chart, self.poly.scale(c))
-
     def times(self, f) -> "DeltaForm":
         """Multiply by a coordinate function from the left."""
         f = transport(_coerce_coefficient(self.chart, f), self.poly.table)
-        return DeltaForm._of(self.chart, f * self.poly)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DeltaForm):
-            return NotImplemented
-        return self.poly == other.poly
-
-    # --- gradings -----------------------------------------------------------
-
-    def z_degrees(self) -> frozenset[int]:
-        return to_integral_form(self).degrees()
-
-    def parity(self) -> int | None:
-        """Z2 parity q + |f| + (number of dx letters), None when mixed."""
-        return to_integral_form(self).parity()
-
-    # --- coordinate change ----------------------------------------------------
-
-    def transform(self, m: CoordinateMap) -> "DeltaForm":
-        """Express the form in the source coordinates of ``m``: the
-        integral-form law of :meth:`IntegralForm.transform` on the stored
-        polynomial.  A Jacobian that does not invert is refused, since the
-        delta factors cannot then be brought back to the coordinate
-        directions.
-        """
-        return from_integral_form(to_integral_form(self).transform(m))
+        return self._with(f * self.poly)
 
     # --- presentation ---------------------------------------------------------
 
@@ -415,7 +368,7 @@ def cw_apply(op: CWOperator | str | Iterable[str], form: DeltaForm) -> DeltaForm
     else:
         letters = tuple(op)
     poly = form.poly
-    return DeltaForm._of(form.chart, poly.apply_word(_word(poly.table, letters)))
+    return form._with(poly.apply_word(_word(poly.table, letters)))
 
 
 # --- products with functions and differential forms ---------------------------
@@ -433,7 +386,7 @@ def delta_times_poly(form: DeltaForm, f) -> DeltaForm:
     if (form.chart.p + form.chart.q) % 2:
         even, odd = f.homogeneous_parts()
         f = even - odd
-    return DeltaForm._of(form.chart, form.poly * transport(f, form.poly.table))
+    return form._with(form.poly * transport(f, form.poly.table))
 
 
 def form_times_delta(omega: SuperPoly, form: DeltaForm) -> DeltaForm:
@@ -444,7 +397,7 @@ def form_times_delta(omega: SuperPoly, form: DeltaForm) -> DeltaForm:
     :func:`~supercalc.integral_forms.pair` shares."""
     if omega.table != form_table(form.chart.table):
         raise ValueError("form is not over the chart's differentials")
-    return DeltaForm._of(form.chart, _form_action(release_even_exponents(omega), form.poly))
+    return form._with(_form_action(release_even_exponents(omega), form.poly))
 
 
 # --- the bridge to integral forms ---------------------------------------------
@@ -457,7 +410,7 @@ def to_integral_form(form: DeltaForm) -> IntegralForm:
     only rewraps it; degrees match on the nose and
     :func:`from_integral_form` inverts exactly.
     """
-    return IntegralForm(form.chart, form.poly)
+    return IntegralForm._of(form.chart, form.poly)
 
 
 def from_integral_form(sigma: IntegralForm) -> DeltaForm:

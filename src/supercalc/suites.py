@@ -574,7 +574,7 @@ def _suite_delta_forms(rng, trials, p, q):
     def transform_commutes():
         m = _unimodular_split_map(rng, src, tgt)
         w = _random_delta_form(rng, tgt)
-        degs = w.z_degrees()
+        degs = w.degrees()
         if len(degs) != 1 or max(degs) > tgt.p:  # zero, of mixed degree, or above the top
             return False
         eta = transport(random_superpoly(rng, tgt.table, terms=2, max_exp=1), ftab)

@@ -601,6 +601,34 @@ def _usage(command: str, operands: str, error: str) -> str:
      {"density": "Ber @ th1 dirac(x1,1)\n", "form": "x1 dirac(x1,2)\n"},
      _usage("pd-pair", "DENSITY_FILE FORM_FILE",
             "each even coordinate takes at most one marker")),
+    # two Gaussian weights on one coordinate, however they are written: the
+    # single weight's value would be printed for exp(-2 x1^2)
+    (["berezin-int", "--ring", "1|1", "--", "Ber @ th1*x1^2 gauss(x1) gauss(x1)"], {},
+     _usage("berezin-int", "EXPRESSION",
+            "each even coordinate takes at most one marker")),
+    (["berezin-int", "--ring", "1|1", "--", "Ber @ th1*x1^2 gauss(x1,x1)"], {},
+     _usage("berezin-int", "EXPRESSION",
+            "line 1, column 16: each even coordinate takes at most one marker")),
+    (["berezin-int", "--ring", "1|1", "--gaussian", "x1", "--",
+      "Ber @ th1*x1^2 gauss(x1)"], {},
+     _usage("berezin-int", "EXPRESSION",
+            "each even coordinate takes at most one marker")),
+    (["berezin-int", "--ring", "1|1", "--gaussian", "x1", "--gaussian", "x1", "--",
+      "Ber @ th1*x1^2"], {},
+     _usage("berezin-int", "EXPRESSION",
+            "each even coordinate takes at most one marker")),
+    (["lie-ber", "--ring", "1|1", "--gaussian", "x1", "--",
+      "Ber @ x1*th1 gauss(x1)", "x1 = 1"], {},
+     _usage("lie-ber", "DENSITY FIELD",
+            "each even coordinate takes at most one marker")),
+    (["lie-ber", "--ring", "1|1", "--gaussian", "x1", "--gaussian", "x1", "--",
+      "Ber @ x1*th1", "x1 = 1"], {},
+     _usage("lie-ber", "DENSITY FIELD",
+            "each even coordinate takes at most one marker")),
+    (["pd-pair", "--ring", "1|1", "{density}", "{form}"],
+     {"density": "Ber @ th1 gauss(x1)\n", "form": "x1 gauss(x1)\n"},
+     _usage("pd-pair", "DENSITY_FILE FORM_FILE",
+            "each even coordinate takes at most one marker")),
 ])
 def test_refusals_print_usage_and_the_exact_error(tmp_path, args, files,
                                                   output):

@@ -1,8 +1,9 @@
 """Every exported name of the public modules resolves, the monomial
 encoding and the coefficient types stay private to ``supercalc.algebra``,
 no module expands over permutations, only the command line imports
-click, and the operator complex does not lean on the differential
-operators."""
+click, the operator complex does not lean on the differential
+operators, and the values stored as one polynomial share one module
+arithmetic."""
 
 import ast
 import importlib
@@ -110,3 +111,40 @@ def test_the_operator_complex_imports_nothing_from_diffops():
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert "supercalc.diffops" not in imported
+
+
+_MODULE_OPERATIONS = ("is_zero", "__bool__", "__add__", "__sub__", "__neg__",
+                      "scale", "__eq__")
+
+
+def _source_classes():
+    src = pathlib.Path(supercalc.__file__).parent
+    for path in sorted(src.glob("[!_]*.py")):
+        module = importlib.import_module(f"supercalc.{path.stem}")
+        yield from (v for v in vars(module).values()
+                    if isinstance(v, type) and v.__module__ == module.__name__)
+
+
+def test_values_stored_as_one_polynomial_share_one_module_arithmetic():
+    # A class holding a ``poly`` slot takes its sums, negation, scaling,
+    # zero test and equality from PolyElement and redefines none of them.
+    from supercalc.algebra import PolyElement
+    classes = set(_source_classes())
+    holders = {c for c in classes if "poly" in vars(c).get("__slots__", ())}
+    assert holders and all(issubclass(c, PolyElement) for c in holders)
+    elements = {c for c in classes if issubclass(c, PolyElement) and c is not PolyElement}
+    assert {c.__name__ for c in elements} >= {
+        "DiffOp", "UniversalElement", "IntegralForm", "DeltaForm"}
+    redefined = [f"{c.__name__}.{name}" for c in sorted(elements, key=repr)
+                 for name in _MODULE_OPERATIONS if name in vars(c)]
+    assert not redefined
+
+
+def test_the_two_polyvector_pictures_share_gradings_and_transform():
+    from supercalc.integral_forms import IntegralForm, PolyvectorForm
+    from supercalc.pseudoforms import DeltaForm
+    for cls in (IntegralForm, DeltaForm):
+        assert cls.__bases__ == (PolyvectorForm,)
+        own = {"_of", "_with", "degrees", "degree", "parity",
+               "transform"}.intersection(vars(cls))
+        assert not own, (cls.__name__, own)

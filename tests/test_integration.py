@@ -170,6 +170,14 @@ class TestGaussianIntegrand:
                      (Markers.none(), twice), (twice, Markers.none())):
             with pytest.raises(ValueError, match="at most one marker"):
                 a.merged(b)
+        # so does a Gaussian weight on one name from both sides, while the
+        # library's keywords keep their set semantics
+        assert Markers.of(gaussian=["z1", "z1"]) == Markers.of(gaussian=["z1"])
+        for b in (Markers.of(gaussian=["z1"]), Markers.of(gaussian=["z3", "z1"])):
+            with pytest.raises(ValueError, match="at most one marker"):
+                m.merged(b)
+            with pytest.raises(ValueError, match="at most one marker"):
+                b.merged(m)
 
 
 class TestBerezinIntegral:

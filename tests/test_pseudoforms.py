@@ -752,20 +752,20 @@ class TestGradings:
     def test_pivot_degree_and_parity(self):
         for chart in (R01, R11, R12, R21, R22):
             top = DeltaForm.top(chart)
-            assert top.z_degrees() == {chart.p}
+            assert top.degrees() == {chart.p}
             assert top.parity() == (chart.p + chart.q) % 2
 
     def test_derived_delta_sits_below_zero(self):
-        assert delta_term(R02, 1, (), (1, 0)).z_degrees() == {-1}
+        assert delta_term(R02, 1, (), (1, 0)).degrees() == {-1}
 
     def test_mixed_degrees_reported(self):
         mixed = DeltaForm.top(R11) + delta_term(R11, 1, (0,), (0,))
-        assert mixed.z_degrees() == frozenset({0, 1})
+        assert mixed.degrees() == frozenset({0, 1})
         census = Counter(sum(eps) - sum(ells) for eps, ells in mixed.terms)
         assert census == {0: 1, 1: 1}
 
     def test_zero_form_has_no_degree(self):
-        assert DeltaForm.zero(R11).z_degrees() == frozenset()
+        assert DeltaForm.zero(R11).degrees() == frozenset()
         assert DeltaForm.zero(R11).parity() is None
 
     def test_degree_shift_matches_z_shift(self):
@@ -779,8 +779,8 @@ class TestGradings:
             if out.is_zero() or w.is_zero():
                 continue
             shift = -1 if token.startswith("dd_") else 1
-            (before,) = w.z_degrees()
-            assert out.z_degrees() == {before + shift}
+            (before,) = w.degrees()
+            assert out.degrees() == {before + shift}
             moved += 1
         assert moved >= 10
 
@@ -849,10 +849,28 @@ class TestIsomorphism:
                 w = homogeneous_delta_form(rng, chart, degree)
                 sigma = to_integral_form(w)
                 if not w.is_zero():
-                    assert {sigma.degree()} == w.z_degrees() == {degree}
+                    assert {sigma.degree()} == w.degrees() == {degree}
 
 
 class TestTransform:
+    def test_shared_transform_matches_the_rewrap(self):
+        # the oracle is the earlier DeltaForm.transform: through the
+        # integral-form picture and back
+        rng = random.Random(857)
+        source = Chart(["u1", "u2"], ["et1", "et2"], label="U")
+        target = Chart(["v1", "v2"], ["ps1", "ps2"], label="V")
+        moved = 0
+        for _ in range(12):
+            m = _unimodular_split_map(rng, source, target)
+            w = _random_delta_form(rng, target, terms=3)
+            out = w.transform(m)
+            oracle = from_integral_form(to_integral_form(w).transform(m))
+            assert type(out) is DeltaForm and out.chart is source
+            assert out.poly.table is oracle.poly.table
+            assert out.poly.terms == oracle.poly.terms
+            moved += not out.is_zero()
+        assert moved >= 10
+
     def test_linear_delta_scaling(self):
         src = Chart((), ("ps",), label="S")
         m = CoordinateMap(src, R01, {"th": gen(src.table, "ps").scale(2)})
