@@ -970,13 +970,8 @@ class RationalFunction:
     is positive, so a pair is fixed by its ratio.  The reduction cancels
     any common monomial factor and, when only a single even variable
     occurs, the full gcd (enough to keep quotients on a punctured line
-    fully reduced).  That gcd runs on integer coefficients
-    (:func:`_gcd_cofactors`): the heuristic gcd of Char, Geddes and Gonnet
-    evaluates both sides at one integer ξ >= 2 min(|a|, |b|) + 2, a
-    bound under which a small gcd of the two values proves the sides
-    coprime, and a gcd read from the digits of the values is accepted
-    only after it divides both sides exactly; when no reading passes, an
-    integer primitive remainder sequence decides.  See
+    fully reduced).  That gcd is the primitive remainder sequence on
+    integer coefficients (:func:`_gcd_cofactors`).  See
     :func:`_reduce_fraction` for which steps run on which denominator.
     The products inside ``+``, ``==``, ``*`` and :meth:`derivative` go
     through :func:`_products`, which relies on the pair being odd-free
@@ -1328,9 +1323,8 @@ def _reduce_fraction(num: SuperPoly, den: SuperPoly) -> tuple[SuperPoly, SuperPo
     constant or one-monomial denominator the monomial step has already
     removed the whole gcd, since x divides num only as far as its least
     x-exponent.  Each side becomes its content times a primitive ``int``
-    coefficient list, and :func:`_gcd_cofactors` returns the two lists
-    divided by their gcd, which is accepted only after an exact division
-    over Z, or proven to be 1 by a bound with no division at all.  Last,
+    coefficient list, and :func:`_gcd_cofactors` divides the two lists
+    by their gcd, found by the primitive remainder sequence.  Last,
     the pair is divided by the gcd of all its coefficients and its sign
     is fixed, so that the denominator's coefficient at the largest key is
     positive.
@@ -1383,97 +1377,34 @@ def _univariate_integers(poly: SuperPoly, shift: int) -> tuple[list[int], int]:
     return [c // content for c in f], content
 
 
-# ξ values tried by the heuristic gcd before the primitive PRS runs
-_GCDHEU_TRIES = 6
-
-
 def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """(a/g, b/g) for g = gcd(a, b), a and b primitive integer
     polynomials (coefficient lists, lowest degree first, both nonzero).
 
-    This is GCDHEU (Char, Geddes and Gonnet, *Heuristic GCD*, 1989).  With
-    m = min(|a|, |b|), the smaller sup-norm, take ξ >= 2m + 2, compute
-    γ = gcd(a(ξ), b(ξ)) over the integers and read h from the balanced
-    ξ-adic digits of γ, each of absolute value at most ξ/2.
-
-    Bound.  Let k be a nonconstant integer polynomial dividing the side c
-    of norm m.  By Cauchy's bound every root β of c has |β| < 1 + m, since
-    |lc(c)| >= 1; the roots of k are roots of c, so
-    |k(ξ)| = |lc(k)| prod |ξ - β| > (ξ - 1 - m)^deg k >= ξ - 1 - m >= ξ/2.
-    In particular c(ξ), and so γ, is not zero.
-
-    Certificate.  Let G be the primitive gcd of a and b; G(ξ) divides γ.
-    If h is a constant, γ <= ξ/2 < |G(ξ)| unless G is a constant: a and b
-    are coprime, and nothing is divided.
-
-    Exact check.  A candidate is accepted only when it divides both sides
-    exactly over Z, and those divisions give the cofactors.  Candidates
-    whose acceptance proves G: pp(h), since then G = pp(h) k with k(ξ)
-    dividing the content of h, at most ξ/2, so k is a constant; and
-    D = a / c for the cofactor c read from a(ξ)/γ (then b / c' for b(ξ)/γ),
-    since D(ξ) = γ and D is primitive, so G = D k with k(ξ) dividing 1.
-    When no candidate passes, ξ grows; after ``_GCDHEU_TRIES`` values the
-    integer primitive PRS (:func:`_prs_cofactors`) decides.
-    """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(_GCDHEU_TRIES):
-        found = _gcdheu_step(a, b, xi)
-        if found is not None:
-            return found
-        xi = xi * 73794 // 27011    # about 1 + √3 times
-    return _prs_cofactors(a, b)
-
-
-def _gcdheu_step(a: list[int], b: list[int], xi: int) -> tuple[list[int], list[int]] | None:
-    """:func:`_gcd_cofactors` at one ξ (at least its bound): the cofactors,
-    (a, b) itself when γ certifies that a and b are coprime, or None when
-    no candidate passes the exact check."""
-    va, vb = _value(a, xi), _value(b, xi)
-    gamma = gcd(va, vb)
-    if gamma <= xi // 2:
-        return a, b
-    h = _xi_adic(gamma, xi)
-    content = gcd(*h)
-    g = [c // content for c in h]
-    qa = _divide(a, g)
-    qb = qa and _divide(b, g)
-    if qb:
-        return qa, qb
-    return _cofactor_candidates(a, b, va // gamma, vb // gamma, xi)
-
-
-def _cofactor_candidates(a: list[int], b: list[int], ca: int, cb: int,
-                         xi: int) -> tuple[list[int], list[int]] | None:
-    """The cofactors read from ca = a(ξ)/γ, else from cb = b(ξ)/γ, when
-    the gcd they give divides the other side exactly."""
-    for c, side, other in ((ca, a, b), (cb, b, a)):
-        q = _xi_adic(c, xi)     # empty when ξ is a root of this side
-        g = q and _divide(side, q)
-        rest = g and _divide(other, g)
-        if rest:
-            return (q, rest) if side is a else (rest, q)
-    return None
-
-
-def _value(f: list[int], xi: int) -> int:
-    v = 0
-    for c in reversed(f):
-        v = v * xi + c
-    return v
-
-
-def _xi_adic(v: int, xi: int) -> list[int]:
-    """The balanced base-ξ digits of v, lowest first, each in
-    [-ξ/2, ξ/2]: the polynomial h with h(ξ) = v."""
-    half = xi // 2
-    out = []
-    while v:
-        d = v % xi
-        if d > half:
-            d -= xi
-        out.append(d)
-        v = (v - d) // xi
-    return out
+    g comes from the primitive polynomial remainder sequence:
+    pseudo-remainders over Z, each made primitive, until one is zero; the
+    last nonzero one, with its leading coefficient made positive, is g,
+    and a nonzero constant remainder leaves a and b as they are."""
+    f, g = (a, b) if len(a) >= len(b) else (b, a)
+    while len(g) > 1:
+        r = f[:]
+        lead, n = g[-1], len(g)
+        while len(r) >= n:
+            top, k = r[-1], len(r) - n
+            r = [c * lead for c in r]
+            for j in range(n):
+                r[k + j] -= top * g[j]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        content = gcd(*r)
+        f, g = g, [c // content for c in r]
+    else:
+        return a, b     # a nonzero constant remainder: coprime
+    if g[-1] < 0:
+        g = [-c for c in g]
+    return _divide(a, g), _divide(b, g)
 
 
 def _divide(f: list[int], g: list[int]) -> list[int] | None:
@@ -1493,30 +1424,6 @@ def _divide(f: list[int], g: list[int]) -> list[int] | None:
             for j in range(n):
                 r[k + j] -= c * g[j]
     return None if any(r[:n]) else q
-
-
-def _prs_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """:func:`_gcd_cofactors` by the primitive polynomial remainder
-    sequence: pseudo-remainders over Z, each made primitive, until one is
-    zero; the last nonzero one is the gcd."""
-    f, g = (a, b) if len(a) >= len(b) else (b, a)
-    while len(g) > 1:
-        r = f[:]
-        lead, n = g[-1], len(g)
-        while len(r) >= n:
-            top, k = r[-1], len(r) - n
-            r = [c * lead for c in r]
-            for j in range(n):
-                r[k + j] -= top * g[j]
-            while r and not r[-1]:
-                r.pop()
-        if not r:
-            break
-        content = gcd(*r)
-        f, g = g, [c // content for c in r]
-    else:
-        return a, b     # a nonzero constant remainder: coprime
-    return _divide(a, g), _divide(b, g)
 
 
 def _pull_back(source: GeneratorTable, polys: Iterable[SuperPoly],

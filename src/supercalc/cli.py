@@ -218,6 +218,8 @@ def cmd_homotopy(expression, degree, ring_text, json_mode):
     if markers:
         raise click.UsageError("the homotopy takes no marker tags")
     if isinstance(value, IntegralForm):
+        if degree is not None:
+            raise click.UsageError("--degree applies to forms only, not to densities")
         out = homotopy_int(value)
     else:
         out = homotopy_h(want(ring, value, FORM), degree)
@@ -488,22 +490,30 @@ def cmd_susy_check(ctx, gamma, trials, seed, ring_text, json_mode):
 
 
 def _parse_gamma(text: str, p: int, q: int):
+    """The --gamma tensor as nested lists indexed [mu][a][b]: a number
+    stands for one 1 by 1 matrix and a matrix for a list of one.  JSON
+    numbers are read exactly (0.1 is 1/10); any other leaf is refused."""
+    def refuse(constant):
+        raise click.UsageError(f"--gamma entries must be rational, got {constant}")
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=Fraction, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"--gamma is not valid JSON: {exc}")
 
-    def depth(x):
-        return 1 + depth(x[0]) if isinstance(x, list) and x else 0
+    def nested(x, levels):
+        if not levels:
+            return type(x) in (int, Fraction)   # bool is not a number here
+        return isinstance(x, list) and all(nested(y, levels - 1) for y in x)
 
-    if depth(data) == 0:
-        data = [[[data]]]
-    elif depth(data) == 2:
-        data = [data]
-    if depth(data) != 3:
-        raise click.UsageError("--gamma must be a number, a matrix, or a "
-                               "list of matrices")
-    return data
+    if nested(data, 0):
+        return [[[data]]]
+    if nested(data, 3):
+        return data
+    if nested(data, 2):
+        return [data]
+    raise click.UsageError("--gamma must be a number, a matrix, or a list of "
+                           "matrices, with rational entries")
 
 
 @main.command("cw-apply")

@@ -706,14 +706,19 @@ def _int_poly(rng, degree, size):
             + [rng.choice([-3, -2, -1, 1, 2, 3])])
 
 
-GCD_CASES = ["planted", "coprime", "content"]
+GCD_CASES = ["planted", "coprime", "content", "high-degree"]
 
 
 def _gcd_draw(rng, case):
     """Two integer coefficient lists in x: with a planted common factor of
-    degree 1-3, drawn apart, or planted and scaled by integer contents."""
+    degree 1-3, drawn apart, or planted and scaled by integer contents; or,
+    past the degree 12 that the cocycle suites reach, a planted factor of
+    degree 5-8 in sides of degree up to 23."""
     if case == "coprime":
         return _int_poly(rng, rng.randint(1, 4), 9), _int_poly(rng, rng.randint(1, 4), 9)
+    if case == "high-degree":
+        g = _int_poly(rng, rng.randint(5, 8), 9)
+        return tuple(_int_mul(g, _int_poly(rng, rng.randint(0, 15), 9)) for _ in range(2))
     g = _int_poly(rng, rng.randint(1, 3), rng.choice([1, 5, 40]))
     a, b = (_int_mul(g, _int_poly(rng, rng.randint(0, 3), 9)) for _ in range(2))
     if case == "content":
@@ -757,56 +762,27 @@ def test_integer_gcd_matches_sympy(case):
         assert _normal(rf)
 
 
-# a pair whose gcd 2x - 1 the heuristic reads from the cofactor a(ξ)/γ,
-# after pp(h) fails the exact check at the first ξ
-COFACTOR_READ = ([-3, 5, 4, -4], [-3, 8, -4])
-
-
-@pytest.mark.parametrize("fallback", ["prs", "no-cofactors"])
-def test_gcd_fallbacks_store_the_heuristic_pairs(monkeypatch, fallback):
+def test_sides_with_coprime_values_at_a_point_share_a_factor():
     import supercalc.algebra as algebra
 
-    rng = random.Random(67)
-    sides = [_gcd_draw(rng, case) for case in GCD_CASES for _ in range(15)]
-    sides.append(COFACTOR_READ)
-    quotients = [(_x_poly(a), _x_poly([Fraction(c, 7) for c in b])) for a, b in sides]
-    calls = {"gcd": 0, "read": 0, "prs": 0}
-
-    def spy(name, real, count=lambda out: True):
-        def counting(*args):
-            out = real(*args)
-            calls[name] += count(out)
-            return out
-        monkeypatch.setattr(algebra, real.__name__, counting)
-
-    spy("gcd", algebra._gcd_cofactors)
-    spy("read", algebra._cofactor_candidates, lambda out: out is not None)
-    spy("prs", algebra._prs_cofactors)
-    heuristic = [RationalFunction(n, d) for n, d in quotients]
-    runs = calls["gcd"]
-    assert runs > len(sides) // 2 and calls["read"] >= 1 and calls["prs"] == 0
-    if fallback == "prs":
-        monkeypatch.setattr(algebra, "_GCDHEU_TRIES", 0)
-    else:
-        monkeypatch.setattr(algebra, "_cofactor_candidates", lambda *args: None)
-    for (n, d), want in zip(quotients, heuristic):
-        got = RationalFunction(n, d)
-        assert (_typed(got.num), _typed(got.den)) == (_typed(want.num), _typed(want.den))
-    assert calls["gcd"] == 2 * runs
-    assert calls["prs"] == (runs if fallback == "prs" else 0)
-
-
-def test_a_xi_below_the_bound_misses_a_common_factor():
-    import supercalc.algebra as algebra
-
-    # (x - 3)(x + 1) and (x - 3)(x + 2): the smaller norm is 3, so the
-    # bound asks for ξ >= 8.  At ξ = 4 the values 5 and 6 are coprime, and
-    # the certificate would wrongly call the two sides coprime.
+    # (x - 3)(x + 1) and (x - 3)(x + 2): their values 5 and 6 at x = 4 are
+    # coprime, yet the sides share x - 3.
     a, b = [-3, -2, 1], [-6, -1, 1]
-    assert algebra._gcdheu_step(a, b, 4) == (a, b)
-    assert algebra._gcdheu_step(a, b, 8) == ([1, 1], [2, 1])
     assert algebra._gcd_cofactors(a, b) == ([1, 1], [2, 1])
     assert str(RationalFunction(_x_poly(a), _x_poly(b))) == "(1 + x)/(2 + x)"
+
+
+@pytest.mark.parametrize("f, g", [
+    ([1, 0, 1], [1, 1]),        # x^2 + 1 = (x - 1)(x + 1) + 2
+    ([1, 2, 1], [0, 2]),        # the leading coefficient 2 does not divide 1
+    ([1, 3], [1, 2]),           # 2 does not divide 3, though 1 - 1 leaves no tail
+    ([3, 1], [1, 1, 1]),        # g is longer than f
+])
+def test_divide_refuses_an_inexact_division(f, g):
+    import supercalc.algebra as algebra
+
+    assert algebra._divide(f, g) is None
+    assert algebra._divide(_int_mul(f, g), g) == f
 
 
 @pytest.mark.parametrize("num, den", [

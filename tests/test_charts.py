@@ -274,28 +274,23 @@ def test_cocycle_2_2_runs_euclid_only_where_it_can_cancel(monkeypatch):
     # A constant or one-monomial denominator leaves no gcd for the
     # one-variable gcd to find, so the reduction skips it there.  Running
     # it on every one-variable quotient took 327 calls on the chain rule of
-    # these pairs; skipping it takes 106.  The heuristic gcd decides every
-    # one of them, so the primitive PRS behind it never runs.
+    # these pairs; skipping it takes 106.
     import supercalc.algebra as algebra
 
     pairs = list(random_split_pairs_2_2())
-    calls = {"gcd": 0, "prs": 0}
+    calls = 0
+    real = algebra._gcd_cofactors
 
-    def counting(name, real):
-        def spy(a, b):
-            calls[name] += 1
-            return real(a, b)
-        return spy
+    def spy(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
 
-    monkeypatch.setattr(algebra, "_gcd_cofactors",
-                        counting("gcd", algebra._gcd_cofactors))
-    monkeypatch.setattr(algebra, "_prs_cofactors",
-                        counting("prs", algebra._prs_cofactors))
+    monkeypatch.setattr(algebra, "_gcd_cofactors", spy)
     for m1, m2 in pairs:
         lhs = compose_maps(m1, m2).ber_jacobian()
         assert lhs == m1.pullback(m2.ber_jacobian()) * m1.ber_jacobian()
-    assert 0 < calls["gcd"] <= 120
-    assert calls["prs"] == 0
+    assert 0 < calls <= 120
 
 
 def test_berezinian_reductions_stay_within_the_count_before_one_denominator(

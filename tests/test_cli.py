@@ -380,6 +380,51 @@ def test_library_refusals_are_usage_errors(args, message):
     assert message in result.output
 
 
+GAMMA_SHAPE = ("--gamma must be a number, a matrix, or a list of matrices, "
+               "with rational entries")
+
+
+@pytest.mark.parametrize("gamma, message", [
+    ("[]", "need 1 coefficient matrices, one per even coordinate"),
+    ("null", GAMMA_SHAPE),
+    ("{}", GAMMA_SHAPE),
+    ("[[[true]]]", GAMMA_SHAPE),
+    ("true", GAMMA_SHAPE),
+    ('"1/2"', GAMMA_SHAPE),
+    ("[[[1], 2]]", GAMMA_SHAPE),
+    ("NaN", "--gamma entries must be rational, got NaN"),
+    ("[[Infinity]]", "--gamma entries must be rational, got Infinity"),
+])
+def test_bad_gamma_is_a_usage_error(gamma, message):
+    result = CliRunner().invoke(main, ["susy-check", "--ring", "1|1", "--gamma", gamma])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"Error: {message}\n" in result.output
+
+
+def test_gamma_decimals_are_read_exactly():
+    from supercalc.cli import _parse_gamma
+
+    tensor = _parse_gamma("0.1", 1, 1)
+    assert tensor == [[[Fraction(1, 10)]]] and type(tensor[0][0][0]) is Fraction
+    assert _parse_gamma("[[1, 0.5], [0.5, 2]]", 1, 2) == [[[1, Fraction(1, 2)],
+                                                           [Fraction(1, 2), 2]]]
+    result = CliRunner().invoke(main, ["susy-check", "--ring", "1|1", "--gamma", "0.1"])
+    assert result.exit_code == 0, result.output
+
+
+def test_homotopy_degree_on_a_density_is_a_usage_error():
+    result = CliRunner().invoke(main, ["homotopy", "--ring", "1|1", "--degree", "3",
+                                       "--", "Ber @ x1*th1"])
+    assert result.exit_code == 2
+    assert result.output == _usage("homotopy", "EXPRESSION",
+                                   "--degree applies to forms only, not to densities")
+    result = CliRunner().invoke(main, ["homotopy", "--ring", "1|1", "--degree", "1",
+                                       "--", "x1*dx1"])
+    assert (result.exit_code, result.output) == (0, "1/2*x1^2\n")
+
+
 @pytest.mark.parametrize("density", ["Ber @ x1^2/x1", "Ber*x1^3/x1^2"])
 def test_homotopy_ignores_where_even_powers_sit(density):
     want = CliRunner().invoke(main, ["homotopy", "--ring", "1|1", "--", "Ber @ x1"])
