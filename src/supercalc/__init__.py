@@ -15,7 +15,7 @@ from supercalc.algebra import (
 )
 from supercalc.charts import Chart, CoordinateMap
 from supercalc.diffops import DiffOp
-from supercalc.integral_forms import IntegralForm, Markers, VectorField
+from supercalc.integral_forms import IntegralForm, Markers
 from supercalc.integration import (
     PiValue,
     berezin_integral,
@@ -49,7 +49,6 @@ __all__ = [
     "RationalFunction",
     "SuperMatrix",
     "SuperPoly",
-    "VectorField",
     "absorb_even_exponents",
     "berezin_integral",
     "cw_apply",

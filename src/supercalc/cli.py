@@ -27,6 +27,7 @@ import click
 
 from supercalc.charts import cocycle_check
 from supercalc.derham import d, homotopy_h
+from supercalc.diffops import DiffOp
 # ExpressionError, Poly and render are imported for callers that reach the
 # expression language through this module.
 from supercalc.expr import (  # noqa: F401
@@ -46,7 +47,6 @@ from supercalc.expr import (  # noqa: F401
 )
 from supercalc.integral_forms import (
     IntegralForm,
-    VectorField,
     homotopy_int,
     lie_derivative_ber,
     pair,
@@ -274,8 +274,7 @@ def cmd_lie_ber(density, field, gaussian, ring_text, json_mode):
         if extra:
             raise click.UsageError("field components take no marker tags")
         comps[name] = want(ring, v, BASE)
-    x = VectorField(ring.chart, comps)
-    out = lie_derivative_ber(u, x, weights)
+    out = lie_derivative_ber(u, DiffOp.vector_field(ring.chart.table, comps), weights)
     _emit(json_mode, "lie-ber", str(out), ring)
 
 

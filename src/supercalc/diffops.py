@@ -8,7 +8,8 @@ the letters and the odd letters ascending: the normal order.  Sums,
 scaling, parity and left multiplication are polynomial operations, the
 module ones inherited from :class:`~supercalc.algebra.PolyElement`.  Extra
 generators in the table (form symbols, say) carry no letter and live in
-the coefficients.
+the coefficients.  A vector field sum_z X^z d_z is the first-order operator
+of this kind (:meth:`DiffOp.vector_field`); it has no type of its own.
 
 Composition restores the normal order.  Summed over all words, the graded
 Leibniz rule d o f = d(f) + (-1)^{|d||f|} f o d, i.e. [x_i, d_{x_j}] =
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
+from typing import Mapping
 
 from supercalc.algebra import (
     EVEN_BASE,
@@ -96,6 +98,24 @@ class DiffOp(PolyElement):
         if table.classes[table.index(name)] not in (EVEN_BASE, ODD_BASE):
             raise ValueError(f"{name!r} is not a base coordinate")
         return cls(table, SuperPoly.generator(weyl_table(table), DERIV_PREFIX + name))
+
+    @classmethod
+    def vector_field(cls, table: GeneratorTable,
+                     components: Mapping[str, object]) -> "DiffOp":
+        """The vector field sum_z X^z d_z, the components X^z keyed by base
+        coordinate name (missing names mean zero) and given as numbers or
+        as polynomials over ``table``."""
+        coordinates = table.names_of_class(EVEN_BASE, ODD_BASE)
+        out = cls.zero(table)
+        for name, value in components.items():
+            if name not in coordinates:
+                raise ValueError(f"unknown coordinate {name!r}")
+            if not isinstance(value, SuperPoly):
+                value = SuperPoly.constant(table, value)
+            if value.table != table:
+                raise ValueError("component is not over the chart's coordinates")
+            out = out + cls.partial(table, name).left_multiply(value)
+        return out
 
     # --- views --------------------------------------------------------------
 

@@ -809,6 +809,10 @@ class Evaluator:
                 inv = absorb_even_exponents(b.poly).inverse()
             except (ValueError, ZeroDivisionError) as exc:
                 raise _Refusal(f"cannot divide: {exc}", tok)
+            if isinstance(a, Poly):
+                # absorbed on both sides, the quotient collects into one
+                # coefficient per monomial
+                a = Poly(absorb_even_exponents(a.poly), a.layer)
             return self.mul(a, Poly(inv, layer))
         raise _Refusal(f"cannot divide by {_describe(b)}", tok)
 

@@ -28,7 +28,8 @@ negation, scaling and equality come from
   ``Ber @ th_1..th_q pdz_1..pdz_p``,
 * a right action of differential operators :func:`right_action` making the
   densities a right module over the Weyl superalgebra of the chart,
-* Lie derivatives along vector fields :func:`lie_derivative_ber`,
+* Lie derivatives :func:`lie_derivative_ber` along vector fields, which are
+  first-order :class:`~supercalc.diffops.DiffOp` operators sum_z X^z d_z,
 * coordinate changes :meth:`PolyvectorForm.transform`, on every degree, and
 * a contraction pairing :func:`pair` against differential forms, filling
   the role a wedge product cannot play here: two integral forms never
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from supercalc.algebra import (
     DERIVE,
@@ -112,64 +113,6 @@ def polyvector_degree(table: GeneratorTable, mono: Monomial) -> int:
 
 
 # --- densities ------------------------------------------------------------------
-
-
-class VectorField:
-    """A derivation sum_a X^a d/dx_a with polynomial components.
-
-    Components are keyed by coordinate name; missing names mean zero.  The
-    field is homogeneous when every component X^a has parity |X| + |x_a|
-    for one fixed |X|; inhomogeneous fields are allowed as containers but
-    refuse the operations that need a parity.
-    """
-
-    __slots__ = ("chart", "components")
-
-    def __init__(self, chart: Chart, components: Mapping[str, object]):
-        table = chart.table
-        comps: dict[str, SuperPoly] = {}
-        for name, value in components.items():
-            if name not in chart.coordinate_names:
-                raise ValueError(f"unknown coordinate {name!r}")
-            if not isinstance(value, SuperPoly):
-                value = SuperPoly.constant(table, value)
-            if value.table != table:
-                raise ValueError("component is not over the chart's coordinates")
-            if not value.is_zero():
-                comps[name] = value
-        self.chart = chart
-        self.components = comps
-
-    @classmethod
-    def coordinate(cls, chart: Chart, name: str) -> "VectorField":
-        return cls(chart, {name: 1})
-
-    def parity(self) -> int | None:
-        """Operator parity, or None when mixed.  The zero field counts as even."""
-        found: int | None = None
-        for name, comp in self.components.items():
-            cp = comp.parity()
-            if cp is None:
-                return None
-            this = (cp + self.chart.table.parity(name)) % 2
-            if found is None:
-                found = this
-            elif found != this:
-                return None
-        return 0 if found is None else found
-
-    def as_diffop(self) -> DiffOp:
-        out = DiffOp.zero(self.chart.table)
-        for name, comp in self.components.items():
-            out = out + DiffOp.partial(self.chart.table, name).left_multiply(comp)
-        return out
-
-    def __str__(self):
-        if not self.components:
-            return "0"
-        return " + ".join(f"({c})*{DERIV_PREFIX}{n}" for n, c in sorted(self.components.items()))
-
-    __repr__ = __str__
 
 
 class Markers(NamedTuple):
@@ -241,30 +184,42 @@ class Markers(NamedTuple):
         return " ".join(tags)
 
 
-def lie_derivative_ber(density: IntegralForm, field: VectorField,
+def lie_derivative_ber(density: IntegralForm, field: DiffOp,
                        gaussian: Iterable[str] = ()) -> IntegralForm:
     """Dressed Lie derivative of a density along a vector field.
 
-    It is minus the right action of the field as a first-order operator:
-    the coefficient f goes to the divergence sum_a (-1)^{|x_a| (|f| +
-    |X^a|)} d/dx_a (f X^a), summed over the chart coordinates, with the
-    derivative taken from the left.  The field must be parity homogeneous
-    so the signs are well defined.  On the even coordinates listed in
+    The field is a first-order :class:`~supercalc.diffops.DiffOp` sum_z
+    X^z d_z (:meth:`DiffOp.vector_field` builds one), and the Lie
+    derivative is minus its right action: the coefficient f goes to the
+    divergence sum_z (-1)^{|z| (|f| + |X^z|)} d/dz (f X^z), with the
+    derivative taken from the left.  An operator with a term of order 0 or
+    of order 2 or more is refused, and so is one of mixed parity, whose
+    signs are not defined.  On the even coordinates listed in
     ``gaussian`` the density carries the weight exp(-z^2), which stays
     factored out: their derivative picks up the weight's contribution
     -2z, so each such z adds -2 z f X^z.
     """
     f = _density_coefficient(density)
     chart = density.chart
-    if field.chart.table != chart.table:
+    if field.table != chart.table:
         raise ValueError("field and density live on different charts")
-    if field.parity() is None:
+    weyl = field.poly.table
+    letters = weyl.positions_of_class(POLYVECTOR_EVEN, POLYVECTOR_ODD)
+    components = {}
+    for word, comp in field.poly.collect(letters).items():
+        order = weyl.degree(word, POLYVECTOR_EVEN, POLYVECTOR_ODD)
+        if order != 1:
+            raise ValueError(f"not a vector field: the operator has a term of order {order}")
+        (pos, _), = weyl.powers(word)
+        components[weyl.names[pos][len(DERIV_PREFIX):]] = comp
+    if field and field.parity() is None:
         raise ValueError("vector field must have homogeneous parity")
     gaussian = Markers.of(gaussian).check(chart).gaussian
-    out = -right_action(density, field.as_diffop())
-    for name in sorted(gaussian & field.components.keys()):
+    out = -right_action(density, field)
+    for name in sorted(gaussian & components.keys()):
         z = SuperPoly.generator(f.table, name)
-        out = out - IntegralForm(chart, (z * f * field.components[name]).scale(2))
+        x = transport(components[name], f.table)
+        out = out - IntegralForm(chart, (z * f * x).scale(2))
     return out
 
 

@@ -27,7 +27,6 @@ from .diffops import DiffOp
 from .integral_forms import (
     IntegralForm,
     Markers,
-    VectorField,
     _density_coefficient,
     lie_derivative_ber,
     pair,
@@ -41,7 +40,6 @@ __all__ = [
     "stokes_check",
     "duality_pair_integral",
     "susy_generator",
-    "susy_field",
     "susy_algebra_check",
     "susy_variation",
 ]
@@ -117,9 +115,6 @@ class PiValue:
         if not isinstance(other, PiValue):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -291,8 +286,9 @@ def _checked_gamma(chart: Chart, gamma) -> tuple:
     return mats
 
 
-def susy_field(chart: Chart, gamma: Sequence, a: int) -> VectorField:
-    """The a-th supersymmetry generator as a vector field.
+def susy_generator(chart: Chart, gamma: Sequence, a: int) -> DiffOp:
+    """The a-th supersymmetry generator Q_a, a vector field and so a
+    first-order differential operator (:meth:`DiffOp.vector_field`).
 
     Components: 1 on theta_a and (1/2) sum_b gamma^mu_ab theta_b on
     each x_mu.  The tensor gamma is indexed [mu][a][b] and must be
@@ -309,14 +305,8 @@ def susy_field(chart: Chart, gamma: Sequence, a: int) -> VectorField:
             g = gamma[mu][a][b]
             if g:
                 comp = comp + SuperPoly.generator(table, th).scale(Fraction(g, 2))
-        if not comp.is_zero():
-            components[x] = comp
-    return VectorField(chart, components)
-
-
-def susy_generator(chart: Chart, gamma: Sequence, a: int) -> DiffOp:
-    """The a-th supersymmetry generator as a differential operator."""
-    return susy_field(chart, gamma, a).as_diffop()
+        components[x] = comp
+    return DiffOp.vector_field(table, components)
 
 
 def susy_algebra_check(chart: Chart, gamma: Sequence) -> bool:
@@ -353,6 +343,5 @@ def susy_variation(lagrangian: IntegralForm, gamma: Sequence, a: int,
     """
     chart = lagrangian.chart
     gaussian = frozenset(chart.even_names if gaussian is None else gaussian)
-    field = susy_field(chart, gamma, a)
-    varied = lie_derivative_ber(lagrangian, field, gaussian)
+    varied = lie_derivative_ber(lagrangian, susy_generator(chart, gamma, a), gaussian)
     return berezin_integral(varied, gaussian=gaussian)

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 from supercalc.algebra import SuperPoly, transport
 from supercalc.cli import main
+from supercalc.derham import d
 from supercalc.diffops import DiffOp
 from supercalc.expr import (
     FORM,
@@ -212,6 +213,31 @@ def test_a_one_term_denominator_of_several_letters_reads_back(text):
         assert result.output.startswith("1/(x1*x2)*dth2 - ")
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("(x1^2 - 1)/(x1^2 + 3*x1 + 2)", "3/(4 + 4*x1 + x1^2)*dx1"),
+    ("x1^2/(1+x1)", "(2*x1 + x1^2)/(1 + 2*x1 + x1^2)*dx1"),
+])
+def test_a_typed_quotient_prints_collected(text, expected):
+    # the numerator is absorbed beside the divisor, so its even powers
+    # join the quotient instead of staying in the monomial
+    ring = Ring(1, 1)
+    result = CliRunner().invoke(main, ["d", "--ring", "1|1", "--", text])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == expected
+    value = parse_value(text, ring)[0].poly
+    assert parse_value(expected, ring)[0].poly == d(transport(value, ring.ftab))
+
+
+@pytest.mark.parametrize("ring, delta, output", [
+    ("2|0", "3", "(3) dx1"),
+    ("1|1", "(x1) * ((1) del(dth1))", "(x1) dx1 del(dth1)"),
+])
+def test_cw_apply_reads_constants_and_products(ring, delta, output):
+    result = CliRunner().invoke(main, ["cw-apply", "--ring", ring, "--", "dx1", delta])
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == output
+
+
 def test_printing_releases_absorbed_powers():
     # left_derivative leaves x1^2/x1 as 2/x1*x1 - 1/(x1^2)*x1^2; equal
     # elements must print alike
@@ -371,6 +397,8 @@ def test_bad_letters_and_huge_powers_are_usage_errors(command, text, message):
      "'dz' is not a fiber letter of the chart"),
     (["cw-apply", "--ring", "1|1", "--", "dth1 dd_dth1", "dx1*del(dth1,32767)"],
      "an even exponent exceeds 32767"),
+    (["cw-apply", "--ring", "1|1", "--", "dx1", "((1) del(dth1)) * ((1) del(dth1))"],
+     "the product of two full delta forms vanishes identically"),
 ])
 def test_library_refusals_are_usage_errors(args, message):
     result = CliRunner().invoke(main, args)

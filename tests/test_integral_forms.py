@@ -24,7 +24,6 @@ from supercalc.derham import d, fiber_degree, form_table
 from supercalc.diffops import DiffOp
 from supercalc.integral_forms import (
     IntegralForm,
-    VectorField,
     _density_coefficient,
     cohomology_projection,
     homotopy_int,
@@ -62,29 +61,31 @@ def restrict_to_coefficients(poly):
 
 
 def random_field(rng, chart, table, parity, max_exp=1):
+    """The components {x_a: X^a} of a random vector field of the given parity."""
     comps = {}
     for name in chart.coordinate_names:
         want = (parity + table.parity(name)) % 2
         c = random_superpoly(rng, table, parity=want, terms=2, max_exp=max_exp)
         comps[name] = restrict_to_coefficients(c)
-    return VectorField(chart, comps)
+    return comps
 
 
-def reference_lie_derivative(density, field, gaussian=()):
+def reference_lie_derivative(density, components, gaussian=()):
     """The divergence: f goes to sum_a (-1)^{|x_a| (|f| + |X^a|)} d/dx_a
     (f X^a), the derivative from the left, and on each even coordinate z
     in ``gaussian`` the weight exp(-z^2) adds -2 z f X^z."""
     table = density.chart.table
-    xp = field.parity()
     out = SuperPoly.zero(table)
-    for name, comp in field.components.items():
+    for name, comp in components.items():
+        if not comp:
+            continue
         pa = table.parity(name)
         for fp, fpart in enumerate(_density_coefficient(density).homogeneous_parts()):
             g = fpart * comp
             term = g.left_derivative(name)
             if name in gaussian:
                 term = term - (g * gen(table, name)).scale(2)
-            out = out - term if pa and (fp + xp + pa) % 2 else out + term
+            out = out - term if pa and (fp + comp.parity()) % 2 else out + term
     return IntegralForm(density.chart, out)
 
 
@@ -250,7 +251,7 @@ class TestBerSection:
 
 @pytest.mark.parametrize("consume", [
     lambda u: berezin_integral(u, gaussian=("z",)),
-    lambda u: lie_derivative_ber(u, VectorField.coordinate(R11, "z")),
+    lambda u: lie_derivative_ber(u, DiffOp.partial(R11.table, "z")),
     lambda u: right_action(u, DiffOp.partial(R11.table, "z")),
     lambda u: susy_variation(u, [[[1]]], 0),
 ], ids=["berezin_integral", "lie_derivative_ber", "right_action",
@@ -272,22 +273,27 @@ def test_a_density_consumer_refuses_polyvector_letters(consume, letter):
 
 class TestVectorField:
     def test_parity_detection(self):
-        even = VectorField(R11, {"z": gen(R11.table, "z")})
-        odd = VectorField(R11, {"z": gen(R11.table, "th"), "th": 1})
-        mixed = VectorField(R11, {"z": 1, "th": 1})
+        even = DiffOp.vector_field(R11.table, {"z": gen(R11.table, "z")})
+        odd = DiffOp.vector_field(R11.table, {"z": gen(R11.table, "th"), "th": 1})
+        mixed = DiffOp.vector_field(R11.table, {"z": 1, "th": 1})
         assert even.parity() == 0
         assert odd.parity() == 1
         assert mixed.parity() is None
-        assert VectorField(R11, {}).parity() == 0
+        u = IntegralForm(R11, gen(R11.table, "z") * gen(R11.table, "th"))
+        assert lie_derivative_ber(u, DiffOp.vector_field(R11.table, {})).is_zero()
 
     def test_unknown_coordinate(self):
-        with pytest.raises(ValueError):
-            VectorField(R11, {"zz": 1})
+        with pytest.raises(ValueError, match="^unknown coordinate 'zz'$"):
+            DiffOp.vector_field(R11.table, {"zz": 1})
 
-    def test_as_diffop_acts_as_derivation(self):
-        x = VectorField(R22, {"z1": gen(R22.table, "th1"), "th2": 1})
+    def test_component_over_another_table(self):
+        with pytest.raises(ValueError, match="^component is not over the chart's coordinates$"):
+            DiffOp.vector_field(R11.table, {"z": gen(P11, "z")})
+
+    def test_vector_field_acts_as_derivation(self):
+        x = DiffOp.vector_field(R22.table, {"z1": gen(R22.table, "th1"), "th2": 1})
         f = gen(R22.table, "z1") * gen(R22.table, "th2")
-        applied = apply(x.as_diffop(), f)
+        applied = apply(x, f)
         expected = gen(R22.table, "th1") * gen(R22.table, "th2") \
             + gen(R22.table, "z1")
         assert applied == expected
@@ -297,23 +303,39 @@ class TestLieDerivative:
     def test_coordinate_fields_kill_the_generator(self):
         one = IntegralForm(R22, 1)
         for name in R22.coordinate_names:
-            out = lie_derivative_ber(one, VectorField.coordinate(R22, name))
+            out = lie_derivative_ber(one, DiffOp.partial(R22.table, name))
             assert out.is_zero()
 
     def test_even_euler_field(self):
         one = IntegralForm(R11, 1)
-        x = VectorField(R11, {"z": gen(R11.table, "z")})
+        x = DiffOp.vector_field(R11.table, {"z": gen(R11.table, "z")})
         assert lie_derivative_ber(one, x) == one
 
     def test_odd_euler_field(self):
         one = IntegralForm(R11, 1)
-        x = VectorField(R11, {"th": gen(R11.table, "th")})
+        x = DiffOp.vector_field(R11.table, {"th": gen(R11.table, "th")})
         assert lie_derivative_ber(one, x) == -one
 
     def test_mixed_parity_is_refused(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vector field must have homogeneous parity$"):
             lie_derivative_ber(IntegralForm(R11, 1),
-                               VectorField(R11, {"z": 1, "th": 1}))
+                               DiffOp.vector_field(R11.table, {"z": 1, "th": 1}))
+
+    @pytest.mark.parametrize("make, order", [
+        (lambda t: DiffOp.multiplication(gen(t, "z")), 0),
+        (lambda t: DiffOp.partial(t, "z") + DiffOp.identity(t), 0),
+        (lambda t: DiffOp.partial(t, "z").compose(DiffOp.partial(t, "z")), 2),
+        (lambda t: DiffOp.partial(t, "th") + DiffOp.partial(t, "z").compose(
+            DiffOp.partial(t, "th")), 2),
+    ], ids=["multiplication", "zeroth-order-part", "second-order", "second-order-part"])
+    def test_an_operator_that_is_no_vector_field_is_refused(self, make, order):
+        with pytest.raises(ValueError, match=f"^not a vector field: the operator has "
+                                             f"a term of order {order}$"):
+            lie_derivative_ber(IntegralForm(R11, gen(R11.table, "z")), make(R11.table))
+
+    def test_a_field_on_another_chart_is_refused(self):
+        with pytest.raises(ValueError, match="^field and density live on different charts$"):
+            lie_derivative_ber(IntegralForm(R11, 1), DiffOp.partial(R22.table, "z1"))
 
     def test_matches_right_action_with_a_sign(self):
         # the divergence is the oracle of both: the right action of the
@@ -325,15 +347,14 @@ class TestLieDerivative:
             for _ in range(40):
                 s = IntegralForm(chart, random_superpoly(rng, chart.table,
                                                          terms=3, max_exp=2))
-                x = random_field(rng, chart, chart.table, rng.choice([0, 1]))
+                comps = random_field(rng, chart, chart.table, rng.choice([0, 1]))
+                x = DiffOp.vector_field(chart.table, comps)
                 gaussian = [n for n in chart.even_names if rng.random() < 0.6]
-                if x.parity() is None:
-                    continue
                 checked += 1
                 weighted += bool(gaussian)
-                assert right_action(s, x.as_diffop()) == -reference_lie_derivative(s, x)
+                assert right_action(s, x) == -reference_lie_derivative(s, comps)
                 assert lie_derivative_ber(s, x, gaussian) == \
-                    reference_lie_derivative(s, x, gaussian)
+                    reference_lie_derivative(s, comps, gaussian)
         assert checked >= 120 and weighted >= 80
 
 
@@ -367,10 +388,10 @@ class TestRightAction:
         for _ in range(25):
             s = IntegralForm(R22, random_superpoly(rng, R22.table,
                                                    terms=2, max_exp=1))
-            x = random_field(rng, R22, R22.table, rng.choice([0, 1]))
+            xop = DiffOp.vector_field(R22.table,
+                                      random_field(rng, R22, R22.table, rng.choice([0, 1])))
             f = random_superpoly(rng, R22.table, terms=2, max_exp=1)
             mult = DiffOp.multiplication(f)
-            xop = x.as_diffop()
             left = right_action(s, mult.compose(xop))
             assert left == right_action(s.times(f), xop)
             right = right_action(s, xop.compose(mult))
@@ -382,13 +403,12 @@ class TestRightAction:
         for _ in range(30):
             s = IntegralForm(R22, random_superpoly(rng, R22.table,
                                                    terms=2, max_exp=1))
-            x = random_field(rng, R22, R22.table, rng.choice([0, 1]))
-            y = random_field(rng, R22, R22.table, rng.choice([0, 1]))
-            px, py = x.parity(), y.parity()
-            if px is None or py is None:
-                continue
+            xop = DiffOp.vector_field(R22.table,
+                                      random_field(rng, R22, R22.table, rng.choice([0, 1])))
+            yop = DiffOp.vector_field(R22.table,
+                                      random_field(rng, R22, R22.table, rng.choice([0, 1])))
+            px, py = xop.parity(), yop.parity()
             checked += 1
-            xop, yop = x.as_diffop(), y.as_diffop()
             lhs = right_action(s, xop.bracket(yop))
             first = right_action(right_action(s, xop), yop)
             second = right_action(right_action(s, yop), xop)

@@ -25,7 +25,6 @@ from supercalc.integration import (
     gaussian_moment,
     stokes_check,
     susy_algebra_check,
-    susy_field,
     susy_generator,
     susy_variation,
 )
@@ -109,6 +108,18 @@ class TestPiValue:
     def test_rejects_foreign_operands(self):
         with pytest.raises(TypeError):
             SQRT_PI * 0.5
+
+    def test_values_are_unhashable_and_equal_numbers(self):
+        # equal to 1 yet hashed apart from it, a PiValue would break sets
+        # and dict keys, so it is unhashable like every other value type
+        for value in (PiValue(), PiValue.rational(1), SQRT_PI):
+            with pytest.raises(TypeError):
+                hash(value)
+        assert PiValue() == 0
+        assert PiValue.rational(1) == 1
+        assert PiValue.rational(Fraction(3, 2)) == Fraction(3, 2)
+        assert Fraction(3, 2) == PiValue.rational(Fraction(3, 2))
+        assert SQRT_PI != 1
 
 
 class TestGaussianIntegrand:
@@ -503,10 +514,17 @@ class TestSusy:
             susy_generator(R12, (((2, 0), (0, 2)),), 5)
 
     def test_field_and_operator_agree(self):
+        # Q_a = d_th_a + (1/2) sum_b gamma_ab th_b d_x, built letter by letter
         gamma = (((2, 1), (1, 4)),)
+        table = R12.table
+        d_x = DiffOp.partial(table, "x")
         for a in range(2):
-            field = susy_field(R12, gamma, a)
-            assert field.as_diffop() == susy_generator(R12, gamma, a)
+            expected = DiffOp.partial(table, R12.odd_names[a])
+            for b, th in enumerate(R12.odd_names):
+                half = Fraction(gamma[0][a][b], 2)
+                expected = expected + d_x.left_multiply(gen(table, th).scale(half))
+            field = susy_generator(R12, gamma, a)
+            assert field == expected
             assert field.parity() == 1
 
     def test_superfield_variation_vanishes(self):

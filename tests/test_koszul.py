@@ -289,6 +289,22 @@ def test_columns_keyed_by_monomial_rank_as_indexed_columns():
                     _sparse_rank(k_alg._columns(which, source, target))
 
 
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1)])
+def test_differential_matrix_ranks_as_its_columns(p, q):
+    # the dense matrix out of each bidegree up to (2, 2) has the rank of
+    # the sparse columns homology_scan ranks
+    k_alg = KoszulAlgebra(p, q)
+    checked = 0
+    for which in ("koszul", "dual"):
+        for k in range(3):
+            for n in range(3):
+                matrix = k_alg.differential_matrix(which, k, n)
+                source = k_alg.basis(which, k, n)
+                assert exact_rank(matrix) == _sparse_rank(k_alg._columns(which, source))
+                checked += exact_rank(matrix)
+    assert checked > 0
+
+
 class TestHomology:
     def test_classical_line(self):
         k = KoszulAlgebra(1, 0)
